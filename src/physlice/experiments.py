@@ -60,6 +60,13 @@ PRESETS: dict[str, dict] = {
 }
 
 
+# Scenarios that a mode override would not change, and why.
+_MODELESS = {
+    "table1": "it always reports both modes",
+    "loopback": "it runs the link and computes no MI",
+}
+
+
 @dataclass
 class ExperimentConfig:
     scenario: str
@@ -131,7 +138,10 @@ def make_config(scenario: str, **overrides) -> ExperimentConfig:
     }
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
-    params.update({k: v for k, v in overrides.items() if v is not None})
+    given = {k: v for k, v in overrides.items() if v is not None}
+    if "mode" in given and scenario in _MODELESS:
+        raise ValueError(f"scenario {scenario!r} takes no mode: {_MODELESS[scenario]}")
+    params.update(given)
     return ExperimentConfig(scenario=scenario, **params)
 
 

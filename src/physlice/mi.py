@@ -1,18 +1,24 @@
 """Mutual-information analysis of sliced channels.
 
-Three routes to the same quantity:
+One spectral engine computes the per-slice MI of the canonical chain plan in
+both modes. At every split level it takes the parent's per-bin log-gain
+vector ``v = log2(1 + rho * |bins|^2)`` and credits the even bins to the
+positive child and the odd bins to the negative child:
 
-* ``mi_logdet``: exact log-det on a dense channel matrix (oracle scale);
-* ``mi_fast``: per-bin formula on a circulant generator, used everywhere at
-  production scale;
-* the literal triangular-block construction (mode ``literal-triangular``),
-  which rebuilds each half-size channel from the raw tap sequence and simply
-  drops taps that no longer fit below the diagonal. It coincides with the
-  exact fold while the channel fits in the slice and reproduces the
-  non-uniform splitting behaviour once it does not.
+* ``exact-fold``: the parent of level k is the single N-point spectrum of the
+  taps strided by 2^(k-1). This is the even/odd bin law of the generator
+  fold, so MI is conserved at every split up to round-off;
+* ``literal-triangular``: each half-size child is rebuilt from the raw tap
+  sequence with strictly triangular blocks, so taps that no longer fit in a
+  slice of size s are dropped. ``low + wrap`` is then the circulant of
+  ``taps[:s]`` and ``low - wrap`` its skew-circulant, whose eigenvalues are
+  the even and the odd bins of the 2s-point FFT of ``taps[:s]``. The modes
+  coincide while the channel fits in the slice and reproduce non-uniform
+  splitting once it does not.
 
-Reports carry per-level conservation residuals so the fast route is
-continuously cross-checked against the additivity of the split.
+No dense matrix is built on this path. ``mi_logdet`` (exact log-det on a
+dense matrix) and the generator fold of ``channel`` are the oracles the tests
+hold the engine to.
 """
 
 from __future__ import annotations
@@ -26,11 +32,8 @@ import numpy as np
 from .channel import (
     ChannelImpulseResponse,
     CirculantChannel,
-    build_circulant,
     circular_complement,
     lower_triangular_toeplitz,
-    negative_child,
-    positive_child,
     split_coupling,
 )
 from .sliceplan import decode_cost
@@ -56,8 +59,6 @@ _MODES = (MODE_EXACT, MODE_LITERAL)
 
 # Dense log-det evaluations stay at oracle scale.
 _LOGDET_CAP = 512
-# Literal mode builds dense half-size children, so its root is capped too.
-_LITERAL_ROOT_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -99,9 +100,9 @@ def mi_logdet(channel, snr) -> float:
     return logdet2_psd(gram)
 
 
-def _mi_dense(h: np.ndarray, rho: float) -> float:
-    gram = np.eye(h.shape[0], dtype=np.complex128) + rho * (h @ h.conj().T)
-    return logdet2_psd(gram)
+def _log_gains(bins: np.ndarray, rho: float) -> np.ndarray:
+    """Per-bin mutual information in bits, log2(1 + rho * |b|^2), of diagonal gains."""
+    return np.log2(1.0 + rho * np.abs(bins) ** 2)
 
 
 def mi_fast(generator, snr) -> float:
@@ -114,9 +115,7 @@ def mi_fast(generator, snr) -> float:
     g = np.asarray(generator, dtype=np.complex128)
     if g.ndim != 1:
         raise ValueError("generator must be one-dimensional")
-    rho = _rho(snr)
-    bins = np.fft.fft(g)
-    return float(np.sum(np.log2(1.0 + rho * np.abs(bins) ** 2)))
+    return float(np.sum(_log_gains(np.fft.fft(g), _rho(snr))))
 
 
 @dataclass(frozen=True)
@@ -147,7 +146,7 @@ class LevelSplit:
 
 @dataclass
 class MiSplitReport:
-    """Per-slice MI report with conservation and uniformity diagnostics."""
+    """Per-slice MI report with conservation diagnostics."""
 
     frame_size: int
     depth: int
@@ -156,7 +155,6 @@ class MiSplitReport:
     total_mi_bits: float
     records: list[SliceMi]
     levels: list[LevelSplit]
-    uniformity: float | None = None
     cost_row: tuple[str, ...] | None = None
     notes: tuple[str, ...] = ()
 
@@ -231,74 +229,34 @@ def uniformity_ratio(cir: ChannelImpulseResponse, frame_size: int) -> float:
     return coupling / diag_norm
 
 
-def _fold_chain(root: CirculantChannel, depth: int, rho: float):
-    """Walk the exact-fold chain; returns (records, levels, total_mi)."""
-    parent = root
-    parent_mi = mi_fast(parent.generator, rho)
-    total = parent_mi
-    levels: list[LevelSplit] = []
-    negatives: list[SliceMi] = []
-    for level in range(1, depth + 1):
-        pos = positive_child(parent)
-        neg = negative_child(parent)
-        pos_mi = mi_fast(pos.generator, rho)
-        neg_mi = mi_fast(neg.generator, rho)
-        split = LevelSplit(level, parent_mi, pos_mi, neg_mi)
-        levels.append(split)
-        negatives.append(
-            SliceMi(level, "+" * (level - 1) + "-", neg.size, MODE_EXACT, neg_mi, split.residual)
-        )
-        parent, parent_mi = pos, pos_mi
-    final = SliceMi(
-        depth,
-        "+" * depth,
-        parent.size,
-        MODE_EXACT,
-        parent_mi,
-        levels[-1].residual if levels else 0.0,
-    )
-    # Frame order: smallest slice first.
-    records = [final] + negatives[::-1]
-    return records, levels, total
+def _chain_levels(taps: np.ndarray, size: int, depth: int, rho: float, mode: str):
+    """Root MI and the split of each level of the chain, from the taps' spectra.
 
-
-def _literal_chain(root: CirculantChannel, depth: int, rho: float):
-    """Walk the literal triangular-block chain.
-
-    Children at every level are rebuilt from the raw tap sequence with the
-    strictly triangular blocks, so taps beyond the block size are dropped.
-    This is what breaks MI conservation once the channel outgrows the slice.
+    Level k splits the positive slice of the level above into two slices of
+    size ``size >> k``; its positive slice is the parent of level k + 1.
+    Returns ``(root_mi, levels)`` with one :class:`LevelSplit` per level.
     """
-    taps = np.trim_zeros(root.generator, "b")
-    if taps.size == 0:
-        taps = root.generator[:1]
-    parent_mi = mi_fast(root.generator, rho)
-    total = parent_mi
+    spectrum = _log_gains(np.fft.fft(taps, size), rho)
+    total = parent = float(np.sum(spectrum))
     levels: list[LevelSplit] = []
-    negatives: list[SliceMi] = []
-    pos_mi = parent_mi
     for level in range(1, depth + 1):
-        size = root.size >> level
-        low = lower_triangular_toeplitz(taps, size)
-        wrap = circular_complement(taps, size)
-        pos_mi_new = _mi_dense(low + wrap, rho)
-        neg_mi = _mi_dense(low - wrap, rho)
-        split = LevelSplit(level, parent_mi, pos_mi_new, neg_mi)
-        levels.append(split)
-        negatives.append(
-            SliceMi(level, "+" * (level - 1) + "-", size, MODE_LITERAL, neg_mi, split.residual)
-        )
-        parent_mi = pos_mi = pos_mi_new
-    final = SliceMi(
-        depth,
-        "+" * depth,
-        root.size >> depth,
-        MODE_LITERAL,
-        pos_mi,
-        levels[-1].residual if levels else 0.0,
-    )
-    records = [final] + negatives[::-1]
-    return records, levels, total
+        # Even bins go to the positive child and odd bins to the negative one.
+        # Exact: the parent's bins are the frame spectrum's residue class 0
+        # mod 2^(k-1). Literal: the even bins of the 2s-point FFT of taps[:s]
+        # are the circulant's eigenvalues, the odd bins the skew-circulant's.
+        if mode == MODE_EXACT:
+            gains = spectrum[:: 1 << (level - 1)]
+        else:
+            half = size >> level
+            gains = _log_gains(np.fft.fft(taps[:half], 2 * half), rho)
+        positive = float(np.sum(gains[0::2]))
+        levels.append(LevelSplit(level, parent, positive, float(np.sum(gains[1::2]))))
+        parent = positive
+    return total, levels
+
+
+def _negative_path(level: int) -> str:
+    return "+" * (level - 1) + "-"
 
 
 def split_report(
@@ -307,38 +265,31 @@ def split_report(
     depth: int,
     snr,
     mode: str = MODE_EXACT,
-    with_uniformity: bool | None = None,
 ) -> MiSplitReport:
-    """Per-slice MI of the canonical chain plan for one channel realization.
-
-    ``with_uniformity`` controls the dense off-diagonal coupling diagnostic:
-    None computes it automatically at oracle scale (frame size <= 512), where
-    the dense blocks are cheap; it stays available at any size on demand.
-    """
+    """Per-slice MI of the canonical chain plan for one channel realization."""
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {_MODES}")
     if not is_pow2(frame_size) or depth < 0 or (1 << depth) > frame_size:
         raise ValueError(f"invalid plan: frame size {frame_size}, depth {depth}")
+    if cir.length > frame_size:
+        raise ValueError(f"{cir.length} taps do not fit in a size-{frame_size} frame")
     rho = _rho(snr)
-    root = build_circulant(cir, frame_size)
-    if mode == MODE_EXACT:
-        records, levels, total = _fold_chain(root, depth, rho)
+    total, levels = _chain_levels(cir.taps, frame_size, depth, rho, mode)
+    smallest = frame_size >> depth
+    if levels:
+        final = SliceMi(depth, "+" * depth, smallest, mode, levels[-1].positive_mi, levels[-1].residual)
     else:
-        if frame_size > _LITERAL_ROOT_CAP:
-            raise ValueError(
-                f"literal mode builds dense children; frame size is capped at {_LITERAL_ROOT_CAP}"
-            )
-        records, levels, total = _literal_chain(root, depth, rho)
-    if with_uniformity is None:
-        with_uniformity = frame_size <= 512
-    uniformity = None
-    if with_uniformity and frame_size >= 8 and cir.length <= frame_size // 4:
-        uniformity = uniformity_ratio(cir, frame_size)
+        final = SliceMi(0, "", frame_size, mode, total, 0.0)
+    # Frame order: smallest slice first.
+    records = [final] + [
+        SliceMi(lvl.level, _negative_path(lvl.level), frame_size >> lvl.level, mode, lvl.negative_mi, lvl.residual)
+        for lvl in reversed(levels)
+    ]
     notes = ()
-    if cir.length > frame_size >> depth:
+    if cir.length > smallest:
         notes = (
             f"channel ({cir.length} taps) outgrows the smallest slice "
-            f"({frame_size >> depth}); splitting is non-uniform at the deep levels",
+            f"({smallest}); splitting is non-uniform at the deep levels",
         )
     return MiSplitReport(
         frame_size=frame_size,
@@ -348,7 +299,6 @@ def split_report(
         total_mi_bits=total,
         records=records,
         levels=levels,
-        uniformity=uniformity,
         notes=notes,
     )
 
@@ -360,45 +310,16 @@ def deep_split_report(channel: CirculantChannel, snr) -> MiSplitReport:
     the per-size decode-cost row. Intended for a slice channel (for example
     the deepest positive slice of a plan) rather than a whole frame.
     """
-    if channel.size > _LITERAL_ROOT_CAP:
-        raise ValueError(f"deep report root is capped at size {_LITERAL_ROOT_CAP}")
     rho = _rho(snr)
     depth = channel.size.bit_length() - 1
+    total, levels = _chain_levels(channel.generator, channel.size, depth, rho, MODE_EXACT)
+    _, literal = _chain_levels(channel.generator, channel.size, depth, rho, MODE_LITERAL)
     records: list[SliceMi] = []
-    levels: list[LevelSplit] = []
-
-    # Exact-fold chain, both children at each level.
-    parent = channel
-    parent_mi = mi_fast(parent.generator, rho)
-    total = parent_mi
-    for level in range(1, depth + 1):
-        pos, neg = positive_child(parent), negative_child(parent)
-        pos_mi = mi_fast(pos.generator, rho)
-        neg_mi = mi_fast(neg.generator, rho)
-        split = LevelSplit(level, parent_mi, pos_mi, neg_mi)
-        levels.append(split)
-        records.append(SliceMi(level, "+" * level, pos.size, MODE_EXACT, pos_mi, split.residual))
-        records.append(
-            SliceMi(level, "+" * (level - 1) + "-", neg.size, MODE_EXACT, neg_mi, split.residual)
-        )
-        parent, parent_mi = pos, pos_mi
-
-    # Literal chain from the same tap sequence.
-    taps = np.trim_zeros(channel.generator, "b")
-    if taps.size == 0:
-        taps = channel.generator[:1]
-    lit_parent_mi = total
-    for level in range(1, depth + 1):
-        size = channel.size >> level
-        low = lower_triangular_toeplitz(taps, size)
-        wrap = circular_complement(taps, size)
-        pos_mi = _mi_dense(low + wrap, rho)
-        neg_mi = _mi_dense(low - wrap, rho)
-        records.append(SliceMi(level, "+" * level, size, MODE_LITERAL, pos_mi, lit_parent_mi - (pos_mi + neg_mi)))
-        records.append(
-            SliceMi(level, "+" * (level - 1) + "-", size, MODE_LITERAL, neg_mi, lit_parent_mi - (pos_mi + neg_mi))
-        )
-        lit_parent_mi = pos_mi
+    for mode, mode_levels in ((MODE_EXACT, levels), (MODE_LITERAL, literal)):
+        for lvl in mode_levels:
+            size = channel.size >> lvl.level
+            records.append(SliceMi(lvl.level, "+" * lvl.level, size, mode, lvl.positive_mi, lvl.residual))
+            records.append(SliceMi(lvl.level, _negative_path(lvl.level), size, mode, lvl.negative_mi, lvl.residual))
 
     sizes = [channel.size >> level for level in range(1, depth + 1)]
     cost_row = tuple(

@@ -76,6 +76,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown profile"):
             cfg.validated()
 
+    @pytest.mark.parametrize("scenario", ["table1", "loopback"])
+    @pytest.mark.parametrize("mode", ["exact-fold", "literal-triangular"])
+    def test_mode_override_rejected_where_ignored(self, scenario, mode):
+        with pytest.raises(ValueError, match="takes no mode"):
+            make_config(scenario, mode=mode)
+
     def test_infinite_snr_maps_to_noiseless(self):
         cfg = make_config("loopback", snr_db=math.inf)
         assert cfg.snr is None
@@ -230,6 +236,20 @@ class TestCli:
         code = cli_main(["--scenario", "fig7", "--cp", "3"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_mode_on_loopback_is_reported(self, tmp_path, capsys):
+        code = cli_main(["--scenario", "loopback", "--mode", "literal-triangular", "--out", str(tmp_path)])
+        assert code == 2
+        assert "takes no mode" in capsys.readouterr().err
+        assert not (tmp_path / "loopback_runs.csv").exists()
+
+    def test_literal_fig8_runs_at_full_frame_size(self, tmp_path, capsys):
+        code = cli_main(
+            ["--scenario", "fig8", "--mode", "literal-triangular", "--runs", "2", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        rows = (tmp_path / "fig8_runs.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2 * 12
 
     def test_missing_scenario_is_reported(self, capsys):
         code = cli_main([])

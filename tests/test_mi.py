@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from physlice.channel import (
+    ETU_PROFILE,
     ChannelImpulseResponse,
     CirculantChannel,
     build_circulant,
+    circular_complement,
+    lower_triangular_toeplitz,
     negative_child,
     positive_child,
+    sample_cir,
 )
 from physlice.mi import (
     MODE_EXACT,
@@ -251,3 +255,108 @@ class TestDeepReport:
         report = deep_split_report(channel, 10.0)
         table = report.summary_table()
         assert "decode_ops" in table and "2/1" in table
+
+
+def fold_walk(generator, depth, rho):
+    """(parent, positive, negative) MI per level of the generator-fold chain."""
+    channel = CirculantChannel(generator)
+    parent = mi_fast(channel.generator, rho)
+    levels = []
+    for _ in range(depth):
+        pos, neg = positive_child(channel), negative_child(channel)
+        pos_mi = mi_fast(pos.generator, rho)
+        levels.append((parent, pos_mi, mi_fast(neg.generator, rho)))
+        channel, parent = pos, pos_mi
+    return levels
+
+
+def triangular_walk(taps, size, depth, rho):
+    """The same chain with every child the dense ``low +/- wrap`` of the raw taps."""
+    root = np.zeros(size, dtype=complex)
+    root[: min(size, taps.size)] = taps[:size]
+    parent = mi_logdet(CirculantChannel(root), rho)
+    levels = []
+    for level in range(1, depth + 1):
+        half = size >> level
+        low = lower_triangular_toeplitz(taps, half)
+        wrap = circular_complement(taps, half)
+        pos_mi = mi_logdet(low + wrap, rho)
+        levels.append((parent, pos_mi, mi_logdet(low - wrap, rho)))
+        parent = pos_mi
+    return levels
+
+
+def chain_slices(levels, depth):
+    """(path, MI) of every slice of a depth-``depth`` chain in frame order, from per-level triples."""
+    if depth == 0:
+        return [("", levels[0][0])]
+    return [("+" * depth, levels[depth - 1][1])] + [
+        ("+" * (level - 1) + "-", levels[level - 1][2]) for level in range(depth, 0, -1)
+    ]
+
+
+class TestEngineOracles:
+    """Both reports, both modes, every slice and level, against both oracles.
+
+    Exact mode follows the generator fold and literal mode the dense
+    triangular blocks at every level; while the taps fit in a level's slices
+    the two oracles coincide and each mode must match both.
+    """
+
+    RHO = 10.0
+
+    def assert_levels(self, levels, oracle):
+        got = [(lvl.parent_mi, lvl.positive_mi, lvl.negative_mi) for lvl in levels]
+        np.testing.assert_allclose(got, oracle, rtol=1e-9)
+
+    @pytest.mark.parametrize("n", [1 << e for e in range(1, 9)])
+    def test_reports_match_fold_and_dense_oracles(self, n):
+        rng = np.random.default_rng(1000 + n)
+        full = n.bit_length() - 1
+        for length in range(1, n + 1):
+            cir = random_cir(rng, length)
+            root = build_circulant(cir, n)
+            oracles = {
+                MODE_EXACT: fold_walk(root.generator, full, self.RHO),
+                MODE_LITERAL: triangular_walk(cir.taps, n, full, self.RHO),
+            }
+            for k in range(1, full + 1):
+                if length <= n >> k:
+                    np.testing.assert_allclose(oracles[MODE_EXACT][k - 1], oracles[MODE_LITERAL][k - 1], rtol=1e-9)
+
+            for mode, oracle in oracles.items():
+                for depth in range(full + 1):
+                    report = split_report(cir, n, depth, self.RHO, mode=mode)
+                    assert report.total_mi_bits == pytest.approx(oracle[0][0], rel=1e-9)
+                    self.assert_levels(report.levels, oracle[:depth])
+                    expected = chain_slices(oracle, depth)
+                    assert [(r.path, r.size) for r in report.records] == [(p, n >> len(p)) for p, _ in expected]
+                    np.testing.assert_allclose([r.mi_bits for r in report.records], [v for _, v in expected], rtol=1e-9)
+
+            deep = deep_split_report(root, self.RHO)
+            self.assert_levels(deep.levels, oracles[MODE_EXACT])
+            want = []
+            for mode, oracle in oracles.items():
+                for level, (parent, pos, neg) in enumerate(oracle, start=1):
+                    for path, mi_bits in (("+" * level, pos), ("+" * (level - 1) + "-", neg)):
+                        want.append(((level, path, n >> level, mode), mi_bits, parent - (pos + neg)))
+            assert [(r.level, r.path, r.size, r.mode) for r in deep.records] == [key for key, _, _ in want]
+            np.testing.assert_allclose([r.mi_bits for r in deep.records], [v for _, v, _ in want], rtol=1e-9)
+            residual_tol = 1e-9 * oracles[MODE_EXACT][0][0]
+            np.testing.assert_allclose(
+                [r.parent_residual for r in deep.records], [v for _, _, v in want], rtol=0, atol=residual_tol
+            )
+
+    def test_literal_chain_at_full_lte_frame_is_skew_circulant(self):
+        rng = np.random.default_rng(2048)
+        cir = sample_cir(ETU_PROFILE, 1e9 / (2048 * 15e3), rng)  # 155 taps
+        report = split_report(cir, 2048, 11, self.RHO, mode=MODE_LITERAL)
+        assert len(report.records) == 12
+        for record in report.records:
+            size = record.size
+            head = np.zeros(size, dtype=complex)
+            head[: min(size, cir.length)] = cir.taps[:size]
+            if record.path.endswith("-"):
+                head *= np.exp(-1j * np.pi * np.arange(size) / size)
+            assert record.mi_bits == pytest.approx(mi_fast(head, self.RHO), rel=1e-9)
+        assert report.max_level_residual(relative=True) > 1e-6
