@@ -41,6 +41,11 @@ __all__ = [
 
 _FLOAT_FMT = "{:.12g}"
 
+# Frame samples per loopback chunk. The chunk size follows from the frame
+# size (4 runs at N=2048, 32 at N=256); a small budget keeps the per-chunk
+# arrays, and so the peak memory, near that of a single run.
+_CHUNK_SAMPLES = 8192
+
 PRESETS: dict[str, dict] = {
     # Urban channel, sub-6 GHz numerology, one split: distribution of the
     # two branch rates against the ideal half split.
@@ -88,8 +93,8 @@ class ExperimentConfig:
 
     @property
     def snr(self) -> SnrSpec | None:
-        """Linear SNR; None for the exact noiseless (infinite SNR) flag."""
-        if math.isinf(self.snr_db):
+        """Linear SNR; None for the exact noiseless flag snr_db = +inf."""
+        if self.snr_db == math.inf:
             return None
         return SnrSpec.from_db(self.snr_db)
 
@@ -111,6 +116,8 @@ class ExperimentConfig:
             raise ValueError(f"n_fft must be a power of two >= 2, got {self.n_fft}")
         if self.delta_f_hz <= 0:
             raise ValueError("delta_f_hz must be positive")
+        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
+            raise ValueError(f"snr_db must be a number of dB or inf (noiseless), got {self.snr_db}")
         if self.num_runs < 1:
             raise ValueError("num_runs must be at least 1")
         if self.workers < 1:
@@ -196,11 +203,12 @@ def empirical_cdf(samples) -> EmpiricalCdf:
     return EmpiricalCdf(values=ordered, probs=probs)
 
 
-def _map_runs(fn, num_runs: int, workers: int) -> list:
+def _map_runs(fn, count: int, workers: int) -> list:
+    """``[fn(0), ..., fn(count - 1)]``, on a thread pool when workers > 1."""
     if workers <= 1:
-        return [fn(i) for i in range(num_runs)]
+        return [fn(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(num_runs)))
+        return list(pool.map(fn, range(count)))
 
 
 def _run_rng(config: ExperimentConfig, run_id: int) -> np.random.Generator:
@@ -403,32 +411,40 @@ def _run_table1(config: ExperimentConfig, out: Path) -> dict[str, Path]:
 
 
 def loopback_demo(config: ExperimentConfig) -> dict[str, Path]:
-    """Transmit, propagate, receive one frame per run; report EVM and errors."""
+    """Transmit, propagate, receive one frame per run; report EVM and errors.
+
+    Runs go through the link in chunks of ``_CHUNK_SAMPLES // n_fft`` frames
+    on the batch axis; ``workers`` spreads the chunks. Each run still draws
+    its channel, its bits and then its noise from its own stream.
+    """
     config = config.validated()
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     plan, profile, taps = _scenario_plan(config)
     snr = config.snr
+    chunk = max(1, _CHUNK_SAMPLES // config.n_fft)
 
-    def one_run(run_id: int):
-        rng = _run_rng(config, run_id)
-        cir = sample_cir(profile, config.sample_period_ns, rng)
-        bits = rng.integers(0, 2, size=2 * config.n_fft)
+    def one_chunk(index: int):
+        run_ids = range(index * chunk, min((index + 1) * chunk, config.num_runs))
+        rngs = [_run_rng(config, run_id) for run_id in run_ids]
+        cirs = [sample_cir(profile, config.sample_period_ns, rng) for rng in rngs]
+        bits = np.stack([rng.integers(0, 2, size=2 * config.n_fft) for rng in rngs])
         payload = modulate(bits, plan)
-        frame = transmit(payload, plan)
-        y = propagate(frame, cir, snr=snr, rng=rng)
-        estimate = receive(y, plan, cir)
+        y = propagate(transmit(payload, plan), cirs, snr=snr, rng=rngs)
+        estimate = receive(y, plan, cirs)
         per_slice = []
         for sent, got in zip(payload.symbols, estimate.symbols):
-            evm = float(np.sqrt(np.mean(np.abs(got - sent) ** 2) / np.mean(np.abs(sent) ** 2)))
+            evm = np.sqrt(np.mean(np.abs(got - sent) ** 2, axis=-1) / np.mean(np.abs(sent) ** 2, axis=-1))
             if snr is None:
-                errors = 0
+                errors = np.zeros(len(rngs), dtype=np.int64)
             else:
-                errors = int(np.sum(nearest_symbols(got) != sent))
-            per_slice.append((evm, errors))
-        return per_slice
+                errors = np.count_nonzero(nearest_symbols(got) != sent, axis=-1)
+            per_slice.append(zip(evm.tolist(), errors.tolist()))
+        # For each run of the chunk, one (evm, errors) pair per slice.
+        return list(zip(*per_slice))
 
-    results = _map_runs(one_run, config.num_runs, config.workers)
+    chunks = _map_runs(one_chunk, math.ceil(config.num_runs / chunk), config.workers)
+    results = [per_slice for runs in chunks for per_slice in runs]
     rows = []
     for run_id, per_slice in enumerate(results):
         for desc, (evm, errors) in zip(plan.slices, per_slice):

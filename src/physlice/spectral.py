@@ -43,7 +43,7 @@ def dft(x, size: int | None = None) -> np.ndarray:
         raise ValueError(f"length mismatch: vector has {x.size} samples, size={n}")
     if not is_pow2(n):
         raise ValueError(f"transform size must be a power of two, got {n}")
-    return np.fft.fft(x) / np.sqrt(n)
+    return _dft(x)
 
 
 def idft(x, size: int | None = None) -> np.ndarray:
@@ -54,7 +54,19 @@ def idft(x, size: int | None = None) -> np.ndarray:
         raise ValueError(f"length mismatch: vector has {x.size} samples, size={n}")
     if not is_pow2(n):
         raise ValueError(f"transform size must be a power of two, got {n}")
-    return np.fft.ifft(x) * np.sqrt(n)
+    return _idft(x)
+
+
+# Unchecked kernels along the last axis, for callers that validated their
+# whole (..., n) input once at their own boundary.
+
+
+def _dft(x: np.ndarray) -> np.ndarray:
+    return np.fft.fft(x, axis=-1) / np.sqrt(x.shape[-1])
+
+
+def _idft(x: np.ndarray) -> np.ndarray:
+    return np.fft.ifft(x, axis=-1) * np.sqrt(x.shape[-1])
 
 
 def logdet2_psd(a) -> float:

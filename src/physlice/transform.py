@@ -9,6 +9,8 @@ circulant and therefore FFT-decodable.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .spectral import is_pow2
@@ -38,6 +40,14 @@ def butterfly_mixer(size: int) -> np.ndarray:
     if not is_pow2(size) or size < 2:
         raise ValueError(f"split size must be a power of two >= 2, got {size}")
     return np.exp(2j * np.pi * np.arange(size // 2) / size)
+
+
+@functools.cache
+def _mixer(size: int) -> np.ndarray:
+    """Read-only :func:`butterfly_mixer`, computed once per size."""
+    w = butterfly_mixer(size)
+    w.setflags(write=False)
+    return w
 
 
 def split_matrix(size: int, mixer: np.ndarray | None = None) -> np.ndarray:
@@ -89,45 +99,58 @@ def _recursive_dense(n: int, depth: int) -> np.ndarray:
     return np.block([[inner, w], [inner, -w]]) / _SQRT2
 
 
+def _as_frames(signal, depth: int) -> np.ndarray:
+    s = np.asarray(signal, dtype=np.complex128)
+    if s.ndim < 1:
+        raise ValueError("signal must have at least one dimension")
+    _check_plan(s.shape[-1], depth)
+    return s
+
+
 def forward_transform(signal, depth: int) -> np.ndarray:
     """Apply the recursive transform with a butterfly recursion.
 
-    Equals ``recursive_matrix(len(signal), depth) @ signal`` to round-off,
-    at O(N) complex operations per level.
+    ``signal`` has shape (..., N): every leading index is an independent
+    frame. Each frame of the result equals ``recursive_matrix(N, depth) @
+    frame`` to round-off, at O(N) complex operations per level, and is
+    bit-identical to transforming that frame on its own.
     """
-    s = np.asarray(signal, dtype=np.complex128)
-    if s.ndim != 1:
-        raise ValueError(f"signal must be one-dimensional, got shape {s.shape}")
-    _check_plan(s.size, depth)
-    return _forward(s, depth)
+    s = _as_frames(signal, depth)
+    return _forward(s, depth) if depth else s.copy()
 
 
 def _forward(s: np.ndarray, depth: int) -> np.ndarray:
     if depth == 0:
-        return s.copy()
-    half = s.size // 2
-    top = _forward(s[:half], depth - 1)
-    mixed = butterfly_mixer(s.size) * s[half:]
-    return np.concatenate([top + mixed, top - mixed]) / _SQRT2
+        return s
+    n = s.shape[-1]
+    half = n // 2
+    top = _forward(s[..., :half], depth - 1)
+    mixed = _mixer(n) * s[..., half:]
+    out = np.empty(s.shape, dtype=np.complex128)
+    np.add(top, mixed, out=out[..., :half])
+    np.subtract(top, mixed, out=out[..., half:])
+    out /= _SQRT2
+    return out
 
 
 def inverse_transform(signal, depth: int) -> np.ndarray:
-    """Apply the adjoint of :func:`forward_transform`.
+    """Apply the adjoint of :func:`forward_transform` to (..., N) frames.
 
     The transform is orthonormal, so this is also its exact inverse:
     ``inverse_transform(forward_transform(s, d), d) == s`` to round-off.
     """
-    y = np.asarray(signal, dtype=np.complex128)
-    if y.ndim != 1:
-        raise ValueError(f"signal must be one-dimensional, got shape {y.shape}")
-    _check_plan(y.size, depth)
-    return _inverse(y, depth)
+    y = _as_frames(signal, depth)
+    return _inverse(y, depth) if depth else y.copy()
 
 
 def _inverse(y: np.ndarray, depth: int) -> np.ndarray:
     if depth == 0:
-        return y.copy()
-    half = y.size // 2
-    top = _inverse((y[:half] + y[half:]) / _SQRT2, depth - 1)
-    bottom = np.conj(butterfly_mixer(y.size)) * (y[:half] - y[half:]) / _SQRT2
-    return np.concatenate([top, bottom])
+        return y
+    n = y.shape[-1]
+    half = n // 2
+    head, tail = y[..., :half], y[..., half:]
+    out = np.empty(y.shape, dtype=np.complex128)
+    out[..., :half] = _inverse((head + tail) / _SQRT2, depth - 1)
+    np.multiply(np.conj(_mixer(n)), head - tail, out=out[..., half:])
+    out[..., half:] /= _SQRT2
+    return out

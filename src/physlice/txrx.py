@@ -1,12 +1,21 @@
 """End-to-end baseband link over the split transform.
 
+Every link function carries a leading batch axis: an array of shape
+(R, n) holds one frame (or one slice) per row, and a single frame of shape
+(n,) runs through the same code. Inputs are validated once per call, at the
+public function, never per slice.
+
 transmit:  per-slice unitary IDFT, recursive transform, cyclic prefix.
-propagate: linear convolution with the channel taps; keeping the N samples
-           after the CP makes the channel act as a circular convolution of
-           the frame body, plus optional complex AWGN.
+propagate: the receiver keeps the N samples after the CP. The CP covers the
+           channel (cp_length >= L is enforced), so those samples are the
+           circular convolution of the body with the taps, computed here by
+           FFT; then optional complex AWGN. The tests keep the linear
+           convolution of (CP || body) as the oracle.
 receive:   adjoint transform, per-slice unitary DFT, one-tap zero-forcing
            equalization against the true channel response (genie-aided; no
            pilot estimation).
+
+A batch shares one channel or takes a sequence of channels, one per row.
 
 Also here: the direct fixed-point decoder for the unmixed negative branch and
 the order-recursive inverse of a lower-triangular Toeplitz matrix it builds on.
@@ -14,6 +23,7 @@ the order-recursive inverse of a lower-triangular Toeplitz matrix it builds on.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +34,8 @@ from .channel import (
     circular_complement,
     lower_triangular_toeplitz,
 )
-from .sliceplan import SlicePlan, bins_for_slice
-from .spectral import dft, freq_response, idft
+from .sliceplan import SlicePlan
+from .spectral import _dft, _idft
 from .transform import forward_transform, inverse_transform
 
 __all__ = [
@@ -51,174 +61,233 @@ _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j], dtype=np.complex128) / np.s
 _SCHEMES = {"qpsk": (_QPSK, 2)}
 
 
+def _scheme(scheme: str) -> tuple[np.ndarray, int]:
+    if scheme not in _SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return _SCHEMES[scheme]
+
+
+def _hard_index(symbols: np.ndarray) -> np.ndarray:
+    """QPSK hard decision: index of the point in each symbol's own quadrant."""
+    return 2 * (symbols.real < 0) + (symbols.imag < 0)
+
+
 @dataclass
 class SlicePayload:
-    """Per-slice frequency-domain symbol vectors, in frame order.
+    """Per-slice frequency-domain symbols, in frame order.
 
-    ``erasures`` marks bins the equalizer refused to divide (channel gain
-    below threshold); None on the transmit side.
+    Slice k is an array of shape (..., size_k); all slices share the leading
+    (batch) shape. ``erasures`` has the same shapes and marks bins the
+    equalizer refused to divide (channel gain below threshold); None on the
+    transmit side.
     """
 
     symbols: tuple[np.ndarray, ...]
     erasures: tuple[np.ndarray, ...] | None = None
 
     def concat(self) -> np.ndarray:
-        return np.concatenate(self.symbols)
+        return np.concatenate(self.symbols, axis=-1)
 
     @property
     def total_symbols(self) -> int:
-        return sum(int(x.size) for x in self.symbols)
+        """Symbols per frame."""
+        return sum(int(x.shape[-1]) for x in self.symbols)
 
 
 @dataclass
 class OfdmFrame:
-    """Time-domain frame: transformed body plus cyclic prefix (copy of the tail)."""
+    """Time-domain frames: transformed bodies (..., N) plus cyclic prefixes
+    (..., cp_length), each a copy of its body's tail."""
 
     body: np.ndarray
     cyclic_prefix: np.ndarray
     plan: SlicePlan
 
     def __post_init__(self):
-        if self.body.size != self.plan.frame_size:
-            raise ValueError(
-                f"body has {self.body.size} samples, plan expects {self.plan.frame_size}"
-            )
-        n = self.cyclic_prefix.size
-        if n != self.plan.cp_length or (
-            n and not np.array_equal(self.cyclic_prefix, self.body[-n:])
+        n = self.plan.frame_size
+        if self.body.shape[-1:] != (n,):
+            raise ValueError(f"body has shape {self.body.shape}, plan expects {n} samples per frame")
+        cp = self.plan.cp_length
+        if self.cyclic_prefix.shape != self.body.shape[:-1] + (cp,) or not np.array_equal(
+            self.cyclic_prefix, self.body[..., n - cp :]
         ):
             raise ValueError("cyclic prefix must be a copy of the last cp_length body samples")
 
 
-def _check_payload(payload: SlicePayload, plan: SlicePlan) -> None:
+def _check_payload(payload: SlicePayload, plan: SlicePlan) -> list[np.ndarray]:
     if len(payload.symbols) != len(plan.slices):
         raise ValueError(
             f"payload has {len(payload.symbols)} slices, plan has {len(plan.slices)}"
         )
-    for vec, desc in zip(payload.symbols, plan.slices):
-        if vec.size != desc.size:
+    symbols = [np.asarray(vec, dtype=np.complex128) for vec in payload.symbols]
+    lead = symbols[0].shape[:-1]
+    for vec, desc in zip(symbols, plan.slices):
+        if vec.shape[-1:] != (desc.size,):
             raise ValueError(
-                f"slice {desc.path!r} expects {desc.size} symbols, got {vec.size}"
+                f"slice {desc.path!r} expects {desc.size} symbols, got shape {vec.shape}"
             )
+        if vec.shape[:-1] != lead:
+            raise ValueError(f"slices have different batch shapes: {vec.shape[:-1]} and {lead}")
+        if not np.all(np.isfinite(vec)):
+            raise ValueError(f"slice {desc.path!r} contains non-finite symbols")
+    return symbols
 
 
 def modulate(bits, plan: SlicePlan, scheme: str = "qpsk") -> SlicePayload:
-    """Map a bit stream onto per-slice constellation symbols (frame order)."""
-    if scheme not in _SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    points, bits_per_symbol = _SCHEMES[scheme]
-    bits = np.asarray(bits, dtype=np.int64).ravel()
+    """Map bit streams of shape (..., bits_per_symbol * N) onto per-slice
+    constellation symbols (frame order), one frame per leading index."""
+    points, bits_per_symbol = _scheme(scheme)
+    bits = np.asarray(bits, dtype=np.int64)
     expected = bits_per_symbol * plan.frame_size
-    if bits.size != expected:
-        raise ValueError(f"expected {expected} bits for this plan, got {bits.size}")
+    if bits.shape[-1:] != (expected,):
+        raise ValueError(f"expected {expected} bits for this plan, got shape {bits.shape}")
     if np.any((bits != 0) & (bits != 1)):
         raise ValueError("bits must be 0/1")
-    idx = bits.reshape(-1, bits_per_symbol) @ (1 << np.arange(bits_per_symbol - 1, -1, -1))
-    symbols = points[idx]
+    grouped = bits.reshape(bits.shape[:-1] + (-1, bits_per_symbol))
+    symbols = points[grouped @ (1 << np.arange(bits_per_symbol - 1, -1, -1))]
     out = []
     offset = 0
     for desc in plan.slices:
-        out.append(symbols[offset : offset + desc.size].copy())
+        out.append(symbols[..., offset : offset + desc.size].copy())
         offset += desc.size
     return SlicePayload(symbols=tuple(out))
 
 
 def demodulate(payload: SlicePayload, scheme: str = "qpsk") -> np.ndarray:
-    """Hard-decision bits from per-slice symbol estimates."""
-    if scheme not in _SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    _, bits_per_symbol = _SCHEMES[scheme]
-    symbols = payload.concat()
-    bits = np.empty((symbols.size, bits_per_symbol), dtype=np.int64)
-    bits[:, 0] = symbols.real < 0
-    bits[:, 1] = symbols.imag < 0
-    return bits.ravel()
+    """Hard-decision bits, shape (..., bits_per_symbol * N), from per-slice estimates."""
+    _, bits_per_symbol = _scheme(scheme)
+    index = _hard_index(payload.concat())
+    bits = (index[..., None] >> np.arange(bits_per_symbol - 1, -1, -1)) & 1
+    return bits.reshape(index.shape[:-1] + (-1,))
 
 
-def nearest_symbols(estimates: np.ndarray, scheme: str = "qpsk") -> np.ndarray:
-    """Snap estimates to the closest constellation point."""
-    points, _ = _SCHEMES[scheme]
-    dist = np.abs(estimates[:, None] - points[None, :])
-    return points[np.argmin(dist, axis=1)]
+def nearest_symbols(estimates, scheme: str = "qpsk") -> np.ndarray:
+    """Snap estimates of any shape to the closest constellation point.
+
+    For QPSK the closest point lies in the estimate's own quadrant, so this
+    is the hard decision of :func:`demodulate` mapped back to its symbol.
+    """
+    points, _ = _scheme(scheme)
+    return points[_hard_index(np.asarray(estimates))]
 
 
 def transmit(payload: SlicePayload, plan: SlicePlan) -> OfdmFrame:
     """Per-slice unitary IDFT, recursive transform, cyclic prefix."""
-    _check_payload(payload, plan)
-    time_domain = np.concatenate([idft(x) for x in payload.symbols])
-    body = forward_transform(time_domain, plan.depth)
-    cp = body[plan.frame_size - plan.cp_length :].copy() if plan.cp_length else np.zeros(0, dtype=np.complex128)
+    symbols = _check_payload(payload, plan)
+    body = forward_transform(np.concatenate([_idft(x) for x in symbols], axis=-1), plan.depth)
+    cp = body[..., plan.frame_size - plan.cp_length :].copy()
     return OfdmFrame(body=body, cyclic_prefix=cp, plan=plan)
+
+
+def _stacked_taps(cir, batch: tuple[int, ...], n_bins: int) -> np.ndarray:
+    """Taps of one channel, shape (L,), or of one channel per frame, (R, L)
+    zero-padded to the longest; L must fit in ``n_bins``."""
+    if isinstance(cir, ChannelImpulseResponse):
+        taps = cir.taps
+    else:
+        cirs = list(cir)
+        if len(batch) != 1 or len(cirs) != batch[0]:
+            raise ValueError(f"expected one channel per frame of batch shape {batch}, got {len(cirs)}")
+        taps = np.zeros((len(cirs), max(c.length for c in cirs)), dtype=np.complex128)
+        for row, c in zip(taps, cirs):
+            row[: c.length] = c.taps
+    if taps.shape[-1] > n_bins:
+        raise ValueError(f"{taps.shape[-1]} taps do not fit in {n_bins} bins")
+    return taps
+
+
+def _noise_rho(snr) -> float | None:
+    if snr is None:
+        return None
+    rho = float(getattr(snr, "rho", snr))
+    if rho == np.inf:
+        return None
+    if not rho > 0:
+        raise ValueError(f"snr must be positive, got {rho}")
+    return rho
+
+
+def _standard_normals(rng, shape: tuple[int, ...]) -> np.ndarray:
+    """Standard normals of shape (2,) + shape: real parts, then imaginary parts."""
+    if isinstance(rng, Sequence) and rng and all(isinstance(g, np.random.Generator) for g in rng):
+        if len(shape) != 2 or len(rng) != shape[0]:
+            raise ValueError(f"expected one generator per frame of batch shape {shape[:-1]}, got {len(rng)}")
+        draws = np.empty((2,) + shape)
+        for row, g in enumerate(rng):
+            draws[:, row] = g.standard_normal((2, shape[-1]))
+        return draws
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(rng)
+    return rng.standard_normal((2,) + shape)
 
 
 def propagate(
     frame: OfdmFrame,
-    cir: ChannelImpulseResponse,
+    cir: ChannelImpulseResponse | Sequence[ChannelImpulseResponse],
     snr=None,
     rng=None,
 ) -> np.ndarray:
-    """Send one frame through the channel and return the N post-CP samples.
+    """Send frames through the channel and return the N post-CP samples of each.
 
-    Linear convolution of (CP || body) with the taps, keeping the N samples
-    following the CP, equals a circular convolution of the body whenever the
-    CP covers the channel. ``snr`` is the linear rho (or an object with a
-    ``rho`` attribute); None or infinity bypasses noise addition exactly.
+    With the CP covering the channel, the post-CP samples of the linear
+    convolution of (CP || body) with the taps are the circular convolution
+    of the body, computed here by FFT. ``snr`` is the linear rho (or an
+    object with a ``rho`` attribute); None or +infinity bypasses noise
+    addition exactly. ``rng`` is one noise stream for all frames (a Generator
+    or a seed), or, for an (R, N) batch, a sequence of R Generators: each
+    then draws its frame's N real noise parts, then its N imaginary parts.
     """
-    if frame.plan.cp_length < cir.length:
+    plan = frame.plan
+    n = plan.frame_size
+    taps = _stacked_taps(cir, frame.body.shape[:-1], n)
+    if plan.cp_length < taps.shape[-1]:
         raise ValueError(
-            f"cyclic prefix ({frame.plan.cp_length}) shorter than the channel ({cir.length})"
+            f"cyclic prefix ({plan.cp_length}) shorter than the channel ({taps.shape[-1]})"
         )
-    n = frame.plan.frame_size
-    full = np.concatenate([frame.cyclic_prefix, frame.body])
-    convolved = np.convolve(full, cir.taps)
-    received = convolved[frame.plan.cp_length : frame.plan.cp_length + n]
-    rho = None
-    if snr is not None:
-        rho = float(getattr(snr, "rho", snr))
-        if np.isinf(rho):
-            rho = None
+    received = np.fft.ifft(np.fft.fft(frame.body, axis=-1) * np.fft.fft(taps, n, axis=-1), axis=-1)
+    rho = _noise_rho(snr)
     if rho is None:
         return received
-    if rho <= 0:
-        raise ValueError(f"snr must be positive, got {rho}")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
     # Unit average signal power is guaranteed by the unitary chain and
     # unit-power constellations, so the noise variance is 1/rho.
     scale = np.sqrt(1.0 / (2.0 * rho))
-    noise = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    return received + noise
+    draws = _standard_normals(rng, received.shape)
+    received.real += scale * draws[0]
+    received.imag += scale * draws[1]
+    return received
 
 
 def receive(
     y,
     plan: SlicePlan,
-    cir: ChannelImpulseResponse,
-    snr=None,
+    cir: ChannelImpulseResponse | Sequence[ChannelImpulseResponse],
 ) -> SlicePayload:
     """Adjoint transform, per-slice unitary DFT, one-tap zero-forcing equalizer.
 
-    The equalizer divides slice bin b by the true channel response at the
-    original bin the slice carries there (genie-aided). ``snr`` is accepted
-    for interface symmetry; zero-forcing does not use it. Bins whose gain
-    magnitude falls below ``EQUALIZER_ERASURE_THRESHOLD`` are flagged as
+    ``y`` holds frames of shape (..., N). The equalizer divides slice bin b
+    by the true channel response at the original bin the slice carries
+    there, ``gains[..., bin_residue::bin_stride]`` (genie-aided). Bins whose
+    gain magnitude falls below ``EQUALIZER_ERASURE_THRESHOLD`` are flagged as
     erasures and returned as zeros.
     """
     y = np.asarray(y, dtype=np.complex128)
-    if y.size != plan.frame_size:
-        raise ValueError(f"expected {plan.frame_size} samples, got {y.size}")
+    if y.shape[-1:] != (plan.frame_size,):
+        raise ValueError(f"expected {plan.frame_size} samples per frame, got shape {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("received samples contain non-finite entries")
+    gains = np.fft.fft(_stacked_taps(cir, y.shape[:-1], plan.frame_size), plan.frame_size, axis=-1)
+    erased = np.abs(gains) < EQUALIZER_ERASURE_THRESHOLD
+    safe = np.where(erased, 1.0, gains)
     z = inverse_transform(y, plan.depth)
-    gains = freq_response(cir.taps, plan.frame_size)
     estimates = []
     erasures = []
     for desc in plan.slices:
-        segment = z[desc.frame_offset : desc.frame_offset + desc.size]
-        spectrum = dft(segment)
-        slice_gains = gains[np.fromiter(bins_for_slice(desc, plan.frame_size), dtype=np.int64)]
-        erased = np.abs(slice_gains) < EQUALIZER_ERASURE_THRESHOLD
-        safe = np.where(erased, 1.0, slice_gains)
-        estimates.append(np.where(erased, 0.0, spectrum / safe))
-        erasures.append(erased)
+        bins = slice(desc.bin_residue, None, desc.bin_stride)
+        estimate = _dft(z[..., desc.frame_offset : desc.frame_offset + desc.size]) / safe[..., bins]
+        slice_erased = np.broadcast_to(erased[..., bins], estimate.shape).copy()
+        estimate[slice_erased] = 0.0
+        estimates.append(estimate)
+        erasures.append(slice_erased)
     return SlicePayload(symbols=tuple(estimates), erasures=tuple(erasures))
 
 
@@ -289,8 +358,11 @@ def triangular_toeplitz_inverse(matrix) -> np.ndarray:
 
     Growing the order by one appends the last row
     [-(1/h0) * h^T @ inv_prev, 1/h0], where h^T is the new bottom row of the
-    matrix without its diagonal entry. Exact up to round-off; validated so
-    that result @ matrix == I.
+    matrix without its diagonal entry. The inverse is itself lower-triangular
+    Toeplitz, so that row is its first column reversed, and only the first
+    entry of ``h^T @ inv_prev`` is new: the recursion keeps the first column
+    alone, c_{k-1} = -(1/h0) * sum_j h_{k-1-j} c_j, in O(n^2) work and O(n)
+    memory. Exact up to round-off; validated so that result @ matrix == I.
     """
     a = np.asarray(matrix, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -302,13 +374,8 @@ def triangular_toeplitz_inverse(matrix) -> np.ndarray:
     if not np.allclose(a, lower_triangular_toeplitz(col, n), atol=1e-12 * max(1.0, float(np.max(np.abs(a))))):
         raise ValueError("matrix is not lower-triangular Toeplitz")
     inv_h0 = 1.0 / col[0]
-    inv = np.array([[inv_h0]], dtype=np.complex128)
+    first = np.zeros(n, dtype=np.complex128)
+    first[0] = inv_h0
     for k in range(2, n + 1):
-        head = col[k - 1 : 0 : -1]
-        last = -(head @ inv) * inv_h0
-        grown = np.zeros((k, k), dtype=np.complex128)
-        grown[: k - 1, : k - 1] = inv
-        grown[k - 1, : k - 1] = last
-        grown[k - 1, k - 1] = inv_h0
-        inv = grown
-    return inv
+        first[k - 1] = -(col[k - 1 : 0 : -1] @ first[: k - 1]) * inv_h0
+    return lower_triangular_toeplitz(first, n)

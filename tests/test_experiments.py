@@ -85,6 +85,13 @@ class TestConfig:
     def test_infinite_snr_maps_to_noiseless(self):
         cfg = make_config("loopback", snr_db=math.inf)
         assert cfg.snr is None
+        assert make_config("loopback", snr_db=-math.inf).snr.rho == 0.0
+
+    @pytest.mark.parametrize("snr_db", [-math.inf, math.nan])
+    def test_validation_rejects_snr_without_signal_or_value(self, snr_db):
+        cfg = make_config("loopback", snr_db=snr_db)
+        with pytest.raises(ValueError, match="snr_db must be"):
+            cfg.validated()
 
     def test_config_file_round_trip(self, tmp_path):
         path = tmp_path / "run.conf"
@@ -203,6 +210,38 @@ class TestScenarios:
         live_power = np.mean(np.abs(estimate.symbols[1]) ** 2)
         assert muted_power < 0.05 * live_power
 
+    @pytest.mark.parametrize("n_fft,num_runs", [(2048, 9), (256, 70)])
+    def test_loopback_chunks_equal_a_serial_single_frame_replay(self, tmp_path, n_fft, num_runs):
+        from physlice.channel import sample_cir
+        from physlice.sliceplan import build_plan
+        from physlice.txrx import modulate, nearest_symbols, propagate, receive, transmit
+
+        # Neither run count is a multiple of the chunk (4 at N=2048, 32 at N=256).
+        cfg = make_config("loopback", n_fft=n_fft, cp_length=32 if n_fft == 256 else 169, num_runs=num_runs, seed=11)
+        profile = cfg.resolve_profile()
+        plan = build_plan(cfg.n_fft, cfg.depth, cfg.cp_length)
+        lines = ["run_id,slice_path,evm,symbol_errors"]
+        for run_id in range(num_runs):
+            rng = np.random.default_rng([cfg.seed, run_id])
+            cir = sample_cir(profile, cfg.sample_period_ns, rng)
+            payload = modulate(rng.integers(0, 2, size=2 * n_fft), plan)
+            estimate = receive(propagate(transmit(payload, plan), cir, snr=cfg.snr, rng=rng), plan, cir)
+            for desc, sent, got in zip(plan.slices, payload.symbols, estimate.symbols):
+                evm = float(np.sqrt(np.mean(np.abs(got - sent) ** 2) / np.mean(np.abs(sent) ** 2)))
+                errors = int(np.count_nonzero(nearest_symbols(got) != sent))
+                lines.append(f"{run_id},{desc.path},{evm:.12g},{errors}")
+        replay = ("\n".join(lines) + "\n").encode()
+        for workers in (1, 2, 8):
+            out = tmp_path / f"w{workers}"
+            paths = run_scenario(
+                make_config(
+                    "loopback", n_fft=n_fft, cp_length=cfg.cp_length, num_runs=num_runs,
+                    seed=11, workers=workers, output_dir=str(out),
+                )
+            )
+            assert paths["runs"].read_bytes() == replay
+            assert paths["summary"].read_bytes() == (tmp_path / "w1" / "loopback_summary.txt").read_bytes()
+
     def test_deterministic_across_worker_counts(self, tmp_path):
         out1 = tmp_path / "w1"
         out8 = tmp_path / "w8"
@@ -241,6 +280,12 @@ class TestCli:
         code = cli_main(["--scenario", "loopback", "--mode", "literal-triangular", "--out", str(tmp_path)])
         assert code == 2
         assert "takes no mode" in capsys.readouterr().err
+        assert not (tmp_path / "loopback_runs.csv").exists()
+
+    def test_loopback_without_signal_is_reported(self, tmp_path, capsys):
+        code = cli_main(["--scenario", "loopback", "--snr-db=-inf", "--runs", "2", "--out", str(tmp_path)])
+        assert code == 2
+        assert "snr_db must be" in capsys.readouterr().err
         assert not (tmp_path / "loopback_runs.csv").exists()
 
     def test_literal_fig8_runs_at_full_frame_size(self, tmp_path, capsys):

@@ -165,3 +165,39 @@ def test_single_split_block_diagonalizes_short_channels(n):
         half = n // 2
         assert np.max(np.abs(mixed[:half, half:])) < 1e-10
         assert np.max(np.abs(mixed[half:, :half])) < 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 8, 64, 512])
+def test_batched_transforms_equal_per_row_and_dense(n):
+    rng = np.random.default_rng(n)
+    rows = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+    for depth in range(n.bit_length()):
+        dense = recursive_matrix(n, depth)
+        forward = forward_transform(rows, depth)
+        inverse = inverse_transform(rows, depth)
+        assert forward.shape == inverse.shape == rows.shape
+        for row, fwd, inv in zip(rows, forward, inverse):
+            np.testing.assert_array_equal(fwd, forward_transform(row, depth))
+            np.testing.assert_array_equal(inv, inverse_transform(row, depth))
+            assert np.max(np.abs(fwd - dense @ row)) < 1e-12
+            assert np.max(np.abs(inv - dense.conj().T @ row)) < 1e-12
+
+
+def test_batched_transforms_take_any_leading_shape():
+    rng = np.random.default_rng(7)
+    frames = rng.standard_normal((2, 3, 32)) + 1j * rng.standard_normal((2, 3, 32))
+    flat = frames.reshape(6, 32)
+    np.testing.assert_array_equal(forward_transform(frames, 4), forward_transform(flat, 4).reshape(2, 3, 32))
+    np.testing.assert_array_equal(inverse_transform(frames, 4), inverse_transform(flat, 4).reshape(2, 3, 32))
+
+
+def test_transforms_return_new_arrays_at_depth_zero():
+    s = np.arange(4, dtype=np.complex128)
+    assert forward_transform(s, 0) is not s and inverse_transform(s, 0) is not s
+    np.testing.assert_array_equal(forward_transform(s, 0), s)
+
+
+def test_writing_to_a_returned_mixer_leaves_the_transform_intact():
+    butterfly_mixer(16)[:] = 0
+    s = random_complex(np.random.default_rng(16), 16)
+    assert np.max(np.abs(forward_transform(s, 2) - recursive_matrix(16, 2) @ s)) < 1e-12

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from physlice.channel import (
     ChannelImpulseResponse,
@@ -30,6 +31,26 @@ def random_cir(rng, length):
 
 def random_payload(rng, plan):
     return modulate(rng.integers(0, 2, 2 * plan.frame_size), plan)
+
+
+def linear_oracle(frame, cir):
+    """Post-CP samples of the linear convolution of (CP || body) with the taps."""
+    cp, n = frame.plan.cp_length, frame.plan.frame_size
+    full = np.concatenate([frame.cyclic_prefix, frame.body])
+    return np.convolve(full, cir.taps)[cp : cp + n]
+
+
+def oracle_noise(seed, n, rho):
+    rng = np.random.default_rng(seed)
+    return np.sqrt(1.0 / (2.0 * rho)) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+def random_link(rng):
+    """A random plan with a channel the CP covers: N, depth, L <= cp <= N."""
+    n = 1 << int(rng.integers(1, 11))
+    depth = int(rng.integers(0, n.bit_length()))
+    cp = int(rng.integers(1, n + 1))
+    return build_plan(n, depth, cp), int(rng.integers(1, cp + 1))
 
 
 class TestModulation:
@@ -317,6 +338,16 @@ class TestTriangularInverse:
         np.testing.assert_allclose(inv, np.linalg.inv(mat), atol=1e-10)
         assert np.max(np.abs(inv @ mat - np.eye(order))) < 1e-10
 
+    def test_large_order_matches_triangular_solve(self):
+        # Geometric taps keep the inverse bounded at a large order.
+        rng = np.random.default_rng(512)
+        taps = np.concatenate([[1.0 + 0.2j], 0.5 ** np.arange(1, 512) * np.exp(2j * np.pi * rng.random(511))])
+        mat = lower_triangular_toeplitz(taps, 512)
+        inv = triangular_toeplitz_inverse(mat)
+        np.testing.assert_allclose(inv, solve_triangular(mat, np.eye(512), lower=True), atol=1e-10)
+        assert np.max(np.abs(inv @ mat - np.eye(512))) < 1e-10
+        np.testing.assert_array_equal(inv, lower_triangular_toeplitz(inv[:, 0], 512))
+
     def test_rejects_zero_diagonal(self):
         with pytest.raises(ValueError, match="singular"):
             triangular_toeplitz_inverse(np.zeros((3, 3)))
@@ -325,6 +356,107 @@ class TestTriangularInverse:
         bad = np.tril(np.arange(16, dtype=float).reshape(4, 4) + 1)
         with pytest.raises(ValueError, match="Toeplitz"):
             triangular_toeplitz_inverse(bad)
+
+
+class TestBatchOracles:
+    def test_propagate_equals_linear_convolution(self):
+        rng = np.random.default_rng(100)
+        for trial in range(40):
+            plan, length = random_link(rng)
+            frame = transmit(random_payload(rng, plan), plan)
+            cir = random_cir(rng, length)
+            want = linear_oracle(frame, cir)
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(propagate(frame, cir) - want)) < 1e-12 * scale
+            noisy = propagate(frame, cir, snr=20.0, rng=trial)
+            want = want + oracle_noise(trial, plan.frame_size, 20.0)
+            assert np.max(np.abs(noisy - want)) < 1e-12 * scale
+
+    def test_batched_propagate_equals_per_row_oracle(self):
+        rng = np.random.default_rng(101)
+        for _ in range(10):
+            plan, length = random_link(rng)
+            rows = int(rng.integers(1, 6))
+            bits = rng.integers(0, 2, (rows, 2 * plan.frame_size))
+            frames = transmit(modulate(bits, plan), plan)
+            cirs = [random_cir(rng, int(rng.integers(1, length + 1))) for _ in range(rows)]
+            seeds = [int(x) for x in rng.integers(0, 1 << 30, rows)]
+            got = propagate(frames, cirs, snr=50.0, rng=[np.random.default_rng(x) for x in seeds])
+            for r in range(rows):
+                single = transmit(modulate(bits[r], plan), plan)
+                np.testing.assert_array_equal(
+                    got[r], propagate(single, cirs[r], snr=50.0, rng=np.random.default_rng(seeds[r]))
+                )
+                want = linear_oracle(single, cirs[r]) + oracle_noise(seeds[r], plan.frame_size, 50.0)
+                assert np.max(np.abs(got[r] - want)) < 1e-12 * max(1.0, float(np.max(np.abs(want))))
+
+    def test_batched_transmit_equals_per_row(self):
+        rng = np.random.default_rng(102)
+        plan = build_plan(64, 3, 9)
+        bits = rng.integers(0, 2, (4, 128))
+        batch = transmit(modulate(bits, plan), plan)
+        for r in range(4):
+            single = transmit(modulate(bits[r], plan), plan)
+            np.testing.assert_array_equal(batch.body[r], single.body)
+            np.testing.assert_array_equal(batch.cyclic_prefix[r], single.cyclic_prefix)
+        np.testing.assert_array_equal(demodulate(modulate(bits, plan)), bits)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_batched_receive_equals_per_row(self, shared):
+        rng = np.random.default_rng(103)
+        plan = build_plan(32, 2, 4)
+        null = ChannelImpulseResponse([1.0, -1.0], 1.0)  # exact null at bin 0
+        cirs = [null, random_cir(rng, 3), null, random_cir(rng, 4)]
+        if shared:
+            cirs = [null] * 4
+        y = rng.standard_normal((4, 32)) + 1j * rng.standard_normal((4, 32))
+        batch = receive(y, plan, null if shared else cirs)
+        for r in range(4):
+            single = receive(y[r], plan, cirs[r])
+            for k in range(len(plan.slices)):
+                np.testing.assert_array_equal(batch.symbols[k][r], single.symbols[k])
+                np.testing.assert_array_equal(batch.erasures[k][r], single.erasures[k])
+        assert batch.erasures[0][0, 0] and batch.erasures[0][2, 0]
+        assert batch.erasures[0][1, 0] == shared
+
+    def test_batch_arguments_must_match_the_batch(self):
+        rng = np.random.default_rng(104)
+        plan = build_plan(16, 1, 2)
+        frames = transmit(modulate(rng.integers(0, 2, (3, 32)), plan), plan)
+        cir = ChannelImpulseResponse([1.0], 1.0)
+        with pytest.raises(ValueError, match="one channel per frame"):
+            propagate(frames, [cir, cir])
+        with pytest.raises(ValueError, match="one generator per frame"):
+            propagate(frames, cir, snr=10.0, rng=[np.random.default_rng(0)] * 2)
+        with pytest.raises(ValueError, match="one channel per frame"):
+            receive(frames.body, plan, [cir])
+
+    def test_non_finite_input_is_rejected_once_at_the_boundary(self):
+        plan = build_plan(16, 1, 2)
+        cir = ChannelImpulseResponse([1.0], 1.0)
+        y = np.zeros((2, 16), complex)
+        y[1, 3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            receive(y, plan, cir)
+        payload = modulate(np.zeros(32, dtype=int), plan)
+        bad = SlicePayload(symbols=(payload.symbols[0], np.full(8, np.inf, complex)))
+        with pytest.raises(ValueError, match="non-finite"):
+            transmit(bad, plan)
+
+    def test_rejects_non_positive_snr(self):
+        plan = build_plan(16, 1, 2)
+        frame = transmit(modulate(np.zeros(32, dtype=int), plan), plan)
+        for rho in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="snr must be positive"):
+                propagate(frame, ChannelImpulseResponse([1.0], 1.0), snr=rho, rng=0)
+
+
+def test_nearest_symbols_equals_argmin_oracle():
+    rng = np.random.default_rng(105)
+    points = modulate([0, 0, 0, 1, 1, 0, 1, 1], build_plan(4, 0, 0)).symbols[0]
+    estimates = 0.8 * (rng.standard_normal((3, 500)) + 1j * rng.standard_normal((3, 500)))
+    dist = np.abs(estimates[..., None] - points)
+    np.testing.assert_array_equal(nearest_symbols(estimates), points[np.argmin(dist, axis=-1)])
 
 
 def test_nearest_symbols_snaps_to_constellation():
