@@ -35,8 +35,10 @@ from .experiments import (
 from .mi import (
     MODE_EXACT,
     MODE_LITERAL,
+    ChainMi,
     MiSplitReport,
     SnrSpec,
+    chain_mi,
     deep_split_report,
     mi_fast,
     mi_logdet,

@@ -36,6 +36,7 @@ __all__ = [
     "load_profile",
     "profile_tap_count",
     "sample_cir",
+    "stack_taps",
     "build_circulant",
     "extract_blocks",
     "positive_child",
@@ -157,6 +158,24 @@ def sample_cir(profile: ChannelProfile, sample_period_ns: float, rng) -> Channel
     taps = np.zeros(int(idx.max()) + 1, dtype=np.complex128)
     np.add.at(taps, idx, draws)
     return ChannelImpulseResponse(taps, float(sample_period_ns))
+
+
+def stack_taps(cir, batch: tuple[int, ...], n_bins: int) -> np.ndarray:
+    """Taps of one channel, shape (L,), or of one channel per row of a batch
+    of shape ``batch`` = (R,), stacked as (R, L) and zero-padded to the
+    longest; L must fit in ``n_bins``."""
+    if isinstance(cir, ChannelImpulseResponse):
+        taps = cir.taps
+    else:
+        cirs = list(cir)
+        if len(batch) != 1 or len(cirs) != batch[0]:
+            raise ValueError(f"expected one channel per frame of batch shape {batch}, got {len(cirs)}")
+        taps = np.zeros((len(cirs), max(c.length for c in cirs)), dtype=np.complex128)
+        for row, c in zip(taps, cirs):
+            row[: c.length] = c.taps
+    if taps.shape[-1] > n_bins:
+        raise ValueError(f"{taps.shape[-1]} taps do not fit in {n_bins} bins")
+    return taps
 
 
 @dataclass(frozen=True)

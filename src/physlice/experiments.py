@@ -1,8 +1,10 @@
 """Scenario presets, Monte Carlo orchestration, and plot-ready CSV emission.
 
-Every run derives its own RNG stream from (seed, run_id), so results are
-byte-identical regardless of how many workers execute the runs; aggregation
-is always in run_id order. Plot rendering is left to external tools: the
+The Monte Carlo scenarios run their realizations in chunks of consecutive
+runs on a leading batch axis and keep per-run results as arrays. Every run
+derives its own RNG stream from (seed, run_id), so results are
+byte-identical regardless of how many workers execute the chunks;
+aggregation is always in run_id order. Plot rendering is left to external tools: the
 files written here are plain CSV plus a short text summary per scenario.
 """
 
@@ -23,8 +25,9 @@ from .channel import (
     positive_child,
     profile_tap_count,
     sample_cir,
+    stack_taps,
 )
-from .mi import MODE_EXACT, MODE_LITERAL, SnrSpec, deep_split_report, split_report
+from .mi import MODE_EXACT, MODE_LITERAL, ChainMi, SnrSpec, chain_mi, deep_split_report, split_report
 from .sliceplan import SlicePlan, build_plan, total_cost
 from .txrx import modulate, nearest_symbols, propagate, receive, transmit
 
@@ -41,9 +44,9 @@ __all__ = [
 
 _FLOAT_FMT = "{:.12g}"
 
-# Frame samples per loopback chunk. The chunk size follows from the frame
-# size (4 runs at N=2048, 32 at N=256); a small budget keeps the per-chunk
-# arrays, and so the peak memory, near that of a single run.
+# Frame samples per chunk of runs on the batch axis. The chunk size follows
+# from the frame size (4 runs at N=2048, 64 at N=128); a small budget keeps
+# the per-chunk arrays, and so the peak memory, near that of a single run.
 _CHUNK_SAMPLES = 8192
 
 PRESETS: dict[str, dict] = {
@@ -124,6 +127,10 @@ class ExperimentConfig:
             raise ValueError("workers must be at least 1")
         if self.mode not in (MODE_EXACT, MODE_LITERAL):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.scenario in ("fig7", "fig8") and self.depth < 1:
+            raise ValueError(
+                f"scenario {self.scenario!r} plots the branches of a split and needs depth >= 1, got {self.depth}"
+            )
         profile = self.resolve_profile()
         expected_taps = profile_tap_count(profile, self.sample_period_ns)
         if self.cp_length < expected_taps:
@@ -203,12 +210,16 @@ def empirical_cdf(samples) -> EmpiricalCdf:
     return EmpiricalCdf(values=ordered, probs=probs)
 
 
-def _map_runs(fn, count: int, workers: int) -> list:
-    """``[fn(0), ..., fn(count - 1)]``, on a thread pool when workers > 1."""
-    if workers <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
+def _map_chunks(fn, config: ExperimentConfig) -> list:
+    """``[fn(run_ids) for each chunk]`` in run order, over chunks of
+    ``_CHUNK_SAMPLES // n_fft`` consecutive run ids; a thread pool spreads
+    the chunks when workers > 1."""
+    size = max(1, _CHUNK_SAMPLES // config.n_fft)
+    chunks = [range(start, min(start + size, config.num_runs)) for start in range(0, config.num_runs, size)]
+    if config.workers <= 1:
+        return [fn(run_ids) for run_ids in chunks]
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        return list(pool.map(fn, chunks))
 
 
 def _run_rng(config: ExperimentConfig, run_id: int) -> np.random.Generator:
@@ -221,31 +232,36 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_rows(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_rows(path: Path, header: str, rows) -> None:
+    """Write a CSV header, then stream the formatted rows, each ending in a newline.
+
+    Callers format a row with one template per slice or curve, which holds
+    that slice's or curve's fixed cells.
+    """
     with path.open("w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(cell) for cell in row) + "\n")
+        fh.write(header + "\n")
+        fh.writelines(rows)
 
 
 def _write_cdf(path: Path, curves: dict[str, EmpiricalCdf]) -> None:
-    rows = []
-    for name in curves:
-        cdf = curves[name]
-        for x, p in zip(cdf.values, cdf.probs):
-            rows.append([name, x, p])
-    _write_rows(path, ["curve", "x", "cdf"], rows)
+    templates = {name: f"{name},{_FLOAT_FMT},{_FLOAT_FMT}\n" for name in curves}
+    rows = (
+        templates[name].format(x, p)
+        for name, cdf in curves.items()
+        for x, p in zip(cdf.values.tolist(), cdf.probs.tolist())
+    )
+    _write_rows(path, "curve,x,cdf", rows)
 
 
-def _ops_by_path(plan: SlicePlan) -> dict[str, int]:
-    return {s.path: s.decode_ops for s in plan.slices}
-
-
-def _mi_rows(run_id: int, report, ops: dict[str, int]) -> list[list]:
-    return [
-        [run_id, r.path, r.size, r.mi_bits, ops[r.path]]
-        for r in report.records
-    ]
+def _write_mi_runs(path: Path, plan: SlicePlan, slice_mi: list[list[float]]) -> None:
+    """One row per run and slice, from the per-run slice MI in frame order."""
+    templates = [f"{{}},{s.path},{s.size},{_FLOAT_FMT},{s.decode_ops}\n" for s in plan.slices]
+    rows = (
+        template.format(run_id, mi_bits)
+        for run_id, values in enumerate(slice_mi)
+        for template, mi_bits in zip(templates, values)
+    )
+    _write_rows(path, "run_id,slice_path,slice_size,mi_bits,decode_ops", rows)
 
 
 def _scenario_plan(config: ExperimentConfig) -> tuple[SlicePlan, ChannelProfile, int]:
@@ -255,29 +271,30 @@ def _scenario_plan(config: ExperimentConfig) -> tuple[SlicePlan, ChannelProfile,
     return plan, profile, taps
 
 
-def _rate_scenario(config: ExperimentConfig):
-    """Shared engine of the MI scenarios: per-run split reports."""
-    plan, profile, taps = _scenario_plan(config)
-    ops = _ops_by_path(plan)
-    snr = config.snr
-    if snr is None:
+def _mi_snr(config: ExperimentConfig) -> SnrSpec:
+    if config.snr is None:
         raise ValueError("MI scenarios need a finite SNR")
-
-    def one_run(run_id: int):
-        rng = _run_rng(config, run_id)
-        cir = sample_cir(profile, config.sample_period_ns, rng)
-        report = split_report(cir, config.n_fft, config.depth, snr, mode=config.mode)
-        return report
-
-    reports = _map_runs(one_run, config.num_runs, config.workers)
-    rows = []
-    for run_id, report in enumerate(reports):
-        rows.extend(_mi_rows(run_id, report, ops))
-    return plan, profile, taps, reports, rows
+    return config.snr
 
 
-def _summary_lines(config: ExperimentConfig, plan: SlicePlan, taps: int, reports) -> list[str]:
-    residual = max(r.max_level_residual(relative=True) for r in reports)
+def _rate_scenario(config: ExperimentConfig) -> tuple[SlicePlan, int, ChainMi]:
+    """Shared engine of the MI scenarios: the chain MI of every run, as
+    (num_runs, ...) arrays, drawn and analysed in chunks of runs."""
+    plan, profile, taps = _scenario_plan(config)
+    snr = _mi_snr(config)
+
+    def one_chunk(run_ids: range):
+        cirs = [sample_cir(profile, config.sample_period_ns, _run_rng(config, run_id)) for run_id in run_ids]
+        stacked = stack_taps(cirs, (len(cirs),), config.n_fft)
+        chain = chain_mi(stacked, config.n_fft, config.depth, snr, mode=config.mode)
+        return chain.total, chain.parent, chain.positive, chain.negative
+
+    chunks = _map_chunks(one_chunk, config)
+    chain = ChainMi(*(np.concatenate(parts) for parts in zip(*chunks)))
+    return plan, taps, chain
+
+
+def _summary_lines(config: ExperimentConfig, plan: SlicePlan, taps: int, residual: float) -> list[str]:
     lines = [
         f"scenario={config.scenario}",
         f"n_fft={config.n_fft} delta_f_hz={_fmt(config.delta_f_hz)} profile={config.profile}",
@@ -314,36 +331,24 @@ def run_scenario(config: ExperimentConfig) -> dict[str, Path]:
 
 
 def _run_rate_cdf(config: ExperimentConfig, out: Path) -> dict[str, Path]:
-    plan, profile, taps, reports, rows = _rate_scenario(config)
+    plan, taps, chain = _rate_scenario(config)
     runs_path = out / f"{config.scenario}_runs.csv"
-    _write_rows(runs_path, ["run_id", "slice_path", "slice_size", "mi_bits", "decode_ops"], rows)
+    _write_mi_runs(runs_path, plan, chain.slice_mi().tolist())
 
+    # fig7 plots the first split, fig8 the deepest one.
     if config.scenario == "fig7":
-        pos = [r.levels[0].positive_mi for r in reports]
-        neg = [r.levels[0].negative_mi for r in reports]
-        bench = [r.levels[0].parent_mi / 2.0 for r in reports]
-        curves = {
-            "positive": empirical_cdf(pos),
-            "negative": empirical_cdf(neg),
-            "half_total": empirical_cdf(bench),
-        }
+        level, names = 0, ("positive", "negative", "half_total")
     else:
-        deepest = [r.levels[-1] for r in reports]
-        curves = {
-            "deepest_positive": empirical_cdf([lvl.positive_mi for lvl in deepest]),
-            "deepest_negative": empirical_cdf([lvl.negative_mi for lvl in deepest]),
-            "half_parent": empirical_cdf([lvl.parent_mi / 2.0 for lvl in deepest]),
-        }
+        level, names = -1, ("deepest_positive", "deepest_negative", "half_parent")
+    pos, neg, parent = chain.positive[:, level], chain.negative[:, level], chain.parent[:, level]
+    curves = dict(zip(names, (empirical_cdf(pos), empirical_cdf(neg), empirical_cdf(parent / 2.0))))
     cdf_path = out / f"{config.scenario}_cdf.csv"
     _write_cdf(cdf_path, curves)
 
     summary_path = out / f"{config.scenario}_summary.txt"
-    lines = _summary_lines(config, plan, taps, reports)
+    lines = _summary_lines(config, plan, taps, chain.max_residual_rel())
     if config.scenario == "fig7":
-        gaps = [
-            abs(r.levels[0].positive_mi - r.levels[0].negative_mi) / r.levels[0].parent_mi
-            for r in reports
-        ]
+        gaps = np.abs(pos - neg) / parent
         lines.append(f"mean_branch_gap_rel={_fmt(float(np.mean(gaps)))}")
         lines.append(f"max_branch_gap_rel={_fmt(float(np.max(gaps)))}")
     summary_path.write_text("\n".join(lines) + "\n")
@@ -351,15 +356,15 @@ def _run_rate_cdf(config: ExperimentConfig, out: Path) -> dict[str, Path]:
 
 
 def _run_fig9(config: ExperimentConfig, out: Path) -> dict[str, Path]:
-    plan, profile, taps, reports, rows = _rate_scenario(config)
+    plan, taps, chain = _rate_scenario(config)
     runs_path = out / f"{config.scenario}_runs.csv"
-    _write_rows(runs_path, ["run_id", "slice_path", "slice_size", "mi_bits", "decode_ops"], rows)
+    _write_mi_runs(runs_path, plan, chain.slice_mi().tolist())
 
-    lines = _summary_lines(config, plan, taps, reports)
+    lines = _summary_lines(config, plan, taps, chain.max_residual_rel())
     lines.append("level,child_size,mean_mi_positive,mean_mi_negative,branch_gap_rel")
     for level in range(1, config.depth + 1):
-        pos = float(np.mean([r.levels[level - 1].positive_mi for r in reports]))
-        neg = float(np.mean([r.levels[level - 1].negative_mi for r in reports]))
+        pos = float(np.mean(chain.positive[:, level - 1]))
+        neg = float(np.mean(chain.negative[:, level - 1]))
         gap = abs(pos - neg) / max(pos, neg) if max(pos, neg) > 0 else 0.0
         lines.append(
             f"{level},{config.n_fft >> level},{_fmt(pos)},{_fmt(neg)},{_fmt(gap)}"
@@ -371,14 +376,16 @@ def _run_fig9(config: ExperimentConfig, out: Path) -> dict[str, Path]:
 
 def _run_fig4(config: ExperimentConfig, out: Path) -> dict[str, Path]:
     config = replace(config, num_runs=1)
-    plan, profile, taps, reports, rows = _rate_scenario(config)
-    report = reports[0]
+    plan, profile, taps = _scenario_plan(config)
+    snr = _mi_snr(config)
+    cir = sample_cir(profile, config.sample_period_ns, _run_rng(config, 0))
+    report = split_report(cir, config.n_fft, config.depth, snr, mode=config.mode)
     runs_path = out / f"{config.scenario}_runs.csv"
-    _write_rows(runs_path, ["run_id", "slice_path", "slice_size", "mi_bits", "decode_ops"], rows)
+    _write_mi_runs(runs_path, plan, [[r.mi_bits for r in report.records]])
     report_path = out / f"{config.scenario}_report.csv"
     report.to_csv(report_path)
     summary_path = out / f"{config.scenario}_summary.txt"
-    lines = _summary_lines(config, plan, taps, reports)
+    lines = _summary_lines(config, plan, taps, report.max_level_residual(relative=True))
     lines.append(f"total_mi_bits={_fmt(report.total_mi_bits)}")
     lines.append(report.summary_table())
     summary_path.write_text("\n".join(lines) + "\n")
@@ -422,10 +429,8 @@ def loopback_demo(config: ExperimentConfig) -> dict[str, Path]:
     out.mkdir(parents=True, exist_ok=True)
     plan, profile, taps = _scenario_plan(config)
     snr = config.snr
-    chunk = max(1, _CHUNK_SAMPLES // config.n_fft)
 
-    def one_chunk(index: int):
-        run_ids = range(index * chunk, min((index + 1) * chunk, config.num_runs))
+    def one_chunk(run_ids: range):
         rngs = [_run_rng(config, run_id) for run_id in run_ids]
         cirs = [sample_cir(profile, config.sample_period_ns, rng) for rng in rngs]
         bits = np.stack([rng.integers(0, 2, size=2 * config.n_fft) for rng in rngs])
@@ -443,14 +448,15 @@ def loopback_demo(config: ExperimentConfig) -> dict[str, Path]:
         # For each run of the chunk, one (evm, errors) pair per slice.
         return list(zip(*per_slice))
 
-    chunks = _map_runs(one_chunk, math.ceil(config.num_runs / chunk), config.workers)
-    results = [per_slice for runs in chunks for per_slice in runs]
-    rows = []
-    for run_id, per_slice in enumerate(results):
-        for desc, (evm, errors) in zip(plan.slices, per_slice):
-            rows.append([run_id, desc.path, evm, errors])
+    results = [per_slice for runs in _map_chunks(one_chunk, config) for per_slice in runs]
+    templates = [f"{{}},{desc.path},{_FLOAT_FMT},{{}}\n" for desc in plan.slices]
+    rows = (
+        template.format(run_id, evm, errors)
+        for run_id, per_slice in enumerate(results)
+        for template, (evm, errors) in zip(templates, per_slice)
+    )
     runs_path = out / "loopback_runs.csv"
-    _write_rows(runs_path, ["run_id", "slice_path", "evm", "symbol_errors"], rows)
+    _write_rows(runs_path, "run_id,slice_path,evm,symbol_errors", rows)
 
     lines = [
         f"scenario=loopback n_fft={config.n_fft} depth={config.depth} "

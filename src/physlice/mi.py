@@ -1,9 +1,12 @@
 """Mutual-information analysis of sliced channels.
 
 One spectral engine computes the per-slice MI of the canonical chain plan in
-both modes. At every split level it takes the parent's per-bin log-gain
-vector ``v = log2(1 + rho * |bins|^2)`` and credits the even bins to the
-positive child and the odd bins to the negative child:
+both modes, for a batch of channels at once: it takes zero-padded taps of
+shape (..., L), one channel per leading index, and returns the root MI and
+the per-level parent, positive and negative MI as arrays. At every split
+level it takes the parent's per-bin log-gain vector
+``v = log2(1 + rho * |bins|^2)`` and credits the even bins to the positive
+child and the odd bins to the negative child:
 
 * ``exact-fold``: the parent of level k is the single N-point spectrum of the
   taps strided by 2^(k-1). This is the even/odd bin law of the generator
@@ -16,6 +19,9 @@ positive child and the odd bins to the negative child:
   coincide while the channel fits in the slice and reproduce non-uniform
   splitting once it does not.
 
+``chain_mi`` is the batched entry point; ``split_report`` and
+``deep_split_report`` are its batch-of-one case, with per-slice records.
+Every row of a batch is bit-identical to the same channel run on its own.
 No dense matrix is built on this path. ``mi_logdet`` (exact log-det on a
 dense matrix) and the generator fold of ``channel`` are the oracles the tests
 hold the engine to.
@@ -36,18 +42,20 @@ from .channel import (
     lower_triangular_toeplitz,
     split_coupling,
 )
-from .sliceplan import decode_cost
-from .spectral import is_pow2, logdet2_psd
+from .sliceplan import check_plan, decode_cost
+from .spectral import logdet2_psd
 
 __all__ = [
     "SnrSpec",
     "SliceMi",
     "LevelSplit",
     "MiSplitReport",
+    "ChainMi",
     "MODE_EXACT",
     "MODE_LITERAL",
     "mi_logdet",
     "mi_fast",
+    "chain_mi",
     "split_report",
     "uniformity_ratio",
     "deep_split_report",
@@ -229,30 +237,89 @@ def uniformity_ratio(cir: ChannelImpulseResponse, frame_size: int) -> float:
     return coupling / diag_norm
 
 
-def _chain_levels(taps: np.ndarray, size: int, depth: int, rho: float, mode: str):
+@dataclass(frozen=True)
+class ChainMi:
+    """Chain-plan MI of a batch of channels with batch shape B.
+
+    ``total`` (B) is the root MI; ``parent``, ``positive`` and ``negative``
+    (B + (depth,)) hold the split of level k at index k - 1.
+    """
+
+    total: np.ndarray
+    parent: np.ndarray
+    positive: np.ndarray
+    negative: np.ndarray
+
+    def max_residual_rel(self) -> float:
+        """Largest |parent - (child+ + child-)| / parent over every channel and
+        level (0 at depth 0); a level with a parent MI of 0 counts its
+        absolute residual."""
+        res = np.abs(self.parent - (self.positive + self.negative))
+        np.divide(res, self.parent, out=res, where=self.parent > 0)
+        return float(res.max(initial=0.0))
+
+    def slice_mi(self) -> np.ndarray:
+        """MI of every slice of the chain plan, B + (depth + 1,), in frame
+        order: the deepest positive slice, then the negative slices from the
+        deepest level up."""
+        if self.parent.shape[-1] == 0:
+            return self.total[..., np.newaxis]
+        return np.concatenate([self.positive[..., -1:], self.negative[..., ::-1]], axis=-1)
+
+
+def _chain_levels(taps: np.ndarray, size: int, depth: int, rho: float, mode: str) -> ChainMi:
     """Root MI and the split of each level of the chain, from the taps' spectra.
 
-    Level k splits the positive slice of the level above into two slices of
-    size ``size >> k``; its positive slice is the parent of level k + 1.
-    Returns ``(root_mi, levels)`` with one :class:`LevelSplit` per level.
+    ``taps`` has shape (..., L) with L <= size. Level k splits the positive
+    slice of the level above into two slices of size ``size >> k``; its
+    positive slice is the parent of level k + 1.
     """
     spectrum = _log_gains(np.fft.fft(taps, size), rho)
-    total = parent = float(np.sum(spectrum))
-    levels: list[LevelSplit] = []
+    total = spectrum.sum(axis=-1)
+    parent, positive, negative = (np.empty(total.shape + (depth,)) for _ in range(3))
+    above = total
     for level in range(1, depth + 1):
         # Even bins go to the positive child and odd bins to the negative one.
         # Exact: the parent's bins are the frame spectrum's residue class 0
         # mod 2^(k-1). Literal: the even bins of the 2s-point FFT of taps[:s]
         # are the circulant's eigenvalues, the odd bins the skew-circulant's.
         if mode == MODE_EXACT:
-            gains = spectrum[:: 1 << (level - 1)]
+            gains = spectrum[..., :: 1 << (level - 1)]
         else:
             half = size >> level
-            gains = _log_gains(np.fft.fft(taps[:half], 2 * half), rho)
-        positive = float(np.sum(gains[0::2]))
-        levels.append(LevelSplit(level, parent, positive, float(np.sum(gains[1::2]))))
-        parent = positive
-    return total, levels
+            gains = _log_gains(np.fft.fft(taps[..., :half], 2 * half), rho)
+        parent[..., level - 1] = above
+        positive[..., level - 1] = above = gains[..., 0::2].sum(axis=-1)
+        negative[..., level - 1] = gains[..., 1::2].sum(axis=-1)
+    return ChainMi(total, parent, positive, negative)
+
+
+def chain_mi(taps, frame_size: int, depth: int, snr, mode: str = MODE_EXACT) -> ChainMi:
+    """Chain-plan MI of one channel per leading index of ``taps`` (..., L).
+
+    Rows are zero-padded tap sequences (see ``channel.stack_taps``); padding
+    does not change the result. Each row is bit-identical to a call on that
+    row alone.
+    """
+    if mode not in _MODES:
+        raise ValueError(f"unknown mode {mode!r}, expected one of {_MODES}")
+    check_plan(frame_size, depth)
+    taps = np.asarray(taps, dtype=np.complex128)
+    if taps.ndim == 0 or taps.shape[-1] > frame_size:
+        raise ValueError(f"taps of shape {taps.shape} do not fit in a size-{frame_size} frame")
+    if not np.all(np.isfinite(taps)):
+        raise ValueError("taps contain non-finite entries")
+    return _chain_levels(taps, frame_size, depth, _rho(snr), mode)
+
+
+def _level_splits(chain: ChainMi) -> list[LevelSplit]:
+    """The levels of a batch-of-one :class:`ChainMi` as :class:`LevelSplit` records."""
+    return [
+        LevelSplit(level, parent, positive, negative)
+        for level, (parent, positive, negative) in enumerate(
+            zip(chain.parent.tolist(), chain.positive.tolist(), chain.negative.tolist()), start=1
+        )
+    ]
 
 
 def _negative_path(level: int) -> str:
@@ -267,14 +334,9 @@ def split_report(
     mode: str = MODE_EXACT,
 ) -> MiSplitReport:
     """Per-slice MI of the canonical chain plan for one channel realization."""
-    if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r}, expected one of {_MODES}")
-    if not is_pow2(frame_size) or depth < 0 or (1 << depth) > frame_size:
-        raise ValueError(f"invalid plan: frame size {frame_size}, depth {depth}")
-    if cir.length > frame_size:
-        raise ValueError(f"{cir.length} taps do not fit in a size-{frame_size} frame")
-    rho = _rho(snr)
-    total, levels = _chain_levels(cir.taps, frame_size, depth, rho, mode)
+    chain = chain_mi(cir.taps, frame_size, depth, snr, mode)
+    total = float(chain.total)
+    levels = _level_splits(chain)
     smallest = frame_size >> depth
     if levels:
         final = SliceMi(depth, "+" * depth, smallest, mode, levels[-1].positive_mi, levels[-1].residual)
@@ -295,7 +357,7 @@ def split_report(
         frame_size=frame_size,
         depth=depth,
         mode=mode,
-        rho=rho,
+        rho=_rho(snr),
         total_mi_bits=total,
         records=records,
         levels=levels,
@@ -310,10 +372,10 @@ def deep_split_report(channel: CirculantChannel, snr) -> MiSplitReport:
     the per-size decode-cost row. Intended for a slice channel (for example
     the deepest positive slice of a plan) rather than a whole frame.
     """
-    rho = _rho(snr)
     depth = channel.size.bit_length() - 1
-    total, levels = _chain_levels(channel.generator, channel.size, depth, rho, MODE_EXACT)
-    _, literal = _chain_levels(channel.generator, channel.size, depth, rho, MODE_LITERAL)
+    exact = chain_mi(channel.generator, channel.size, depth, snr, MODE_EXACT)
+    levels = _level_splits(exact)
+    literal = _level_splits(chain_mi(channel.generator, channel.size, depth, snr, MODE_LITERAL))
     records: list[SliceMi] = []
     for mode, mode_levels in ((MODE_EXACT, levels), (MODE_LITERAL, literal)):
         for lvl in mode_levels:
@@ -333,8 +395,8 @@ def deep_split_report(channel: CirculantChannel, snr) -> MiSplitReport:
         frame_size=channel.size,
         depth=depth,
         mode="both",
-        rho=rho,
-        total_mi_bits=total,
+        rho=_rho(snr),
+        total_mi_bits=float(exact.total),
         records=records,
         levels=levels,
         cost_row=cost_row,

@@ -19,6 +19,7 @@ from .spectral import is_pow2
 __all__ = [
     "SliceDescriptor",
     "SlicePlan",
+    "check_plan",
     "build_plan",
     "bins_for_slice",
     "decode_cost",
@@ -78,6 +79,15 @@ def decode_cost(path: str, size: int) -> int:
     return ops
 
 
+def check_plan(frame_size: int, depth: int) -> None:
+    """Reject a frame size that is not a power of two, or a depth that does
+    not fit it (depth < 0 or 2^depth > frame_size)."""
+    if not is_pow2(frame_size):
+        raise ValueError(f"frame size must be a power of two, got {frame_size}")
+    if depth < 0 or (1 << depth) > frame_size:
+        raise ValueError(f"depth {depth} is invalid for frame size {frame_size}")
+
+
 def _bin_residue(path: str) -> int:
     return sum(1 << i for i, branch in enumerate(path) if branch == "-")
 
@@ -95,10 +105,7 @@ def build_plan(
     smallest slice (the regime where the two branches of a split stop
     sharing the rate evenly).
     """
-    if not is_pow2(frame_size):
-        raise ValueError(f"frame size must be a power of two, got {frame_size}")
-    if depth < 0 or (1 << depth) > frame_size:
-        raise ValueError(f"depth {depth} is invalid for frame size {frame_size}")
+    check_plan(frame_size, depth)
     if cp_length < 0:
         raise ValueError("cyclic prefix length must be non-negative")
     if channel_length is not None and cp_length < channel_length:

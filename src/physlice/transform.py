@@ -13,6 +13,7 @@ import functools
 
 import numpy as np
 
+from .sliceplan import check_plan
 from .spectral import is_pow2
 
 __all__ = [
@@ -71,13 +72,6 @@ def split_matrix(size: int, mixer: np.ndarray | None = None) -> np.ndarray:
     return np.block([[eye, w], [eye, -w]]) / _SQRT2
 
 
-def _check_plan(frame_size: int, depth: int) -> None:
-    if not is_pow2(frame_size):
-        raise ValueError(f"frame size must be a power of two, got {frame_size}")
-    if depth < 0 or (1 << depth) > frame_size:
-        raise ValueError(f"depth {depth} is invalid for frame size {frame_size}")
-
-
 def recursive_matrix(frame_size: int, depth: int) -> np.ndarray:
     """Dense recursive transform: ``depth`` nested splits, identity at depth 0.
 
@@ -85,7 +79,7 @@ def recursive_matrix(frame_size: int, depth: int) -> np.ndarray:
     next-level transform and contributes a 1/sqrt(2) factor, so the result is
     orthonormal at every depth. Oracle use only (frame_size <= 512).
     """
-    _check_plan(frame_size, depth)
+    check_plan(frame_size, depth)
     if frame_size > _DENSE_CAP:
         raise ValueError(f"dense recursive transform is capped at size {_DENSE_CAP}")
     return _recursive_dense(frame_size, depth)
@@ -103,7 +97,7 @@ def _as_frames(signal, depth: int) -> np.ndarray:
     s = np.asarray(signal, dtype=np.complex128)
     if s.ndim < 1:
         raise ValueError("signal must have at least one dimension")
-    _check_plan(s.shape[-1], depth)
+    check_plan(s.shape[-1], depth)
     return s
 
 

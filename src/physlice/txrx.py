@@ -33,6 +33,7 @@ from .channel import (
     ChannelImpulseResponse,
     circular_complement,
     lower_triangular_toeplitz,
+    stack_taps,
 )
 from .sliceplan import SlicePlan
 from .spectral import _dft, _idft
@@ -179,23 +180,6 @@ def transmit(payload: SlicePayload, plan: SlicePlan) -> OfdmFrame:
     return OfdmFrame(body=body, cyclic_prefix=cp, plan=plan)
 
 
-def _stacked_taps(cir, batch: tuple[int, ...], n_bins: int) -> np.ndarray:
-    """Taps of one channel, shape (L,), or of one channel per frame, (R, L)
-    zero-padded to the longest; L must fit in ``n_bins``."""
-    if isinstance(cir, ChannelImpulseResponse):
-        taps = cir.taps
-    else:
-        cirs = list(cir)
-        if len(batch) != 1 or len(cirs) != batch[0]:
-            raise ValueError(f"expected one channel per frame of batch shape {batch}, got {len(cirs)}")
-        taps = np.zeros((len(cirs), max(c.length for c in cirs)), dtype=np.complex128)
-        for row, c in zip(taps, cirs):
-            row[: c.length] = c.taps
-    if taps.shape[-1] > n_bins:
-        raise ValueError(f"{taps.shape[-1]} taps do not fit in {n_bins} bins")
-    return taps
-
-
 def _noise_rho(snr) -> float | None:
     if snr is None:
         return None
@@ -239,7 +223,7 @@ def propagate(
     """
     plan = frame.plan
     n = plan.frame_size
-    taps = _stacked_taps(cir, frame.body.shape[:-1], n)
+    taps = stack_taps(cir, frame.body.shape[:-1], n)
     if plan.cp_length < taps.shape[-1]:
         raise ValueError(
             f"cyclic prefix ({plan.cp_length}) shorter than the channel ({taps.shape[-1]})"
@@ -275,7 +259,7 @@ def receive(
         raise ValueError(f"expected {plan.frame_size} samples per frame, got shape {y.shape}")
     if not np.all(np.isfinite(y)):
         raise ValueError("received samples contain non-finite entries")
-    gains = np.fft.fft(_stacked_taps(cir, y.shape[:-1], plan.frame_size), plan.frame_size, axis=-1)
+    gains = np.fft.fft(stack_taps(cir, y.shape[:-1], plan.frame_size), plan.frame_size, axis=-1)
     erased = np.abs(gains) < EQUALIZER_ERASURE_THRESHOLD
     safe = np.where(erased, 1.0, gains)
     z = inverse_transform(y, plan.depth)

@@ -242,6 +242,59 @@ class TestScenarios:
             assert paths["runs"].read_bytes() == replay
             assert paths["summary"].read_bytes() == (tmp_path / "w1" / "loopback_summary.txt").read_bytes()
 
+    @pytest.mark.parametrize("mode", ["exact-fold", "literal-triangular"])
+    @pytest.mark.parametrize(
+        "scenario,num_runs", [("fig7", 9), ("fig7", 1), ("fig8", 9), ("fig8", 1), ("fig9", 70), ("fig9", 1)]
+    )
+    def test_mi_chunks_equal_a_per_run_report_replay(self, tmp_path, scenario, num_runs, mode):
+        from physlice.channel import sample_cir
+        from physlice.mi import split_report
+        from physlice.sliceplan import build_plan
+
+        # No run count is a multiple of the chunk (4 runs at N=2048, 64 at N=128).
+        cfg = make_config(scenario, num_runs=num_runs, seed=7, mode=mode)
+        profile = cfg.resolve_profile()
+        plan = build_plan(cfg.n_fft, cfg.depth, cfg.cp_length)
+        reports = [
+            split_report(
+                sample_cir(profile, cfg.sample_period_ns, np.random.default_rng([cfg.seed, run_id])),
+                cfg.n_fft, cfg.depth, cfg.snr, mode=mode,
+            )
+            for run_id in range(num_runs)
+        ]
+        lines = ["run_id,slice_path,slice_size,mi_bits,decode_ops"]
+        for run_id, report in enumerate(reports):
+            for desc, r in zip(plan.slices, report.records, strict=True):
+                assert r.path == desc.path
+                lines.append(f"{run_id},{r.path},{r.size},{r.mi_bits:.12g},{desc.decode_ops}")
+        replay = ("\n".join(lines) + "\n").encode()
+        residual = max(r.max_level_residual(relative=True) for r in reports)
+        cdf = None
+        if scenario != "fig9":
+            splits = [r.levels[0 if scenario == "fig7" else -1] for r in reports]
+            names = ("positive", "negative", "half_total") if scenario == "fig7" else (
+                "deepest_positive", "deepest_negative", "half_parent"
+            )
+            samples = (
+                [s.positive_mi for s in splits], [s.negative_mi for s in splits], [s.parent_mi / 2.0 for s in splits]
+            )
+            cdf = ["curve,x,cdf"] + [
+                f"{name},{x:.12g},{(k + 1) / num_runs:.12g}"
+                for name, values in zip(names, samples)
+                for k, x in enumerate(sorted(values))
+            ]
+        for workers in (1, 2, 8):
+            out = tmp_path / f"w{workers}"
+            paths = run_scenario(
+                make_config(scenario, num_runs=num_runs, seed=7, mode=mode, workers=workers, output_dir=str(out))
+            )
+            assert paths["runs"].read_bytes() == replay
+            assert f"\nmax_conservation_residual_rel={residual:.12g}\n" in paths["summary"].read_text()
+            if cdf is not None:
+                assert paths["cdf"].read_text().splitlines() == cdf
+            for path in paths.values():
+                assert path.read_bytes() == (tmp_path / "w1" / path.name).read_bytes()
+
     def test_deterministic_across_worker_counts(self, tmp_path):
         out1 = tmp_path / "w1"
         out8 = tmp_path / "w8"
@@ -295,6 +348,13 @@ class TestCli:
         assert code == 0
         rows = (tmp_path / "fig8_runs.csv").read_text().splitlines()[1:]
         assert len(rows) == 2 * 12
+
+    @pytest.mark.parametrize("scenario", ["fig7", "fig8"])
+    def test_split_plot_without_a_split_is_reported(self, tmp_path, capsys, scenario):
+        code = cli_main(["--scenario", scenario, "--depth", "0", "--runs", "2", "--out", str(tmp_path)])
+        assert code == 2
+        assert "needs depth >= 1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_missing_scenario_is_reported(self, capsys):
         code = cli_main([])

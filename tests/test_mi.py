@@ -13,11 +13,14 @@ from physlice.channel import (
     negative_child,
     positive_child,
     sample_cir,
+    stack_taps,
 )
 from physlice.mi import (
     MODE_EXACT,
     MODE_LITERAL,
+    ChainMi,
     SnrSpec,
+    chain_mi,
     deep_split_report,
     mi_fast,
     mi_logdet,
@@ -360,3 +363,69 @@ class TestEngineOracles:
                 head *= np.exp(-1j * np.pi * np.arange(size) / size)
             assert record.mi_bits == pytest.approx(mi_fast(head, self.RHO), rel=1e-9)
         assert report.max_level_residual(relative=True) > 1e-6
+
+
+class TestBatchedEngine:
+    """``chain_mi`` on (R, L) stacked taps against one call per row."""
+
+    @pytest.mark.parametrize("mode", [MODE_EXACT, MODE_LITERAL])
+    def test_rows_are_bitwise_single_row_calls(self, mode):
+        rng = np.random.default_rng(404)
+        for n in [1 << e for e in range(1, 12)]:
+            for depth in range(n.bit_length()):
+                smallest = n >> depth
+                rows = int(rng.integers(1, 7))
+                # One row fits the smallest slice and, where the frame has room,
+                # one outgrows it; the rest are random lengths up to N.
+                lengths = [int(rng.integers(1, smallest + 1))]
+                if smallest < n:
+                    lengths.append(int(rng.integers(smallest + 1, n + 1)))
+                lengths += [int(rng.integers(1, n + 1)) for _ in range(rows - len(lengths))]
+                cirs = [random_cir(rng, length) for length in lengths]
+                batch = chain_mi(stack_taps(cirs, (len(cirs),), n), n, depth, 10.0, mode=mode)
+                assert batch.parent.shape == (len(cirs), depth)
+                for row, cir in enumerate(cirs):
+                    single = chain_mi(cir.taps, n, depth, 10.0, mode=mode)
+                    for name in ("total", "parent", "positive", "negative"):
+                        np.testing.assert_array_equal(getattr(batch, name)[row], getattr(single, name))
+                    report = split_report(cir, n, depth, 10.0, mode=mode)
+                    assert report.total_mi_bits == batch.total[row]
+                    assert [(lvl.parent_mi, lvl.positive_mi, lvl.negative_mi) for lvl in report.levels] == list(
+                        zip(batch.parent[row].tolist(), batch.positive[row].tolist(), batch.negative[row].tolist())
+                    )
+                    assert [r.mi_bits for r in report.records] == batch.slice_mi()[row].tolist()
+                    assert report.max_level_residual(relative=True) == ChainMi(
+                        *(getattr(batch, name)[row] for name in ("total", "parent", "positive", "negative"))
+                    ).max_residual_rel()
+
+    def test_zero_padding_does_not_change_a_row(self):
+        rng = np.random.default_rng(405)
+        taps = random_cir(rng, 9).taps
+        padded = np.concatenate([taps, np.zeros(23)])
+        for mode in (MODE_EXACT, MODE_LITERAL):
+            a, b = chain_mi(taps, 64, 6, 3.0, mode), chain_mi(padded, 64, 6, 3.0, mode)
+            np.testing.assert_array_equal(a.slice_mi(), b.slice_mi())
+
+    def test_leading_batch_shape_is_kept(self):
+        rng = np.random.default_rng(406)
+        taps = rng.standard_normal((2, 3, 5)) + 1j * rng.standard_normal((2, 3, 5))
+        chain = chain_mi(taps, 32, 3, 1.0)
+        assert chain.total.shape == (2, 3)
+        assert chain.negative.shape == (2, 3, 3)
+        assert chain.slice_mi().shape == (2, 3, 4)
+        assert chain_mi(taps, 32, 0, 1.0).slice_mi().shape == (2, 3, 1)
+
+    def test_rejects_bad_input_once_at_the_boundary(self):
+        taps = np.ones((2, 4), dtype=complex)
+        with pytest.raises(ValueError, match="unknown mode"):
+            chain_mi(taps, 16, 1, 1.0, mode="guess")
+        with pytest.raises(ValueError, match="depth 5 is invalid for frame size 16"):
+            chain_mi(taps, 16, 5, 1.0)
+        with pytest.raises(ValueError, match="power of two"):
+            chain_mi(taps, 12, 1, 1.0)
+        with pytest.raises(ValueError, match="do not fit"):
+            chain_mi(np.ones((2, 17)), 16, 1, 1.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            chain_mi(np.array([[1.0, np.nan]]), 16, 1, 1.0)
+        with pytest.raises(ValueError, match="rho must be"):
+            chain_mi(taps, 16, 1, -1.0)

@@ -3,6 +3,8 @@ import io
 import numpy as np
 import pytest
 
+from physlice.channel import ChannelImpulseResponse
+from physlice.mi import split_report
 from physlice.sliceplan import (
     SliceDescriptor,
     bins_for_slice,
@@ -11,6 +13,7 @@ from physlice.sliceplan import (
     plan_to_csv,
     total_cost,
 )
+from physlice.transform import forward_transform, recursive_matrix
 
 
 class TestBuildPlan:
@@ -53,6 +56,25 @@ class TestBuildPlan:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             build_plan(100, 2, 10)
+
+    @pytest.mark.parametrize(
+        "frame_size,depth,message",
+        [
+            (100, 2, "frame size must be a power of two, got 100"),
+            (16, 5, "depth 5 is invalid for frame size 16"),
+            (16, -1, "depth -1 is invalid for frame size 16"),
+        ],
+    )
+    def test_every_plan_boundary_shares_one_check(self, frame_size, depth, message):
+        boundaries = [
+            lambda: build_plan(frame_size, depth, 4),
+            lambda: recursive_matrix(frame_size, depth),
+            lambda: forward_transform(np.zeros(frame_size), depth),
+            lambda: split_report(ChannelImpulseResponse([1.0], 1.0), frame_size, depth, 1.0),
+        ]
+        for call in boundaries:
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 class TestBins:
