@@ -16,6 +16,7 @@ from .channel import (
     ChannelProfile,
     CirculantChannel,
     build_circulant,
+    draw_taps,
     extract_blocks,
     load_profile,
     negative_child,

@@ -1,7 +1,11 @@
 """Tapped-delay-line channel models and circulant channel algebra.
 
 A channel profile (delays in ns, mean tap powers in dB) is sampled into a
-discrete impulse response on the OFDM sampling grid. The resulting circulant
+discrete impulse response on the OFDM sampling grid. :func:`draw_taps` draws
+a batch of realizations at once, one per random stream, straight into one
+zero-padded (R, L) array; the profile's grid (tap indices and Rayleigh
+scales) is computed once per (profile, sampling period) and cached.
+:func:`sample_cir` is its batch-of-one case. The resulting circulant
 channel matrix is represented by its generator (first column) throughout, and
 the two half-size descendants of one split are computed directly on
 generators:
@@ -17,6 +21,8 @@ for oracle checks and for the non-uniform splitting analysis.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,6 +41,7 @@ __all__ = [
     "BUILTIN_PROFILES",
     "load_profile",
     "profile_tap_count",
+    "draw_taps",
     "sample_cir",
     "stack_taps",
     "build_circulant",
@@ -60,10 +67,16 @@ class ChannelProfile:
         object.__setattr__(self, "tap_powers_db", tuple(float(p) for p in self.tap_powers_db))
         if len(self.tap_delays_ns) != len(self.tap_powers_db):
             raise ValueError("tap delay and power lists must have equal length")
+        if not all(map(math.isfinite, self.tap_delays_ns + self.tap_powers_db)):
+            raise ValueError("tap delays and powers must be finite numbers")
         if not self.tap_delays_ns or self.tap_delays_ns[0] != 0.0:
             raise ValueError("tap delays must start at 0 ns")
         if any(b <= a for a, b in zip(self.tap_delays_ns, self.tap_delays_ns[1:])):
             raise ValueError("tap delays must be strictly increasing")
+        with np.errstate(over="ignore", under="ignore"):
+            total = float(np.sum(10.0 ** (np.asarray(self.tap_powers_db) / 10.0)))
+        if not 0.0 < total < math.inf:
+            raise ValueError("tap powers span too wide a range of dB to normalize")
 
 
 # 3GPP reference tapped-delay-line models (Extended Typical Urban and
@@ -107,6 +120,13 @@ def load_profile(path) -> ChannelProfile:
     return ChannelProfile(fields.get("name", path.stem), tuple(delays), tuple(powers))
 
 
+def _check_period(sample_period_ns) -> float:
+    period = float(sample_period_ns)
+    if not 0.0 < period < math.inf:
+        raise ValueError(f"sample period must be a positive finite number of ns, got {sample_period_ns}")
+    return period
+
+
 @dataclass(frozen=True)
 class ChannelImpulseResponse:
     """Discrete channel taps h_0 .. h_{L-1} on a sampling grid."""
@@ -120,8 +140,7 @@ class ChannelImpulseResponse:
             raise ValueError("taps must be a non-empty one-dimensional sequence")
         if not np.all(np.isfinite(taps)):
             raise ValueError("taps contain non-finite entries")
-        if self.sample_period_ns <= 0:
-            raise ValueError("sample period must be positive")
+        _check_period(self.sample_period_ns)
         object.__setattr__(self, "taps", taps)
 
     @property
@@ -129,43 +148,84 @@ class ChannelImpulseResponse:
         return int(self.taps.size)
 
 
+@functools.lru_cache(maxsize=32)
+def _profile_grid(profile: ChannelProfile, sample_period_ns: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only tap indices round(delay / Ts) and Rayleigh scales sqrt(p / 2)
+    of a profile, powers normalized to a unit sum; computed once per
+    (profile, Ts)."""
+    with np.errstate(over="ignore"):
+        spans = np.rint(np.asarray(profile.tap_delays_ns) / sample_period_ns)
+    if not spans[-1] < 2**62:
+        raise ValueError(
+            f"a {profile.tap_delays_ns[-1]:g} ns delay spread is too long for a {sample_period_ns:g} ns sample period"
+        )
+    powers = 10.0 ** (np.asarray(profile.tap_powers_db) / 10.0)
+    powers /= powers.sum()
+    idx = spans.astype(int)
+    scale = np.sqrt(powers / 2.0)
+    idx.setflags(write=False)
+    scale.setflags(write=False)
+    return idx, scale
+
+
 def profile_tap_count(profile: ChannelProfile, sample_period_ns: float) -> int:
     """Number of discrete taps a profile occupies at the given sampling period."""
-    if sample_period_ns <= 0:
-        raise ValueError("sample period must be positive")
-    return int(np.rint(profile.tap_delays_ns[-1] / sample_period_ns)) + 1
+    idx, _ = _profile_grid(profile, _check_period(sample_period_ns))
+    return int(idx[-1]) + 1
 
 
-def sample_cir(profile: ChannelProfile, sample_period_ns: float, rng) -> ChannelImpulseResponse:
-    """Draw one channel realization from a profile.
+def draw_taps(profile: ChannelProfile, sample_period_ns: float, rngs) -> np.ndarray:
+    """Draw one channel realization per Generator in ``rngs``, as zero-padded
+    taps of shape (R, L), L = :func:`profile_tap_count`.
 
     Each profile tap is a zero-mean circularly symmetric complex Gaussian
     (Rayleigh envelope) with variance from its mean power, placed at index
-    round(delay / Ts); taps mapping to the same index add up. Powers are
-    normalized so the expected total channel power is 1.
+    round(delay / Ts); taps mapping to the same index add up, in profile
+    order. Powers are normalized so the expected total channel power is 1.
+    Row r takes from ``rngs[r]`` the K real parts, then the K imaginary
+    parts of the profile's K taps, and nothing else.
     """
-    if sample_period_ns <= 0:
-        raise ValueError("sample period must be positive")
+    idx, scale = _profile_grid(profile, _check_period(sample_period_ns))
+    rngs = list(rngs)
+    if not all(isinstance(rng, np.random.Generator) for rng in rngs):
+        raise TypeError("draw_taps takes one numpy Generator per realization")
+    draws = np.empty((len(rngs), 2, idx.size))
+    for row, rng in zip(draws, rngs):
+        rng.standard_normal(out=row)
+    draws *= scale
+    values = np.empty((len(rngs), idx.size), dtype=np.complex128)
+    values.real = draws[:, 0]
+    values.imag = draws[:, 1]
+    taps = np.zeros((len(rngs), int(idx[-1]) + 1), dtype=np.complex128)
+    np.add.at(taps, (slice(None), idx), values)
+    return taps
+
+
+def sample_cir(profile: ChannelProfile, sample_period_ns: float, rng) -> ChannelImpulseResponse:
+    """Draw one channel realization from a profile: :func:`draw_taps` of one
+    stream (a Generator, or a seed for a new one)."""
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    delays = np.asarray(profile.tap_delays_ns, dtype=np.float64)
-    powers = 10.0 ** (np.asarray(profile.tap_powers_db, dtype=np.float64) / 10.0)
-    powers /= powers.sum()
-    idx = np.rint(delays / sample_period_ns).astype(int)
-    draws = np.sqrt(powers / 2.0) * (
-        rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
-    )
-    taps = np.zeros(int(idx.max()) + 1, dtype=np.complex128)
-    np.add.at(taps, idx, draws)
-    return ChannelImpulseResponse(taps, float(sample_period_ns))
+    return ChannelImpulseResponse(draw_taps(profile, sample_period_ns, [rng])[0], float(sample_period_ns))
 
 
 def stack_taps(cir, batch: tuple[int, ...], n_bins: int) -> np.ndarray:
-    """Taps of one channel, shape (L,), or of one channel per row of a batch
-    of shape ``batch`` = (R,), stacked as (R, L) and zero-padded to the
-    longest; L must fit in ``n_bins``."""
+    """Taps of the channels of a batch of frames of shape ``batch``.
+
+    ``cir`` is one channel shared by every frame (a ChannelImpulseResponse
+    or an (L,) tap array), or one channel per frame of a batch (R,): a
+    sequence of R ChannelImpulseResponse, stacked as (R, L) and zero-padded
+    to the longest, or an (R, L) tap array such as :func:`draw_taps` returns,
+    which passes through. L must fit in ``n_bins``.
+    """
     if isinstance(cir, ChannelImpulseResponse):
         taps = cir.taps
+    elif isinstance(cir, np.ndarray):
+        taps = np.asarray(cir, dtype=np.complex128)
+        if taps.ndim == 0 or taps.shape[-1] == 0 or taps.shape[:-1] not in ((), tuple(batch)):
+            raise ValueError(f"expected taps of shape (L,) or {tuple(batch) + ('L',)}, got {taps.shape}")
+        if not np.all(np.isfinite(taps)):
+            raise ValueError("taps contain non-finite entries")
     else:
         cirs = list(cir)
         if len(batch) != 1 or len(cirs) != batch[0]:

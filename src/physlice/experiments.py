@@ -21,11 +21,11 @@ from .channel import (
     BUILTIN_PROFILES,
     ChannelProfile,
     build_circulant,
+    draw_taps,
     load_profile,
     positive_child,
     profile_tap_count,
     sample_cir,
-    stack_taps,
 )
 from .mi import MODE_EXACT, MODE_LITERAL, ChainMi, SnrSpec, chain_mi, deep_split_report, split_report
 from .sliceplan import SlicePlan, build_plan, total_cost
@@ -117,8 +117,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown scenario {self.scenario!r}, expected one of {sorted(PRESETS)}")
         if self.n_fft < 2 or self.n_fft & (self.n_fft - 1):
             raise ValueError(f"n_fft must be a power of two >= 2, got {self.n_fft}")
-        if self.delta_f_hz <= 0:
-            raise ValueError("delta_f_hz must be positive")
+        if not 0 < self.delta_f_hz < math.inf:
+            raise ValueError(f"delta_f_hz must be a positive finite number of Hz, got {self.delta_f_hz}")
         if math.isnan(self.snr_db) or self.snr_db == -math.inf:
             raise ValueError(f"snr_db must be a number of dB or inf (noiseless), got {self.snr_db}")
         if self.num_runs < 1:
@@ -279,14 +279,14 @@ def _mi_snr(config: ExperimentConfig) -> SnrSpec:
 
 def _rate_scenario(config: ExperimentConfig) -> tuple[SlicePlan, int, ChainMi]:
     """Shared engine of the MI scenarios: the chain MI of every run, as
-    (num_runs, ...) arrays, drawn and analysed in chunks of runs."""
+    (num_runs, ...) arrays, drawn and analysed in chunks of runs, one
+    (R, L) tap draw and one engine call per chunk."""
     plan, profile, taps = _scenario_plan(config)
     snr = _mi_snr(config)
 
     def one_chunk(run_ids: range):
-        cirs = [sample_cir(profile, config.sample_period_ns, _run_rng(config, run_id)) for run_id in run_ids]
-        stacked = stack_taps(cirs, (len(cirs),), config.n_fft)
-        chain = chain_mi(stacked, config.n_fft, config.depth, snr, mode=config.mode)
+        chunk_taps = draw_taps(profile, config.sample_period_ns, [_run_rng(config, run_id) for run_id in run_ids])
+        chain = chain_mi(chunk_taps, config.n_fft, config.depth, snr, mode=config.mode)
         return chain.total, chain.parent, chain.positive, chain.negative
 
     chunks = _map_chunks(one_chunk, config)
@@ -432,11 +432,11 @@ def loopback_demo(config: ExperimentConfig) -> dict[str, Path]:
 
     def one_chunk(run_ids: range):
         rngs = [_run_rng(config, run_id) for run_id in run_ids]
-        cirs = [sample_cir(profile, config.sample_period_ns, rng) for rng in rngs]
+        chunk_taps = draw_taps(profile, config.sample_period_ns, rngs)
         bits = np.stack([rng.integers(0, 2, size=2 * config.n_fft) for rng in rngs])
         payload = modulate(bits, plan)
-        y = propagate(transmit(payload, plan), cirs, snr=snr, rng=rngs)
-        estimate = receive(y, plan, cirs)
+        y = propagate(transmit(payload, plan), chunk_taps, snr=snr, rng=rngs)
+        estimate = receive(y, plan, chunk_taps)
         per_slice = []
         for sent, got in zip(payload.symbols, estimate.symbols):
             evm = np.sqrt(np.mean(np.abs(got - sent) ** 2, axis=-1) / np.mean(np.abs(sent) ** 2, axis=-1))

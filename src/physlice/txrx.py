@@ -15,7 +15,8 @@ receive:   adjoint transform, per-slice unitary DFT, one-tap zero-forcing
            equalization against the true channel response (genie-aided; no
            pilot estimation).
 
-A batch shares one channel or takes a sequence of channels, one per row.
+A batch shares one channel or takes one channel per row: a sequence of
+ChannelImpulseResponse, or the (R, L) taps of ``channel.draw_taps``.
 
 Also here: the direct fixed-point decoder for the unmixed negative branch and
 the order-recursive inverse of a lower-triangular Toeplitz matrix it builds on.
@@ -207,7 +208,7 @@ def _standard_normals(rng, shape: tuple[int, ...]) -> np.ndarray:
 
 def propagate(
     frame: OfdmFrame,
-    cir: ChannelImpulseResponse | Sequence[ChannelImpulseResponse],
+    cir: ChannelImpulseResponse | Sequence[ChannelImpulseResponse] | np.ndarray,
     snr=None,
     rng=None,
 ) -> np.ndarray:
@@ -244,7 +245,7 @@ def propagate(
 def receive(
     y,
     plan: SlicePlan,
-    cir: ChannelImpulseResponse | Sequence[ChannelImpulseResponse],
+    cir: ChannelImpulseResponse | Sequence[ChannelImpulseResponse] | np.ndarray,
 ) -> SlicePayload:
     """Adjoint transform, per-slice unitary DFT, one-tap zero-forcing equalizer.
 

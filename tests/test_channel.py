@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from physlice.channel import (
     BUILTIN_PROFILES,
@@ -10,6 +14,7 @@ from physlice.channel import (
     CirculantChannel,
     build_circulant,
     circular_complement,
+    draw_taps,
     extract_blocks,
     load_profile,
     lower_triangular_toeplitz,
@@ -18,6 +23,7 @@ from physlice.channel import (
     profile_tap_count,
     sample_cir,
     split_coupling,
+    stack_taps,
 )
 from physlice.transform import split_matrix
 
@@ -30,6 +36,31 @@ def random_cir(rng, length):
     return ChannelImpulseResponse(taps, 1.0)
 
 
+def per_run_draw_oracle(profile, sample_period_ns, rng):
+    """One realization drawn tap list by tap list, the grid recomputed per call."""
+    delays = np.asarray(profile.tap_delays_ns, dtype=np.float64)
+    powers = 10.0 ** (np.asarray(profile.tap_powers_db, dtype=np.float64) / 10.0)
+    powers /= powers.sum()
+    idx = np.rint(delays / sample_period_ns).astype(int)
+    draws = np.sqrt(powers / 2.0) * (
+        rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
+    )
+    taps = np.zeros(int(idx.max()) + 1, dtype=np.complex128)
+    np.add.at(taps, idx, draws)
+    return taps
+
+
+@st.composite
+def profiles(draw):
+    """Profiles of 1-8 taps whose delay gaps are often shorter than a sample."""
+    gaps = draw(st.lists(st.floats(0.01, 400.0), max_size=7))
+    delays = [0.0]
+    for gap in gaps:
+        delays.append(delays[-1] + gap)
+    powers = draw(st.lists(st.floats(-40.0, 10.0), min_size=len(delays), max_size=len(delays)))
+    return ChannelProfile("random", tuple(delays), tuple(powers))
+
+
 class TestProfiles:
     def test_profile_validation(self):
         with pytest.raises(ValueError, match="equal length"):
@@ -38,6 +69,35 @@ class TestProfiles:
             ChannelProfile("x", (10, 20), (0, 0))
         with pytest.raises(ValueError, match="strictly increasing"):
             ChannelProfile("x", (0, 20, 20), (0, 0, 0))
+
+    @pytest.mark.parametrize(
+        "delays,powers",
+        [
+            ((0.0, math.nan), (0.0, 0.0)),
+            ((0.0, math.inf), (0.0, 0.0)),
+            ((math.nan, 10.0), (0.0, 0.0)),
+            ((0.0, 10.0), (0.0, math.nan)),
+            ((0.0, 10.0), (math.inf, 0.0)),
+            ((0.0, 10.0), (0.0, -math.inf)),
+        ],
+    )
+    def test_profile_rejects_non_finite_delays_and_powers(self, delays, powers):
+        with pytest.raises(ValueError, match="must be finite"):
+            ChannelProfile("x", delays, powers)
+
+    @pytest.mark.parametrize("powers", [(4000.0, 0.0), (-4000.0, -4000.0)])
+    def test_profile_rejects_powers_that_cannot_be_normalized(self, powers):
+        with pytest.raises(ValueError, match="too wide a range"):
+            ChannelProfile("x", (0.0, 10.0), powers)
+
+    @pytest.mark.parametrize("field", ["delays_ns = 0, nan", "powers_db = 0, inf"])
+    def test_load_profile_rejects_non_finite_values(self, tmp_path, field):
+        lines = {"delays_ns": "delays_ns = 0, 30", "powers_db": "powers_db = 0, -3"}
+        lines[field.split(" ")[0]] = field
+        path = tmp_path / "bad.profile"
+        path.write_text("\n".join(lines.values()) + "\n")
+        with pytest.raises(ValueError, match="must be finite"):
+            load_profile(path)
 
     def test_etu_occupies_155_taps_at_lte_grid(self):
         assert profile_tap_count(ETU_PROFILE, TS_LTE_NS) == 155
@@ -99,6 +159,85 @@ class TestProfiles:
 
     def test_builtin_registry(self):
         assert set(BUILTIN_PROFILES) == {"etu", "epa"}
+
+
+class TestBatchedDraw:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        profile=profiles(),
+        sample_period_ns=st.floats(0.5, 200.0),
+        seeds=st.lists(st.integers(0, 2**32 - 1), max_size=6),
+    )
+    def test_rows_equal_the_per_run_oracle_bitwise(self, profile, sample_period_ns, seeds):
+        rngs = [np.random.default_rng([seed, run]) for run, seed in enumerate(seeds)]
+        replay = [np.random.default_rng([seed, run]) for run, seed in enumerate(seeds)]
+        taps = draw_taps(profile, sample_period_ns, rngs)
+        assert taps.shape == (len(seeds), profile_tap_count(profile, sample_period_ns))
+        assert taps.dtype == np.complex128
+        for row, rng, oracle_rng in zip(taps, rngs, replay):
+            assert row.tobytes() == per_run_draw_oracle(profile, sample_period_ns, oracle_rng).tobytes()
+            # Each stream is left where the per-run draw leaves it.
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            assert rng.standard_normal() == oracle_rng.standard_normal()
+
+    def test_colliding_epa_taps_add_in_profile_order(self):
+        ts = 1e9 / (128 * 240e3)  # 32.55 ns: 90 ns and 110 ns both land on index 3
+        rngs = [np.random.default_rng([5, run]) for run in range(3)]
+        taps = draw_taps(EPA_PROFILE, ts, rngs)
+        for run, row in enumerate(taps):
+            want = per_run_draw_oracle(EPA_PROFILE, ts, np.random.default_rng([5, run]))
+            assert row.tobytes() == want.tobytes()
+        assert taps.shape == (3, 14)
+
+    def test_sample_cir_is_the_batch_of_one_draw(self):
+        cir = sample_cir(ETU_PROFILE, TS_LTE_NS, np.random.default_rng([1, 9]))
+        (row,) = draw_taps(ETU_PROFILE, TS_LTE_NS, [np.random.default_rng([1, 9])])
+        assert cir.taps.tobytes() == row.tobytes()
+        assert cir.sample_period_ns == TS_LTE_NS
+
+    def test_empty_batch(self):
+        assert draw_taps(EPA_PROFILE, 10.0, []).shape == (0, 42)
+
+    def test_rejects_non_generator_streams(self):
+        with pytest.raises(TypeError, match="Generator"):
+            draw_taps(EPA_PROFILE, 10.0, [0, 1])
+
+    def test_grid_is_read_only(self):
+        from physlice.channel import _profile_grid
+
+        idx, scale = _profile_grid(ETU_PROFILE, TS_LTE_NS)
+        assert not idx.flags.writeable and not scale.flags.writeable
+        assert _profile_grid(ETU_PROFILE, TS_LTE_NS)[0] is idx
+
+    @pytest.mark.parametrize("period", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_a_sample_period_that_is_not_positive_and_finite(self, period):
+        for call in (
+            lambda: profile_tap_count(ETU_PROFILE, period),
+            lambda: draw_taps(ETU_PROFILE, period, [np.random.default_rng(0)]),
+            lambda: sample_cir(ETU_PROFILE, period, 0),
+            lambda: ChannelImpulseResponse([1.0], period),
+        ):
+            with pytest.raises(ValueError, match="sample period must be a positive finite number"):
+                call()
+
+    def test_rejects_a_delay_spread_beyond_the_index_range(self):
+        profile = ChannelProfile("far", (0.0, 1e300), (0.0, 0.0))
+        with pytest.raises(ValueError, match="too long"):
+            profile_tap_count(profile, 1e-10)
+
+    def test_stack_taps_passes_a_drawn_batch_through(self):
+        taps = draw_taps(EPA_PROFILE, 10.0, [np.random.default_rng(run) for run in range(3)])
+        assert stack_taps(taps, (3,), 64) is taps
+        shared = taps[0]
+        assert stack_taps(shared, (3,), 64) is shared
+        with pytest.raises(ValueError, match="shape"):
+            stack_taps(taps, (2,), 64)
+        with pytest.raises(ValueError, match="do not fit"):
+            stack_taps(taps, (3,), 32)
+        bad = taps.copy()
+        bad[1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            stack_taps(bad, (3,), 64)
 
 
 class TestCirculantBuild:

@@ -93,6 +93,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="snr_db must be"):
             cfg.validated()
 
+    @pytest.mark.parametrize("delta_f_hz", [0.0, -15e3, math.nan, math.inf])
+    def test_validation_rejects_a_spacing_that_is_not_positive_and_finite(self, delta_f_hz):
+        cfg = make_config("fig7", delta_f_hz=delta_f_hz)
+        with pytest.raises(ValueError, match="delta_f_hz must be a positive finite number"):
+            cfg.validated()
+
     def test_config_file_round_trip(self, tmp_path):
         path = tmp_path / "run.conf"
         path.write_text(
@@ -340,6 +346,13 @@ class TestCli:
         assert code == 2
         assert "snr_db must be" in capsys.readouterr().err
         assert not (tmp_path / "loopback_runs.csv").exists()
+
+    @pytest.mark.parametrize("delta_f", ["nan", "inf"])
+    def test_non_finite_spacing_is_reported(self, tmp_path, capsys, delta_f):
+        code = cli_main(["--scenario", "fig9", "--delta-f", delta_f, "--runs", "2", "--out", str(tmp_path)])
+        assert code == 2
+        assert "delta_f_hz must be a positive finite number" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_literal_fig8_runs_at_full_frame_size(self, tmp_path, capsys):
         code = cli_main(

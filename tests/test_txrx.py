@@ -419,6 +419,23 @@ class TestBatchOracles:
         assert batch.erasures[0][0, 0] and batch.erasures[0][2, 0]
         assert batch.erasures[0][1, 0] == shared
 
+    def test_drawn_tap_batch_equals_the_per_run_channels(self):
+        from physlice.channel import EPA_PROFILE, draw_taps, sample_cir
+
+        ts = 1e9 / (128 * 240e3)
+        plan = build_plan(128, 3, 16)
+        rngs = [np.random.default_rng([3, run]) for run in range(5)]
+        taps = draw_taps(EPA_PROFILE, ts, rngs)
+        cirs = [sample_cir(EPA_PROFILE, ts, np.random.default_rng([3, run])) for run in range(5)]
+        frames = transmit(modulate(np.random.default_rng(4).integers(0, 2, (5, 256)), plan), plan)
+        got = propagate(frames, taps, snr=30.0, rng=[np.random.default_rng(x) for x in range(5)])
+        want = propagate(frames, cirs, snr=30.0, rng=[np.random.default_rng(x) for x in range(5)])
+        np.testing.assert_array_equal(got, want)
+        batch, per_run = receive(got, plan, taps), receive(got, plan, cirs)
+        for k in range(len(plan.slices)):
+            np.testing.assert_array_equal(batch.symbols[k], per_run.symbols[k])
+            np.testing.assert_array_equal(batch.erasures[k], per_run.erasures[k])
+
     def test_batch_arguments_must_match_the_batch(self):
         rng = np.random.default_rng(104)
         plan = build_plan(16, 1, 2)
