@@ -16,7 +16,11 @@ generators:
   discrete frequency of the parent size.
 
 Dense materializations and the literal triangular-block constructions exist
-for oracle checks and for the non-uniform splitting analysis.
+for oracle checks and for the non-uniform splitting analysis. They are numpy
+gathers from one grid of lags i - j: the circulant reads its generator at
+(i - j) mod size, and the lower-triangular block and its wraparound
+complement are the parts of that circulant on and below, and above, the
+diagonal.
 """
 
 from __future__ import annotations
@@ -27,8 +31,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import circulant as _dense_circulant
-from scipy.linalg import toeplitz as _toeplitz
 
 from .spectral import freq_response, is_pow2
 
@@ -259,8 +261,8 @@ class CirculantChannel:
         return int(self.generator.size)
 
     def dense(self) -> np.ndarray:
-        """Dense materialization (oracle scale)."""
-        return _dense_circulant(self.generator)
+        """Dense materialization (oracle scale): entry (i, j) = g[(i - j) mod size]."""
+        return _lagged_circulant(self.generator, self.size)[1]
 
     def response(self) -> np.ndarray:
         """Unnormalized frequency bins, i.e. the eigenvalues of the matrix."""
@@ -313,19 +315,27 @@ def negative_child(channel: CirculantChannel) -> CirculantChannel:
     return CirculantChannel((g[:half] - g[half:]) * modulation)
 
 
+def _lagged_circulant(taps, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lags i - j of a size-by-size matrix, and the circulant of the first
+    ``size`` taps (zero-padded) gathered on them: a negative lag wraps to
+    (i - j) mod size."""
+    head = np.asarray(taps, dtype=np.complex128)[:size]
+    col = np.zeros(size, dtype=np.complex128)
+    col[: head.size] = head
+    index = np.arange(size)
+    lag = index[:, None] - index
+    return lag, col[lag]
+
+
 def lower_triangular_toeplitz(taps, size: int) -> np.ndarray:
     """Lower-triangular Toeplitz matrix whose first column is the tap sequence.
 
-    Taps beyond ``size`` are dropped; shorter sequences are zero-padded. This
-    is the literal in-block part of the channel at a given slice size.
+    Entry (i, j) = taps[i - j] for i >= j, zero elsewhere. Taps beyond
+    ``size`` are dropped; shorter sequences are zero-padded. This is the
+    literal in-block part of the channel at a given slice size.
     """
-    taps = np.asarray(taps, dtype=np.complex128)
-    col = np.zeros(size, dtype=np.complex128)
-    n = min(taps.size, size)
-    col[:n] = taps[:n]
-    row = np.zeros(size, dtype=np.complex128)
-    row[0] = col[0]
-    return _toeplitz(col, row)
+    lag, circulant = _lagged_circulant(taps, size)
+    return np.where(lag >= 0, circulant, 0)
 
 
 def circular_complement(taps, size: int) -> np.ndarray:
@@ -336,13 +346,8 @@ def circular_complement(taps, size: int) -> np.ndarray:
     :func:`lower_triangular_toeplitz` it sums to the size-``size`` circulant
     whenever the taps fit (L <= size).
     """
-    taps = np.asarray(taps, dtype=np.complex128)
-    row = np.zeros(size, dtype=np.complex128)
-    j = np.arange(1, size)
-    t = size - j
-    hit = t < taps.size
-    row[j[hit]] = taps[t[hit]]
-    return _toeplitz(np.zeros(size, dtype=np.complex128), row)
+    lag, circulant = _lagged_circulant(taps, size)
+    return np.where(lag < 0, circulant, 0)
 
 
 def split_coupling(cir: ChannelImpulseResponse, frame_size: int) -> tuple[np.ndarray, np.ndarray, float]:

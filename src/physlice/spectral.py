@@ -35,26 +35,21 @@ def _as_vector(x, name: str) -> np.ndarray:
     return x
 
 
-def dft(x, size: int | None = None) -> np.ndarray:
+def _transform_input(x) -> np.ndarray:
+    x = _as_vector(x, "x")
+    if not is_pow2(x.size):
+        raise ValueError(f"transform size must be a power of two, got {x.size}")
+    return x
+
+
+def dft(x) -> np.ndarray:
     """Unitary forward DFT of a power-of-two length vector."""
-    x = _as_vector(x, "x")
-    n = x.size if size is None else int(size)
-    if n != x.size:
-        raise ValueError(f"length mismatch: vector has {x.size} samples, size={n}")
-    if not is_pow2(n):
-        raise ValueError(f"transform size must be a power of two, got {n}")
-    return _dft(x)
+    return _dft(_transform_input(x))
 
 
-def idft(x, size: int | None = None) -> np.ndarray:
+def idft(x) -> np.ndarray:
     """Unitary inverse DFT, the exact inverse of :func:`dft`."""
-    x = _as_vector(x, "x")
-    n = x.size if size is None else int(size)
-    if n != x.size:
-        raise ValueError(f"length mismatch: vector has {x.size} samples, size={n}")
-    if not is_pow2(n):
-        raise ValueError(f"transform size must be a power of two, got {n}")
-    return _idft(x)
+    return _idft(_transform_input(x))
 
 
 # Unchecked kernels along the last axis, for callers that validated their

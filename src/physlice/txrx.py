@@ -28,7 +28,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .channel import (
     ChannelImpulseResponse,
@@ -288,8 +287,10 @@ def iterative_decode(
     Solves [[H, -Hc], [Hc, H]] [s3; s4] = [z3; z4] by iterating
     s3 <- inv(H) z3 + C s4 and s4 <- inv(H) z4 - C s3 with C = inv(H) Hc,
     where H is the quarter-size lower-triangular Toeplitz channel block and
-    Hc its wraparound complement. Converges when the spectral radius of C is
-    below one; a growing update is flagged and never reported as converged.
+    Hc its wraparound complement. inv(H) is built once, by
+    :func:`triangular_toeplitz_inverse`. Converges when the spectral radius
+    of C is below one; a growing update is flagged and never reported as
+    converged.
 
     Returns (s3, s4, iterations, converged).
     """
@@ -300,28 +301,22 @@ def iterative_decode(
     q = z3.size
     if cir.length > q:
         raise ValueError(f"channel length {cir.length} exceeds the block size {q}")
-    if cir.taps[0] == 0:
-        raise ValueError("h_0 = 0 makes the triangular system singular")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
 
-    h = lower_triangular_toeplitz(cir.taps, q)
-    hc = circular_complement(cir.taps, q)
-    u3 = solve_triangular(h, z3, lower=True)
-    u4 = solve_triangular(h, z4, lower=True)
-    c = solve_triangular(h, hc, lower=True)
+    inv_h = triangular_toeplitz_inverse(lower_triangular_toeplitz(cir.taps, q))
+    u3 = inv_h @ z3
+    u4 = inv_h @ z4
+    c = inv_h @ circular_complement(cir.taps, q)
 
-    s3, s4 = u3.copy(), u4.copy()
+    s3, s4 = u3, u4
     converged = False
     iterations = 0
     first_delta = None
     for iterations in range(1, max_iters + 1):
         n3 = u3 + c @ s4
         n4 = u4 - c @ s3
-        delta = max(
-            float(np.max(np.abs(n3 - s3))) if q else 0.0,
-            float(np.max(np.abs(n4 - s4))) if q else 0.0,
-        )
+        delta = max(float(np.max(np.abs(n3 - s3))), float(np.max(np.abs(n4 - s4))))
         s3, s4 = n3, n4
         if delta < tol:
             converged = True
@@ -350,8 +345,8 @@ def triangular_toeplitz_inverse(matrix) -> np.ndarray:
     memory. Exact up to round-off; validated so that result @ matrix == I.
     """
     a = np.asarray(matrix, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {a.shape}")
     n = a.shape[0]
     col = a[:, 0]
     if col[0] == 0:

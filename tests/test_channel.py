@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import circulant, toeplitz
 
 from physlice.channel import (
     BUILTIN_PROFILES,
@@ -395,7 +396,51 @@ class TestSplitCoupling:
             split_coupling(ChannelImpulseResponse(np.ones(17), 1.0), 64)
 
 
+def scipy_triangular_blocks(taps, size):
+    """The triangular block and its wraparound complement built by
+    scipy.linalg.toeplitz from their first column and first row."""
+    col = np.zeros(size, dtype=np.complex128)
+    n = min(taps.size, size)
+    col[:n] = taps[:n]
+    row = np.zeros(size, dtype=np.complex128)
+    row[0] = col[0]
+    low = toeplitz(col, row)
+    row = np.zeros(size, dtype=np.complex128)
+    j = np.arange(1, size)
+    hit = size - j < taps.size
+    row[j[hit]] = taps[size - j[hit]]
+    return low, toeplitz(np.zeros(size, dtype=np.complex128), row)
+
+
+def assert_bitwise_equal(actual, expected):
+    assert actual.dtype == expected.dtype == np.complex128
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+# Finite complex entries, signed zeros included, so a gather that rounds or
+# drops a sign would show.
+entries = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+
+
 class TestTriangularBuilders:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), size=st.integers(1, 64))
+    def test_builders_equal_scipy_toeplitz_bitwise(self, data, size):
+        # Up to 2 * size taps, so taps beyond the block are dropped.
+        length = data.draw(st.integers(1, 2 * size))
+        taps = np.array(data.draw(st.lists(entries, min_size=length, max_size=length)), dtype=np.complex128)
+        low, wrap = scipy_triangular_blocks(taps, size)
+        assert_bitwise_equal(lower_triangular_toeplitz(taps, size), low)
+        assert_bitwise_equal(circular_complement(taps, size), wrap)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), log_size=st.integers(0, 6))
+    def test_dense_circulant_equals_scipy_circulant_bitwise(self, data, log_size):
+        size = 2**log_size
+        gen = np.array(data.draw(st.lists(entries, min_size=size, max_size=size)), dtype=np.complex128)
+        assert_bitwise_equal(CirculantChannel(gen).dense(), circulant(gen))
+
     def test_lower_triangular_matches_block_of_circulant(self):
         rng = np.random.default_rng(2)
         taps = rng.standard_normal(4) + 1j * rng.standard_normal(4)

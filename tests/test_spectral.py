@@ -55,9 +55,18 @@ def test_dft_rejects_non_power_of_two(bad_size):
         idft(np.ones(bad_size))
 
 
-def test_dft_rejects_length_mismatch():
-    with pytest.raises(ValueError):
-        dft(np.ones(4), size=8)
+@pytest.mark.parametrize("transform", [dft, idft])
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ([1.0, np.nan, 0.0, 0.0], "non-finite"),
+        ([1.0, 0.0, np.inf, 0.0], "non-finite"),
+        (np.ones((2, 2)), "one-dimensional"),
+    ],
+)
+def test_transforms_reject_non_finite_and_non_vector_input(transform, bad, message):
+    with pytest.raises(ValueError, match=message):
+        transform(bad)
 
 
 def test_is_pow2():

@@ -250,6 +250,51 @@ class TestReceive:
             receive(np.zeros(8, complex), plan, ChannelImpulseResponse([1.0], 1.0))
 
 
+def solve_triangular_decode(z3, z4, taps, max_iters=100, tol=1e-10):
+    """Oracle for iterative_decode: the same fixed-point iteration, with
+    inv(H) z3, inv(H) z4 and C = inv(H) Hc each taken by a scipy triangular
+    solve instead of the bordering inverse."""
+    q = z3.size
+    h = lower_triangular_toeplitz(taps, q)
+    u3 = solve_triangular(h, z3, lower=True)
+    u4 = solve_triangular(h, z4, lower=True)
+    c = solve_triangular(h, circular_complement(taps, q), lower=True)
+    s3, s4 = u3, u4
+    converged = False
+    first_delta = None
+    for _ in range(max_iters):
+        n3 = u3 + c @ s4
+        n4 = u4 - c @ s3
+        delta = max(float(np.max(np.abs(n3 - s3))), float(np.max(np.abs(n4 - s4))))
+        s3, s4 = n3, n4
+        if delta < tol:
+            converged = True
+            break
+        if not np.isfinite(delta):
+            break
+        if first_delta is None:
+            first_delta = delta
+        elif delta > 100.0 * first_delta:
+            break
+    return s3, s4, converged
+
+
+def decoder_instance(rng, q, convergent):
+    """Taps of 2..q entries whose iteration matrix inv(H) Hc has spectral
+    radius below 0.9 (convergent) or above 1.1 (divergent)."""
+    while True:
+        length = int(rng.integers(2, q + 1))
+        tail = rng.standard_normal(length - 1) + 1j * rng.standard_normal(length - 1)
+        if convergent:
+            taps = np.concatenate([[1.0 + 0.1j], 0.2 * tail / length])
+        else:
+            taps = np.concatenate([[0.15 + 0.05j], tail])
+        c = np.linalg.solve(lower_triangular_toeplitz(taps, q), circular_complement(taps, q))
+        radius = float(np.max(np.abs(np.linalg.eigvals(c))))
+        if (radius < 0.9) if convergent else (radius > 1.1):
+            return taps
+
+
 class TestIterativeDecode:
     def make_problem(self, rng, taps, q):
         cir = ChannelImpulseResponse(taps, 1.0)
@@ -310,6 +355,23 @@ class TestIterativeDecode:
                 np.zeros(4, complex), np.zeros(4, complex), ChannelImpulseResponse([0.0, 1.0], 1.0)
             )
 
+    @pytest.mark.parametrize("q", [4, 8, 16])
+    @pytest.mark.parametrize("convergent", [True, False])
+    def test_matches_the_triangular_solve_oracle(self, q, convergent):
+        rng = np.random.default_rng([q, convergent])
+        for _ in range(10):
+            taps = decoder_instance(rng, q, convergent)
+            z3 = rng.standard_normal(q) + 1j * rng.standard_normal(q)
+            z4 = rng.standard_normal(q) + 1j * rng.standard_normal(q)
+            r3, r4, _, converged = iterative_decode(z3, z4, ChannelImpulseResponse(taps, 1.0))
+            o3, o4, oracle_converged = solve_triangular_decode(z3, z4, taps)
+            assert converged == oracle_converged == convergent
+            # A divergent iterate grows by many orders of magnitude; the two
+            # agree to round-off relative to its own size.
+            atol = 1e-9 * max(1.0, float(np.max(np.abs(np.concatenate([o3, o4])))))
+            np.testing.assert_allclose(r3, o3, rtol=0, atol=atol)
+            np.testing.assert_allclose(r4, o4, rtol=0, atol=atol)
+
     def test_rejects_channel_longer_than_block(self):
         with pytest.raises(ValueError, match="exceeds"):
             iterative_decode(
@@ -351,6 +413,10 @@ class TestTriangularInverse:
     def test_rejects_zero_diagonal(self):
         with pytest.raises(ValueError, match="singular"):
             triangular_toeplitz_inverse(np.zeros((3, 3)))
+
+    def test_rejects_empty_matrix(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            triangular_toeplitz_inverse(np.empty((0, 0)))
 
     def test_rejects_non_toeplitz(self):
         bad = np.tril(np.arange(16, dtype=float).reshape(4, 4) + 1)
