@@ -2,10 +2,13 @@
 
 The Monte Carlo scenarios run their realizations in chunks of consecutive
 runs on a leading batch axis and keep per-run results as arrays. Every run
-derives its own RNG stream from (seed, run_id), so results are
-byte-identical regardless of how many workers execute the chunks;
-aggregation is always in run_id order. Plot rendering is left to external tools: the
-files written here are plain CSV plus a short text summary per scenario.
+draws from its own RNG stream, bitwise ``np.random.default_rng([seed,
+run_id])``: a scenario hashes the seed words of all its runs in one
+vectorized SeedSequence pass (``_streams.stream_words``) and each chunk
+builds its runs' Generators from their rows. So results are byte-identical
+regardless of how many workers execute the chunks; aggregation is always in
+run_id order. Plot rendering is left to external tools: the files written
+here are plain CSV plus a short text summary per scenario.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .channel import (
 )
 from .mi import MODE_EXACT, MODE_LITERAL, ChainMi, SnrSpec, chain_mi, deep_split_report, split_report
 from .sliceplan import SlicePlan, build_plan, total_cost
-from .txrx import modulate, nearest_symbols, propagate, receive, transmit
+from .txrx import _noise_rho, _propagate, _receive, modulate, nearest_symbols, transmit
 
 __all__ = [
     "ExperimentConfig",
@@ -43,6 +46,10 @@ __all__ = [
 ]
 
 _FLOAT_FMT = "{:.12g}"
+
+# ``._streams`` is imported where it is used: it loads numpy.random, which
+# adds about 6 MB and 25 ms to ``import physlice``; the first run of a
+# scenario loads it either way.
 
 # Frame samples per chunk of runs on the batch axis. The chunk size follows
 # from the frame size (4 runs at N=2048, 64 at N=128); a small budget keeps
@@ -123,6 +130,12 @@ class ExperimentConfig:
             raise ValueError(f"snr_db must be a number of dB or inf (noiseless), got {self.snr_db}")
         if self.num_runs < 1:
             raise ValueError("num_runs must be at least 1")
+        from ._streams import MAX_RUNS
+
+        if self.num_runs > MAX_RUNS:
+            raise ValueError(f"num_runs must be at most 2**32 (a run id is one 32-bit word), got {self.num_runs}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         if self.mode not in (MODE_EXACT, MODE_LITERAL):
@@ -211,19 +224,32 @@ def empirical_cdf(samples) -> EmpiricalCdf:
 
 
 def _map_chunks(fn, config: ExperimentConfig) -> list:
-    """``[fn(run_ids) for each chunk]`` in run order, over chunks of
-    ``_CHUNK_SAMPLES // n_fft`` consecutive run ids; a thread pool spreads
-    the chunks when workers > 1."""
+    """``[fn(rngs) for each chunk]`` in run order, over chunks of
+    ``_CHUNK_SAMPLES // n_fft`` consecutive runs; ``rngs`` holds the
+    Generators of the chunk's runs. The seed words of every run are hashed
+    once, before the first chunk; each chunk builds its Generators from its
+    rows of the read-only words. A thread pool spreads the chunks when
+    workers > 1."""
+    from ._streams import stream, stream_words
+
     size = max(1, _CHUNK_SAMPLES // config.n_fft)
-    chunks = [range(start, min(start + size, config.num_runs)) for start in range(0, config.num_runs, size)]
+    words = stream_words(config.seed, range(config.num_runs))
+    blocks = [words[start : start + size] for start in range(0, config.num_runs, size)]
+
+    def one_block(block: np.ndarray):
+        return fn([stream(row) for row in block])
+
     if config.workers <= 1:
-        return [fn(run_ids) for run_ids in chunks]
+        return [one_block(block) for block in blocks]
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        return list(pool.map(fn, chunks))
+        return list(pool.map(one_block, blocks))
 
 
-def _run_rng(config: ExperimentConfig, run_id: int) -> np.random.Generator:
-    return np.random.default_rng([config.seed, run_id])
+def _first_stream(config: ExperimentConfig) -> np.random.Generator:
+    """The stream of run 0, for the single-realization scenarios."""
+    from ._streams import stream, stream_words
+
+    return stream(stream_words(config.seed, range(1))[0])
 
 
 def _fmt(value) -> str:
@@ -284,8 +310,8 @@ def _rate_scenario(config: ExperimentConfig) -> tuple[SlicePlan, int, ChainMi]:
     plan, profile, taps = _scenario_plan(config)
     snr = _mi_snr(config)
 
-    def one_chunk(run_ids: range):
-        chunk_taps = draw_taps(profile, config.sample_period_ns, [_run_rng(config, run_id) for run_id in run_ids])
+    def one_chunk(rngs: list[np.random.Generator]):
+        chunk_taps = draw_taps(profile, config.sample_period_ns, rngs)
         chain = chain_mi(chunk_taps, config.n_fft, config.depth, snr, mode=config.mode)
         return chain.total, chain.parent, chain.positive, chain.negative
 
@@ -378,7 +404,7 @@ def _run_fig4(config: ExperimentConfig, out: Path) -> dict[str, Path]:
     config = replace(config, num_runs=1)
     plan, profile, taps = _scenario_plan(config)
     snr = _mi_snr(config)
-    cir = sample_cir(profile, config.sample_period_ns, _run_rng(config, 0))
+    cir = sample_cir(profile, config.sample_period_ns, _first_stream(config))
     report = split_report(cir, config.n_fft, config.depth, snr, mode=config.mode)
     runs_path = out / f"{config.scenario}_runs.csv"
     _write_mi_runs(runs_path, plan, [[r.mi_bits for r in report.records]])
@@ -397,8 +423,7 @@ def _run_table1(config: ExperimentConfig, out: Path) -> dict[str, Path]:
     snr = config.snr
     if snr is None:
         raise ValueError("the deep continuation needs a finite SNR")
-    rng = _run_rng(config, 0)
-    cir = sample_cir(profile, config.sample_period_ns, rng)
+    cir = sample_cir(profile, config.sample_period_ns, _first_stream(config))
     channel = build_circulant(cir, config.n_fft)
     for _ in range(config.depth):
         channel = positive_child(channel)
@@ -429,14 +454,15 @@ def loopback_demo(config: ExperimentConfig) -> dict[str, Path]:
     out.mkdir(parents=True, exist_ok=True)
     plan, profile, taps = _scenario_plan(config)
     snr = config.snr
+    rho = _noise_rho(snr)
 
-    def one_chunk(run_ids: range):
-        rngs = [_run_rng(config, run_id) for run_id in run_ids]
+    def one_chunk(rngs: list[np.random.Generator]):
         chunk_taps = draw_taps(profile, config.sample_period_ns, rngs)
         bits = np.stack([rng.integers(0, 2, size=2 * config.n_fft) for rng in rngs])
         payload = modulate(bits, plan)
-        y = propagate(transmit(payload, plan), chunk_taps, snr=snr, rng=rngs)
-        estimate = receive(y, plan, chunk_taps)
+        # One channel spectrum per chunk serves the channel and the equalizer.
+        gains = np.fft.fft(chunk_taps, config.n_fft, axis=-1)
+        estimate = _receive(_propagate(transmit(payload, plan).body, gains, rho, rngs), plan, gains)
         per_slice = []
         for sent, got in zip(payload.symbols, estimate.symbols):
             evm = np.sqrt(np.mean(np.abs(got - sent) ** 2, axis=-1) / np.mean(np.abs(sent) ** 2, axis=-1))

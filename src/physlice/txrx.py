@@ -228,8 +228,13 @@ def propagate(
         raise ValueError(
             f"cyclic prefix ({plan.cp_length}) shorter than the channel ({taps.shape[-1]})"
         )
-    received = np.fft.ifft(np.fft.fft(frame.body, axis=-1) * np.fft.fft(taps, n, axis=-1), axis=-1)
-    rho = _noise_rho(snr)
+    return _propagate(frame.body, np.fft.fft(taps, n, axis=-1), _noise_rho(snr), rng)
+
+
+def _propagate(body: np.ndarray, gains: np.ndarray, rho: float | None, rng) -> np.ndarray:
+    """:func:`propagate` of frame bodies through channels of frequency
+    response ``gains`` (the N-point FFT of the taps), unchecked."""
+    received = np.fft.ifft(np.fft.fft(body, axis=-1) * gains, axis=-1)
     if rho is None:
         return received
     # Unit average signal power is guaranteed by the unitary chain and
@@ -260,6 +265,12 @@ def receive(
     if not np.all(np.isfinite(y)):
         raise ValueError("received samples contain non-finite entries")
     gains = np.fft.fft(stack_taps(cir, y.shape[:-1], plan.frame_size), plan.frame_size, axis=-1)
+    return _receive(y, plan, gains)
+
+
+def _receive(y: np.ndarray, plan: SlicePlan, gains: np.ndarray) -> SlicePayload:
+    """:func:`receive` of complex frames ``y`` through channels of frequency
+    response ``gains`` (the N-point FFT of the taps), unchecked."""
     erased = np.abs(gains) < EQUALIZER_ERASURE_THRESHOLD
     safe = np.where(erased, 1.0, gains)
     z = inverse_transform(y, plan.depth)

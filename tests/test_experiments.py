@@ -14,6 +14,52 @@ from physlice.experiments import (
 )
 
 
+def loopback_replay(cfg) -> bytes:
+    """The loopback runs file, one frame at a time from each run's
+    ``default_rng([seed, run_id])`` stream through the public link calls."""
+    from physlice.channel import sample_cir
+    from physlice.sliceplan import build_plan
+    from physlice.txrx import modulate, nearest_symbols, propagate, receive, transmit
+
+    profile = cfg.resolve_profile()
+    plan = build_plan(cfg.n_fft, cfg.depth, cfg.cp_length)
+    lines = ["run_id,slice_path,evm,symbol_errors"]
+    for run_id in range(cfg.num_runs):
+        rng = np.random.default_rng([cfg.seed, run_id])
+        cir = sample_cir(profile, cfg.sample_period_ns, rng)
+        payload = modulate(rng.integers(0, 2, size=2 * cfg.n_fft), plan)
+        estimate = receive(propagate(transmit(payload, plan), cir, snr=cfg.snr, rng=rng), plan, cir)
+        for desc, sent, got in zip(plan.slices, payload.symbols, estimate.symbols):
+            evm = float(np.sqrt(np.mean(np.abs(got - sent) ** 2) / np.mean(np.abs(sent) ** 2)))
+            errors = int(np.count_nonzero(nearest_symbols(got) != sent))
+            lines.append(f"{run_id},{desc.path},{evm:.12g},{errors}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def mi_replay(cfg) -> tuple[list, bytes]:
+    """Per-run split reports from each run's ``default_rng([seed, run_id])``
+    stream, and the MI runs file they give."""
+    from physlice.channel import sample_cir
+    from physlice.mi import split_report
+    from physlice.sliceplan import build_plan
+
+    profile = cfg.resolve_profile()
+    plan = build_plan(cfg.n_fft, cfg.depth, cfg.cp_length)
+    reports = [
+        split_report(
+            sample_cir(profile, cfg.sample_period_ns, np.random.default_rng([cfg.seed, run_id])),
+            cfg.n_fft, cfg.depth, cfg.snr, mode=cfg.mode,
+        )
+        for run_id in range(cfg.num_runs)
+    ]
+    lines = ["run_id,slice_path,slice_size,mi_bits,decode_ops"]
+    for run_id, report in enumerate(reports):
+        for desc, r in zip(plan.slices, report.records, strict=True):
+            assert r.path == desc.path
+            lines.append(f"{run_id},{r.path},{r.size},{r.mi_bits:.12g},{desc.decode_ops}")
+    return reports, ("\n".join(lines) + "\n").encode()
+
+
 class TestEmpiricalCdf:
     def test_small_sample_values(self):
         cdf = empirical_cdf([1.0, 2.0, 3.0])
@@ -81,6 +127,17 @@ class TestConfig:
     def test_mode_override_rejected_where_ignored(self, scenario, mode):
         with pytest.raises(ValueError, match="takes no mode"):
             make_config(scenario, mode=mode)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**32), 1.5])
+    def test_validation_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        cfg = make_config("fig7", seed=seed)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            cfg.validated()
+
+    def test_validation_bounds_the_run_count_by_one_run_id_word(self):
+        assert make_config("fig7", num_runs=2**32).validated().num_runs == 2**32
+        with pytest.raises(ValueError, match=r"num_runs must be at most 2\*\*32"):
+            make_config("fig7", num_runs=2**32 + 1).validated()
 
     def test_infinite_snr_maps_to_noiseless(self):
         cfg = make_config("loopback", snr_db=math.inf)
@@ -218,25 +275,9 @@ class TestScenarios:
 
     @pytest.mark.parametrize("n_fft,num_runs", [(2048, 9), (256, 70)])
     def test_loopback_chunks_equal_a_serial_single_frame_replay(self, tmp_path, n_fft, num_runs):
-        from physlice.channel import sample_cir
-        from physlice.sliceplan import build_plan
-        from physlice.txrx import modulate, nearest_symbols, propagate, receive, transmit
-
         # Neither run count is a multiple of the chunk (4 at N=2048, 32 at N=256).
         cfg = make_config("loopback", n_fft=n_fft, cp_length=32 if n_fft == 256 else 169, num_runs=num_runs, seed=11)
-        profile = cfg.resolve_profile()
-        plan = build_plan(cfg.n_fft, cfg.depth, cfg.cp_length)
-        lines = ["run_id,slice_path,evm,symbol_errors"]
-        for run_id in range(num_runs):
-            rng = np.random.default_rng([cfg.seed, run_id])
-            cir = sample_cir(profile, cfg.sample_period_ns, rng)
-            payload = modulate(rng.integers(0, 2, size=2 * n_fft), plan)
-            estimate = receive(propagate(transmit(payload, plan), cir, snr=cfg.snr, rng=rng), plan, cir)
-            for desc, sent, got in zip(plan.slices, payload.symbols, estimate.symbols):
-                evm = float(np.sqrt(np.mean(np.abs(got - sent) ** 2) / np.mean(np.abs(sent) ** 2)))
-                errors = int(np.count_nonzero(nearest_symbols(got) != sent))
-                lines.append(f"{run_id},{desc.path},{evm:.12g},{errors}")
-        replay = ("\n".join(lines) + "\n").encode()
+        replay = loopback_replay(cfg)
         for workers in (1, 2, 8):
             out = tmp_path / f"w{workers}"
             paths = run_scenario(
@@ -253,27 +294,9 @@ class TestScenarios:
         "scenario,num_runs", [("fig7", 9), ("fig7", 1), ("fig8", 9), ("fig8", 1), ("fig9", 70), ("fig9", 1)]
     )
     def test_mi_chunks_equal_a_per_run_report_replay(self, tmp_path, scenario, num_runs, mode):
-        from physlice.channel import sample_cir
-        from physlice.mi import split_report
-        from physlice.sliceplan import build_plan
-
         # No run count is a multiple of the chunk (4 runs at N=2048, 64 at N=128).
         cfg = make_config(scenario, num_runs=num_runs, seed=7, mode=mode)
-        profile = cfg.resolve_profile()
-        plan = build_plan(cfg.n_fft, cfg.depth, cfg.cp_length)
-        reports = [
-            split_report(
-                sample_cir(profile, cfg.sample_period_ns, np.random.default_rng([cfg.seed, run_id])),
-                cfg.n_fft, cfg.depth, cfg.snr, mode=mode,
-            )
-            for run_id in range(num_runs)
-        ]
-        lines = ["run_id,slice_path,slice_size,mi_bits,decode_ops"]
-        for run_id, report in enumerate(reports):
-            for desc, r in zip(plan.slices, report.records, strict=True):
-                assert r.path == desc.path
-                lines.append(f"{run_id},{r.path},{r.size},{r.mi_bits:.12g},{desc.decode_ops}")
-        replay = ("\n".join(lines) + "\n").encode()
+        reports, replay = mi_replay(cfg)
         residual = max(r.max_level_residual(relative=True) for r in reports)
         cdf = None
         if scenario != "fig9":
@@ -298,6 +321,19 @@ class TestScenarios:
             assert f"\nmax_conservation_residual_rel={residual:.12g}\n" in paths["summary"].read_text()
             if cdf is not None:
                 assert paths["cdf"].read_text().splitlines() == cdf
+            for path in paths.values():
+                assert path.read_bytes() == (tmp_path / "w1" / path.name).read_bytes()
+
+    @pytest.mark.parametrize("scenario", ["fig7", "loopback"])
+    def test_multi_word_seed_is_identical_across_worker_counts(self, tmp_path, scenario):
+        # 2**32 + 1 is two entropy words, so the run id is the third.
+        seed = 2**32 + 1
+        cfg = make_config(scenario, num_runs=9, seed=seed)
+        replay = loopback_replay(cfg) if scenario == "loopback" else mi_replay(cfg)[1]
+        for workers in (1, 2, 8):
+            out = tmp_path / f"w{workers}"
+            paths = run_scenario(make_config(scenario, num_runs=9, seed=seed, workers=workers, output_dir=str(out)))
+            assert paths["runs"].read_bytes() == replay
             for path in paths.values():
                 assert path.read_bytes() == (tmp_path / "w1" / path.name).read_bytes()
 
@@ -368,6 +404,17 @@ class TestCli:
         assert code == 2
         assert "needs depth >= 1" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "flag,message",
+        [("--seed=-1", "seed must be a non-negative integer"), ("--runs=4294967297", "num_runs must be at most")],
+    )
+    def test_seed_and_run_count_beyond_the_run_streams_are_reported(self, tmp_path, capsys, flag, message):
+        out = tmp_path / "out"
+        code = cli_main(["--scenario", "fig7", flag, "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_scenario_is_reported(self, capsys):
         code = cli_main([])
