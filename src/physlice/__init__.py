@@ -29,7 +29,6 @@ from .experiments import (
     EmpiricalCdf,
     ExperimentConfig,
     empirical_cdf,
-    loopback_demo,
     make_config,
     run_scenario,
 )

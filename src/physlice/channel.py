@@ -97,29 +97,42 @@ EPA_PROFILE = ChannelProfile(
 BUILTIN_PROFILES = {"etu": ETU_PROFILE, "epa": EPA_PROFILE}
 
 
-def load_profile(path) -> ChannelProfile:
-    """Read a profile from a plain-text key-value file.
-
-    Expected keys: ``delays_ns`` and ``powers_db`` (comma or whitespace
-    separated lists) and an optional ``name``. Lines starting with ``#``
-    are ignored.
-    """
-    path = Path(path)
-    fields: dict[str, str] = {}
-    for raw in path.read_text().splitlines():
+def _read_key_values(path, keys, kind: str) -> dict[str, str]:
+    """The ``key = value`` lines of a flat text file (split at the first
+    ``=``; blank and ``#`` lines skipped; keys lower-cased), each key in
+    ``keys`` and at most once."""
+    values: dict[str, str] = {}
+    for number, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        where = f"{path}, line {number}"
         if "=" not in line:
-            raise ValueError(f"malformed profile line (expected key = value): {line!r}")
-        key, value = line.split("=", 1)
-        fields[key.strip().lower()] = value.strip()
+            raise ValueError(f"{where}: malformed {kind} line (expected key = value): {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        key = key.lower()
+        if key not in keys:
+            raise ValueError(f"{where}: unknown {kind} key {key!r}, expected one of {sorted(keys)}")
+        if key in values:
+            raise ValueError(f"{where}: repeated {kind} key {key!r}")
+        values[key] = value
+    return values
+
+
+def load_profile(path) -> ChannelProfile:
+    """Read a profile from a plain-text key-value file.
+
+    Keys: ``delays_ns`` and ``powers_db`` (comma or whitespace separated
+    lists) and an optional ``name``, each at most once. Lines starting with
+    ``#`` are ignored.
+    """
+    fields = _read_key_values(path, {"name", "delays_ns", "powers_db"}, "profile")
     try:
         delays = [float(v) for v in fields["delays_ns"].replace(",", " ").split()]
         powers = [float(v) for v in fields["powers_db"].replace(",", " ").split()]
     except KeyError as missing:
         raise ValueError(f"profile file is missing key {missing}") from None
-    return ChannelProfile(fields.get("name", path.stem), tuple(delays), tuple(powers))
+    return ChannelProfile(fields.get("name", Path(path).stem), tuple(delays), tuple(powers))
 
 
 def _check_period(sample_period_ns) -> float:

@@ -6,8 +6,9 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import fields
 
-from .experiments import PRESETS, load_config_file, make_config, run_scenario
+from .experiments import PRESETS, ExperimentConfig, load_config_file, make_config, run_scenario
 from .mi import MODE_EXACT, MODE_LITERAL
 
 
@@ -28,28 +29,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int)
     parser.add_argument("--mode", choices=[MODE_EXACT, MODE_LITERAL])
     parser.add_argument("--out", dest="output_dir", help="output directory (default: $PHYSLICE_OUT or ./physlice-out)")
-    parser.add_argument("--workers", type=int, help="parallel workers (output is identical for any count)")
+    parser.add_argument("--workers", type=int, help="accepted, but runs are serial: changes neither output nor speed")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {
-        key: getattr(args, key)
-        for key in (
-            "n_fft", "delta_f_hz", "profile", "snr_db", "num_runs",
-            "depth", "cp_length", "seed", "mode", "output_dir", "workers",
-        )
-        if getattr(args, key) is not None
-    }
+    # Every flag's dest is the name of the config field it sets.
+    flags = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig) if getattr(args, f.name) is not None}
     try:
-        file_values: dict = {}
-        if args.config:
-            file_values = load_config_file(args.config)
-        scenario = args.scenario or file_values.pop("scenario", None)
+        merged = {**(load_config_file(args.config) if args.config else {}), **flags}
+        scenario = merged.pop("scenario", None)
         if scenario is None:
             raise ValueError("no scenario given (use --scenario or a config file with scenario=...)")
-        merged = {**file_values, **overrides}
         merged.setdefault("output_dir", os.environ.get("PHYSLICE_OUT", "physlice-out"))
         config = make_config(scenario, **merged)
         started = time.perf_counter()

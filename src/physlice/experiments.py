@@ -5,17 +5,17 @@ runs on a leading batch axis and keep per-run results as arrays. Every run
 draws from its own RNG stream, bitwise ``np.random.default_rng([seed,
 run_id])``: a scenario hashes the seed words of all its runs in one
 vectorized SeedSequence pass (``_streams.stream_words``) and each chunk
-builds its runs' Generators from their rows. So results are byte-identical
-regardless of how many workers execute the chunks; aggregation is always in
-run_id order. Plot rendering is left to external tools: the files written
+builds its runs' Generators from their rows. The chunks run in order in
+the calling thread, so ``workers`` changes neither the output nor the speed
+(a thread pool never beat this loop: the chunks hold the GIL between short
+numpy calls). Plot rendering is left to external tools: the files written
 here are plain CSV plus a short text summary per scenario.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,7 @@ import numpy as np
 from .channel import (
     BUILTIN_PROFILES,
     ChannelProfile,
+    _read_key_values,
     build_circulant,
     draw_taps,
     load_profile,
@@ -42,7 +43,6 @@ __all__ = [
     "load_config_file",
     "empirical_cdf",
     "run_scenario",
-    "loopback_demo",
 ]
 
 _FLOAT_FMT = "{:.12g}"
@@ -120,6 +120,10 @@ class ExperimentConfig:
         )
 
     def validated(self) -> "ExperimentConfig":
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, _ACCEPTED[kind]) or (kind == "int" and value < 0):
+                raise ValueError(f"{name} must be {_EXPECTED[kind]}, got {value!r}")
         if self.scenario not in PRESETS:
             raise ValueError(f"unknown scenario {self.scenario!r}, expected one of {sorted(PRESETS)}")
         if self.n_fft < 2 or self.n_fft & (self.n_fft - 1):
@@ -134,8 +138,6 @@ class ExperimentConfig:
 
         if self.num_runs > MAX_RUNS:
             raise ValueError(f"num_runs must be at most 2**32 (a run id is one 32-bit word), got {self.num_runs}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         if self.mode not in (MODE_EXACT, MODE_LITERAL):
@@ -154,15 +156,20 @@ class ExperimentConfig:
         return self
 
 
+# The one schema of settings: ExperimentConfig's fields and annotations. No
+# setting is a bool, and every int setting is a size, a count or a seed.
+_ACCEPTED = {"int": (int, np.integer), "float": (int, float), "str": (str,)}
+_EXPECTED = {"int": "a non-negative integer", "float": "a number", "str": "a string"}
+_PARSERS = {"int": int, "float": float, "str": str}
+_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+
+
 def make_config(scenario: str, **overrides) -> ExperimentConfig:
     """Preset defaults for a scenario, with explicit overrides on top."""
     if scenario not in PRESETS:
         raise ValueError(f"unknown scenario {scenario!r}, expected one of {sorted(PRESETS)}")
     params = dict(PRESETS[scenario])
-    unknown = set(overrides) - {
-        "n_fft", "delta_f_hz", "profile", "snr_db", "num_runs", "depth",
-        "cp_length", "seed", "mode", "output_dir", "workers",
-    }
+    unknown = overrides.keys() - _FIELD_TYPES.keys()
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
     given = {k: v for k, v in overrides.items() if v is not None}
@@ -173,24 +180,15 @@ def make_config(scenario: str, **overrides) -> ExperimentConfig:
 
 
 def load_config_file(path) -> dict:
-    """Flat key=value config file; '#' starts a comment line."""
-    values: dict[str, object] = {}
-    converters = {
-        "scenario": str, "profile": str, "mode": str, "output_dir": str,
-        "n_fft": int, "num_runs": int, "depth": int, "cp_length": int,
-        "seed": int, "workers": int,
-        "delta_f_hz": float, "snr_db": float,
-    }
-    for raw in Path(path).read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"malformed config line (expected key = value): {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in converters:
-            raise ValueError(f"unknown config key {key!r}")
-        values[key] = converters[key](value)
+    """Flat ``key = value`` config file of :class:`ExperimentConfig` fields,
+    each at most once; '#' starts a comment line."""
+    values = {}
+    for key, text in _read_key_values(path, _FIELD_TYPES, "config").items():
+        kind = _FIELD_TYPES[key]
+        try:
+            values[key] = _PARSERS[kind](text)
+        except ValueError:
+            raise ValueError(f"config key {key!r} must be {_EXPECTED[kind]}, got {text!r}") from None
     return values
 
 
@@ -228,21 +226,13 @@ def _map_chunks(fn, config: ExperimentConfig) -> list:
     ``_CHUNK_SAMPLES // n_fft`` consecutive runs; ``rngs`` holds the
     Generators of the chunk's runs. The seed words of every run are hashed
     once, before the first chunk; each chunk builds its Generators from its
-    rows of the read-only words. A thread pool spreads the chunks when
-    workers > 1."""
+    rows of the read-only words. The chunks run one after another in the
+    calling thread, whatever ``workers`` says."""
     from ._streams import stream, stream_words
 
     size = max(1, _CHUNK_SAMPLES // config.n_fft)
     words = stream_words(config.seed, range(config.num_runs))
-    blocks = [words[start : start + size] for start in range(0, config.num_runs, size)]
-
-    def one_block(block: np.ndarray):
-        return fn([stream(row) for row in block])
-
-    if config.workers <= 1:
-        return [one_block(block) for block in blocks]
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        return list(pool.map(one_block, blocks))
+    return [fn([stream(row) for row in words[start : start + size]]) for start in range(0, config.num_runs, size)]
 
 
 def _first_stream(config: ExperimentConfig) -> np.random.Generator:
@@ -338,13 +328,13 @@ def run_scenario(config: ExperimentConfig) -> dict[str, Path]:
     """Run one scenario preset and write its output files.
 
     Returns a mapping of logical names to the written paths. Outputs are
-    deterministic for a given (config, seed) regardless of worker count.
+    deterministic for a given config; ``workers`` does not change them.
     """
     config = config.validated()
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     if config.scenario == "loopback":
-        return loopback_demo(config)
+        return _run_loopback(config, out)
     if config.scenario == "table1":
         return _run_table1(config, out)
     if config.scenario == "fig4":
@@ -442,16 +432,13 @@ def _run_table1(config: ExperimentConfig, out: Path) -> dict[str, Path]:
     return {"report": report_path, "summary": summary_path}
 
 
-def loopback_demo(config: ExperimentConfig) -> dict[str, Path]:
+def _run_loopback(config: ExperimentConfig, out: Path) -> dict[str, Path]:
     """Transmit, propagate, receive one frame per run; report EVM and errors.
 
     Runs go through the link in chunks of ``_CHUNK_SAMPLES // n_fft`` frames
-    on the batch axis; ``workers`` spreads the chunks. Each run still draws
-    its channel, its bits and then its noise from its own stream.
+    on the batch axis. Each run draws its channel, its bits and then its
+    noise from its own stream.
     """
-    config = config.validated()
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     plan, profile, taps = _scenario_plan(config)
     snr = config.snr
     rho = _noise_rho(snr)

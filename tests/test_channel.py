@@ -158,6 +158,18 @@ class TestProfiles:
         with pytest.raises(ValueError, match="missing key"):
             load_profile(path)
 
+    def test_load_profile_rejects_an_unknown_key(self, tmp_path):
+        path = tmp_path / "typo.profile"
+        path.write_text("nmae = x\ndelays_ns = 0, 10\npowers_db = 0, -3\n")
+        with pytest.raises(ValueError, match="line 1: unknown profile key 'nmae'"):
+            load_profile(path)
+
+    def test_load_profile_rejects_a_repeated_key(self, tmp_path):
+        path = tmp_path / "twice.profile"
+        path.write_text("delays_ns = 0, 10\npowers_db = 0, -3\ndelays_ns = 0, 20\n")
+        with pytest.raises(ValueError, match="line 3: repeated profile key 'delays_ns'"):
+            load_profile(path)
+
     def test_builtin_registry(self):
         assert set(BUILTIN_PROFILES) == {"etu", "epa"}
 

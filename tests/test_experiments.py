@@ -134,6 +134,24 @@ class TestConfig:
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             cfg.validated()
 
+    @pytest.mark.parametrize("value", [2.5, True])
+    @pytest.mark.parametrize("field", ["num_runs", "n_fft", "depth", "cp_length", "workers"])
+    def test_validation_rejects_an_integer_field_of_another_type_before_the_output_directory(
+        self, tmp_path, field, value
+    ):
+        out = tmp_path / "out"
+        cfg = make_config("fig9", output_dir=str(out), **{field: value})
+        with pytest.raises(ValueError, match=f"^{field} must be a non-negative integer"):
+            run_scenario(cfg)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field,value,expected", [("snr_db", "10", "a number"), ("delta_f_hz", True, "a number"), ("mode", 1, "a string")]
+    )
+    def test_validation_checks_number_and_string_fields_by_the_schema(self, field, value, expected):
+        with pytest.raises(ValueError, match=f"^{field} must be {expected}, got {value!r}"):
+            make_config("fig9", **{field: value}).validated()
+
     def test_validation_bounds_the_run_count_by_one_run_id_word(self):
         assert make_config("fig7", num_runs=2**32).validated().num_runs == 2**32
         with pytest.raises(ValueError, match=r"num_runs must be at most 2\*\*32"):
@@ -168,6 +186,18 @@ class TestConfig:
         path = tmp_path / "run.conf"
         path.write_text("volume = 11\n")
         with pytest.raises(ValueError, match="unknown config key"):
+            load_config_file(path)
+
+    def test_config_file_names_the_key_and_type_of_a_bad_value(self, tmp_path):
+        path = tmp_path / "run.conf"
+        path.write_text("scenario = fig9\nnum_runs = many\n")
+        with pytest.raises(ValueError, match="config key 'num_runs' must be a non-negative integer, got 'many'"):
+            load_config_file(path)
+
+    def test_config_file_rejects_a_repeated_key(self, tmp_path):
+        path = tmp_path / "run.conf"
+        path.write_text("num_runs = 5\n# a second value below\nnum_runs = 6\n")
+        with pytest.raises(ValueError, match="line 3: repeated config key 'num_runs'"):
             load_config_file(path)
 
     def test_custom_profile_file(self, tmp_path):
@@ -415,6 +445,13 @@ class TestCli:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_scenario_flag_wins_over_the_config_file(self, tmp_path, capsys):
+        conf = tmp_path / "job.conf"
+        conf.write_text("scenario = fig7\nnum_runs = 2\n")
+        code = cli_main(["--scenario", "fig9", "--config", str(conf), "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["fig9_runs.csv", "fig9_summary.txt"]
 
     def test_missing_scenario_is_reported(self, capsys):
         code = cli_main([])

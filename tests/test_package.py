@@ -16,3 +16,21 @@ def test_import_never_loads_scipy():
         check=True,
     )
     assert result.stdout.strip() == "False"
+
+
+def test_scenarios_run_without_a_thread_pool(tmp_path):
+    """Chunks of runs run serially: neither the import nor a run of any
+    scenario loads ``concurrent.futures``."""
+    script = (
+        "import sys, physlice\n"
+        "from physlice.experiments import PRESETS, make_config, run_scenario\n"
+        "assert 'concurrent.futures' not in sys.modules, 'import'\n"
+        "for scenario in PRESETS:\n"
+        "    run_scenario(make_config(scenario, num_runs=2, workers=2, output_dir=sys.argv[1]))\n"
+        "    assert 'concurrent.futures' not in sys.modules, scenario\n"
+    )
+    subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        check=True,
+    )
