@@ -127,12 +127,16 @@ def load_profile(path) -> ChannelProfile:
     ``#`` are ignored.
     """
     fields = _read_key_values(path, {"name", "delays_ns", "powers_db"}, "profile")
-    try:
-        delays = [float(v) for v in fields["delays_ns"].replace(",", " ").split()]
-        powers = [float(v) for v in fields["powers_db"].replace(",", " ").split()]
-    except KeyError as missing:
-        raise ValueError(f"profile file is missing key {missing}") from None
-    return ChannelProfile(fields.get("name", Path(path).stem), tuple(delays), tuple(powers))
+
+    def numbers(key: str) -> tuple[float, ...]:
+        if key not in fields:
+            raise ValueError(f"{path}: profile file is missing key {key!r}")
+        try:
+            return tuple(float(word) for word in fields[key].replace(",", " ").split())
+        except ValueError:
+            raise ValueError(f"{path}: profile key {key!r} must be a list of numbers, got {fields[key]!r}") from None
+
+    return ChannelProfile(fields.get("name", Path(path).stem), numbers("delays_ns"), numbers("powers_db"))
 
 
 def _check_period(sample_period_ns) -> float:

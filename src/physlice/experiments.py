@@ -1,5 +1,10 @@
 """Scenario presets, Monte Carlo orchestration, and plot-ready CSV emission.
 
+``run_scenario`` sets a scenario up in one place, ``_setup``: it checks
+every input, resolves the channel profile (reading a profile file once) and
+builds the slice plan, all before the output directory is made. It then
+calls the scenario's runner from ``_RUNNERS`` with that plan and profile.
+
 The Monte Carlo scenarios run their realizations in chunks of consecutive
 runs on a leading batch axis and keep per-run results as arrays. Every run
 draws from its own RNG stream, bitwise ``np.random.default_rng([seed,
@@ -120,39 +125,9 @@ class ExperimentConfig:
         )
 
     def validated(self) -> "ExperimentConfig":
-        for name, kind in _FIELD_TYPES.items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, _ACCEPTED[kind]) or (kind == "int" and value < 0):
-                raise ValueError(f"{name} must be {_EXPECTED[kind]}, got {value!r}")
-        if self.scenario not in PRESETS:
-            raise ValueError(f"unknown scenario {self.scenario!r}, expected one of {sorted(PRESETS)}")
-        if self.n_fft < 2 or self.n_fft & (self.n_fft - 1):
-            raise ValueError(f"n_fft must be a power of two >= 2, got {self.n_fft}")
-        if not 0 < self.delta_f_hz < math.inf:
-            raise ValueError(f"delta_f_hz must be a positive finite number of Hz, got {self.delta_f_hz}")
-        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
-            raise ValueError(f"snr_db must be a number of dB or inf (noiseless), got {self.snr_db}")
-        if self.num_runs < 1:
-            raise ValueError("num_runs must be at least 1")
-        from ._streams import MAX_RUNS
-
-        if self.num_runs > MAX_RUNS:
-            raise ValueError(f"num_runs must be at most 2**32 (a run id is one 32-bit word), got {self.num_runs}")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-        if self.mode not in (MODE_EXACT, MODE_LITERAL):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.scenario in ("fig7", "fig8") and self.depth < 1:
-            raise ValueError(
-                f"scenario {self.scenario!r} plots the branches of a split and needs depth >= 1, got {self.depth}"
-            )
-        profile = self.resolve_profile()
-        expected_taps = profile_tap_count(profile, self.sample_period_ns)
-        if self.cp_length < expected_taps:
-            raise ValueError(
-                f"cp_length {self.cp_length} does not cover the {expected_taps}-tap "
-                f"{profile.name} channel at Ts={self.sample_period_ns:.4g} ns"
-            )
+        """This config, after every check a scenario run makes before it
+        writes anything; raises ValueError naming the first bad input."""
+        _setup(self)
         return self
 
 
@@ -162,6 +137,50 @@ _ACCEPTED = {"int": (int, np.integer), "float": (int, float), "str": (str,)}
 _EXPECTED = {"int": "a non-negative integer", "float": "a number", "str": "a string"}
 _PARSERS = {"int": int, "float": float, "str": str}
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+
+
+def _setup(config: ExperimentConfig) -> tuple[SlicePlan, ChannelProfile, int]:
+    """Check every input of a scenario and return its plan, its channel
+    profile and the channel's tap count. The profile is resolved (a file
+    read) once, here; nothing is written before this returns."""
+    for name, kind in _FIELD_TYPES.items():
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, _ACCEPTED[kind]) or (kind == "int" and value < 0):
+            raise ValueError(f"{name} must be {_EXPECTED[kind]}, got {value!r}")
+    if config.scenario not in PRESETS:
+        raise ValueError(f"unknown scenario {config.scenario!r}, expected one of {sorted(PRESETS)}")
+    if config.n_fft < 2 or config.n_fft & (config.n_fft - 1):
+        raise ValueError(f"n_fft must be a power of two >= 2, got {config.n_fft}")
+    if not 0 < config.delta_f_hz < math.inf:
+        raise ValueError(f"delta_f_hz must be a positive finite number of Hz, got {config.delta_f_hz}")
+    if math.isnan(config.snr_db) or config.snr_db == -math.inf:
+        raise ValueError(f"snr_db must be a number of dB or inf (noiseless), got {config.snr_db}")
+    # Mutual information grows without bound as the noise vanishes; only the
+    # link has a noiseless case.
+    if config.snr_db == math.inf and config.scenario != "loopback":
+        raise ValueError(f"scenario {config.scenario!r} computes mutual information and needs a finite snr_db")
+    if config.num_runs < 1:
+        raise ValueError("num_runs must be at least 1")
+    from ._streams import MAX_RUNS
+
+    if config.num_runs > MAX_RUNS:
+        raise ValueError(f"num_runs must be at most 2**32 (a run id is one 32-bit word), got {config.num_runs}")
+    if config.workers < 1:
+        raise ValueError("workers must be at least 1")
+    if config.mode not in (MODE_EXACT, MODE_LITERAL):
+        raise ValueError(f"unknown mode {config.mode!r}")
+    if config.scenario in ("fig7", "fig8") and config.depth < 1:
+        raise ValueError(
+            f"scenario {config.scenario!r} plots the branches of a split and needs depth >= 1, got {config.depth}"
+        )
+    profile = config.resolve_profile()
+    taps = profile_tap_count(profile, config.sample_period_ns)
+    if config.cp_length < taps:
+        raise ValueError(
+            f"cp_length {config.cp_length} does not cover the {taps}-tap "
+            f"{profile.name} channel at Ts={config.sample_period_ns:.4g} ns"
+        )
+    return build_plan(config.n_fft, config.depth, config.cp_length, channel_length=taps), profile, taps
 
 
 def make_config(scenario: str, **overrides) -> ExperimentConfig:
@@ -280,25 +299,11 @@ def _write_mi_runs(path: Path, plan: SlicePlan, slice_mi: list[list[float]]) -> 
     _write_rows(path, "run_id,slice_path,slice_size,mi_bits,decode_ops", rows)
 
 
-def _scenario_plan(config: ExperimentConfig) -> tuple[SlicePlan, ChannelProfile, int]:
-    profile = config.resolve_profile()
-    taps = profile_tap_count(profile, config.sample_period_ns)
-    plan = build_plan(config.n_fft, config.depth, config.cp_length, channel_length=taps)
-    return plan, profile, taps
-
-
-def _mi_snr(config: ExperimentConfig) -> SnrSpec:
-    if config.snr is None:
-        raise ValueError("MI scenarios need a finite SNR")
-    return config.snr
-
-
-def _rate_scenario(config: ExperimentConfig) -> tuple[SlicePlan, int, ChainMi]:
+def _rate_scenario(config: ExperimentConfig, profile: ChannelProfile) -> ChainMi:
     """Shared engine of the MI scenarios: the chain MI of every run, as
     (num_runs, ...) arrays, drawn and analysed in chunks of runs, one
     (R, L) tap draw and one engine call per chunk."""
-    plan, profile, taps = _scenario_plan(config)
-    snr = _mi_snr(config)
+    snr = config.snr
 
     def one_chunk(rngs: list[np.random.Generator]):
         chunk_taps = draw_taps(profile, config.sample_period_ns, rngs)
@@ -306,8 +311,7 @@ def _rate_scenario(config: ExperimentConfig) -> tuple[SlicePlan, int, ChainMi]:
         return chain.total, chain.parent, chain.positive, chain.negative
 
     chunks = _map_chunks(one_chunk, config)
-    chain = ChainMi(*(np.concatenate(parts) for parts in zip(*chunks)))
-    return plan, taps, chain
+    return ChainMi(*(np.concatenate(parts) for parts in zip(*chunks)))
 
 
 def _summary_lines(config: ExperimentConfig, plan: SlicePlan, taps: int, residual: float) -> list[str]:
@@ -330,24 +334,16 @@ def run_scenario(config: ExperimentConfig) -> dict[str, Path]:
     Returns a mapping of logical names to the written paths. Outputs are
     deterministic for a given config; ``workers`` does not change them.
     """
-    config = config.validated()
+    plan, profile, taps = _setup(config)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if config.scenario == "loopback":
-        return _run_loopback(config, out)
-    if config.scenario == "table1":
-        return _run_table1(config, out)
-    if config.scenario == "fig4":
-        return _run_fig4(config, out)
-    if config.scenario in ("fig7", "fig8"):
-        return _run_rate_cdf(config, out)
-    if config.scenario == "fig9":
-        return _run_fig9(config, out)
-    raise ValueError(f"unknown scenario {config.scenario!r}")
+    return _RUNNERS[config.scenario](config, plan, profile, taps, out)
 
 
-def _run_rate_cdf(config: ExperimentConfig, out: Path) -> dict[str, Path]:
-    plan, taps, chain = _rate_scenario(config)
+def _run_rate_cdf(
+    config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, out: Path
+) -> dict[str, Path]:
+    chain = _rate_scenario(config, profile)
     runs_path = out / f"{config.scenario}_runs.csv"
     _write_mi_runs(runs_path, plan, chain.slice_mi().tolist())
 
@@ -371,8 +367,10 @@ def _run_rate_cdf(config: ExperimentConfig, out: Path) -> dict[str, Path]:
     return {"runs": runs_path, "cdf": cdf_path, "summary": summary_path}
 
 
-def _run_fig9(config: ExperimentConfig, out: Path) -> dict[str, Path]:
-    plan, taps, chain = _rate_scenario(config)
+def _run_fig9(
+    config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, out: Path
+) -> dict[str, Path]:
+    chain = _rate_scenario(config, profile)
     runs_path = out / f"{config.scenario}_runs.csv"
     _write_mi_runs(runs_path, plan, chain.slice_mi().tolist())
 
@@ -390,12 +388,12 @@ def _run_fig9(config: ExperimentConfig, out: Path) -> dict[str, Path]:
     return {"runs": runs_path, "summary": summary_path}
 
 
-def _run_fig4(config: ExperimentConfig, out: Path) -> dict[str, Path]:
+def _run_fig4(
+    config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, out: Path
+) -> dict[str, Path]:
     config = replace(config, num_runs=1)
-    plan, profile, taps = _scenario_plan(config)
-    snr = _mi_snr(config)
     cir = sample_cir(profile, config.sample_period_ns, _first_stream(config))
-    report = split_report(cir, config.n_fft, config.depth, snr, mode=config.mode)
+    report = split_report(cir, config.n_fft, config.depth, config.snr, mode=config.mode)
     runs_path = out / f"{config.scenario}_runs.csv"
     _write_mi_runs(runs_path, plan, [[r.mi_bits for r in report.records]])
     report_path = out / f"{config.scenario}_report.csv"
@@ -408,16 +406,14 @@ def _run_fig4(config: ExperimentConfig, out: Path) -> dict[str, Path]:
     return {"runs": runs_path, "report": report_path, "summary": summary_path}
 
 
-def _run_table1(config: ExperimentConfig, out: Path) -> dict[str, Path]:
-    plan, profile, taps = _scenario_plan(config)
-    snr = config.snr
-    if snr is None:
-        raise ValueError("the deep continuation needs a finite SNR")
+def _run_table1(
+    config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, out: Path
+) -> dict[str, Path]:
     cir = sample_cir(profile, config.sample_period_ns, _first_stream(config))
     channel = build_circulant(cir, config.n_fft)
     for _ in range(config.depth):
         channel = positive_child(channel)
-    report = deep_split_report(channel, snr)
+    report = deep_split_report(channel, config.snr)
     report_path = out / f"{config.scenario}_report.csv"
     report.to_csv(report_path)
     summary_path = out / f"{config.scenario}_summary.txt"
@@ -432,14 +428,15 @@ def _run_table1(config: ExperimentConfig, out: Path) -> dict[str, Path]:
     return {"report": report_path, "summary": summary_path}
 
 
-def _run_loopback(config: ExperimentConfig, out: Path) -> dict[str, Path]:
+def _run_loopback(
+    config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, out: Path
+) -> dict[str, Path]:
     """Transmit, propagate, receive one frame per run; report EVM and errors.
 
     Runs go through the link in chunks of ``_CHUNK_SAMPLES // n_fft`` frames
     on the batch axis. Each run draws its channel, its bits and then its
     noise from its own stream.
     """
-    plan, profile, taps = _scenario_plan(config)
     snr = config.snr
     rho = _noise_rho(snr)
 
@@ -485,3 +482,13 @@ def _run_loopback(config: ExperimentConfig, out: Path) -> dict[str, Path]:
     summary_path = out / "loopback_summary.txt"
     summary_path.write_text("\n".join(lines) + "\n")
     return {"runs": runs_path, "summary": summary_path}
+
+
+_RUNNERS = {
+    "fig4": _run_fig4,
+    "fig7": _run_rate_cdf,
+    "fig8": _run_rate_cdf,
+    "fig9": _run_fig9,
+    "table1": _run_table1,
+    "loopback": _run_loopback,
+}

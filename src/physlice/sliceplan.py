@@ -100,14 +100,17 @@ def build_plan(
 ) -> SlicePlan:
     """Build the canonical chain plan for a frame.
 
-    ``channel_length`` is an optional hint: the cyclic prefix must cover it,
-    and the plan is flagged non-uniform when the channel outgrows the
-    smallest slice (the regime where the two branches of a split stop
-    sharing the rate evenly).
+    The cyclic prefix is a copy of the frame's tail, so it may not be longer
+    than the frame. ``channel_length`` is an optional hint: the cyclic
+    prefix must cover it, and the plan is flagged non-uniform when the
+    channel outgrows the smallest slice (the regime where the two branches
+    of a split stop sharing the rate evenly).
     """
     check_plan(frame_size, depth)
     if cp_length < 0:
         raise ValueError("cyclic prefix length must be non-negative")
+    if cp_length > frame_size:
+        raise ValueError(f"cyclic prefix ({cp_length}) longer than the frame ({frame_size})")
     if channel_length is not None and cp_length < channel_length:
         raise ValueError(
             f"cyclic prefix ({cp_length}) shorter than the channel ({channel_length})"

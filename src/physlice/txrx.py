@@ -59,14 +59,6 @@ EQUALIZER_ERASURE_THRESHOLD = 1e-12
 # with bit 1 selecting the negative half-plane.
 _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j], dtype=np.complex128) / np.sqrt(2.0)
 
-_SCHEMES = {"qpsk": (_QPSK, 2)}
-
-
-def _scheme(scheme: str) -> tuple[np.ndarray, int]:
-    if scheme not in _SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    return _SCHEMES[scheme]
-
 
 def _hard_index(symbols: np.ndarray) -> np.ndarray:
     """QPSK hard decision: index of the point in each symbol's own quadrant."""
@@ -88,11 +80,6 @@ class SlicePayload:
 
     def concat(self) -> np.ndarray:
         return np.concatenate(self.symbols, axis=-1)
-
-    @property
-    def total_symbols(self) -> int:
-        """Symbols per frame."""
-        return sum(int(x.shape[-1]) for x in self.symbols)
 
 
 @dataclass
@@ -134,18 +121,16 @@ def _check_payload(payload: SlicePayload, plan: SlicePlan) -> list[np.ndarray]:
     return symbols
 
 
-def modulate(bits, plan: SlicePlan, scheme: str = "qpsk") -> SlicePayload:
-    """Map bit streams of shape (..., bits_per_symbol * N) onto per-slice
-    constellation symbols (frame order), one frame per leading index."""
-    points, bits_per_symbol = _scheme(scheme)
+def modulate(bits, plan: SlicePlan) -> SlicePayload:
+    """Map bit streams of shape (..., 2 * N) onto per-slice QPSK symbols
+    (frame order), one frame per leading index."""
     bits = np.asarray(bits, dtype=np.int64)
-    expected = bits_per_symbol * plan.frame_size
+    expected = 2 * plan.frame_size
     if bits.shape[-1:] != (expected,):
         raise ValueError(f"expected {expected} bits for this plan, got shape {bits.shape}")
     if np.any((bits != 0) & (bits != 1)):
         raise ValueError("bits must be 0/1")
-    grouped = bits.reshape(bits.shape[:-1] + (-1, bits_per_symbol))
-    symbols = points[grouped @ (1 << np.arange(bits_per_symbol - 1, -1, -1))]
+    symbols = _QPSK[2 * bits[..., 0::2] + bits[..., 1::2]]
     out = []
     offset = 0
     for desc in plan.slices:
@@ -154,22 +139,20 @@ def modulate(bits, plan: SlicePlan, scheme: str = "qpsk") -> SlicePayload:
     return SlicePayload(symbols=tuple(out))
 
 
-def demodulate(payload: SlicePayload, scheme: str = "qpsk") -> np.ndarray:
-    """Hard-decision bits, shape (..., bits_per_symbol * N), from per-slice estimates."""
-    _, bits_per_symbol = _scheme(scheme)
+def demodulate(payload: SlicePayload) -> np.ndarray:
+    """Hard-decision bits, shape (..., 2 * N), from per-slice QPSK estimates."""
     index = _hard_index(payload.concat())
-    bits = (index[..., None] >> np.arange(bits_per_symbol - 1, -1, -1)) & 1
+    bits = (index[..., None] >> np.array([1, 0])) & 1
     return bits.reshape(index.shape[:-1] + (-1,))
 
 
-def nearest_symbols(estimates, scheme: str = "qpsk") -> np.ndarray:
-    """Snap estimates of any shape to the closest constellation point.
+def nearest_symbols(estimates) -> np.ndarray:
+    """Snap estimates of any shape to the closest QPSK point.
 
-    For QPSK the closest point lies in the estimate's own quadrant, so this
-    is the hard decision of :func:`demodulate` mapped back to its symbol.
+    The closest point lies in the estimate's own quadrant, so this is the
+    hard decision of :func:`demodulate` mapped back to its symbol.
     """
-    points, _ = _scheme(scheme)
-    return points[_hard_index(np.asarray(estimates))]
+    return _QPSK[_hard_index(np.asarray(estimates))]
 
 
 def transmit(payload: SlicePayload, plan: SlicePlan) -> OfdmFrame:

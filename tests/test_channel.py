@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -156,6 +157,15 @@ class TestProfiles:
         path = tmp_path / "bad.profile"
         path.write_text("delays_ns = 0, 10\n")
         with pytest.raises(ValueError, match="missing key"):
+            load_profile(path)
+
+    @pytest.mark.parametrize("key,text", [("delays_ns", "0, x"), ("powers_db", "0 -3dB")])
+    def test_load_profile_names_the_file_and_key_of_a_bad_value(self, tmp_path, key, text):
+        lines = {"delays_ns": "0, 30", "powers_db": "0, -3", key: text}
+        path = tmp_path / "bad.profile"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+        message = f"{path}: profile key '{key}' must be a list of numbers, got '{text}'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_profile(path)
 
     def test_load_profile_rejects_an_unknown_key(self, tmp_path):

@@ -6,6 +6,7 @@ from scipy import stats
 
 from physlice.cli import main as cli_main
 from physlice.experiments import (
+    PRESETS,
     EmpiricalCdf,
     empirical_cdf,
     load_config_file,
@@ -208,6 +209,18 @@ class TestConfig:
         )
         paths = run_scenario(cfg)
         assert paths["runs"].exists()
+
+    @pytest.mark.parametrize("scenario", sorted(PRESETS))
+    def test_a_scenario_reads_its_profile_file_once(self, tmp_path, monkeypatch, scenario):
+        import physlice.experiments as experiments
+
+        reads = []
+        load = experiments.load_profile
+        monkeypatch.setattr(experiments, "load_profile", lambda path: reads.append(path) or load(path))
+        profile = tmp_path / "two_tap.profile"
+        profile.write_text("delays_ns = 0, 65\npowers_db = 0, -3\n")
+        run_scenario(make_config(scenario, profile=str(profile), num_runs=2, output_dir=str(tmp_path / "out")))
+        assert reads == [str(profile)]
 
 
 class TestScenarios:
@@ -419,6 +432,36 @@ class TestCli:
         assert code == 2
         assert "delta_f_hz must be a positive finite number" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("scenario", sorted(PRESETS))
+    def test_only_the_link_runs_noiseless(self, tmp_path, capsys, scenario):
+        out = tmp_path / "out"
+        code = cli_main(["--scenario", scenario, "--snr-db", "inf", "--runs", "2", "--out", str(out)])
+        if scenario == "loopback":
+            assert code == 0
+            assert (out / "loopback_runs.csv").exists()
+        else:
+            assert code == 2
+            message = f"scenario {scenario!r} computes mutual information and needs a finite snr_db"
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--scenario", "loopback", "--cp", "5000"], "cyclic prefix (5000) longer than the frame (2048)"),
+            (
+                ["--scenario", "fig9", "--profile", "etu", "--cp", "169"],
+                "cyclic prefix (169) longer than the frame (128)",
+            ),
+        ],
+    )
+    def test_cyclic_prefix_longer_than_the_frame_is_reported(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        code = cli_main(flags + ["--runs", "2", "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_literal_fig8_runs_at_full_frame_size(self, tmp_path, capsys):
         code = cli_main(

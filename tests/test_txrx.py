@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
 from physlice.channel import (
@@ -51,6 +53,16 @@ def random_link(rng):
     depth = int(rng.integers(0, n.bit_length()))
     cp = int(rng.integers(1, n + 1))
     return build_plan(n, depth, cp), int(rng.integers(1, cp + 1))
+
+
+@st.composite
+def noiseless_links(draw):
+    """N from 2 to 2048, a depth that fits it, L <= cp <= N, 1-4 frames, and
+    the seed of the generator that draws each frame's bits and channel."""
+    n = 1 << draw(st.integers(1, 11))
+    depth = draw(st.integers(0, n.bit_length() - 1))
+    cp = draw(st.integers(1, n))
+    return build_plan(n, depth, cp), draw(st.integers(1, cp)), draw(st.integers(1, 4)), draw(st.integers(0, 2**32))
 
 
 class TestModulation:
@@ -186,6 +198,18 @@ class TestReceive:
         estimate = receive(propagate(transmit(payload, plan), cir), plan, cir)
         for sent, got in zip(payload.symbols, estimate.symbols):
             assert np.max(np.abs(got - sent)) < 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(noiseless_links())
+    def test_noiseless_loopback_recovers_every_slice_of_random_plans(self, link):
+        plan, length, frames, seed = link
+        rng = np.random.default_rng(seed)
+        payload = modulate(rng.integers(0, 2, (frames, 2 * plan.frame_size)), plan)
+        taps = rng.standard_normal((frames, length)) + 1j * rng.standard_normal((frames, length))
+        estimate = receive(propagate(transmit(payload, plan), taps), plan, taps)
+        for sent, got in zip(payload.symbols, estimate.symbols, strict=True):
+            evm = np.sqrt(np.mean(np.abs(got - sent) ** 2, axis=-1) / np.mean(np.abs(sent) ** 2, axis=-1))
+            assert evm.shape == (frames,) and np.all(evm < 1e-8)
 
     def test_flat_channel_inverts_transmit_at_depth_three(self):
         rng = np.random.default_rng(11)
