@@ -12,7 +12,6 @@ from .channel import (
     BUILTIN_PROFILES,
     EPA_PROFILE,
     ETU_PROFILE,
-    ChannelImpulseResponse,
     ChannelProfile,
     CirculantChannel,
     build_circulant,

@@ -5,10 +5,15 @@ discrete impulse response on the OFDM sampling grid. :func:`draw_taps` draws
 a batch of realizations at once, one per random stream, straight into one
 zero-padded (R, L) array; the profile's grid (tap indices and Rayleigh
 scales) is computed once per (profile, sampling period) and cached.
-:func:`sample_cir` is its batch-of-one case. The resulting circulant
-channel matrix is represented by its generator (first column) throughout, and
-the two half-size descendants of one split are computed directly on
-generators:
+:func:`sample_cir` is its batch-of-one case, an (L,) array.
+
+A channel is its taps throughout the package: a complex (L,) array, or
+batch + (L,) for one zero-padded channel per frame. Every public function
+that takes taps checks them once, with :func:`check_taps`.
+
+The circulant channel matrix of the taps is represented by its generator
+(first column) throughout, and the two half-size descendants of one split
+are computed directly on generators:
 
 * positive branch: fold the generator in half (a no-op when the taps already
   fit in the half size);
@@ -36,7 +41,6 @@ from .spectral import freq_response, is_pow2
 
 __all__ = [
     "ChannelProfile",
-    "ChannelImpulseResponse",
     "CirculantChannel",
     "ETU_PROFILE",
     "EPA_PROFILE",
@@ -45,7 +49,7 @@ __all__ = [
     "profile_tap_count",
     "draw_taps",
     "sample_cir",
-    "stack_taps",
+    "check_taps",
     "build_circulant",
     "extract_blocks",
     "positive_child",
@@ -146,27 +150,6 @@ def _check_period(sample_period_ns) -> float:
     return period
 
 
-@dataclass(frozen=True)
-class ChannelImpulseResponse:
-    """Discrete channel taps h_0 .. h_{L-1} on a sampling grid."""
-
-    taps: np.ndarray
-    sample_period_ns: float
-
-    def __post_init__(self):
-        taps = np.asarray(self.taps, dtype=np.complex128)
-        if taps.ndim != 1 or taps.size == 0:
-            raise ValueError("taps must be a non-empty one-dimensional sequence")
-        if not np.all(np.isfinite(taps)):
-            raise ValueError("taps contain non-finite entries")
-        _check_period(self.sample_period_ns)
-        object.__setattr__(self, "taps", taps)
-
-    @property
-    def length(self) -> int:
-        return int(self.taps.size)
-
-
 @functools.lru_cache(maxsize=32)
 def _profile_grid(profile: ChannelProfile, sample_period_ns: float) -> tuple[np.ndarray, np.ndarray]:
     """Read-only tap indices round(delay / Ts) and Rayleigh scales sqrt(p / 2)
@@ -220,40 +203,32 @@ def draw_taps(profile: ChannelProfile, sample_period_ns: float, rngs) -> np.ndar
     return taps
 
 
-def sample_cir(profile: ChannelProfile, sample_period_ns: float, rng) -> ChannelImpulseResponse:
-    """Draw one channel realization from a profile: :func:`draw_taps` of one
-    stream (a Generator, or a seed for a new one)."""
+def sample_cir(profile: ChannelProfile, sample_period_ns: float, rng) -> np.ndarray:
+    """Draw one channel realization from a profile, as (L,) taps:
+    :func:`draw_taps` of one stream (a Generator, or a seed for a new one)."""
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    return ChannelImpulseResponse(draw_taps(profile, sample_period_ns, [rng])[0], float(sample_period_ns))
+    return draw_taps(profile, sample_period_ns, [rng])[0]
 
 
-def stack_taps(cir, batch: tuple[int, ...], n_bins: int) -> np.ndarray:
-    """Taps of the channels of a batch of frames of shape ``batch``.
+def check_taps(taps, n_bins: int, batch: tuple[int, ...] | None = None) -> np.ndarray:
+    """``taps`` as a complex array of zero-padded channels, checked: L >= 1
+    taps per channel, all finite, and L <= ``n_bins``.
 
-    ``cir`` is one channel shared by every frame (a ChannelImpulseResponse
-    or an (L,) tap array), or one channel per frame of a batch (R,): a
-    sequence of R ChannelImpulseResponse, stacked as (R, L) and zero-padded
-    to the longest, or an (R, L) tap array such as :func:`draw_taps` returns,
-    which passes through. L must fit in ``n_bins``.
+    With ``batch`` None any leading shape is accepted, one channel per
+    index. Otherwise the taps are one channel shared by every frame, (L,),
+    or one channel per frame of a batch of that shape, batch + (L,).
     """
-    if isinstance(cir, ChannelImpulseResponse):
-        taps = cir.taps
-    elif isinstance(cir, np.ndarray):
-        taps = np.asarray(cir, dtype=np.complex128)
-        if taps.ndim == 0 or taps.shape[-1] == 0 or taps.shape[:-1] not in ((), tuple(batch)):
-            raise ValueError(f"expected taps of shape (L,) or {tuple(batch) + ('L',)}, got {taps.shape}")
-        if not np.all(np.isfinite(taps)):
-            raise ValueError("taps contain non-finite entries")
-    else:
-        cirs = list(cir)
-        if len(batch) != 1 or len(cirs) != batch[0]:
-            raise ValueError(f"expected one channel per frame of batch shape {batch}, got {len(cirs)}")
-        taps = np.zeros((len(cirs), max(c.length for c in cirs)), dtype=np.complex128)
-        for row, c in zip(taps, cirs):
-            row[: c.length] = c.taps
+    taps = np.asarray(taps, dtype=np.complex128)
+    if taps.ndim == 0 or taps.shape[-1] == 0:
+        raise ValueError(f"taps must be a non-empty sequence per channel, got shape {taps.shape}")
+    if batch is not None and taps.shape[:-1] not in ((), tuple(batch)):
+        per_frame = f" or ({', '.join(map(str, batch))}, L)" if batch else ""
+        raise ValueError(f"expected taps of shape (L,){per_frame}, got {taps.shape}")
     if taps.shape[-1] > n_bins:
         raise ValueError(f"{taps.shape[-1]} taps do not fit in {n_bins} bins")
+    if not np.all(np.isfinite(taps)):
+        raise ValueError("taps contain non-finite entries")
     return taps
 
 
@@ -286,12 +261,11 @@ class CirculantChannel:
         return freq_response(self.generator, self.size)
 
 
-def build_circulant(cir: ChannelImpulseResponse, size: int) -> CirculantChannel:
-    """Size ``size`` circulant channel of a tap sequence (generator zero-padded)."""
-    if cir.length > size:
-        raise ValueError(f"{cir.length} taps do not fit in a size-{size} circulant")
+def build_circulant(taps, size: int) -> CirculantChannel:
+    """Size ``size`` circulant channel of (L,) taps (generator zero-padded)."""
+    taps = check_taps(taps, size, ())
     gen = np.zeros(size, dtype=np.complex128)
-    gen[: cir.length] = cir.taps
+    gen[: taps.size] = taps
     return CirculantChannel(gen)
 
 
@@ -367,7 +341,7 @@ def circular_complement(taps, size: int) -> np.ndarray:
     return np.where(lag < 0, circulant, 0)
 
 
-def split_coupling(cir: ChannelImpulseResponse, frame_size: int) -> tuple[np.ndarray, np.ndarray, float]:
+def split_coupling(taps, frame_size: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Quarter-scale triangular sub-blocks behind the uniform-splitting bound.
 
     Decomposes the size N/4 in-block channel into its N/8 lower-triangular
@@ -381,9 +355,7 @@ def split_coupling(cir: ChannelImpulseResponse, frame_size: int) -> tuple[np.nda
         raise ValueError(f"frame size must be a power of two >= 8, got {frame_size}")
     quarter = frame_size // 4
     eighth = frame_size // 8
-    if cir.length > quarter:
-        raise ValueError(f"channel length {cir.length} exceeds a quarter frame ({quarter})")
-    block = lower_triangular_toeplitz(cir.taps, quarter)
+    block = lower_triangular_toeplitz(check_taps(taps, quarter, ()), quarter)
     low = block[:eighth, :eighth].copy()
     wrap = block[eighth:, :eighth].copy()
     coupling = float(np.linalg.norm(wrap @ low.conj().T, 2))

@@ -20,7 +20,7 @@ here are plain CSV plus a short text summary per scenario.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +165,10 @@ def _setup(config: ExperimentConfig) -> tuple[SlicePlan, ChannelProfile, int]:
 
     if config.num_runs > MAX_RUNS:
         raise ValueError(f"num_runs must be at most 2**32 (a run id is one 32-bit word), got {config.num_runs}")
+    if config.scenario in ("fig4", "table1") and config.num_runs != 1:
+        raise ValueError(
+            f"scenario {config.scenario!r} analyses one realization and needs num_runs = 1, got {config.num_runs}"
+        )
     if config.workers < 1:
         raise ValueError("workers must be at least 1")
     if config.mode not in (MODE_EXACT, MODE_LITERAL):
@@ -391,15 +395,14 @@ def _run_fig9(
 def _run_fig4(
     config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, out: Path
 ) -> dict[str, Path]:
-    config = replace(config, num_runs=1)
-    cir = sample_cir(profile, config.sample_period_ns, _first_stream(config))
-    report = split_report(cir, config.n_fft, config.depth, config.snr, mode=config.mode)
+    drawn = sample_cir(profile, config.sample_period_ns, _first_stream(config))
+    report = split_report(drawn, config.n_fft, config.depth, config.snr, mode=config.mode)
     runs_path = out / f"{config.scenario}_runs.csv"
     _write_mi_runs(runs_path, plan, [[r.mi_bits for r in report.records]])
     report_path = out / f"{config.scenario}_report.csv"
     report.to_csv(report_path)
     summary_path = out / f"{config.scenario}_summary.txt"
-    lines = _summary_lines(config, plan, taps, report.max_level_residual(relative=True))
+    lines = _summary_lines(config, plan, taps, report.max_level_residual())
     lines.append(f"total_mi_bits={_fmt(report.total_mi_bits)}")
     lines.append(report.summary_table())
     summary_path.write_text("\n".join(lines) + "\n")
@@ -409,8 +412,7 @@ def _run_fig4(
 def _run_table1(
     config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, out: Path
 ) -> dict[str, Path]:
-    cir = sample_cir(profile, config.sample_period_ns, _first_stream(config))
-    channel = build_circulant(cir, config.n_fft)
+    channel = build_circulant(sample_cir(profile, config.sample_period_ns, _first_stream(config)), config.n_fft)
     for _ in range(config.depth):
         channel = positive_child(channel)
     report = deep_split_report(channel, config.snr)

@@ -36,8 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from .channel import (
-    ChannelImpulseResponse,
     CirculantChannel,
+    check_taps,
     circular_complement,
     lower_triangular_toeplitz,
     split_coupling,
@@ -166,12 +166,14 @@ class MiSplitReport:
     cost_row: tuple[str, ...] | None = None
     notes: tuple[str, ...] = ()
 
-    def max_level_residual(self, relative: bool = True) -> float:
-        """Largest |parent - (child+ + child-)| over levels, optionally / parent."""
+    def max_level_residual(self) -> float:
+        """Largest |parent - (child+ + child-)| / parent over levels, the rule
+        of :meth:`ChainMi.max_residual_rel`: 0 at depth 0, and a level with a
+        parent MI of 0 counts its absolute residual."""
         worst = 0.0
         for lvl in self.levels:
             res = abs(lvl.residual)
-            if relative and lvl.parent_mi > 0:
+            if lvl.parent_mi > 0:
                 res /= lvl.parent_mi
             worst = max(worst, res)
         return worst
@@ -221,16 +223,17 @@ class MiSplitReport:
         return "\n".join(lines)
 
 
-def uniformity_ratio(cir: ChannelImpulseResponse, frame_size: int) -> float:
+def uniformity_ratio(taps, frame_size: int) -> float:
     """Off-diagonal coupling of one split relative to its diagonal Gram term.
 
     Near zero, the two branches of a split carry almost equal MI; the ratio
-    grows with the channel length. Requires L <= N/4.
+    grows with the channel length. Requires (L,) taps with L <= N/4, which
+    :func:`channel.split_coupling` checks.
     """
-    _, _, coupling = split_coupling(cir, frame_size)
+    _, _, coupling = split_coupling(taps, frame_size)
     quarter = frame_size // 4
-    low = lower_triangular_toeplitz(cir.taps, quarter)
-    wrap = circular_complement(cir.taps, quarter)
+    low = lower_triangular_toeplitz(taps, quarter)
+    wrap = circular_complement(taps, quarter)
     diag_norm = float(np.linalg.norm(low @ low.conj().T + wrap @ wrap.conj().T, 2))
     if diag_norm == 0.0:
         return 0.0
@@ -297,19 +300,15 @@ def _chain_levels(taps: np.ndarray, size: int, depth: int, rho: float, mode: str
 def chain_mi(taps, frame_size: int, depth: int, snr, mode: str = MODE_EXACT) -> ChainMi:
     """Chain-plan MI of one channel per leading index of ``taps`` (..., L).
 
-    Rows are zero-padded tap sequences (see ``channel.stack_taps``); padding
-    does not change the result. Each row is bit-identical to a call on that
-    row alone.
+    Rows are zero-padded tap sequences, such as the (R, L) taps of
+    ``channel.draw_taps``, checked by ``channel.check_taps``; padding does
+    not change the result. Each row is bit-identical to a call on that row
+    alone.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {_MODES}")
     check_plan(frame_size, depth)
-    taps = np.asarray(taps, dtype=np.complex128)
-    if taps.ndim == 0 or taps.shape[-1] > frame_size:
-        raise ValueError(f"taps of shape {taps.shape} do not fit in a size-{frame_size} frame")
-    if not np.all(np.isfinite(taps)):
-        raise ValueError("taps contain non-finite entries")
-    return _chain_levels(taps, frame_size, depth, _rho(snr), mode)
+    return _chain_levels(check_taps(taps, frame_size), frame_size, depth, _rho(snr), mode)
 
 
 def _level_splits(chain: ChainMi) -> list[LevelSplit]:
@@ -326,15 +325,11 @@ def _negative_path(level: int) -> str:
     return "+" * (level - 1) + "-"
 
 
-def split_report(
-    cir: ChannelImpulseResponse,
-    frame_size: int,
-    depth: int,
-    snr,
-    mode: str = MODE_EXACT,
-) -> MiSplitReport:
-    """Per-slice MI of the canonical chain plan for one channel realization."""
-    chain = chain_mi(cir.taps, frame_size, depth, snr, mode)
+def split_report(taps, frame_size: int, depth: int, snr, mode: str = MODE_EXACT) -> MiSplitReport:
+    """Per-slice MI of the canonical chain plan for one channel realization,
+    given as (L,) taps."""
+    taps = check_taps(taps, frame_size, ())
+    chain = chain_mi(taps, frame_size, depth, snr, mode)
     total = float(chain.total)
     levels = _level_splits(chain)
     smallest = frame_size >> depth
@@ -348,9 +343,9 @@ def split_report(
         for lvl in reversed(levels)
     ]
     notes = ()
-    if cir.length > smallest:
+    if taps.size > smallest:
         notes = (
-            f"channel ({cir.length} taps) outgrows the smallest slice "
+            f"channel ({taps.size} taps) outgrows the smallest slice "
             f"({smallest}); splitting is non-uniform at the deep levels",
         )
     return MiSplitReport(

@@ -15,8 +15,8 @@ receive:   adjoint transform, per-slice unitary DFT, one-tap zero-forcing
            equalization against the true channel response (genie-aided; no
            pilot estimation).
 
-A batch shares one channel or takes one channel per row: a sequence of
-ChannelImpulseResponse, or the (R, L) taps of ``channel.draw_taps``.
+A channel is its taps: one (L,) array shared by a batch, or one row per
+frame, such as the (R, L) taps of ``channel.draw_taps``.
 
 Also here: the direct fixed-point decoder for the unmixed negative branch and
 the order-recursive inverse of a lower-triangular Toeplitz matrix it builds on.
@@ -29,12 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    ChannelImpulseResponse,
-    circular_complement,
-    lower_triangular_toeplitz,
-    stack_taps,
-)
+from .channel import check_taps, circular_complement, lower_triangular_toeplitz
 from .sliceplan import SlicePlan
 from .spectral import _dft, _idft
 from .transform import forward_transform, inverse_transform
@@ -188,25 +183,21 @@ def _standard_normals(rng, shape: tuple[int, ...]) -> np.ndarray:
     return rng.standard_normal((2,) + shape)
 
 
-def propagate(
-    frame: OfdmFrame,
-    cir: ChannelImpulseResponse | Sequence[ChannelImpulseResponse] | np.ndarray,
-    snr=None,
-    rng=None,
-) -> np.ndarray:
+def propagate(frame: OfdmFrame, taps, snr=None, rng=None) -> np.ndarray:
     """Send frames through the channel and return the N post-CP samples of each.
 
-    With the CP covering the channel, the post-CP samples of the linear
-    convolution of (CP || body) with the taps are the circular convolution
-    of the body, computed here by FFT. ``snr`` is the linear rho (or an
-    object with a ``rho`` attribute); None or +infinity bypasses noise
-    addition exactly. ``rng`` is one noise stream for all frames (a Generator
+    ``taps`` is one (L,) channel for every frame, or one per frame, (R, L)
+    for an (R, N) batch. With the CP covering the channel, the post-CP
+    samples of the linear convolution of (CP || body) with the taps are the
+    circular convolution of the body, computed here by FFT. ``snr`` is the
+    linear rho (or an object with a ``rho`` attribute); None or +infinity
+    bypasses noise addition exactly. ``rng`` is one noise stream for all frames (a Generator
     or a seed), or, for an (R, N) batch, a sequence of R Generators: each
     then draws its frame's N real noise parts, then its N imaginary parts.
     """
     plan = frame.plan
     n = plan.frame_size
-    taps = stack_taps(cir, frame.body.shape[:-1], n)
+    taps = check_taps(taps, n, frame.body.shape[:-1])
     if plan.cp_length < taps.shape[-1]:
         raise ValueError(
             f"cyclic prefix ({plan.cp_length}) shorter than the channel ({taps.shape[-1]})"
@@ -229,25 +220,22 @@ def _propagate(body: np.ndarray, gains: np.ndarray, rho: float | None, rng) -> n
     return received
 
 
-def receive(
-    y,
-    plan: SlicePlan,
-    cir: ChannelImpulseResponse | Sequence[ChannelImpulseResponse] | np.ndarray,
-) -> SlicePayload:
+def receive(y, plan: SlicePlan, taps) -> SlicePayload:
     """Adjoint transform, per-slice unitary DFT, one-tap zero-forcing equalizer.
 
-    ``y`` holds frames of shape (..., N). The equalizer divides slice bin b
-    by the true channel response at the original bin the slice carries
-    there, ``gains[..., bin_residue::bin_stride]`` (genie-aided). Bins whose
-    gain magnitude falls below ``EQUALIZER_ERASURE_THRESHOLD`` are flagged as
-    erasures and returned as zeros.
+    ``y`` holds frames of shape (..., N), and ``taps`` one (L,) channel for
+    every frame or one per frame, y.shape[:-1] + (L,). The equalizer divides
+    slice bin b by the true channel response at the original bin the slice
+    carries there, ``gains[..., bin_residue::bin_stride]`` (genie-aided).
+    Bins whose gain magnitude falls below ``EQUALIZER_ERASURE_THRESHOLD``
+    are flagged as erasures and returned as zeros.
     """
     y = np.asarray(y, dtype=np.complex128)
     if y.shape[-1:] != (plan.frame_size,):
         raise ValueError(f"expected {plan.frame_size} samples per frame, got shape {y.shape}")
     if not np.all(np.isfinite(y)):
         raise ValueError("received samples contain non-finite entries")
-    gains = np.fft.fft(stack_taps(cir, y.shape[:-1], plan.frame_size), plan.frame_size, axis=-1)
+    gains = np.fft.fft(check_taps(taps, plan.frame_size, y.shape[:-1]), plan.frame_size, axis=-1)
     return _receive(y, plan, gains)
 
 
@@ -269,22 +257,16 @@ def _receive(y: np.ndarray, plan: SlicePlan, gains: np.ndarray) -> SlicePayload:
     return SlicePayload(symbols=tuple(estimates), erasures=tuple(erasures))
 
 
-def iterative_decode(
-    z3,
-    z4,
-    cir: ChannelImpulseResponse,
-    max_iters: int = 100,
-    tol: float = 1e-10,
-):
+def iterative_decode(z3, z4, taps, max_iters: int = 100, tol: float = 1e-10):
     """Fixed-point decoder for the unmixed (W = I) negative branch.
 
     Solves [[H, -Hc], [Hc, H]] [s3; s4] = [z3; z4] by iterating
     s3 <- inv(H) z3 + C s4 and s4 <- inv(H) z4 - C s3 with C = inv(H) Hc,
-    where H is the quarter-size lower-triangular Toeplitz channel block and
-    Hc its wraparound complement. inv(H) is built once, by
-    :func:`triangular_toeplitz_inverse`. Converges when the spectral radius
-    of C is below one; a growing update is flagged and never reported as
-    converged.
+    where H is the quarter-size lower-triangular Toeplitz block of the (L,)
+    channel ``taps`` and Hc its wraparound complement. inv(H) is built once,
+    by :func:`triangular_toeplitz_inverse`. Converges when the spectral
+    radius of C is below one; a growing update is flagged and never reported
+    as converged.
 
     Returns (s3, s4, iterations, converged).
     """
@@ -293,15 +275,14 @@ def iterative_decode(
     if z3.shape != z4.shape or z3.ndim != 1:
         raise ValueError("z3 and z4 must be one-dimensional vectors of equal length")
     q = z3.size
-    if cir.length > q:
-        raise ValueError(f"channel length {cir.length} exceeds the block size {q}")
+    taps = check_taps(taps, q, ())
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
 
-    inv_h = triangular_toeplitz_inverse(lower_triangular_toeplitz(cir.taps, q))
+    inv_h = triangular_toeplitz_inverse(lower_triangular_toeplitz(taps, q))
     u3 = inv_h @ z3
     u4 = inv_h @ z4
-    c = inv_h @ circular_complement(cir.taps, q)
+    c = inv_h @ circular_complement(taps, q)
 
     s3, s4 = u3, u4
     converged = False

@@ -12,7 +12,6 @@ import pytest
 from physlice.channel import (
     EPA_PROFILE,
     ETU_PROFILE,
-    ChannelImpulseResponse,
     CirculantChannel,
     build_circulant,
     circular_complement,
@@ -35,8 +34,8 @@ def _passed(number: int, message: str) -> None:
     print(f"[criterion {number:02d}] PASS - {message}")
 
 
-def random_cir(rng, length):
-    return ChannelImpulseResponse(rng.standard_normal(length) + 1j * rng.standard_normal(length), 1.0)
+def random_taps(rng, length):
+    return rng.standard_normal(length) + 1j * rng.standard_normal(length)
 
 
 def test_criterion_01_orthonormality():
@@ -60,7 +59,7 @@ def test_criterion_02_block_diagonalization():
         g = recursive_matrix(n, 1)
         half = n // 2
         for _ in range(100):
-            taps = random_cir(rng, int(rng.integers(1, half + 1)))
+            taps = random_taps(rng, int(rng.integers(1, half + 1)))
             h = build_circulant(taps, n).dense()
             mixed = g.conj().T @ h @ g
             off = max(
@@ -80,15 +79,15 @@ def test_criterion_03_mixed_negative_branch_is_modulated_circulant():
         half = n // 2
         for _ in range(25):
             length = int(rng.integers(1, half + 1))
-            cir = random_cir(rng, length)
-            channel = build_circulant(cir, n)
+            taps = random_taps(rng, length)
+            channel = build_circulant(taps, n)
             a, b = extract_blocks(channel)
             w = np.diag(butterfly_mixer(n))
             dense_child = w.conj().T @ (a - b) @ w
             child = negative_child(channel)
             worst_dense = max(worst_dense, float(np.max(np.abs(dense_child - child.dense()))))
             expected_gen = np.zeros(half, dtype=complex)
-            expected_gen[:length] = cir.taps * np.exp(-2j * np.pi * np.arange(length) / n)
+            expected_gen[:length] = taps * np.exp(-2j * np.pi * np.arange(length) / n)
             worst_gen = max(worst_gen, float(np.max(np.abs(child.generator - expected_gen))))
     assert worst_dense < 1e-12
     assert worst_gen < 1e-12
@@ -131,11 +130,11 @@ def test_criterion_05_mi_conservation():
     worst_cross = 0.0
     for n in (16, 64, 128, 512, 2048):
         depth = n.bit_length() - 1
-        cir = random_cir(rng, max(1, n // 8))
-        report = split_report(cir, n, depth, snr)
-        worst_residual = max(worst_residual, report.max_level_residual(relative=True))
+        taps = random_taps(rng, max(1, n // 8))
+        report = split_report(taps, n, depth, snr)
+        worst_residual = max(worst_residual, report.max_level_residual())
         if n <= 128:
-            exact = mi_logdet(build_circulant(cir, n), snr)
+            exact = mi_logdet(build_circulant(taps, n), snr)
             worst_cross = max(worst_cross, abs(exact - report.total_mi_bits) / exact)
     assert worst_residual < 1e-9
     assert worst_cross < 1e-9
@@ -150,9 +149,9 @@ def test_criterion_06_urban_first_split_distribution():
     pos, neg, bench = [], [], []
     within = 0
     for _ in range(runs):
-        cir = sample_cir(ETU_PROFILE, TS_LTE_NS, rng)
-        assert cir.length == 155
-        report = split_report(cir, 2048, 1, snr)
+        taps = sample_cir(ETU_PROFILE, TS_LTE_NS, rng)
+        assert taps.size == 155
+        report = split_report(taps, 2048, 1, snr)
         level = report.levels[0]
         pos.append(level.positive_mi)
         neg.append(level.negative_mi)
@@ -181,7 +180,7 @@ def test_criterion_07_complexity_model():
     assert table_row == [1152, 512, 224, 96, 40, 16, 6]
     assert (decode_cost("-", 1), decode_cost("+", 1)) == (2, 1)
     rng = np.random.default_rng(707)
-    channel = build_circulant(random_cir(rng, 100), 256)
+    channel = build_circulant(random_taps(rng, 100), 256)
     report = deep_split_report(channel, 10.0)
     assert report.cost_row == ("1152", "512", "224", "96", "40", "16", "6", "2/1")
     for exponent in range(1, 13):  # frame sizes 2 .. 4096
@@ -205,10 +204,10 @@ def test_criterion_08_pedestrian_uniform_splitting():
     depth = 7
     reports = []
     for _ in range(runs):
-        cir = sample_cir(EPA_PROFILE, ts, rng)
-        assert cir.length == 14
-        report = split_report(cir, 128, depth, snr)
-        assert report.max_level_residual(relative=True) < 1e-9
+        taps = sample_cir(EPA_PROFILE, ts, rng)
+        assert taps.size == 14
+        report = split_report(taps, 128, depth, snr)
+        assert report.max_level_residual() < 1e-9
         reports.append(report)
     for level in range(1, depth + 1):
         mean_pos = float(np.mean([r.levels[level - 1].positive_mi for r in reports]))
@@ -229,10 +228,10 @@ def test_criterion_09_noiseless_loopback():
     for n in (64, 256):
         for depth in (1, 2, 3):
             max_taps = n >> depth
-            cir = random_cir(rng, max_taps)
+            taps = random_taps(rng, max_taps)
             plan = build_plan(n, depth, max_taps, channel_length=max_taps)
             payload = modulate(rng.integers(0, 2, 2 * n), plan)
-            estimate = receive(propagate(transmit(payload, plan), cir), plan, cir)
+            estimate = receive(propagate(transmit(payload, plan), taps), plan, taps)
             for sent, got in zip(payload.symbols, estimate.symbols):
                 evm = float(np.sqrt(np.mean(np.abs(got - sent) ** 2) / np.mean(np.abs(sent) ** 2)))
                 worst = max(worst, evm)
@@ -254,11 +253,10 @@ def test_criterion_10_iterative_decoder():
             radius = float(np.max(np.abs(np.linalg.eigvals(np.linalg.solve(h, hc)))))
             if radius < 0.9:
                 break
-        cir = ChannelImpulseResponse(taps, 1.0)
         s = rng.standard_normal(2 * q) + 1j * rng.standard_normal(2 * q)
         z3 = h @ s[:q] - hc @ s[q:]
         z4 = hc @ s[:q] + h @ s[q:]
-        r3, r4, _, converged = iterative_decode(z3, z4, cir, max_iters=2000, tol=1e-12)
+        r3, r4, _, converged = iterative_decode(z3, z4, taps, max_iters=2000, tol=1e-12)
         assert converged
         direct = np.linalg.solve(np.block([[h, -hc], [hc, h]]), np.concatenate([z3, z4]))
         assert np.max(np.abs(np.concatenate([r3, r4]) - direct)) < 1e-8
@@ -274,9 +272,8 @@ def test_criterion_10_iterative_decoder():
             radius = float(np.max(np.abs(np.linalg.eigvals(np.linalg.solve(h, hc)))))
             if radius > 1.1:
                 break
-        cir = ChannelImpulseResponse(taps, 1.0)
         z = rng.standard_normal(2 * q) + 1j * rng.standard_normal(2 * q)
-        _, _, _, converged = iterative_decode(z[:q], z[q:], cir, max_iters=100)
+        _, _, _, converged = iterative_decode(z[:q], z[q:], taps, max_iters=100)
         assert not converged
         flagged += 1
     _passed(10, f"{solved}/50 convergent instances match the direct solve; {flagged}/10 divergent flagged")

@@ -11,10 +11,10 @@ from physlice.channel import (
     BUILTIN_PROFILES,
     EPA_PROFILE,
     ETU_PROFILE,
-    ChannelImpulseResponse,
     ChannelProfile,
     CirculantChannel,
     build_circulant,
+    check_taps,
     circular_complement,
     draw_taps,
     extract_blocks,
@@ -25,7 +25,6 @@ from physlice.channel import (
     profile_tap_count,
     sample_cir,
     split_coupling,
-    stack_taps,
 )
 from physlice.transform import split_matrix
 
@@ -33,9 +32,8 @@ from physlice.transform import split_matrix
 TS_LTE_NS = 1e9 / (2048 * 15e3)
 
 
-def random_cir(rng, length):
-    taps = rng.standard_normal(length) + 1j * rng.standard_normal(length)
-    return ChannelImpulseResponse(taps, 1.0)
+def random_taps(rng, length):
+    return rng.standard_normal(length) + 1j * rng.standard_normal(length)
 
 
 def per_run_draw_oracle(profile, sample_period_ns, rng):
@@ -110,15 +108,15 @@ class TestProfiles:
 
     def test_sampled_lengths_match_tap_counts(self):
         rng = np.random.default_rng(0)
-        cir = sample_cir(ETU_PROFILE, TS_LTE_NS, rng)
-        assert cir.length == 155
-        cir = sample_cir(EPA_PROFILE, 1e9 / (128 * 240e3), rng)
-        assert cir.length == 14
+        taps = sample_cir(ETU_PROFILE, TS_LTE_NS, rng)
+        assert taps.shape == (155,)
+        taps = sample_cir(EPA_PROFILE, 1e9 / (128 * 240e3), rng)
+        assert taps.shape == (14,)
 
     def test_single_tap_profile_is_unit_power_rayleigh(self):
         profile = ChannelProfile("flat", (0.0,), (0.0,))
         rng = np.random.default_rng(42)
-        draws = np.array([sample_cir(profile, 1.0, rng).taps[0] for _ in range(10_000)])
+        draws = np.array([sample_cir(profile, 1.0, rng)[0] for _ in range(10_000)])
         power = np.abs(draws) ** 2
         # |h|^2 is Exp(1): mean 1, std of the sample mean ~ 1/100.
         assert abs(power.mean() - 1.0) < 0.05
@@ -130,18 +128,18 @@ class TestProfiles:
     def test_expected_total_power_is_one_for_etu(self):
         rng = np.random.default_rng(7)
         mean_power = np.mean(
-            [np.sum(np.abs(sample_cir(ETU_PROFILE, TS_LTE_NS, rng).taps) ** 2) for _ in range(4000)]
+            [np.sum(np.abs(sample_cir(ETU_PROFILE, TS_LTE_NS, rng)) ** 2) for _ in range(4000)]
         )
         assert abs(mean_power - 1.0) < 0.05
 
     def test_coincident_taps_are_summed(self):
         profile = ChannelProfile("merge", (0.0, 1.0, 1.4), (0.0, 0.0, 0.0))
-        cir = sample_cir(profile, 10.0, np.random.default_rng(1))
-        assert cir.length == 1  # all delays round to index 0
+        taps = sample_cir(profile, 10.0, np.random.default_rng(1))
+        assert taps.shape == (1,)  # all delays round to index 0
 
     def test_seeded_draws_are_reproducible(self):
-        a = sample_cir(ETU_PROFILE, TS_LTE_NS, 123).taps
-        b = sample_cir(ETU_PROFILE, TS_LTE_NS, 123).taps
+        a = sample_cir(ETU_PROFILE, TS_LTE_NS, 123)
+        b = sample_cir(ETU_PROFILE, TS_LTE_NS, 123)
         np.testing.assert_array_equal(a, b)
 
     def test_load_profile_round_trip(self, tmp_path):
@@ -213,10 +211,10 @@ class TestBatchedDraw:
         assert taps.shape == (3, 14)
 
     def test_sample_cir_is_the_batch_of_one_draw(self):
-        cir = sample_cir(ETU_PROFILE, TS_LTE_NS, np.random.default_rng([1, 9]))
+        taps = sample_cir(ETU_PROFILE, TS_LTE_NS, np.random.default_rng([1, 9]))
         (row,) = draw_taps(ETU_PROFILE, TS_LTE_NS, [np.random.default_rng([1, 9])])
-        assert cir.taps.tobytes() == row.tobytes()
-        assert cir.sample_period_ns == TS_LTE_NS
+        assert taps.shape == row.shape and taps.dtype == np.complex128
+        assert taps.tobytes() == row.tobytes()
 
     def test_empty_batch(self):
         assert draw_taps(EPA_PROFILE, 10.0, []).shape == (0, 42)
@@ -238,7 +236,6 @@ class TestBatchedDraw:
             lambda: profile_tap_count(ETU_PROFILE, period),
             lambda: draw_taps(ETU_PROFILE, period, [np.random.default_rng(0)]),
             lambda: sample_cir(ETU_PROFILE, period, 0),
-            lambda: ChannelImpulseResponse([1.0], period),
         ):
             with pytest.raises(ValueError, match="sample period must be a positive finite number"):
                 call()
@@ -248,28 +245,34 @@ class TestBatchedDraw:
         with pytest.raises(ValueError, match="too long"):
             profile_tap_count(profile, 1e-10)
 
-    def test_stack_taps_passes_a_drawn_batch_through(self):
+    def test_check_taps_passes_a_drawn_batch_through(self):
         taps = draw_taps(EPA_PROFILE, 10.0, [np.random.default_rng(run) for run in range(3)])
-        assert stack_taps(taps, (3,), 64) is taps
+        assert check_taps(taps, 64, (3,)) is taps
+        assert check_taps(taps, 64) is taps
         shared = taps[0]
-        assert stack_taps(shared, (3,), 64) is shared
-        with pytest.raises(ValueError, match="shape"):
-            stack_taps(taps, (2,), 64)
-        with pytest.raises(ValueError, match="do not fit"):
-            stack_taps(taps, (3,), 32)
+        assert check_taps(shared, 64, (3,)) is shared
+        with pytest.raises(ValueError, match=re.escape("expected taps of shape (L,) or (2, L), got (3, 42)")):
+            check_taps(taps, 64, (2,))
+        with pytest.raises(ValueError, match=re.escape("expected taps of shape (L,), got (3, 42)")):
+            check_taps(taps, 64, ())
+        with pytest.raises(ValueError, match="42 taps do not fit in 32 bins"):
+            check_taps(taps, 32, (3,))
         bad = taps.copy()
         bad[1, 2] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            stack_taps(bad, (3,), 64)
+            check_taps(bad, 64, (3,))
+        for empty in ([], np.zeros((3, 0)), 1.0):
+            with pytest.raises(ValueError, match="non-empty"):
+                check_taps(empty, 64)
 
 
 class TestCirculantBuild:
     def test_identity_channel(self):
-        ch = build_circulant(ChannelImpulseResponse([1.0], 1.0), 4)
+        ch = build_circulant([1.0], 4)
         np.testing.assert_allclose(ch.dense(), np.eye(4), atol=1e-15)
 
     def test_first_column_and_cyclic_wrap(self):
-        ch = build_circulant(ChannelImpulseResponse([2.0, 3.0], 1.0), 4)
+        ch = build_circulant([2.0, 3.0], 4)
         np.testing.assert_allclose(ch.generator, [2, 3, 0, 0])
         dense = ch.dense()
         np.testing.assert_allclose(dense[:, 0], [2, 3, 0, 0])
@@ -277,19 +280,19 @@ class TestCirculantBuild:
 
     def test_block_shapes_when_taps_fit_half(self):
         rng = np.random.default_rng(5)
-        cir = random_cir(rng, 3)
-        dense = build_circulant(cir, 8).dense()
+        taps = random_taps(rng, 3)
+        dense = build_circulant(taps, 8).dense()
         top_left = dense[:4, :4]
         top_right = dense[:4, 4:]
         # In-block part: lower-triangular Toeplitz of the taps.
-        np.testing.assert_allclose(top_left, lower_triangular_toeplitz(cir.taps, 4), atol=1e-15)
+        np.testing.assert_allclose(top_left, lower_triangular_toeplitz(taps, 4), atol=1e-15)
         # Wraparound part: strictly upper triangular.
         assert np.max(np.abs(np.tril(top_right))) == 0.0
-        np.testing.assert_allclose(top_right, circular_complement(cir.taps, 4), atol=1e-15)
+        np.testing.assert_allclose(top_right, circular_complement(taps, 4), atol=1e-15)
 
     def test_rejects_channel_longer_than_size(self):
         with pytest.raises(ValueError):
-            build_circulant(ChannelImpulseResponse(np.ones(5), 1.0), 4)
+            build_circulant(np.ones(5), 4)
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
@@ -298,14 +301,14 @@ class TestCirculantBuild:
 
 class TestBlocks:
     def test_trivial_blocks(self):
-        ch = build_circulant(ChannelImpulseResponse([1.0], 1.0), 2)
+        ch = build_circulant([1.0], 2)
         a, b = extract_blocks(ch)
         np.testing.assert_allclose(a, [[1.0]])
         np.testing.assert_allclose(b, [[0.0]])
 
     def test_two_tap_blocks(self):
         h0, h1 = 0.8 + 0.1j, 0.3 - 0.2j
-        ch = build_circulant(ChannelImpulseResponse([h0, h1], 1.0), 4)
+        ch = build_circulant([h0, h1], 4)
         a, b = extract_blocks(ch)
         np.testing.assert_allclose(a, [[h0, 0], [h1, h0]], atol=1e-15)
         np.testing.assert_allclose(b, [[0, h1], [0, 0]], atol=1e-15)
@@ -321,7 +324,7 @@ class TestBlocks:
 
 class TestChildren:
     def test_positive_child_no_fold_for_short_taps(self):
-        ch = build_circulant(ChannelImpulseResponse([0.5, 0.25j], 1.0), 8)
+        ch = build_circulant([0.5, 0.25j], 8)
         child = positive_child(ch)
         np.testing.assert_allclose(child.generator, [0.5, 0.25j, 0, 0], atol=1e-15)
 
@@ -337,16 +340,16 @@ class TestChildren:
         np.testing.assert_allclose(mixed[:4, :4], positive_child(ch).dense(), atol=1e-12)
 
     def test_identity_channel_children_stay_identity(self):
-        ch = build_circulant(ChannelImpulseResponse([1.0], 1.0), 16)
+        ch = build_circulant([1.0], 16)
         for _ in range(4):
             ch = positive_child(ch)
             np.testing.assert_allclose(ch.dense(), np.eye(ch.size), atol=1e-15)
-        ch = build_circulant(ChannelImpulseResponse([1.0], 1.0), 16)
+        ch = build_circulant([1.0], 16)
         np.testing.assert_allclose(negative_child(ch).dense(), np.eye(8), atol=1e-15)
 
     def test_negative_child_two_tap_modulation(self):
         h0, h1 = 0.9 - 0.4j, 0.2 + 0.7j
-        ch = build_circulant(ChannelImpulseResponse([h0, h1], 1.0), 8)
+        ch = build_circulant([h0, h1], 8)
         child = negative_child(ch)
         rot = 0.70710678 - 0.70710678j  # exp(-j*pi/4)
         np.testing.assert_allclose(child.generator, [h0, h1 * rot, 0, 0], atol=1e-8)
@@ -389,14 +392,13 @@ class TestChildren:
 
 class TestSplitCoupling:
     def test_single_tap_has_zero_coupling(self):
-        low, wrap, coupling = split_coupling(ChannelImpulseResponse([1.0], 1.0), 32)
+        low, wrap, coupling = split_coupling([1.0], 32)
         assert coupling == 0.0
         assert np.max(np.abs(wrap)) == 0.0
 
     def test_exact_eighth_length_couples(self):
         n = 64
-        cir = ChannelImpulseResponse(np.ones(n // 8), 1.0)
-        _, _, coupling = split_coupling(cir, n)
+        _, _, coupling = split_coupling(np.ones(n // 8), n)
         assert coupling > 0.0
 
     def test_coupling_monotone_in_channel_length(self):
@@ -408,14 +410,13 @@ class TestSplitCoupling:
         taps = np.abs(rng.standard_normal(n // 4)).astype(complex)
         values = []
         for length in range(1, n // 4 + 1):
-            cir = ChannelImpulseResponse(taps[:length], 1.0)
-            values.append(split_coupling(cir, n)[2])
+            values.append(split_coupling(taps[:length], n)[2])
         diffs = np.diff(values)
         assert np.all(diffs >= -1e-12)
 
     def test_rejects_overlong_channel(self):
         with pytest.raises(ValueError):
-            split_coupling(ChannelImpulseResponse(np.ones(17), 1.0), 64)
+            split_coupling(np.ones(17), 64)
 
 
 def scipy_triangular_blocks(taps, size):
@@ -466,15 +467,14 @@ class TestTriangularBuilders:
     def test_lower_triangular_matches_block_of_circulant(self):
         rng = np.random.default_rng(2)
         taps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        cir = ChannelImpulseResponse(taps, 1.0)
-        dense = build_circulant(cir, 16).dense()
+        dense = build_circulant(taps, 16).dense()
         np.testing.assert_allclose(lower_triangular_toeplitz(taps, 8), dense[:8, :8], atol=1e-15)
 
     def test_sum_reconstructs_circulant_when_taps_fit(self):
         rng = np.random.default_rng(4)
         taps = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         total = lower_triangular_toeplitz(taps, 8) + circular_complement(taps, 8)
-        dense = build_circulant(ChannelImpulseResponse(taps, 1.0), 8).dense()
+        dense = build_circulant(taps, 8).dense()
         np.testing.assert_allclose(total, dense, atol=1e-15)
 
     def test_overlong_taps_are_dropped(self):
@@ -487,3 +487,59 @@ class TestTriangularBuilders:
         np.testing.assert_allclose(wrap[0, 1:], [4, 3, 2])
         np.testing.assert_allclose(np.diag(wrap, 1), [4, 4, 4])
         assert not np.isin([5, 6], low).any() and not np.isin([5, 6], wrap).any()
+
+
+
+def call_with_taps(name, taps):
+    """Call the public function ``name`` with ``taps``: on a 16-sample frame
+    and, for the quarter-frame functions, on 4-sample blocks."""
+    from physlice.mi import chain_mi, split_report, uniformity_ratio
+    from physlice.sliceplan import build_plan
+    from physlice.txrx import iterative_decode, modulate, propagate, receive, transmit
+
+    plan = build_plan(16, 1, 16)
+    frame = transmit(modulate(np.zeros(32, dtype=int), plan), plan)
+    block = np.zeros(4, dtype=complex)
+    calls = {
+        "propagate": lambda: propagate(frame, taps),
+        "receive": lambda: receive(frame.body, plan, taps),
+        "chain_mi": lambda: chain_mi(taps, 16, 1, 1.0),
+        "split_report": lambda: split_report(taps, 16, 1, 1.0),
+        "build_circulant": lambda: build_circulant(taps, 16),
+        "split_coupling": lambda: split_coupling(taps, 16),
+        "uniformity_ratio": lambda: uniformity_ratio(taps, 16),
+        "iterative_decode": lambda: iterative_decode(block, block, taps),
+    }
+    return calls[name]()
+
+
+TAKE_TAPS = (
+    "propagate", "receive", "chain_mi", "split_report",
+    "build_circulant", "split_coupling", "uniformity_ratio", "iterative_decode",
+)
+# chain_mi takes any leading batch shape; the others take one channel here.
+ONE_CHANNEL = tuple(name for name in TAKE_TAPS if name != "chain_mi")
+
+
+class TestTapBoundaries:
+    """One validator, ``check_taps``, guards every function that takes taps."""
+
+    @pytest.mark.parametrize("name", TAKE_TAPS)
+    @pytest.mark.parametrize(
+        "taps,message",
+        [
+            ([], "non-empty"),
+            (np.zeros((1, 0)), "non-empty"),
+            ([1.0, np.nan], "non-finite"),
+            ([1.0, complex(0.0, np.inf)], "non-finite"),
+            (np.ones(17), "do not fit"),
+        ],
+    )
+    def test_rejects_empty_non_finite_and_overlong_taps(self, name, taps, message):
+        with pytest.raises(ValueError, match=message):
+            call_with_taps(name, taps)
+
+    @pytest.mark.parametrize("name", ONE_CHANNEL)
+    def test_rejects_two_dimensional_taps_for_one_channel(self, name):
+        with pytest.raises(ValueError, match=re.escape("expected taps of shape (L,), got (2, 2)")):
+            call_with_taps(name, np.ones((2, 2)))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,9 +28,9 @@ def loopback_replay(cfg) -> bytes:
     lines = ["run_id,slice_path,evm,symbol_errors"]
     for run_id in range(cfg.num_runs):
         rng = np.random.default_rng([cfg.seed, run_id])
-        cir = sample_cir(profile, cfg.sample_period_ns, rng)
+        taps = sample_cir(profile, cfg.sample_period_ns, rng)
         payload = modulate(rng.integers(0, 2, size=2 * cfg.n_fft), plan)
-        estimate = receive(propagate(transmit(payload, plan), cir, snr=cfg.snr, rng=rng), plan, cir)
+        estimate = receive(propagate(transmit(payload, plan), taps, snr=cfg.snr, rng=rng), plan, taps)
         for desc, sent, got in zip(plan.slices, payload.symbols, estimate.symbols):
             evm = float(np.sqrt(np.mean(np.abs(got - sent) ** 2) / np.mean(np.abs(sent) ** 2)))
             errors = int(np.count_nonzero(nearest_symbols(got) != sent))
@@ -219,8 +220,18 @@ class TestConfig:
         monkeypatch.setattr(experiments, "load_profile", lambda path: reads.append(path) or load(path))
         profile = tmp_path / "two_tap.profile"
         profile.write_text("delays_ns = 0, 65\npowers_db = 0, -3\n")
-        run_scenario(make_config(scenario, profile=str(profile), num_runs=2, output_dir=str(tmp_path / "out")))
+        runs = min(2, PRESETS[scenario]["num_runs"])
+        run_scenario(make_config(scenario, profile=str(profile), num_runs=runs, output_dir=str(tmp_path / "out")))
         assert reads == [str(profile)]
+
+    @pytest.mark.parametrize("scenario", ["fig4", "table1"])
+    @pytest.mark.parametrize("num_runs", [2, 500])
+    def test_single_realization_scenarios_take_one_run(self, tmp_path, scenario, num_runs):
+        out = tmp_path / "out"
+        message = f"scenario {scenario!r} analyses one realization and needs num_runs = 1, got {num_runs}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_scenario(make_config(scenario, num_runs=num_runs, output_dir=str(out)))
+        assert not out.exists()
 
 
 class TestScenarios:
@@ -295,21 +306,20 @@ class TestScenarios:
 
     def test_loopback_muted_slice_sits_at_noise_floor(self, tmp_path):
         # Not a CLI path: mute one slice by hand and check its received power.
-        from physlice.channel import ChannelImpulseResponse
         from physlice.sliceplan import build_plan
         from physlice.txrx import SlicePayload, modulate, propagate, receive, transmit
 
         rng = np.random.default_rng(23)
         plan = build_plan(256, 2, 40, channel_length=13)
         taps = rng.standard_normal(13) + 1j * rng.standard_normal(13)
-        cir = ChannelImpulseResponse(taps / np.linalg.norm(taps), 1.0)
+        taps /= np.linalg.norm(taps)
         bits = rng.integers(0, 2, 512)
         payload = modulate(bits, plan)
         muted = list(payload.symbols)
         muted[0] = np.zeros_like(muted[0])
         rho = 10.0 ** 3  # 30 dB
         frame = transmit(SlicePayload(symbols=tuple(muted)), plan)
-        estimate = receive(propagate(frame, cir, snr=rho, rng=rng), plan, cir)
+        estimate = receive(propagate(frame, taps, snr=rho, rng=rng), plan, taps)
         # The muted slice should carry roughly noise-level power, far below
         # the unit symbol power of the live slices.
         muted_power = np.mean(np.abs(estimate.symbols[0]) ** 2)
@@ -340,7 +350,7 @@ class TestScenarios:
         # No run count is a multiple of the chunk (4 runs at N=2048, 64 at N=128).
         cfg = make_config(scenario, num_runs=num_runs, seed=7, mode=mode)
         reports, replay = mi_replay(cfg)
-        residual = max(r.max_level_residual(relative=True) for r in reports)
+        residual = max(r.max_level_residual() for r in reports)
         cdf = None
         if scenario != "fig9":
             splits = [r.levels[0 if scenario == "fig7" else -1] for r in reports]
@@ -495,6 +505,15 @@ class TestCli:
         code = cli_main(["--scenario", "fig9", "--config", str(conf), "--out", str(tmp_path / "out")])
         assert code == 0
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["fig9_runs.csv", "fig9_summary.txt"]
+
+    @pytest.mark.parametrize("scenario", ["fig4", "table1"])
+    def test_single_realization_scenario_rejects_a_run_count(self, tmp_path, capsys, scenario):
+        out = tmp_path / "out"
+        code = cli_main(["--scenario", scenario, "--runs", "500", "--out", str(out)])
+        assert code == 2
+        message = f"scenario {scenario!r} analyses one realization and needs num_runs = 1, got 500"
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_scenario_is_reported(self, capsys):
         code = cli_main([])

@@ -5,7 +5,6 @@ import pytest
 
 from physlice.channel import (
     ETU_PROFILE,
-    ChannelImpulseResponse,
     CirculantChannel,
     build_circulant,
     circular_complement,
@@ -13,7 +12,6 @@ from physlice.channel import (
     negative_child,
     positive_child,
     sample_cir,
-    stack_taps,
 )
 from physlice.mi import (
     MODE_EXACT,
@@ -30,8 +28,8 @@ from physlice.mi import (
 from physlice.transform import recursive_matrix
 
 
-def random_cir(rng, length):
-    return ChannelImpulseResponse(rng.standard_normal(length) + 1j * rng.standard_normal(length), 1.0)
+def random_taps(rng, length):
+    return rng.standard_normal(length) + 1j * rng.standard_normal(length)
 
 
 class TestSnrSpec:
@@ -46,11 +44,11 @@ class TestSnrSpec:
 
 class TestMiKernels:
     def test_identity_channel_logdet(self):
-        ch = build_circulant(ChannelImpulseResponse([1.0], 1.0), 4)
+        ch = build_circulant([1.0], 4)
         assert mi_logdet(ch, SnrSpec(1.0)) == pytest.approx(4.0, abs=1e-12)
 
     def test_flat_channel_logdet(self):
-        ch = build_circulant(ChannelImpulseResponse([1.0], 1.0), 8)
+        ch = build_circulant([1.0], 8)
         assert mi_logdet(ch, SnrSpec(3.0)) == pytest.approx(16.0, abs=1e-12)
 
     def test_flat_generator_fast(self):
@@ -61,8 +59,8 @@ class TestMiKernels:
     def test_fast_equals_logdet_on_random_channels(self):
         rng = np.random.default_rng(21)
         for n in (16, 64, 128):
-            cir = random_cir(rng, n // 4)
-            ch = build_circulant(cir, n)
+            taps = random_taps(rng, n // 4)
+            ch = build_circulant(taps, n)
             assert mi_fast(ch.generator, 5.0) == pytest.approx(mi_logdet(ch, 5.0), rel=1e-9)
 
     def test_fast_splits_into_even_and_odd_bins(self):
@@ -87,16 +85,16 @@ class TestMiKernels:
     def test_transform_invariance(self):
         rng = np.random.default_rng(9)
         for n, depth in ((32, 2), (128, 3)):
-            cir = random_cir(rng, n // 4)
-            h = build_circulant(cir, n).dense()
+            taps = random_taps(rng, n // 4)
+            h = build_circulant(taps, n).dense()
             g = recursive_matrix(n, depth)
             assert mi_logdet(h, 7.0) == pytest.approx(mi_logdet(g.conj().T @ h @ g, 7.0), rel=1e-9)
 
 
 class TestSplitReport:
     def test_flat_channel_splits_exactly_in_half(self):
-        cir = ChannelImpulseResponse([1.0], 1.0)
-        report = split_report(cir, 64, 3, SnrSpec(10.0))
+        taps = [1.0]
+        report = split_report(taps, 64, 3, SnrSpec(10.0))
         for level in report.levels:
             assert level.positive_mi == pytest.approx(level.parent_mi / 2, rel=1e-12)
             assert level.negative_mi == pytest.approx(level.parent_mi / 2, rel=1e-12)
@@ -108,18 +106,18 @@ class TestSplitReport:
     def test_conservation_exact_fold(self):
         rng = np.random.default_rng(5)
         for n, depth in ((64, 3), (128, 5), (1024, 6)):
-            cir = random_cir(rng, n // 8)
-            report = split_report(cir, n, depth, SnrSpec(10.0))
-            assert report.max_level_residual(relative=True) < 1e-9
+            taps = random_taps(rng, n // 8)
+            report = split_report(taps, n, depth, SnrSpec(10.0))
+            assert report.max_level_residual() < 1e-9
             leaf_sum = sum(r.mi_bits for r in report.records)
             assert leaf_sum == pytest.approx(report.total_mi_bits, rel=1e-9)
 
     def test_total_matches_dense_oracle(self):
         rng = np.random.default_rng(6)
-        cir = random_cir(rng, 10)
-        report = split_report(cir, 128, 2, SnrSpec(10.0))
+        taps = random_taps(rng, 10)
+        report = split_report(taps, 128, 2, SnrSpec(10.0))
         assert report.total_mi_bits == pytest.approx(
-            mi_logdet(build_circulant(cir, 128), SnrSpec(10.0)), rel=1e-9
+            mi_logdet(build_circulant(taps, 128), SnrSpec(10.0)), rel=1e-9
         )
 
     def test_urban_scale_first_split_is_nearly_even(self):
@@ -128,48 +126,48 @@ class TestSplitReport:
         ts = 1e9 / (2048 * 15e3)
         rng = np.random.default_rng(11)
         for _ in range(5):
-            cir = sample_cir(ETU_PROFILE, ts, rng)
-            report = split_report(cir, 2048, 1, SnrSpec.from_db(10.0))
+            taps = sample_cir(ETU_PROFILE, ts, rng)
+            report = split_report(taps, 2048, 1, SnrSpec.from_db(10.0))
             level = report.levels[0]
             gap = abs(level.positive_mi - level.negative_mi) / level.parent_mi
             assert gap < 0.01
 
     def test_modes_agree_in_uniform_regime(self):
         rng = np.random.default_rng(7)
-        cir = random_cir(rng, 6)  # 6 taps <= 64/2^3
-        exact = split_report(cir, 64, 3, 10.0, mode=MODE_EXACT)
-        literal = split_report(cir, 64, 3, 10.0, mode=MODE_LITERAL)
+        taps = random_taps(rng, 6)  # 6 taps <= 64/2^3
+        exact = split_report(taps, 64, 3, 10.0, mode=MODE_EXACT)
+        literal = split_report(taps, 64, 3, 10.0, mode=MODE_LITERAL)
         for a, b in zip(exact.records, literal.records):
             assert (a.path, a.size) == (b.path, b.size)
             assert a.mi_bits == pytest.approx(b.mi_bits, rel=1e-9)
 
     def test_literal_mode_breaks_conservation_below_channel_length(self):
         rng = np.random.default_rng(8)
-        cir = random_cir(rng, 24)  # outgrows slices below size 32
-        literal = split_report(cir, 64, 3, 10.0, mode=MODE_LITERAL)
-        assert literal.max_level_residual(relative=True) > 1e-6
+        taps = random_taps(rng, 24)  # outgrows slices below size 32
+        literal = split_report(taps, 64, 3, 10.0, mode=MODE_LITERAL)
+        assert literal.max_level_residual() > 1e-6
         assert literal.notes  # the non-uniform regime is called out
 
     def test_thin_channel_benchmark_property(self):
         # With a very short channel every slice approaches total / 2^level.
         rng = np.random.default_rng(13)
-        cir = random_cir(rng, 2)
-        report = split_report(cir, 1024, 4, SnrSpec.from_db(10.0))
+        taps = random_taps(rng, 2)
+        report = split_report(taps, 1024, 4, SnrSpec.from_db(10.0))
         for record in report.records:
             expected = report.total_mi_bits / (1 << len(record.path))
             assert record.mi_bits == pytest.approx(expected, rel=0.01)
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown mode"):
-            split_report(ChannelImpulseResponse([1.0], 1.0), 16, 1, 1.0, mode="guess")
+            split_report([1.0], 16, 1, 1.0, mode="guess")
 
     def test_rejects_invalid_plan(self):
         with pytest.raises(ValueError):
-            split_report(ChannelImpulseResponse([1.0], 1.0), 16, 5, 1.0)
+            split_report([1.0], 16, 5, 1.0)
 
     def test_csv_export(self):
-        cir = ChannelImpulseResponse([1.0, 0.5], 1.0)
-        report = split_report(cir, 16, 2, 10.0)
+        taps = [1.0, 0.5]
+        report = split_report(taps, 16, 2, 10.0)
         buf = io.StringIO()
         report.to_csv(buf)
         lines = buf.getvalue().strip().splitlines()
@@ -178,8 +176,8 @@ class TestSplitReport:
         assert "exact-fold" in lines[1]
 
     def test_summary_table_mentions_each_slice(self):
-        cir = ChannelImpulseResponse([1.0, 0.5], 1.0)
-        report = split_report(cir, 16, 2, 10.0)
+        taps = [1.0, 0.5]
+        report = split_report(taps, 16, 2, 10.0)
         text = report.summary_table()
         for record in report.records:
             assert record.path in text
@@ -187,13 +185,13 @@ class TestSplitReport:
 
 class TestUniformity:
     def test_single_tap_is_exactly_zero(self):
-        assert uniformity_ratio(ChannelImpulseResponse([1.0], 1.0), 64) == 0.0
+        assert uniformity_ratio([1.0], 64) == 0.0
 
     def test_monotone_for_nonnegative_prefixes(self):
         rng = np.random.default_rng(14)
         taps = np.abs(rng.standard_normal(32)).astype(complex)
         values = [
-            uniformity_ratio(ChannelImpulseResponse(taps[:length], 1.0), 256)
+            uniformity_ratio(taps[:length], 256)
             for length in (2, 8, 32)
         ]
         assert values[0] <= values[1] <= values[2]
@@ -206,9 +204,9 @@ class TestUniformity:
         gaps = []
         for _ in range(50):
             length = int(rng.integers(2, 65))
-            cir = random_cir(rng, length)
-            diagnostics.append(uniformity_ratio(cir, 256))
-            report = split_report(cir, 256, 1, SnrSpec.from_db(10.0))
+            taps = random_taps(rng, length)
+            diagnostics.append(uniformity_ratio(taps, 256))
+            report = split_report(taps, 256, 1, SnrSpec.from_db(10.0))
             level = report.levels[0]
             gaps.append(abs(level.positive_mi - level.negative_mi) / level.parent_mi)
         ranks_d = np.argsort(np.argsort(diagnostics))
@@ -218,26 +216,26 @@ class TestUniformity:
 
     def test_rejects_overlong_channel(self):
         with pytest.raises(ValueError):
-            uniformity_ratio(ChannelImpulseResponse(np.ones(17), 1.0), 64)
+            uniformity_ratio(np.ones(17), 64)
 
 
 class TestDeepReport:
     def test_cost_row_matches_reference_values(self):
         rng = np.random.default_rng(16)
-        channel = build_circulant(random_cir(rng, 100), 256)
+        channel = build_circulant(random_taps(rng, 100), 256)
         report = deep_split_report(channel, SnrSpec.from_db(10.0))
         assert report.cost_row == ("1152", "512", "224", "96", "40", "16", "6", "2/1")
 
     def test_exact_mode_conserves_at_first_level(self):
         rng = np.random.default_rng(17)
-        channel = build_circulant(random_cir(rng, 100), 256)
+        channel = build_circulant(random_taps(rng, 100), 256)
         report = deep_split_report(channel, SnrSpec.from_db(10.0))
         first = report.levels[0]
         assert first.positive_mi + first.negative_mi == pytest.approx(first.parent_mi, rel=1e-9)
-        assert report.max_level_residual(relative=True) < 1e-9
+        assert report.max_level_residual() < 1e-9
 
     def test_flat_channel_halves_down_to_size_one(self):
-        channel = build_circulant(ChannelImpulseResponse([1.0], 1.0), 256)
+        channel = build_circulant([1.0], 256)
         report = deep_split_report(channel, SnrSpec(1.0))
         for record in report.records:
             expected = report.total_mi_bits * record.size / 256
@@ -245,7 +243,7 @@ class TestDeepReport:
 
     def test_modes_coincide_while_taps_fit(self):
         rng = np.random.default_rng(18)
-        channel = build_circulant(random_cir(rng, 20), 256)
+        channel = build_circulant(random_taps(rng, 20), 256)
         report = deep_split_report(channel, 10.0)
         exact = {(r.path, r.size): r.mi_bits for r in report.records if r.mode == MODE_EXACT}
         literal = {(r.path, r.size): r.mi_bits for r in report.records if r.mode == MODE_LITERAL}
@@ -254,7 +252,7 @@ class TestDeepReport:
                 assert literal[key] == pytest.approx(value, rel=1e-9)
 
     def test_summary_table_contains_cost_row(self):
-        channel = build_circulant(ChannelImpulseResponse([1.0, 0.2], 1.0), 64)
+        channel = build_circulant([1.0, 0.2], 64)
         report = deep_split_report(channel, 10.0)
         table = report.summary_table()
         assert "decode_ops" in table and "2/1" in table
@@ -317,11 +315,11 @@ class TestEngineOracles:
         rng = np.random.default_rng(1000 + n)
         full = n.bit_length() - 1
         for length in range(1, n + 1):
-            cir = random_cir(rng, length)
-            root = build_circulant(cir, n)
+            taps = random_taps(rng, length)
+            root = build_circulant(taps, n)
             oracles = {
                 MODE_EXACT: fold_walk(root.generator, full, self.RHO),
-                MODE_LITERAL: triangular_walk(cir.taps, n, full, self.RHO),
+                MODE_LITERAL: triangular_walk(taps, n, full, self.RHO),
             }
             for k in range(1, full + 1):
                 if length <= n >> k:
@@ -329,7 +327,7 @@ class TestEngineOracles:
 
             for mode, oracle in oracles.items():
                 for depth in range(full + 1):
-                    report = split_report(cir, n, depth, self.RHO, mode=mode)
+                    report = split_report(taps, n, depth, self.RHO, mode=mode)
                     assert report.total_mi_bits == pytest.approx(oracle[0][0], rel=1e-9)
                     self.assert_levels(report.levels, oracle[:depth])
                     expected = chain_slices(oracle, depth)
@@ -352,17 +350,17 @@ class TestEngineOracles:
 
     def test_literal_chain_at_full_lte_frame_is_skew_circulant(self):
         rng = np.random.default_rng(2048)
-        cir = sample_cir(ETU_PROFILE, 1e9 / (2048 * 15e3), rng)  # 155 taps
-        report = split_report(cir, 2048, 11, self.RHO, mode=MODE_LITERAL)
+        taps = sample_cir(ETU_PROFILE, 1e9 / (2048 * 15e3), rng)  # 155 taps
+        report = split_report(taps, 2048, 11, self.RHO, mode=MODE_LITERAL)
         assert len(report.records) == 12
         for record in report.records:
             size = record.size
             head = np.zeros(size, dtype=complex)
-            head[: min(size, cir.length)] = cir.taps[:size]
+            head[: min(size, taps.size)] = taps[:size]
             if record.path.endswith("-"):
                 head *= np.exp(-1j * np.pi * np.arange(size) / size)
             assert record.mi_bits == pytest.approx(mi_fast(head, self.RHO), rel=1e-9)
-        assert report.max_level_residual(relative=True) > 1e-6
+        assert report.max_level_residual() > 1e-6
 
 
 class TestBatchedEngine:
@@ -381,26 +379,29 @@ class TestBatchedEngine:
                 if smallest < n:
                     lengths.append(int(rng.integers(smallest + 1, n + 1)))
                 lengths += [int(rng.integers(1, n + 1)) for _ in range(rows - len(lengths))]
-                cirs = [random_cir(rng, length) for length in lengths]
-                batch = chain_mi(stack_taps(cirs, (len(cirs),), n), n, depth, 10.0, mode=mode)
-                assert batch.parent.shape == (len(cirs), depth)
-                for row, cir in enumerate(cirs):
-                    single = chain_mi(cir.taps, n, depth, 10.0, mode=mode)
+                channels = [random_taps(rng, length) for length in lengths]
+                stacked = np.zeros((len(channels), max(lengths)), dtype=complex)
+                for padded, taps in zip(stacked, channels):
+                    padded[: taps.size] = taps
+                batch = chain_mi(stacked, n, depth, 10.0, mode=mode)
+                assert batch.parent.shape == (len(channels), depth)
+                for row, taps in enumerate(channels):
+                    single = chain_mi(taps, n, depth, 10.0, mode=mode)
                     for name in ("total", "parent", "positive", "negative"):
                         np.testing.assert_array_equal(getattr(batch, name)[row], getattr(single, name))
-                    report = split_report(cir, n, depth, 10.0, mode=mode)
+                    report = split_report(taps, n, depth, 10.0, mode=mode)
                     assert report.total_mi_bits == batch.total[row]
                     assert [(lvl.parent_mi, lvl.positive_mi, lvl.negative_mi) for lvl in report.levels] == list(
                         zip(batch.parent[row].tolist(), batch.positive[row].tolist(), batch.negative[row].tolist())
                     )
                     assert [r.mi_bits for r in report.records] == batch.slice_mi()[row].tolist()
-                    assert report.max_level_residual(relative=True) == ChainMi(
+                    assert report.max_level_residual() == ChainMi(
                         *(getattr(batch, name)[row] for name in ("total", "parent", "positive", "negative"))
                     ).max_residual_rel()
 
     def test_zero_padding_does_not_change_a_row(self):
         rng = np.random.default_rng(405)
-        taps = random_cir(rng, 9).taps
+        taps = random_taps(rng, 9)
         padded = np.concatenate([taps, np.zeros(23)])
         for mode in (MODE_EXACT, MODE_LITERAL):
             a, b = chain_mi(taps, 64, 6, 3.0, mode), chain_mi(padded, 64, 6, 3.0, mode)

@@ -1,9 +1,11 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def test_import_never_loads_scipy():
@@ -25,8 +27,9 @@ def test_scenarios_run_without_a_thread_pool(tmp_path):
         "import sys, physlice\n"
         "from physlice.experiments import PRESETS, make_config, run_scenario\n"
         "assert 'concurrent.futures' not in sys.modules, 'import'\n"
-        "for scenario in PRESETS:\n"
-        "    run_scenario(make_config(scenario, num_runs=2, workers=2, output_dir=sys.argv[1]))\n"
+        "for scenario, preset in PRESETS.items():\n"
+        "    runs = min(2, preset['num_runs'])\n"
+        "    run_scenario(make_config(scenario, num_runs=runs, workers=2, output_dir=sys.argv[1]))\n"
         "    assert 'concurrent.futures' not in sys.modules, scenario\n"
     )
     subprocess.run(
@@ -34,3 +37,18 @@ def test_scenarios_run_without_a_thread_pool(tmp_path):
         env=dict(os.environ, PYTHONPATH=str(SRC)),
         check=True,
     )
+
+
+def test_readme_tour_runs_as_written():
+    """The README's Python block runs against the package, and the shapes
+    and figures its comments state hold."""
+    readme = ROOT / "README.md"
+    (tour,) = re.findall(r"```python\n(.*?)```", readme.read_text(), flags=re.S)
+    names: dict = {}
+    exec(compile(tour, str(readme), "exec"), names)
+    assert names["report"].max_level_residual() < 1e-12
+    assert names["chain"].slice_mi().shape == (4, 4)
+    assert names["taps"].shape == (4, 155)
+    assert names["frames"].body.shape == (4, 2048)
+    assert [s.shape for s in names["estimates"].symbols] == [(4, 256), (4, 256), (4, 512), (4, 1024)]
+    assert names["bits_hat"].shape == (2 * 2048,)

@@ -3,7 +3,6 @@ import io
 import numpy as np
 import pytest
 
-from physlice.channel import ChannelImpulseResponse
 from physlice.mi import split_report
 from physlice.sliceplan import (
     SliceDescriptor,
@@ -75,7 +74,7 @@ class TestBuildPlan:
             lambda: build_plan(frame_size, depth, 4),
             lambda: recursive_matrix(frame_size, depth),
             lambda: forward_transform(np.zeros(frame_size), depth),
-            lambda: split_report(ChannelImpulseResponse([1.0], 1.0), frame_size, depth, 1.0),
+            lambda: split_report([1.0], frame_size, depth, 1.0),
         ]
         for call in boundaries:
             with pytest.raises(ValueError, match=message):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from physlice.channel import CirculantChannel
 from physlice.transform import (
@@ -201,3 +203,32 @@ def test_writing_to_a_returned_mixer_leaves_the_transform_intact():
     butterfly_mixer(16)[:] = 0
     s = random_complex(np.random.default_rng(16), 16)
     assert np.max(np.abs(forward_transform(s, 2) - recursive_matrix(16, 2) @ s)) < 1e-12
+
+
+@st.composite
+def transform_cases(draw):
+    """Frames of N = 2^1 .. 2^12 samples under a batch shape (), (R,) or
+    (R1, R2), and a depth from 0 to log2 N."""
+    log_n = draw(st.integers(1, 12))
+    depth = draw(st.integers(0, log_n))
+    batch = draw(
+        st.one_of(st.just(()), st.tuples(st.integers(1, 4)), st.tuples(st.integers(1, 3), st.integers(1, 3)))
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = batch + (1 << log_n,)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape), depth
+
+
+@settings(max_examples=100, deadline=None)
+@given(transform_cases())
+def test_transform_round_trip_keeps_every_frame_and_its_norm(case):
+    frames, depth = case
+    forward = forward_transform(frames, depth)
+    back = inverse_transform(forward, depth)
+    assert forward.shape == back.shape == frames.shape
+    assert np.max(np.abs(back - frames)) < 1e-12
+    norms = np.linalg.norm(frames, axis=-1)
+    assert np.all(np.abs(np.linalg.norm(forward, axis=-1) - norms) < 1e-12 * norms)
+    for index in np.ndindex(frames.shape[:-1]):
+        np.testing.assert_array_equal(forward[index], forward_transform(frames[index], depth))
+        np.testing.assert_array_equal(back[index], inverse_transform(forward[index], depth))
