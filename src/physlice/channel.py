@@ -219,7 +219,10 @@ def check_taps(taps, n_bins: int, batch: tuple[int, ...] | None = None) -> np.nd
     index. Otherwise the taps are one channel shared by every frame, (L,),
     or one channel per frame of a batch of that shape, batch + (L,).
     """
-    taps = np.asarray(taps, dtype=np.complex128)
+    try:
+        taps = np.asarray(taps, dtype=np.complex128)
+    except ValueError as err:
+        raise ValueError("taps must be numbers, one channel or several: zero-pad the channels to one length L") from err
     if taps.ndim == 0 or taps.shape[-1] == 0:
         raise ValueError(f"taps must be a non-empty sequence per channel, got shape {taps.shape}")
     if batch is not None and taps.shape[:-1] not in ((), tuple(batch)):

@@ -449,13 +449,16 @@ def _run_loopback(
         # One channel spectrum per chunk serves the channel and the equalizer.
         gains = np.fft.fft(chunk_taps, config.n_fft, axis=-1)
         estimate = _receive(_propagate(transmit(payload, plan).body, gains, rho, rngs), plan, gains)
+        # Element-wise work on whole frames; each mean and count covers one slice.
+        sent = payload.frames
+        error_power = np.abs(estimate.frames - sent) ** 2
+        power = np.abs(sent) ** 2
+        wrong = np.zeros(sent.shape, dtype=bool) if snr is None else nearest_symbols(estimate.frames) != sent
         per_slice = []
-        for sent, got in zip(payload.symbols, estimate.symbols):
-            evm = np.sqrt(np.mean(np.abs(got - sent) ** 2, axis=-1) / np.mean(np.abs(sent) ** 2, axis=-1))
-            if snr is None:
-                errors = np.zeros(len(rngs), dtype=np.int64)
-            else:
-                errors = np.count_nonzero(nearest_symbols(got) != sent, axis=-1)
+        for desc in plan.slices:
+            stretch = slice(desc.frame_offset, desc.frame_offset + desc.size)
+            evm = np.sqrt(np.mean(error_power[:, stretch], axis=-1) / np.mean(power[:, stretch], axis=-1))
+            errors = np.count_nonzero(wrong[:, stretch], axis=-1)
             per_slice.append(zip(evm.tolist(), errors.tolist()))
         # For each run of the chunk, one (evm, errors) pair per slice.
         return list(zip(*per_slice))

@@ -180,7 +180,7 @@ class MiSplitReport:
 
     def to_csv(self, destination) -> None:
         def _write(fh):
-            writer = csv.writer(fh)
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["level", "path", "size", "mode", "mi_bits", "parent_residual"])
             for r in self.records:
                 writer.writerow(

@@ -167,7 +167,7 @@ def plan_to_csv(plan: SlicePlan, destination) -> None:
     """Write the plan summary as CSV (one row per slice, frame order)."""
 
     def _write(fh):
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["path", "size", "frame_offset", "bin_residue", "bin_stride", "decode_ops"])
         for s in plan.slices:
             writer.writerow([s.path, s.size, s.frame_offset, s.bin_residue, s.bin_stride, s.decode_ops])

@@ -94,7 +94,8 @@ def _recursive_dense(n: int, depth: int) -> np.ndarray:
 
 
 def _as_frames(signal, depth: int) -> np.ndarray:
-    s = np.asarray(signal, dtype=np.complex128)
+    """A complex copy of ``signal``, checked to hold frames that fit ``depth``."""
+    s = np.array(signal, dtype=np.complex128)
     if s.ndim < 1:
         raise ValueError("signal must have at least one dimension")
     check_plan(s.shape[-1], depth)
@@ -102,28 +103,23 @@ def _as_frames(signal, depth: int) -> np.ndarray:
 
 
 def forward_transform(signal, depth: int) -> np.ndarray:
-    """Apply the recursive transform with a butterfly recursion.
+    """Apply the recursive transform, one butterfly level at a time.
 
     ``signal`` has shape (..., N): every leading index is an independent
     frame. Each frame of the result equals ``recursive_matrix(N, depth) @
     frame`` to round-off, at O(N) complex operations per level, and is
     bit-identical to transforming that frame on its own.
+    The levels run innermost first, in place on one copy: the level of size
+    M maps the leading M samples [top, bottom] to [top ± W*bottom] / sqrt(2).
     """
-    s = _as_frames(signal, depth)
-    return _forward(s, depth) if depth else s.copy()
-
-
-def _forward(s: np.ndarray, depth: int) -> np.ndarray:
-    if depth == 0:
-        return s
-    n = s.shape[-1]
-    half = n // 2
-    top = _forward(s[..., :half], depth - 1)
-    mixed = _mixer(n) * s[..., half:]
-    out = np.empty(s.shape, dtype=np.complex128)
-    np.add(top, mixed, out=out[..., :half])
-    np.subtract(top, mixed, out=out[..., half:])
-    out /= _SQRT2
+    out = _as_frames(signal, depth)
+    for level in reversed(range(depth)):
+        half = out.shape[-1] >> (level + 1)
+        top, bottom = out[..., :half], out[..., half : 2 * half]
+        mixed = _mixer(2 * half) * bottom
+        np.subtract(top, mixed, out=bottom)
+        top += mixed
+        out[..., : 2 * half] /= _SQRT2
     return out
 
 
@@ -132,19 +128,16 @@ def inverse_transform(signal, depth: int) -> np.ndarray:
 
     The transform is orthonormal, so this is also its exact inverse:
     ``inverse_transform(forward_transform(s, d), d) == s`` to round-off.
+    The levels run outermost first, in place on one copy: the level of size M
+    maps [head, tail] to [head + tail, conj(W) (head - tail)] / sqrt(2).
     """
-    y = _as_frames(signal, depth)
-    return _inverse(y, depth) if depth else y.copy()
-
-
-def _inverse(y: np.ndarray, depth: int) -> np.ndarray:
-    if depth == 0:
-        return y
-    n = y.shape[-1]
-    half = n // 2
-    head, tail = y[..., :half], y[..., half:]
-    out = np.empty(y.shape, dtype=np.complex128)
-    out[..., :half] = _inverse((head + tail) / _SQRT2, depth - 1)
-    np.multiply(np.conj(_mixer(n)), head - tail, out=out[..., half:])
-    out[..., half:] /= _SQRT2
+    out = _as_frames(signal, depth)
+    for level in range(depth):
+        half = out.shape[-1] >> (level + 1)
+        head, tail = out[..., :half], out[..., half : 2 * half]
+        diff = head - tail
+        head += tail
+        head /= _SQRT2
+        np.multiply(np.conj(_mixer(2 * half)), diff, out=tail)
+        tail /= _SQRT2
     return out

@@ -1,19 +1,23 @@
 """End-to-end baseband link over the split transform.
 
 Every link function carries a leading batch axis: an array of shape
-(R, n) holds one frame (or one slice) per row, and a single frame of shape
-(n,) runs through the same code. Inputs are validated once per call, at the
-public function, never per slice.
+(R, N) holds one frame per row, and a single frame of shape (N,) runs
+through the same code. Inputs are validated once per call, at the public
+function, never per slice.
 
-transmit:  per-slice unitary IDFT, recursive transform, cyclic prefix.
+A frame stays one frame-order array from the bits to the estimates: a
+:class:`SlicePayload` holds it with its plan, and slices are views of it.
+
+transmit:  per-slice unitary IDFT into one buffer, recursive transform,
+           cyclic prefix.
 propagate: the receiver keeps the N samples after the CP. The CP covers the
            channel (cp_length >= L is enforced), so those samples are the
            circular convolution of the body with the taps, computed here by
            FFT; then optional complex AWGN. The tests keep the linear
            convolution of (CP || body) as the oracle.
-receive:   adjoint transform, per-slice unitary DFT, one-tap zero-forcing
-           equalization against the true channel response (genie-aided; no
-           pilot estimation).
+receive:   adjoint transform, per-slice unitary DFT written back in place,
+           one-tap zero-forcing equalization against the true channel
+           response (genie-aided; no pilot estimation).
 
 A channel is its taps: one (L,) array shared by a batch, or one row per
 frame, such as the (R, L) taps of ``channel.draw_taps``.
@@ -62,19 +66,24 @@ def _hard_index(symbols: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SlicePayload:
-    """Per-slice frequency-domain symbols, in frame order.
-
-    Slice k is an array of shape (..., size_k); all slices share the leading
-    (batch) shape. ``erasures`` has the same shapes and marks bins the
-    equalizer refused to divide (channel gain below threshold); None on the
-    transmit side.
+    """Frequency-domain symbols of (..., N) frames in frame order, with the
+    plan that lays out the slices: slice k is ``frames[..., off:off + size]``
+    at its descriptor's ``frame_offset``. ``erasures`` is a bool array of the
+    same shape that marks bins the equalizer refused to divide (channel gain
+    below threshold); None on the transmit side.
     """
 
-    symbols: tuple[np.ndarray, ...]
-    erasures: tuple[np.ndarray, ...] | None = None
+    frames: np.ndarray
+    plan: SlicePlan
+    erasures: np.ndarray | None = None
 
-    def concat(self) -> np.ndarray:
-        return np.concatenate(self.symbols, axis=-1)
+    @property
+    def symbols(self) -> tuple[np.ndarray, ...]:
+        """Read-only views of ``frames``, one (..., size) array per slice."""
+        views = tuple(self.frames[..., d.frame_offset : d.frame_offset + d.size] for d in self.plan.slices)
+        for view in views:
+            view.flags.writeable = False
+        return views
 
 
 @dataclass
@@ -97,46 +106,21 @@ class OfdmFrame:
             raise ValueError("cyclic prefix must be a copy of the last cp_length body samples")
 
 
-def _check_payload(payload: SlicePayload, plan: SlicePlan) -> list[np.ndarray]:
-    if len(payload.symbols) != len(plan.slices):
-        raise ValueError(
-            f"payload has {len(payload.symbols)} slices, plan has {len(plan.slices)}"
-        )
-    symbols = [np.asarray(vec, dtype=np.complex128) for vec in payload.symbols]
-    lead = symbols[0].shape[:-1]
-    for vec, desc in zip(symbols, plan.slices):
-        if vec.shape[-1:] != (desc.size,):
-            raise ValueError(
-                f"slice {desc.path!r} expects {desc.size} symbols, got shape {vec.shape}"
-            )
-        if vec.shape[:-1] != lead:
-            raise ValueError(f"slices have different batch shapes: {vec.shape[:-1]} and {lead}")
-        if not np.all(np.isfinite(vec)):
-            raise ValueError(f"slice {desc.path!r} contains non-finite symbols")
-    return symbols
-
-
 def modulate(bits, plan: SlicePlan) -> SlicePayload:
-    """Map bit streams of shape (..., 2 * N) onto per-slice QPSK symbols
-    (frame order), one frame per leading index."""
+    """Map bit streams of shape (..., 2 * N) onto QPSK frames of shape
+    (..., N), frame order, one frame per leading index."""
     bits = np.asarray(bits, dtype=np.int64)
     expected = 2 * plan.frame_size
     if bits.shape[-1:] != (expected,):
         raise ValueError(f"expected {expected} bits for this plan, got shape {bits.shape}")
     if np.any((bits != 0) & (bits != 1)):
         raise ValueError("bits must be 0/1")
-    symbols = _QPSK[2 * bits[..., 0::2] + bits[..., 1::2]]
-    out = []
-    offset = 0
-    for desc in plan.slices:
-        out.append(symbols[..., offset : offset + desc.size].copy())
-        offset += desc.size
-    return SlicePayload(symbols=tuple(out))
+    return SlicePayload(frames=_QPSK[2 * bits[..., 0::2] + bits[..., 1::2]], plan=plan)
 
 
 def demodulate(payload: SlicePayload) -> np.ndarray:
-    """Hard-decision bits, shape (..., 2 * N), from per-slice QPSK estimates."""
-    index = _hard_index(payload.concat())
+    """Hard-decision bits, shape (..., 2 * N), from QPSK estimates in frame order."""
+    index = _hard_index(payload.frames)
     bits = (index[..., None] >> np.array([1, 0])) & 1
     return bits.reshape(index.shape[:-1] + (-1,))
 
@@ -152,8 +136,18 @@ def nearest_symbols(estimates) -> np.ndarray:
 
 def transmit(payload: SlicePayload, plan: SlicePlan) -> OfdmFrame:
     """Per-slice unitary IDFT, recursive transform, cyclic prefix."""
-    symbols = _check_payload(payload, plan)
-    body = forward_transform(np.concatenate([_idft(x) for x in symbols], axis=-1), plan.depth)
+    if payload.plan.slices != plan.slices:
+        raise ValueError("payload is laid out for a different slice plan")
+    frames = np.asarray(payload.frames, dtype=np.complex128)
+    if frames.shape[-1:] != (plan.frame_size,):
+        raise ValueError(f"expected {plan.frame_size} symbols per frame, got shape {frames.shape}")
+    if not np.all(np.isfinite(frames)):
+        raise ValueError("payload contains non-finite symbols")
+    spread = np.empty(frames.shape, dtype=np.complex128)
+    for desc in plan.slices:
+        stretch = slice(desc.frame_offset, desc.frame_offset + desc.size)
+        spread[..., stretch] = _idft(frames[..., stretch])
+    body = forward_transform(spread, plan.depth)
     cp = body[..., plan.frame_size - plan.cp_length :].copy()
     return OfdmFrame(body=body, cyclic_prefix=cp, plan=plan)
 
@@ -244,17 +238,15 @@ def _receive(y: np.ndarray, plan: SlicePlan, gains: np.ndarray) -> SlicePayload:
     response ``gains`` (the N-point FFT of the taps), unchecked."""
     erased = np.abs(gains) < EQUALIZER_ERASURE_THRESHOLD
     safe = np.where(erased, 1.0, gains)
-    z = inverse_transform(y, plan.depth)
-    estimates = []
-    erasures = []
+    estimate = inverse_transform(y, plan.depth)
+    erasures = np.empty(estimate.shape, dtype=bool)
     for desc in plan.slices:
+        stretch = slice(desc.frame_offset, desc.frame_offset + desc.size)
         bins = slice(desc.bin_residue, None, desc.bin_stride)
-        estimate = _dft(z[..., desc.frame_offset : desc.frame_offset + desc.size]) / safe[..., bins]
-        slice_erased = np.broadcast_to(erased[..., bins], estimate.shape).copy()
-        estimate[slice_erased] = 0.0
-        estimates.append(estimate)
-        erasures.append(slice_erased)
-    return SlicePayload(symbols=tuple(estimates), erasures=tuple(erasures))
+        np.divide(_dft(estimate[..., stretch]), safe[..., bins], out=estimate[..., stretch])
+        erasures[..., stretch] = erased[..., bins]
+    estimate[erasures] = 0.0
+    return SlicePayload(frames=estimate, plan=plan, erasures=erasures)
 
 
 def iterative_decode(z3, z4, taps, max_iters: int = 100, tol: float = 1e-10):
@@ -317,7 +309,8 @@ def triangular_toeplitz_inverse(matrix) -> np.ndarray:
     Toeplitz, so that row is its first column reversed, and only the first
     entry of ``h^T @ inv_prev`` is new: the recursion keeps the first column
     alone, c_{k-1} = -(1/h0) * sum_j h_{k-1-j} c_j, in O(n^2) work and O(n)
-    memory. Exact up to round-off; validated so that result @ matrix == I.
+    memory. Exact up to round-off; validated so that result @ matrix == I,
+    and rejected when it overflows (h0 tiny next to the other taps).
     """
     a = np.asarray(matrix, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
@@ -328,9 +321,12 @@ def triangular_toeplitz_inverse(matrix) -> np.ndarray:
         raise ValueError("zero diagonal entry; matrix is singular")
     if not np.allclose(a, lower_triangular_toeplitz(col, n), atol=1e-12 * max(1.0, float(np.max(np.abs(a))))):
         raise ValueError("matrix is not lower-triangular Toeplitz")
-    inv_h0 = 1.0 / col[0]
     first = np.zeros(n, dtype=np.complex128)
-    first[0] = inv_h0
-    for k in range(2, n + 1):
-        first[k - 1] = -(col[k - 1 : 0 : -1] @ first[: k - 1]) * inv_h0
+    with np.errstate(all="ignore"):
+        inv_h0 = 1.0 / col[0]
+        first[0] = inv_h0
+        for k in range(2, n + 1):
+            first[k - 1] = -(col[k - 1 : 0 : -1] @ first[: k - 1]) * inv_h0
+    if not np.all(np.isfinite(first)):
+        raise ValueError(f"inverse overflows: h0 = {col[0]:.3g} is too small relative to the other taps")
     return lower_triangular_toeplitz(first, n)

@@ -235,6 +235,14 @@ class TestConfig:
 
 
 class TestScenarios:
+    @pytest.mark.parametrize("scenario", sorted(PRESETS))
+    def test_every_output_file_ends_its_lines_with_a_bare_newline(self, tmp_path, scenario):
+        runs = min(2, PRESETS[scenario]["num_runs"])
+        paths = run_scenario(make_config(scenario, num_runs=runs, output_dir=str(tmp_path)))
+        for path in paths.values():
+            data = path.read_bytes()
+            assert b"\r" not in data and data.endswith(b"\n"), path.name
+
     def test_fig7_outputs(self, tmp_path):
         cfg = make_config("fig7", num_runs=12, output_dir=str(tmp_path))
         paths = run_scenario(cfg)
@@ -315,10 +323,10 @@ class TestScenarios:
         taps /= np.linalg.norm(taps)
         bits = rng.integers(0, 2, 512)
         payload = modulate(bits, plan)
-        muted = list(payload.symbols)
-        muted[0] = np.zeros_like(muted[0])
+        muted = payload.frames.copy()
+        muted[: plan.slices[0].size] = 0
         rho = 10.0 ** 3  # 30 dB
-        frame = transmit(SlicePayload(symbols=tuple(muted)), plan)
+        frame = transmit(SlicePayload(frames=muted, plan=plan), plan)
         estimate = receive(propagate(frame, taps, snr=rho, rng=rng), plan, taps)
         # The muted slice should carry roughly noise-level power, far below
         # the unit symbol power of the live slices.

@@ -50,5 +50,7 @@ def test_readme_tour_runs_as_written():
     assert names["chain"].slice_mi().shape == (4, 4)
     assert names["taps"].shape == (4, 155)
     assert names["frames"].body.shape == (4, 2048)
+    assert names["payload"].frames.shape == (2048,)
+    assert names["estimates"].frames.shape == names["estimates"].erasures.shape == (4, 2048)
     assert [s.shape for s in names["estimates"].symbols] == [(4, 256), (4, 256), (4, 512), (4, 1024)]
     assert names["bits_hat"].shape == (2 * 2048,)

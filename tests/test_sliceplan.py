@@ -177,3 +177,5 @@ def test_plan_csv_to_file(tmp_path):
     out = tmp_path / "plan.csv"
     plan_to_csv(plan, out)
     assert out.read_text().startswith("path,size,")
+    data = out.read_bytes()
+    assert b"\r" not in data and data.count(b"\n") == 1 + len(plan.slices)

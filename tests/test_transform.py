@@ -12,6 +12,8 @@ from physlice.transform import (
     split_matrix,
 )
 
+from oracles import recursive_forward, recursive_inverse
+
 SQRT2 = np.sqrt(2.0)
 
 
@@ -197,6 +199,17 @@ def test_transforms_return_new_arrays_at_depth_zero():
     s = np.arange(4, dtype=np.complex128)
     assert forward_transform(s, 0) is not s and inverse_transform(s, 0) is not s
     np.testing.assert_array_equal(forward_transform(s, 0), s)
+
+
+@pytest.mark.parametrize("log_n", range(13))
+def test_level_loops_are_bitwise_the_recursion_and_leave_the_input_alone(log_n):
+    rng = np.random.default_rng(log_n)
+    frames = rng.standard_normal((2, 3, 1 << log_n)) + 1j * rng.standard_normal((2, 3, 1 << log_n))
+    kept = frames.copy()
+    for depth in range(log_n + 1):
+        np.testing.assert_array_equal(forward_transform(frames, depth), recursive_forward(frames, depth))
+        np.testing.assert_array_equal(inverse_transform(frames, depth), recursive_inverse(frames, depth))
+    np.testing.assert_array_equal(frames, kept)
 
 
 def test_writing_to_a_returned_mixer_leaves_the_transform_intact():

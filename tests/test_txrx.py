@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from scipy.linalg import solve_triangular
 from physlice.channel import build_circulant, circular_complement, lower_triangular_toeplitz
 from physlice.sliceplan import build_plan
 from physlice.spectral import idft
-from physlice.transform import recursive_matrix
+from physlice.transform import forward_transform, inverse_transform, recursive_matrix
 from physlice.txrx import (
+    _receive,
     OfdmFrame,
     SlicePayload,
     demodulate,
@@ -22,6 +24,8 @@ from physlice.txrx import (
     transmit,
     triangular_toeplitz_inverse,
 )
+
+from oracles import recursive_forward, recursive_inverse, slice_tuple, tuple_receive, tuple_transmit
 
 
 def random_taps(rng, length):
@@ -91,7 +95,7 @@ class TestModulation:
         rng = np.random.default_rng(1)
         plan = build_plan(256, 3, 0)
         payload = random_payload(rng, plan)
-        power = np.mean(np.abs(payload.concat()) ** 2)
+        power = np.mean(np.abs(payload.frames) ** 2)
         assert power == pytest.approx(1.0, abs=1e-12)
 
     def test_bit_count_must_match_plan(self):
@@ -121,7 +125,7 @@ class TestTransmit:
         payload = random_payload(rng, plan)
         frame = transmit(payload, plan)
         assert np.linalg.norm(frame.body) == pytest.approx(
-            np.linalg.norm(payload.concat()), abs=1e-12
+            np.linalg.norm(payload.frames), abs=1e-12
         )
 
     def test_body_matches_dense_composite_matrix(self):
@@ -134,14 +138,30 @@ class TestTransmit:
         for k in range(8):
             vec = np.zeros(8, dtype=complex)
             vec[k] = 1.0
-            payload = SlicePayload(symbols=(vec[:4].copy(), vec[4:].copy()))
+            payload = SlicePayload(frames=vec, plan=plan)
             frame = transmit(payload, plan)
             np.testing.assert_allclose(frame.body, composite[:, k], atol=1e-12)
 
     def test_rejects_mismatched_payload(self):
         plan = build_plan(16, 1, 0)
         with pytest.raises(ValueError):
-            transmit(SlicePayload(symbols=(np.zeros(4, complex),)), plan)
+            transmit(SlicePayload(frames=np.zeros(4, complex), plan=plan), plan)
+
+    def test_rejects_payload_of_another_plan(self):
+        payload = modulate(np.zeros(32, dtype=int), build_plan(16, 2, 0))
+        with pytest.raises(ValueError, match="different slice plan"):
+            transmit(payload, build_plan(16, 1, 0))
+        # The cyclic prefix is not part of the layout.
+        transmit(payload, build_plan(16, 2, 4))
+
+    def test_symbols_are_read_only_views_of_the_frames(self):
+        plan = build_plan(16, 2, 0)
+        payload = modulate(np.zeros((2, 32), dtype=int), plan)
+        for desc, view in zip(plan.slices, payload.symbols, strict=True):
+            assert np.shares_memory(view, payload.frames) and not view.flags.writeable
+            np.testing.assert_array_equal(view, payload.frames[:, desc.frame_offset : desc.frame_offset + desc.size])
+        with pytest.raises(AttributeError):
+            payload.symbols = ()
 
     def test_frame_rejects_inconsistent_cyclic_prefix(self):
         plan = build_plan(8, 1, 2)
@@ -232,9 +252,10 @@ class TestReceive:
         payload = random_payload(rng, plan)
         taps = random_taps(rng, 6)
         baseline = receive(propagate(transmit(payload, plan), taps), plan, taps)
-        muted = list(payload.symbols)
-        muted[1] = np.zeros_like(muted[1])
-        altered = SlicePayload(symbols=tuple(muted))
+        muted = payload.frames.copy()
+        desc = plan.slices[1]
+        muted[desc.frame_offset : desc.frame_offset + desc.size] = 0
+        altered = SlicePayload(frames=muted, plan=plan)
         estimate = receive(propagate(transmit(altered, plan), taps), plan, taps)
         for i in (0, 2):
             np.testing.assert_allclose(estimate.symbols[i], baseline.symbols[i], atol=1e-9)
@@ -246,9 +267,9 @@ class TestReceive:
         payload = random_payload(rng, plan)
         taps = [1.0, -1.0]  # exact null at bin 0
         estimate = receive(propagate(transmit(payload, plan), taps), plan, taps)
-        assert estimate.erasures[0][0]
+        assert estimate.erasures[0]
         assert estimate.symbols[0][0] == 0
-        assert not estimate.erasures[0][1:].any()
+        assert not estimate.erasures[1:].any()
 
     def test_post_equalization_snr_follows_channel_gain(self):
         rng = np.random.default_rng(14)
@@ -262,8 +283,8 @@ class TestReceive:
             payload = random_payload(rng, plan)
             frame = transmit(payload, plan)
             estimate = receive(propagate(frame, taps, snr=rho, rng=rng), plan, taps)
-            tx = payload.concat()
-            rx = estimate.concat()
+            tx = payload.frames
+            rx = estimate.frames
             # Reorder both to original-bin order per slice for the comparison.
             errors[trial] = rx - tx
         # Group errors by original bin: slice 0 carries even bins, slice 1 odd.
@@ -377,6 +398,14 @@ class TestIterativeDecode:
         assert radius > 1.0  # genuinely divergent construction
         _, _, _, converged = iterative_decode(z3, z4, taps, max_iters=50)
         assert not converged
+
+    def test_rejects_a_leading_tap_too_small_for_the_inverse(self):
+        # 1/h0 = 1e100 and the first column of inv(H) grows like 1e100^k:
+        # rejected before any overflow warning or NaN.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="h0 .* too small relative to the other taps"):
+                iterative_decode(np.ones(8, complex), np.ones(8, complex), [1e-100, 1, 0.5])
 
     def test_rejects_zero_leading_tap(self):
         with pytest.raises(ValueError, match="singular"):
@@ -510,9 +539,9 @@ class TestBatchOracles:
             single = receive(y[r], plan, channels[r])
             for k in range(len(plan.slices)):
                 np.testing.assert_array_equal(batch.symbols[k][r], single.symbols[k])
-                np.testing.assert_array_equal(batch.erasures[k][r], single.erasures[k])
-        assert batch.erasures[0][0, 0] and batch.erasures[0][2, 0]
-        assert batch.erasures[0][1, 0] == shared
+            np.testing.assert_array_equal(batch.erasures[r], single.erasures)
+        assert batch.erasures[0, 0] and batch.erasures[2, 0]
+        assert batch.erasures[1, 0] == shared
 
     def test_drawn_tap_batch_equals_the_per_run_channels(self):
         from physlice.channel import EPA_PROFILE, draw_taps, sample_cir
@@ -529,7 +558,7 @@ class TestBatchOracles:
         batch, per_run = receive(got, plan, taps), receive(got, plan, channels)
         for k in range(len(plan.slices)):
             np.testing.assert_array_equal(batch.symbols[k], per_run.symbols[k])
-            np.testing.assert_array_equal(batch.erasures[k], per_run.erasures[k])
+        np.testing.assert_array_equal(batch.erasures, per_run.erasures)
 
     def test_batch_arguments_must_match_the_batch(self):
         rng = np.random.default_rng(104)
@@ -550,9 +579,21 @@ class TestBatchOracles:
         with pytest.raises(ValueError, match="non-finite"):
             receive(y, plan, taps)
         payload = modulate(np.zeros(32, dtype=int), plan)
-        bad = SlicePayload(symbols=(payload.symbols[0], np.full(8, np.inf, complex)))
+        frames = payload.frames.copy()
+        frames[8:] = np.inf
+        bad = SlicePayload(frames=frames, plan=plan)
         with pytest.raises(ValueError, match="non-finite"):
             transmit(bad, plan)
+
+    def test_ragged_channels_are_rejected_with_the_zero_padding_hint(self):
+        plan = build_plan(16, 1, 4)
+        frames = transmit(modulate(np.zeros((2, 32), dtype=int), plan), plan)
+        ragged = [np.ones(2), np.ones(3)]
+        with pytest.raises(ValueError, match="taps .* zero-pad the channels to one length"):
+            propagate(frames, ragged)
+        with pytest.raises(ValueError, match="taps .* zero-pad the channels to one length"):
+            receive(frames.body, plan, ragged)
+        np.testing.assert_array_equal(propagate(frames, zero_padded(ragged)), propagate(frames, [[1, 1, 0], [1, 1, 1]]))
 
     def test_rejects_non_positive_snr(self):
         plan = build_plan(16, 1, 2)
@@ -560,6 +601,54 @@ class TestBatchOracles:
         for rho in (0.0, -1.0, np.nan):
             with pytest.raises(ValueError, match="snr must be positive"):
                 propagate(frame, [1.0], snr=rho, rng=0)
+
+
+@st.composite
+def frame_order_cases(draw):
+    """A plan of N = 2^0 .. 2^11 at any depth and cyclic prefix that fit, a
+    batch shape (), (R,) or (R1, R2), gains shared by the batch or one row
+    per frame with up to four bins set to 0, to 1e-13 (below the erasure
+    threshold) or to 1e-11 (above it), and a seed for the bits, frames and
+    gains."""
+    log_n = draw(st.integers(0, 11))
+    n = 1 << log_n
+    plan = build_plan(n, draw(st.integers(0, log_n)), draw(st.integers(0, n)))
+    batch = draw(
+        st.one_of(st.just(()), st.tuples(st.integers(1, 4)), st.tuples(st.integers(1, 3), st.integers(1, 3)))
+    )
+    gains_shape = draw(st.sampled_from([(), batch])) + (n,)
+    nulls = draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from([0.0, 1e-13, 1e-11])), max_size=4))
+    return plan, batch, gains_shape, nulls, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(frame_order_cases())
+def test_frame_order_link_is_bitwise_the_tuple_chain_and_the_recursive_transform(case):
+    plan, batch, gains_shape, nulls, seed = case
+    n = plan.frame_size
+    rng = np.random.default_rng(seed)
+    payload = modulate(rng.integers(0, 2, batch + (2 * n,)), plan)
+    frame = transmit(payload, plan)
+    np.testing.assert_array_equal(frame.body, tuple_transmit(slice_tuple(payload.frames, plan), plan))
+    np.testing.assert_array_equal(frame.cyclic_prefix, frame.body[..., n - plan.cp_length :])
+
+    y = rng.standard_normal(batch + (n,)) + 1j * rng.standard_normal(batch + (n,))
+    gains = rng.standard_normal(gains_shape) + 1j * rng.standard_normal(gains_shape)
+    for index, value in nulls:
+        gains[..., index] = value
+    estimate = _receive(y, plan, gains)
+    assert estimate.frames.shape == estimate.erasures.shape == batch + (n,)
+    assert estimate.erasures.sum() == np.broadcast_to(np.abs(gains) < 1e-12, y.shape).sum()
+    want, want_erased = tuple_receive(y, plan, gains)
+    for payload_ in (payload, estimate):
+        for desc, view in zip(plan.slices, payload_.symbols, strict=True):
+            np.testing.assert_array_equal(view, payload_.frames[..., desc.frame_offset : desc.frame_offset + desc.size])
+    for desc, got, w, w_erased in zip(plan.slices, estimate.symbols, want, want_erased, strict=True):
+        np.testing.assert_array_equal(got, w)
+        np.testing.assert_array_equal(estimate.erasures[..., desc.frame_offset : desc.frame_offset + desc.size], w_erased)
+
+    np.testing.assert_array_equal(forward_transform(y, plan.depth), recursive_forward(y, plan.depth))
+    np.testing.assert_array_equal(inverse_transform(y, plan.depth), recursive_inverse(y, plan.depth))
 
 
 def test_nearest_symbols_equals_argmin_oracle():
