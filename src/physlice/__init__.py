@@ -35,10 +35,8 @@ from .mi import (
     MODE_EXACT,
     MODE_LITERAL,
     ChainMi,
-    MiSplitReport,
     SnrSpec,
     chain_mi,
-    deep_split_report,
     mi_fast,
     mi_logdet,
     split_report,
@@ -50,7 +48,6 @@ from .sliceplan import (
     bins_for_slice,
     build_plan,
     decode_cost,
-    plan_to_csv,
     total_cost,
 )
 from .spectral import dft, freq_response, idft, logdet2_psd

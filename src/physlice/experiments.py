@@ -36,8 +36,8 @@ from .channel import (
     profile_tap_count,
     sample_cir,
 )
-from .mi import MODE_EXACT, MODE_LITERAL, ChainMi, SnrSpec, chain_mi, deep_split_report, split_report
-from .sliceplan import SlicePlan, build_plan, total_cost
+from .mi import MODE_EXACT, MODE_LITERAL, ChainMi, SnrSpec, chain_mi
+from .sliceplan import SlicePlan, build_plan, decode_cost, total_cost
 from .txrx import _noise_rho, _propagate, _receive, modulate, nearest_symbols, transmit
 
 __all__ = [
@@ -51,6 +51,8 @@ __all__ = [
 ]
 
 _FLOAT_FMT = "{:.12g}"
+# A row of the per-slice report of fig4 and table1.
+_REPORT_ROW = f"{{}},{{}},{{}},{{}},{_FLOAT_FMT},{_FLOAT_FMT}\n"
 
 # ``._streams`` is imported where it is used: it loads numpy.random, which
 # adds about 6 MB and 25 ms to ``import physlice``; the first run of a
@@ -392,19 +394,45 @@ def _run_fig9(
     return {"runs": runs_path, "summary": summary_path}
 
 
+def _write_report(path: Path, records) -> None:
+    """One row per (level, path, size, mode, mi_bits, parent_residual) record."""
+    _write_rows(path, "level,path,size,mode,mi_bits,parent_residual", (_REPORT_ROW.format(*r) for r in records))
+
+
+def _table_head(size: int, depth: int, mode: str, rho: float, total: float) -> str:
+    """First line of the per-slice table in a fig4 or table1 summary."""
+    return f"frame_size={size} depth={depth} mode={mode} rho={rho:.6g} total_mi_bits={total:.6f}"
+
+
 def _run_fig4(
     config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, out: Path
 ) -> dict[str, Path]:
-    drawn = sample_cir(profile, config.sample_period_ns, _first_stream(config))
-    report = split_report(drawn, config.n_fft, config.depth, config.snr, mode=config.mode)
+    chain = _rate_scenario(config, profile)
+    slice_mi = chain.slice_mi().tolist()
     runs_path = out / f"{config.scenario}_runs.csv"
-    _write_mi_runs(runs_path, plan, [[r.mi_bits for r in report.records]])
+    _write_mi_runs(runs_path, plan, slice_mi)
+    # Each slice with the residual of the split that made it, at level
+    # len(path); the whole frame of a depth-0 plan has none.
+    residual = [0.0] + chain.residual()[0].tolist()
+    records = [
+        (len(s.path), s.path, s.size, config.mode, mi_bits, residual[len(s.path)])
+        for s, mi_bits in zip(plan.slices, slice_mi[0])
+    ]
     report_path = out / f"{config.scenario}_report.csv"
-    report.to_csv(report_path)
+    _write_report(report_path, records)
+
+    total = float(chain.total[0])
+    lines = _summary_lines(config, plan, taps, chain.max_residual_rel())
+    lines.append(f"total_mi_bits={_fmt(total)}")
+    lines.append(_table_head(config.n_fft, config.depth, config.mode, config.snr.rho, total))
+    lines.append(f"{'path':>12} {'size':>6} {'mi_bits':>14} {'residual':>12}")
+    lines += [f"{path:>12} {size:>6} {mi_bits:>14.6f} {res:>12.3e}" for _, path, size, _, mi_bits, res in records]
+    if plan.non_uniform:
+        lines.append(
+            f"note: channel ({taps} taps) outgrows the smallest slice ({config.n_fft >> config.depth}); "
+            "splitting is non-uniform at the deep levels"
+        )
     summary_path = out / f"{config.scenario}_summary.txt"
-    lines = _summary_lines(config, plan, taps, report.max_level_residual())
-    lines.append(f"total_mi_bits={_fmt(report.total_mi_bits)}")
-    lines.append(report.summary_table())
     summary_path.write_text("\n".join(lines) + "\n")
     return {"runs": runs_path, "report": report_path, "summary": summary_path}
 
@@ -412,20 +440,46 @@ def _run_fig4(
 def _run_table1(
     config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, out: Path
 ) -> dict[str, Path]:
+    """Split the deepest positive slice of the plan all the way down to size
+    1, and report both children of every level in both modes, with the
+    decode cost of each child size."""
     channel = build_circulant(sample_cir(profile, config.sample_period_ns, _first_stream(config)), config.n_fft)
     for _ in range(config.depth):
         channel = positive_child(channel)
-    report = deep_split_report(channel, config.snr)
+    depth = channel.size.bit_length() - 1
+    chains = {
+        mode: chain_mi(channel.generator, channel.size, depth, config.snr, mode) for mode in (MODE_EXACT, MODE_LITERAL)
+    }
+    sizes = [channel.size >> level for level in range(1, depth + 1)]
+    records = [
+        (level, path, size, mode, mi_bits, res)
+        for mode, chain in chains.items()
+        for level, size, pos, neg, res in zip(
+            range(1, depth + 1), sizes, chain.positive.tolist(), chain.negative.tolist(), chain.residual().tolist()
+        )
+        for path, mi_bits in (("+" * level, pos), ("+" * (level - 1) + "-", neg))
+    ]
     report_path = out / f"{config.scenario}_report.csv"
-    report.to_csv(report_path)
-    summary_path = out / f"{config.scenario}_summary.txt"
+    _write_report(report_path, records)
+
+    cost_row = ["2/1" if size == 1 else str(decode_cost("-", size)) for size in sizes]
+    table = [["size"] + [str(size) for size in sizes]]
+    for mode, chain in chains.items():
+        for branch, values in (("mi+", chain.positive), ("mi-", chain.negative)):
+            table.append([f"{branch} ({mode})"] + [f"{mi_bits:.4g}" for mi_bits in values.tolist()])
+    table.append(["decode_ops"] + cost_row)
+    widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
     lines = [
         f"scenario={config.scenario}",
         f"continuation_root_size={channel.size} (deepest positive slice of a depth-{config.depth} plan)",
         f"seed={config.seed} snr_db={_fmt(config.snr_db)}",
-        f"decode_cost_row={','.join(report.cost_row)}",
-        report.summary_table(),
+        f"decode_cost_row={','.join(cost_row)}",
+        _table_head(channel.size, depth, "both", config.snr.rho, float(chains[MODE_EXACT].total)),
+        *("  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in table),
+        "note: the two modes coincide while the taps fit in the block and diverge below; "
+        "per-level sums in literal mode need not match the parent",
     ]
+    summary_path = out / f"{config.scenario}_summary.txt"
     summary_path.write_text("\n".join(lines) + "\n")
     return {"report": report_path, "summary": summary_path}
 

@@ -19,19 +19,18 @@ child and the odd bins to the negative child:
   coincide while the channel fits in the slice and reproduce non-uniform
   splitting once it does not.
 
-``chain_mi`` is the batched entry point; ``split_report`` and
-``deep_split_report`` are its batch-of-one case, with per-slice records.
-Every row of a batch is bit-identical to the same channel run on its own.
-No dense matrix is built on this path. ``mi_logdet`` (exact log-det on a
-dense matrix) and the generator fold of ``channel`` are the oracles the tests
-hold the engine to.
+``chain_mi`` is the batched entry point and :class:`ChainMi` the one result
+type: the scenarios read per-slice MI, residuals and the conservation check
+straight from its arrays. ``split_report`` is its case for one (L,) channel,
+a ChainMi of batch shape (). Every row of a batch is bit-identical to the
+same channel run on its own. No dense matrix is built on this path.
+``mi_logdet`` (exact log-det on a dense matrix) and the generator fold of
+``channel`` are the oracles the tests hold the engine to.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -42,14 +41,11 @@ from .channel import (
     lower_triangular_toeplitz,
     split_coupling,
 )
-from .sliceplan import check_plan, decode_cost
+from .sliceplan import check_plan
 from .spectral import logdet2_psd
 
 __all__ = [
     "SnrSpec",
-    "SliceMi",
-    "LevelSplit",
-    "MiSplitReport",
     "ChainMi",
     "MODE_EXACT",
     "MODE_LITERAL",
@@ -58,7 +54,6 @@ __all__ = [
     "chain_mi",
     "split_report",
     "uniformity_ratio",
-    "deep_split_report",
 ]
 
 MODE_EXACT = "exact-fold"
@@ -126,103 +121,6 @@ def mi_fast(generator, snr) -> float:
     return float(np.sum(_log_gains(np.fft.fft(g), _rho(snr))))
 
 
-@dataclass(frozen=True)
-class SliceMi:
-    """Mutual information of one slice, plus the residual of the split that made it."""
-
-    level: int
-    path: str
-    size: int
-    mode: str
-    mi_bits: float
-    parent_residual: float
-
-
-@dataclass(frozen=True)
-class LevelSplit:
-    """Parent/children MI of one split level."""
-
-    level: int
-    parent_mi: float
-    positive_mi: float
-    negative_mi: float
-
-    @property
-    def residual(self) -> float:
-        return self.parent_mi - (self.positive_mi + self.negative_mi)
-
-
-@dataclass
-class MiSplitReport:
-    """Per-slice MI report with conservation diagnostics."""
-
-    frame_size: int
-    depth: int
-    mode: str
-    rho: float
-    total_mi_bits: float
-    records: list[SliceMi]
-    levels: list[LevelSplit]
-    cost_row: tuple[str, ...] | None = None
-    notes: tuple[str, ...] = ()
-
-    def max_level_residual(self) -> float:
-        """Largest |parent - (child+ + child-)| / parent over levels, the rule
-        of :meth:`ChainMi.max_residual_rel`: 0 at depth 0, and a level with a
-        parent MI of 0 counts its absolute residual."""
-        worst = 0.0
-        for lvl in self.levels:
-            res = abs(lvl.residual)
-            if lvl.parent_mi > 0:
-                res /= lvl.parent_mi
-            worst = max(worst, res)
-        return worst
-
-    def to_csv(self, destination) -> None:
-        def _write(fh):
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["level", "path", "size", "mode", "mi_bits", "parent_residual"])
-            for r in self.records:
-                writer.writerow(
-                    [r.level, r.path, r.size, r.mode, f"{r.mi_bits:.12g}", f"{r.parent_residual:.12g}"]
-                )
-
-        if hasattr(destination, "write"):
-            _write(destination)
-        else:
-            with Path(destination).open("w", newline="") as fh:
-                _write(fh)
-
-    def summary_table(self) -> str:
-        """Plain-text table, one row per slice (or per size for deep reports)."""
-        lines = [
-            f"frame_size={self.frame_size} depth={self.depth} mode={self.mode} "
-            f"rho={self.rho:.6g} total_mi_bits={self.total_mi_bits:.6f}"
-        ]
-        if self.cost_row is not None:
-            sizes = sorted({r.size for r in self.records}, reverse=True)
-            header = ["size"] + [str(s) for s in sizes]
-            rows: list[list[str]] = []
-            for mode in _MODES:
-                for branch, sign in (("mi+", "+"), ("mi-", "-")):
-                    vals = []
-                    for s in sizes:
-                        rec = [r for r in self.records if r.size == s and r.mode == mode and r.path.endswith(sign)]
-                        vals.append(f"{rec[0].mi_bits:.4g}" if rec else "")
-                    rows.append([f"{branch} ({mode})"] + vals)
-            rows.append(["decode_ops"] + list(self.cost_row))
-            widths = [max(len(col[i]) for col in ([header] + rows)) for i in range(len(header))]
-            for row in [header] + rows:
-                lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-        else:
-            lines.append(f"{'path':>12} {'size':>6} {'mi_bits':>14} {'residual':>12}")
-            for r in self.records:
-                lines.append(f"{r.path:>12} {r.size:>6} {r.mi_bits:>14.6f} {r.parent_residual:>12.3e}")
-        for note in self.notes:
-            lines.append(f"note: {note}")
-        return "\n".join(lines)
-
-
 def uniformity_ratio(taps, frame_size: int) -> float:
     """Off-diagonal coupling of one split relative to its diagonal Gram term.
 
@@ -253,11 +151,16 @@ class ChainMi:
     positive: np.ndarray
     negative: np.ndarray
 
+    def residual(self) -> np.ndarray:
+        """Conservation residual parent - (child+ + child-) of every level,
+        B + (depth,)."""
+        return self.parent - (self.positive + self.negative)
+
     def max_residual_rel(self) -> float:
-        """Largest |parent - (child+ + child-)| / parent over every channel and
-        level (0 at depth 0); a level with a parent MI of 0 counts its
-        absolute residual."""
-        res = np.abs(self.parent - (self.positive + self.negative))
+        """Largest |:meth:`residual`| / parent over every channel and level
+        (0 at depth 0); a level with a parent MI of 0 counts its absolute
+        residual."""
+        res = np.abs(self.residual())
         np.divide(res, self.parent, out=res, where=self.parent > 0)
         return float(res.max(initial=0.0))
 
@@ -311,89 +214,7 @@ def chain_mi(taps, frame_size: int, depth: int, snr, mode: str = MODE_EXACT) -> 
     return _chain_levels(check_taps(taps, frame_size), frame_size, depth, _rho(snr), mode)
 
 
-def _level_splits(chain: ChainMi) -> list[LevelSplit]:
-    """The levels of a batch-of-one :class:`ChainMi` as :class:`LevelSplit` records."""
-    return [
-        LevelSplit(level, parent, positive, negative)
-        for level, (parent, positive, negative) in enumerate(
-            zip(chain.parent.tolist(), chain.positive.tolist(), chain.negative.tolist()), start=1
-        )
-    ]
-
-
-def _negative_path(level: int) -> str:
-    return "+" * (level - 1) + "-"
-
-
-def split_report(taps, frame_size: int, depth: int, snr, mode: str = MODE_EXACT) -> MiSplitReport:
-    """Per-slice MI of the canonical chain plan for one channel realization,
-    given as (L,) taps."""
-    taps = check_taps(taps, frame_size, ())
-    chain = chain_mi(taps, frame_size, depth, snr, mode)
-    total = float(chain.total)
-    levels = _level_splits(chain)
-    smallest = frame_size >> depth
-    if levels:
-        final = SliceMi(depth, "+" * depth, smallest, mode, levels[-1].positive_mi, levels[-1].residual)
-    else:
-        final = SliceMi(0, "", frame_size, mode, total, 0.0)
-    # Frame order: smallest slice first.
-    records = [final] + [
-        SliceMi(lvl.level, _negative_path(lvl.level), frame_size >> lvl.level, mode, lvl.negative_mi, lvl.residual)
-        for lvl in reversed(levels)
-    ]
-    notes = ()
-    if taps.size > smallest:
-        notes = (
-            f"channel ({taps.size} taps) outgrows the smallest slice "
-            f"({smallest}); splitting is non-uniform at the deep levels",
-        )
-    return MiSplitReport(
-        frame_size=frame_size,
-        depth=depth,
-        mode=mode,
-        rho=_rho(snr),
-        total_mi_bits=total,
-        records=records,
-        levels=levels,
-        notes=notes,
-    )
-
-
-def deep_split_report(channel: CirculantChannel, snr) -> MiSplitReport:
-    """Chain the split of one slice channel all the way down to size 1.
-
-    Both children are reported at every level, in both modes, together with
-    the per-size decode-cost row. Intended for a slice channel (for example
-    the deepest positive slice of a plan) rather than a whole frame.
-    """
-    depth = channel.size.bit_length() - 1
-    exact = chain_mi(channel.generator, channel.size, depth, snr, MODE_EXACT)
-    levels = _level_splits(exact)
-    literal = _level_splits(chain_mi(channel.generator, channel.size, depth, snr, MODE_LITERAL))
-    records: list[SliceMi] = []
-    for mode, mode_levels in ((MODE_EXACT, levels), (MODE_LITERAL, literal)):
-        for lvl in mode_levels:
-            size = channel.size >> lvl.level
-            records.append(SliceMi(lvl.level, "+" * lvl.level, size, mode, lvl.positive_mi, lvl.residual))
-            records.append(SliceMi(lvl.level, _negative_path(lvl.level), size, mode, lvl.negative_mi, lvl.residual))
-
-    sizes = [channel.size >> level for level in range(1, depth + 1)]
-    cost_row = tuple(
-        "2/1" if size == 1 else str(decode_cost("-", size)) for size in sizes
-    )
-    notes = (
-        "the two modes coincide while the taps fit in the block and diverge below; "
-        "per-level sums in literal mode need not match the parent",
-    )
-    return MiSplitReport(
-        frame_size=channel.size,
-        depth=depth,
-        mode="both",
-        rho=_rho(snr),
-        total_mi_bits=float(exact.total),
-        records=records,
-        levels=levels,
-        cost_row=cost_row,
-        notes=notes,
-    )
+def split_report(taps, frame_size: int, depth: int, snr, mode: str = MODE_EXACT) -> ChainMi:
+    """:func:`chain_mi` of one channel realization given as (L,) taps: a
+    :class:`ChainMi` of batch shape ()."""
+    return chain_mi(check_taps(taps, frame_size, ()), frame_size, depth, snr, mode)

@@ -10,9 +10,7 @@ FFT-operation units that determines its latency rank.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 from .spectral import is_pow2
 
@@ -24,7 +22,6 @@ __all__ = [
     "bins_for_slice",
     "decode_cost",
     "total_cost",
-    "plan_to_csv",
 ]
 
 
@@ -162,18 +159,3 @@ def total_cost(plan: SlicePlan) -> int:
     """Total decode operations over all slices of the plan."""
     return sum(s.decode_ops for s in plan.slices)
 
-
-def plan_to_csv(plan: SlicePlan, destination) -> None:
-    """Write the plan summary as CSV (one row per slice, frame order)."""
-
-    def _write(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["path", "size", "frame_offset", "bin_residue", "bin_stride", "decode_ops"])
-        for s in plan.slices:
-            writer.writerow([s.path, s.size, s.frame_offset, s.bin_residue, s.bin_stride, s.decode_ops])
-
-    if hasattr(destination, "write"):
-        _write(destination)
-    else:
-        with Path(destination).open("w", newline="") as fh:
-            _write(fh)

@@ -51,7 +51,10 @@ __all__ = [
     "EQUALIZER_ERASURE_THRESHOLD",
 ]
 
-# Bins with |gain| below this are flagged as erasures instead of divided by.
+# Bins whose |gain| is at most this fraction of the frame's RMS gain are
+# flagged as erasures instead of divided by. The RMS over the N bins of the
+# unnormalized channel FFT is ||taps||_2 (Parseval), so the rule does not
+# depend on the channel's scale, and a zero channel erases every bin.
 EQUALIZER_ERASURE_THRESHOLD = 1e-12
 
 # Gray-mapped QPSK, unit average power; symbol index is (real_bit << 1) | imag_bit
@@ -221,8 +224,9 @@ def receive(y, plan: SlicePlan, taps) -> SlicePayload:
     every frame or one per frame, y.shape[:-1] + (L,). The equalizer divides
     slice bin b by the true channel response at the original bin the slice
     carries there, ``gains[..., bin_residue::bin_stride]`` (genie-aided).
-    Bins whose gain magnitude falls below ``EQUALIZER_ERASURE_THRESHOLD``
-    are flagged as erasures and returned as zeros.
+    Bins whose gain magnitude is at most ``EQUALIZER_ERASURE_THRESHOLD``
+    times the frame's RMS gain, ||taps||_2, are flagged as erasures and
+    returned as zeros.
     """
     y = np.asarray(y, dtype=np.complex128)
     if y.shape[-1:] != (plan.frame_size,):
@@ -236,7 +240,9 @@ def receive(y, plan: SlicePlan, taps) -> SlicePayload:
 def _receive(y: np.ndarray, plan: SlicePlan, gains: np.ndarray) -> SlicePayload:
     """:func:`receive` of complex frames ``y`` through channels of frequency
     response ``gains`` (the N-point FFT of the taps), unchecked."""
-    erased = np.abs(gains) < EQUALIZER_ERASURE_THRESHOLD
+    magnitude = np.abs(gains)
+    rms = np.sqrt(np.mean(magnitude**2, axis=-1, keepdims=True))
+    erased = magnitude <= EQUALIZER_ERASURE_THRESHOLD * rms
     safe = np.where(erased, 1.0, gains)
     estimate = inverse_transform(y, plan.depth)
     erasures = np.empty(estimate.shape, dtype=bool)

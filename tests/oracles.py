@@ -70,8 +70,10 @@ def tuple_transmit(symbols, plan):
 def tuple_receive(y, plan, gains):
     """Per-slice estimates and erasures of frames ``y`` through channels of
     frequency response ``gains``: recursive adjoint, unitary DFT per slice,
-    one-tap zero forcing, erased bins set to 0."""
-    erased = np.abs(gains) < EQUALIZER_ERASURE_THRESHOLD
+    one-tap zero forcing, erased bins set to 0. A bin is erased when its
+    gain is at most the threshold times the frame's RMS gain."""
+    magnitude = np.abs(gains)
+    erased = magnitude <= EQUALIZER_ERASURE_THRESHOLD * np.sqrt(np.mean(magnitude**2, axis=-1, keepdims=True))
     safe = np.where(erased, 1.0, gains)
     z = recursive_inverse(y, plan.depth)
     estimates, erasures = [], []

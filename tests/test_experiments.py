@@ -39,8 +39,8 @@ def loopback_replay(cfg) -> bytes:
 
 
 def mi_replay(cfg) -> tuple[list, bytes]:
-    """Per-run split reports from each run's ``default_rng([seed, run_id])``
-    stream, and the MI runs file they give."""
+    """Per-run chain MI (one ``split_report`` per run) from each run's
+    ``default_rng([seed, run_id])`` stream, and the MI runs file they give."""
     from physlice.channel import sample_cir
     from physlice.mi import split_report
     from physlice.sliceplan import build_plan
@@ -56,9 +56,8 @@ def mi_replay(cfg) -> tuple[list, bytes]:
     ]
     lines = ["run_id,slice_path,slice_size,mi_bits,decode_ops"]
     for run_id, report in enumerate(reports):
-        for desc, r in zip(plan.slices, report.records, strict=True):
-            assert r.path == desc.path
-            lines.append(f"{run_id},{r.path},{r.size},{r.mi_bits:.12g},{desc.decode_ops}")
+        for desc, mi_bits in zip(plan.slices, report.slice_mi().tolist(), strict=True):
+            lines.append(f"{run_id},{desc.path},{desc.size},{mi_bits:.12g},{desc.decode_ops}")
     return reports, ("\n".join(lines) + "\n").encode()
 
 
@@ -358,15 +357,17 @@ class TestScenarios:
         # No run count is a multiple of the chunk (4 runs at N=2048, 64 at N=128).
         cfg = make_config(scenario, num_runs=num_runs, seed=7, mode=mode)
         reports, replay = mi_replay(cfg)
-        residual = max(r.max_level_residual() for r in reports)
+        residual = max(r.max_residual_rel() for r in reports)
         cdf = None
         if scenario != "fig9":
-            splits = [r.levels[0 if scenario == "fig7" else -1] for r in reports]
+            level = 0 if scenario == "fig7" else -1
             names = ("positive", "negative", "half_total") if scenario == "fig7" else (
                 "deepest_positive", "deepest_negative", "half_parent"
             )
             samples = (
-                [s.positive_mi for s in splits], [s.negative_mi for s in splits], [s.parent_mi / 2.0 for s in splits]
+                [float(r.positive[level]) for r in reports],
+                [float(r.negative[level]) for r in reports],
+                [float(r.parent[level]) / 2.0 for r in reports],
             )
             cdf = ["curve,x,cdf"] + [
                 f"{name},{x:.12g},{(k + 1) / num_runs:.12g}"
@@ -533,3 +534,93 @@ class TestCli:
         code = cli_main(["--scenario", "fig9", "--runs", "2"])
         assert code == 0
         assert (tmp_path / "envout" / "fig9_runs.csv").exists()
+
+
+# SHA-256 of every file that fig4 and table1 write, by CLI flags on top of the
+# preset. Pinned so that a change to how these two scenarios are computed or
+# formatted cannot alter a single output byte.
+GOLDEN_DIGESTS = [
+    ("fig4", "", {
+        "fig4_report.csv": "977dceb03a5d5a150bd2979f0c05e767a9393cc5f086e5d9a8cdc160e6505b09",
+        "fig4_runs.csv": "eef8c21194ceddf0987d52c0b9dfca34649f5bcfd576cfa713a6138cd990156a",
+        "fig4_summary.txt": "cbf4552c348ca6403430edcf00bc5166bf7db379355ef85ca945cef56044da40",
+    }),
+    ("fig4", "--seed 5", {
+        "fig4_report.csv": "76e58548b460646c9c12ae0ff37c0e9896356bfef2b22bc8857d5b301795b120",
+        "fig4_runs.csv": "9706e233783a3759a08f502d1c6d99d96b6cd796565ec5ea91bde7f9a8a6b1f3",
+        "fig4_summary.txt": "7ea2c9c4314697834ebd94839b8fb4777097fcf93a5af5c9797087511906f69e",
+    }),
+    ("fig4", "--seed 4294967297", {
+        "fig4_report.csv": "6e71a28e38e6c250dedcedac4f74131f05cc16be5d3e37cc77f9376a51e86063",
+        "fig4_runs.csv": "4abd7b08dd115a9016ff658bdd147fea684d5dbeaf4d3d4b92eb0748070dfed4",
+        "fig4_summary.txt": "5e84ea52483fd7c65ecb0dec104c53acd9539e840c7dc6dbd31ce5ee29b526fe",
+    }),
+    ("fig4", "--depth 5", {
+        "fig4_report.csv": "447f7a3c61e5b0f5e885f4f43038450d03fe8b690381a0ccd0ca2c653def82d1",
+        "fig4_runs.csv": "736399b33463506eeab74583f920c73a5aa3f5c0897d479c86e880cc6bbf0019",
+        "fig4_summary.txt": "152d5600c0b070d1c74cc49d968bbb1cf407db0b7241d649308f9258cddd57aa",
+    }),
+    ("fig4", "--snr-db 25 --depth 6", {
+        "fig4_report.csv": "1829166ae80cce803a27c36026cf96600ce0ebefcd65990998cfd55578e68a97",
+        "fig4_runs.csv": "7eee83c226e4273a20ae4730d874dc9af49c5bc7a454d3ffdddc2945a15a945b",
+        "fig4_summary.txt": "75eeb79abdcc70cb9272dd472def5332a898a494714fbb042c7f4f3a6d3f8fe5",
+    }),
+    ("fig4", "--n-fft 128 --profile epa --delta-f 240e3 --cp 16 --depth 7", {
+        "fig4_report.csv": "19b5ad5d413e167f96cbeef85a77e302ddf29a2e4b7318271c8640261c9209c2",
+        "fig4_runs.csv": "ff3a469163541f8201034d936ebcd63067470bc494399aa4957ac501630ab327",
+        "fig4_summary.txt": "280d44e3b29cf959f384b8dd309f76a72a3a6a5251cbeadd8e5629d9c4976f75",
+    }),
+    ("fig4", "--depth 0", {
+        "fig4_report.csv": "fee7aab05fe05cf5512829f70707ce8e7b0002abb69e15907e2638f2b9ab0669",
+        "fig4_runs.csv": "2ccd5561b4d0535c4a6c5a8e6f7b525c5906d5a6a6b5f40841df22b46f57cc77",
+        "fig4_summary.txt": "9a1786263c02b5b311abc4683c100d5a9147e17c66d7bbd3548b6077132df88a",
+    }),
+    ("fig4", "--mode literal-triangular", {
+        "fig4_report.csv": "eebca6d6bba2bf702abd4574a360ac1129441c885e62829371901e4574b9967e",
+        "fig4_runs.csv": "eef8c21194ceddf0987d52c0b9dfca34649f5bcfd576cfa713a6138cd990156a",
+        "fig4_summary.txt": "39dffce96a2e260f718d3eefaf44fa830fa88c473230c809523110c799a23388",
+    }),
+    ("table1", "", {
+        "table1_report.csv": "9725f6d71439e3ed24b37c483f7a76abe9280a0f23213224a2749cc328b708cf",
+        "table1_summary.txt": "a65d8af520412813e52276476a16a59e7d2930854099448b724294077cab5860",
+    }),
+    ("table1", "--seed 5", {
+        "table1_report.csv": "48f831b13aa1c5178f0d9d1722b8c30c29cebc9bc14965972decb30de6a84100",
+        "table1_summary.txt": "48760fd2347ca5bad4bf085b870f23e9e6578dbef99401afc7b93ad9be86879f",
+    }),
+    ("table1", "--seed 4294967297", {
+        "table1_report.csv": "b411336325bb5f99158c24a15bc8b69e1b81dc5d99804a38bca0cc14d24fc976",
+        "table1_summary.txt": "709a8b96e0946b8b6e5dcd2cfc6100ba4f3f68c10229fea46c8a243d82f5b375",
+    }),
+    ("table1", "--depth 5", {
+        "table1_report.csv": "a2f43c731d4147ea86046ed53f1088e61fef942becf80841dfeb48ffa5c208dc",
+        "table1_summary.txt": "5c0c36896ccc4d28258f0b478ffe81e4a5cd7218c90f42ee7d3537c2ec1f9ee0",
+    }),
+    ("table1", "--snr-db 25 --depth 6", {
+        "table1_report.csv": "210195599335d97a5e89ed58319d37e95eacdc467ddfe88c1972e91544e1d02d",
+        "table1_summary.txt": "b6ed75f77c3a3e885802a71e1de0e7d9b1b3ef779984c5cba704d1c2cf4b83f1",
+    }),
+    ("table1", "--n-fft 128 --profile epa --delta-f 240e3 --cp 16 --depth 7", {
+        "table1_report.csv": "af6c7c7515c592a92e0a69d274f2235e471f4ae81555bad4042626da02d2d337",
+        "table1_summary.txt": "942cebd50b70da38397186937bd361a45b48d32cd71b4a442338870aa53fead1",
+    }),
+    ("table1", "--depth 7", {
+        "table1_report.csv": "47b811530dfdfb68c7f7f49fc5c01b135a3e80a8eb9d668251117ce9063e769e",
+        "table1_summary.txt": "7cb5726b3d4d653db2ad0f36e5f3cbea3d8b21effde687a7d7781849e873a7f6",
+    }),
+    ("table1", "--snr-db -3", {
+        "table1_report.csv": "ec9aa87f5a882a77eeba08729eef99e68cf22e78ff9004b529b6e233e280e170",
+        "table1_summary.txt": "1b53359aaa7fde75f588dd83eafb10e2ade7daf735795f4eee6620a4cdcb0e63",
+    }),
+]
+
+
+@pytest.mark.parametrize(
+    "scenario,flags,digests", GOLDEN_DIGESTS, ids=[f"{s} {f or 'preset'}" for s, f, _ in GOLDEN_DIGESTS]
+)
+def test_single_realization_outputs_match_their_pinned_digests(tmp_path, capsys, scenario, flags, digests):
+    import hashlib
+
+    assert cli_main(["--scenario", scenario, "--out", str(tmp_path), *flags.split()]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}
+    assert written == digests

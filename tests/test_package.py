@@ -46,7 +46,8 @@ def test_readme_tour_runs_as_written():
     (tour,) = re.findall(r"```python\n(.*?)```", readme.read_text(), flags=re.S)
     names: dict = {}
     exec(compile(tour, str(readme), "exec"), names)
-    assert names["report"].max_level_residual() < 1e-12
+    assert names["report"].max_residual_rel() < 1e-12
+    assert names["report"].slice_mi().shape == (4,)
     assert names["chain"].slice_mi().shape == (4, 4)
     assert names["taps"].shape == (4, 155)
     assert names["frames"].body.shape == (4, 2048)

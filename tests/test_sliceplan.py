@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,6 @@ from physlice.sliceplan import (
     bins_for_slice,
     build_plan,
     decode_cost,
-    plan_to_csv,
     total_cost,
 )
 from physlice.transform import forward_transform, recursive_matrix
@@ -160,22 +157,3 @@ class TestCosts:
         with pytest.raises(ValueError):
             decode_cost("-", 12)
 
-
-def test_plan_csv_round_trip():
-    plan = build_plan(64, 2, 8, channel_length=5)
-    buffer = io.StringIO()
-    plan_to_csv(plan, buffer)
-    lines = buffer.getvalue().strip().splitlines()
-    assert lines[0] == "path,size,frame_offset,bin_residue,bin_stride,decode_ops"
-    assert len(lines) == 1 + len(plan.slices)
-    first = lines[1].split(",")
-    assert first == ["++", "16", "0", "0", "4", str(decode_cost("++", 16))]
-
-
-def test_plan_csv_to_file(tmp_path):
-    plan = build_plan(16, 1, 2)
-    out = tmp_path / "plan.csv"
-    plan_to_csv(plan, out)
-    assert out.read_text().startswith("path,size,")
-    data = out.read_bytes()
-    assert b"\r" not in data and data.count(b"\n") == 1 + len(plan.slices)

@@ -271,6 +271,28 @@ class TestReceive:
         assert estimate.symbols[0][0] == 0
         assert not estimate.erasures[1:].any()
 
+    def test_erasure_threshold_is_relative_to_the_rms_gain(self):
+        # A channel scaled by 1e-13 has every gain below 1e-12 in absolute
+        # terms; relative to its RMS gain, ||taps||_2, none is a null.
+        rng = np.random.default_rng(15)
+        plan = build_plan(64, 3, 8)
+        payload = random_payload(rng, plan)
+        taps = np.array([1.0, 0.5, 0.25j]) * 1e-13
+        estimate = receive(propagate(transmit(payload, plan), taps), plan, taps)
+        assert not estimate.erasures.any()
+        assert np.max(np.abs(estimate.frames - payload.frames)) <= 1e-12
+
+    def test_zero_channel_erases_every_bin_without_a_warning(self):
+        rng = np.random.default_rng(16)
+        plan = build_plan(64, 3, 8)
+        payload = random_payload(rng, plan)
+        taps = np.zeros(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            estimate = receive(propagate(transmit(payload, plan), taps), plan, taps)
+        assert estimate.erasures.all()
+        assert not estimate.frames.any()
+
     def test_post_equalization_snr_follows_channel_gain(self):
         rng = np.random.default_rng(14)
         n = 32
@@ -607,9 +629,9 @@ class TestBatchOracles:
 def frame_order_cases(draw):
     """A plan of N = 2^0 .. 2^11 at any depth and cyclic prefix that fit, a
     batch shape (), (R,) or (R1, R2), gains shared by the batch or one row
-    per frame with up to four bins set to 0, to 1e-13 (below the erasure
-    threshold) or to 1e-11 (above it), and a seed for the bits, frames and
-    gains."""
+    per frame with up to four bins set to 0, to 1e-13 or to 1e-11 (below and
+    above the erasure threshold for gains of RMS near 1), and a seed for the
+    bits, frames and gains."""
     log_n = draw(st.integers(0, 11))
     n = 1 << log_n
     plan = build_plan(n, draw(st.integers(0, log_n)), draw(st.integers(0, n)))
@@ -638,7 +660,8 @@ def test_frame_order_link_is_bitwise_the_tuple_chain_and_the_recursive_transform
         gains[..., index] = value
     estimate = _receive(y, plan, gains)
     assert estimate.frames.shape == estimate.erasures.shape == batch + (n,)
-    assert estimate.erasures.sum() == np.broadcast_to(np.abs(gains) < 1e-12, y.shape).sum()
+    rms = np.linalg.norm(gains, axis=-1, keepdims=True) / np.sqrt(n)
+    assert estimate.erasures.sum() == np.broadcast_to(np.abs(gains) <= 1e-12 * rms, y.shape).sum()
     want, want_erased = tuple_receive(y, plan, gains)
     for payload_ in (payload, estimate):
         for desc, view in zip(plan.slices, payload_.symbols, strict=True):
