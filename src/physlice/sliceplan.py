@@ -10,7 +10,10 @@ FFT-operation units that determines its latency rank.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .spectral import is_pow2
 
@@ -56,6 +59,15 @@ class SlicePlan:
     # than the child size); None when no channel length hint was given.
     uniform_floor: int | None = None
 
+    @property
+    @functools.lru_cache(maxsize=32)
+    def bin_order(self) -> np.ndarray:
+        """Read-only (N,) permutation of 0 .. N-1: the original bins of the
+        frame-order positions, each slice's :func:`bins_for_slice` at its offset."""
+        order = np.concatenate([bins_for_slice(d, self.frame_size) for d in self.slices])
+        order.setflags(write=False)
+        return order
+
 
 def decode_cost(path: str, size: int) -> int:
     """Decode cost of one slice in FFT-operation units.
@@ -83,10 +95,6 @@ def check_plan(frame_size: int, depth: int) -> None:
         raise ValueError(f"frame size must be a power of two, got {frame_size}")
     if depth < 0 or (1 << depth) > frame_size:
         raise ValueError(f"depth {depth} is invalid for frame size {frame_size}")
-
-
-def _bin_residue(path: str) -> int:
-    return sum(1 << i for i, branch in enumerate(path) if branch == "-")
 
 
 def build_plan(
@@ -123,7 +131,7 @@ def build_plan(
                 path=path,
                 size=size,
                 frame_offset=offset,
-                bin_residue=_bin_residue(path),
+                bin_residue=sum(1 << i for i, branch in enumerate(path) if branch == "-"),
                 bin_stride=1 << len(path),
                 decode_ops=decode_cost(path, size),
             )
@@ -146,12 +154,8 @@ def build_plan(
 
 
 def bins_for_slice(descriptor: SliceDescriptor, frame_size: int):
-    """Original frequency bins carried by a slice, in slice-local bin order.
-
-    Bin b of the slice's own FFT maps to original bin
-    ``bin_residue + b * bin_stride``; over all slices of a plan these
-    residue classes partition 0 .. N-1.
-    """
+    """Original bins carried by a slice, in slice-local order: bin b of the
+    slice's own FFT is original bin ``bin_residue + b * bin_stride``."""
     return range(descriptor.bin_residue, frame_size, descriptor.bin_stride)
 
 

@@ -2,9 +2,9 @@
 
 Two normalization conventions deliberately coexist:
 
-* ``dft`` / ``idft`` are the unitary pair (scale 1/sqrt(N)) used inside the
-  transmit/receive signal path, so every stage preserves energy and mutual
-  information.
+* ``dft`` / ``idft`` are the unitary pair (scale 1/sqrt(N)); the link's
+  transmit and receive are one N-point pair of them, so every stage
+  preserves energy and mutual information.
 * ``freq_response`` returns plain, unnormalized DFT bins of a tap sequence.
   Those are the eigenvalues of the circulant channel matrix and the per-bin
   gains a one-tap equalizer divides by.

@@ -1,4 +1,4 @@
-"""End-to-end baseband link over the split transform.
+"""End-to-end baseband link: the split transform as one FFT pair.
 
 Every link function carries a leading batch axis: an array of shape
 (R, N) holds one frame per row, and a single frame of shape (N,) runs
@@ -8,16 +8,16 @@ function, never per slice.
 A frame stays one frame-order array from the bits to the estimates: a
 :class:`SlicePayload` holds it with its plan, and slices are views of it.
 
-transmit:  per-slice unitary IDFT into one buffer, recursive transform,
-           cyclic prefix.
+transmit:  slices onto their bins through the plan's ``bin_order``, one
+           unitary N-point IDFT, cyclic prefix.
 propagate: the receiver keeps the N samples after the CP. The CP covers the
            channel (cp_length >= L is enforced), so those samples are the
            circular convolution of the body with the taps, computed here by
            FFT; then optional complex AWGN. The tests keep the linear
            convolution of (CP || body) as the oracle.
-receive:   adjoint transform, per-slice unitary DFT written back in place,
-           one-tap zero-forcing equalization against the true channel
-           response (genie-aided; no pilot estimation).
+receive:   one unitary N-point DFT, one-tap zero-forcing equalization against
+           the true channel response (genie-aided; no pilot estimation),
+           gathered back into frame order through ``bin_order``.
 
 A channel is its taps: one (L,) array shared by a batch, or one row per
 frame, such as the (R, L) taps of ``channel.draw_taps``.
@@ -36,7 +36,6 @@ import numpy as np
 from .channel import check_taps, circular_complement, lower_triangular_toeplitz
 from .sliceplan import SlicePlan
 from .spectral import _dft, _idft
-from .transform import forward_transform, inverse_transform
 
 __all__ = [
     "SlicePayload",
@@ -138,7 +137,8 @@ def nearest_symbols(estimates) -> np.ndarray:
 
 
 def transmit(payload: SlicePayload, plan: SlicePlan) -> OfdmFrame:
-    """Per-slice unitary IDFT, recursive transform, cyclic prefix."""
+    """Slices onto their bins, one unitary IDFT, cyclic prefix: to round-off,
+    a unitary IDFT per slice followed by ``forward_transform``."""
     if payload.plan.slices != plan.slices:
         raise ValueError("payload is laid out for a different slice plan")
     frames = np.asarray(payload.frames, dtype=np.complex128)
@@ -146,11 +146,9 @@ def transmit(payload: SlicePayload, plan: SlicePlan) -> OfdmFrame:
         raise ValueError(f"expected {plan.frame_size} symbols per frame, got shape {frames.shape}")
     if not np.all(np.isfinite(frames)):
         raise ValueError("payload contains non-finite symbols")
-    spread = np.empty(frames.shape, dtype=np.complex128)
-    for desc in plan.slices:
-        stretch = slice(desc.frame_offset, desc.frame_offset + desc.size)
-        spread[..., stretch] = _idft(frames[..., stretch])
-    body = forward_transform(spread, plan.depth)
+    spectrum = np.empty(frames.shape, dtype=np.complex128)
+    spectrum[..., plan.bin_order] = frames
+    body = _idft(spectrum)
     cp = body[..., plan.frame_size - plan.cp_length :].copy()
     return OfdmFrame(body=body, cyclic_prefix=cp, plan=plan)
 
@@ -218,12 +216,12 @@ def _propagate(body: np.ndarray, gains: np.ndarray, rho: float | None, rng) -> n
 
 
 def receive(y, plan: SlicePlan, taps) -> SlicePayload:
-    """Adjoint transform, per-slice unitary DFT, one-tap zero-forcing equalizer.
+    """One unitary DFT, one-tap zero-forcing equalizer, bins back in frame
+    order: to round-off, ``inverse_transform`` then a unitary DFT per slice.
 
     ``y`` holds frames of shape (..., N), and ``taps`` one (L,) channel for
     every frame or one per frame, y.shape[:-1] + (L,). The equalizer divides
-    slice bin b by the true channel response at the original bin the slice
-    carries there, ``gains[..., bin_residue::bin_stride]`` (genie-aided).
+    each bin by the true channel response there (genie-aided).
     Bins whose gain magnitude is at most ``EQUALIZER_ERASURE_THRESHOLD``
     times the frame's RMS gain, ||taps||_2, are flagged as erasures and
     returned as zeros.
@@ -244,13 +242,11 @@ def _receive(y: np.ndarray, plan: SlicePlan, gains: np.ndarray) -> SlicePayload:
     rms = np.sqrt(np.mean(magnitude**2, axis=-1, keepdims=True))
     erased = magnitude <= EQUALIZER_ERASURE_THRESHOLD * rms
     safe = np.where(erased, 1.0, gains)
-    estimate = inverse_transform(y, plan.depth)
-    erasures = np.empty(estimate.shape, dtype=bool)
-    for desc in plan.slices:
-        stretch = slice(desc.frame_offset, desc.frame_offset + desc.size)
-        bins = slice(desc.bin_residue, None, desc.bin_stride)
-        np.divide(_dft(estimate[..., stretch]), safe[..., bins], out=estimate[..., stretch])
-        erasures[..., stretch] = erased[..., bins]
+    spectrum = _dft(y)
+    spectrum /= safe
+    order = plan.bin_order
+    estimate = spectrum[..., order]
+    erasures = np.broadcast_to(erased, spectrum.shape)[..., order]
     estimate[erasures] = 0.0
     return SlicePayload(frames=estimate, plan=plan, erasures=erasures)
 

@@ -1,11 +1,15 @@
-"""Earlier link and transform designs, kept as bitwise references.
+"""Earlier link and transform designs, kept as references.
 
-The split transform was once a recursion that built a new array per level,
-and the link once carried a frame as a tuple of per-slice arrays: copied out
-of the QPSK frame, concatenated for the transform, split again after the
-adjoint, with one erasure array per slice. The package now works on one
-frame-order array with in-place level loops, in the same per-element
-operation order, so it must stay bitwise equal to these.
+The split transform was once a recursion that built a new array per level.
+The package's in-place level loops keep its per-element operation order, so
+they stay bitwise equal to it.
+
+The link once carried a frame as a tuple of per-slice arrays: copied out of
+the QPSK frame, given a unitary IDFT each, concatenated for the transform,
+split again after the adjoint and given a unitary DFT each, with one erasure
+array per slice. The package's link is now one N-point FFT pair through the
+plan's ``bin_order``, the same map, so it agrees with this chain to
+round-off, and its erasures match exactly.
 """
 
 import numpy as np

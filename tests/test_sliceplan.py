@@ -109,6 +109,11 @@ class TestBins:
         for desc in plan.slices:
             seen.extend(bins_for_slice(desc, n))
         assert sorted(seen) == list(range(n))
+        order = plan.bin_order
+        assert not order.flags.writeable
+        np.testing.assert_array_equal(np.sort(order), np.arange(n))
+        for desc in plan.slices:
+            assert list(order[desc.frame_offset : desc.frame_offset + desc.size]) == list(bins_for_slice(desc, n))
 
 
 class TestCosts:

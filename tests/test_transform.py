@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from physlice.channel import CirculantChannel
+from physlice.sliceplan import build_plan
+from physlice.spectral import _dft, _idft
 from physlice.transform import (
     butterfly_mixer,
     forward_transform,
@@ -245,3 +247,19 @@ def test_transform_round_trip_keeps_every_frame_and_its_norm(case):
     for index in np.ndindex(frames.shape[:-1]):
         np.testing.assert_array_equal(forward[index], forward_transform(frames[index], depth))
         np.testing.assert_array_equal(back[index], inverse_transform(forward[index], depth))
+
+    # The frequency-domain half: per-slice unitary IDFTs followed by the
+    # transform are one unitary IDFT of the slices scattered onto their bins
+    # by the plan's order, and the adjoint followed by per-slice DFTs is one
+    # unitary DFT gathered by it.
+    plan = build_plan(frames.shape[-1], depth, 0)
+    order = plan.bin_order
+    stretches = [slice(d.frame_offset, d.frame_offset + d.size) for d in plan.slices]
+    tolerance = 1e-12 * np.sqrt(np.mean(np.abs(frames) ** 2, axis=-1, keepdims=True))
+    spectrum = np.empty_like(frames)
+    spectrum[..., order] = frames
+    per_slice = np.concatenate([_idft(frames[..., stretch]) for stretch in stretches], axis=-1)
+    assert np.all(np.abs(forward_transform(per_slice, depth) - _idft(spectrum)) <= tolerance)
+    adjoint = inverse_transform(frames, depth)
+    per_slice = np.concatenate([_dft(adjoint[..., stretch]) for stretch in stretches], axis=-1)
+    assert np.all(np.abs(per_slice - _dft(frames)[..., order]) <= tolerance)
