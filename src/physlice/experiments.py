@@ -38,7 +38,16 @@ from .channel import (
 )
 from .mi import MODE_EXACT, MODE_LITERAL, ChainMi, SnrSpec, chain_mi
 from .sliceplan import SlicePlan, build_plan, decode_cost, total_cost
-from .txrx import _noise_rho, _propagate, _receive, modulate, nearest_symbols, transmit
+from .txrx import (
+    _QPSK,
+    _hard_index,
+    _noise_rho,
+    _propagate_into,
+    _qpsk_index,
+    _receive_into,
+    _standard_normals,
+    _transmit_into,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -246,6 +255,11 @@ def empirical_cdf(samples) -> EmpiricalCdf:
     return EmpiricalCdf(values=ordered, probs=probs)
 
 
+def _chunk_runs(n_fft: int) -> int:
+    """Runs per chunk: ``_CHUNK_SAMPLES // n_fft``, at least one."""
+    return max(1, _CHUNK_SAMPLES // n_fft)
+
+
 def _map_chunks(fn, config: ExperimentConfig) -> list:
     """``[fn(rngs) for each chunk]`` in run order, over chunks of
     ``_CHUNK_SAMPLES // n_fft`` consecutive runs; ``rngs`` holds the
@@ -255,7 +269,7 @@ def _map_chunks(fn, config: ExperimentConfig) -> list:
     calling thread, whatever ``workers`` says."""
     from ._streams import stream, stream_words
 
-    size = max(1, _CHUNK_SAMPLES // config.n_fft)
+    size = _chunk_runs(config.n_fft)
     words = stream_words(config.seed, range(config.num_runs))
     return [fn([stream(row) for row in words[start : start + size]]) for start in range(0, config.num_runs, size)]
 
@@ -491,29 +505,54 @@ def _run_loopback(
 
     Runs go through the link in chunks of ``_CHUNK_SAMPLES // n_fft`` frames
     on the batch axis. Each run draws its channel, its bits and then its
-    noise from its own stream.
+    noise from its own stream. The chunks share one set of buffers, made
+    here and cut to ``[:r]`` rows for a short last chunk: the ``txrx``
+    kernels and the EVM and error counts write every frame-sized result
+    into them, so no chunk allocates a frame-sized array.
     """
-    snr = config.snr
-    rho = _noise_rho(snr)
+    n = config.n_fft
+    rho = _noise_rho(config.snr)
+    rows = min(config.num_runs, _chunk_runs(n))
+    frame_buffers = np.empty((4, rows, n), dtype=np.complex128)
+    # Noise draws; after the channel, scratch for the equalizer and the EVM.
+    noise_buffer = np.empty((rows, 2, n))
+    index_buffers = np.empty((2, rows, n), dtype=np.uint64)
+    mask_buffers = np.empty((2, rows, n), dtype=bool)
 
     def one_chunk(rngs: list[np.random.Generator]):
+        r = len(rngs)
+        sent, spectrum, signal, gains = frame_buffers[:, :r]
+        noise = noise_buffer[:r]
+        floats = noise.reshape(2, r, n)
+        words, index = index_buffers[:, :r]
+        erased, erasures = mask_buffers[:, :r]
+
         chunk_taps = draw_taps(profile, config.sample_period_ns, rngs)
-        bits = np.stack([rng.integers(0, 2, size=2 * config.n_fft) for rng in rngs])
-        payload = modulate(bits, plan)
+        for row, rng in zip(words, rngs):
+            row[...] = rng.bit_generator.random_raw(n)
+        # take reads intp indices; the view of the values 0..3 spares a cast copy.
+        _QPSK.take(_qpsk_index(words, index).view(np.intp), out=sent, mode="clip")
         # One channel spectrum per chunk serves the channel and the equalizer.
-        gains = np.fft.fft(chunk_taps, config.n_fft, axis=-1)
-        estimate = _receive(_propagate(transmit(payload, plan).body, gains, rho, rngs), plan, gains)
+        np.fft.fft(chunk_taps, n, axis=-1, out=gains)
+        _transmit_into(sent, plan.inverse_bin_order, spectrum, signal)
+        if rho is not None:
+            _standard_normals(rngs, (r, n), out=noise)
+        _propagate_into(signal, gains, rho, noise, spectrum, signal)
+        _receive_into(signal, gains, plan.bin_order, spectrum, *floats, erased, signal, erasures)
         # Element-wise work on whole frames; each mean and count covers one slice.
-        sent = payload.frames
-        error_power = np.abs(estimate.frames - sent) ** 2
-        power = np.abs(sent) ** 2
-        wrong = np.zeros(sent.shape, dtype=bool) if snr is None else nearest_symbols(estimate.frames) != sent
+        error_power, power = floats
+        np.square(np.abs(np.subtract(signal, sent, out=spectrum), out=error_power), out=error_power)
+        np.square(np.abs(sent, out=power), out=power)
+        if rho is not None:
+            # The erasure mask is spent (its bins are zeros in the estimate);
+            # it takes the symbol errors.
+            wrong = np.not_equal(_hard_index(signal, words, erased), index, out=erasures)
         per_slice = []
         for desc in plan.slices:
             stretch = slice(desc.frame_offset, desc.frame_offset + desc.size)
             evm = np.sqrt(np.mean(error_power[:, stretch], axis=-1) / np.mean(power[:, stretch], axis=-1))
-            errors = np.count_nonzero(wrong[:, stretch], axis=-1)
-            per_slice.append(zip(evm.tolist(), errors.tolist()))
+            errors = [0] * r if rho is None else np.count_nonzero(wrong[:, stretch], axis=-1).tolist()
+            per_slice.append(zip(evm.tolist(), errors))
         # For each run of the chunk, one (evm, errors) pair per slice.
         return list(zip(*per_slice))
 

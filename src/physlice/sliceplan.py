@@ -68,6 +68,16 @@ class SlicePlan:
         order.setflags(write=False)
         return order
 
+    @property
+    @functools.lru_cache(maxsize=32)
+    def inverse_bin_order(self) -> np.ndarray:
+        """Read-only (N,) inverse of :attr:`bin_order`: the frame-order
+        position of each original bin, so ``np.take(frames, inverse_bin_order,
+        axis=-1)`` lays frame-order symbols out on their bins."""
+        inverse = np.argsort(self.bin_order)
+        inverse.setflags(write=False)
+        return inverse
+
 
 def decode_cost(path: str, size: int) -> int:
     """Decode cost of one slice in FFT-operation units.

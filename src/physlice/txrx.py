@@ -8,8 +8,8 @@ function, never per slice.
 A frame stays one frame-order array from the bits to the estimates: a
 :class:`SlicePayload` holds it with its plan, and slices are views of it.
 
-transmit:  slices onto their bins through the plan's ``bin_order``, one
-           unitary N-point IDFT, cyclic prefix.
+transmit:  slices onto their bins through the plan's ``inverse_bin_order``,
+           one unitary N-point IDFT, cyclic prefix.
 propagate: the receiver keeps the N samples after the CP. The CP covers the
            channel (cp_length >= L is enforced), so those samples are the
            circular convolution of the body with the taps, computed here by
@@ -18,6 +18,13 @@ propagate: the receiver keeps the N samples after the CP. The CP covers the
 receive:   one unitary N-point DFT, one-tap zero-forcing equalization against
            the true channel response (genie-aided; no pilot estimation),
            gathered back into frame order through ``bin_order``.
+
+Each stage is a private kernel (``_transmit_into``, ``_propagate_into``,
+``_receive_into``) that writes every FFT and element-wise result into
+arrays its caller passes in. The public functions allocate those arrays
+and call the kernels; the loopback scenario allocates one set per scenario
+and runs every chunk of frames through it, so a chunk allocates no frame-
+sized array.
 
 A channel is its taps: one (L,) array shared by a batch, or one row per
 frame, such as the (R, L) taps of ``channel.draw_taps``.
@@ -35,7 +42,6 @@ import numpy as np
 
 from .channel import check_taps, circular_complement, lower_triangular_toeplitz
 from .sliceplan import SlicePlan
-from .spectral import _dft, _idft
 
 __all__ = [
     "SlicePayload",
@@ -61,9 +67,37 @@ EQUALIZER_ERASURE_THRESHOLD = 1e-12
 _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j], dtype=np.complex128) / np.sqrt(2.0)
 
 
-def _hard_index(symbols: np.ndarray) -> np.ndarray:
-    """QPSK hard decision: index of the point in each symbol's own quadrant."""
-    return 2 * (symbols.real < 0) + (symbols.imag < 0)
+def _hard_index(symbols: np.ndarray, index: np.ndarray | None = None, negative: np.ndarray | None = None):
+    """QPSK hard decision: index of the point in each symbol's own quadrant.
+
+    Written into the integer array ``index`` with the bool array ``negative``
+    as scratch, both of the symbols' shape; allocated when None.
+    """
+    if index is None:
+        index = np.empty(symbols.shape, dtype=np.int64)
+        negative = np.empty(symbols.shape, dtype=bool)
+    np.less(symbols.real, 0, out=negative)
+    np.copyto(index, negative)
+    index <<= 1
+    np.less(symbols.imag, 0, out=negative)
+    index |= negative
+    return index
+
+
+def _qpsk_index(words: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """QPSK indices from raw 64-bit generator words, into ``index``;
+    ``words`` is overwritten.
+
+    Word i of ``rng.bit_generator.random_raw(N)`` holds in its bit 31 the
+    bit 2i and in its bit 63 the bit 2i+1 of ``rng.integers(0, 2, 2 * N)``,
+    and both calls leave the stream at the same place, so the indices are
+    bitwise those of :func:`modulate` on those bits.
+    """
+    np.right_shift(words, 63, out=index)
+    words >>= 30
+    words &= 2
+    index |= words
+    return index
 
 
 @dataclass
@@ -146,11 +180,21 @@ def transmit(payload: SlicePayload, plan: SlicePlan) -> OfdmFrame:
         raise ValueError(f"expected {plan.frame_size} symbols per frame, got shape {frames.shape}")
     if not np.all(np.isfinite(frames)):
         raise ValueError("payload contains non-finite symbols")
-    spectrum = np.empty(frames.shape, dtype=np.complex128)
-    spectrum[..., plan.bin_order] = frames
-    body = _idft(spectrum)
+    body = np.empty(frames.shape, dtype=np.complex128)
+    _transmit_into(frames, plan.inverse_bin_order, np.empty_like(body), body)
     cp = body[..., plan.frame_size - plan.cp_length :].copy()
     return OfdmFrame(body=body, cyclic_prefix=cp, plan=plan)
+
+
+def _transmit_into(frames: np.ndarray, inverse_order: np.ndarray, spectrum: np.ndarray, body: np.ndarray) -> None:
+    """Frame bodies of :func:`transmit` into ``body``: the frame-order
+    symbols ``frames`` laid out on their bins through ``inverse_order`` (the
+    plan's ``inverse_bin_order``) in ``spectrum``, then one unitary IDFT."""
+    # A permutation never leaves the index range, so "clip" clips nothing; it
+    # lets take write into ``spectrum`` without a buffered copy.
+    np.take(frames, inverse_order, axis=-1, out=spectrum, mode="clip")
+    np.fft.ifft(spectrum, axis=-1, out=body)
+    body *= np.sqrt(body.shape[-1])
 
 
 def _noise_rho(snr) -> float | None:
@@ -164,18 +208,26 @@ def _noise_rho(snr) -> float | None:
     return rho
 
 
-def _standard_normals(rng, shape: tuple[int, ...]) -> np.ndarray:
-    """Standard normals of shape (2,) + shape: real parts, then imaginary parts."""
+def _standard_normals(rng, shape: tuple[int, ...], out: np.ndarray | None = None) -> np.ndarray:
+    """Standard normals for the noise of frames of ``shape`` (..., N), as an
+    array of shape shape[:-1] + (2, N): each frame's N real parts, then its N
+    imaginary parts.
+
+    ``rng`` is one stream for all frames (a Generator or a seed), which draws
+    every frame's real parts first; or, for an (R, N) batch, a sequence of R
+    Generators, each of which fills its frame's row of ``out`` (allocated
+    when None) with its real, then its imaginary parts.
+    """
     if isinstance(rng, Sequence) and rng and all(isinstance(g, np.random.Generator) for g in rng):
         if len(shape) != 2 or len(rng) != shape[0]:
             raise ValueError(f"expected one generator per frame of batch shape {shape[:-1]}, got {len(rng)}")
-        draws = np.empty((2,) + shape)
-        for row, g in enumerate(rng):
-            draws[:, row] = g.standard_normal((2, shape[-1]))
+        draws = np.empty((shape[0], 2, shape[1])) if out is None else out
+        for row, g in zip(draws, rng):
+            g.standard_normal(out=row)
         return draws
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    return rng.standard_normal((2,) + shape)
+    return np.moveaxis(rng.standard_normal((2,) + shape), 0, -2)
 
 
 def propagate(frame: OfdmFrame, taps, snr=None, rng=None) -> np.ndarray:
@@ -192,27 +244,42 @@ def propagate(frame: OfdmFrame, taps, snr=None, rng=None) -> np.ndarray:
     """
     plan = frame.plan
     n = plan.frame_size
-    taps = check_taps(taps, n, frame.body.shape[:-1])
+    body = frame.body
+    taps = check_taps(taps, n, body.shape[:-1])
     if plan.cp_length < taps.shape[-1]:
         raise ValueError(
             f"cyclic prefix ({plan.cp_length}) shorter than the channel ({taps.shape[-1]})"
         )
-    return _propagate(frame.body, np.fft.fft(taps, n, axis=-1), _noise_rho(snr), rng)
+    rho = _noise_rho(snr)
+    noise = None if rho is None else _standard_normals(rng, body.shape)
+    received = np.empty(body.shape, dtype=np.complex128)
+    _propagate_into(body, np.fft.fft(taps, n, axis=-1), rho, noise, np.empty_like(received), received)
+    return received
 
 
-def _propagate(body: np.ndarray, gains: np.ndarray, rho: float | None, rng) -> np.ndarray:
+def _propagate_into(
+    body: np.ndarray,
+    gains: np.ndarray,
+    rho: float | None,
+    noise: np.ndarray | None,
+    spectrum: np.ndarray,
+    received: np.ndarray,
+) -> None:
     """:func:`propagate` of frame bodies through channels of frequency
-    response ``gains`` (the N-point FFT of the taps), unchecked."""
-    received = np.fft.ifft(np.fft.fft(body, axis=-1) * gains, axis=-1)
+    response ``gains`` (the N-point FFT of the taps), unchecked, into
+    ``received``, which may be ``body``. ``noise`` holds the standard
+    normals of :func:`_standard_normals` and is scaled in place; it is
+    unused when ``rho`` is None. ``spectrum`` is scratch."""
+    np.fft.fft(body, axis=-1, out=spectrum)
+    spectrum *= gains
+    np.fft.ifft(spectrum, axis=-1, out=received)
     if rho is None:
-        return received
+        return
     # Unit average signal power is guaranteed by the unitary chain and
     # unit-power constellations, so the noise variance is 1/rho.
-    scale = np.sqrt(1.0 / (2.0 * rho))
-    draws = _standard_normals(rng, received.shape)
-    received.real += scale * draws[0]
-    received.imag += scale * draws[1]
-    return received
+    noise *= np.sqrt(1.0 / (2.0 * rho))
+    received.real += noise[..., 0, :]
+    received.imag += noise[..., 1, :]
 
 
 def receive(y, plan: SlicePlan, taps) -> SlicePayload:
@@ -237,18 +304,46 @@ def receive(y, plan: SlicePlan, taps) -> SlicePayload:
 
 def _receive(y: np.ndarray, plan: SlicePlan, gains: np.ndarray) -> SlicePayload:
     """:func:`receive` of complex frames ``y`` through channels of frequency
-    response ``gains`` (the N-point FFT of the taps), unchecked."""
-    magnitude = np.abs(gains)
-    rms = np.sqrt(np.mean(magnitude**2, axis=-1, keepdims=True))
-    erased = magnitude <= EQUALIZER_ERASURE_THRESHOLD * rms
-    safe = np.where(erased, 1.0, gains)
-    spectrum = _dft(y)
-    spectrum /= safe
-    order = plan.bin_order
-    estimate = spectrum[..., order]
-    erasures = np.broadcast_to(erased, spectrum.shape)[..., order]
-    estimate[erasures] = 0.0
+    response ``gains`` (the N-point FFT of the taps), unchecked; neither
+    input is changed."""
+    gains = np.array(gains, dtype=np.complex128)
+    magnitude, squares = np.empty((2,) + gains.shape)
+    estimate = np.empty(y.shape, dtype=np.complex128)
+    erasures = np.empty(y.shape, dtype=bool)
+    _receive_into(
+        y, gains, plan.bin_order, np.empty_like(estimate), magnitude, squares, np.empty(gains.shape, dtype=bool),
+        estimate, erasures,
+    )
     return SlicePayload(frames=estimate, plan=plan, erasures=erasures)
+
+
+def _receive_into(
+    y: np.ndarray,
+    gains: np.ndarray,
+    order: np.ndarray,
+    spectrum: np.ndarray,
+    magnitude: np.ndarray,
+    squares: np.ndarray,
+    erased: np.ndarray,
+    estimate: np.ndarray,
+    erasures: np.ndarray,
+) -> None:
+    """:func:`receive` of complex frames ``y`` through channels of frequency
+    response ``gains``, unchecked: the frame-order estimates into
+    ``estimate``, which may be ``y``, and their erasure mask into
+    ``erasures``. ``gains`` is overwritten with the divisor (1 at the erased
+    bins). ``magnitude``, ``squares`` and ``erased`` (of the gains' shape)
+    and ``spectrum`` (of the frames' shape) are scratch."""
+    np.abs(gains, out=magnitude)
+    rms = np.sqrt(np.mean(np.square(magnitude, out=squares), axis=-1, keepdims=True))
+    np.less_equal(magnitude, EQUALIZER_ERASURE_THRESHOLD * rms, out=erased)
+    np.copyto(gains, 1.0, where=erased)
+    np.fft.fft(y, axis=-1, out=spectrum)
+    spectrum /= np.sqrt(spectrum.shape[-1])
+    spectrum /= gains
+    np.take(spectrum, order, axis=-1, out=estimate, mode="clip")
+    np.take(np.broadcast_to(erased, spectrum.shape), order, axis=-1, out=erasures, mode="clip")
+    np.copyto(estimate, 0.0, where=erasures)
 
 
 def iterative_decode(z3, z4, taps, max_iters: int = 100, tol: float = 1e-10):
@@ -259,8 +354,8 @@ def iterative_decode(z3, z4, taps, max_iters: int = 100, tol: float = 1e-10):
     where H is the quarter-size lower-triangular Toeplitz block of the (L,)
     channel ``taps`` and Hc its wraparound complement. inv(H) is built once,
     by :func:`triangular_toeplitz_inverse`. Converges when the spectral
-    radius of C is below one; a growing update is flagged and never reported
-    as converged.
+    radius of C is below one; a growing or overflowing update is flagged and
+    never reported as converged.
 
     Returns (s3, s4, iterations, converged).
     """
@@ -274,31 +369,34 @@ def iterative_decode(z3, z4, taps, max_iters: int = 100, tol: float = 1e-10):
         raise ValueError("max_iters must be at least 1")
 
     inv_h = triangular_toeplitz_inverse(lower_triangular_toeplitz(taps, q))
-    u3 = inv_h @ z3
-    u4 = inv_h @ z4
-    c = inv_h @ circular_complement(taps, q)
+    # A finite inverse can still make the iteration overflow (h0 tiny next to
+    # the other taps): the first non-finite update stops it, unconverged.
+    with np.errstate(over="ignore", invalid="ignore"):
+        u3 = inv_h @ z3
+        u4 = inv_h @ z4
+        c = inv_h @ circular_complement(taps, q)
 
-    s3, s4 = u3, u4
-    converged = False
-    iterations = 0
-    first_delta = None
-    for iterations in range(1, max_iters + 1):
-        n3 = u3 + c @ s4
-        n4 = u4 - c @ s3
-        delta = max(float(np.max(np.abs(n3 - s3))), float(np.max(np.abs(n4 - s4))))
-        s3, s4 = n3, n4
-        if delta < tol:
-            converged = True
-            break
-        if not np.isfinite(delta):
-            break
-        if first_delta is None:
-            first_delta = delta
-        elif delta > 100.0 * first_delta:
-            # Unambiguous growth: the update is diverging geometrically.
-            # (A contracting iteration may wobble, so only clear growth
-            # stops early; hitting max_iters above tol is also not converged.)
-            break
+        s3, s4 = u3, u4
+        converged = False
+        iterations = 0
+        first_delta = None
+        for iterations in range(1, max_iters + 1):
+            n3 = u3 + c @ s4
+            n4 = u4 - c @ s3
+            delta = float(np.maximum(np.max(np.abs(n3 - s3)), np.max(np.abs(n4 - s4))))
+            s3, s4 = n3, n4
+            if delta < tol:
+                converged = True
+                break
+            if not np.isfinite(delta):
+                break
+            if first_delta is None:
+                first_delta = delta
+            elif delta > 100.0 * first_delta:
+                # Unambiguous growth: the update is diverging geometrically.
+                # (A contracting iteration may wobble, so only clear growth
+                # stops early; hitting max_iters above tol is also not converged.)
+                break
     return s3, s4, iterations, converged
 
 

@@ -612,6 +612,34 @@ GOLDEN_DIGESTS = [
         "table1_report.csv": "ec9aa87f5a882a77eeba08729eef99e68cf22e78ff9004b529b6e233e280e170",
         "table1_summary.txt": "1b53359aaa7fde75f588dd83eafb10e2ade7daf735795f4eee6620a4cdcb0e63",
     }),
+    ("loopback", "", {
+        "loopback_runs.csv": "09738de5f0c31a2dbde5502f457c322e1513dc36792fe0786cfc3a73716e1ddc",
+        "loopback_summary.txt": "bd1fa0bd73694130167e8d1ebcd89b9dc31c7217b85535906beef07a1e155bf9",
+    }),
+    ("loopback", "--snr-db inf --runs 20", {
+        "loopback_runs.csv": "074fed5167e70750ac9de38e0c521ded993c52013c79fdfcc900972233f68133",
+        "loopback_summary.txt": "d48f4a2178345718a8cc5ec6f88bc372cf43477597f784a38c25d80aeeeb7b44",
+    }),
+    ("loopback", "--snr-db 5 --seed 4294967297 --runs 40", {
+        "loopback_runs.csv": "6269ed7fc63665525750d1cbe7f0b989430a163c74619118074f4cdeea6a24c5",
+        "loopback_summary.txt": "05d035db154bd5c718388eb4b4788ebf513e69a783354fe65cd9618e1a0b90b7",
+    }),
+    ("loopback", "--depth 0", {
+        "loopback_runs.csv": "f0ffc5eae013f52e8050c8e0650333e2e9b88aa8fc26fb0b4bf03066ede1ca55",
+        "loopback_summary.txt": "50562b63e46d260fd0f4a24f7e8e42079cefa4f8f77a53c81f656e7968de3b7f",
+    }),
+    ("loopback", "--depth 11 --runs 9", {
+        "loopback_runs.csv": "4324d617af8638a30a46d2f22fd36b7a2c9db95f242443f9bc3cb5fcbd5f7372",
+        "loopback_summary.txt": "cfefaa26602b18e582446dcc1ac82a10532a2604c5818f95cc4417c4f2e599ba",
+    }),
+    ("loopback", "--n-fft 256 --profile epa --cp 30 --runs 70", {
+        "loopback_runs.csv": "02f981e48b0a47dc99fdccad4d763a6da49b85d97c479e4b811f46970a494296",
+        "loopback_summary.txt": "dfdd2445acc16a00457138e13fd8929f5f1b684e6b106347ea2b77bc871f8a11",
+    }),
+    ("loopback", "--n-fft 16 --depth 4 --cp 2 --runs 1100", {
+        "loopback_runs.csv": "e6cbac96c0cbf25bae414ca22ba74b28b551d4224311ace45af14d145a48015b",
+        "loopback_summary.txt": "7b3250185e223809299d0d69b160cfdf8dee811bcf28ed3bd94541c6f52a804d",
+    }),
 ]
 
 

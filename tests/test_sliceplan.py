@@ -114,6 +114,10 @@ class TestBins:
         np.testing.assert_array_equal(np.sort(order), np.arange(n))
         for desc in plan.slices:
             assert list(order[desc.frame_offset : desc.frame_offset + desc.size]) == list(bins_for_slice(desc, n))
+        inverse = plan.inverse_bin_order
+        assert not inverse.flags.writeable
+        np.testing.assert_array_equal(inverse[order], np.arange(n))
+        np.testing.assert_array_equal(order[inverse], np.arange(n))
 
 
 class TestCosts:

@@ -1,5 +1,6 @@
 import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,12 @@ from physlice.sliceplan import build_plan
 from physlice.spectral import idft
 from physlice.transform import forward_transform, inverse_transform, recursive_matrix
 from physlice.txrx import (
+    _QPSK,
+    _propagate_into,
+    _qpsk_index,
     _receive,
+    _receive_into,
+    _transmit_into,
     OfdmFrame,
     SlicePayload,
     demodulate,
@@ -429,6 +435,17 @@ class TestIterativeDecode:
             with pytest.raises(ValueError, match="h0 .* too small relative to the other taps"):
                 iterative_decode(np.ones(8, complex), np.ones(8, complex), [1e-100, 1, 0.5])
 
+    def test_an_iteration_that_overflows_stops_unconverged_without_a_warning(self):
+        # 1/h0 = 1e30 keeps inv(H) finite at q = 8, but C = inv(H) Hc
+        # overflows the first update.
+        rng = np.random.default_rng(19)
+        z3, z4 = rng.standard_normal((2, 8)) + 1j * rng.standard_normal((2, 8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, iterations, converged = iterative_decode(z3, z4, [1e-30, 1, 0.5])
+        assert not converged
+        assert iterations == 1
+
     def test_rejects_zero_leading_tap(self):
         with pytest.raises(ValueError, match="singular"):
             iterative_decode(
@@ -699,3 +716,62 @@ def test_nearest_symbols_snaps_to_constellation():
     noisy = np.array([0.6 + 0.8j, -0.9 - 0.1j])
     snapped = nearest_symbols(noisy)
     np.testing.assert_allclose(snapped, [s + 1j * s, -s - 1j * s], atol=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 4096))
+def test_qpsk_index_of_raw_words_is_modulate_of_integer_bits_and_leaves_the_stream_in_step(seed, n):
+    by_words, by_bits = np.random.default_rng(seed), np.random.default_rng(seed)
+    index = _qpsk_index(by_words.bit_generator.random_raw(n), np.empty(n, dtype=np.uint64))
+    # modulate reads only the plan's frame size, so any n works here.
+    frames = modulate(by_bits.integers(0, 2, 2 * n), SimpleNamespace(frame_size=n)).frames
+    np.testing.assert_array_equal(_QPSK[index], frames)
+    assert by_words.standard_normal() == by_bits.standard_normal()
+    # An odd bit count would leave half a word buffered; none is left here.
+    assert by_words.integers(0, 2, 3).tolist() == by_bits.integers(0, 2, 3).tolist()
+
+
+def link_buffers(rows, n):
+    """Buffers of the link kernels for chunks of up to ``rows`` frames: two
+    complex, two float and two bool (rows, n) arrays."""
+    return np.empty((2, rows, n), complex), np.empty((2, rows, n)), np.empty((2, rows, n), bool)
+
+
+def run_link_kernels(frames, gains, noise, rho, plan, buffers):
+    """The loopback's kernel chain on (r, N) frames in rows [:r] of
+    ``buffers``: copies of the body, the received frames, the estimates and
+    the erasure mask. Neither input is changed."""
+    r = len(frames)
+    (spectrum, signal), floats, (erased, erasures) = (b[:, :r] for b in buffers)
+    gains = gains.copy()
+    _transmit_into(frames, plan.inverse_bin_order, spectrum, signal)
+    body = signal.copy()
+    _propagate_into(signal, gains, rho, noise.copy(), spectrum, signal)
+    received = signal.copy()
+    _receive_into(signal, gains, plan.bin_order, spectrum, *floats, erased, signal, erasures)
+    return body, received, signal.copy(), erasures.copy()
+
+
+@pytest.mark.parametrize("rho", [100.0, None])
+def test_link_kernels_carry_no_state_between_chunks_on_reused_buffers(rho):
+    rng = np.random.default_rng(42)
+    n, rows, length = 64, 4, 6
+    plan = build_plan(n, 3, length)
+    buffers = link_buffers(rows, n)
+    # A chunk with a zero-gain row and one zero bin, a clean chunk, then a
+    # partial chunk after the full one.
+    for r, erase in ((rows, True), (rows, False), (2, False)):
+        frames = modulate(rng.integers(0, 2, (r, 2 * n)), plan).frames
+        gains = np.fft.fft(random_taps(rng, (r, length)), n, axis=-1)
+        if erase:
+            gains[1] = 0.0
+            gains[2, 5] = 0.0
+        noise = rng.standard_normal((r, 2, n))
+        reused = run_link_kernels(frames, gains, noise, rho, plan, buffers)
+        fresh = run_link_kernels(frames, gains, noise, rho, plan, link_buffers(r, n))
+        for got, want in zip(reused, fresh, strict=True):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        erasures = fresh[-1]
+        assert erasures.sum() == (n + 1 if erase else 0)
+        assert erasures[1].all() == erase
