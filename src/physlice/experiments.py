@@ -6,7 +6,10 @@ builds the slice plan, all before the output directory is made. It then
 calls the scenario's runner from ``_RUNNERS`` with that plan and profile.
 
 The Monte Carlo scenarios run their realizations in chunks of consecutive
-runs on a leading batch axis and keep per-run results as arrays. Every run
+runs on a leading batch axis. Each chunk writes its runs' CSV rows as it
+finishes, one ``str.format`` per run, and fills its rows of the arrays that
+the summaries read: a ``ChainMi`` of (num_runs, ...) arrays in the MI
+scenarios, (slices, runs) EVM and error counts in ``loopback``. Every run
 draws from its own RNG stream, bitwise ``np.random.default_rng([seed,
 run_id])``: a scenario hashes the seed words of all its runs in one
 vectorized SeedSequence pass (``_streams.stream_words``) and each chunk
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +63,8 @@ __all__ = [
     "run_scenario",
 ]
 
-_FLOAT_FMT = "{:.12g}"
+_FLOAT_SPEC = ".12g"
+_FLOAT_FMT = f"{{:{_FLOAT_SPEC}}}"
 # A row of the per-slice report of fig4 and table1.
 _REPORT_ROW = f"{{}},{{}},{{}},{{}},{_FLOAT_FMT},{_FLOAT_FMT}\n"
 
@@ -260,25 +265,19 @@ def _chunk_runs(n_fft: int) -> int:
     return max(1, _CHUNK_SAMPLES // n_fft)
 
 
-def _map_chunks(fn, config: ExperimentConfig) -> list:
-    """``[fn(rngs) for each chunk]`` in run order, over chunks of
-    ``_CHUNK_SAMPLES // n_fft`` consecutive runs; ``rngs`` holds the
-    Generators of the chunk's runs. The seed words of every run are hashed
-    once, before the first chunk; each chunk builds its Generators from its
-    rows of the read-only words. The chunks run one after another in the
-    calling thread, whatever ``workers`` says."""
+def _chunks(config: ExperimentConfig):
+    """Yield ``(start, rngs)`` for each chunk of ``_CHUNK_SAMPLES // n_fft``
+    consecutive runs, in run order: ``start`` is the id of the chunk's first
+    run and ``rngs`` holds the Generators of its runs. The seed words of
+    every run are hashed once, before the first chunk; each chunk builds its
+    Generators from its rows of the read-only words. The caller runs the
+    chunks one after another, whatever ``workers`` says."""
     from ._streams import stream, stream_words
 
     size = _chunk_runs(config.n_fft)
     words = stream_words(config.seed, range(config.num_runs))
-    return [fn([stream(row) for row in words[start : start + size]]) for start in range(0, config.num_runs, size)]
-
-
-def _first_stream(config: ExperimentConfig) -> np.random.Generator:
-    """The stream of run 0, for the single-realization scenarios."""
-    from ._streams import stream, stream_words
-
-    return stream(stream_words(config.seed, range(1))[0])
+    for start in range(0, config.num_runs, size):
+        yield start, [stream(row) for row in words[start : start + size]]
 
 
 def _fmt(value) -> str:
@@ -287,15 +286,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_rows(path: Path, header: str, rows) -> None:
-    """Write a CSV header, then stream the formatted rows, each ending in a newline.
-
-    Callers format a row with one template per slice or curve, which holds
-    that slice's or curve's fixed cells.
-    """
-    with path.open("w", newline="") as fh:
-        fh.write(header + "\n")
-        fh.writelines(rows)
+def _open_csv(path: Path, header: str):
+    """A CSV file opened for writing, its header line written; every row
+    the caller writes ends in a bare newline."""
+    fh = path.open("w", newline="")
+    fh.write(header + "\n")
+    return fh
 
 
 def _write_cdf(path: Path, curves: dict[str, EmpiricalCdf]) -> None:
@@ -305,37 +301,35 @@ def _write_cdf(path: Path, curves: dict[str, EmpiricalCdf]) -> None:
         for name, cdf in curves.items()
         for x, p in zip(cdf.values.tolist(), cdf.probs.tolist())
     )
-    _write_rows(path, "curve,x,cdf", rows)
+    with _open_csv(path, "curve,x,cdf") as fh:
+        fh.writelines(rows)
 
 
-def _write_mi_runs(path: Path, plan: SlicePlan, slice_mi: list[list[float]]) -> None:
-    """One row per run and slice, from the per-run slice MI in frame order."""
-    templates = [f"{{}},{s.path},{s.size},{_FLOAT_FMT},{s.decode_ops}\n" for s in plan.slices]
-    rows = (
-        template.format(run_id, mi_bits)
-        for run_id, values in enumerate(slice_mi)
-        for template, mi_bits in zip(templates, values)
-    )
-    _write_rows(path, "run_id,slice_path,slice_size,mi_bits,decode_ops", rows)
-
-
-def _rate_scenario(config: ExperimentConfig, profile: ChannelProfile) -> ChainMi:
+def _rate_scenario(config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, path: Path) -> ChainMi:
     """Shared engine of the MI scenarios: the chain MI of every run, as
     (num_runs, ...) arrays, drawn and analysed in chunks of runs, one
-    (R, L) tap draw and one engine call per chunk."""
+    (R, L) tap draw and one engine call per chunk. Each chunk writes its
+    rows of the runs CSV at ``path`` as it finishes: one row per run and
+    slice, with the slices in frame order."""
     snr = config.snr
-
-    def one_chunk(rngs: list[np.random.Generator]):
-        chunk_taps = draw_taps(profile, config.sample_period_ns, rngs)
-        chain = chain_mi(chunk_taps, config.n_fft, config.depth, snr, mode=config.mode)
-        return chain.total, chain.parent, chain.positive, chain.negative
-
-    chunks = _map_chunks(one_chunk, config)
-    return ChainMi(*(np.concatenate(parts) for parts in zip(*chunks)))
+    runs, depth = config.num_runs, config.depth
+    chain = ChainMi(np.empty(runs), np.empty((runs, depth)), np.empty((runs, depth)))
+    # One template per run holds the fixed cells of all its slices.
+    template = "".join(
+        f"{{0}},{s.path},{s.size},{{{i}:{_FLOAT_SPEC}}},{s.decode_ops}\n" for i, s in enumerate(plan.slices, 1)
+    )
+    with _open_csv(path, "run_id,slice_path,slice_size,mi_bits,decode_ops") as fh:
+        for start, rngs in _chunks(config):
+            chunk_taps = draw_taps(profile, config.sample_period_ns, rngs)
+            part = chain_mi(chunk_taps, config.n_fft, depth, snr, mode=config.mode)
+            chunk = slice(start, start + len(rngs))
+            chain.total[chunk], chain.positive[chunk], chain.negative[chunk] = part.total, part.positive, part.negative
+            fh.writelines(template.format(run_id, *mi) for run_id, mi in enumerate(part.slice_mi().tolist(), start))
+    return chain
 
 
 def _summary_lines(config: ExperimentConfig, plan: SlicePlan, taps: int, residual: float) -> list[str]:
-    lines = [
+    return [
         f"scenario={config.scenario}",
         f"n_fft={config.n_fft} delta_f_hz={_fmt(config.delta_f_hz)} profile={config.profile}",
         f"sample_period_ns={_fmt(config.sample_period_ns)} channel_taps={taps}",
@@ -345,7 +339,6 @@ def _summary_lines(config: ExperimentConfig, plan: SlicePlan, taps: int, residua
         f"non_uniform={plan.non_uniform} uniform_floor={plan.uniform_floor}",
         f"max_conservation_residual_rel={_fmt(residual)}",
     ]
-    return lines
 
 
 def run_scenario(config: ExperimentConfig) -> dict[str, Path]:
@@ -363,9 +356,9 @@ def run_scenario(config: ExperimentConfig) -> dict[str, Path]:
 def _run_rate_cdf(
     config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, out: Path
 ) -> dict[str, Path]:
-    chain = _rate_scenario(config, profile)
     runs_path = out / f"{config.scenario}_runs.csv"
-    _write_mi_runs(runs_path, plan, chain.slice_mi().tolist())
+    chain = _rate_scenario(config, plan, profile, runs_path)
+    lines = _summary_lines(config, plan, taps, chain.max_residual_rel())
 
     # fig7 plots the first split, fig8 the deepest one.
     if config.scenario == "fig7":
@@ -378,7 +371,6 @@ def _run_rate_cdf(
     _write_cdf(cdf_path, curves)
 
     summary_path = out / f"{config.scenario}_summary.txt"
-    lines = _summary_lines(config, plan, taps, chain.max_residual_rel())
     if config.scenario == "fig7":
         gaps = np.abs(pos - neg) / parent
         lines.append(f"mean_branch_gap_rel={_fmt(float(np.mean(gaps)))}")
@@ -390,9 +382,8 @@ def _run_rate_cdf(
 def _run_fig9(
     config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, out: Path
 ) -> dict[str, Path]:
-    chain = _rate_scenario(config, profile)
     runs_path = out / f"{config.scenario}_runs.csv"
-    _write_mi_runs(runs_path, plan, chain.slice_mi().tolist())
+    chain = _rate_scenario(config, plan, profile, runs_path)
 
     lines = _summary_lines(config, plan, taps, chain.max_residual_rel())
     lines.append("level,child_size,mean_mi_positive,mean_mi_negative,branch_gap_rel")
@@ -410,7 +401,8 @@ def _run_fig9(
 
 def _write_report(path: Path, records) -> None:
     """One row per (level, path, size, mode, mi_bits, parent_residual) record."""
-    _write_rows(path, "level,path,size,mode,mi_bits,parent_residual", (_REPORT_ROW.format(*r) for r in records))
+    with _open_csv(path, "level,path,size,mode,mi_bits,parent_residual") as fh:
+        fh.writelines(_REPORT_ROW.format(*r) for r in records)
 
 
 def _table_head(size: int, depth: int, mode: str, rho: float, total: float) -> str:
@@ -421,16 +413,14 @@ def _table_head(size: int, depth: int, mode: str, rho: float, total: float) -> s
 def _run_fig4(
     config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, out: Path
 ) -> dict[str, Path]:
-    chain = _rate_scenario(config, profile)
-    slice_mi = chain.slice_mi().tolist()
     runs_path = out / f"{config.scenario}_runs.csv"
-    _write_mi_runs(runs_path, plan, slice_mi)
+    chain = _rate_scenario(config, plan, profile, runs_path)
     # Each slice with the residual of the split that made it, at level
     # len(path); the whole frame of a depth-0 plan has none.
     residual = [0.0] + chain.residual()[0].tolist()
     records = [
         (len(s.path), s.path, s.size, config.mode, mi_bits, residual[len(s.path)])
-        for s, mi_bits in zip(plan.slices, slice_mi[0])
+        for s, mi_bits in zip(plan.slices, chain.slice_mi()[0].tolist())
     ]
     report_path = out / f"{config.scenario}_report.csv"
     _write_report(report_path, records)
@@ -457,7 +447,8 @@ def _run_table1(
     """Split the deepest positive slice of the plan all the way down to size
     1, and report both children of every level in both modes, with the
     decode cost of each child size."""
-    channel = build_circulant(sample_cir(profile, config.sample_period_ns, _first_stream(config)), config.n_fft)
+    _, (rng,) = next(_chunks(config))
+    channel = build_circulant(sample_cir(profile, config.sample_period_ns, rng), config.n_fft)
     for _ in range(config.depth):
         channel = positive_child(channel)
     depth = channel.size.bit_length() - 1
@@ -518,64 +509,64 @@ def _run_loopback(
     noise_buffer = np.empty((rows, 2, n))
     index_buffers = np.empty((2, rows, n), dtype=np.uint64)
     mask_buffers = np.empty((2, rows, n), dtype=bool)
-
-    def one_chunk(rngs: list[np.random.Generator]):
-        r = len(rngs)
-        sent, spectrum, signal, gains = frame_buffers[:, :r]
-        noise = noise_buffer[:r]
-        floats = noise.reshape(2, r, n)
-        words, index = index_buffers[:, :r]
-        erased, erasures = mask_buffers[:, :r]
-
-        chunk_taps = draw_taps(profile, config.sample_period_ns, rngs)
-        for row, rng in zip(words, rngs):
-            row[...] = rng.bit_generator.random_raw(n)
-        # take reads intp indices; the view of the values 0..3 spares a cast copy.
-        _QPSK.take(_qpsk_index(words, index).view(np.intp), out=sent, mode="clip")
-        # One channel spectrum per chunk serves the channel and the equalizer.
-        np.fft.fft(chunk_taps, n, axis=-1, out=gains)
-        _transmit_into(sent, plan.inverse_bin_order, spectrum, signal)
-        if rho is not None:
-            _standard_normals(rngs, (r, n), out=noise)
-        _propagate_into(signal, gains, rho, noise, spectrum, signal)
-        _receive_into(signal, gains, plan.bin_order, spectrum, *floats, erased, signal, erasures)
-        # Element-wise work on whole frames; each mean and count covers one slice.
-        error_power, power = floats
-        np.square(np.abs(np.subtract(signal, sent, out=spectrum), out=error_power), out=error_power)
-        np.square(np.abs(sent, out=power), out=power)
-        if rho is not None:
-            # The erasure mask is spent (its bins are zeros in the estimate);
-            # it takes the symbol errors.
-            wrong = np.not_equal(_hard_index(signal, words, erased), index, out=erasures)
-        per_slice = []
-        for desc in plan.slices:
-            stretch = slice(desc.frame_offset, desc.frame_offset + desc.size)
-            evm = np.sqrt(np.mean(error_power[:, stretch], axis=-1) / np.mean(power[:, stretch], axis=-1))
-            errors = [0] * r if rho is None else np.count_nonzero(wrong[:, stretch], axis=-1).tolist()
-            per_slice.append(zip(evm.tolist(), errors))
-        # For each run of the chunk, one (evm, errors) pair per slice.
-        return list(zip(*per_slice))
-
-    results = [per_slice for runs in _map_chunks(one_chunk, config) for per_slice in runs]
-    templates = [f"{{}},{desc.path},{_FLOAT_FMT},{{}}\n" for desc in plan.slices]
-    rows = (
-        template.format(run_id, evm, errors)
-        for run_id, per_slice in enumerate(results)
-        for template, (evm, errors) in zip(templates, per_slice)
+    num_slices = len(plan.slices)
+    evm = np.empty((num_slices, config.num_runs))
+    # Noiseless runs make no symbol errors.
+    errors = np.zeros((num_slices, config.num_runs), dtype=np.int64)
+    # One template per run holds the fixed cells of all its slices: the EVM
+    # of slice i is field 1 + i, its error count field 1 + num_slices + i.
+    template = "".join(
+        f"{{0}},{desc.path},{{{1 + i}:{_FLOAT_SPEC}}},{{{1 + num_slices + i}}}\n"
+        for i, desc in enumerate(plan.slices)
     )
+
     runs_path = out / "loopback_runs.csv"
-    _write_rows(runs_path, "run_id,slice_path,evm,symbol_errors", rows)
+    with _open_csv(runs_path, "run_id,slice_path,evm,symbol_errors") as fh:
+        for start, rngs in _chunks(config):
+            r = len(rngs)
+            sent, spectrum, signal, gains = frame_buffers[:, :r]
+            noise = noise_buffer[:r]
+            floats = noise.reshape(2, r, n)
+            words, index = index_buffers[:, :r]
+            erased, erasures = mask_buffers[:, :r]
+            chunk = slice(start, start + r)
+
+            chunk_taps = draw_taps(profile, config.sample_period_ns, rngs)
+            for row, rng in zip(words, rngs):
+                row[...] = rng.bit_generator.random_raw(n)
+            # take reads intp indices; the view of the values 0..3 spares a cast copy.
+            _QPSK.take(_qpsk_index(words, index).view(np.intp), out=sent, mode="clip")
+            # One channel spectrum per chunk serves the channel and the equalizer.
+            np.fft.fft(chunk_taps, n, axis=-1, out=gains)
+            _transmit_into(sent, plan.inverse_bin_order, spectrum, signal)
+            if rho is not None:
+                _standard_normals(rngs, (r, n), out=noise)
+            _propagate_into(signal, gains, rho, noise, spectrum, signal)
+            _receive_into(signal, gains, plan.bin_order, spectrum, *floats, erased, signal, erasures)
+            # Element-wise work on whole frames; each mean and count covers one slice.
+            error_power, power = floats
+            np.square(np.abs(np.subtract(signal, sent, out=spectrum), out=error_power), out=error_power)
+            np.square(np.abs(sent, out=power), out=power)
+            if rho is not None:
+                # The erasure mask is spent (its bins are zeros in the estimate);
+                # it takes the symbol errors.
+                wrong = np.not_equal(_hard_index(signal, words, erased), index, out=erasures)
+            for i, desc in enumerate(plan.slices):
+                stretch = slice(desc.frame_offset, desc.frame_offset + desc.size)
+                evm[i, chunk] = np.sqrt(np.mean(error_power[:, stretch], axis=-1) / np.mean(power[:, stretch], axis=-1))
+                if rho is not None:
+                    errors[i, chunk] = np.count_nonzero(wrong[:, stretch], axis=-1)
+            cells = zip(count(start), evm[:, chunk].T.tolist(), errors[:, chunk].T.tolist())
+            fh.writelines(template.format(run_id, *run_evm, *run_errors) for run_id, run_evm, run_errors in cells)
 
     lines = [
         f"scenario=loopback n_fft={config.n_fft} depth={config.depth} "
         f"cp_length={config.cp_length} snr_db={_fmt(config.snr_db)} runs={config.num_runs}",
     ]
-    for i, desc in enumerate(plan.slices):
-        evms = [per_slice[i][0] for per_slice in results]
-        errs = sum(per_slice[i][1] for per_slice in results)
+    for desc, slice_evm, slice_errors in zip(plan.slices, evm, errors):
         lines.append(
             f"slice={desc.path or '(whole frame)'} size={desc.size} "
-            f"mean_evm={_fmt(float(np.mean(evms)))} symbol_errors={errs}"
+            f"mean_evm={_fmt(float(np.mean(slice_evm)))} symbol_errors={int(slice_errors.sum())}"
         )
     summary_path = out / "loopback_summary.txt"
     summary_path.write_text("\n".join(lines) + "\n")

@@ -3,7 +3,8 @@
 One spectral engine computes the per-slice MI of the canonical chain plan in
 both modes, for a batch of channels at once: it takes zero-padded taps of
 shape (..., L), one channel per leading index, and returns the root MI and
-the per-level parent, positive and negative MI as arrays. At every split
+the per-level positive and negative MI as arrays; the parent of a level is
+the root or the positive child of the level above. At every split
 level it takes the parent's per-bin log-gain vector
 ``v = log2(1 + rho * |bins|^2)`` and credits the even bins to the positive
 child and the odd bins to the negative child:
@@ -142,14 +143,20 @@ def uniformity_ratio(taps, frame_size: int) -> float:
 class ChainMi:
     """Chain-plan MI of a batch of channels with batch shape B.
 
-    ``total`` (B) is the root MI; ``parent``, ``positive`` and ``negative``
-    (B + (depth,)) hold the split of level k at index k - 1.
+    ``total`` (B) is the root MI; ``positive`` and ``negative``
+    (B + (depth,)) hold the children of the split of level k at index
+    k - 1, and :attr:`parent` derives the slice it splits from them.
     """
 
     total: np.ndarray
-    parent: np.ndarray
     positive: np.ndarray
     negative: np.ndarray
+
+    @property
+    def parent(self) -> np.ndarray:
+        """MI of the slice that level k splits, B + (depth,): the root for
+        level 1, the positive child of level k - 1 below that."""
+        return np.concatenate([self.total[..., np.newaxis], self.positive], axis=-1)[..., :-1]
 
     def residual(self) -> np.ndarray:
         """Conservation residual parent - (child+ + child-) of every level,
@@ -160,15 +167,17 @@ class ChainMi:
         """Largest |:meth:`residual`| / parent over every channel and level
         (0 at depth 0); a level with a parent MI of 0 counts its absolute
         residual."""
-        res = np.abs(self.residual())
-        np.divide(res, self.parent, out=res, where=self.parent > 0)
+        parent = self.parent
+        res = self.positive + self.negative
+        np.abs(np.subtract(parent, res, out=res), out=res)
+        np.divide(res, parent, out=res, where=parent > 0)
         return float(res.max(initial=0.0))
 
     def slice_mi(self) -> np.ndarray:
         """MI of every slice of the chain plan, B + (depth + 1,), in frame
         order: the deepest positive slice, then the negative slices from the
         deepest level up."""
-        if self.parent.shape[-1] == 0:
+        if self.positive.shape[-1] == 0:
             return self.total[..., np.newaxis]
         return np.concatenate([self.positive[..., -1:], self.negative[..., ::-1]], axis=-1)
 
@@ -182,8 +191,7 @@ def _chain_levels(taps: np.ndarray, size: int, depth: int, rho: float, mode: str
     """
     spectrum = _log_gains(np.fft.fft(taps, size), rho)
     total = spectrum.sum(axis=-1)
-    parent, positive, negative = (np.empty(total.shape + (depth,)) for _ in range(3))
-    above = total
+    positive, negative = (np.empty(total.shape + (depth,)) for _ in range(2))
     for level in range(1, depth + 1):
         # Even bins go to the positive child and odd bins to the negative one.
         # Exact: the parent's bins are the frame spectrum's residue class 0
@@ -194,10 +202,9 @@ def _chain_levels(taps: np.ndarray, size: int, depth: int, rho: float, mode: str
         else:
             half = size >> level
             gains = _log_gains(np.fft.fft(taps[..., :half], 2 * half), rho)
-        parent[..., level - 1] = above
-        positive[..., level - 1] = above = gains[..., 0::2].sum(axis=-1)
+        positive[..., level - 1] = gains[..., 0::2].sum(axis=-1)
         negative[..., level - 1] = gains[..., 1::2].sum(axis=-1)
-    return ChainMi(total, parent, positive, negative)
+    return ChainMi(total, positive, negative)
 
 
 def chain_mi(taps, frame_size: int, depth: int, snr, mode: str = MODE_EXACT) -> ChainMi:

@@ -409,6 +409,31 @@ class TestScenarios:
         assert (out1 / "fig7_cdf.csv").read_bytes() == (out8 / "fig7_cdf.csv").read_bytes()
         assert (out1 / "fig7_summary.txt").read_bytes() == (out8 / "fig7_summary.txt").read_bytes()
 
+    @pytest.mark.parametrize(
+        "scenario,num_runs,overrides",
+        [("fig9", 20000, {"mode": "literal-triangular"}), ("loopback", 4000, {})],
+        ids=["fig9-literal", "loopback"],
+    )
+    def test_memory_grows_by_arrays_not_objects_per_run(self, tmp_path, scenario, num_runs, overrides):
+        # A scenario keeps numpy arrays per run: 1 + 2 * depth floats of chain
+        # MI (15 at depth 7) or an EVM and an error count per slice, plus 32
+        # bytes of stream seed words. A Python object per run or a whole-run
+        # .tolist() costs well over the bound.
+        import tracemalloc
+
+        def run(runs):
+            run_scenario(make_config(scenario, num_runs=runs, output_dir=str(tmp_path), **overrides))
+
+        run(1)  # pays for the lazy imports and FFT plans
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run(num_runs)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak / num_runs < 450
+
 
 class TestCli:
     def test_scenario_run(self, tmp_path, capsys):
@@ -536,9 +561,11 @@ class TestCli:
         assert (tmp_path / "envout" / "fig9_runs.csv").exists()
 
 
-# SHA-256 of every file that fig4 and table1 write, by CLI flags on top of the
-# preset. Pinned so that a change to how these two scenarios are computed or
-# formatted cannot alter a single output byte.
+# SHA-256 of every file that a scenario writes, by CLI flags on top of the
+# preset. Pinned so that a change to how a scenario is computed or formatted
+# cannot alter a single output byte. The fig7, fig8 and fig9 entries cover
+# both modes, the fig7 gap and fig9 mean summary lines, a depth-0 chain and
+# run counts that end on a partial chunk.
 GOLDEN_DIGESTS = [
     ("fig4", "", {
         "fig4_report.csv": "977dceb03a5d5a150bd2979f0c05e767a9393cc5f086e5d9a8cdc160e6505b09",
@@ -611,6 +638,38 @@ GOLDEN_DIGESTS = [
     ("table1", "--snr-db -3", {
         "table1_report.csv": "ec9aa87f5a882a77eeba08729eef99e68cf22e78ff9004b529b6e233e280e170",
         "table1_summary.txt": "1b53359aaa7fde75f588dd83eafb10e2ade7daf735795f4eee6620a4cdcb0e63",
+    }),
+    ("fig7", "", {
+        "fig7_cdf.csv": "cc9c56d5579b8ec759ea3b35032892004fa20ce7d883a1cdf7f245cd9ee2c069",
+        "fig7_runs.csv": "8613c1dfe67d07ac8b5b9f6c87b3a7f6d1947582b7f708e49e2e9afdbe92c844",
+        "fig7_summary.txt": "f691a9c5e5d074b76a1b2582cbe4a308f7e5167e0bf06fb810a2720fbda79582",
+    }),
+    ("fig7", "--runs 9 --seed 4294967297 --mode literal-triangular", {
+        "fig7_cdf.csv": "26e33934b904d9001d990849fbb97f06af399c76c3b508c93d39dfeed9d8110b",
+        "fig7_runs.csv": "bde57a9421d227da51ff570fbfdd1e010c83cf82bdf181d115e428bf49f3e0c7",
+        "fig7_summary.txt": "3587848263abe8135144ac509588de6ab327fd1683bc84c5992f7f6859361774",
+    }),
+    ("fig8", "--runs 37", {
+        "fig8_cdf.csv": "6ec1f6d489dfec78b35a0514e0d9994d9ad0fbb594694747b27a60a6f3e04680",
+        "fig8_runs.csv": "cf593740dd73b9df6ef500b7ecf7411ead195ed566845d82816ec0089a83db72",
+        "fig8_summary.txt": "c873cbd0ded5fcdf9be12e4aed02cca56fa0ea20f46381c12bc627445cea2d6d",
+    }),
+    ("fig8", "--runs 37 --mode literal-triangular", {
+        "fig8_cdf.csv": "60a26ff5d31c392f4d2e1b2bd4f3f1f351db55543e58ca9ed504ee79e9b7ec6e",
+        "fig8_runs.csv": "99c436cad35325b74a7e1935f21d4cbebb1c7e242232fc034fa8fb9217c0b6f2",
+        "fig8_summary.txt": "154a165eff75a7569e2894fb136db3abddbc86ebf6562315a22e8ae04f5e87e7",
+    }),
+    ("fig9", "", {
+        "fig9_runs.csv": "29809da55ddc486ce61a707097424fe0d47ee7cba1770549ab103a93ba9f7dd5",
+        "fig9_summary.txt": "db390783ba8c5011369e30f2e584f7d0ec903e7b7a61cb747d663b0375ccf3c9",
+    }),
+    ("fig9", "--mode literal-triangular --runs 70", {
+        "fig9_runs.csv": "c3e0e8e065de0066dcb892d9a583f5c1681a8175011d1bdd095fab683e9c67d6",
+        "fig9_summary.txt": "fd19e4c824907cb822392b1f0e1403ebab8a4a72ef5621a12f182173bcb2b1da",
+    }),
+    ("fig9", "--depth 0 --runs 65", {
+        "fig9_runs.csv": "5eb5549d1e6ddec1e549377c77238cc1064d571b2bd0f791a8ed1aa4ad0d5ec1",
+        "fig9_summary.txt": "41f7384de2f4e465e3249f9435120ed4cea849c21abbb21430d581731d90d326",
     }),
     ("loopback", "", {
         "loopback_runs.csv": "09738de5f0c31a2dbde5502f457c322e1513dc36792fe0786cfc3a73716e1ddc",

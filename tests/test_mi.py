@@ -409,7 +409,7 @@ class TestBatchedEngine:
                         np.testing.assert_array_equal(getattr(report, name), getattr(batch, name)[row])
                     assert report.slice_mi().tolist() == batch.slice_mi()[row].tolist()
                     assert report.max_residual_rel() == ChainMi(
-                        *(getattr(batch, name)[row] for name in ("total", "parent", "positive", "negative"))
+                        *(getattr(batch, name)[row] for name in ("total", "positive", "negative"))
                     ).max_residual_rel()
 
     def test_zero_padding_does_not_change_a_row(self):

@@ -8,16 +8,28 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 
-def test_import_never_loads_scipy():
-    """The runtime is numpy only; scipy serves the tests as an oracle."""
+def _loaded_by_import(module: str) -> bool:
+    """Whether a fresh ``import physlice`` loads ``module``."""
     result = subprocess.run(
-        [sys.executable, "-c", "import physlice, sys; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", f"import physlice, sys; print({module!r} in sys.modules)"],
         env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True,
         text=True,
         check=True,
     )
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip() == "True"
+
+
+def test_import_never_loads_scipy():
+    """The runtime is numpy only; scipy serves the tests as an oracle."""
+    assert not _loaded_by_import("scipy")
+
+
+def test_import_never_loads_numpy_random():
+    """The run streams import numpy.random on a scenario's first run, not at
+    ``import physlice``: it adds about 6 MB and 25 ms to the import, and a
+    process's peak memory would move with the order of its imports."""
+    assert not _loaded_by_import("numpy.random")
 
 
 def test_scenarios_run_without_a_thread_pool(tmp_path):
