@@ -6,10 +6,16 @@ builds the slice plan, all before the output directory is made. It then
 calls the scenario's runner from ``_RUNNERS`` with that plan and profile.
 
 The Monte Carlo scenarios run their realizations in chunks of consecutive
-runs on a leading batch axis. Each chunk writes its runs' CSV rows as it
-finishes, one ``str.format`` per run, and fills its rows of the arrays that
-the summaries read: a ``ChainMi`` of (num_runs, ...) arrays in the MI
-scenarios, (slices, runs) EVM and error counts in ``loopback``. Every run
+runs on a leading batch axis, as many as fit in ``_CHUNK_BYTES`` of the
+scenario's buffers (``_chunk_runs``). A scenario makes its buffers once and
+cuts them to ``[:r]`` rows for a short last chunk: the link kernels of
+``txrx`` and the MI kernel ``mi._chain_levels_into`` write every
+frame-sized result into them, so no chunk allocates a frame-sized array.
+Each chunk writes its runs' CSV rows as it finishes, one ``str.format`` per
+run, and fills its rows of the arrays that the summaries read: a
+``ChainMi`` of (num_runs, ...) arrays in the MI scenarios, into which the
+kernel writes directly, and (slices, runs) EVM and error counts in
+``loopback``. Every run
 draws from its own RNG stream, bitwise ``np.random.default_rng([seed,
 run_id])``: a scenario hashes the seed words of all its runs in one
 vectorized SeedSequence pass (``_streams.stream_words``) and each chunk
@@ -40,7 +46,7 @@ from .channel import (
     profile_tap_count,
     sample_cir,
 )
-from .mi import MODE_EXACT, MODE_LITERAL, ChainMi, SnrSpec, chain_mi
+from .mi import MODE_EXACT, MODE_LITERAL, ChainMi, SnrSpec, _chain_levels_into, chain_mi
 from .sliceplan import SlicePlan, build_plan, decode_cost, total_cost
 from .txrx import (
     _QPSK,
@@ -72,10 +78,16 @@ _REPORT_ROW = f"{{}},{{}},{{}},{{}},{_FLOAT_FMT},{_FLOAT_FMT}\n"
 # adds about 6 MB and 25 ms to ``import physlice``; the first run of a
 # scenario loads it either way.
 
-# Frame samples per chunk of runs on the batch axis. The chunk size follows
-# from the frame size (4 runs at N=2048, 64 at N=128); a small budget keeps
-# the per-chunk arrays, and so the peak memory, near that of a single run.
-_CHUNK_SAMPLES = 8192
+# Bytes of chunk buffers per chunk of runs on the batch axis; a chunk holds
+# as many runs as fit. The link holds 98 B per frame sample (four complex,
+# two float, two uint64 and two bool buffers), 4 runs at N=2048; the MI
+# engine holds 24 B (one complex and one float buffer), 16 runs at N=2048.
+# A small budget keeps the peak memory near that of a single run.
+_CHUNK_BYTES = 98 * 8192
+_LINK_SAMPLE_BYTES = 98
+_MI_SAMPLE_BYTES = 24
+# Each run of a chunk also holds a Generator of about 0.75 KB.
+_MAX_CHUNK_RUNS = 64
 
 PRESETS: dict[str, dict] = {
     # Urban channel, sub-6 GHz numerology, one split: distribution of the
@@ -260,21 +272,22 @@ def empirical_cdf(samples) -> EmpiricalCdf:
     return EmpiricalCdf(values=ordered, probs=probs)
 
 
-def _chunk_runs(n_fft: int) -> int:
-    """Runs per chunk: ``_CHUNK_SAMPLES // n_fft``, at least one."""
-    return max(1, _CHUNK_SAMPLES // n_fft)
+def _chunk_runs(n_fft: int, sample_bytes: int) -> int:
+    """Runs per chunk of a scenario that holds ``sample_bytes`` of buffers
+    per frame sample: ``_CHUNK_BYTES // (sample_bytes * n_fft)``, clipped to
+    1 .. ``_MAX_CHUNK_RUNS``."""
+    return min(max(1, _CHUNK_BYTES // (sample_bytes * n_fft)), _MAX_CHUNK_RUNS)
 
 
-def _chunks(config: ExperimentConfig):
-    """Yield ``(start, rngs)`` for each chunk of ``_CHUNK_SAMPLES // n_fft``
-    consecutive runs, in run order: ``start`` is the id of the chunk's first
-    run and ``rngs`` holds the Generators of its runs. The seed words of
-    every run are hashed once, before the first chunk; each chunk builds its
-    Generators from its rows of the read-only words. The caller runs the
-    chunks one after another, whatever ``workers`` says."""
+def _chunks(config: ExperimentConfig, size: int):
+    """Yield ``(start, rngs)`` for each chunk of ``size`` consecutive runs,
+    in run order: ``start`` is the id of the chunk's first run and ``rngs``
+    holds the Generators of its runs. The seed words of every run are hashed
+    once, before the first chunk; each chunk builds its Generators from its
+    rows of the read-only words. The caller runs the chunks one after
+    another, whatever ``workers`` says."""
     from ._streams import stream, stream_words
 
-    size = _chunk_runs(config.n_fft)
     words = stream_words(config.seed, range(config.num_runs))
     for start in range(0, config.num_runs, size):
         yield start, [stream(row) for row in words[start : start + size]]
@@ -305,27 +318,40 @@ def _write_cdf(path: Path, curves: dict[str, EmpiricalCdf]) -> None:
         fh.writelines(rows)
 
 
-def _rate_scenario(config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, path: Path) -> ChainMi:
+def _rate_scenario(
+    config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, path: Path
+) -> tuple[ChainMi, float]:
     """Shared engine of the MI scenarios: the chain MI of every run, as
-    (num_runs, ...) arrays, drawn and analysed in chunks of runs, one
-    (R, L) tap draw and one engine call per chunk. Each chunk writes its
-    rows of the runs CSV at ``path`` as it finishes: one row per run and
-    slice, with the slices in frame order."""
-    snr = config.snr
-    runs, depth = config.num_runs, config.depth
+    (num_runs, ...) arrays, and the largest relative conservation residual
+    over them. Runs are drawn and analysed in chunks, one (R, L) tap draw
+    and one engine kernel call per chunk. The kernel writes the chunk's rows
+    of the kept arrays, with its spectra and log-gains in one complex and
+    one float (R, N) buffer made here and cut to ``[:r]`` rows for a short
+    last chunk. Each chunk writes its rows of the runs CSV at ``path`` as it
+    finishes: one row per run and slice, with the slices in frame order."""
+    n, runs, depth = config.n_fft, config.num_runs, config.depth
+    rho = config.snr.rho
     chain = ChainMi(np.empty(runs), np.empty((runs, depth)), np.empty((runs, depth)))
+    size = _chunk_runs(n, _MI_SAMPLE_BYTES)
+    bins = np.empty((min(runs, size), n), dtype=np.complex128)
+    gains = np.empty(bins.shape)
+    residual = 0.0
     # One template per run holds the fixed cells of all its slices.
     template = "".join(
         f"{{0}},{s.path},{s.size},{{{i}:{_FLOAT_SPEC}}},{s.decode_ops}\n" for i, s in enumerate(plan.slices, 1)
     )
     with _open_csv(path, "run_id,slice_path,slice_size,mi_bits,decode_ops") as fh:
-        for start, rngs in _chunks(config):
+        for start, rngs in _chunks(config, size):
+            r = len(rngs)
+            chunk = slice(start, start + r)
+            part = ChainMi(chain.total[chunk], chain.positive[chunk], chain.negative[chunk])
             chunk_taps = draw_taps(profile, config.sample_period_ns, rngs)
-            part = chain_mi(chunk_taps, config.n_fft, depth, snr, mode=config.mode)
-            chunk = slice(start, start + len(rngs))
-            chain.total[chunk], chain.positive[chunk], chain.negative[chunk] = part.total, part.positive, part.negative
+            _chain_levels_into(
+                chunk_taps, n, depth, rho, config.mode, part.total, part.positive, part.negative, bins[:r], gains[:r]
+            )
+            residual = max(residual, part.max_residual_rel())
             fh.writelines(template.format(run_id, *mi) for run_id, mi in enumerate(part.slice_mi().tolist(), start))
-    return chain
+    return chain, residual
 
 
 def _summary_lines(config: ExperimentConfig, plan: SlicePlan, taps: int, residual: float) -> list[str]:
@@ -357,15 +383,17 @@ def _run_rate_cdf(
     config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, out: Path
 ) -> dict[str, Path]:
     runs_path = out / f"{config.scenario}_runs.csv"
-    chain = _rate_scenario(config, plan, profile, runs_path)
-    lines = _summary_lines(config, plan, taps, chain.max_residual_rel())
+    chain, residual = _rate_scenario(config, plan, profile, runs_path)
+    lines = _summary_lines(config, plan, taps, residual)
 
     # fig7 plots the first split, fig8 the deepest one.
     if config.scenario == "fig7":
-        level, names = 0, ("positive", "negative", "half_total")
+        level, names = 1, ("positive", "negative", "half_total")
     else:
-        level, names = -1, ("deepest_positive", "deepest_negative", "half_parent")
-    pos, neg, parent = chain.positive[:, level], chain.negative[:, level], chain.parent[:, level]
+        level, names = config.depth, ("deepest_positive", "deepest_negative", "half_parent")
+    pos, neg = chain.positive[:, level - 1], chain.negative[:, level - 1]
+    # The slice that level k splits: the root, or the positive child of level k - 1.
+    parent = chain.total if level == 1 else chain.positive[:, level - 2]
     curves = dict(zip(names, (empirical_cdf(pos), empirical_cdf(neg), empirical_cdf(parent / 2.0))))
     cdf_path = out / f"{config.scenario}_cdf.csv"
     _write_cdf(cdf_path, curves)
@@ -383,9 +411,9 @@ def _run_fig9(
     config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, out: Path
 ) -> dict[str, Path]:
     runs_path = out / f"{config.scenario}_runs.csv"
-    chain = _rate_scenario(config, plan, profile, runs_path)
+    chain, residual = _rate_scenario(config, plan, profile, runs_path)
 
-    lines = _summary_lines(config, plan, taps, chain.max_residual_rel())
+    lines = _summary_lines(config, plan, taps, residual)
     lines.append("level,child_size,mean_mi_positive,mean_mi_negative,branch_gap_rel")
     for level in range(1, config.depth + 1):
         pos = float(np.mean(chain.positive[:, level - 1]))
@@ -414,7 +442,7 @@ def _run_fig4(
     config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, out: Path
 ) -> dict[str, Path]:
     runs_path = out / f"{config.scenario}_runs.csv"
-    chain = _rate_scenario(config, plan, profile, runs_path)
+    chain, max_residual = _rate_scenario(config, plan, profile, runs_path)
     # Each slice with the residual of the split that made it, at level
     # len(path); the whole frame of a depth-0 plan has none.
     residual = [0.0] + chain.residual()[0].tolist()
@@ -426,7 +454,7 @@ def _run_fig4(
     _write_report(report_path, records)
 
     total = float(chain.total[0])
-    lines = _summary_lines(config, plan, taps, chain.max_residual_rel())
+    lines = _summary_lines(config, plan, taps, max_residual)
     lines.append(f"total_mi_bits={_fmt(total)}")
     lines.append(_table_head(config.n_fft, config.depth, config.mode, config.snr.rho, total))
     lines.append(f"{'path':>12} {'size':>6} {'mi_bits':>14} {'residual':>12}")
@@ -447,7 +475,7 @@ def _run_table1(
     """Split the deepest positive slice of the plan all the way down to size
     1, and report both children of every level in both modes, with the
     decode cost of each child size."""
-    _, (rng,) = next(_chunks(config))
+    _, (rng,) = next(_chunks(config, 1))
     channel = build_circulant(sample_cir(profile, config.sample_period_ns, rng), config.n_fft)
     for _ in range(config.depth):
         channel = positive_child(channel)
@@ -494,16 +522,18 @@ def _run_loopback(
 ) -> dict[str, Path]:
     """Transmit, propagate, receive one frame per run; report EVM and errors.
 
-    Runs go through the link in chunks of ``_CHUNK_SAMPLES // n_fft`` frames
-    on the batch axis. Each run draws its channel, its bits and then its
-    noise from its own stream. The chunks share one set of buffers, made
-    here and cut to ``[:r]`` rows for a short last chunk: the ``txrx``
-    kernels and the EVM and error counts write every frame-sized result
-    into them, so no chunk allocates a frame-sized array.
+    Runs go through the link in chunks of
+    ``_chunk_runs(n_fft, _LINK_SAMPLE_BYTES)`` frames on the batch axis.
+    Each run draws its channel, its bits and then its noise from its own
+    stream. The chunks share one set of buffers, made here and cut to
+    ``[:r]`` rows for a short last chunk: the ``txrx`` kernels and the EVM
+    and error counts write every frame-sized result into them, so no chunk
+    allocates a frame-sized array.
     """
     n = config.n_fft
     rho = _noise_rho(config.snr)
-    rows = min(config.num_runs, _chunk_runs(n))
+    size = _chunk_runs(n, _LINK_SAMPLE_BYTES)
+    rows = min(config.num_runs, size)
     frame_buffers = np.empty((4, rows, n), dtype=np.complex128)
     # Noise draws; after the channel, scratch for the equalizer and the EVM.
     noise_buffer = np.empty((rows, 2, n))
@@ -522,7 +552,7 @@ def _run_loopback(
 
     runs_path = out / "loopback_runs.csv"
     with _open_csv(runs_path, "run_id,slice_path,evm,symbol_errors") as fh:
-        for start, rngs in _chunks(config):
+        for start, rngs in _chunks(config, size):
             r = len(rngs)
             sent, spectrum, signal, gains = frame_buffers[:, :r]
             noise = noise_buffer[:r]

@@ -20,10 +20,17 @@ child and the odd bins to the negative child:
   coincide while the channel fits in the slice and reproduce non-uniform
   splitting once it does not.
 
-``chain_mi`` is the batched entry point and :class:`ChainMi` the one result
-type: the scenarios read per-slice MI, residuals and the conservation check
-straight from its arrays. ``split_report`` is its case for one (L,) channel,
-a ChainMi of batch shape (). Every row of a batch is bit-identical to the
+The engine is one private kernel, ``_chain_levels_into``: it writes the
+root and per-level MI into result arrays it is handed, and builds every
+spectrum and log-gain vector in two scratch buffers it is handed too, one
+complex and one float of the taps' batch shape + (N,). The Monte Carlo
+scenarios make those buffers once and have the kernel write each chunk of
+runs into their kept arrays. ``chain_mi`` is the validated public entry
+point: it checks its inputs, makes the result and scratch arrays for one
+call and runs the kernel. :class:`ChainMi` is the one result type: the
+scenarios read per-slice MI, residuals and the conservation check straight
+from its arrays. ``split_report`` is its case for one (L,) channel, a
+ChainMi of batch shape (). Every row of a batch is bit-identical to the
 same channel run on its own. No dense matrix is built on this path.
 ``mi_logdet`` (exact log-det on a dense matrix) and the generator fold of
 ``channel`` are the oracles the tests hold the engine to.
@@ -31,6 +38,7 @@ same channel run on its own. No dense matrix is built on this path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,9 +112,15 @@ def mi_logdet(channel, snr) -> float:
     return logdet2_psd(gram)
 
 
-def _log_gains(bins: np.ndarray, rho: float) -> np.ndarray:
-    """Per-bin mutual information in bits, log2(1 + rho * |b|^2), of diagonal gains."""
-    return np.log2(1.0 + rho * np.abs(bins) ** 2)
+def _log_gains_into(bins: np.ndarray, rho: float, out: np.ndarray) -> np.ndarray:
+    """Per-bin mutual information in bits, log2(1 + rho * |b|^2), of the
+    diagonal gains ``bins``, built in place in the float array ``out`` of
+    the same shape, which it returns."""
+    np.abs(bins, out=out)
+    np.square(out, out=out)
+    np.multiply(out, rho, out=out)
+    np.add(out, 1.0, out=out)
+    return np.log2(out, out=out)
 
 
 def mi_fast(generator, snr) -> float:
@@ -119,7 +133,8 @@ def mi_fast(generator, snr) -> float:
     g = np.asarray(generator, dtype=np.complex128)
     if g.ndim != 1:
         raise ValueError("generator must be one-dimensional")
-    return float(np.sum(_log_gains(np.fft.fft(g), _rho(snr))))
+    bins = np.fft.fft(g)
+    return float(np.sum(_log_gains_into(bins, _rho(snr), np.empty(bins.shape))))
 
 
 def uniformity_ratio(taps, frame_size: int) -> float:
@@ -182,29 +197,52 @@ class ChainMi:
         return np.concatenate([self.positive[..., -1:], self.negative[..., ::-1]], axis=-1)
 
 
-def _chain_levels(taps: np.ndarray, size: int, depth: int, rho: float, mode: str) -> ChainMi:
+def _head(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A C-contiguous array of ``shape`` on the leading elements of the
+    C-contiguous ``buffer``."""
+    return buffer.reshape(-1)[: math.prod(shape)].reshape(shape)
+
+
+def _chain_levels_into(
+    taps: np.ndarray,
+    size: int,
+    depth: int,
+    rho: float,
+    mode: str,
+    total: np.ndarray,
+    positive: np.ndarray,
+    negative: np.ndarray,
+    bins: np.ndarray,
+    gains: np.ndarray,
+) -> None:
     """Root MI and the split of each level of the chain, from the taps' spectra.
 
-    ``taps`` has shape (..., L) with L <= size. Level k splits the positive
+    ``taps`` has shape B + (L,) with L <= size. Level k splits the positive
     slice of the level above into two slices of size ``size >> k``; its
-    positive slice is the parent of level k + 1.
+    positive slice is the parent of level k + 1. The root MI goes into
+    ``total`` (B) and the children of level k into ``positive[..., k-1]``
+    and ``negative[..., k-1]``. ``bins`` (complex) and ``gains`` (float),
+    both C-contiguous B + (size,), are scratch: the spectra and their
+    log-gains are made in them, so the call allocates no frame-sized array.
     """
-    spectrum = _log_gains(np.fft.fft(taps, size), rho)
-    total = spectrum.sum(axis=-1)
-    positive, negative = (np.empty(total.shape + (depth,)) for _ in range(2))
+    np.fft.fft(taps, size, axis=-1, out=bins)
+    spectrum = _log_gains_into(bins, rho, gains)
+    spectrum.sum(axis=-1, out=total)
     for level in range(1, depth + 1):
         # Even bins go to the positive child and odd bins to the negative one.
         # Exact: the parent's bins are the frame spectrum's residue class 0
         # mod 2^(k-1). Literal: the even bins of the 2s-point FFT of taps[:s]
-        # are the circulant's eigenvalues, the odd bins the skew-circulant's.
+        # are the circulant's eigenvalues, the odd bins the skew-circulant's;
+        # each level takes that FFT in the leading B x 2s elements of the
+        # scratch, a contiguous block that the ufuncs walk in one loop.
         if mode == MODE_EXACT:
-            gains = spectrum[..., :: 1 << (level - 1)]
+            level_gains = spectrum[..., :: 1 << (level - 1)]
         else:
-            half = size >> level
-            gains = _log_gains(np.fft.fft(taps[..., :half], 2 * half), rho)
-        positive[..., level - 1] = gains[..., 0::2].sum(axis=-1)
-        negative[..., level - 1] = gains[..., 1::2].sum(axis=-1)
-    return ChainMi(total, positive, negative)
+            shape = taps.shape[:-1] + (2 * (size >> level),)
+            level_bins = np.fft.fft(taps[..., : shape[-1] // 2], shape[-1], axis=-1, out=_head(bins, shape))
+            level_gains = _log_gains_into(level_bins, rho, _head(gains, shape))
+        level_gains[..., 0::2].sum(axis=-1, out=positive[..., level - 1])
+        level_gains[..., 1::2].sum(axis=-1, out=negative[..., level - 1])
 
 
 def chain_mi(taps, frame_size: int, depth: int, snr, mode: str = MODE_EXACT) -> ChainMi:
@@ -218,7 +256,15 @@ def chain_mi(taps, frame_size: int, depth: int, snr, mode: str = MODE_EXACT) -> 
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {_MODES}")
     check_plan(frame_size, depth)
-    return _chain_levels(check_taps(taps, frame_size), frame_size, depth, _rho(snr), mode)
+    taps = check_taps(taps, frame_size)
+    rho = _rho(snr)
+    batch = taps.shape[:-1]
+    chain = ChainMi(np.empty(batch), np.empty(batch + (depth,)), np.empty(batch + (depth,)))
+    bins = np.empty(batch + (frame_size,), dtype=np.complex128)
+    _chain_levels_into(
+        taps, frame_size, depth, rho, mode, chain.total, chain.positive, chain.negative, bins, np.empty(bins.shape)
+    )
+    return chain
 
 
 def split_report(taps, frame_size: int, depth: int, snr, mode: str = MODE_EXACT) -> ChainMi:

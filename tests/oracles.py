@@ -10,10 +10,15 @@ split again after the adjoint and given a unitary DFT each, with one erasure
 array per slice. The package's link is now one N-point FFT pair through the
 plan's ``bin_order``, the same map, so it agrees with this chain to
 round-off, and its erasures match exactly.
+
+The MI engine once allocated its spectra, its log-gains and its result
+arrays on every call. The package's kernel builds the same values with the
+same operations in buffers it is handed, so it stays bitwise equal to it.
 """
 
 import numpy as np
 
+from physlice.mi import MODE_EXACT
 from physlice.transform import butterfly_mixer
 from physlice.txrx import EQUALIZER_ERASURE_THRESHOLD
 
@@ -90,3 +95,25 @@ def tuple_receive(y, plan, gains):
         estimates.append(estimate)
         erasures.append(slice_erased)
     return tuple(estimates), tuple(erasures)
+
+
+def log_gains(bins, rho):
+    """Per-bin mutual information in bits, log2(1 + rho * |b|^2), of diagonal gains."""
+    return np.log2(1.0 + rho * np.abs(bins) ** 2)
+
+
+def chain_levels(taps, size, depth, rho, mode):
+    """The chain engine on fresh arrays: root MI (B), and the positive and
+    negative MI (B + (depth,)) of every level, from the taps' spectra."""
+    spectrum = log_gains(np.fft.fft(taps, size), rho)
+    total = spectrum.sum(axis=-1)
+    positive, negative = (np.empty(total.shape + (depth,)) for _ in range(2))
+    for level in range(1, depth + 1):
+        if mode == MODE_EXACT:
+            gains = spectrum[..., :: 1 << (level - 1)]
+        else:
+            half = size >> level
+            gains = log_gains(np.fft.fft(taps[..., :half], 2 * half), rho)
+        positive[..., level - 1] = gains[..., 0::2].sum(axis=-1)
+        negative[..., level - 1] = gains[..., 1::2].sum(axis=-1)
+    return total, positive, negative

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from physlice import experiments
 from physlice.cli import main as cli_main
 from physlice.experiments import (
     PRESETS,
@@ -351,10 +352,10 @@ class TestScenarios:
 
     @pytest.mark.parametrize("mode", ["exact-fold", "literal-triangular"])
     @pytest.mark.parametrize(
-        "scenario,num_runs", [("fig7", 9), ("fig7", 1), ("fig8", 9), ("fig8", 1), ("fig9", 70), ("fig9", 1)]
+        "scenario,num_runs", [("fig7", 37), ("fig7", 1), ("fig8", 37), ("fig8", 1), ("fig9", 70), ("fig9", 1)]
     )
     def test_mi_chunks_equal_a_per_run_report_replay(self, tmp_path, scenario, num_runs, mode):
-        # No run count is a multiple of the chunk (4 runs at N=2048, 64 at N=128).
+        # No run count is a multiple of the chunk (16 runs at N=2048, 64 at N=128).
         cfg = make_config(scenario, num_runs=num_runs, seed=7, mode=mode)
         reports, replay = mi_replay(cfg)
         residual = max(r.max_residual_rel() for r in reports)
@@ -385,6 +386,35 @@ class TestScenarios:
                 assert paths["cdf"].read_text().splitlines() == cdf
             for path in paths.values():
                 assert path.read_bytes() == (tmp_path / "w1" / path.name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "scenario,mode,num_runs",
+        [
+            ("fig7", "exact-fold", 37),
+            ("fig7", "literal-triangular", 37),
+            ("fig8", "exact-fold", 37),
+            ("fig8", "literal-triangular", 37),
+            ("fig9", "literal-triangular", 70),
+        ],
+    )
+    def test_mi_files_do_not_depend_on_the_chunk_size(self, tmp_path, monkeypatch, scenario, mode, num_runs):
+        cfg = dict(num_runs=num_runs, seed=3, mode=mode)
+        chunked = run_scenario(make_config(scenario, output_dir=str(tmp_path / "chunked"), **cfg))
+        monkeypatch.setattr(experiments, "_chunk_runs", lambda n_fft, sample_bytes: 1)
+        single = run_scenario(make_config(scenario, output_dir=str(tmp_path / "single"), **cfg))
+        assert chunked.keys() == single.keys()
+        for name, path in chunked.items():
+            assert path.read_bytes() == single[name].read_bytes(), name
+
+    def test_chunks_hold_one_byte_budget(self):
+        link, mi = experiments._LINK_SAMPLE_BYTES, experiments._MI_SAMPLE_BYTES
+        # The link keeps 8192 frame samples per chunk from N = 128 up.
+        for e in range(7, 15):
+            assert experiments._chunk_runs(1 << e, link) == max(1, 8192 >> e)
+        assert experiments._chunk_runs(16, link) == 64
+        assert experiments._chunk_runs(2048, mi) == 16
+        assert experiments._chunk_runs(128, mi) == 64
+        assert experiments._chunk_runs(1 << 20, mi) == 1
 
     @pytest.mark.parametrize("scenario", ["fig7", "loopback"])
     def test_multi_word_seed_is_identical_across_worker_counts(self, tmp_path, scenario):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from physlice.channel import (
     ETU_PROFILE,
@@ -16,6 +18,7 @@ from physlice.mi import (
     MODE_LITERAL,
     ChainMi,
     SnrSpec,
+    _chain_levels_into,
     chain_mi,
     mi_fast,
     mi_logdet,
@@ -25,6 +28,8 @@ from physlice.mi import (
 from physlice.experiments import make_config, run_scenario
 from physlice.sliceplan import build_plan
 from physlice.transform import recursive_matrix
+
+from oracles import chain_levels
 
 
 def random_taps(rng, length):
@@ -443,3 +448,62 @@ class TestBatchedEngine:
             chain_mi(np.array([[1.0, np.nan]]), 16, 1, 1.0)
         with pytest.raises(ValueError, match="rho must be"):
             chain_mi(taps, 16, 1, -1.0)
+
+
+def chain_buffers(rows, n, depth):
+    """The chain kernel's result and scratch arrays for up to ``rows``
+    channels: total, positive, negative, complex bins and float gains."""
+    results = np.empty(rows), np.empty((rows, depth)), np.empty((rows, depth))
+    return *results, np.empty((rows, n), complex), np.empty((rows, n))
+
+
+def run_chain_kernel(taps, n, depth, rho, mode, buffers):
+    """The kernel on (r, L) taps in rows [:r] of ``buffers``: copies of the
+    total, positive and negative MI it writes."""
+    r = len(taps)
+    total, positive, negative, bins, gains = (b[:r] for b in buffers)
+    _chain_levels_into(taps, n, depth, rho, mode, total, positive, negative, bins, gains)
+    return total.copy(), positive.copy(), negative.copy()
+
+
+@st.composite
+def kernel_cases(draw):
+    """Random R, N, depth and L <= N; L is often above the smallest slice
+    N >> depth, the non-uniform regime of literal mode."""
+    n = 1 << draw(st.integers(1, 11))
+    depth = draw(st.integers(0, n.bit_length() - 1))
+    length = draw(st.one_of(st.integers(1, n), st.integers((n >> depth) + 1, n) if depth else st.just(n)))
+    return draw(st.integers(1, 6)), n, depth, length, draw(st.integers(0, 2**32 - 1))
+
+
+class TestChainKernel:
+    """``mi._chain_levels_into`` against the allocating engine it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=kernel_cases(), mode=st.sampled_from([MODE_EXACT, MODE_LITERAL]), rho=st.sampled_from([0.1, 10.0]))
+    def test_kernel_is_bitwise_the_allocating_engine(self, case, mode, rho):
+        rows, n, depth, length, seed = case
+        taps = random_taps(np.random.default_rng(seed), (rows, length))
+        got = run_chain_kernel(taps, n, depth, rho, mode, chain_buffers(rows, n, depth))
+        for have, want in zip(got, chain_levels(taps, n, depth, rho, mode), strict=True):
+            assert have.shape == want.shape
+            assert np.array_equal(have, want)
+
+    def test_kernel_carries_no_state_between_chunks_on_reused_buffers(self):
+        rng = np.random.default_rng(407)
+        n, depth, rows = 256, 8, 5
+        buffers = chain_buffers(rows, n, depth)
+        # A full chunk, a partial chunk after it, then literal and exact mode
+        # on the same buffers; 40 taps outgrow every slice from level 3 down.
+        for r, mode in ((rows, MODE_EXACT), (2, MODE_EXACT), (rows, MODE_LITERAL), (3, MODE_EXACT)):
+            taps = random_taps(rng, (r, 40))
+            reused = run_chain_kernel(taps, n, depth, 10.0, mode, buffers)
+            fresh = run_chain_kernel(taps, n, depth, 10.0, mode, chain_buffers(r, n, depth))
+            for got, want, oracle in zip(reused, fresh, chain_levels(taps, n, depth, 10.0, mode), strict=True):
+                assert got.tobytes() == want.tobytes() == oracle.tobytes()
+
+    def test_mi_fast_shares_the_log_gain_rule(self):
+        rng = np.random.default_rng(408)
+        generator = random_taps(rng, 64)
+        total, _, _ = chain_levels(generator, 64, 0, 10.0, MODE_EXACT)
+        assert mi_fast(generator, 10.0) == float(total)
