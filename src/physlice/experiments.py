@@ -17,13 +17,14 @@ run, and fills its rows of the arrays that the summaries read: a
 kernel writes directly, and (slices, runs) EVM and error counts in
 ``loopback``. Every run
 draws from its own RNG stream, bitwise ``np.random.default_rng([seed,
-run_id])``: a scenario hashes the seed words of all its runs in one
-vectorized SeedSequence pass (``_streams.stream_words``) and each chunk
-builds its runs' Generators from their rows. The chunks run in order in
-the calling thread, so ``workers`` changes neither the output nor the speed
-(a thread pool never beat this loop: the chunks hold the GIL between short
-numpy calls). Plot rendering is left to external tools: the files written
-here are plain CSV plus a short text summary per scenario.
+run_id])``: a scenario hashes the seed words of ``_MAX_CHUNK_RUNS`` chunks
+of runs at a time, one vectorized SeedSequence pass per block
+(``_streams.stream_words``), and each chunk builds its runs' Generators
+from their rows. The chunks run in order in the calling thread, so ``workers``
+changes neither the output nor the speed (a thread pool never beat this
+loop: the chunks hold the GIL between short numpy calls). Plot rendering is
+left to external tools: the files written here are plain CSV plus a short
+text summary per scenario, each created anew by ``_create``.
 """
 
 from __future__ import annotations
@@ -86,7 +87,8 @@ _REPORT_ROW = f"{{}},{{}},{{}},{{}},{_FLOAT_FMT},{_FLOAT_FMT}\n"
 _CHUNK_BYTES = 98 * 8192
 _LINK_SAMPLE_BYTES = 98
 _MI_SAMPLE_BYTES = 24
-# Each run of a chunk also holds a Generator of about 0.75 KB.
+# Each run of a chunk also holds a Generator of about 0.75 KB. The seed
+# words of the runs are hashed for this many chunks at a time.
 _MAX_CHUNK_RUNS = 64
 
 PRESETS: dict[str, dict] = {
@@ -282,15 +284,18 @@ def _chunk_runs(n_fft: int, sample_bytes: int) -> int:
 def _chunks(config: ExperimentConfig, size: int):
     """Yield ``(start, rngs)`` for each chunk of ``size`` consecutive runs,
     in run order: ``start`` is the id of the chunk's first run and ``rngs``
-    holds the Generators of its runs. The seed words of every run are hashed
-    once, before the first chunk; each chunk builds its Generators from its
-    rows of the read-only words. The caller runs the chunks one after
-    another, whatever ``workers`` says."""
+    holds the Generators of its runs. The seed words are hashed for
+    ``_MAX_CHUNK_RUNS`` chunks at a time, so the hash holds one block of
+    runs, not every run; each chunk builds its Generators from its rows of
+    the read-only words. The caller runs the chunks one after another,
+    whatever ``workers`` says."""
     from ._streams import stream, stream_words
 
-    words = stream_words(config.seed, range(config.num_runs))
-    for start in range(0, config.num_runs, size):
-        yield start, [stream(row) for row in words[start : start + size]]
+    block = size * _MAX_CHUNK_RUNS
+    for first in range(0, config.num_runs, block):
+        words = stream_words(config.seed, range(first, min(first + block, config.num_runs)))
+        for start in range(0, len(words), size):
+            yield first + start, [stream(row) for row in words[start : start + size]]
 
 
 def _fmt(value) -> str:
@@ -299,12 +304,29 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _create(path: Path):
+    """``path`` opened for writing as a new file, with no newline
+    translation; the one way this module writes an output. A regular file
+    already there is unlinked first, so a hard link or a read-only file is
+    replaced, not written through: on ext4, truncating a file and writing
+    it again makes the close start a flush that a new file does not. A
+    symlink is written through, and a directory fails to open."""
+    if path.is_file() and not path.is_symlink():
+        path.unlink()
+    return path.open("w", newline="")
+
+
 def _open_csv(path: Path, header: str):
-    """A CSV file opened for writing, its header line written; every row
-    the caller writes ends in a bare newline."""
-    fh = path.open("w", newline="")
+    """A CSV file created anew, its header line written; every row the
+    caller writes ends in a bare newline."""
+    fh = _create(path)
     fh.write(header + "\n")
     return fh
+
+
+def _write_summary(path: Path, lines: list[str]) -> None:
+    with _create(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _write_cdf(path: Path, curves: dict[str, EmpiricalCdf]) -> None:
@@ -403,7 +425,7 @@ def _run_rate_cdf(
         gaps = np.abs(pos - neg) / parent
         lines.append(f"mean_branch_gap_rel={_fmt(float(np.mean(gaps)))}")
         lines.append(f"max_branch_gap_rel={_fmt(float(np.max(gaps)))}")
-    summary_path.write_text("\n".join(lines) + "\n")
+    _write_summary(summary_path, lines)
     return {"runs": runs_path, "cdf": cdf_path, "summary": summary_path}
 
 
@@ -423,7 +445,7 @@ def _run_fig9(
             f"{level},{config.n_fft >> level},{_fmt(pos)},{_fmt(neg)},{_fmt(gap)}"
         )
     summary_path = out / f"{config.scenario}_summary.txt"
-    summary_path.write_text("\n".join(lines) + "\n")
+    _write_summary(summary_path, lines)
     return {"runs": runs_path, "summary": summary_path}
 
 
@@ -465,7 +487,7 @@ def _run_fig4(
             "splitting is non-uniform at the deep levels"
         )
     summary_path = out / f"{config.scenario}_summary.txt"
-    summary_path.write_text("\n".join(lines) + "\n")
+    _write_summary(summary_path, lines)
     return {"runs": runs_path, "report": report_path, "summary": summary_path}
 
 
@@ -513,7 +535,7 @@ def _run_table1(
         "per-level sums in literal mode need not match the parent",
     ]
     summary_path = out / f"{config.scenario}_summary.txt"
-    summary_path.write_text("\n".join(lines) + "\n")
+    _write_summary(summary_path, lines)
     return {"report": report_path, "summary": summary_path}
 
 
@@ -599,7 +621,7 @@ def _run_loopback(
             f"mean_evm={_fmt(float(np.mean(slice_evm)))} symbol_errors={int(slice_errors.sum())}"
         )
     summary_path = out / "loopback_summary.txt"
-    summary_path.write_text("\n".join(lines) + "\n")
+    _write_summary(summary_path, lines)
     return {"runs": runs_path, "summary": summary_path}
 
 

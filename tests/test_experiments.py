@@ -1,4 +1,5 @@
 import math
+import os
 import re
 
 import numpy as np
@@ -60,6 +61,24 @@ def mi_replay(cfg) -> tuple[list, bytes]:
         for desc, mi_bits in zip(plan.slices, report.slice_mi().tolist(), strict=True):
             lines.append(f"{run_id},{desc.path},{desc.size},{mi_bits:.12g},{desc.decode_ops}")
     return reports, ("\n".join(lines) + "\n").encode()
+
+
+def traced_peak(tmp_path, scenario, num_runs, **overrides) -> int:
+    """Peak traced memory of one scenario run, in bytes above what is held
+    before it, after a 1-run warm-up."""
+    import tracemalloc
+
+    def run(runs):
+        run_scenario(make_config(scenario, num_runs=runs, output_dir=str(tmp_path), **overrides))
+
+    run(1)  # pays for the lazy imports and FFT plans
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run(num_runs)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 class TestEmpiricalCdf:
@@ -395,6 +414,9 @@ class TestScenarios:
             ("fig8", "exact-fold", 37),
             ("fig8", "literal-triangular", 37),
             ("fig9", "literal-triangular", 70),
+            # One run per chunk hashes the seed words 64 runs at a time, so
+            # 70 runs cross a hash block.
+            ("loopback", None, 70),
         ],
     )
     def test_mi_files_do_not_depend_on_the_chunk_size(self, tmp_path, monkeypatch, scenario, mode, num_runs):
@@ -446,23 +468,76 @@ class TestScenarios:
     )
     def test_memory_grows_by_arrays_not_objects_per_run(self, tmp_path, scenario, num_runs, overrides):
         # A scenario keeps numpy arrays per run: 1 + 2 * depth floats of chain
-        # MI (15 at depth 7) or an EVM and an error count per slice, plus 32
-        # bytes of stream seed words. A Python object per run or a whole-run
-        # .tolist() costs well over the bound.
-        import tracemalloc
+        # MI (15 at depth 7) or an EVM and an error count per slice. A Python
+        # object per run or a whole-run .tolist() costs well over the bound.
+        assert traced_peak(tmp_path, scenario, num_runs, **overrides) / num_runs < 450
 
-        def run(runs):
-            run_scenario(make_config(scenario, num_runs=runs, output_dir=str(tmp_path), **overrides))
+    @pytest.mark.parametrize(
+        "scenario,num_runs,overrides,bound",
+        [("fig9", 20000, {"mode": "literal-triangular"}, 200), ("loopback", 4000, {}, 350)],
+        ids=["fig9-literal", "loopback"],
+    )
+    def test_seed_words_are_hashed_per_block_of_chunks(self, tmp_path, scenario, num_runs, overrides, bound):
+        # Hashing the seed words of every run at once holds 32 B of words and
+        # about 117 B of hash temporaries per run on top of the kept arrays.
+        assert traced_peak(tmp_path, scenario, num_runs, **overrides) / num_runs < bound
 
-        run(1)  # pays for the lazy imports and FFT plans
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            run(num_runs)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak / num_runs < 450
+
+class TestOutputFiles:
+    # Each scenario first with a config that writes longer files, then with
+    # fewer runs or, where it takes one run, a plan that reports fewer rows.
+    @pytest.mark.parametrize(
+        "scenario,first,second",
+        [
+            ("fig4", {"depth": 4}, {}),
+            ("fig7", {"num_runs": 5}, {"num_runs": 3}),
+            ("fig8", {"num_runs": 5}, {"num_runs": 3}),
+            ("fig9", {"num_runs": 5}, {"num_runs": 3}),
+            ("table1", {"depth": 2}, {}),
+            ("loopback", {"num_runs": 5}, {"num_runs": 3}),
+        ],
+    )
+    def test_a_rerun_writes_the_files_of_a_fresh_run(self, tmp_path, scenario, first, second):
+        run_scenario(make_config(scenario, output_dir=str(tmp_path / "rerun"), **first))
+        rerun = run_scenario(make_config(scenario, output_dir=str(tmp_path / "rerun"), **second))
+        fresh = run_scenario(make_config(scenario, output_dir=str(tmp_path / "fresh"), **second))
+        assert sorted(p.name for p in (tmp_path / "rerun").iterdir()) == sorted(p.name for p in fresh.values())
+        for name, path in fresh.items():
+            assert rerun[name].read_bytes() == path.read_bytes(), name
+
+    def test_an_existing_output_is_replaced_by_a_new_file(self, tmp_path):
+        out, kept = tmp_path / "out", tmp_path / "kept"
+        kept.mkdir()
+        paths = run_scenario(make_config("fig9", num_runs=3, output_dir=str(out)))
+        old = {}
+        for path in paths.values():
+            # A hard link keeps the old inode alive, so its number is not reused.
+            os.link(path, kept / path.name)
+            old[path.name] = (path.stat().st_ino, path.read_bytes())
+        paths["summary"].chmod(0o444)
+        paths = run_scenario(make_config("fig9", num_runs=2, output_dir=str(out)))
+        for path in paths.values():
+            ino, data = old[path.name]
+            assert path.stat().st_ino != ino, path.name
+            assert (kept / path.name).read_bytes() == data != path.read_bytes(), path.name
+
+    def test_a_symlink_at_an_output_is_written_through(self, tmp_path):
+        out, target = tmp_path / "out", tmp_path / "elsewhere" / "runs.csv"
+        target.parent.mkdir()
+        target.write_bytes(b"a stale file, longer than the new one\n" * 40)
+        out.mkdir()
+        (out / "fig9_runs.csv").symlink_to(target)
+        run_scenario(make_config("fig9", num_runs=3, output_dir=str(out)))
+        fresh = run_scenario(make_config("fig9", num_runs=3, output_dir=str(tmp_path / "fresh")))
+        assert (out / "fig9_runs.csv").is_symlink()
+        assert (out / "fig9_runs.csv").readlink() == target
+        assert target.read_bytes() == fresh["runs"].read_bytes()
+
+    def test_a_directory_at_an_output_path_is_reported(self, tmp_path, capsys):
+        (tmp_path / "fig9_summary.txt").mkdir()
+        assert cli_main(["--scenario", "fig9", "--runs", "2", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path / "fig9_summary.txt") in err
 
 
 class TestCli:
