@@ -539,6 +539,68 @@ def _run_table1(
     return {"report": report_path, "summary": summary_path}
 
 
+def _slice_divisors(plan: SlicePlan) -> tuple[list[slice], tuple[np.ndarray, np.ndarray]]:
+    """The frame-order stretch of each slice of the plan, and the divisors
+    of each slice's summed squared error, as (slices, 1) columns: its size,
+    then its mean symbol power. Every QPSK point has the same |q|^2, so the
+    mean over a constant row is bitwise the mean over any frame's slice."""
+    stretches = [slice(desc.frame_offset, desc.frame_offset + desc.size) for desc in plan.slices]
+    sizes = np.array([[float(desc.size)] for desc in plan.slices])
+    powers = np.array([[np.mean(np.square(np.abs(np.full(desc.size, _QPSK[0]))))] for desc in plan.slices])
+    return stretches, (sizes, powers)
+
+
+def _link_chunk(
+    plan: SlicePlan,
+    stretches: list[slice],
+    divisors: tuple[np.ndarray, np.ndarray],
+    rho: float | None,
+    frames: np.ndarray,
+    noise: np.ndarray,
+    indices: np.ndarray,
+    masks: np.ndarray,
+    evm: np.ndarray,
+    errors: np.ndarray,
+) -> None:
+    """One chunk of r frames through the link, and each slice's EVM and
+    symbol errors into its row of the (slices, r) arrays ``evm`` and
+    ``errors`` (left alone when ``rho`` is None: noiseless runs make no
+    symbol errors). ``stretches`` and ``divisors`` are those of
+    :func:`_slice_divisors`.
+
+    ``frames`` is four complex (r, N) arrays: the sent QPSK symbols, then
+    scratch, then scratch, then the channel's frequency response (the
+    N-point FFT of the taps), which the equalizer overwrites. ``noise``
+    holds the (r, 2, N) standard normals of ``_standard_normals``, read
+    when ``rho`` is not None; after the channel it is two float (r, N)
+    arrays of scratch. ``indices`` is two uint64 (r, N) arrays,
+    scratch and then the QPSK indices of the sent symbols, and ``masks``
+    two bool (r, N) arrays of scratch.
+    """
+    sent, spectrum, signal, gains = frames
+    words, index = indices
+    erased, erasures = masks
+    floats = noise.reshape((2,) + sent.shape)
+    _transmit_into(sent, plan.inverse_bin_order, spectrum, signal)
+    _propagate_into(signal, gains, rho, noise, spectrum, signal)
+    _receive_into(signal, gains, plan.bin_order, spectrum, *floats, erased, signal, erasures)
+    # Element-wise work on whole frames; each sum covers one slice, the same
+    # sums that np.mean and np.count_nonzero take.
+    error_power = floats[0]
+    np.square(np.abs(np.subtract(signal, sent, out=spectrum), out=error_power), out=error_power)
+    if rho is not None:
+        # The erasure mask is spent (its bins are zeros in the estimate);
+        # it takes the symbol errors.
+        wrong = np.not_equal(_hard_index(signal, words, erased), index, out=erasures)
+    for i, stretch in enumerate(stretches):
+        np.add.reduce(error_power[:, stretch], axis=-1, out=evm[i])
+        if rho is not None:
+            np.add.reduce(wrong[:, stretch], axis=-1, dtype=np.intp, out=errors[i])
+    for divisor in divisors:
+        evm /= divisor
+    np.sqrt(evm, out=evm)
+
+
 def _run_loopback(
     config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, out: Path
 ) -> dict[str, Path]:
@@ -548,9 +610,8 @@ def _run_loopback(
     ``_chunk_runs(n_fft, _LINK_SAMPLE_BYTES)`` frames on the batch axis.
     Each run draws its channel, its bits and then its noise from its own
     stream. The chunks share one set of buffers, made here and cut to
-    ``[:r]`` rows for a short last chunk: the ``txrx`` kernels and the EVM
-    and error counts write every frame-sized result into them, so no chunk
-    allocates a frame-sized array.
+    ``[:r]`` rows for a short last chunk: ``_link_chunk`` writes every
+    frame-sized result into them, so no chunk allocates a frame-sized array.
     """
     n = config.n_fft
     rho = _noise_rho(config.snr)
@@ -562,6 +623,7 @@ def _run_loopback(
     index_buffers = np.empty((2, rows, n), dtype=np.uint64)
     mask_buffers = np.empty((2, rows, n), dtype=bool)
     num_slices = len(plan.slices)
+    stretches, divisors = _slice_divisors(plan)
     evm = np.empty((num_slices, config.num_runs))
     # Noiseless runs make no symbol errors.
     errors = np.zeros((num_slices, config.num_runs), dtype=np.int64)
@@ -576,11 +638,10 @@ def _run_loopback(
     with _open_csv(runs_path, "run_id,slice_path,evm,symbol_errors") as fh:
         for start, rngs in _chunks(config, size):
             r = len(rngs)
-            sent, spectrum, signal, gains = frame_buffers[:, :r]
+            frames = frame_buffers[:, :r]
+            sent, gains = frames[0], frames[3]
             noise = noise_buffer[:r]
-            floats = noise.reshape(2, r, n)
-            words, index = index_buffers[:, :r]
-            erased, erasures = mask_buffers[:, :r]
+            words, index = indices = index_buffers[:, :r]
             chunk = slice(start, start + r)
 
             chunk_taps = draw_taps(profile, config.sample_period_ns, rngs)
@@ -590,25 +651,13 @@ def _run_loopback(
             _QPSK.take(_qpsk_index(words, index).view(np.intp), out=sent, mode="clip")
             # One channel spectrum per chunk serves the channel and the equalizer.
             np.fft.fft(chunk_taps, n, axis=-1, out=gains)
-            _transmit_into(sent, plan.inverse_bin_order, spectrum, signal)
             if rho is not None:
                 _standard_normals(rngs, (r, n), out=noise)
-            _propagate_into(signal, gains, rho, noise, spectrum, signal)
-            _receive_into(signal, gains, plan.bin_order, spectrum, *floats, erased, signal, erasures)
-            # Element-wise work on whole frames; each mean and count covers one slice.
-            error_power, power = floats
-            np.square(np.abs(np.subtract(signal, sent, out=spectrum), out=error_power), out=error_power)
-            np.square(np.abs(sent, out=power), out=power)
-            if rho is not None:
-                # The erasure mask is spent (its bins are zeros in the estimate);
-                # it takes the symbol errors.
-                wrong = np.not_equal(_hard_index(signal, words, erased), index, out=erasures)
-            for i, desc in enumerate(plan.slices):
-                stretch = slice(desc.frame_offset, desc.frame_offset + desc.size)
-                evm[i, chunk] = np.sqrt(np.mean(error_power[:, stretch], axis=-1) / np.mean(power[:, stretch], axis=-1))
-                if rho is not None:
-                    errors[i, chunk] = np.count_nonzero(wrong[:, stretch], axis=-1)
-            cells = zip(count(start), evm[:, chunk].T.tolist(), errors[:, chunk].T.tolist())
+            chunk_evm, chunk_errors = evm[:, chunk], errors[:, chunk]
+            _link_chunk(
+                plan, stretches, divisors, rho, frames, noise, indices, mask_buffers[:, :r], chunk_evm, chunk_errors
+            )
+            cells = zip(count(start), chunk_evm.T.tolist(), chunk_errors.T.tolist())
             fh.writelines(template.format(run_id, *run_evm, *run_errors) for run_id, run_evm, run_errors in cells)
 
     lines = [

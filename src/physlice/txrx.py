@@ -216,9 +216,10 @@ def _standard_normals(rng, shape: tuple[int, ...], out: np.ndarray | None = None
     ``rng`` is one stream for all frames (a Generator or a seed), which draws
     every frame's real parts first; or, for an (R, N) batch, a sequence of R
     Generators, each of which fills its frame's row of ``out`` (allocated
-    when None) with its real, then its imaginary parts.
+    when None) with its real, then its imaginary parts. An empty sequence
+    is a sequence of no Generators, not a seed: it fits only an empty batch.
     """
-    if isinstance(rng, Sequence) and rng and all(isinstance(g, np.random.Generator) for g in rng):
+    if isinstance(rng, Sequence) and all(isinstance(g, np.random.Generator) for g in rng):
         if len(shape) != 2 or len(rng) != shape[0]:
             raise ValueError(f"expected one generator per frame of batch shape {shape[:-1]}, got {len(rng)}")
         draws = np.empty((shape[0], 2, shape[1])) if out is None else out
@@ -333,17 +334,30 @@ def _receive_into(
     ``estimate``, which may be ``y``, and their erasure mask into
     ``erasures``. ``gains`` is overwritten with the divisor (1 at the erased
     bins). ``magnitude``, ``squares`` and ``erased`` (of the gains' shape)
-    and ``spectrum`` (of the frames' shape) are scratch."""
+    and ``spectrum`` (of the frames' shape) are scratch. The erasure pass
+    runs only when some bin is erased.
+
+    The orthonormal DFT multiplies each bin by 1/sqrt(N) inside the FFT.
+    numpy divides a complex array by a real scalar c as
+    ``(re + im * 0) * (1 / c)``, so :func:`receive` gives what an
+    unnormalized DFT followed by ``/= sqrt(N)`` gives in every nonzero
+    component, and can differ from it only in the sign of a component that
+    is exactly zero. No loopback output sees that sign: the EVM uses
+    |estimate - sent| and the hard decision tests ``< 0``."""
     np.abs(gains, out=magnitude)
     rms = np.sqrt(np.mean(np.square(magnitude, out=squares), axis=-1, keepdims=True))
     np.less_equal(magnitude, EQUALIZER_ERASURE_THRESHOLD * rms, out=erased)
-    np.copyto(gains, 1.0, where=erased)
-    np.fft.fft(y, axis=-1, out=spectrum)
-    spectrum /= np.sqrt(spectrum.shape[-1])
+    any_erased = erased.any()
+    if any_erased:
+        np.copyto(gains, 1.0, where=erased)
+    np.fft.fft(y, axis=-1, out=spectrum, norm="ortho")
     spectrum /= gains
     np.take(spectrum, order, axis=-1, out=estimate, mode="clip")
-    np.take(np.broadcast_to(erased, spectrum.shape), order, axis=-1, out=erasures, mode="clip")
-    np.copyto(estimate, 0.0, where=erasures)
+    if any_erased:
+        np.take(np.broadcast_to(erased, spectrum.shape), order, axis=-1, out=erasures, mode="clip")
+        np.copyto(estimate, 0.0, where=erasures)
+    else:
+        erasures[...] = False
 
 
 def iterative_decode(z3, z4, taps, max_iters: int = 100, tol: float = 1e-10):

@@ -11,6 +11,13 @@ array per slice. The package's link is now one N-point FFT pair through the
 plan's ``bin_order``, the same map, so it agrees with this chain to
 round-off, and its erasures match exactly.
 
+The receiver once scaled its DFT after the fact (an unnormalized FFT, then
+``/= sqrt(N)``, then ``/= gains``) and always ran its erasure pass, and the
+loopback runner once took each slice's EVM as a ratio of two ``np.mean``
+calls and its symbol errors with ``np.count_nonzero``. The package's
+orthonormal FFT and per-slice sums give the same estimates in every nonzero
+component, and bitwise the same EVM and counts.
+
 The MI engine once allocated its spectra, its log-gains and its result
 arrays on every call. The package's kernel builds the same values with the
 same operations in buffers it is handed, so it stays bitwise equal to it.
@@ -20,7 +27,7 @@ import numpy as np
 
 from physlice.mi import MODE_EXACT
 from physlice.transform import butterfly_mixer
-from physlice.txrx import EQUALIZER_ERASURE_THRESHOLD
+from physlice.txrx import EQUALIZER_ERASURE_THRESHOLD, _hard_index
 
 SQRT2 = np.sqrt(2.0)
 
@@ -95,6 +102,41 @@ def tuple_receive(y, plan, gains):
         estimates.append(estimate)
         erasures.append(slice_erased)
     return tuple(estimates), tuple(erasures)
+
+
+def scaled_receive(y, plan, gains):
+    """Frame-order estimates and erasures of frames ``y`` through channels
+    of frequency response ``gains``: an unnormalized DFT, then ``/= sqrt(N)``,
+    then ``/= gains`` with 1 at the erased bins, gathered through the plan's
+    ``bin_order``; erased bins set to 0."""
+    magnitude = np.abs(gains)
+    rms = np.sqrt(np.mean(np.square(magnitude), axis=-1, keepdims=True))
+    erased = magnitude <= EQUALIZER_ERASURE_THRESHOLD * rms
+    spectrum = np.fft.fft(y, axis=-1)
+    spectrum /= np.sqrt(spectrum.shape[-1])
+    spectrum /= np.where(erased, 1.0, gains)
+    estimate = spectrum[..., plan.bin_order]
+    erasures = np.broadcast_to(erased, spectrum.shape)[..., plan.bin_order]
+    estimate[erasures] = 0.0
+    return estimate, erasures
+
+
+def loopback_statistics(estimate, sent, index, plan):
+    """Per-slice EVM and symbol errors, (slices, R) each, of (R, N)
+    frame-order estimates of the QPSK symbols ``sent`` of indices ``index``:
+    the square root of the ratio of the slice's ``np.mean`` of
+    |estimate - sent|^2 to its ``np.mean`` of |sent|^2, and the
+    ``np.count_nonzero`` of the slice's hard decisions that miss ``index``."""
+    error_power = np.square(np.abs(estimate - sent))
+    power = np.square(np.abs(sent))
+    wrong = _hard_index(estimate) != index
+    evm = np.empty((len(plan.slices), len(estimate)))
+    errors = np.empty(evm.shape, dtype=np.int64)
+    for i, desc in enumerate(plan.slices):
+        stretch = slice(desc.frame_offset, desc.frame_offset + desc.size)
+        evm[i] = np.sqrt(np.mean(error_power[:, stretch], axis=-1) / np.mean(power[:, stretch], axis=-1))
+        errors[i] = np.count_nonzero(wrong[:, stretch], axis=-1)
+    return evm, errors
 
 
 def log_gains(bins, rho):

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from physlice import experiments
@@ -16,6 +18,10 @@ from physlice.experiments import (
     make_config,
     run_scenario,
 )
+from physlice.sliceplan import build_plan
+from physlice.txrx import _QPSK, _propagate_into, _receive_into, _transmit_into
+
+from oracles import loopback_statistics, scaled_receive
 
 
 def loopback_replay(cfg) -> bytes:
@@ -816,3 +822,69 @@ def test_single_realization_outputs_match_their_pinned_digests(tmp_path, capsys,
     assert cli_main(["--scenario", scenario, "--out", str(tmp_path), *flags.split()]) == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}
     assert written == digests
+
+
+@st.composite
+def link_chunk_cases(draw):
+    """A plan of N = 16 .. 2048 at any depth, an SNR of at most 0 dB or
+    none, a chunk size and a shorter or equal one, the zero-gain row and
+    bins of an erased chunk (at least one of them), and a seed."""
+    log_n = draw(st.integers(4, 11))
+    n = 1 << log_n
+    plan = build_plan(n, draw(st.integers(0, log_n)), 8)
+    snr_db = draw(st.one_of(st.floats(-20.0, 0.0), st.just(math.inf)))
+    rows = draw(st.integers(1, 4))
+    zero_row = draw(st.one_of(st.none(), st.integers(0, rows - 1)))
+    zero_bins = draw(st.lists(st.integers(0, n - 1), min_size=0 if zero_row is not None else 1, max_size=4))
+    return plan, snr_db, rows, draw(st.integers(1, rows)), zero_row, zero_bins, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=120, deadline=None)
+@given(link_chunk_cases())
+def test_link_chunks_are_bitwise_the_scaled_receiver_and_per_slice_means(case):
+    """An erased chunk, then a clean one on the same buffers: the receive
+    kernel gives the oracle's estimates (up to the sign of zeros) and masks,
+    and each slice's EVM is bitwise, its error count exactly, the oracle's."""
+    plan, snr_db, rows, clean_rows, zero_row, zero_bins, seed = case
+    n = plan.frame_size
+    rho = None if snr_db == math.inf else 10.0 ** (snr_db / 10.0)
+    rng = np.random.default_rng(seed)
+    stretches, divisors = experiments._slice_divisors(plan)
+    frames = np.empty((4, rows, n), complex)
+    noise_buffer = np.empty((rows, 2, n))
+    indices = np.empty((2, rows, n), np.uint64)
+    masks = np.empty((2, rows, n), bool)
+    rx_frames, rx_floats, rx_masks = (np.empty((2, rows, n), dtype) for dtype in (complex, float, bool))
+    for r, erase in ((rows, True), (clean_rows, False)):
+        index = rng.integers(0, 4, (r, n)).astype(np.uint64)
+        sent = _QPSK[index]
+        gains = np.fft.fft(rng.standard_normal((r, 8)) + 1j * rng.standard_normal((r, 8)), n, axis=-1)
+        if erase:
+            if zero_row is not None:
+                gains[zero_row] = 0.0
+            gains[:, zero_bins] = 0.0
+        noise = rng.standard_normal((r, 2, n))
+        received = np.empty((r, n), complex)
+        _transmit_into(sent, plan.inverse_bin_order, np.empty_like(received), received)
+        _propagate_into(received, gains, rho, noise.copy(), np.empty_like(received), received)
+        want_estimate, want_erasures = scaled_receive(received, plan, gains)
+        assert want_erasures.any() == erase
+
+        spectrum, estimate = rx_frames[:, :r]
+        erased, erasures = rx_masks[:, :r]
+        _receive_into(
+            received.copy(), gains.copy(), plan.bin_order, spectrum, *rx_floats[:, :r], erased, estimate, erasures
+        )
+        np.testing.assert_array_equal(estimate, want_estimate)
+        np.testing.assert_array_equal(erasures, want_erasures)
+
+        frames[0, :r], frames[3, :r], noise_buffer[:r], indices[1, :r] = sent, gains, noise, index
+        evm = np.empty((len(plan.slices), r))
+        errors = np.full(evm.shape, -1, dtype=np.int64)
+        experiments._link_chunk(
+            plan, stretches, divisors, rho, frames[:, :r], noise_buffer[:r], indices[:, :r], masks[:, :r], evm, errors
+        )
+        want_evm, want_errors = loopback_statistics(want_estimate, sent, index, plan)
+        assert evm.tobytes() == want_evm.tobytes()
+        # Noiseless runs count no symbol errors; their rows are left alone.
+        np.testing.assert_array_equal(errors, want_errors if rho is not None else -1)

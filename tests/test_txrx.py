@@ -607,6 +607,10 @@ class TestBatchOracles:
             propagate(frames, np.ones((2, 1)))
         with pytest.raises(ValueError, match="one generator per frame"):
             propagate(frames, [1.0], snr=10.0, rng=[np.random.default_rng(0)] * 2)
+        # An empty sequence holds no generator; it is not read as a seed.
+        for empty in ([], ()):
+            with pytest.raises(ValueError, match="one generator per frame"):
+                propagate(frames, [1.0], snr=10.0, rng=empty)
         with pytest.raises(ValueError, match=re.escape("expected taps of shape (L,) or (3, L), got (1, 1)")):
             receive(frames.body, plan, np.ones((1, 1)))
 
@@ -716,6 +720,14 @@ def test_nearest_symbols_snaps_to_constellation():
     noisy = np.array([0.6 + 0.8j, -0.9 - 0.1j])
     snapped = nearest_symbols(noisy)
     np.testing.assert_allclose(snapped, [s + 1j * s, -s - 1j * s], atol=1e-15)
+
+
+def test_every_qpsk_point_has_one_power_bitwise():
+    # The loopback divides each slice's EVM by one mean symbol power per
+    # scenario, taken over a constant row; that holds only while every point
+    # has the same |q|^2 (libm's hypot need not give exactly 1).
+    powers = np.square(np.abs(_QPSK))
+    assert np.unique(powers.view(np.uint64)).size == 1
 
 
 @settings(max_examples=200, deadline=None)
