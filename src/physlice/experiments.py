@@ -437,9 +437,12 @@ def _run_fig9(
 
     lines = _summary_lines(config, plan, taps, residual)
     lines.append("level,child_size,mean_mi_positive,mean_mi_negative,branch_gap_rel")
+    runs = config.num_runs
     for level in range(1, config.depth + 1):
-        pos = float(np.mean(chain.positive[:, level - 1]))
-        neg = float(np.mean(chain.negative[:, level - 1]))
+        # np.mean's pairwise sum over each column view and its divide,
+        # without its wrapper; a reduce over axis 0 would sum in run order.
+        pos = float(np.add.reduce(chain.positive[:, level - 1]) / runs)
+        neg = float(np.add.reduce(chain.negative[:, level - 1]) / runs)
         gap = abs(pos - neg) / max(pos, neg) if max(pos, neg) > 0 else 0.0
         lines.append(
             f"{level},{config.n_fft >> level},{_fmt(pos)},{_fmt(neg)},{_fmt(gap)}"

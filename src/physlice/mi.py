@@ -23,7 +23,10 @@ child and the odd bins to the negative child:
 The engine is one private kernel, ``_chain_levels_into``: it writes the
 root and per-level MI into result arrays it is handed, and builds every
 spectrum and log-gain vector in two scratch buffers it is handed too, one
-complex and one float of the taps' batch shape + (N,). The Monte Carlo
+complex and one float of the taps' batch shape + (N,). In literal mode,
+level 1 is the root spectrum itself while the taps fit in N/2 samples, and
+levels 2 .. depth take their 2s-point FFTs in blocks laid one after another
+in the scratch, so one log-gain pass covers them all. The Monte Carlo
 scenarios make those buffers once and have the kernel write each chunk of
 runs into their kept arrays. ``chain_mi`` is the validated public entry
 point: it checks its inputs, makes the result and scratch arrays for one
@@ -38,7 +41,6 @@ same channel run on its own. No dense matrix is built on this path.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,10 +199,11 @@ class ChainMi:
         return np.concatenate([self.positive[..., -1:], self.negative[..., ::-1]], axis=-1)
 
 
-def _head(buffer: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """A C-contiguous array of ``shape`` on the leading elements of the
-    C-contiguous ``buffer``."""
-    return buffer.reshape(-1)[: math.prod(shape)].reshape(shape)
+def _split_into(level_gains: np.ndarray, positive: np.ndarray, negative: np.ndarray) -> None:
+    """Credit the even bins of a level's log-gains to its positive child and
+    the odd bins to its negative child."""
+    level_gains[..., 0::2].sum(axis=-1, out=positive)
+    level_gains[..., 1::2].sum(axis=-1, out=negative)
 
 
 def _chain_levels_into(
@@ -224,25 +227,47 @@ def _chain_levels_into(
     and ``negative[..., k-1]``. ``bins`` (complex) and ``gains`` (float),
     both C-contiguous B + (size,), are scratch: the spectra and their
     log-gains are made in them, so the call allocates no frame-sized array.
+
+    Literal mode takes level 1 from the root's log-gains while the taps fit
+    in ``size // 2`` samples (its FFT of ``taps[..., :size // 2]`` is then
+    the root's own), and from its own FFT in the whole scratch otherwise.
+    Levels 2 .. depth take their FFTs in C-contiguous B x 2s blocks laid one
+    after another in the scratch, ``size - (size >> (depth - 1))`` samples
+    per row in all, and one log-gain pass covers every block.
     """
     np.fft.fft(taps, size, axis=-1, out=bins)
     spectrum = _log_gains_into(bins, rho, gains)
     spectrum.sum(axis=-1, out=total)
-    for level in range(1, depth + 1):
-        # Even bins go to the positive child and odd bins to the negative one.
-        # Exact: the parent's bins are the frame spectrum's residue class 0
-        # mod 2^(k-1). Literal: the even bins of the 2s-point FFT of taps[:s]
-        # are the circulant's eigenvalues, the odd bins the skew-circulant's;
-        # each level takes that FFT in the leading B x 2s elements of the
-        # scratch, a contiguous block that the ufuncs walk in one loop.
-        if mode == MODE_EXACT:
-            level_gains = spectrum[..., :: 1 << (level - 1)]
-        else:
-            shape = taps.shape[:-1] + (2 * (size >> level),)
-            level_bins = np.fft.fft(taps[..., : shape[-1] // 2], shape[-1], axis=-1, out=_head(bins, shape))
-            level_gains = _log_gains_into(level_bins, rho, _head(gains, shape))
-        level_gains[..., 0::2].sum(axis=-1, out=positive[..., level - 1])
-        level_gains[..., 1::2].sum(axis=-1, out=negative[..., level - 1])
+    if mode == MODE_EXACT:
+        # The parent of level k is the frame spectrum's residue class 0 mod 2^(k-1).
+        for level in range(1, depth + 1):
+            _split_into(spectrum[..., :: 1 << (level - 1)], positive[..., level - 1], negative[..., level - 1])
+        return
+    if depth == 0:
+        return
+    # Literal: the even bins of the 2s-point FFT of taps[:s] are the
+    # circulant's eigenvalues, the odd bins the skew-circulant's. At level 1
+    # that FFT is the root's unless the taps outgrow s = size / 2.
+    if taps.shape[-1] > size // 2:
+        np.fft.fft(taps[..., : size // 2], size, axis=-1, out=bins)
+        _log_gains_into(bins, rho, gains)
+    _split_into(gains, positive[..., 0], negative[..., 0])
+    # Level k >= 2 takes its FFT in its own contiguous B x 2s block, each
+    # block right after the one above, so the ufuncs of one log-gain pass
+    # walk every level in one loop.
+    flat_bins, flat_gains = bins.reshape(-1), gains.reshape(-1)
+    rows = flat_bins.size // size
+    blocks = []
+    end = 0
+    for level in range(2, depth + 1):
+        width = size >> (level - 1)
+        start, end = end, end + rows * width
+        shape = taps.shape[:-1] + (width,)
+        np.fft.fft(taps[..., : width // 2], width, axis=-1, out=flat_bins[start:end].reshape(shape))
+        blocks.append(flat_gains[start:end].reshape(shape))
+    _log_gains_into(flat_bins[:end], rho, flat_gains[:end])
+    for level, level_gains in enumerate(blocks, 2):
+        _split_into(level_gains, positive[..., level - 1], negative[..., level - 1])
 
 
 def chain_mi(taps, frame_size: int, depth: int, snr, mode: str = MODE_EXACT) -> ChainMi:

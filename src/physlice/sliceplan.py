@@ -59,8 +59,7 @@ class SlicePlan:
     # than the child size); None when no channel length hint was given.
     uniform_floor: int | None = None
 
-    @property
-    @functools.lru_cache(maxsize=32)
+    @functools.cached_property
     def bin_order(self) -> np.ndarray:
         """Read-only (N,) permutation of 0 .. N-1: the original bins of the
         frame-order positions, each slice's :func:`bins_for_slice` at its offset."""
@@ -68,8 +67,7 @@ class SlicePlan:
         order.setflags(write=False)
         return order
 
-    @property
-    @functools.lru_cache(maxsize=32)
+    @functools.cached_property
     def inverse_bin_order(self) -> np.ndarray:
         """Read-only (N,) inverse of :attr:`bin_order`: the frame-order
         position of each original bin, so ``np.take(frames, inverse_bin_order,
@@ -119,8 +117,17 @@ def build_plan(
     than the frame. ``channel_length`` is an optional hint: the cyclic
     prefix must cover it, and the plan is flagged non-uniform when the
     channel outgrows the smallest slice (the regime where the two branches
-    of a split stop sharing the rate evenly).
+    of a split stop sharing the rate evenly). Plans are immutable, so the
+    last 32 distinct argument sets are cached and their plans shared.
     """
+    return _build_plan(frame_size, depth, cp_length, channel_length)
+
+
+# The cache sits behind the plain function above so that tools which wrap a
+# module's functions (the benchmark's call spans) still see build_plan. It is
+# typed, so a float size is rejected even after the same int size was cached.
+@functools.lru_cache(maxsize=32, typed=True)
+def _build_plan(frame_size: int, depth: int, cp_length: int, channel_length: int | None) -> SlicePlan:
     check_plan(frame_size, depth)
     if cp_length < 0:
         raise ValueError("cyclic prefix length must be non-negative")

@@ -778,6 +778,18 @@ GOLDEN_DIGESTS = [
         "fig9_runs.csv": "c3e0e8e065de0066dcb892d9a583f5c1681a8175011d1bdd095fab683e9c67d6",
         "fig9_summary.txt": "fd19e4c824907cb822392b1f0e1403ebab8a4a72ef5621a12f182173bcb2b1da",
     }),
+    # 49 ETU taps outgrow half the 64-sample frame, so literal level 1 takes
+    # its own FFT instead of the root's.
+    ("fig9", "--mode literal-triangular --n-fft 64 --delta-f 150e3 --cp 64 --profile etu --depth 6 --runs 70", {
+        "fig9_runs.csv": "e3939bd3826327cab269b02136da1466fecc9565673dfbcee66682b2e8eb6c5f",
+        "fig9_summary.txt": "c9eec29cd612558eab41c9beb6822b739ba4d678efbd1ef690310f18983b86e9",
+    }),
+    # Five chunks, the last one partial, and per-level means over more than
+    # the 128 runs where numpy's pairwise sum starts to recurse.
+    ("fig9", "--mode literal-triangular --runs 300", {
+        "fig9_runs.csv": "f02d6f5afdd8342696a9552296ac91ce3f3752e8ca4a2669cc1318c77f74e20a",
+        "fig9_summary.txt": "233991952857d812a8e38ed3e45ec30f27454d612c959199d42c8021b3e2e301",
+    }),
     ("fig9", "--depth 0 --runs 65", {
         "fig9_runs.csv": "5eb5549d1e6ddec1e549377c77238cc1064d571b2bd0f791a8ed1aa4ad0d5ec1",
         "fig9_summary.txt": "41f7384de2f4e465e3249f9435120ed4cea849c21abbb21430d581731d90d326",

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from physlice.channel import (
@@ -479,6 +479,13 @@ def kernel_cases(draw):
 class TestChainKernel:
     """``mi._chain_levels_into`` against the allocating engine it replaced."""
 
+    # Literal level 1 reuses the root spectrum up to L = N/2 and takes its
+    # own FFT from L = N/2 + 1, at full and at partial depth.
+    @example(case=(3, 64, 4, 32, 1), mode=MODE_LITERAL, rho=10.0)
+    @example(case=(3, 64, 4, 33, 2), mode=MODE_LITERAL, rho=10.0)
+    @example(case=(2, 16, 4, 8, 3), mode=MODE_LITERAL, rho=0.1)
+    @example(case=(2, 16, 4, 9, 4), mode=MODE_LITERAL, rho=0.1)
+    @example(case=(1, 4, 2, 3, 5), mode=MODE_LITERAL, rho=10.0)
     @settings(max_examples=150, deadline=None)
     @given(case=kernel_cases(), mode=st.sampled_from([MODE_EXACT, MODE_LITERAL]), rho=st.sampled_from([0.1, 10.0]))
     def test_kernel_is_bitwise_the_allocating_engine(self, case, mode, rho):
@@ -495,8 +502,18 @@ class TestChainKernel:
         buffers = chain_buffers(rows, n, depth)
         # A full chunk, a partial chunk after it, then literal and exact mode
         # on the same buffers; 40 taps outgrow every slice from level 3 down.
-        for r, mode in ((rows, MODE_EXACT), (2, MODE_EXACT), (rows, MODE_LITERAL), (3, MODE_EXACT)):
-            taps = random_taps(rng, (r, 40))
+        # The literal chunk of 200 taps takes its own level-1 FFT over the
+        # whole scratch, and the 40-tap literal chunk after it reuses the root.
+        chunks = [
+            (rows, MODE_EXACT, 40),
+            (2, MODE_EXACT, 40),
+            (rows, MODE_LITERAL, 40),
+            (3, MODE_EXACT, 40),
+            (rows, MODE_LITERAL, 200),
+            (4, MODE_LITERAL, 40),
+        ]
+        for r, mode, length in chunks:
+            taps = random_taps(rng, (r, length))
             reused = run_chain_kernel(taps, n, depth, 10.0, mode, buffers)
             fresh = run_chain_kernel(taps, n, depth, 10.0, mode, chain_buffers(r, n, depth))
             for got, want, oracle in zip(reused, fresh, chain_levels(taps, n, depth, 10.0, mode), strict=True):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,31 @@ class TestBins:
         assert not inverse.flags.writeable
         np.testing.assert_array_equal(inverse[order], np.arange(n))
         np.testing.assert_array_equal(order[inverse], np.arange(n))
+
+    def test_bin_orders_are_built_once_per_plan_and_leave_equality_alone(self):
+        plan = build_plan(64, 3, 16)
+        twin = dataclasses.replace(plan)
+        assert twin is not plan and twin == plan and hash(twin) == hash(plan)
+        hashed = hash(plan)
+        order, inverse = plan.bin_order, plan.inverse_bin_order
+        assert plan.bin_order is order and plan.inverse_bin_order is inverse
+        assert not order.flags.writeable and not inverse.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            order[0] = 1
+        # The orders are cached on the plan, not in its fields.
+        assert plan == twin and hash(plan) == hashed
+        assert twin.bin_order is not order
+        np.testing.assert_array_equal(twin.bin_order, order)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.depth = 2
+
+    def test_equal_arguments_share_one_plan(self):
+        plan = build_plan(128, 5, 16, channel_length=14)
+        assert build_plan(128, 5, 16, 14) is plan
+        assert build_plan(128, 5, 16) is not plan and build_plan(128, 5, 16) != plan
+        # A float size is still rejected after the int plan is cached.
+        with pytest.raises(TypeError):
+            build_plan(128.0, 5, 16, channel_length=14)
 
 
 class TestCosts:
