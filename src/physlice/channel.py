@@ -186,21 +186,45 @@ def draw_taps(profile: ChannelProfile, sample_period_ns: float, rngs) -> np.ndar
     order. Powers are normalized so the expected total channel power is 1.
     Row r takes from ``rngs[r]`` the K real parts, then the K imaginary
     parts of the profile's K taps, and nothing else.
+
+    This is the validated entry point: it checks its inputs, makes the
+    arrays and runs the private kernel :func:`_draw_taps_into`, which the
+    Monte Carlo scenarios call on buffers they make once.
     """
-    idx, scale = _profile_grid(profile, _check_period(sample_period_ns))
+    period = _check_period(sample_period_ns)
     rngs = list(rngs)
     if not all(isinstance(rng, np.random.Generator) for rng in rngs):
         raise TypeError("draw_taps takes one numpy Generator per realization")
-    draws = np.empty((len(rngs), 2, idx.size))
+    scale, columns = _draw_grid(profile, period)
+    taps = np.empty((len(rngs), profile_tap_count(profile, period)), dtype=np.complex128)
+    _draw_taps_into(rngs, scale, columns, np.empty((len(rngs), 2, scale.size)), taps)
+    return taps
+
+
+@functools.lru_cache(maxsize=32)
+def _draw_grid(profile: ChannelProfile, sample_period_ns: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Rayleigh scales of a profile's K taps, and the 2K columns
+    that their real, then their imaginary parts add into in the float view
+    of (R, L) complex taps: 2i and 2i + 1 for tap index i."""
+    idx, scale = _profile_grid(profile, sample_period_ns)
+    columns = np.concatenate((2 * idx, 2 * idx + 1))
+    columns.setflags(write=False)
+    return scale, columns
+
+
+def _draw_taps_into(rngs, scale: np.ndarray, columns: np.ndarray, draws: np.ndarray, taps: np.ndarray) -> None:
+    """:func:`draw_taps` of the Generators ``rngs``, unchecked, into
+    ``taps``, a C-contiguous complex (R, L) array that is zeroed first.
+    ``scale`` and ``columns`` are :func:`_draw_grid`'s, and ``draws`` is a
+    float (R, 2, K) scratch array."""
     for row, rng in zip(draws, rngs):
         rng.standard_normal(out=row)
     draws *= scale
-    values = np.empty((len(rngs), idx.size), dtype=np.complex128)
-    values.real = draws[:, 0]
-    values.imag = draws[:, 1]
-    taps = np.zeros((len(rngs), int(idx[-1]) + 1), dtype=np.complex128)
-    np.add.at(taps, (slice(None), idx), values)
-    return taps
+    taps.fill(0)
+    # A complex sum adds the real and the imaginary parts apart, so the
+    # float view takes the same sums; np.add.at adds taps that land on one
+    # index in profile order.
+    np.add.at(taps.view(np.float64), (slice(None), columns), draws.reshape(len(draws), columns.size))
 
 
 def sample_cir(profile: ChannelProfile, sample_period_ns: float, rng) -> np.ndarray:

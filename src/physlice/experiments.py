@@ -9,10 +9,12 @@ The Monte Carlo scenarios run their realizations in chunks of consecutive
 runs on a leading batch axis, as many as fit in ``_CHUNK_BYTES`` of the
 scenario's buffers (``_chunk_runs``). A scenario makes its buffers once and
 cuts them to ``[:r]`` rows for a short last chunk: the link kernels of
-``txrx`` and the MI kernel ``mi._chain_levels_into`` write every
-frame-sized result into them, so no chunk allocates a frame-sized array.
-Each chunk writes its runs' CSV rows as it finishes, one ``str.format`` per
-run, and fills its rows of the arrays that the summaries read: a
+``txrx``, the MI kernel ``mi._chain_levels_into`` and the tap draw
+``channel._draw_taps_into`` write every result into them, so no chunk
+allocates a frame-sized array. Each chunk writes its runs' CSV rows as it
+finishes, with one ``%`` call (``_rows``): one run's row template, repeated
+for the chunk's runs, filled from one flat list of cells. It also fills
+its rows of the arrays that the summaries read: a
 ``ChainMi`` of (num_runs, ...) arrays in the MI scenarios, into which the
 kernel writes directly, and (slices, runs) EVM and error counts in
 ``loopback``. Every run
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -39,9 +40,10 @@ import numpy as np
 from .channel import (
     BUILTIN_PROFILES,
     ChannelProfile,
+    _draw_grid,
+    _draw_taps_into,
     _read_key_values,
     build_circulant,
-    draw_taps,
     load_profile,
     positive_child,
     profile_tap_count,
@@ -70,10 +72,12 @@ __all__ = [
     "run_scenario",
 ]
 
-_FLOAT_SPEC = ".12g"
-_FLOAT_FMT = f"{{:{_FLOAT_SPEC}}}"
+# The conversion of every float that a CSV row or ``_fmt`` writes.
+_FLOAT_FIELD = "%.12g"
 # A row of the per-slice report of fig4 and table1.
-_REPORT_ROW = f"{{}},{{}},{{}},{{}},{_FLOAT_FMT},{_FLOAT_FMT}\n"
+_REPORT_ROW = f"%s,%s,%s,%s,{_FLOAT_FIELD},{_FLOAT_FIELD}\n"
+# The cdf file is written this many rows of a curve at a time.
+_CDF_BLOCK_ROWS = 1024
 
 # ``._streams`` is imported where it is used: it loads numpy.random, which
 # adds about 6 MB and 25 ms to ``import physlice``; the first run of a
@@ -300,8 +304,34 @@ def _chunks(config: ExperimentConfig, size: int):
 
 def _fmt(value) -> str:
     if isinstance(value, float) or isinstance(value, np.floating):
-        return _FLOAT_FMT.format(float(value))
+        return _FLOAT_FIELD % float(value)
     return str(value)
+
+
+def _rows(row: str, copies: int, *columns) -> str:
+    """``copies`` copies of the ``%`` template ``row``, filled by one ``%``
+    call from one flat list of cells. The fields of the repeated text take
+    their cells from the equal-length ``columns`` in turn: field k takes the
+    next cell of ``columns[k % len(columns)]``. The columns are interleaved
+    by list-slice assignment, so no Python call runs per row."""
+    step = len(columns)
+    cells = [None] * sum(map(len, columns))
+    for k, column in enumerate(columns):
+        cells[k::step] = column
+    return (row * copies) % tuple(cells)
+
+
+def _mi_row(plan: SlicePlan) -> str:
+    """The ``%`` template of one run's rows of an MI runs CSV: one row per
+    slice, in frame order, with two fields, the run id and the MI."""
+    return "".join(f"%s,{s.path},{s.size},{_FLOAT_FIELD},{s.decode_ops}\n" for s in plan.slices)
+
+
+def _link_row(plan: SlicePlan) -> str:
+    """The ``%`` template of one run's rows of the loopback runs CSV: one
+    row per slice, in frame order, with three fields, the run id, the EVM
+    and the symbol errors."""
+    return "".join(f"%s,{s.path},{_FLOAT_FIELD},%s\n" for s in plan.slices)
 
 
 def _create(path: Path):
@@ -330,14 +360,15 @@ def _write_summary(path: Path, lines: list[str]) -> None:
 
 
 def _write_cdf(path: Path, curves: dict[str, EmpiricalCdf]) -> None:
-    templates = {name: f"{name},{_FLOAT_FMT},{_FLOAT_FMT}\n" for name in curves}
-    rows = (
-        templates[name].format(x, p)
-        for name, cdf in curves.items()
-        for x, p in zip(cdf.values.tolist(), cdf.probs.tolist())
-    )
+    """One row per point of each curve, curve after curve, written
+    ``_CDF_BLOCK_ROWS`` rows at a time."""
     with _open_csv(path, "curve,x,cdf") as fh:
-        fh.writelines(rows)
+        for name, cdf in curves.items():
+            row = f"{name},{_FLOAT_FIELD},{_FLOAT_FIELD}\n"
+            for first in range(0, cdf.values.size, _CDF_BLOCK_ROWS):
+                block = slice(first, first + _CDF_BLOCK_ROWS)
+                values = cdf.values[block].tolist()
+                fh.write(_rows(row, len(values), values, cdf.probs[block].tolist()))
 
 
 def _rate_scenario(
@@ -345,34 +376,38 @@ def _rate_scenario(
 ) -> tuple[ChainMi, float]:
     """Shared engine of the MI scenarios: the chain MI of every run, as
     (num_runs, ...) arrays, and the largest relative conservation residual
-    over them. Runs are drawn and analysed in chunks, one (R, L) tap draw
-    and one engine kernel call per chunk. The kernel writes the chunk's rows
-    of the kept arrays, with its spectra and log-gains in one complex and
-    one float (R, N) buffer made here and cut to ``[:r]`` rows for a short
-    last chunk. Each chunk writes its rows of the runs CSV at ``path`` as it
-    finishes: one row per run and slice, with the slices in frame order."""
+    over them. Runs are drawn and analysed in chunks, one tap draw
+    (``channel._draw_taps_into``) and one engine kernel call per chunk. The
+    kernels write the chunk's taps and its rows of the kept arrays; the
+    taps, their draws, and the spectra and log-gains (one complex and one
+    float (R, N) array) go in buffers made here and cut to ``[:r]`` rows for
+    a short last chunk. Each chunk writes its rows of the runs CSV at
+    ``path`` as it finishes, with one ``_rows`` call: one row per run and
+    slice, with the slices in frame order."""
     n, runs, depth = config.n_fft, config.num_runs, config.depth
     rho = config.snr.rho
     chain = ChainMi(np.empty(runs), np.empty((runs, depth)), np.empty((runs, depth)))
     size = _chunk_runs(n, _MI_SAMPLE_BYTES)
-    bins = np.empty((min(runs, size), n), dtype=np.complex128)
+    rows = min(runs, size)
+    scale, columns = _draw_grid(profile, config.sample_period_ns)
+    draws = np.empty((rows, 2, scale.size))
+    taps = np.empty((rows, profile_tap_count(profile, config.sample_period_ns)), dtype=np.complex128)
+    bins = np.empty((rows, n), dtype=np.complex128)
     gains = np.empty(bins.shape)
     residual = 0.0
-    # One template per run holds the fixed cells of all its slices.
-    template = "".join(
-        f"{{0}},{s.path},{s.size},{{{i}:{_FLOAT_SPEC}}},{s.decode_ops}\n" for i, s in enumerate(plan.slices, 1)
-    )
+    row, per_run = _mi_row(plan), len(plan.slices)
     with _open_csv(path, "run_id,slice_path,slice_size,mi_bits,decode_ops") as fh:
         for start, rngs in _chunks(config, size):
             r = len(rngs)
             chunk = slice(start, start + r)
             part = ChainMi(chain.total[chunk], chain.positive[chunk], chain.negative[chunk])
-            chunk_taps = draw_taps(profile, config.sample_period_ns, rngs)
+            _draw_taps_into(rngs, scale, columns, draws[:r], taps[:r])
             _chain_levels_into(
-                chunk_taps, n, depth, rho, config.mode, part.total, part.positive, part.negative, bins[:r], gains[:r]
+                taps[:r], n, depth, rho, config.mode, part.total, part.positive, part.negative, bins[:r], gains[:r]
             )
             residual = max(residual, part.max_residual_rel())
-            fh.writelines(template.format(run_id, *mi) for run_id, mi in enumerate(part.slice_mi().tolist(), start))
+            run_ids = np.arange(start, start + r).repeat(per_run).tolist()
+            fh.write(_rows(row, r, run_ids, part.slice_mi().ravel().tolist()))
     return chain, residual
 
 
@@ -455,7 +490,7 @@ def _run_fig9(
 def _write_report(path: Path, records) -> None:
     """One row per (level, path, size, mode, mi_bits, parent_residual) record."""
     with _open_csv(path, "level,path,size,mode,mi_bits,parent_residual") as fh:
-        fh.writelines(_REPORT_ROW.format(*r) for r in records)
+        fh.write(_rows(_REPORT_ROW, len(records), *zip(*records)))
 
 
 def _table_head(size: int, depth: int, mode: str, rho: float, total: float) -> str:
@@ -613,13 +648,18 @@ def _run_loopback(
     ``_chunk_runs(n_fft, _LINK_SAMPLE_BYTES)`` frames on the batch axis.
     Each run draws its channel, its bits and then its noise from its own
     stream. The chunks share one set of buffers, made here and cut to
-    ``[:r]`` rows for a short last chunk: ``_link_chunk`` writes every
-    frame-sized result into them, so no chunk allocates a frame-sized array.
+    ``[:r]`` rows for a short last chunk: ``channel._draw_taps_into`` draws
+    the taps into them and ``_link_chunk`` writes every frame-sized result
+    into them, so no chunk allocates a frame-sized array. Each chunk writes
+    its rows of the runs CSV with one ``_rows`` call.
     """
     n = config.n_fft
     rho = _noise_rho(config.snr)
     size = _chunk_runs(n, _LINK_SAMPLE_BYTES)
     rows = min(config.num_runs, size)
+    scale, columns = _draw_grid(profile, config.sample_period_ns)
+    draws = np.empty((rows, 2, scale.size))
+    tap_buffer = np.empty((rows, taps), dtype=np.complex128)
     frame_buffers = np.empty((4, rows, n), dtype=np.complex128)
     # Noise draws; after the channel, scratch for the equalizer and the EVM.
     noise_buffer = np.empty((rows, 2, n))
@@ -630,12 +670,7 @@ def _run_loopback(
     evm = np.empty((num_slices, config.num_runs))
     # Noiseless runs make no symbol errors.
     errors = np.zeros((num_slices, config.num_runs), dtype=np.int64)
-    # One template per run holds the fixed cells of all its slices: the EVM
-    # of slice i is field 1 + i, its error count field 1 + num_slices + i.
-    template = "".join(
-        f"{{0}},{desc.path},{{{1 + i}:{_FLOAT_SPEC}}},{{{1 + num_slices + i}}}\n"
-        for i, desc in enumerate(plan.slices)
-    )
+    row = _link_row(plan)
 
     runs_path = out / "loopback_runs.csv"
     with _open_csv(runs_path, "run_id,slice_path,evm,symbol_errors") as fh:
@@ -647,9 +682,10 @@ def _run_loopback(
             words, index = indices = index_buffers[:, :r]
             chunk = slice(start, start + r)
 
-            chunk_taps = draw_taps(profile, config.sample_period_ns, rngs)
-            for row, rng in zip(words, rngs):
-                row[...] = rng.bit_generator.random_raw(n)
+            chunk_taps = tap_buffer[:r]
+            _draw_taps_into(rngs, scale, columns, draws[:r], chunk_taps)
+            for raw, rng in zip(words, rngs):
+                raw[...] = rng.bit_generator.random_raw(n)
             # take reads intp indices; the view of the values 0..3 spares a cast copy.
             _QPSK.take(_qpsk_index(words, index).view(np.intp), out=sent, mode="clip")
             # One channel spectrum per chunk serves the channel and the equalizer.
@@ -660,8 +696,8 @@ def _run_loopback(
             _link_chunk(
                 plan, stretches, divisors, rho, frames, noise, indices, mask_buffers[:, :r], chunk_evm, chunk_errors
             )
-            cells = zip(count(start), chunk_evm.T.tolist(), chunk_errors.T.tolist())
-            fh.writelines(template.format(run_id, *run_evm, *run_errors) for run_id, run_evm, run_errors in cells)
+            run_ids = np.arange(start, start + r).repeat(num_slices).tolist()
+            fh.write(_rows(row, r, run_ids, chunk_evm.T.ravel().tolist(), chunk_errors.T.ravel().tolist()))
 
     lines = [
         f"scenario=loopback n_fft={config.n_fft} depth={config.depth} "

@@ -279,8 +279,8 @@ def _propagate_into(
     # Unit average signal power is guaranteed by the unitary chain and
     # unit-power constellations, so the noise variance is 1/rho.
     noise *= np.sqrt(1.0 / (2.0 * rho))
-    received.real += noise[..., 0, :]
-    received.imag += noise[..., 1, :]
+    np.add(received.real, noise[..., 0, :], out=received.real)
+    np.add(received.imag, noise[..., 1, :], out=received.imag)
 
 
 def receive(y, plan: SlicePlan, taps) -> SlicePayload:
@@ -345,7 +345,8 @@ def _receive_into(
     is exactly zero. No loopback output sees that sign: the EVM uses
     |estimate - sent| and the hard decision tests ``< 0``."""
     np.abs(gains, out=magnitude)
-    rms = np.sqrt(np.mean(np.square(magnitude, out=squares), axis=-1, keepdims=True))
+    # np.mean's own pairwise sum and divide, without its wrapper.
+    rms = np.sqrt(np.add.reduce(np.square(magnitude, out=squares), axis=-1, keepdims=True) / magnitude.shape[-1])
     np.less_equal(magnitude, EQUALIZER_ERASURE_THRESHOLD * rms, out=erased)
     any_erased = erased.any()
     if any_erased:

@@ -21,7 +21,15 @@ component, and bitwise the same EVM and counts.
 The MI engine once allocated its spectra, its log-gains and its result
 arrays on every call. The package's kernel builds the same values with the
 same operations in buffers it is handed, so it stays bitwise equal to it.
+
+The scenarios once wrote their CSV rows with one ``str.format`` call per
+run (per point of a cdf curve, per report record), from ``{}`` and
+``{:.12g}`` templates. The package fills ``%s`` and ``%.12g`` templates of
+many rows with one ``%`` call; each pair of fields calls the same
+conversion, so the text is the same byte for byte.
 """
+
+from itertools import count
 
 import numpy as np
 
@@ -159,3 +167,43 @@ def chain_levels(taps, size, depth, rho, mode):
         positive[..., level - 1] = gains[..., 0::2].sum(axis=-1)
         negative[..., level - 1] = gains[..., 1::2].sum(axis=-1)
     return total, positive, negative
+
+
+def mi_rows(plan, start, mi):
+    """Rows of an MI runs CSV for the runs ``start``, ``start + 1``, ... of
+    the (R, slices) slice MI ``mi``: one ``str.format`` per run."""
+    template = "".join(
+        f"{{0}},{s.path},{s.size},{{{i}:.12g}},{s.decode_ops}\n" for i, s in enumerate(plan.slices, 1)
+    )
+    return "".join(template.format(run_id, *row) for run_id, row in enumerate(mi.tolist(), start))
+
+
+def link_rows(plan, start, evm, errors):
+    """Rows of the loopback runs CSV for the runs ``start``, ``start + 1``,
+    ... of the (slices, R) EVM and symbol errors: one ``str.format`` per
+    run, the EVM of slice i in field 1 + i, its errors in 1 + slices + i."""
+    num_slices = len(plan.slices)
+    template = "".join(
+        f"{{0}},{desc.path},{{{1 + i}:.12g}},{{{1 + num_slices + i}}}\n" for i, desc in enumerate(plan.slices)
+    )
+    cells = zip(count(start), evm.T.tolist(), errors.T.tolist())
+    return "".join(template.format(run_id, *run_evm, *run_errors) for run_id, run_evm, run_errors in cells)
+
+
+def cdf_text(curves):
+    """A cdf CSV of ``{name: EmpiricalCdf}``: the header, then one
+    ``str.format`` per point, curve after curve."""
+    rows = (
+        f"{name},{{:.12g}},{{:.12g}}\n".format(x, p)
+        for name, cdf in curves.items()
+        for x, p in zip(cdf.values.tolist(), cdf.probs.tolist())
+    )
+    return "curve,x,cdf\n" + "".join(rows)
+
+
+def report_text(records):
+    """A fig4 or table1 report CSV: the header, then one ``str.format`` per
+    (level, path, size, mode, mi_bits, parent_residual) record."""
+    return "level,path,size,mode,mi_bits,parent_residual\n" + "".join(
+        "{},{},{},{},{:.12g},{:.12g}\n".format(*record) for record in records
+    )

@@ -210,6 +210,24 @@ class TestBatchedDraw:
             assert row.tobytes() == want.tobytes()
         assert taps.shape == (3, 14)
 
+    def test_the_private_kernel_is_bitwise_draw_taps_on_reused_buffers(self):
+        """A full chunk of EPA draws, where two taps land on index 3, then a
+        shorter chunk on the same buffers: each is bitwise draw_taps, so the
+        kernel zeroes the taps it reuses and adds in profile order."""
+        from physlice.channel import _draw_grid, _draw_taps_into
+
+        ts = 1e9 / (128 * 240e3)
+        scale, columns = _draw_grid(EPA_PROFILE, ts)
+        draws = np.empty((4, 2, scale.size))
+        taps = np.zeros((4, profile_tap_count(EPA_PROFILE, ts)), dtype=np.complex128)
+        for run_ids in (range(4), range(4, 7)):
+            r = len(run_ids)
+            _draw_taps_into([np.random.default_rng([5, run]) for run in run_ids], scale, columns, draws[:r], taps[:r])
+            want = draw_taps(EPA_PROFILE, ts, [np.random.default_rng([5, run]) for run in run_ids])
+            assert taps[:r].tobytes() == want.tobytes()
+            for row, run in zip(taps, run_ids):
+                assert row.tobytes() == per_run_draw_oracle(EPA_PROFILE, ts, np.random.default_rng([5, run])).tobytes()
+
     def test_sample_cir_is_the_batch_of_one_draw(self):
         taps = sample_cir(ETU_PROFILE, TS_LTE_NS, np.random.default_rng([1, 9]))
         (row,) = draw_taps(ETU_PROFILE, TS_LTE_NS, [np.random.default_rng([1, 9])])

@@ -21,7 +21,7 @@ from physlice.experiments import (
 from physlice.sliceplan import build_plan
 from physlice.txrx import _QPSK, _propagate_into, _receive_into, _transmit_into
 
-from oracles import loopback_statistics, scaled_receive
+from oracles import cdf_text, link_rows, loopback_statistics, mi_rows, report_text, scaled_receive
 
 
 def loopback_replay(cfg) -> bytes:
@@ -760,6 +760,13 @@ GOLDEN_DIGESTS = [
         "fig7_runs.csv": "bde57a9421d227da51ff570fbfdd1e010c83cf82bdf181d115e428bf49f3e0c7",
         "fig7_summary.txt": "3587848263abe8135144ac509588de6ab327fd1683bc84c5992f7f6859361774",
     }),
+    # 1100 runs cross a 1024-row cdf block, a 1024-run seed-hash block and
+    # 69 MI chunks, the last one partial.
+    ("fig7", "--runs 1100", {
+        "fig7_cdf.csv": "f7e868192b4c7ef844ff27da0e9ee8933c439b0a99b70f4ed81e53acc3f1a302",
+        "fig7_runs.csv": "df063f2f5aadf38d09d51ba59405f5eaa38948c8dcc19afb936fbdda38f3ae20",
+        "fig7_summary.txt": "d292ac50dbd2a99970443b35cd849fe0a5758738e6757a430a3a1712d7e78446",
+    }),
     ("fig8", "--runs 37", {
         "fig8_cdf.csv": "6ec1f6d489dfec78b35a0514e0d9994d9ad0fbb594694747b27a60a6f3e04680",
         "fig8_runs.csv": "cf593740dd73b9df6ef500b7ecf7411ead195ed566845d82816ec0089a83db72",
@@ -900,3 +907,89 @@ def test_link_chunks_are_bitwise_the_scaled_receiver_and_per_slice_means(case):
         assert evm.tobytes() == want_evm.tobytes()
         # Noiseless runs count no symbol errors; their rows are left alone.
         np.testing.assert_array_equal(errors, want_errors if rho is not None else -1)
+
+
+# Floats whose text the row writers must keep: signed zeros and infinities,
+# nan, subnormals and the ends of the normal range, and any other double.
+_ROW_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310, 1e300, -1e300]),
+    st.floats(),
+)
+
+
+@st.composite
+def row_chunks(draw):
+    """A plan of any shape, a chunk of runs whose ids reach up to 2**32 - 1,
+    and one float and one count per run and slice."""
+    log_n = draw(st.integers(1, 11))
+    plan = build_plan(1 << log_n, draw(st.integers(0, log_n)), 1)
+    runs = draw(st.integers(1, 5))
+    start = draw(st.one_of(st.integers(0, 100), st.integers(0, 2**32 - runs)))
+    shape = (runs, len(plan.slices))
+    values = np.array(draw(st.lists(_ROW_FLOATS, min_size=runs * len(plan.slices), max_size=runs * len(plan.slices))))
+    counts = np.array(draw(st.lists(st.integers(0, 1 << log_n), min_size=values.size, max_size=values.size)))
+    return plan, start, values.reshape(shape), counts.reshape(shape).astype(np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_chunks())
+def test_chunk_rows_are_the_per_run_str_format_rows(case):
+    """One ``%`` call over a chunk gives the text of one ``str.format`` per
+    run, for the MI runs CSV and the loopback runs CSV."""
+    plan, start, values, counts = case
+    runs, per_run = values.shape
+    run_ids = np.arange(start, start + runs).repeat(per_run).tolist()
+    mi_text = experiments._rows(experiments._mi_row(plan), runs, run_ids, values.ravel().tolist())
+    assert mi_text == mi_rows(plan, start, values)
+    link_text = experiments._rows(
+        experiments._link_row(plan), runs, run_ids, values.ravel().tolist(), counts.ravel().tolist()
+    )
+    assert link_text == link_rows(plan, start, values.T, counts.T)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    curves=st.dictionaries(
+        st.from_regex(r"[a-z_]{1,16}", fullmatch=True),
+        st.lists(st.tuples(_ROW_FLOATS, _ROW_FLOATS), min_size=1, max_size=12),
+        min_size=1,
+        max_size=3,
+    ),
+    block=st.integers(1, 5),
+)
+def test_cdf_blocks_write_the_per_point_str_format_rows(curves, block):
+    """The cdf writer, in blocks of a few rows, writes the text of one
+    ``str.format`` per point, curve after curve."""
+    import tempfile
+    from pathlib import Path
+    from unittest import mock
+
+    cdfs = {name: EmpiricalCdf(*np.array(points).T.copy()) for name, points in curves.items()}
+    with tempfile.TemporaryDirectory() as out, mock.patch.object(experiments, "_CDF_BLOCK_ROWS", block):
+        path = Path(out) / "cdf.csv"
+        experiments._write_cdf(path, cdfs)
+        assert path.read_bytes() == cdf_text(cdfs).encode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 20),
+            st.from_regex(r"[+-]{0,20}", fullmatch=True),
+            st.integers(1, 2**20),
+            st.sampled_from(["exact-fold", "literal-triangular"]),
+            _ROW_FLOATS,
+            _ROW_FLOATS,
+        ),
+        max_size=8,
+    )
+)
+def test_report_rows_are_the_per_record_str_format_rows(records):
+    import tempfile
+    from pathlib import Path
+
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out) / "report.csv"
+        experiments._write_report(path, records)
+        assert path.read_bytes() == report_text(records).encode()
