@@ -16,7 +16,6 @@ from .channel import (
     CirculantChannel,
     build_circulant,
     draw_taps,
-    extract_blocks,
     load_profile,
     negative_child,
     positive_child,
@@ -38,7 +37,6 @@ from .mi import (
     SnrSpec,
     chain_mi,
     mi_fast,
-    mi_logdet,
     split_report,
     uniformity_ratio,
 )
@@ -55,8 +53,6 @@ from .transform import (
     butterfly_mixer,
     forward_transform,
     inverse_transform,
-    recursive_matrix,
-    split_matrix,
 )
 from .txrx import (
     OfdmFrame,

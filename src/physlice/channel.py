@@ -20,12 +20,15 @@ are computed directly on generators:
 * negative branch: fold with a sign flip, then modulate each tap by one
   discrete frequency of the parent size.
 
-Dense materializations and the literal triangular-block constructions exist
-for oracle checks and for the non-uniform splitting analysis. They are numpy
-gathers from one grid of lags i - j: the circulant reads its generator at
-(i - j) mod size, and the lower-triangular block and its wraparound
-complement are the parts of that circulant on and below, and above, the
-diagonal.
+:class:`CirculantChannel`, :func:`build_circulant` and the two child
+functions are the paper's generator algebra as library API: ``table1`` folds
+its channel down to the continuation root with them. No dense circulant
+matrix is built here; the tests keep that oracle. The literal
+triangular-block constructions serve the non-uniform splitting analysis.
+They are numpy gathers from one grid of lags i - j: the size-``size``
+circulant of the taps reads them at (i - j) mod size, and the
+lower-triangular block and its wraparound complement are the parts of that
+circulant on and below, and above, the diagonal.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .spectral import freq_response, is_pow2
+from .spectral import is_pow2
 
 __all__ = [
     "ChannelProfile",
@@ -51,7 +54,6 @@ __all__ = [
     "sample_cir",
     "check_taps",
     "build_circulant",
-    "extract_blocks",
     "positive_child",
     "negative_child",
     "lower_triangular_toeplitz",
@@ -279,14 +281,6 @@ class CirculantChannel:
     def size(self) -> int:
         return int(self.generator.size)
 
-    def dense(self) -> np.ndarray:
-        """Dense materialization (oracle scale): entry (i, j) = g[(i - j) mod size]."""
-        return _lagged_circulant(self.generator, self.size)[1]
-
-    def response(self) -> np.ndarray:
-        """Unnormalized frequency bins, i.e. the eigenvalues of the matrix."""
-        return freq_response(self.generator, self.size)
-
 
 def build_circulant(taps, size: int) -> CirculantChannel:
     """Size ``size`` circulant channel of (L,) taps (generator zero-padded)."""
@@ -294,15 +288,6 @@ def build_circulant(taps, size: int) -> CirculantChannel:
     gen = np.zeros(size, dtype=np.complex128)
     gen[: taps.size] = taps
     return CirculantChannel(gen)
-
-
-def extract_blocks(channel: CirculantChannel) -> tuple[np.ndarray, np.ndarray]:
-    """Top-left and top-right half blocks (A, B) with dense(C) == [[A, B], [B, A]]."""
-    if channel.size % 2:
-        raise ValueError("block extraction needs an even size")
-    half = channel.size // 2
-    dense = channel.dense()
-    return dense[:half, :half].copy(), dense[:half, half:].copy()
 
 
 def positive_child(channel: CirculantChannel) -> CirculantChannel:

@@ -34,9 +34,9 @@ call and runs the kernel. :class:`ChainMi` is the one result type: the
 scenarios read per-slice MI, residuals and the conservation check straight
 from its arrays. ``split_report`` is its case for one (L,) channel, a
 ChainMi of batch shape (). Every row of a batch is bit-identical to the
-same channel run on its own. No dense matrix is built on this path.
-``mi_logdet`` (exact log-det on a dense matrix) and the generator fold of
-``channel`` are the oracles the tests hold the engine to.
+same channel run on its own. No dense matrix is built on this path; the
+tests hold the engine to a dense log-det oracle and to the generator fold of
+``channel``.
 """
 
 from __future__ import annotations
@@ -45,22 +45,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    CirculantChannel,
-    check_taps,
-    circular_complement,
-    lower_triangular_toeplitz,
-    split_coupling,
-)
+from .channel import check_taps, circular_complement, lower_triangular_toeplitz, split_coupling
 from .sliceplan import check_plan
-from .spectral import logdet2_psd
 
 __all__ = [
     "SnrSpec",
     "ChainMi",
     "MODE_EXACT",
     "MODE_LITERAL",
-    "mi_logdet",
     "mi_fast",
     "chain_mi",
     "split_report",
@@ -70,9 +62,6 @@ __all__ = [
 MODE_EXACT = "exact-fold"
 MODE_LITERAL = "literal-triangular"
 _MODES = (MODE_EXACT, MODE_LITERAL)
-
-# Dense log-det evaluations stay at oracle scale.
-_LOGDET_CAP = 512
 
 
 @dataclass(frozen=True)
@@ -95,23 +84,6 @@ def _rho(snr) -> float:
     if not np.isfinite(rho) or rho < 0:
         raise ValueError(f"rho must be finite and non-negative, got {rho}")
     return rho
-
-
-def mi_logdet(channel, snr) -> float:
-    """Exact mutual information in bits: log2 det(I + rho * H H^H).
-
-    ``channel`` is a CirculantChannel or a dense square matrix; oracle scale
-    only (size <= 512).
-    """
-    h = channel.dense() if isinstance(channel, CirculantChannel) else np.asarray(channel, dtype=np.complex128)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square channel matrix, got shape {h.shape}")
-    n = h.shape[0]
-    if n > _LOGDET_CAP:
-        raise ValueError(f"dense log-det MI is capped at size {_LOGDET_CAP}, got {n}")
-    rho = _rho(snr)
-    gram = np.eye(n, dtype=np.complex128) + rho * (h @ h.conj().T)
-    return logdet2_psd(gram)
 
 
 def _log_gains_into(bins: np.ndarray, rho: float, out: np.ndarray) -> np.ndarray:
@@ -202,8 +174,8 @@ class ChainMi:
 def _split_into(level_gains: np.ndarray, positive: np.ndarray, negative: np.ndarray) -> None:
     """Credit the even bins of a level's log-gains to its positive child and
     the odd bins to its negative child."""
-    level_gains[..., 0::2].sum(axis=-1, out=positive)
-    level_gains[..., 1::2].sum(axis=-1, out=negative)
+    np.add.reduce(level_gains[..., 0::2], axis=-1, out=positive)
+    np.add.reduce(level_gains[..., 1::2], axis=-1, out=negative)
 
 
 def _chain_levels_into(
@@ -237,7 +209,7 @@ def _chain_levels_into(
     """
     np.fft.fft(taps, size, axis=-1, out=bins)
     spectrum = _log_gains_into(bins, rho, gains)
-    spectrum.sum(axis=-1, out=total)
+    np.add.reduce(spectrum, axis=-1, out=total)
     if mode == MODE_EXACT:
         # The parent of level k is the frame spectrum's residue class 0 mod 2^(k-1).
         for level in range(1, depth + 1):

@@ -1,10 +1,11 @@
-"""The orthonormal split transform, dense and butterfly-structured.
+"""The orthonormal split transform, applied one butterfly level at a time.
 
 One split of ``M`` samples is the orthonormal matrix
 ``(1/sqrt(2)) [[I, W], [I, -W]]`` with a unit-modulus diagonal mixer ``W`` of
 size M/2. Applied recursively to the top (positive) branch it carves one OFDM
 symbol into slices; the mixer is what keeps the negative-branch channel
-circulant and therefore FFT-decodable.
+circulant and therefore FFT-decodable. The transforms here never build that
+matrix; the tests hold them to its dense form.
 """
 
 from __future__ import annotations
@@ -18,16 +19,11 @@ from .spectral import is_pow2
 
 __all__ = [
     "butterfly_mixer",
-    "split_matrix",
-    "recursive_matrix",
     "forward_transform",
     "inverse_transform",
 ]
 
 _SQRT2 = np.sqrt(2.0)
-
-# Dense materializations are oracle-scale only.
-_DENSE_CAP = 512
 
 
 def butterfly_mixer(size: int) -> np.ndarray:
@@ -51,48 +47,6 @@ def _mixer(size: int) -> np.ndarray:
     return w
 
 
-def split_matrix(size: int, mixer: np.ndarray | None = None) -> np.ndarray:
-    """Dense one-step split of ``size`` samples: (1/sqrt(2)) [[I, W], [I, -W]].
-
-    ``mixer`` may be a length size/2 diagonal (default: :func:`butterfly_mixer`)
-    or a dense orthonormal size/2 matrix; pass ``np.ones(size // 2)`` for the
-    plain W = I variant used by the direct decoder analysis.
-    """
-    if not is_pow2(size) or size < 2:
-        raise ValueError(f"split size must be a power of two >= 2, got {size}")
-    half = size // 2
-    w = butterfly_mixer(size) if mixer is None else np.asarray(mixer, dtype=np.complex128)
-    if w.ndim == 1:
-        if w.size != half:
-            raise ValueError(f"mixer diagonal has {w.size} entries, expected {half}")
-        w = np.diag(w)
-    elif w.shape != (half, half):
-        raise ValueError(f"mixer matrix has shape {w.shape}, expected ({half}, {half})")
-    eye = np.eye(half, dtype=np.complex128)
-    return np.block([[eye, w], [eye, -w]]) / _SQRT2
-
-
-def recursive_matrix(frame_size: int, depth: int) -> np.ndarray:
-    """Dense recursive transform: ``depth`` nested splits, identity at depth 0.
-
-    Each level replaces the identity column of the one-step split with the
-    next-level transform and contributes a 1/sqrt(2) factor, so the result is
-    orthonormal at every depth. Oracle use only (frame_size <= 512).
-    """
-    check_plan(frame_size, depth)
-    if frame_size > _DENSE_CAP:
-        raise ValueError(f"dense recursive transform is capped at size {_DENSE_CAP}")
-    return _recursive_dense(frame_size, depth)
-
-
-def _recursive_dense(n: int, depth: int) -> np.ndarray:
-    if depth == 0:
-        return np.eye(n, dtype=np.complex128)
-    inner = _recursive_dense(n // 2, depth - 1)
-    w = np.diag(butterfly_mixer(n))
-    return np.block([[inner, w], [inner, -w]]) / _SQRT2
-
-
 def _as_frames(signal, depth: int) -> np.ndarray:
     """A complex copy of ``signal``, checked to hold frames that fit ``depth``."""
     s = np.array(signal, dtype=np.complex128)
@@ -106,8 +60,8 @@ def forward_transform(signal, depth: int) -> np.ndarray:
     """Apply the recursive transform, one butterfly level at a time.
 
     ``signal`` has shape (..., N): every leading index is an independent
-    frame. Each frame of the result equals ``recursive_matrix(N, depth) @
-    frame`` to round-off, at O(N) complex operations per level, and is
+    frame. Each frame of the result equals the dense recursive transform
+    matrix times the frame to round-off, at O(N) complex operations per level, and is
     bit-identical to transforming that frame on its own.
     The levels run innermost first, in place on one copy: the level of size
     M maps the leading M samples [top, bottom] to [top ± W*bottom] / sqrt(2).

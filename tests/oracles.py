@@ -1,4 +1,11 @@
-"""Earlier link and transform designs, kept as references.
+"""Dense-matrix oracles, and earlier link and transform designs, kept as references.
+
+The package never builds a channel or transform matrix. The tests hold it
+to dense forms kept here at oracle scale: ``dense`` (the circulant matrix
+of a ``CirculantChannel``), ``extract_blocks`` (its half blocks),
+``split_matrix`` and ``recursive_matrix`` (the split transform as a
+matrix), and ``mi_logdet`` (MI as a Cholesky log-det). The size caps keep
+them from being called at frame scale.
 
 The split transform was once a recursion that built a new array per level.
 The package's in-place level loops keep its per-element operation order, so
@@ -33,11 +40,90 @@ from itertools import count
 
 import numpy as np
 
-from physlice.mi import MODE_EXACT
+from physlice.channel import CirculantChannel, _lagged_circulant
+from physlice.mi import MODE_EXACT, _rho
+from physlice.sliceplan import check_plan
+from physlice.spectral import is_pow2, logdet2_psd
 from physlice.transform import butterfly_mixer
 from physlice.txrx import EQUALIZER_ERASURE_THRESHOLD, _hard_index
 
 SQRT2 = np.sqrt(2.0)
+
+# Dense log-det evaluations stay at oracle scale.
+_LOGDET_CAP = 512
+
+# Dense materializations are oracle-scale only.
+_DENSE_CAP = 512
+
+
+def dense(channel):
+    """Dense materialization of a CirculantChannel (oracle scale): entry (i, j) = g[(i - j) mod size]."""
+    return _lagged_circulant(channel.generator, channel.size)[1]
+
+
+def extract_blocks(channel):
+    """Top-left and top-right half blocks (A, B) with dense(C) == [[A, B], [B, A]]."""
+    if channel.size % 2:
+        raise ValueError("block extraction needs an even size")
+    half = channel.size // 2
+    matrix = dense(channel)
+    return matrix[:half, :half].copy(), matrix[:half, half:].copy()
+
+
+def mi_logdet(channel, snr):
+    """Exact mutual information in bits: log2 det(I + rho * H H^H).
+
+    ``channel`` is a CirculantChannel or a dense square matrix; oracle scale
+    only (size <= 512).
+    """
+    h = dense(channel) if isinstance(channel, CirculantChannel) else np.asarray(channel, dtype=np.complex128)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"expected a square channel matrix, got shape {h.shape}")
+    n = h.shape[0]
+    if n > _LOGDET_CAP:
+        raise ValueError(f"dense log-det MI is capped at size {_LOGDET_CAP}, got {n}")
+    rho = _rho(snr)
+    gram = np.eye(n, dtype=np.complex128) + rho * (h @ h.conj().T)
+    return logdet2_psd(gram)
+
+
+def split_matrix(size, mixer=None):
+    """Dense one-step split of ``size`` samples: (1/sqrt(2)) [[I, W], [I, -W]].
+
+    ``mixer`` is the length size/2 diagonal of W (default:
+    ``butterfly_mixer``); pass ``np.ones(size // 2)`` for the plain W = I
+    variant used by the direct decoder analysis.
+    """
+    if not is_pow2(size) or size < 2:
+        raise ValueError(f"split size must be a power of two >= 2, got {size}")
+    half = size // 2
+    w = butterfly_mixer(size) if mixer is None else np.asarray(mixer, dtype=np.complex128)
+    if w.shape != (half,):
+        raise ValueError(f"mixer diagonal has {w.size} entries, expected {half}")
+    eye = np.eye(half, dtype=np.complex128)
+    w = np.diag(w)
+    return np.block([[eye, w], [eye, -w]]) / SQRT2
+
+
+def recursive_matrix(frame_size, depth):
+    """Dense recursive transform: ``depth`` nested splits, identity at depth 0.
+
+    Each level replaces the identity column of the one-step split with the
+    next-level transform and contributes a 1/sqrt(2) factor, so the result is
+    orthonormal at every depth. Oracle use only (frame_size <= 512).
+    """
+    check_plan(frame_size, depth)
+    if frame_size > _DENSE_CAP:
+        raise ValueError(f"dense recursive transform is capped at size {_DENSE_CAP}")
+    return _recursive_dense(frame_size, depth)
+
+
+def _recursive_dense(n, depth):
+    if depth == 0:
+        return np.eye(n, dtype=np.complex128)
+    inner = _recursive_dense(n // 2, depth - 1)
+    w = np.diag(butterfly_mixer(n))
+    return np.block([[inner, w], [inner, -w]]) / SQRT2
 
 
 def recursive_forward(signal, depth):

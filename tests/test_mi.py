@@ -21,15 +21,13 @@ from physlice.mi import (
     _chain_levels_into,
     chain_mi,
     mi_fast,
-    mi_logdet,
     split_report,
     uniformity_ratio,
 )
 from physlice.experiments import make_config, run_scenario
 from physlice.sliceplan import build_plan
-from physlice.transform import recursive_matrix
 
-from oracles import chain_levels
+from oracles import chain_levels, dense, mi_logdet, recursive_matrix
 
 
 def random_taps(rng, length):
@@ -90,7 +88,7 @@ class TestMiKernels:
         rng = np.random.default_rng(9)
         for n, depth in ((32, 2), (128, 3)):
             taps = random_taps(rng, n // 4)
-            h = build_circulant(taps, n).dense()
+            h = dense(build_circulant(taps, n))
             g = recursive_matrix(n, depth)
             assert mi_logdet(h, 7.0) == pytest.approx(mi_logdet(g.conj().T @ h @ g, 7.0), rel=1e-9)
 
@@ -291,7 +289,7 @@ def triangular_walk(channels, size, depth, rho):
     """The chain of each channel with every child the dense ``low +/- wrap``
     of the raw taps: (parent, positive, negative) MI per level, (R, depth, 3)."""
     levels = np.empty((len(channels), depth, 3))
-    parent = dense_mi(np.stack([build_circulant(taps, size).dense() for taps in channels]), rho)
+    parent = dense_mi(np.stack([dense(build_circulant(taps, size)) for taps in channels]), rho)
     for level in range(1, depth + 1):
         half = size >> level
         low = np.stack([lower_triangular_toeplitz(taps, half) for taps in channels])
@@ -338,7 +336,7 @@ class TestEngineOracles:
                 [triangular_walk(channels[i : i + self.STACK], n, full, self.RHO) for i in range(0, n, self.STACK)]
             ),
         }
-        # The stacked Cholesky oracle is the package's dense log-det.
+        # The stacked Cholesky oracle is the single-matrix dense log-det oracle.
         np.testing.assert_allclose(
             oracles[MODE_LITERAL][: self.STACK, 0, 0],
             [mi_logdet(build_circulant(taps, n), self.RHO) for taps in channels[: self.STACK]],

@@ -1,4 +1,6 @@
+import importlib
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -67,3 +69,20 @@ def test_readme_tour_runs_as_written():
     assert names["estimates"].frames.shape == names["estimates"].erasures.shape == (4, 2048)
     assert [s.shape for s in names["estimates"].symbols] == [(4, 256), (4, 256), (4, 512), (4, 1024)]
     assert names["bits_hat"].shape == (2 * 2048,)
+
+
+def test_dense_oracles_live_only_in_the_tests():
+    """The dense matrices are test oracles (``tests/oracles.py``): neither
+    the package nor any of its modules defines one, and a circulant channel
+    is its generator alone."""
+    import physlice
+
+    names = [f"physlice.{info.name}" for info in pkgutil.iter_modules(physlice.__path__)]
+    modules = [physlice] + [importlib.import_module(name) for name in names]
+    moved = ("mi_logdet", "split_matrix", "recursive_matrix", "_recursive_dense", "extract_blocks")
+    for module in modules:
+        for name in moved + ("_LOGDET_CAP", "_DENSE_CAP"):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+        assert not set(moved) & set(getattr(module, "__all__", ())), module.__name__
+    for attribute in ("dense", "response"):
+        assert not hasattr(physlice.CirculantChannel, attribute), attribute

@@ -11,7 +11,9 @@ from physlice.sliceplan import (
     decode_cost,
     total_cost,
 )
-from physlice.transform import forward_transform, recursive_matrix
+from physlice.transform import forward_transform
+
+from oracles import recursive_matrix
 
 
 class TestBuildPlan:

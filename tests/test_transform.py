@@ -6,15 +6,9 @@ from hypothesis import strategies as st
 from physlice.channel import CirculantChannel
 from physlice.sliceplan import build_plan
 from physlice.spectral import _dft, _idft
-from physlice.transform import (
-    butterfly_mixer,
-    forward_transform,
-    inverse_transform,
-    recursive_matrix,
-    split_matrix,
-)
+from physlice.transform import butterfly_mixer, forward_transform, inverse_transform
 
-from oracles import recursive_forward, recursive_inverse
+from oracles import dense, recursive_forward, recursive_inverse, recursive_matrix, split_matrix
 
 SQRT2 = np.sqrt(2.0)
 
@@ -165,7 +159,7 @@ def test_single_split_block_diagonalizes_short_channels(n):
         taps = random_complex(rng, rng.integers(1, n // 2 + 1))
         gen = np.zeros(n, dtype=complex)
         gen[: taps.size] = taps
-        h = CirculantChannel(gen).dense()
+        h = dense(CirculantChannel(gen))
         g = recursive_matrix(n, 1)
         mixed = g.conj().T @ h @ g
         half = n // 2
