@@ -229,6 +229,20 @@ def _draw_taps_into(rngs, scale: np.ndarray, columns: np.ndarray, draws: np.ndar
     np.add.at(taps.view(np.float64), (slice(None), columns), draws.reshape(len(draws), columns.size))
 
 
+def _spectrum_into(taps: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The n-point FFT of each row of ``taps``, batch + (L,) with L <= n,
+    into the complex batch + (n,) array ``out``, which it returns; bitwise
+    ``np.fft.fft(taps, n, axis=-1)``. The taps are copied into the head of
+    ``out``, its tail is zeroed, and ``out`` is transformed in place. numpy's
+    FFT loop hands a batch to pocketfft's multi-row SIMD transform only when
+    each input row holds at least n samples; a shorter row is zero-padded
+    and transformed one row at a time."""
+    length = taps.shape[-1]
+    out[..., :length] = taps
+    out[..., length:] = 0.0
+    return np.fft.fft(out, axis=-1, out=out)
+
+
 def sample_cir(profile: ChannelProfile, sample_period_ns: float, rng) -> np.ndarray:
     """Draw one channel realization from a profile, as (L,) taps:
     :func:`draw_taps` of one stream (a Generator, or a seed for a new one)."""

@@ -11,9 +11,13 @@ scenario's buffers (``_chunk_runs``). A scenario makes its buffers once and
 cuts them to ``[:r]`` rows for a short last chunk: the link kernels of
 ``txrx``, the MI kernel ``mi._chain_levels_into`` and the tap draw
 ``channel._draw_taps_into`` write every result into them, so no chunk
-allocates a frame-sized array. Each chunk writes its runs' CSV rows as it
-finishes, with one ``%`` call (``_rows``): one run's row template, repeated
-for the chunk's runs, filled from one flat list of cells. It also fills
+allocates a frame-sized array. The N-point FFT of a chunk's taps, in the
+MI kernel and in ``loopback``, pads the taps into a frame buffer and
+transforms it in place (``channel._spectrum_into``), so numpy takes its
+multi-row FFT path for the chunk instead of padding and transforming one
+row at a time. Each chunk writes its runs' CSV rows as it finishes, with
+one ``%`` call (``_rows``): one run's row template, repeated for the
+chunk's runs, filled from one flat list of cells. It also fills
 its rows of the arrays that the summaries read: a
 ``ChainMi`` of (num_runs, ...) arrays in the MI scenarios, into which the
 kernel writes directly, and (slices, runs) EVM and error counts in
@@ -43,6 +47,7 @@ from .channel import (
     _draw_grid,
     _draw_taps_into,
     _read_key_values,
+    _spectrum_into,
     build_circulant,
     load_profile,
     positive_child,
@@ -361,14 +366,21 @@ def _write_summary(path: Path, lines: list[str]) -> None:
 
 def _write_cdf(path: Path, curves: dict[str, EmpiricalCdf]) -> None:
     """One row per point of each curve, curve after curve, written
-    ``_CDF_BLOCK_ROWS`` rows at a time."""
+    ``_CDF_BLOCK_ROWS`` rows at a time. A block's cdf column is formatted
+    by one ``%`` call, and a block of another curve with the same
+    probabilities (the k/n of a curve of the same size) reuses that text."""
+    prob_cells = {}
     with _open_csv(path, "curve,x,cdf") as fh:
         for name, cdf in curves.items():
-            row = f"{name},{_FLOAT_FIELD},{_FLOAT_FIELD}\n"
+            row = f"{name},{_FLOAT_FIELD},%s\n"
             for first in range(0, cdf.values.size, _CDF_BLOCK_ROWS):
                 block = slice(first, first + _CDF_BLOCK_ROWS)
+                probs = cdf.probs[block]
+                key = probs.tobytes()
+                if key not in prob_cells:
+                    prob_cells[key] = ((_FLOAT_FIELD + "\n") * probs.size % tuple(probs.tolist())).splitlines()
                 values = cdf.values[block].tolist()
-                fh.write(_rows(row, len(values), values, cdf.probs[block].tolist()))
+                fh.write(_rows(row, len(values), values, prob_cells[key]))
 
 
 def _rate_scenario(
@@ -688,8 +700,9 @@ def _run_loopback(
                 raw[...] = rng.bit_generator.random_raw(n)
             # take reads intp indices; the view of the values 0..3 spares a cast copy.
             _QPSK.take(_qpsk_index(words, index).view(np.intp), out=sent, mode="clip")
-            # One channel spectrum per chunk serves the channel and the equalizer.
-            np.fft.fft(chunk_taps, n, axis=-1, out=gains)
+            # One channel spectrum per chunk serves the channel and the
+            # equalizer; the equalizer overwrites it, so it is padded anew.
+            _spectrum_into(chunk_taps, gains)
             if rho is not None:
                 _standard_normals(rngs, (r, n), out=noise)
             chunk_evm, chunk_errors = evm[:, chunk], errors[:, chunk]

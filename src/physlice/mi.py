@@ -26,7 +26,11 @@ spectrum and log-gain vector in two scratch buffers it is handed too, one
 complex and one float of the taps' batch shape + (N,). In literal mode,
 level 1 is the root spectrum itself while the taps fit in N/2 samples, and
 levels 2 .. depth take their 2s-point FFTs in blocks laid one after another
-in the scratch, so one log-gain pass covers them all. The Monte Carlo
+in the scratch, so one log-gain pass covers them all. Each N-point FFT
+pads its taps into the complex scratch and transforms it in place
+(``channel._spectrum_into``): numpy runs a batch of full-length rows
+through pocketfft's multi-row SIMD transform, where it pads short rows and
+transforms them one at a time, with the same bits. The Monte Carlo
 scenarios make those buffers once and have the kernel write each chunk of
 runs into their kept arrays. ``chain_mi`` is the validated public entry
 point: it checks its inputs, makes the result and scratch arrays for one
@@ -45,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import check_taps, circular_complement, lower_triangular_toeplitz, split_coupling
+from .channel import _spectrum_into, check_taps, circular_complement, lower_triangular_toeplitz, split_coupling
 from .sliceplan import check_plan
 
 __all__ = [
@@ -144,8 +148,14 @@ class ChainMi:
     @property
     def parent(self) -> np.ndarray:
         """MI of the slice that level k splits, B + (depth,): the root for
-        level 1, the positive child of level k - 1 below that."""
-        return np.concatenate([self.total[..., np.newaxis], self.positive], axis=-1)[..., :-1]
+        level 1, the positive child of level k - 1 below that. It is filled
+        into one new C-contiguous array, so the ufuncs that read it walk
+        contiguous rows."""
+        parent = np.empty(self.positive.shape)
+        if parent.shape[-1]:
+            parent[..., 0] = self.total
+            parent[..., 1:] = self.positive[..., :-1]
+        return parent
 
     def residual(self) -> np.ndarray:
         """Conservation residual parent - (child+ + child-) of every level,
@@ -199,16 +209,21 @@ def _chain_levels_into(
     and ``negative[..., k-1]``. ``bins`` (complex) and ``gains`` (float),
     both C-contiguous B + (size,), are scratch: the spectra and their
     log-gains are made in them, so the call allocates no frame-sized array.
+    Each ``size``-point FFT copies its taps into the head of ``bins``,
+    zeroes the tail and transforms ``bins`` in place
+    (``channel._spectrum_into``), so numpy takes its multi-row FFT path for
+    the whole batch; the bits are those of ``np.fft.fft(taps, size,
+    axis=-1)``.
 
     Literal mode takes level 1 from the root's log-gains while the taps fit
     in ``size // 2`` samples (its FFT of ``taps[..., :size // 2]`` is then
     the root's own), and from its own FFT in the whole scratch otherwise.
     Levels 2 .. depth take their FFTs in C-contiguous B x 2s blocks laid one
     after another in the scratch, ``size - (size >> (depth - 1))`` samples
-    per row in all, and one log-gain pass covers every block.
+    per row in all, and one log-gain pass covers every block. These short
+    FFTs keep numpy's own padding: padding them by hand measured no faster.
     """
-    np.fft.fft(taps, size, axis=-1, out=bins)
-    spectrum = _log_gains_into(bins, rho, gains)
+    spectrum = _log_gains_into(_spectrum_into(taps, bins), rho, gains)
     np.add.reduce(spectrum, axis=-1, out=total)
     if mode == MODE_EXACT:
         # The parent of level k is the frame spectrum's residue class 0 mod 2^(k-1).
@@ -221,8 +236,7 @@ def _chain_levels_into(
     # circulant's eigenvalues, the odd bins the skew-circulant's. At level 1
     # that FFT is the root's unless the taps outgrow s = size / 2.
     if taps.shape[-1] > size // 2:
-        np.fft.fft(taps[..., : size // 2], size, axis=-1, out=bins)
-        _log_gains_into(bins, rho, gains)
+        _log_gains_into(_spectrum_into(taps[..., : size // 2], bins), rho, gains)
     _split_into(gains, positive[..., 0], negative[..., 0])
     # Level k >= 2 takes its FFT in its own contiguous B x 2s block, each
     # block right after the one above, so the ufuncs of one log-gain pass

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import circulant, toeplitz
 
@@ -282,6 +282,48 @@ class TestBatchedDraw:
         for empty in ([], np.zeros((3, 0)), 1.0):
             with pytest.raises(ValueError, match="non-empty"):
                 check_taps(empty, 64)
+
+
+@st.composite
+def spectrum_cases(draw):
+    """R = 1 .. 17 rows (past any SIMD width, with odd leftovers), n = 2 ..
+    4096 points and L = 1 .. n taps, and a seed."""
+    n = draw(st.integers(2, 4096))
+    return draw(st.integers(1, 17)), n, draw(st.integers(1, n)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestSpectrumInto:
+    """``channel._spectrum_into`` pads the taps into the caller's buffer and
+    transforms it in place; that takes numpy's multi-row FFT path where
+    ``np.fft.fft(taps, n)`` pads and transforms one row at a time. The two
+    paths, and one call per row, must agree bit for bit."""
+
+    @example(case=(16, 2048, 155, 1))
+    @example(case=(17, 64, 64, 2))
+    @example(case=(1, 2, 1, 3))
+    @settings(max_examples=120, deadline=None)
+    @given(case=spectrum_cases())
+    def test_is_bitwise_numpy_padding_and_the_per_row_transform(self, case):
+        from physlice.channel import _spectrum_into
+
+        rows, n, length, seed = case
+        taps = random_taps(np.random.default_rng(seed), (rows, length))
+        out = np.empty((rows, n), dtype=np.complex128)
+        assert _spectrum_into(taps, out) is out
+        assert out.tobytes() == np.fft.fft(taps, n, axis=-1).tobytes()
+        assert out.tobytes() == b"".join(np.fft.fft(row, n).tobytes() for row in taps)
+
+    def test_a_reused_buffer_keeps_nothing_of_the_last_chunk(self):
+        """A 155-tap chunk written over junk, then a 9-tap chunk over the
+        155-tap spectrum: the tail is zeroed again on every call."""
+        from physlice.channel import _spectrum_into
+
+        rng = np.random.default_rng(23)
+        out = random_taps(rng, (16, 2048))
+        for rows, length in ((16, 155), (5, 9)):
+            taps = random_taps(rng, (rows, length))
+            got = _spectrum_into(taps, out[:rows])
+            assert got.tobytes() == np.fft.fft(taps, 2048, axis=-1).tobytes()
 
 
 class TestCirculantBuild:

@@ -772,6 +772,13 @@ GOLDEN_DIGESTS = [
         "fig8_runs.csv": "cf593740dd73b9df6ef500b7ecf7411ead195ed566845d82816ec0089a83db72",
         "fig8_summary.txt": "c873cbd0ded5fcdf9be12e4aed02cca56fa0ea20f46381c12bc627445cea2d6d",
     }),
+    # A chunk of 16 runs, whose root FFT takes numpy's multi-row path, then
+    # a chunk of one run, which takes the one-row path.
+    ("fig8", "--runs 17", {
+        "fig8_cdf.csv": "2e98d4d212a28cdcaff33e54e7ccd1004527fff89d3c053c86ddf03b6f8c3c3c",
+        "fig8_runs.csv": "56814a7fbdb089bd7cf3b1cb3845bcf169d9b8574d04c0c6b1e8f286f04ab0c5",
+        "fig8_summary.txt": "b2f45cb7c293f078fbaaa02c1dafb1ca1b449436803ae8bfb5d842948bfadf47",
+    }),
     ("fig8", "--runs 37 --mode literal-triangular", {
         "fig8_cdf.csv": "60a26ff5d31c392f4d2e1b2bd4f3f1f351db55543e58ca9ed504ee79e9b7ec6e",
         "fig8_runs.csv": "99c436cad35325b74a7e1935f21d4cbebb1c7e242232fc034fa8fb9217c0b6f2",

@@ -466,12 +466,13 @@ def run_chain_kernel(taps, n, depth, rho, mode, buffers):
 
 @st.composite
 def kernel_cases(draw):
-    """Random R, N, depth and L <= N; L is often above the smallest slice
-    N >> depth, the non-uniform regime of literal mode."""
+    """Random R = 1 .. 17 (past any SIMD width of numpy's multi-row FFT,
+    with odd leftovers), N, depth and L <= N; L is often above the smallest
+    slice N >> depth, the non-uniform regime of literal mode."""
     n = 1 << draw(st.integers(1, 11))
     depth = draw(st.integers(0, n.bit_length() - 1))
     length = draw(st.one_of(st.integers(1, n), st.integers((n >> depth) + 1, n) if depth else st.just(n)))
-    return draw(st.integers(1, 6)), n, depth, length, draw(st.integers(0, 2**32 - 1))
+    return draw(st.integers(1, 17)), n, depth, length, draw(st.integers(0, 2**32 - 1))
 
 
 class TestChainKernel:
