@@ -1,6 +1,7 @@
 import math
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -504,12 +505,18 @@ class TestOutputFiles:
         ],
     )
     def test_a_rerun_writes_the_files_of_a_fresh_run(self, tmp_path, scenario, first, second):
-        run_scenario(make_config(scenario, output_dir=str(tmp_path / "rerun"), **first))
-        rerun = run_scenario(make_config(scenario, output_dir=str(tmp_path / "rerun"), **second))
-        fresh = run_scenario(make_config(scenario, output_dir=str(tmp_path / "fresh"), **second))
-        assert sorted(p.name for p in (tmp_path / "rerun").iterdir()) == sorted(p.name for p in fresh.values())
-        for name, path in fresh.items():
-            assert rerun[name].read_bytes() == path.read_bytes(), name
+        """A re-run over shorter and over longer files writes over each in
+        place (its inode stays) and leaves the bytes of a fresh run."""
+        for label, old, new in (("shorter", first, second), ("longer", second, first)):
+            out = tmp_path / label
+            written = run_scenario(make_config(scenario, output_dir=str(out), **old))
+            inodes = {name: path.stat().st_ino for name, path in written.items()}
+            rerun = run_scenario(make_config(scenario, output_dir=str(out), **new))
+            fresh = run_scenario(make_config(scenario, output_dir=str(tmp_path / f"fresh-{label}"), **new))
+            assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in fresh.values())
+            for name, path in fresh.items():
+                assert rerun[name].read_bytes() == path.read_bytes(), (label, name)
+                assert rerun[name].stat().st_ino == inodes[name], (label, name)
 
     def test_an_existing_output_is_replaced_by_a_new_file(self, tmp_path):
         out, kept = tmp_path / "out", tmp_path / "kept"
@@ -526,6 +533,29 @@ class TestOutputFiles:
             ino, data = old[path.name]
             assert path.stat().st_ino != ino, path.name
             assert (kept / path.name).read_bytes() == data != path.read_bytes(), path.name
+
+    def test_a_read_only_output_is_replaced_by_a_new_file(self, tmp_path):
+        """A read-only file with one link is replaced, not written over, even
+        for root, whose open of it succeeds."""
+        summary = run_scenario(make_config("fig9", num_runs=3, output_dir=str(tmp_path)))["summary"]
+        summary.chmod(0o444)
+        # The open descriptor keeps the old inode alive, so its number is not reused.
+        with summary.open("rb") as held:
+            data = held.read()
+            run_scenario(make_config("fig9", num_runs=2, output_dir=str(tmp_path)))
+            assert os.fstat(held.fileno()).st_nlink == 0
+            assert summary.stat().st_ino != os.fstat(held.fileno()).st_ino
+            held.seek(0)
+            assert held.read() == data != summary.read_bytes()
+
+    def test_an_output_linked_to_a_device_is_written_without_a_truncate(self, tmp_path):
+        paths = run_scenario(make_config("fig9", num_runs=2, output_dir=str(tmp_path)))
+        for path in paths.values():
+            path.unlink()
+            path.symlink_to(os.devnull)
+        run_scenario(make_config("fig9", num_runs=3, output_dir=str(tmp_path)))
+        for path in paths.values():
+            assert path.is_symlink() and path.readlink() == Path(os.devnull), path.name
 
     def test_a_symlink_at_an_output_is_written_through(self, tmp_path):
         out, target = tmp_path / "out", tmp_path / "elsewhere" / "runs.csv"
@@ -968,7 +998,6 @@ def test_cdf_blocks_write_the_per_point_str_format_rows(curves, block):
     """The cdf writer, in blocks of a few rows, writes the text of one
     ``str.format`` per point, curve after curve."""
     import tempfile
-    from pathlib import Path
     from unittest import mock
 
     cdfs = {name: EmpiricalCdf(*np.array(points).T.copy()) for name, points in curves.items()}
@@ -994,9 +1023,29 @@ def test_cdf_blocks_write_the_per_point_str_format_rows(curves, block):
 )
 def test_report_rows_are_the_per_record_str_format_rows(records):
     import tempfile
-    from pathlib import Path
 
     with tempfile.TemporaryDirectory() as out:
         path = Path(out) / "report.csv"
         experiments._write_report(path, records)
         assert path.read_bytes() == report_text(records).encode()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    runs=st.one_of(st.integers(1, 300), st.sampled_from([8191, 8192, 8193, 9000, 16384, 20000, 65537])),
+    width=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_summary_means_are_bitwise_the_per_column_reduces(runs, width, seed):
+    """fig9's per-level means, from a (runs, depth) array, and loopback's
+    per-slice means, from a (slices, runs) array, are bitwise the
+    per-column reduces they replace: ``np.add.reduce`` of each column view
+    over the run count, and ``np.mean`` of each row. Past 8192 runs a
+    reduce may work in blocks; the sums must block alike. (Loopback's error
+    counts are integer sums, exact in any order.)"""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((runs, width)) * 10.0 ** rng.integers(-8, 9, (runs, width))
+    want = np.array([np.add.reduce(values[:, j]) / runs for j in range(width)])
+    assert experiments._column_means(values).tobytes() == want.tobytes()
+    rows = np.ascontiguousarray(values.T)
+    assert experiments._column_means(rows.T).tobytes() == np.array([np.mean(row) for row in rows]).tobytes()
