@@ -86,10 +86,6 @@ __all__ = [
 _FLOAT_FIELD = "%.12g"
 # A row of the per-slice report of fig4 and table1.
 _REPORT_ROW = f"%s,%s,%s,%s,{_FLOAT_FIELD},{_FLOAT_FIELD}\n"
-# A row of the per-level table in a fig9 summary.
-_LEVEL_ROW = f"%s,%s,{_FLOAT_FIELD},{_FLOAT_FIELD},{_FLOAT_FIELD}\n"
-# A row of the per-slice table in the loopback summary.
-_SLICE_ROW = f"slice=%s size=%s mean_evm={_FLOAT_FIELD} symbol_errors=%s\n"
 # The cdf file is written this many rows of a curve at a time.
 _CDF_BLOCK_ROWS = 1024
 
@@ -367,20 +363,26 @@ def _create(path: Path):
     place and cut to length at close: on ext4, truncating a file to size 0
     makes its close start a flush, and replacing it frees and allocates an
     inode, while writing over the blocks the file has only dirties the page
-    cache. A hard link, a file with no write bit (root can open one) and a
-    file this process may not open are unlinked first and created anew, so
-    their other links keep the old contents. A symlink is written through,
-    to a target that is not a regular file (such as ``/dev/null``) without
-    a truncate, and a directory fails to open."""
+    cache. The gain is only for a path that already holds an output, as in
+    a re-run into the same directory; a new file is created as before. A
+    hard link, a file with no write bit (root can open one) and a file this
+    process may not open are unlinked first and created anew, so their
+    other links keep the old contents. A symlink is written through, to a
+    target that is not a regular file (such as ``/dev/null``) without a
+    truncate, and a directory fails to open.
+
+    Written in place, the file is cut only when it is closed. An error in
+    the run closes it, so it holds what was written until then and no stale
+    tail; but a process killed outright (or a power loss) leaves the new
+    bytes at the head of the old file and the old run's bytes after them,
+    and a reader that holds the old file open sees the new bytes come in."""
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     except PermissionError:
         pass
     else:
         st = os.fstat(fd)
-        if not stat.S_ISREG(st.st_mode):
-            return open(fd, "w", newline="")
-        if st.st_nlink == 1 and st.st_mode & 0o222:
+        if stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and st.st_mode & 0o222:
             return io.TextIOWrapper(io.BufferedWriter(_Overwrite(fd, "w")), newline="")
         os.close(fd)
     if path.is_file() and not path.is_symlink():
@@ -513,15 +515,6 @@ def _run_rate_cdf(
     return {"runs": runs_path, "cdf": cdf_path, "summary": summary_path}
 
 
-def _column_means(values: np.ndarray) -> np.ndarray:
-    """The mean of each column of a (runs, k) array, bitwise ``np.mean`` of
-    each column: one reduce over the rows of the C-contiguous transpose
-    (no copy when ``values`` is itself a transposed C array) gives each
-    row numpy's pairwise sum. A reduce over axis 0 would sum in run order
-    instead."""
-    return np.add.reduce(np.ascontiguousarray(values.T), axis=-1) / values.shape[0]
-
-
 def _run_fig9(
     config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, out: Path
 ) -> dict[str, Path]:
@@ -530,12 +523,16 @@ def _run_fig9(
 
     lines = _summary_lines(config, plan, taps, residual)
     lines.append("level,child_size,mean_mi_positive,mean_mi_negative,branch_gap_rel")
-    levels = range(1, config.depth + 1)
-    pos, neg = _column_means(chain.positive), _column_means(chain.negative)
-    top = np.maximum(pos, neg)
-    gap = np.divide(np.abs(pos - neg), top, out=np.zeros_like(top), where=top > 0)
-    sizes = [config.n_fft >> level for level in levels]
-    lines += _rows(_LEVEL_ROW, len(levels), levels, sizes, pos.tolist(), neg.tolist(), gap.tolist()).splitlines()
+    runs = config.num_runs
+    for level in range(1, config.depth + 1):
+        # np.mean's pairwise sum over each column view and its divide,
+        # without its wrapper; a reduce over axis 0 would sum in run order.
+        pos = float(np.add.reduce(chain.positive[:, level - 1]) / runs)
+        neg = float(np.add.reduce(chain.negative[:, level - 1]) / runs)
+        gap = abs(pos - neg) / max(pos, neg) if max(pos, neg) > 0 else 0.0
+        lines.append(
+            f"{level},{config.n_fft >> level},{_fmt(pos)},{_fmt(neg)},{_fmt(gap)}"
+        )
     summary_path = out / f"{config.scenario}_summary.txt"
     _write_summary(summary_path, lines)
     return {"runs": runs_path, "summary": summary_path}
@@ -758,14 +755,11 @@ def _run_loopback(
         f"scenario=loopback n_fft={config.n_fft} depth={config.depth} "
         f"cp_length={config.cp_length} snr_db={_fmt(config.snr_db)} runs={config.num_runs}",
     ]
-    lines += _rows(
-        _SLICE_ROW,
-        num_slices,
-        [desc.path or "(whole frame)" for desc in plan.slices],
-        [desc.size for desc in plan.slices],
-        _column_means(evm.T).tolist(),
-        np.add.reduce(errors, axis=-1).tolist(),
-    ).splitlines()
+    for desc, slice_evm, slice_errors in zip(plan.slices, evm, errors):
+        lines.append(
+            f"slice={desc.path or '(whole frame)'} size={desc.size} "
+            f"mean_evm={_fmt(float(np.mean(slice_evm)))} symbol_errors={int(slice_errors.sum())}"
+        )
     summary_path = out / "loopback_summary.txt"
     _write_summary(summary_path, lines)
     return {"runs": runs_path, "summary": summary_path}

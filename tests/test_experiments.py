@@ -518,6 +518,36 @@ class TestOutputFiles:
                 assert rerun[name].read_bytes() == path.read_bytes(), (label, name)
                 assert rerun[name].stat().st_ino == inodes[name], (label, name)
 
+    def test_an_interrupted_rerun_leaves_no_stale_tail(self, tmp_path, monkeypatch):
+        """A re-run that fails in its second chunk, over the longer files of
+        a finished run, still closes its runs CSV: the file keeps its inode
+        and holds the rows written before the error, as an interrupted run
+        into a new directory does. The summary, written after the runs, is
+        the old run's."""
+        old = run_scenario(make_config("fig9", num_runs=9, output_dir=str(tmp_path / "out")))
+        ino, summary = old["runs"].stat().st_ino, old["summary"].read_bytes()
+        full = run_scenario(make_config("fig9", num_runs=5, output_dir=str(tmp_path / "full")))["runs"].read_bytes()
+        monkeypatch.setattr(experiments, "_chunk_runs", lambda n_fft, sample_bytes: 2)
+        kernel, calls = experiments._chain_levels_into, []
+
+        def fail_second_chunk(*args):
+            calls.append(None)
+            if len(calls) % 2 == 0:
+                raise RuntimeError("interrupted")
+            kernel(*args)
+
+        monkeypatch.setattr(experiments, "_chain_levels_into", fail_second_chunk)
+        for name in ("out", "new"):
+            with pytest.raises(RuntimeError, match="interrupted"):
+                run_scenario(make_config("fig9", num_runs=5, output_dir=str(tmp_path / name)))
+        cut = (tmp_path / "out" / "fig9_runs.csv").read_bytes()
+        assert (tmp_path / "out" / "fig9_runs.csv").stat().st_ino == ino
+        assert cut == (tmp_path / "new" / "fig9_runs.csv").read_bytes()
+        # The header and the rows of the first chunk's two runs, whole.
+        assert {line.split(b",")[0] for line in cut.splitlines()[1:]} == {b"0", b"1"}
+        assert full.startswith(cut) and full[len(cut) :].startswith(b"2,")
+        assert (tmp_path / "out" / "fig9_summary.txt").read_bytes() == summary
+
     def test_an_existing_output_is_replaced_by_a_new_file(self, tmp_path):
         out, kept = tmp_path / "out", tmp_path / "kept"
         kept.mkdir()
@@ -1028,24 +1058,3 @@ def test_report_rows_are_the_per_record_str_format_rows(records):
         path = Path(out) / "report.csv"
         experiments._write_report(path, records)
         assert path.read_bytes() == report_text(records).encode()
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    runs=st.one_of(st.integers(1, 300), st.sampled_from([8191, 8192, 8193, 9000, 16384, 20000, 65537])),
-    width=st.integers(1, 12),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_summary_means_are_bitwise_the_per_column_reduces(runs, width, seed):
-    """fig9's per-level means, from a (runs, depth) array, and loopback's
-    per-slice means, from a (slices, runs) array, are bitwise the
-    per-column reduces they replace: ``np.add.reduce`` of each column view
-    over the run count, and ``np.mean`` of each row. Past 8192 runs a
-    reduce may work in blocks; the sums must block alike. (Loopback's error
-    counts are integer sums, exact in any order.)"""
-    rng = np.random.default_rng(seed)
-    values = rng.standard_normal((runs, width)) * 10.0 ** rng.integers(-8, 9, (runs, width))
-    want = np.array([np.add.reduce(values[:, j]) / runs for j in range(width)])
-    assert experiments._column_means(values).tobytes() == want.tobytes()
-    rows = np.ascontiguousarray(values.T)
-    assert experiments._column_means(rows.T).tobytes() == np.array([np.mean(row) for row in rows]).tobytes()
