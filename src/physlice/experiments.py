@@ -358,24 +358,16 @@ class _Overwrite(io.FileIO):
 
 def _create(path: Path):
     """``path`` opened for writing from its start, with no newline
-    translation; the one way this module writes an output. An existing
-    regular file with one link and some write bit set is written over in
-    place and cut to length at close: on ext4, truncating a file to size 0
-    makes its close start a flush, and replacing it frees and allocates an
-    inode, while writing over the blocks the file has only dirties the page
-    cache. The gain is only for a path that already holds an output, as in
-    a re-run into the same directory; a new file is created as before. A
-    hard link, a file with no write bit (root can open one) and a file this
-    process may not open are unlinked first and created anew, so their
-    other links keep the old contents. A symlink is written through, to a
-    target that is not a regular file (such as ``/dev/null``) without a
-    truncate, and a directory fails to open.
-
-    Written in place, the file is cut only when it is closed. An error in
-    the run closes it, so it holds what was written until then and no stale
-    tail; but a process killed outright (or a power loss) leaves the new
-    bytes at the head of the old file and the old run's bytes after them,
-    and a reader that holds the old file open sees the new bytes come in."""
+    translation; the one way this module writes an output. A regular file
+    with one link and a write bit is written over in place and cut to
+    length at close: on ext4, a truncate to size 0 makes the close flush,
+    and replacing the file frees and allocates an inode. This gains only
+    when the file exists already. Any other regular file (a hard link, or
+    a read-only file that root could open) is unlinked and created anew, so
+    its other links keep the old contents; a symlink is written through,
+    and a directory fails to open. A run that fails still closes the file,
+    cutting it to the rows written; a killed process leaves the new bytes
+    over the old file's tail, and a reader of the old file sees them."""
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     except PermissionError:
