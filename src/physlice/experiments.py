@@ -1,9 +1,11 @@
 """Scenario presets, Monte Carlo orchestration, and plot-ready CSV emission.
 
-``run_scenario`` sets a scenario up in one place, ``_setup``: it checks
-every input, resolves the channel profile (reading a profile file once) and
-builds the slice plan, all before the output directory is made. It then
-calls the scenario's runner from ``_RUNNERS`` with that plan and profile.
+Every scenario is one entry of ``_SCENARIOS``: its runner, output files,
+preset and input rules. ``run_scenario`` checks every input against them in
+one place, ``_setup``, which also resolves the channel profile (reading a
+profile file once) and builds the slice plan, all before the output
+directory is made. It then calls the scenario's runner with the paths of
+its files and writes the summary lines that the runner returns.
 
 The Monte Carlo scenarios run their realizations in chunks of consecutive
 runs on a leading batch axis, as many as fit in ``_CHUNK_BYTES`` of the
@@ -37,10 +39,12 @@ length, replaces any other regular file, and writes through a symlink.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import os
 import stat
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -105,31 +109,6 @@ _MI_SAMPLE_BYTES = 24
 # words of the runs are hashed for this many chunks at a time.
 _MAX_CHUNK_RUNS = 64
 
-PRESETS: dict[str, dict] = {
-    # Urban channel, sub-6 GHz numerology, one split: distribution of the
-    # two branch rates against the ideal half split.
-    "fig7": dict(n_fft=2048, delta_f_hz=15e3, profile="etu", snr_db=10.0, num_runs=500, depth=1, cp_length=169),
-    # Same link, split all the way down to size-1 slices: distribution of the
-    # deepest pair against half of their parent.
-    "fig8": dict(n_fft=2048, delta_f_hz=15e3, profile="etu", snr_db=10.0, num_runs=500, depth=11, cp_length=169),
-    # Pedestrian channel at mmWave-style numerology, full chain, averaged MI
-    # and latency rank per slice.
-    "fig9": dict(n_fft=128, delta_f_hz=240e3, profile="epa", snr_db=10.0, num_runs=50, depth=7, cp_length=16),
-    # One seeded realization, three splits: per-slice MI and operation counts.
-    "fig4": dict(n_fft=2048, delta_f_hz=15e3, profile="etu", snr_db=10.0, num_runs=1, depth=3, cp_length=169),
-    # Deep continuation from the deepest positive slice, both MI modes.
-    "table1": dict(n_fft=2048, delta_f_hz=15e3, profile="etu", snr_db=10.0, num_runs=1, depth=3, cp_length=169),
-    # End-to-end transmit/receive sanity loop.
-    "loopback": dict(n_fft=2048, delta_f_hz=15e3, profile="etu", snr_db=30.0, num_runs=10, depth=3, cp_length=169),
-}
-
-
-# Scenarios that a mode override would not change, and why.
-_MODELESS = {
-    "table1": "it always reports both modes",
-    "loopback": "it runs the link and computes no MI",
-}
-
 
 @dataclass
 class ExperimentConfig:
@@ -191,17 +170,16 @@ def _setup(config: ExperimentConfig) -> tuple[SlicePlan, ChannelProfile, int]:
         value = getattr(config, name)
         if isinstance(value, bool) or not isinstance(value, _ACCEPTED[kind]) or (kind == "int" and value < 0):
             raise ValueError(f"{name} must be {_EXPECTED[kind]}, got {value!r}")
-    if config.scenario not in PRESETS:
-        raise ValueError(f"unknown scenario {config.scenario!r}, expected one of {sorted(PRESETS)}")
+    entry = _SCENARIOS.get(config.scenario)
+    if entry is None:
+        raise ValueError(f"unknown scenario {config.scenario!r}, expected one of {sorted(_SCENARIOS)}")
     if config.n_fft < 2 or config.n_fft & (config.n_fft - 1):
         raise ValueError(f"n_fft must be a power of two >= 2, got {config.n_fft}")
     if not 0 < config.delta_f_hz < math.inf:
         raise ValueError(f"delta_f_hz must be a positive finite number of Hz, got {config.delta_f_hz}")
     if math.isnan(config.snr_db) or config.snr_db == -math.inf:
         raise ValueError(f"snr_db must be a number of dB or inf (noiseless), got {config.snr_db}")
-    # Mutual information grows without bound as the noise vanishes; only the
-    # link has a noiseless case.
-    if config.snr_db == math.inf and config.scenario != "loopback":
+    if config.snr_db == math.inf and not entry.noiseless:
         raise ValueError(f"scenario {config.scenario!r} computes mutual information and needs a finite snr_db")
     if config.num_runs < 1:
         raise ValueError("num_runs must be at least 1")
@@ -209,7 +187,7 @@ def _setup(config: ExperimentConfig) -> tuple[SlicePlan, ChannelProfile, int]:
 
     if config.num_runs > MAX_RUNS:
         raise ValueError(f"num_runs must be at most 2**32 (a run id is one 32-bit word), got {config.num_runs}")
-    if config.scenario in ("fig4", "table1") and config.num_runs != 1:
+    if entry.one_run and config.num_runs != 1:
         raise ValueError(
             f"scenario {config.scenario!r} analyses one realization and needs num_runs = 1, got {config.num_runs}"
         )
@@ -217,9 +195,14 @@ def _setup(config: ExperimentConfig) -> tuple[SlicePlan, ChannelProfile, int]:
         raise ValueError("workers must be at least 1")
     if config.mode not in (MODE_EXACT, MODE_LITERAL):
         raise ValueError(f"unknown mode {config.mode!r}")
-    if config.scenario in ("fig7", "fig8") and config.depth < 1:
+    if entry.modeless and config.mode != MODE_EXACT:
+        raise ValueError(f"scenario {config.scenario!r} takes no mode: {entry.modeless}")
+    if config.depth < entry.min_depth:
+        raise ValueError(f"scenario {config.scenario!r} needs depth >= {entry.min_depth}, got {config.depth}")
+    if entry.splits_further and config.depth >= config.n_fft.bit_length() - 1:
         raise ValueError(
-            f"scenario {config.scenario!r} plots the branches of a split and needs depth >= 1, got {config.depth}"
+            f"scenario {config.scenario!r} splits the deepest positive slice further and needs "
+            f"depth < log2(n_fft) = {config.n_fft.bit_length() - 1}, got {config.depth}"
         )
     profile = config.resolve_profile()
     taps = profile_tap_count(profile, config.sample_period_ns)
@@ -233,15 +216,16 @@ def _setup(config: ExperimentConfig) -> tuple[SlicePlan, ChannelProfile, int]:
 
 def make_config(scenario: str, **overrides) -> ExperimentConfig:
     """Preset defaults for a scenario, with explicit overrides on top."""
-    if scenario not in PRESETS:
-        raise ValueError(f"unknown scenario {scenario!r}, expected one of {sorted(PRESETS)}")
-    params = dict(PRESETS[scenario])
+    entry = _SCENARIOS.get(scenario)
+    if entry is None:
+        raise ValueError(f"unknown scenario {scenario!r}, expected one of {sorted(_SCENARIOS)}")
+    params = dict(entry.preset)
     unknown = overrides.keys() - _FIELD_TYPES.keys()
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
     given = {k: v for k, v in overrides.items() if v is not None}
-    if "mode" in given and scenario in _MODELESS:
-        raise ValueError(f"scenario {scenario!r} takes no mode: {_MODELESS[scenario]}")
+    if "mode" in given and entry.modeless:
+        raise ValueError(f"scenario {scenario!r} takes no mode: {entry.modeless}")
     params.update(given)
     return ExperimentConfig(scenario=scenario, **params)
 
@@ -390,11 +374,6 @@ def _open_csv(path: Path, header: str):
     return fh
 
 
-def _write_summary(path: Path, lines: list[str]) -> None:
-    with _create(path) as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def _write_cdf(path: Path, curves: dict[str, EmpiricalCdf]) -> None:
     """One row per point of each curve, curve after curve, written
     ``_CDF_BLOCK_ROWS`` rows at a time. A block's cdf column is formatted
@@ -470,47 +449,47 @@ def _summary_lines(config: ExperimentConfig, plan: SlicePlan, taps: int, residua
 def run_scenario(config: ExperimentConfig) -> dict[str, Path]:
     """Run one scenario preset and write its output files.
 
-    Returns a mapping of logical names to the written paths. Outputs are
+    Returns a mapping of logical names to the written paths, in the order
+    written: each key of its files, then ``summary``. Outputs are
     deterministic for a given config; ``workers`` does not change them.
     """
     plan, profile, taps = _setup(config)
+    entry = _SCENARIOS[config.scenario]
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return _RUNNERS[config.scenario](config, plan, profile, taps, out)
+    paths = {key: out / f"{config.scenario}_{key}.csv" for key in entry.files}
+    lines = entry.run(config, plan, profile, taps, *paths.values())
+    paths["summary"] = out / f"{config.scenario}_summary.txt"
+    with _create(paths["summary"]) as fh:
+        fh.write("\n".join(lines) + "\n")
+    return paths
 
 
 def _run_rate_cdf(
-    config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, out: Path
-) -> dict[str, Path]:
-    runs_path = out / f"{config.scenario}_runs.csv"
+    config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, runs_path: Path, cdf_path: Path,
+    *, split: int, names: tuple[str, str, str], gaps: bool = False
+) -> list[str]:
+    """The cdfs ``names`` of the branch rates of split ``split`` (0 the first,
+    -1 the deepest) and of half the rate of the slice it splits; ``gaps``
+    adds the mean and largest relative branch gap to the summary."""
     chain, residual = _rate_scenario(config, plan, profile, runs_path)
     lines = _summary_lines(config, plan, taps, residual)
-
-    # fig7 plots the first split, fig8 the deepest one.
-    if config.scenario == "fig7":
-        level, names = 1, ("positive", "negative", "half_total")
-    else:
-        level, names = config.depth, ("deepest_positive", "deepest_negative", "half_parent")
-    pos, neg = chain.positive[:, level - 1], chain.negative[:, level - 1]
-    # The slice that level k splits: the root, or the positive child of level k - 1.
-    parent = chain.total if level == 1 else chain.positive[:, level - 2]
+    k = range(config.depth)[split]
+    pos, neg = chain.positive[:, k], chain.negative[:, k]
+    # The slice that level k splits: the root, or the positive child of the level above.
+    parent = chain.total if k == 0 else chain.positive[:, k - 1]
     curves = dict(zip(names, (empirical_cdf(pos), empirical_cdf(neg), empirical_cdf(parent / 2.0))))
-    cdf_path = out / f"{config.scenario}_cdf.csv"
     _write_cdf(cdf_path, curves)
-
-    summary_path = out / f"{config.scenario}_summary.txt"
-    if config.scenario == "fig7":
-        gaps = np.abs(pos - neg) / parent
-        lines.append(f"mean_branch_gap_rel={_fmt(float(np.mean(gaps)))}")
-        lines.append(f"max_branch_gap_rel={_fmt(float(np.max(gaps)))}")
-    _write_summary(summary_path, lines)
-    return {"runs": runs_path, "cdf": cdf_path, "summary": summary_path}
+    if gaps:
+        gap = np.abs(pos - neg) / parent
+        lines.append(f"mean_branch_gap_rel={_fmt(float(np.mean(gap)))}")
+        lines.append(f"max_branch_gap_rel={_fmt(float(np.max(gap)))}")
+    return lines
 
 
 def _run_fig9(
-    config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, out: Path
-) -> dict[str, Path]:
-    runs_path = out / f"{config.scenario}_runs.csv"
+    config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, runs_path: Path
+) -> list[str]:
     chain, residual = _rate_scenario(config, plan, profile, runs_path)
 
     lines = _summary_lines(config, plan, taps, residual)
@@ -525,9 +504,7 @@ def _run_fig9(
         lines.append(
             f"{level},{config.n_fft >> level},{_fmt(pos)},{_fmt(neg)},{_fmt(gap)}"
         )
-    summary_path = out / f"{config.scenario}_summary.txt"
-    _write_summary(summary_path, lines)
-    return {"runs": runs_path, "summary": summary_path}
+    return lines
 
 
 def _write_report(path: Path, records) -> None:
@@ -542,9 +519,8 @@ def _table_head(size: int, depth: int, mode: str, rho: float, total: float) -> s
 
 
 def _run_fig4(
-    config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, out: Path
-) -> dict[str, Path]:
-    runs_path = out / f"{config.scenario}_runs.csv"
+    config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, runs_path: Path, report_path: Path
+) -> list[str]:
     chain, max_residual = _rate_scenario(config, plan, profile, runs_path)
     # Each slice with the residual of the split that made it, at level
     # len(path); the whole frame of a depth-0 plan has none.
@@ -553,7 +529,6 @@ def _run_fig4(
         (len(s.path), s.path, s.size, config.mode, mi_bits, residual[len(s.path)])
         for s, mi_bits in zip(plan.slices, chain.slice_mi()[0].tolist())
     ]
-    report_path = out / f"{config.scenario}_report.csv"
     _write_report(report_path, records)
 
     total = float(chain.total[0])
@@ -567,14 +542,12 @@ def _run_fig4(
             f"note: channel ({taps} taps) outgrows the smallest slice ({config.n_fft >> config.depth}); "
             "splitting is non-uniform at the deep levels"
         )
-    summary_path = out / f"{config.scenario}_summary.txt"
-    _write_summary(summary_path, lines)
-    return {"runs": runs_path, "report": report_path, "summary": summary_path}
+    return lines
 
 
 def _run_table1(
-    config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, out: Path
-) -> dict[str, Path]:
+    config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, report_path: Path
+) -> list[str]:
     """Split the deepest positive slice of the plan all the way down to size
     1, and report both children of every level in both modes, with the
     decode cost of each child size."""
@@ -595,7 +568,6 @@ def _run_table1(
         )
         for path, mi_bits in (("+" * level, pos), ("+" * (level - 1) + "-", neg))
     ]
-    report_path = out / f"{config.scenario}_report.csv"
     _write_report(report_path, records)
 
     cost_row = ["2/1" if size == 1 else str(decode_cost("-", size)) for size in sizes]
@@ -605,7 +577,7 @@ def _run_table1(
             table.append([f"{branch} ({mode})"] + [f"{mi_bits:.4g}" for mi_bits in values.tolist()])
     table.append(["decode_ops"] + cost_row)
     widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
-    lines = [
+    return [
         f"scenario={config.scenario}",
         f"continuation_root_size={channel.size} (deepest positive slice of a depth-{config.depth} plan)",
         f"seed={config.seed} snr_db={_fmt(config.snr_db)}",
@@ -615,9 +587,6 @@ def _run_table1(
         "note: the two modes coincide while the taps fit in the block and diverge below; "
         "per-level sums in literal mode need not match the parent",
     ]
-    summary_path = out / f"{config.scenario}_summary.txt"
-    _write_summary(summary_path, lines)
-    return {"report": report_path, "summary": summary_path}
 
 
 def _slice_divisors(plan: SlicePlan) -> tuple[list[slice], tuple[np.ndarray, np.ndarray]]:
@@ -683,8 +652,8 @@ def _link_chunk(
 
 
 def _run_loopback(
-    config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, out: Path
-) -> dict[str, Path]:
+    config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, runs_path: Path
+) -> list[str]:
     """Transmit, propagate, receive one frame per run; report EVM and errors.
 
     Runs go through the link in chunks of
@@ -714,8 +683,6 @@ def _run_loopback(
     # Noiseless runs make no symbol errors.
     errors = np.zeros((num_slices, config.num_runs), dtype=np.int64)
     row = _link_row(plan)
-
-    runs_path = out / "loopback_runs.csv"
     with _open_csv(runs_path, "run_id,slice_path,evm,symbol_errors") as fh:
         for start, rngs in _chunks(config, size):
             r = len(rngs)
@@ -744,7 +711,7 @@ def _run_loopback(
             fh.write(_rows(row, r, run_ids, chunk_evm.T.ravel().tolist(), chunk_errors.T.ravel().tolist()))
 
     lines = [
-        f"scenario=loopback n_fft={config.n_fft} depth={config.depth} "
+        f"scenario={config.scenario} n_fft={config.n_fft} depth={config.depth} "
         f"cp_length={config.cp_length} snr_db={_fmt(config.snr_db)} runs={config.num_runs}",
     ]
     for desc, slice_evm, slice_errors in zip(plan.slices, evm, errors):
@@ -752,16 +719,56 @@ def _run_loopback(
             f"slice={desc.path or '(whole frame)'} size={desc.size} "
             f"mean_evm={_fmt(float(np.mean(slice_evm)))} symbol_errors={int(slice_errors.sum())}"
         )
-    summary_path = out / "loopback_summary.txt"
-    _write_summary(summary_path, lines)
-    return {"runs": runs_path, "summary": summary_path}
+    return lines
 
 
-_RUNNERS = {
-    "fig4": _run_fig4,
-    "fig7": _run_rate_cdf,
-    "fig8": _run_rate_cdf,
-    "fig9": _run_fig9,
-    "table1": _run_table1,
-    "loopback": _run_loopback,
+@dataclass(frozen=True)
+class _Scenario:
+    """A scenario's runner, its output files, its preset and the rules its
+    inputs obey. ``run(config, plan, profile, taps, *paths)`` writes a CSV
+    file at the path of each key of ``files`` and returns the summary."""
+
+    run: Callable[..., list[str]]
+    files: tuple[str, ...]
+    preset: dict
+    modeless: str = ""  # why a mode would not change it, if it would not
+    one_run: bool = False  # it analyses one realization
+    noiseless: bool = False  # it allows snr_db = inf: it computes no MI, which has no finite value without noise
+    min_depth: int = 0
+    splits_further: bool = False  # it splits the plan's deepest positive slice: depth < log2(n_fft)
+
+
+# Urban channel, sub-6 GHz numerology.
+_ETU = dict(n_fft=2048, delta_f_hz=15e3, profile="etu", snr_db=10.0, cp_length=169)
+
+_SCENARIOS: dict[str, _Scenario] = {
+    # One split: distribution of the two branch rates against the ideal half split.
+    "fig7": _Scenario(
+        functools.partial(_run_rate_cdf, split=0, names=("positive", "negative", "half_total"), gaps=True),
+        ("runs", "cdf"), dict(_ETU, num_runs=500, depth=1), min_depth=1,
+    ),
+    # Split down to size-1 slices: distribution of the deepest pair against half of their parent.
+    "fig8": _Scenario(
+        functools.partial(_run_rate_cdf, split=-1, names=("deepest_positive", "deepest_negative", "half_parent")),
+        ("runs", "cdf"), dict(_ETU, num_runs=500, depth=11), min_depth=1,
+    ),
+    # Pedestrian channel at mmWave-style numerology, full chain, averaged MI and latency rank per slice.
+    "fig9": _Scenario(
+        _run_fig9, ("runs",),
+        dict(n_fft=128, delta_f_hz=240e3, profile="epa", snr_db=10.0, num_runs=50, depth=7, cp_length=16),
+    ),
+    # One seeded realization, three splits: per-slice MI and operation counts.
+    "fig4": _Scenario(_run_fig4, ("runs", "report"), dict(_ETU, num_runs=1, depth=3), one_run=True),
+    # Deep continuation from the deepest positive slice, both MI modes.
+    "table1": _Scenario(
+        _run_table1, ("report",), dict(_ETU, num_runs=1, depth=3),
+        modeless="it always reports both modes", one_run=True, splits_further=True,
+    ),
+    # End-to-end transmit/receive sanity loop.
+    "loopback": _Scenario(
+        _run_loopback, ("runs",), dict(_ETU, snr_db=30.0, num_runs=10, depth=3),
+        modeless="it runs the link and computes no MI", noiseless=True,
+    ),
 }
+
+PRESETS: dict[str, dict] = {name: entry.preset for name, entry in _SCENARIOS.items()}

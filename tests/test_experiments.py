@@ -14,6 +14,7 @@ from physlice.cli import main as cli_main
 from physlice.experiments import (
     PRESETS,
     EmpiricalCdf,
+    ExperimentConfig,
     empirical_cdf,
     load_config_file,
     make_config,
@@ -155,6 +156,55 @@ class TestConfig:
     def test_mode_override_rejected_where_ignored(self, scenario, mode):
         with pytest.raises(ValueError, match="takes no mode"):
             make_config(scenario, mode=mode)
+
+    @pytest.mark.parametrize("scenario", ["table1", "loopback"])
+    def test_a_mode_on_a_directly_built_modeless_config_is_rejected(self, tmp_path, scenario):
+        out = tmp_path / "out"
+        cfg = ExperimentConfig(scenario=scenario, **PRESETS[scenario], mode="literal-triangular", output_dir=str(out))
+        with pytest.raises(ValueError, match=f"scenario {scenario!r} takes no mode: it "):
+            cfg.validated()
+        with pytest.raises(ValueError, match="takes no mode"):
+            run_scenario(cfg)
+        assert not out.exists()
+
+    def test_a_new_scenario_entry_needs_no_other_edit(self, tmp_path, monkeypatch):
+        """A toy entry in the scenario table gets its rules checked, its
+        runner called with the paths of its files and its summary written."""
+
+        def run_toy(config, plan, profile, taps, runs_path, notes_path):
+            runs_path.write_text("run_id\n0\n")
+            notes_path.write_text(f"{taps}\n")
+            return [f"scenario={config.scenario}", f"slices={len(plan.slices)}"]
+
+        toy = experiments._Scenario(
+            run_toy, ("runs", "notes"), dict(PRESETS["fig4"], depth=2), modeless="it is a toy", one_run=True,
+            min_depth=2, splits_further=True,
+        )
+        monkeypatch.setitem(experiments._SCENARIOS, "toy", toy)
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="scenario 'toy' takes no mode: it is a toy"):
+            make_config("toy", mode="exact-fold")
+        rejected = [
+            (dict(num_runs=2), "analyses one realization and needs num_runs = 1, got 2"),
+            (dict(snr_db=math.inf), "computes mutual information and needs a finite snr_db"),
+            (dict(depth=1), "needs depth >= 2, got 1"),
+            (dict(depth=11), "splits the deepest positive slice further and needs depth < log2(n_fft) = 11, got 11"),
+        ]
+        for overrides, message in rejected:
+            with pytest.raises(ValueError, match=re.escape(f"scenario 'toy' {message}")):
+                run_scenario(make_config("toy", output_dir=str(out), **overrides))
+        literal = ExperimentConfig(scenario="toy", **toy.preset, mode="literal-triangular", output_dir=str(out))
+        with pytest.raises(ValueError, match="takes no mode"):
+            run_scenario(literal)
+        assert not out.exists()
+
+        written = run_scenario(make_config("toy", output_dir=str(out)))
+        assert [(key, path.name) for key, path in written.items()] == [
+            ("runs", "toy_runs.csv"), ("notes", "toy_notes.csv"), ("summary", "toy_summary.txt")
+        ]
+        assert written["notes"].read_text() == "155\n"
+        assert written["summary"].read_text() == "scenario=toy\nslices=3\n"
+        assert sorted(p.name for p in out.iterdir()) == ["toy_notes.csv", "toy_runs.csv", "toy_summary.txt"]
 
     @pytest.mark.parametrize("seed", [-1, -(2**32), 1.5])
     def test_validation_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
@@ -686,6 +736,21 @@ class TestCli:
         rows = (tmp_path / "fig8_runs.csv").read_text().splitlines()[1:]
         assert len(rows) == 2 * 12
 
+    @pytest.mark.parametrize(
+        "flags,log_n",
+        [
+            (["--depth", "11"], 11),
+            (["--depth", "12"], 11),
+            (["--n-fft", "128", "--profile", "epa", "--delta-f", "240e3", "--cp", "16", "--depth", "7"], 7),
+        ],
+    )
+    def test_table1_with_no_slice_left_to_split_is_reported(self, tmp_path, capsys, flags, log_n):
+        out = tmp_path / "out"
+        code = cli_main(["--scenario", "table1", *flags, "--out", str(out)])
+        assert code == 2
+        assert f"needs depth < log2(n_fft) = {log_n}, got {flags[-1]}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("scenario", ["fig7", "fig8"])
     def test_split_plot_without_a_split_is_reported(self, tmp_path, capsys, scenario):
         code = cli_main(["--scenario", scenario, "--depth", "0", "--runs", "2", "--out", str(tmp_path)])
@@ -798,9 +863,11 @@ GOLDEN_DIGESTS = [
         "table1_report.csv": "210195599335d97a5e89ed58319d37e95eacdc467ddfe88c1972e91544e1d02d",
         "table1_summary.txt": "b6ed75f77c3a3e885802a71e1de0e7d9b1b3ef779984c5cba704d1c2cf4b83f1",
     }),
-    ("table1", "--n-fft 128 --profile epa --delta-f 240e3 --cp 16 --depth 7", {
-        "table1_report.csv": "af6c7c7515c592a92e0a69d274f2235e471f4ae81555bad4042626da02d2d337",
-        "table1_summary.txt": "942cebd50b70da38397186937bd361a45b48d32cd71b4a442338870aa53fead1",
+    # The deepest plan at N = 128 that leaves table1 a slice to split: one
+    # split of a size-2 continuation root.
+    ("table1", "--n-fft 128 --profile epa --delta-f 240e3 --cp 16 --depth 6", {
+        "table1_report.csv": "a53b0f5d4aa35ac8f590ca938e4a5a247bda0e5562441010570fa3515624ee45",
+        "table1_summary.txt": "15fa796bcaab9e68029470dead0725fa83c27b6744d773f3e0ac02b451991c31",
     }),
     ("table1", "--depth 7", {
         "table1_report.csv": "47b811530dfdfb68c7f7f49fc5c01b135a3e80a8eb9d668251117ce9063e769e",
@@ -827,6 +894,12 @@ GOLDEN_DIGESTS = [
         "fig7_runs.csv": "df063f2f5aadf38d09d51ba59405f5eaa38948c8dcc19afb936fbdda38f3ae20",
         "fig7_summary.txt": "d292ac50dbd2a99970443b35cd849fe0a5758738e6757a430a3a1712d7e78446",
     }),
+    # fig7 at depth 3 still plots the first split of a deeper plan.
+    ("fig7", "--depth 3 --runs 20", {
+        "fig7_cdf.csv": "1302a8e7fe7ae7e8bfa250a84e297855ef73898d6dffc366a1b626738f9035bd",
+        "fig7_runs.csv": "e0fe69ce9ec86e2ff934205407f14fd2d38dd55b912397ee0a4b671896bd1e64",
+        "fig7_summary.txt": "924f07bb62ba749d48f00b18fa442f2fc7a24d28d6375faf3fd6a0329ad4b83b",
+    }),
     ("fig8", "--runs 37", {
         "fig8_cdf.csv": "6ec1f6d489dfec78b35a0514e0d9994d9ad0fbb594694747b27a60a6f3e04680",
         "fig8_runs.csv": "cf593740dd73b9df6ef500b7ecf7411ead195ed566845d82816ec0089a83db72",
@@ -843,6 +916,12 @@ GOLDEN_DIGESTS = [
         "fig8_cdf.csv": "60a26ff5d31c392f4d2e1b2bd4f3f1f351db55543e58ca9ed504ee79e9b7ec6e",
         "fig8_runs.csv": "99c436cad35325b74a7e1935f21d4cbebb1c7e242232fc034fa8fb9217c0b6f2",
         "fig8_summary.txt": "154a165eff75a7569e2894fb136db3abddbc86ebf6562315a22e8ae04f5e87e7",
+    }),
+    # fig8 below depth 11 plots the deepest split of a shallower plan.
+    ("fig8", "--depth 4 --runs 20", {
+        "fig8_cdf.csv": "98284c9d9a90a63673eba923c23af205ea3709e415a34890197dbe835ec2b776",
+        "fig8_runs.csv": "d1e9fba3d73f8f6f97e7daad54ba184667330efa47d34513af0027ba14553452",
+        "fig8_summary.txt": "c8b67877155de71c6ccef47754b4727af776106553088c972507f57737c00994",
     }),
     ("fig9", "", {
         "fig9_runs.csv": "29809da55ddc486ce61a707097424fe0d47ee7cba1770549ab103a93ba9f7dd5",

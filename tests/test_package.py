@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -5,6 +6,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -86,3 +89,41 @@ def test_dense_oracles_live_only_in_the_tests():
         assert not set(moved) & set(getattr(module, "__all__", ())), module.__name__
     for attribute in ("dense", "response"):
         assert not hasattr(physlice.CirculantChannel, attribute), attribute
+
+
+def test_scenario_names_appear_only_in_the_scenario_table():
+    """Every per-scenario rule, file and runner is an entry of
+    ``experiments._SCENARIOS``: outside it, no string of the package (bar
+    docstrings) names a scenario, as a whole or as a word of a path."""
+    from physlice.experiments import PRESETS
+
+    name = re.compile(r"(?<![A-Za-z0-9])(%s)(?![A-Za-z0-9])" % "|".join(PRESETS))
+    tables = 0
+    for path in sorted((SRC / "physlice").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        table = range(0)
+        for node in tree.body:
+            if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "_SCENARIOS":
+                table, tables = range(node.lineno, node.end_lineno + 1), tables + 1
+        docstrings = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+        stray = [
+            (node.lineno, node.value)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings
+            and name.search(node.value) and node.lineno not in table
+        ]
+        assert not stray, f"{path.name}: {stray}"
+    assert tables == 1
+
+
+def test_ci_workflow_loads_and_every_step_runs_something():
+    """The workflow is valid YAML (a ``: `` in a plain step name once made
+    it invalid), and every step has a short one-line name and a ``run`` or
+    a ``uses``."""
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
+    steps = [step for job in workflow["jobs"].values() for step in job["steps"]]
+    assert steps
+    for step in steps:
+        assert isinstance(step.get("name"), str) and "\n" not in step["name"] and len(step["name"]) <= 100, step
+        assert "run" in step or "uses" in step, step["name"]
