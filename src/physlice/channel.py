@@ -3,8 +3,9 @@
 A channel profile (delays in ns, mean tap powers in dB) is sampled into a
 discrete impulse response on the OFDM sampling grid. :func:`draw_taps` draws
 a batch of realizations at once, one per random stream, straight into one
-zero-padded (R, L) array; the profile's grid (tap indices and Rayleigh
-scales) is computed once per (profile, sampling period) and cached.
+zero-padded (R, L) array; the profile's grid (tap indices, Rayleigh
+scales and the columns the draws add into) is computed once per (profile,
+sampling period) and cached.
 :func:`sample_cir` is its batch-of-one case, an (L,) array.
 
 A channel is its taps throughout the package: a complex (L,) array, or
@@ -153,10 +154,12 @@ def _check_period(sample_period_ns) -> float:
 
 
 @functools.lru_cache(maxsize=32)
-def _profile_grid(profile: ChannelProfile, sample_period_ns: float) -> tuple[np.ndarray, np.ndarray]:
+def _profile_grid(profile: ChannelProfile, sample_period_ns: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only tap indices round(delay / Ts) and Rayleigh scales sqrt(p / 2)
-    of a profile, powers normalized to a unit sum; computed once per
-    (profile, Ts)."""
+    of a profile's K taps, powers normalized to a unit sum, and the 2K
+    columns that their real, then their imaginary parts add into in the
+    float view of (R, L) complex taps: 2i and 2i + 1 for tap index i;
+    computed once per (profile, Ts)."""
     with np.errstate(over="ignore"):
         spans = np.rint(np.asarray(profile.tap_delays_ns) / sample_period_ns)
     if not spans[-1] < 2**62:
@@ -167,14 +170,15 @@ def _profile_grid(profile: ChannelProfile, sample_period_ns: float) -> tuple[np.
     powers /= powers.sum()
     idx = spans.astype(int)
     scale = np.sqrt(powers / 2.0)
-    idx.setflags(write=False)
-    scale.setflags(write=False)
-    return idx, scale
+    columns = np.concatenate((2 * idx, 2 * idx + 1))
+    for array in (idx, scale, columns):
+        array.setflags(write=False)
+    return idx, scale, columns
 
 
 def profile_tap_count(profile: ChannelProfile, sample_period_ns: float) -> int:
     """Number of discrete taps a profile occupies at the given sampling period."""
-    idx, _ = _profile_grid(profile, _check_period(sample_period_ns))
+    idx, _, _ = _profile_grid(profile, _check_period(sample_period_ns))
     return int(idx[-1]) + 1
 
 
@@ -197,27 +201,16 @@ def draw_taps(profile: ChannelProfile, sample_period_ns: float, rngs) -> np.ndar
     rngs = list(rngs)
     if not all(isinstance(rng, np.random.Generator) for rng in rngs):
         raise TypeError("draw_taps takes one numpy Generator per realization")
-    scale, columns = _draw_grid(profile, period)
+    _, scale, columns = _profile_grid(profile, period)
     taps = np.empty((len(rngs), profile_tap_count(profile, period)), dtype=np.complex128)
     _draw_taps_into(rngs, scale, columns, np.empty((len(rngs), 2, scale.size)), taps)
     return taps
 
 
-@functools.lru_cache(maxsize=32)
-def _draw_grid(profile: ChannelProfile, sample_period_ns: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Rayleigh scales of a profile's K taps, and the 2K columns
-    that their real, then their imaginary parts add into in the float view
-    of (R, L) complex taps: 2i and 2i + 1 for tap index i."""
-    idx, scale = _profile_grid(profile, sample_period_ns)
-    columns = np.concatenate((2 * idx, 2 * idx + 1))
-    columns.setflags(write=False)
-    return scale, columns
-
-
 def _draw_taps_into(rngs, scale: np.ndarray, columns: np.ndarray, draws: np.ndarray, taps: np.ndarray) -> None:
     """:func:`draw_taps` of the Generators ``rngs``, unchecked, into
     ``taps``, a C-contiguous complex (R, L) array that is zeroed first.
-    ``scale`` and ``columns`` are :func:`_draw_grid`'s, and ``draws`` is a
+    ``scale`` and ``columns`` are :func:`_profile_grid`'s, and ``draws`` is a
     float (R, 2, K) scratch array."""
     for row, rng in zip(draws, rngs):
         rng.standard_normal(out=row)

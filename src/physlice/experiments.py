@@ -9,28 +9,29 @@ its files and writes the summary lines that the runner returns.
 
 The Monte Carlo scenarios run their realizations in chunks of consecutive
 runs on a leading batch axis, as many as fit in ``_CHUNK_BYTES`` of the
-scenario's buffers (``_chunk_runs``). A scenario makes its buffers once and
-cuts them to ``[:r]`` rows for a short last chunk: the link kernels of
-``txrx``, the MI kernel ``mi._chain_levels_into`` and the tap draw
-``channel._draw_taps_into`` write every result into them, so no chunk
+scenario's buffers (``_chunk_runs``). One generator, ``_drawn_chunks``,
+draws every scenario's runs: each run draws from its own RNG stream,
+bitwise ``np.random.default_rng([seed, run_id])``, whose seed words are
+hashed for ``_MAX_CHUNK_RUNS`` chunks of runs at a time, one vectorized
+SeedSequence pass per block (``_streams.stream_words``); each chunk builds
+its runs' Generators from their rows and draws their channels first, with
+one call of the tap-draw kernel ``channel._draw_taps_into``. A scenario
+makes its buffers once and cuts them to ``[:r]`` rows for a short last
+chunk: the tap draw, the link kernels of ``txrx`` and the MI kernel
+``mi._chain_levels_into`` write every result into them, so no chunk
 allocates a frame-sized array. The N-point FFT of a chunk's taps, in the
 MI kernel and in ``loopback``, pads the taps into a frame buffer and
 transforms it in place (``channel._spectrum_into``), so numpy takes its
 multi-row FFT path for the chunk instead of padding and transforming one
 row at a time. Each chunk writes its runs' CSV rows as it finishes, with
 one ``%`` call (``_rows``): one run's row template, repeated for the
-chunk's runs, filled from one flat list of cells. It also fills
-its rows of the arrays that the summaries read: a
-``ChainMi`` of (num_runs, ...) arrays in the MI scenarios, into which the
-kernel writes directly, and (slices, runs) EVM and error counts in
-``loopback``. Every run
-draws from its own RNG stream, bitwise ``np.random.default_rng([seed,
-run_id])``: a scenario hashes the seed words of ``_MAX_CHUNK_RUNS`` chunks
-of runs at a time, one vectorized SeedSequence pass per block
-(``_streams.stream_words``), and each chunk builds its runs' Generators
-from their rows. The chunks run in order in the calling thread, so ``workers``
-changes neither the output nor the speed (a thread pool never beat this
-loop: the chunks hold the GIL between short numpy calls). Plot rendering is
+chunk's runs, filled from one flat list of cells. It also fills its rows
+of the arrays that the summaries read: a ``ChainMi`` of (num_runs, ...)
+arrays in the MI scenarios, into which the kernel writes directly, and
+(slices, runs) EVM and error counts in ``loopback``. The chunks run in
+order in the calling thread, so ``workers`` changes neither the output nor
+the speed (a thread pool never beat this loop: the chunks hold the GIL
+between short numpy calls). Plot rendering is
 left to external tools: the files written here are plain CSV plus a short
 text summary per scenario, each opened by ``_create``: it rewrites an
 existing regular, singly linked, writable file in place and cuts it to
@@ -53,15 +54,14 @@ import numpy as np
 from .channel import (
     BUILTIN_PROFILES,
     ChannelProfile,
-    _draw_grid,
     _draw_taps_into,
+    _profile_grid,
     _read_key_values,
     _spectrum_into,
     build_circulant,
     load_profile,
     positive_child,
     profile_tap_count,
-    sample_cir,
 )
 from .mi import MODE_EXACT, MODE_LITERAL, ChainMi, SnrSpec, _chain_levels_into, chain_mi
 from .sliceplan import SlicePlan, build_plan, decode_cost, total_cost
@@ -181,6 +181,8 @@ def _setup(config: ExperimentConfig) -> tuple[SlicePlan, ChannelProfile, int]:
         raise ValueError(f"snr_db must be a number of dB or inf (noiseless), got {config.snr_db}")
     if config.snr_db == math.inf and not entry.noiseless:
         raise ValueError(f"scenario {config.scenario!r} computes mutual information and needs a finite snr_db")
+    if config.snr_db != math.inf and config.snr.rho == 0.0:
+        raise ValueError(f"snr_db {config.snr_db} is too small: 10**(snr_db / 10) is 0 in a float")
     if config.num_runs < 1:
         raise ValueError("num_runs must be at least 1")
     from ._streams import MAX_RUNS
@@ -259,8 +261,7 @@ class EmpiricalCdf:
         """Smallest sample value with cdf >= p."""
         if not 0.0 < p <= 1.0:
             raise ValueError(f"quantile level must be in (0, 1], got {p}")
-        k = max(int(np.ceil(p * self.values.size)) - 1, 0)
-        return float(self.values[k])
+        return float(self.values[np.searchsorted(self.probs, p)])
 
 
 def empirical_cdf(samples) -> EmpiricalCdf:
@@ -279,21 +280,31 @@ def _chunk_runs(n_fft: int, sample_bytes: int) -> int:
     return min(max(1, _CHUNK_BYTES // (sample_bytes * n_fft)), _MAX_CHUNK_RUNS)
 
 
-def _chunks(config: ExperimentConfig, size: int):
-    """Yield ``(start, rngs)`` for each chunk of ``size`` consecutive runs,
-    in run order: ``start`` is the id of the chunk's first run and ``rngs``
-    holds the Generators of its runs. The seed words are hashed for
-    ``_MAX_CHUNK_RUNS`` chunks at a time, so the hash holds one block of
-    runs, not every run; each chunk builds its Generators from its rows of
-    the read-only words. The caller runs the chunks one after another,
-    whatever ``workers`` says."""
+def _drawn_chunks(config: ExperimentConfig, profile: ChannelProfile, taps: int, size: int):
+    """Yield ``(runs, rngs, taps)`` for each chunk of at most ``size``
+    consecutive runs, in run order; the one place where a scenario draws its
+    runs. ``runs`` is the ``slice`` of the chunk's run ids, ``rngs`` holds
+    the Generators of its runs, and the yielded ``taps`` is a complex
+    (r, ``taps``) view of one reused buffer: row i is the channel that run i
+    drew first from its stream (``channel._draw_taps_into``). The seed words
+    are hashed for ``_MAX_CHUNK_RUNS`` chunks at a time, so the hash holds
+    one block of runs, not every run; each chunk builds its Generators from
+    its rows of the read-only words. The caller runs the chunks one after
+    another, whatever ``workers`` says."""
     from ._streams import stream, stream_words
 
+    _, scale, columns = _profile_grid(profile, config.sample_period_ns)
+    rows = min(config.num_runs, size)
+    draws = np.empty((rows, 2, scale.size))
+    buffer = np.empty((rows, taps), dtype=np.complex128)
     block = size * _MAX_CHUNK_RUNS
     for first in range(0, config.num_runs, block):
         words = stream_words(config.seed, range(first, min(first + block, config.num_runs)))
         for start in range(0, len(words), size):
-            yield first + start, [stream(row) for row in words[start : start + size]]
+            rngs = [stream(row) for row in words[start : start + size]]
+            r = len(rngs)
+            _draw_taps_into(rngs, scale, columns, draws[:r], buffer[:r])
+            yield slice(first + start, first + start + r), rngs, buffer[:r]
 
 
 def _fmt(value) -> str:
@@ -376,59 +387,45 @@ def _open_csv(path: Path, header: str):
 
 def _write_cdf(path: Path, curves: dict[str, EmpiricalCdf]) -> None:
     """One row per point of each curve, curve after curve, written
-    ``_CDF_BLOCK_ROWS`` rows at a time. A block's cdf column is formatted
-    by one ``%`` call, and a block of another curve with the same
-    probabilities (the k/n of a curve of the same size) reuses that text."""
-    prob_cells = {}
+    ``_CDF_BLOCK_ROWS`` rows at a time, each block by one ``_rows`` call."""
     with _open_csv(path, "curve,x,cdf") as fh:
         for name, cdf in curves.items():
-            row = f"{name},{_FLOAT_FIELD},%s\n"
+            row = f"{name},{_FLOAT_FIELD},{_FLOAT_FIELD}\n"
             for first in range(0, cdf.values.size, _CDF_BLOCK_ROWS):
                 block = slice(first, first + _CDF_BLOCK_ROWS)
-                probs = cdf.probs[block]
-                key = probs.tobytes()
-                if key not in prob_cells:
-                    prob_cells[key] = ((_FLOAT_FIELD + "\n") * probs.size % tuple(probs.tolist())).splitlines()
                 values = cdf.values[block].tolist()
-                fh.write(_rows(row, len(values), values, prob_cells[key]))
+                fh.write(_rows(row, len(values), values, cdf.probs[block].tolist()))
 
 
 def _rate_scenario(
-    config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, path: Path
+    config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, path: Path
 ) -> tuple[ChainMi, float]:
     """Shared engine of the MI scenarios: the chain MI of every run, as
     (num_runs, ...) arrays, and the largest relative conservation residual
-    over them. Runs are drawn and analysed in chunks, one tap draw
-    (``channel._draw_taps_into``) and one engine kernel call per chunk. The
-    kernels write the chunk's taps and its rows of the kept arrays; the
-    taps, their draws, and the spectra and log-gains (one complex and one
-    float (R, N) array) go in buffers made here and cut to ``[:r]`` rows for
-    a short last chunk. Each chunk writes its rows of the runs CSV at
-    ``path`` as it finishes, with one ``_rows`` call: one row per run and
-    slice, with the slices in frame order."""
-    n, runs, depth = config.n_fft, config.num_runs, config.depth
+    over them. ``_drawn_chunks`` draws the runs' ``taps``-tap channels a
+    chunk at a time, and each chunk takes one engine kernel call, which
+    writes the chunk's rows of the kept arrays; its spectra and log-gains
+    (one complex and one float (R, N) array) go in buffers made here and
+    cut to ``[:r]`` rows for a short last chunk. Each chunk writes its rows
+    of the runs CSV at ``path`` as it finishes, with one ``_rows`` call: one
+    row per run and slice, with the slices in frame order."""
+    n, num_runs, depth = config.n_fft, config.num_runs, config.depth
     rho = config.snr.rho
-    chain = ChainMi(np.empty(runs), np.empty((runs, depth)), np.empty((runs, depth)))
+    chain = ChainMi(np.empty(num_runs), np.empty((num_runs, depth)), np.empty((num_runs, depth)))
     size = _chunk_runs(n, _MI_SAMPLE_BYTES)
-    rows = min(runs, size)
-    scale, columns = _draw_grid(profile, config.sample_period_ns)
-    draws = np.empty((rows, 2, scale.size))
-    taps = np.empty((rows, profile_tap_count(profile, config.sample_period_ns)), dtype=np.complex128)
-    bins = np.empty((rows, n), dtype=np.complex128)
+    bins = np.empty((min(num_runs, size), n), dtype=np.complex128)
     gains = np.empty(bins.shape)
     residual = 0.0
     row, per_run = _mi_row(plan), len(plan.slices)
     with _open_csv(path, "run_id,slice_path,slice_size,mi_bits,decode_ops") as fh:
-        for start, rngs in _chunks(config, size):
+        for runs, rngs, chunk_taps in _drawn_chunks(config, profile, taps, size):
             r = len(rngs)
-            chunk = slice(start, start + r)
-            part = ChainMi(chain.total[chunk], chain.positive[chunk], chain.negative[chunk])
-            _draw_taps_into(rngs, scale, columns, draws[:r], taps[:r])
+            part = ChainMi(chain.total[runs], chain.positive[runs], chain.negative[runs])
             _chain_levels_into(
-                taps[:r], n, depth, rho, config.mode, part.total, part.positive, part.negative, bins[:r], gains[:r]
+                chunk_taps, n, depth, rho, config.mode, part.total, part.positive, part.negative, bins[:r], gains[:r]
             )
             residual = max(residual, part.max_residual_rel())
-            run_ids = np.arange(start, start + r).repeat(per_run).tolist()
+            run_ids = np.arange(runs.start, runs.stop).repeat(per_run).tolist()
             fh.write(_rows(row, r, run_ids, part.slice_mi().ravel().tolist()))
     return chain, residual
 
@@ -472,7 +469,7 @@ def _run_rate_cdf(
     """The cdfs ``names`` of the branch rates of split ``split`` (0 the first,
     -1 the deepest) and of half the rate of the slice it splits; ``gaps``
     adds the mean and largest relative branch gap to the summary."""
-    chain, residual = _rate_scenario(config, plan, profile, runs_path)
+    chain, residual = _rate_scenario(config, plan, profile, taps, runs_path)
     lines = _summary_lines(config, plan, taps, residual)
     k = range(config.depth)[split]
     pos, neg = chain.positive[:, k], chain.negative[:, k]
@@ -490,7 +487,7 @@ def _run_rate_cdf(
 def _run_fig9(
     config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, runs_path: Path
 ) -> list[str]:
-    chain, residual = _rate_scenario(config, plan, profile, runs_path)
+    chain, residual = _rate_scenario(config, plan, profile, taps, runs_path)
 
     lines = _summary_lines(config, plan, taps, residual)
     lines.append("level,child_size,mean_mi_positive,mean_mi_negative,branch_gap_rel")
@@ -521,7 +518,7 @@ def _table_head(size: int, depth: int, mode: str, rho: float, total: float) -> s
 def _run_fig4(
     config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, runs_path: Path, report_path: Path
 ) -> list[str]:
-    chain, max_residual = _rate_scenario(config, plan, profile, runs_path)
+    chain, max_residual = _rate_scenario(config, plan, profile, taps, runs_path)
     # Each slice with the residual of the split that made it, at level
     # len(path); the whole frame of a depth-0 plan has none.
     residual = [0.0] + chain.residual()[0].tolist()
@@ -551,8 +548,8 @@ def _run_table1(
     """Split the deepest positive slice of the plan all the way down to size
     1, and report both children of every level in both modes, with the
     decode cost of each child size."""
-    _, (rng,) = next(_chunks(config, 1))
-    channel = build_circulant(sample_cir(profile, config.sample_period_ns, rng), config.n_fft)
+    _, _, (run_taps,) = next(_drawn_chunks(config, profile, taps, 1))
+    channel = build_circulant(run_taps, config.n_fft)
     for _ in range(config.depth):
         channel = positive_child(channel)
     depth = channel.size.bit_length() - 1
@@ -658,20 +655,17 @@ def _run_loopback(
 
     Runs go through the link in chunks of
     ``_chunk_runs(n_fft, _LINK_SAMPLE_BYTES)`` frames on the batch axis.
-    Each run draws its channel, its bits and then its noise from its own
-    stream. The chunks share one set of buffers, made here and cut to
-    ``[:r]`` rows for a short last chunk: ``channel._draw_taps_into`` draws
-    the taps into them and ``_link_chunk`` writes every frame-sized result
-    into them, so no chunk allocates a frame-sized array. Each chunk writes
-    its rows of the runs CSV with one ``_rows`` call.
+    ``_drawn_chunks`` draws each run's channel from its own stream; the run
+    then draws its bits and then its noise from the same stream. The chunks
+    share one set of frame buffers, made here and cut to ``[:r]`` rows for a
+    short last chunk: ``_link_chunk`` writes every frame-sized result into
+    them, so no chunk allocates a frame-sized array. Each chunk writes its
+    rows of the runs CSV with one ``_rows`` call.
     """
     n = config.n_fft
     rho = _noise_rho(config.snr)
     size = _chunk_runs(n, _LINK_SAMPLE_BYTES)
     rows = min(config.num_runs, size)
-    scale, columns = _draw_grid(profile, config.sample_period_ns)
-    draws = np.empty((rows, 2, scale.size))
-    tap_buffer = np.empty((rows, taps), dtype=np.complex128)
     frame_buffers = np.empty((4, rows, n), dtype=np.complex128)
     # Noise draws; after the channel, scratch for the equalizer and the EVM.
     noise_buffer = np.empty((rows, 2, n))
@@ -684,16 +678,12 @@ def _run_loopback(
     errors = np.zeros((num_slices, config.num_runs), dtype=np.int64)
     row = _link_row(plan)
     with _open_csv(runs_path, "run_id,slice_path,evm,symbol_errors") as fh:
-        for start, rngs in _chunks(config, size):
+        for runs, rngs, chunk_taps in _drawn_chunks(config, profile, taps, size):
             r = len(rngs)
             frames = frame_buffers[:, :r]
             sent, gains = frames[0], frames[3]
             noise = noise_buffer[:r]
             words, index = indices = index_buffers[:, :r]
-            chunk = slice(start, start + r)
-
-            chunk_taps = tap_buffer[:r]
-            _draw_taps_into(rngs, scale, columns, draws[:r], chunk_taps)
             for raw, rng in zip(words, rngs):
                 raw[...] = rng.bit_generator.random_raw(n)
             # take reads intp indices; the view of the values 0..3 spares a cast copy.
@@ -703,11 +693,11 @@ def _run_loopback(
             _spectrum_into(chunk_taps, gains)
             if rho is not None:
                 _standard_normals(rngs, (r, n), out=noise)
-            chunk_evm, chunk_errors = evm[:, chunk], errors[:, chunk]
+            chunk_evm, chunk_errors = evm[:, runs], errors[:, runs]
             _link_chunk(
                 plan, stretches, divisors, rho, frames, noise, indices, mask_buffers[:, :r], chunk_evm, chunk_errors
             )
-            run_ids = np.arange(start, start + r).repeat(num_slices).tolist()
+            run_ids = np.arange(runs.start, runs.stop).repeat(num_slices).tolist()
             fh.write(_rows(row, r, run_ids, chunk_evm.T.ravel().tolist(), chunk_errors.T.ravel().tolist()))
 
     lines = [

@@ -80,7 +80,10 @@ class SnrSpec:
 
     @classmethod
     def from_db(cls, snr_db: float) -> "SnrSpec":
-        return cls(10.0 ** (snr_db / 10.0))
+        try:
+            return cls(10.0 ** (snr_db / 10.0))
+        except OverflowError:
+            raise ValueError(f"snr_db {snr_db} is too large: 10**(snr_db / 10) overflows a float") from None
 
 
 def _rho(snr) -> float:

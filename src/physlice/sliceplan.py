@@ -48,7 +48,7 @@ class SliceDescriptor:
 
 @dataclass(frozen=True)
 class SlicePlan:
-    """Slice layout of one frame; immutable and shareable across workers."""
+    """Slice layout of one frame; immutable."""
 
     frame_size: int
     depth: int

@@ -214,10 +214,10 @@ class TestBatchedDraw:
         """A full chunk of EPA draws, where two taps land on index 3, then a
         shorter chunk on the same buffers: each is bitwise draw_taps, so the
         kernel zeroes the taps it reuses and adds in profile order."""
-        from physlice.channel import _draw_grid, _draw_taps_into
+        from physlice.channel import _draw_taps_into, _profile_grid
 
         ts = 1e9 / (128 * 240e3)
-        scale, columns = _draw_grid(EPA_PROFILE, ts)
+        _, scale, columns = _profile_grid(EPA_PROFILE, ts)
         draws = np.empty((4, 2, scale.size))
         taps = np.zeros((4, profile_tap_count(EPA_PROFILE, ts)), dtype=np.complex128)
         for run_ids in (range(4), range(4, 7)):
@@ -244,8 +244,8 @@ class TestBatchedDraw:
     def test_grid_is_read_only(self):
         from physlice.channel import _profile_grid
 
-        idx, scale = _profile_grid(ETU_PROFILE, TS_LTE_NS)
-        assert not idx.flags.writeable and not scale.flags.writeable
+        idx, scale, columns = _profile_grid(ETU_PROFILE, TS_LTE_NS)
+        assert not idx.flags.writeable and not scale.flags.writeable and not columns.flags.writeable
         assert _profile_grid(ETU_PROFILE, TS_LTE_NS)[0] is idx
 
     @pytest.mark.parametrize("period", [0.0, -1.0, math.nan, math.inf])

@@ -109,6 +109,19 @@ class TestEmpiricalCdf:
         assert cdf.quantile(0.5) == 20.0
         assert cdf.quantile(1.0) == 40.0
 
+    def test_quantile_does_not_round_k_over_n_up(self):
+        # 0.28 * 25 is a hair above 7.
+        cdf = empirical_cdf(range(25))
+        assert cdf.evaluate(6.0) == 0.28
+        assert cdf.quantile(0.28) == 6.0
+
+    @given(st.integers(1, 300), st.data())
+    def test_quantile_at_k_over_n_is_the_k_th_order_statistic(self, n, data):
+        k = data.draw(st.integers(1, n))
+        cdf = empirical_cdf(np.arange(n, dtype=float)[::-1])
+        assert cdf.evaluate(float(k - 1)) == k / n
+        assert cdf.quantile(k / n) == k - 1
+
     def test_converges_to_normal_cdf(self):
         rng = np.random.default_rng(1)
         samples = rng.standard_normal(10_000)
@@ -540,6 +553,44 @@ class TestScenarios:
         assert traced_peak(tmp_path, scenario, num_runs, **overrides) / num_runs < bound
 
 
+class TestDrawnChunks:
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_each_run_draws_its_channel_first_from_its_own_stream(self, size):
+        """One-run chunks over 70 runs cross a hash block of 64 chunks, and
+        three-run chunks end on a chunk of one. EPA at the fig9 preset puts
+        two taps on one index."""
+        from physlice.channel import draw_taps
+
+        cfg = make_config("fig9", num_runs=70, seed=5)
+        _, profile, taps = experiments._setup(cfg)
+        next_run = 0
+        for runs, rngs, chunk_taps in experiments._drawn_chunks(cfg, profile, taps, size):
+            assert runs == slice(next_run, min(next_run + size, 70))
+            assert len(rngs) == len(chunk_taps) == runs.stop - runs.start
+            assert chunk_taps.shape[1] == taps
+            for run, rng, row in zip(range(runs.start, runs.stop), rngs, chunk_taps):
+                oracle = np.random.default_rng([cfg.seed, run])
+                assert row.tobytes() == draw_taps(profile, cfg.sample_period_ns, [oracle])[0].tobytes()
+                assert rng.bit_generator.state == oracle.bit_generator.state
+                assert rng.standard_normal() == oracle.standard_normal()
+            next_run = runs.stop
+        assert next_run == 70
+
+    def test_table1_folds_the_channel_of_run_0(self, tmp_path, monkeypatch):
+        from physlice.channel import draw_taps
+
+        built = []
+        build_circulant = experiments.build_circulant
+        monkeypatch.setattr(
+            experiments, "build_circulant", lambda taps, size: built.append(np.array(taps)) or build_circulant(taps, size)
+        )
+        cfg = make_config("table1", seed=9, output_dir=str(tmp_path))
+        run_scenario(cfg)
+        (taps,) = built
+        want = draw_taps(cfg.resolve_profile(), cfg.sample_period_ns, [np.random.default_rng([9, 0])])[0]
+        assert taps.tobytes() == want.tobytes()
+
+
 class TestOutputFiles:
     # Each scenario first with a config that writes longer files, then with
     # fewer runs or, where it takes one run, a plan that reports fewer rows.
@@ -690,6 +741,15 @@ class TestCli:
         assert code == 2
         assert "snr_db must be" in capsys.readouterr().err
         assert not (tmp_path / "loopback_runs.csv").exists()
+
+    @pytest.mark.parametrize("scenario", sorted(PRESETS))
+    @pytest.mark.parametrize("snr_db,message", [("4000", "is too large"), ("-4000", "is too small")])
+    def test_snr_beyond_the_float_range_is_reported(self, tmp_path, capsys, scenario, snr_db, message):
+        out = tmp_path / "out"
+        code = cli_main(["--scenario", scenario, f"--snr-db={snr_db}", "--out", str(out)])
+        assert code == 2
+        assert f"snr_db {float(snr_db)} {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("delta_f", ["nan", "inf"])
     def test_non_finite_spacing_is_reported(self, tmp_path, capsys, delta_f):

@@ -39,6 +39,10 @@ class TestSnrSpec:
         assert SnrSpec.from_db(10.0).rho == pytest.approx(10.0)
         assert SnrSpec.from_db(0.0).rho == pytest.approx(1.0)
 
+    def test_from_db_beyond_the_float_range_raises_value_error(self):
+        with pytest.raises(ValueError, match=r"snr_db 4000.0 is too large: 10\*\*\(snr_db / 10\) overflows a float"):
+            SnrSpec.from_db(4000.0)
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             SnrSpec(-1.0)
