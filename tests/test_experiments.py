@@ -580,10 +580,13 @@ class TestDrawnChunks:
         from physlice.channel import draw_taps
 
         built = []
-        build_circulant = experiments.build_circulant
-        monkeypatch.setattr(
-            experiments, "build_circulant", lambda taps, size: built.append(np.array(taps)) or build_circulant(taps, size)
-        )
+        real_build_circulant = experiments.build_circulant
+
+        def build_circulant(taps, size):
+            built.append(np.array(taps))
+            return real_build_circulant(taps, size)
+
+        monkeypatch.setattr(experiments, "build_circulant", build_circulant)
         cfg = make_config("table1", seed=9, output_dir=str(tmp_path))
         run_scenario(cfg)
         (taps,) = built
