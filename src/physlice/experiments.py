@@ -45,6 +45,7 @@ import io
 import math
 import os
 import stat
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -170,6 +171,8 @@ def _setup(config: ExperimentConfig) -> tuple[SlicePlan, ChannelProfile, int]:
         value = getattr(config, name)
         if isinstance(value, bool) or not isinstance(value, _ACCEPTED[kind]) or (kind == "int" and value < 0):
             raise ValueError(f"{name} must be {_EXPECTED[kind]}, got {value!r}")
+        if kind == "float" and isinstance(value, int) and abs(value) > sys.float_info.max:
+            raise ValueError(f"{name} must be a number within the float range, got an int of {value.bit_length()} bits")
     entry = _SCENARIOS.get(config.scenario)
     if entry is None:
         raise ValueError(f"unknown scenario {config.scenario!r}, expected one of {sorted(_SCENARIOS)}")
@@ -660,7 +663,10 @@ def _run_loopback(
     share one set of frame buffers, made here and cut to ``[:r]`` rows for a
     short last chunk: ``_link_chunk`` writes every frame-sized result into
     them, so no chunk allocates a frame-sized array. Each chunk writes its
-    rows of the runs CSV with one ``_rows`` call.
+    rows of the runs CSV with one ``_rows`` call, once it has checked that
+    their EVM is finite: an SNR that passes ``_setup`` can still make the
+    noise after the equalizer so large that the EVM overflows a float
+    (below about -3020 dB), and that raises ValueError instead.
     """
     n = config.n_fft
     rho = _noise_rho(config.snr)
@@ -697,6 +703,8 @@ def _run_loopback(
             _link_chunk(
                 plan, stretches, divisors, rho, frames, noise, indices, mask_buffers[:, :r], chunk_evm, chunk_errors
             )
+            if not np.isfinite(chunk_evm).all():
+                raise ValueError(f"snr_db {config.snr_db} is too small: the link's EVM overflows a float")
             run_ids = np.arange(runs.start, runs.stop).repeat(num_slices).tolist()
             fh.write(_rows(row, r, run_ids, chunk_evm.T.ravel().tolist(), chunk_errors.T.ravel().tolist()))
 

@@ -56,6 +56,11 @@ _LOGDET_CAP = 512
 _DENSE_CAP = 512
 
 
+def random_taps(rng, length):
+    """``length`` complex taps with standard normal real and imaginary parts."""
+    return rng.standard_normal(length) + 1j * rng.standard_normal(length)
+
+
 def dense(channel):
     """Dense materialization of a CirculantChannel (oracle scale): entry (i, j) = g[(i - j) mod size]."""
     return _lagged_circulant(channel.generator, channel.size)[1]

@@ -26,17 +26,13 @@ from physlice.sliceplan import bins_for_slice, build_plan, decode_cost, total_co
 from physlice.transform import butterfly_mixer
 from physlice.txrx import iterative_decode, modulate, propagate, receive, transmit, triangular_toeplitz_inverse
 
-from oracles import dense, extract_blocks, mi_logdet, recursive_matrix
+from oracles import dense, extract_blocks, mi_logdet, random_taps, recursive_matrix
 
 TS_LTE_NS = 1e9 / (2048 * 15e3)
 
 
 def _passed(number: int, message: str) -> None:
     print(f"[criterion {number:02d}] PASS - {message}")
-
-
-def random_taps(rng, length):
-    return rng.standard_normal(length) + 1j * rng.standard_normal(length)
 
 
 def test_criterion_01_orthonormality():

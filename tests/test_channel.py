@@ -26,14 +26,10 @@ from physlice.channel import (
     split_coupling,
 )
 
-from oracles import dense, extract_blocks, split_matrix
+from oracles import dense, extract_blocks, random_taps, split_matrix
 
 # Sub-6 GHz numerology used by the urban scenario: 1 / (2048 * 15 kHz).
 TS_LTE_NS = 1e9 / (2048 * 15e3)
-
-
-def random_taps(rng, length):
-    return rng.standard_normal(length) + 1j * rng.standard_normal(length)
 
 
 def per_run_draw_oracle(profile, sample_period_ns, rng):

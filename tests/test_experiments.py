@@ -243,6 +243,20 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} must be {expected}, got {value!r}"):
             make_config("fig9", **{field: value}).validated()
 
+    @pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["1e400", "-1e400"])
+    @pytest.mark.parametrize("field", ["snr_db", "delta_f_hz"])
+    def test_validation_rejects_an_int_beyond_the_float_range_before_the_output_directory(
+        self, tmp_path, field, value
+    ):
+        out = tmp_path / "out"
+        cfg = make_config("fig9", output_dir=str(out), **{field: value})
+        message = f"^{field} must be a number within the float range, got an int of 1329 bits$"
+        with pytest.raises(ValueError, match=message):
+            cfg.validated()
+        with pytest.raises(ValueError, match=message):
+            run_scenario(cfg)
+        assert not out.exists()
+
     def test_validation_bounds_the_run_count_by_one_run_id_word(self):
         assert make_config("fig7", num_runs=2**32).validated().num_runs == 2**32
         with pytest.raises(ValueError, match=r"num_runs must be at most 2\*\*32"):
@@ -753,6 +767,28 @@ class TestCli:
         assert code == 2
         assert f"snr_db {float(snr_db)} {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("snr_db", ["-3050", "-3090"])
+    def test_loopback_whose_evm_overflows_a_float_is_reported(self, tmp_path, capsys, snr_db):
+        """The SNR passes the schema, but the noise after the equalizer
+        overflows the EVM: inf at -3050 dB, nan at -3090 dB. The floor of
+        these two runs is about -3037 dB."""
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
+            code = cli_main(["--scenario", "loopback", f"--snr-db={snr_db}", "--runs", "2", "--out", str(out)])
+        assert code == 2
+        assert f"snr_db {float(snr_db)} is too small: the link's EVM overflows a float" in capsys.readouterr().err
+        assert (out / "loopback_runs.csv").read_text() == "run_id,slice_path,evm,symbol_errors\n"
+        assert not (out / "loopback_summary.txt").exists()
+
+    @pytest.mark.parametrize("scenario,snr_db", [("loopback", "-3030"), ("fig9", "-3090")])
+    def test_an_snr_above_the_link_floor_or_of_an_mi_scenario_writes_finite_figures(
+        self, tmp_path, capsys, scenario, snr_db
+    ):
+        out = tmp_path / "out"
+        assert cli_main(["--scenario", scenario, f"--snr-db={snr_db}", "--runs", "2", "--out", str(out)]) == 0
+        cells = [row.split(",")[2:] for row in (out / f"{scenario}_runs.csv").read_text().splitlines()[1:]]
+        assert cells and np.isfinite(np.array(cells, dtype=float)).all()
 
     @pytest.mark.parametrize("delta_f", ["nan", "inf"])
     def test_non_finite_spacing_is_reported(self, tmp_path, capsys, delta_f):

@@ -27,11 +27,7 @@ from physlice.mi import (
 from physlice.experiments import make_config, run_scenario
 from physlice.sliceplan import build_plan
 
-from oracles import chain_levels, dense, mi_logdet, recursive_matrix
-
-
-def random_taps(rng, length):
-    return rng.standard_normal(length) + 1j * rng.standard_normal(length)
+from oracles import chain_levels, dense, mi_logdet, random_taps, recursive_matrix
 
 
 class TestSnrSpec:

@@ -127,3 +127,28 @@ def test_ci_workflow_loads_and_every_step_runs_something():
     for step in steps:
         assert isinstance(step.get("name"), str) and "\n" not in step["name"] and len(step["name"]) <= 100, step
         assert "run" in step or "uses" in step, step["name"]
+
+
+def test_ci_replay_table_names_each_directory_once_and_every_config_validates():
+    """Every line of the CI replay table names its own directory, and its
+    flags parse with the CLI's parser and pass ``validated()`` (nothing is
+    run); ``.gitignore`` keeps the replay directories out of git."""
+    yaml = pytest.importorskip("yaml")
+    from physlice.cli import build_parser
+    from physlice.experiments import make_config
+
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())
+    steps = [step for job in workflow["jobs"].values() for step in job["steps"]]
+    (script,) = [step["run"] for step in steps if "<<'EOF'\n" in step.get("run", "")]
+    table = script.split("<<'EOF'\n", 1)[1].split("\nEOF\n", 1)[0]
+    rows = [line.split(None, 1) for line in table.splitlines() if line.strip() and not line.startswith("#")]
+    names = [name for name, _ in rows]
+    assert len(rows) >= 19 and len(set(names)) == len(names), names
+    for name, flags in rows:
+        try:
+            args = build_parser().parse_args(flags.split())
+            overrides = {k: v for k, v in vars(args).items() if v is not None and k not in ("scenario", "config")}
+            make_config(args.scenario, **overrides).validated()
+        except (SystemExit, ValueError) as err:
+            pytest.fail(f"replay config {name}: {err!r}")
+    assert "replay/" in (ROOT / ".gitignore").read_text().splitlines()

@@ -33,6 +33,7 @@ from physlice.txrx import (
 
 from oracles import (
     dense,
+    random_taps,
     recursive_forward,
     recursive_inverse,
     recursive_matrix,
@@ -40,10 +41,6 @@ from oracles import (
     tuple_receive,
     tuple_transmit,
 )
-
-
-def random_taps(rng, length):
-    return rng.standard_normal(length) + 1j * rng.standard_normal(length)
 
 
 def zero_padded(channels):
