@@ -1,11 +1,11 @@
 """Scenario presets, Monte Carlo orchestration, and plot-ready CSV emission.
 
-Every scenario is one entry of ``_SCENARIOS``: its runner, output files,
+Every scenario is one entry of ``_SCENARIOS``: its runner, CSV headers,
 preset and input rules. ``run_scenario`` checks every input against them in
 one place, ``_setup``, which also resolves the channel profile (reading a
 profile file once) and builds the slice plan, all before the output
-directory is made. It then calls the scenario's runner with the paths of
-its files and writes the summary lines that the runner returns.
+directory is made. It then opens and heads every file of the scenario,
+calls the runner with the open CSV files and writes the summary it returns.
 
 The Monte Carlo scenarios run their realizations in chunks of consecutive
 runs on a leading batch axis, as many as fit in ``_CHUNK_BYTES`` of the
@@ -40,6 +40,7 @@ length, replaces any other regular file, and writes through a symlink.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import io
 import math
@@ -89,7 +90,7 @@ __all__ = [
 
 # The conversion of every float that a CSV row or ``_fmt`` writes.
 _FLOAT_FIELD = "%.12g"
-# A row of the per-slice report of fig4 and table1.
+# A row of the per-slice report of fig4 and table1: (level, path, size, mode, mi_bits, parent_residual).
 _REPORT_ROW = f"%s,%s,%s,%s,{_FLOAT_FIELD},{_FLOAT_FIELD}\n"
 # The cdf file is written this many rows of a curve at a time.
 _CDF_BLOCK_ROWS = 1024
@@ -356,7 +357,7 @@ class _Overwrite(io.FileIO):
 
 def _create(path: Path):
     """``path`` opened for writing from its start, with no newline
-    translation; the one way this module writes an output. A regular file
+    translation; the one way ``run_scenario`` opens an output. A regular file
     with one link and a write bit is written over in place and cut to
     length at close: on ext4, a truncate to size 0 makes the close flush,
     and replacing the file frees and allocates an inode. This gains only
@@ -364,7 +365,7 @@ def _create(path: Path):
     a read-only file that root could open) is unlinked and created anew, so
     its other links keep the old contents; a symlink is written through,
     and a directory fails to open. A run that fails still closes the file,
-    cutting it to the rows written; a killed process leaves the new bytes
+    cutting it to the bytes written; a killed process leaves the new bytes
     over the old file's tail, and a reader of the old file sees them."""
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
@@ -380,28 +381,19 @@ def _create(path: Path):
     return path.open("w", newline="")
 
 
-def _open_csv(path: Path, header: str):
-    """A CSV file opened by ``_create``, its header line written; every row
-    the caller writes ends in a bare newline."""
-    fh = _create(path)
-    fh.write(header + "\n")
-    return fh
-
-
-def _write_cdf(path: Path, curves: dict[str, EmpiricalCdf]) -> None:
-    """One row per point of each curve, curve after curve, written
-    ``_CDF_BLOCK_ROWS`` rows at a time, each block by one ``_rows`` call."""
-    with _open_csv(path, "curve,x,cdf") as fh:
-        for name, cdf in curves.items():
-            row = f"{name},{_FLOAT_FIELD},{_FLOAT_FIELD}\n"
-            for first in range(0, cdf.values.size, _CDF_BLOCK_ROWS):
-                block = slice(first, first + _CDF_BLOCK_ROWS)
-                values = cdf.values[block].tolist()
-                fh.write(_rows(row, len(values), values, cdf.probs[block].tolist()))
+def _write_cdf(fh, curves: dict[str, EmpiricalCdf]) -> None:
+    """One row into ``fh`` per point of each curve, curve after curve, in
+    blocks of ``_CDF_BLOCK_ROWS`` rows, each written by one ``_rows`` call."""
+    for name, cdf in curves.items():
+        row = f"{name},{_FLOAT_FIELD},{_FLOAT_FIELD}\n"
+        for first in range(0, cdf.values.size, _CDF_BLOCK_ROWS):
+            block = slice(first, first + _CDF_BLOCK_ROWS)
+            values = cdf.values[block].tolist()
+            fh.write(_rows(row, len(values), values, cdf.probs[block].tolist()))
 
 
 def _rate_scenario(
-    config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, path: Path
+    config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, runs_csv
 ) -> tuple[ChainMi, float]:
     """Shared engine of the MI scenarios: the chain MI of every run, as
     (num_runs, ...) arrays, and the largest relative conservation residual
@@ -410,8 +402,8 @@ def _rate_scenario(
     writes the chunk's rows of the kept arrays; its spectra and log-gains
     (one complex and one float (R, N) array) go in buffers made here and
     cut to ``[:r]`` rows for a short last chunk. Each chunk writes its rows
-    of the runs CSV at ``path`` as it finishes, with one ``_rows`` call: one
-    row per run and slice, with the slices in frame order."""
+    of the runs CSV into ``runs_csv`` as it finishes, with one ``_rows``
+    call: one row per run and slice, with the slices in frame order."""
     n, num_runs, depth = config.n_fft, config.num_runs, config.depth
     rho = config.snr.rho
     chain = ChainMi(np.empty(num_runs), np.empty((num_runs, depth)), np.empty((num_runs, depth)))
@@ -420,16 +412,15 @@ def _rate_scenario(
     gains = np.empty(bins.shape)
     residual = 0.0
     row, per_run = _mi_row(plan), len(plan.slices)
-    with _open_csv(path, "run_id,slice_path,slice_size,mi_bits,decode_ops") as fh:
-        for runs, rngs, chunk_taps in _drawn_chunks(config, profile, taps, size):
-            r = len(rngs)
-            part = ChainMi(chain.total[runs], chain.positive[runs], chain.negative[runs])
-            _chain_levels_into(
-                chunk_taps, n, depth, rho, config.mode, part.total, part.positive, part.negative, bins[:r], gains[:r]
-            )
-            residual = max(residual, part.max_residual_rel())
-            run_ids = np.arange(runs.start, runs.stop).repeat(per_run).tolist()
-            fh.write(_rows(row, r, run_ids, part.slice_mi().ravel().tolist()))
+    for runs, rngs, chunk_taps in _drawn_chunks(config, profile, taps, size):
+        r = len(rngs)
+        part = ChainMi(chain.total[runs], chain.positive[runs], chain.negative[runs])
+        _chain_levels_into(
+            chunk_taps, n, depth, rho, config.mode, part.total, part.positive, part.negative, bins[:r], gains[:r]
+        )
+        residual = max(residual, part.max_residual_rel())
+        run_ids = np.arange(runs.start, runs.stop).repeat(per_run).tolist()
+        runs_csv.write(_rows(row, r, run_ids, part.slice_mi().ravel().tolist()))
     return chain, residual
 
 
@@ -449,37 +440,46 @@ def _summary_lines(config: ExperimentConfig, plan: SlicePlan, taps: int, residua
 def run_scenario(config: ExperimentConfig) -> dict[str, Path]:
     """Run one scenario preset and write its output files.
 
-    Returns a mapping of logical names to the written paths, in the order
-    written: each key of its files, then ``summary``. Outputs are
-    deterministic for a given config; ``workers`` does not change them.
+    The one place that opens a scenario's files, all by ``_create``:
+    ``<scenario>_summary.txt``, then ``<scenario>_<key>.csv`` with its header
+    for each key of the table entry's files. The runner writes the rows and
+    returns the summary, written last. A run that fails closes every file:
+    each CSV file keeps its header and the rows written before the error,
+    and the summary is empty, in a new or an old directory alike.
+
+    Returns a mapping of logical names to the written paths: each key of its
+    files, then ``summary``. Outputs are deterministic for a given config;
+    ``workers`` does not change them.
     """
     plan, profile, taps = _setup(config)
     entry = _SCENARIOS[config.scenario]
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {key: out / f"{config.scenario}_{key}.csv" for key in entry.files}
-    lines = entry.run(config, plan, profile, taps, *paths.values())
     paths["summary"] = out / f"{config.scenario}_summary.txt"
-    with _create(paths["summary"]) as fh:
-        fh.write("\n".join(lines) + "\n")
+    with contextlib.ExitStack() as stack:
+        summary, *handles = [stack.enter_context(_create(paths[key])) for key in ("summary", *entry.files)]
+        for fh, header in zip(handles, entry.files.values()):
+            fh.write(header + "\n")
+        summary.write("\n".join(entry.run(config, plan, profile, taps, *handles)) + "\n")
     return paths
 
 
 def _run_rate_cdf(
-    config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, runs_path: Path, cdf_path: Path,
+    config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, runs_csv, cdf_csv,
     *, split: int, names: tuple[str, str, str], gaps: bool = False
 ) -> list[str]:
     """The cdfs ``names`` of the branch rates of split ``split`` (0 the first,
     -1 the deepest) and of half the rate of the slice it splits; ``gaps``
     adds the mean and largest relative branch gap to the summary."""
-    chain, residual = _rate_scenario(config, plan, profile, taps, runs_path)
+    chain, residual = _rate_scenario(config, plan, profile, taps, runs_csv)
     lines = _summary_lines(config, plan, taps, residual)
     k = range(config.depth)[split]
     pos, neg = chain.positive[:, k], chain.negative[:, k]
     # The slice that level k splits: the root, or the positive child of the level above.
     parent = chain.total if k == 0 else chain.positive[:, k - 1]
     curves = dict(zip(names, (empirical_cdf(pos), empirical_cdf(neg), empirical_cdf(parent / 2.0))))
-    _write_cdf(cdf_path, curves)
+    _write_cdf(cdf_csv, curves)
     if gaps:
         gap = np.abs(pos - neg) / parent
         lines.append(f"mean_branch_gap_rel={_fmt(float(np.mean(gap)))}")
@@ -487,10 +487,8 @@ def _run_rate_cdf(
     return lines
 
 
-def _run_fig9(
-    config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, runs_path: Path
-) -> list[str]:
-    chain, residual = _rate_scenario(config, plan, profile, taps, runs_path)
+def _run_fig9(config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, runs_csv) -> list[str]:
+    chain, residual = _rate_scenario(config, plan, profile, taps, runs_csv)
 
     lines = _summary_lines(config, plan, taps, residual)
     lines.append("level,child_size,mean_mi_positive,mean_mi_negative,branch_gap_rel")
@@ -507,21 +505,15 @@ def _run_fig9(
     return lines
 
 
-def _write_report(path: Path, records) -> None:
-    """One row per (level, path, size, mode, mi_bits, parent_residual) record."""
-    with _open_csv(path, "level,path,size,mode,mi_bits,parent_residual") as fh:
-        fh.write(_rows(_REPORT_ROW, len(records), *zip(*records)))
-
-
 def _table_head(size: int, depth: int, mode: str, rho: float, total: float) -> str:
     """First line of the per-slice table in a fig4 or table1 summary."""
     return f"frame_size={size} depth={depth} mode={mode} rho={rho:.6g} total_mi_bits={total:.6f}"
 
 
 def _run_fig4(
-    config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, runs_path: Path, report_path: Path
+    config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, runs_csv, report_csv
 ) -> list[str]:
-    chain, max_residual = _rate_scenario(config, plan, profile, taps, runs_path)
+    chain, max_residual = _rate_scenario(config, plan, profile, taps, runs_csv)
     # Each slice with the residual of the split that made it, at level
     # len(path); the whole frame of a depth-0 plan has none.
     residual = [0.0] + chain.residual()[0].tolist()
@@ -529,7 +521,7 @@ def _run_fig4(
         (len(s.path), s.path, s.size, config.mode, mi_bits, residual[len(s.path)])
         for s, mi_bits in zip(plan.slices, chain.slice_mi()[0].tolist())
     ]
-    _write_report(report_path, records)
+    report_csv.write(_rows(_REPORT_ROW, len(records), *zip(*records)))
 
     total = float(chain.total[0])
     lines = _summary_lines(config, plan, taps, max_residual)
@@ -545,9 +537,7 @@ def _run_fig4(
     return lines
 
 
-def _run_table1(
-    config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, report_path: Path
-) -> list[str]:
+def _run_table1(config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, report_csv) -> list[str]:
     """Split the deepest positive slice of the plan all the way down to size
     1, and report both children of every level in both modes, with the
     decode cost of each child size."""
@@ -568,7 +558,7 @@ def _run_table1(
         )
         for path, mi_bits in (("+" * level, pos), ("+" * (level - 1) + "-", neg))
     ]
-    _write_report(report_path, records)
+    report_csv.write(_rows(_REPORT_ROW, len(records), *zip(*records)))
 
     cost_row = ["2/1" if size == 1 else str(decode_cost("-", size)) for size in sizes]
     table = [["size"] + [str(size) for size in sizes]]
@@ -651,9 +641,7 @@ def _link_chunk(
     np.sqrt(evm, out=evm)
 
 
-def _run_loopback(
-    config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, runs_path: Path
-) -> list[str]:
+def _run_loopback(config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, runs_csv) -> list[str]:
     """Transmit, propagate, receive one frame per run; report EVM and errors.
 
     Runs go through the link in chunks of
@@ -663,10 +651,11 @@ def _run_loopback(
     share one set of frame buffers, made here and cut to ``[:r]`` rows for a
     short last chunk: ``_link_chunk`` writes every frame-sized result into
     them, so no chunk allocates a frame-sized array. Each chunk writes its
-    rows of the runs CSV with one ``_rows`` call, once it has checked that
-    their EVM is finite: an SNR that passes ``_setup`` can still make the
-    noise after the equalizer so large that the EVM overflows a float
-    (below about -3020 dB), and that raises ValueError instead.
+    rows of the runs CSV into ``runs_csv`` with one ``_rows`` call, once it
+    has checked that their EVM is finite: an SNR that passes ``_setup`` can
+    still make the noise after the equalizer so large that the EVM overflows
+    a float (below about -3020 dB), and that raises ValueError instead, with
+    numpy's overflow and invalid-value warnings off.
     """
     n = config.n_fft
     rho = _noise_rho(config.snr)
@@ -683,7 +672,7 @@ def _run_loopback(
     # Noiseless runs make no symbol errors.
     errors = np.zeros((num_slices, config.num_runs), dtype=np.int64)
     row = _link_row(plan)
-    with _open_csv(runs_path, "run_id,slice_path,evm,symbol_errors") as fh:
+    with np.errstate(over="ignore", invalid="ignore"):
         for runs, rngs, chunk_taps in _drawn_chunks(config, profile, taps, size):
             r = len(rngs)
             frames = frame_buffers[:, :r]
@@ -706,7 +695,7 @@ def _run_loopback(
             if not np.isfinite(chunk_evm).all():
                 raise ValueError(f"snr_db {config.snr_db} is too small: the link's EVM overflows a float")
             run_ids = np.arange(runs.start, runs.stop).repeat(num_slices).tolist()
-            fh.write(_rows(row, r, run_ids, chunk_evm.T.ravel().tolist(), chunk_errors.T.ravel().tolist()))
+            runs_csv.write(_rows(row, r, run_ids, chunk_evm.T.ravel().tolist(), chunk_errors.T.ravel().tolist()))
 
     lines = [
         f"scenario={config.scenario} n_fft={config.n_fft} depth={config.depth} "
@@ -722,12 +711,13 @@ def _run_loopback(
 
 @dataclass(frozen=True)
 class _Scenario:
-    """A scenario's runner, its output files, its preset and the rules its
-    inputs obey. ``run(config, plan, profile, taps, *paths)`` writes a CSV
-    file at the path of each key of ``files`` and returns the summary."""
+    """A scenario's runner, its CSV files, its preset and the rules its
+    inputs obey. ``files`` maps each file's key to its header line.
+    ``run(config, plan, profile, taps, *handles)`` writes the rows into the
+    open, headed files of ``files``, in order, and returns the summary."""
 
     run: Callable[..., list[str]]
-    files: tuple[str, ...]
+    files: dict[str, str]
     preset: dict
     modeless: str = ""  # why a mode would not change it, if it would not
     one_run: bool = False  # it analyses one realization
@@ -738,33 +728,37 @@ class _Scenario:
 
 # Urban channel, sub-6 GHz numerology.
 _ETU = dict(n_fft=2048, delta_f_hz=15e3, profile="etu", snr_db=10.0, cp_length=169)
+# The CSV headers of the MI runs, the cdf and the per-slice report.
+_MI_RUNS = "run_id,slice_path,slice_size,mi_bits,decode_ops"
+_CDF = "curve,x,cdf"
+_REPORT = "level,path,size,mode,mi_bits,parent_residual"
 
 _SCENARIOS: dict[str, _Scenario] = {
     # One split: distribution of the two branch rates against the ideal half split.
     "fig7": _Scenario(
         functools.partial(_run_rate_cdf, split=0, names=("positive", "negative", "half_total"), gaps=True),
-        ("runs", "cdf"), dict(_ETU, num_runs=500, depth=1), min_depth=1,
+        dict(runs=_MI_RUNS, cdf=_CDF), dict(_ETU, num_runs=500, depth=1), min_depth=1,
     ),
     # Split down to size-1 slices: distribution of the deepest pair against half of their parent.
     "fig8": _Scenario(
         functools.partial(_run_rate_cdf, split=-1, names=("deepest_positive", "deepest_negative", "half_parent")),
-        ("runs", "cdf"), dict(_ETU, num_runs=500, depth=11), min_depth=1,
+        dict(runs=_MI_RUNS, cdf=_CDF), dict(_ETU, num_runs=500, depth=11), min_depth=1,
     ),
     # Pedestrian channel at mmWave-style numerology, full chain, averaged MI and latency rank per slice.
     "fig9": _Scenario(
-        _run_fig9, ("runs",),
+        _run_fig9, dict(runs=_MI_RUNS),
         dict(n_fft=128, delta_f_hz=240e3, profile="epa", snr_db=10.0, num_runs=50, depth=7, cp_length=16),
     ),
     # One seeded realization, three splits: per-slice MI and operation counts.
-    "fig4": _Scenario(_run_fig4, ("runs", "report"), dict(_ETU, num_runs=1, depth=3), one_run=True),
+    "fig4": _Scenario(_run_fig4, dict(runs=_MI_RUNS, report=_REPORT), dict(_ETU, num_runs=1, depth=3), one_run=True),
     # Deep continuation from the deepest positive slice, both MI modes.
     "table1": _Scenario(
-        _run_table1, ("report",), dict(_ETU, num_runs=1, depth=3),
+        _run_table1, dict(report=_REPORT), dict(_ETU, num_runs=1, depth=3),
         modeless="it always reports both modes", one_run=True, splits_further=True,
     ),
     # End-to-end transmit/receive sanity loop.
     "loopback": _Scenario(
-        _run_loopback, ("runs",), dict(_ETU, snr_db=30.0, num_runs=10, depth=3),
+        _run_loopback, dict(runs="run_id,slice_path,evm,symbol_errors"), dict(_ETU, snr_db=30.0, num_runs=10, depth=3),
         modeless="it runs the link and computes no MI", noiseless=True,
     ),
 }

@@ -11,6 +11,7 @@ FFT-operation units that determines its latency rank.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,11 +115,12 @@ def build_plan(
     """Build the canonical chain plan for a frame.
 
     The cyclic prefix is a copy of the frame's tail, so it may not be longer
-    than the frame. ``channel_length`` is an optional hint: the cyclic
-    prefix must cover it, and the plan is flagged non-uniform when the
-    channel outgrows the smallest slice (the regime where the two branches
-    of a split stop sharing the rate evenly). Plans are immutable, so the
-    last 32 distinct argument sets are cached and their plans shared.
+    than the frame. ``channel_length`` is an optional hint of at least one
+    tap: the cyclic prefix must cover it, and the plan is flagged
+    non-uniform when the channel outgrows the smallest slice (the regime
+    where the two branches of a split stop sharing the rate evenly). A
+    length that is not an integer raises TypeError. Plans are immutable, so
+    the last 32 distinct argument sets are cached and their plans shared.
     """
     return _build_plan(frame_size, depth, cp_length, channel_length)
 
@@ -129,6 +131,11 @@ def build_plan(
 @functools.lru_cache(maxsize=32, typed=True)
 def _build_plan(frame_size: int, depth: int, cp_length: int, channel_length: int | None) -> SlicePlan:
     check_plan(frame_size, depth)
+    for name, length in (("cyclic prefix", cp_length), ("channel", channel_length)):
+        if length is not None and not isinstance(length, numbers.Integral):
+            raise TypeError(f"{name} length must be an integer, got {length!r}")
+    if channel_length is not None and channel_length < 1:
+        raise ValueError(f"channel length must be at least 1, got {channel_length}")
     if cp_length < 0:
         raise ValueError("cyclic prefix length must be non-negative")
     if cp_length > frame_size:
@@ -157,9 +164,9 @@ def _build_plan(frame_size: int, depth: int, cp_length: int, channel_length: int
 
     non_uniform = False
     uniform_floor = None
-    if channel_length is not None and channel_length >= 1:
+    if channel_length is not None:
         non_uniform = channel_length > frame_size >> depth
-        uniform_floor = 1 << (channel_length - 1).bit_length()
+        uniform_floor = 1 << (int(channel_length) - 1).bit_length()
     return SlicePlan(
         frame_size=frame_size,
         depth=depth,

@@ -116,6 +116,22 @@ def test_scenario_names_appear_only_in_the_scenario_table():
     assert tables == 1
 
 
+def test_only_run_scenario_opens_an_output():
+    """``experiments._create`` is the one way the package opens an output,
+    and it is named at exactly one site of the package source, a call inside
+    ``run_scenario``: no runner opens a file of its own."""
+    sites = []
+    for path in sorted((SRC / "physlice").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owners = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        calls = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if "_create" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                owner = [f.name for f in owners if f.lineno <= node.lineno <= f.end_lineno]
+                sites.append((path.name, owner, id(node) in calls))
+    assert sites == [("experiments.py", ["run_scenario"], True)]
+
+
 def test_ci_workflow_loads_and_every_step_runs_something():
     """The workflow is valid YAML (a ``: `` in a plain step name once made
     it invalid), and every step has a short one-line name and a ``run`` or

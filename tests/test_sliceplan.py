@@ -54,6 +54,24 @@ class TestBuildPlan:
         with pytest.raises(ValueError, match=r"cyclic prefix \(17\) longer than the frame \(16\)"):
             build_plan(16, 2, 17)
 
+    @pytest.mark.parametrize("channel_length", [0, -5])
+    def test_rejects_a_channel_shorter_than_one_tap(self, channel_length):
+        with pytest.raises(ValueError, match=f"channel length must be at least 1, got {channel_length}"):
+            build_plan(8, 2, 3, channel_length=channel_length)
+
+    @pytest.mark.parametrize(
+        "lengths,name",
+        [(dict(cp_length=2.5), "cyclic prefix"), (dict(cp_length=3, channel_length=2.5), "channel")],
+    )
+    def test_rejects_a_length_that_is_not_an_integer(self, lengths, name):
+        with pytest.raises(TypeError, match=f"^{name} length must be an integer, got 2.5$"):
+            build_plan(8, 2, **lengths)
+
+    def test_accepts_numpy_integer_lengths(self):
+        plan = build_plan(8, 2, np.int64(3), channel_length=np.int64(2))
+        assert plan == build_plan(8, 2, 3, channel_length=2)
+        assert plan.uniform_floor == 2 and not plan.non_uniform
+
     def test_rejects_excess_depth(self):
         with pytest.raises(ValueError):
             build_plan(16, 5, 4)
