@@ -84,7 +84,8 @@ def stream_words(seed: int, run_ids: range) -> np.ndarray:
     """PCG64 seed words of the runs ``run_ids``, a read-only (len(run_ids), 4)
     uint64 array: row i equals
     ``np.random.SeedSequence([seed, run_ids[i]]).generate_state(4, np.uint64)``."""
-    if run_ids and not (0 <= min(run_ids) and max(run_ids) < MAX_RUNS):
+    # A range is monotonic, so its ends bound it: no walk over its ids.
+    if run_ids and not (0 <= min(run_ids[0], run_ids[-1]) and max(run_ids[0], run_ids[-1]) < MAX_RUNS):
         raise ValueError(f"run ids must lie in [0, 2**32), got {run_ids}")
     runs = np.arange(run_ids.start, run_ids.stop, run_ids.step, dtype=np.int64).astype(np.uint32)
     num_runs = runs.size

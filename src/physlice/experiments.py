@@ -25,10 +25,14 @@ transforms it in place (``channel._spectrum_into``), so numpy takes its
 multi-row FFT path for the chunk instead of padding and transforming one
 row at a time. Each chunk writes its runs' CSV rows as it finishes, with
 one ``%`` call (``_rows``): one run's row template, repeated for the
-chunk's runs, filled from one flat list of cells. It also fills its rows
-of the arrays that the summaries read: a ``ChainMi`` of (num_runs, ...)
-arrays in the MI scenarios, into which the kernel writes directly, and
-(slices, runs) EVM and error counts in ``loopback``. The chunks run in
+chunk's runs, filled from one flat list of cells. It also keeps what the
+summaries read: an MI chunk hands its ``ChainMi`` rows to the runner,
+which keeps (num_runs, ...) arrays in fig4 and fig9 and only the three
+(num_runs,) columns of its cdfs in fig7 and fig8, and ``loopback`` keeps
+(slices, runs) EVMs and each slice's symbol-error total. The link holds
+58 bytes per frame sample, in six buffers that each serve several steps
+of a chunk (``_run_loopback``), so a chunk holds 8 frames at N = 2048 and
+spreads its fixed cost of numpy calls over more runs. The chunks run in
 order in the calling thread, so ``workers`` changes neither the output nor
 the speed (a thread pool never beat this loop: the chunks hold the GIL
 between short numpy calls). Plot rendering is
@@ -100,12 +104,14 @@ _CDF_BLOCK_ROWS = 1024
 # scenario loads it either way.
 
 # Bytes of chunk buffers per chunk of runs on the batch axis; a chunk holds
-# as many runs as fit. The link holds 98 B per frame sample (four complex,
-# two float, two uint64 and two bool buffers), 4 runs at N=2048; the MI
-# engine holds 24 B (one complex and one float buffer), 16 runs at N=2048.
-# A small budget keeps the peak memory near that of a single run.
-_CHUNK_BYTES = 98 * 8192
-_LINK_SAMPLE_BYTES = 98
+# as many runs as fit. The link holds 58 B per frame sample (two complex,
+# two float, one uint64 and two bool buffers), 8 runs at N=2048; the MI
+# engine holds 24 B (one complex and one float buffer), 19 runs at N=2048.
+# Each chunk also pays a fixed cost of some 45 numpy calls and the per-slice
+# loops, which a larger chunk spreads over more runs; a small budget keeps
+# the peak memory near that of a single run.
+_CHUNK_BYTES = 58 * 16384
+_LINK_SAMPLE_BYTES = 58
 _MI_SAMPLE_BYTES = 24
 # Each run of a chunk also holds a Generator of about 0.75 KB. The seed
 # words of the runs are hashed for this many chunks at a time.
@@ -393,35 +399,53 @@ def _write_cdf(fh, curves: dict[str, EmpiricalCdf]) -> None:
 
 
 def _rate_scenario(
-    config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, runs_csv
-) -> tuple[ChainMi, float]:
-    """Shared engine of the MI scenarios: the chain MI of every run, as
-    (num_runs, ...) arrays, and the largest relative conservation residual
-    over them. ``_drawn_chunks`` draws the runs' ``taps``-tap channels a
-    chunk at a time, and each chunk takes one engine kernel call, which
-    writes the chunk's rows of the kept arrays; its spectra and log-gains
-    (one complex and one float (R, N) array) go in buffers made here and
-    cut to ``[:r]`` rows for a short last chunk. Each chunk writes its rows
-    of the runs CSV into ``runs_csv`` as it finishes, with one ``_rows``
-    call: one row per run and slice, with the slices in frame order."""
-    n, num_runs, depth = config.n_fft, config.num_runs, config.depth
+    config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, runs_csv,
+    keep: Callable[[slice, ChainMi], None],
+) -> float:
+    """Shared engine of the MI scenarios: the chain MI of every run, handed
+    a chunk at a time to ``keep``, and the largest relative conservation
+    residual over them. ``_drawn_chunks`` draws the runs' ``taps``-tap
+    channels a chunk at a time, and each chunk takes one engine kernel call,
+    which writes the chunk's ``ChainMi`` of (r, ...) arrays into buffers
+    made here; its spectra and log-gains (one complex and one float (R, N)
+    array) go in buffers made here too. Every buffer is cut to ``[:r]`` rows
+    for a short last chunk. Each chunk writes its rows of the runs CSV into
+    ``runs_csv`` as it finishes, with one ``_rows`` call: one row per run
+    and slice, with the slices in frame order. Then ``keep(runs, part)``
+    takes what the runner reads of the chunk's ``ChainMi`` ``part``, whose
+    arrays the next chunk overwrites; ``runs`` is the slice of its run ids."""
+    n, depth = config.n_fft, config.depth
     rho = config.snr.rho
-    chain = ChainMi(np.empty(num_runs), np.empty((num_runs, depth)), np.empty((num_runs, depth)))
     size = _chunk_runs(n, _MI_SAMPLE_BYTES)
-    bins = np.empty((min(num_runs, size), n), dtype=np.complex128)
+    rows = min(config.num_runs, size)
+    chunk = ChainMi(np.empty(rows), np.empty((rows, depth)), np.empty((rows, depth)))
+    bins = np.empty((rows, n), dtype=np.complex128)
     gains = np.empty(bins.shape)
     residual = 0.0
     row, per_run = _mi_row(plan), len(plan.slices)
     for runs, rngs, chunk_taps in _drawn_chunks(config, profile, taps, size):
         r = len(rngs)
-        part = ChainMi(chain.total[runs], chain.positive[runs], chain.negative[runs])
+        part = ChainMi(chunk.total[:r], chunk.positive[:r], chunk.negative[:r])
         _chain_levels_into(
             chunk_taps, n, depth, rho, config.mode, part.total, part.positive, part.negative, bins[:r], gains[:r]
         )
         residual = max(residual, part.max_residual_rel())
         run_ids = np.arange(runs.start, runs.stop).repeat(per_run).tolist()
         runs_csv.write(_rows(row, r, run_ids, part.slice_mi().ravel().tolist()))
-    return chain, residual
+        keep(runs, part)
+    return residual
+
+
+def _kept_chain(config: ExperimentConfig) -> tuple[ChainMi, Callable[[slice, ChainMi], None]]:
+    """A ``ChainMi`` of (num_runs, ...) arrays, and the ``keep`` of
+    :func:`_rate_scenario` that fills it with every run's chain MI."""
+    num_runs, depth = config.num_runs, config.depth
+    chain = ChainMi(np.empty(num_runs), np.empty((num_runs, depth)), np.empty((num_runs, depth)))
+
+    def keep(runs: slice, part: ChainMi) -> None:
+        chain.total[runs], chain.positive[runs], chain.negative[runs] = part.total, part.positive, part.negative
+
+    return chain, keep
 
 
 def _summary_lines(config: ExperimentConfig, plan: SlicePlan, taps: int, residual: float) -> list[str]:
@@ -472,12 +496,17 @@ def _run_rate_cdf(
     """The cdfs ``names`` of the branch rates of split ``split`` (0 the first,
     -1 the deepest) and of half the rate of the slice it splits; ``gaps``
     adds the mean and largest relative branch gap to the summary."""
-    chain, residual = _rate_scenario(config, plan, profile, taps, runs_csv)
-    lines = _summary_lines(config, plan, taps, residual)
+    # Only the three (num_runs,) columns that the cdfs and the gaps read are kept.
     k = range(config.depth)[split]
-    pos, neg = chain.positive[:, k], chain.negative[:, k]
-    # The slice that level k splits: the root, or the positive child of the level above.
-    parent = chain.total if k == 0 else chain.positive[:, k - 1]
+    pos, neg, parent = np.empty((3, config.num_runs))
+
+    def keep(runs: slice, part: ChainMi) -> None:
+        pos[runs], neg[runs] = part.positive[:, k], part.negative[:, k]
+        # The slice that level k splits: the root, or the positive child of the level above.
+        parent[runs] = part.total if k == 0 else part.positive[:, k - 1]
+
+    residual = _rate_scenario(config, plan, profile, taps, runs_csv, keep)
+    lines = _summary_lines(config, plan, taps, residual)
     curves = dict(zip(names, (empirical_cdf(pos), empirical_cdf(neg), empirical_cdf(parent / 2.0))))
     _write_cdf(cdf_csv, curves)
     if gaps:
@@ -488,7 +517,8 @@ def _run_rate_cdf(
 
 
 def _run_fig9(config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, runs_csv) -> list[str]:
-    chain, residual = _rate_scenario(config, plan, profile, taps, runs_csv)
+    chain, keep = _kept_chain(config)
+    residual = _rate_scenario(config, plan, profile, taps, runs_csv, keep)
 
     lines = _summary_lines(config, plan, taps, residual)
     lines.append("level,child_size,mean_mi_positive,mean_mi_negative,branch_gap_rel")
@@ -513,7 +543,8 @@ def _table_head(size: int, depth: int, mode: str, rho: float, total: float) -> s
 def _run_fig4(
     config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, runs_csv, report_csv
 ) -> list[str]:
-    chain, max_residual = _rate_scenario(config, plan, profile, taps, runs_csv)
+    chain, keep = _kept_chain(config)
+    max_residual = _rate_scenario(config, plan, profile, taps, runs_csv, keep)
     # Each slice with the residual of the split that made it, at level
     # len(path); the whole frame of a depth-0 plan has none.
     residual = [0.0] + chain.residual()[0].tolist()
@@ -597,41 +628,45 @@ def _link_chunk(
     rho: float | None,
     frames: np.ndarray,
     noise: np.ndarray,
-    indices: np.ndarray,
+    index: np.ndarray,
     masks: np.ndarray,
     evm: np.ndarray,
     errors: np.ndarray,
 ) -> None:
-    """One chunk of r frames through the link, and each slice's EVM and
-    symbol errors into its row of the (slices, r) arrays ``evm`` and
-    ``errors`` (left alone when ``rho`` is None: noiseless runs make no
-    symbol errors). ``stretches`` and ``divisors`` are those of
-    :func:`_slice_divisors`.
+    """One chunk of r transmitted frames through the channel and the
+    receiver, and each slice's EVM and symbol errors into its row of the
+    (slices, r) arrays ``evm`` and ``errors`` (left alone when ``rho`` is
+    None: noiseless runs make no symbol errors). ``stretches`` and
+    ``divisors`` are those of :func:`_slice_divisors`.
 
-    ``frames`` is four complex (r, N) arrays: the sent QPSK symbols, then
-    scratch, then scratch, then the channel's frequency response (the
-    N-point FFT of the taps), which the equalizer overwrites. ``noise``
-    holds the (r, 2, N) standard normals of ``_standard_normals``, read
-    when ``rho`` is not None; after the channel it is two float (r, N)
-    arrays of scratch. ``indices`` is two uint64 (r, N) arrays,
-    scratch and then the QPSK indices of the sent symbols, and ``masks``
-    two bool (r, N) arrays of scratch.
+    ``frames`` is two complex (r, N) arrays, ``signal`` and ``gains``:
+    ``signal`` holds the frame bodies of ``txrx._transmit_into`` and takes
+    every FFT of the channel and the receiver in place, and ``gains`` holds
+    the channel's frequency response (the N-point FFT of the taps). The
+    receiver gathers its estimates into ``gains`` once it has divided by
+    them; ``signal`` then takes the sent symbols, rebuilt from ``index``,
+    the uint64 (r, N) QPSK indices, and their difference from the
+    estimates. ``noise`` is the C-contiguous (r, 2, N) standard normals of
+    ``_standard_normals``, read when ``rho`` is not None; after the channel
+    it is two float (r, N) arrays of scratch, and the first of them, viewed
+    as uint64, takes the hard decisions. ``masks`` is two bool (r, N)
+    arrays of scratch.
     """
-    sent, spectrum, signal, gains = frames
-    words, index = indices
+    signal, gains = frames
     erased, erasures = masks
-    floats = noise.reshape((2,) + sent.shape)
-    _transmit_into(sent, plan.inverse_bin_order, spectrum, signal)
-    _propagate_into(signal, gains, rho, noise, spectrum, signal)
-    _receive_into(signal, gains, plan.bin_order, spectrum, *floats, erased, signal, erasures)
+    floats = noise.reshape((2,) + signal.shape)
+    _propagate_into(signal, gains, rho, noise, signal, signal)
+    _receive_into(signal, gains, plan.bin_order, signal, *floats, erased, gains, erasures)
+    estimate = gains
     # Element-wise work on whole frames; each sum covers one slice, the same
     # sums that np.mean and np.count_nonzero take.
-    error_power = floats[0]
-    np.square(np.abs(np.subtract(signal, sent, out=spectrum), out=error_power), out=error_power)
+    sent = _QPSK.take(index.view(np.intp), out=signal, mode="clip")
+    error_power = floats[1]
+    np.square(np.abs(np.subtract(estimate, sent, out=signal), out=error_power), out=error_power)
     if rho is not None:
         # The erasure mask is spent (its bins are zeros in the estimate);
         # it takes the symbol errors.
-        wrong = np.not_equal(_hard_index(signal, words, erased), index, out=erasures)
+        wrong = np.not_equal(_hard_index(estimate, floats[0].view(np.uint64), erased), index, out=erasures)
     for i, stretch in enumerate(stretches):
         np.add.reduce(error_power[:, stretch], axis=-1, out=evm[i])
         if rho is not None:
@@ -648,52 +683,64 @@ def _run_loopback(config: ExperimentConfig, plan: SlicePlan, profile: ChannelPro
     ``_chunk_runs(n_fft, _LINK_SAMPLE_BYTES)`` frames on the batch axis.
     ``_drawn_chunks`` draws each run's channel from its own stream; the run
     then draws its bits and then its noise from the same stream. The chunks
-    share one set of frame buffers, made here and cut to ``[:r]`` rows for a
-    short last chunk: ``_link_chunk`` writes every frame-sized result into
-    them, so no chunk allocates a frame-sized array. Each chunk writes its
-    rows of the runs CSV into ``runs_csv`` with one ``_rows`` call, once it
-    has checked that their EVM is finite: an SNR that passes ``_setup`` can
-    still make the noise after the equalizer so large that the EVM overflows
-    a float (below about -3020 dB), and that raises ValueError instead, with
-    numpy's overflow and invalid-value warnings off.
+    share one set of buffers, made here and cut to ``[:r]`` rows for a
+    short last chunk, 58 bytes per frame sample: two complex frames,
+    ``signal`` and ``gains``, the (r, 2, N) noise draws, the uint64 QPSK
+    indices and two bool masks. The bits' raw words are drawn into the
+    noise memory and turned into the indices; ``gains`` takes the sent
+    symbols, which are transmitted into ``signal``, and only then the
+    channel spectrum, and the noise is drawn over the spent words.
+    ``_link_chunk`` does the rest in the same buffers, so no chunk
+    allocates a frame-sized array. Each chunk writes its rows of the runs
+    CSV into ``runs_csv`` with one ``_rows`` call, once it has checked that
+    their EVM is finite: an SNR that passes ``_setup`` can still make the
+    noise after the equalizer so large that the EVM overflows a float
+    (below about -3020 dB), and that raises ValueError instead, with numpy's
+    overflow and invalid-value warnings off. The summary's error counts are
+    the slices' totals, summed a chunk at a time.
     """
     n = config.n_fft
     rho = _noise_rho(config.snr)
     size = _chunk_runs(n, _LINK_SAMPLE_BYTES)
     rows = min(config.num_runs, size)
-    frame_buffers = np.empty((4, rows, n), dtype=np.complex128)
-    # Noise draws; after the channel, scratch for the equalizer and the EVM.
+    # Its temporaries (a complex half frame at depth >= 1) are freed before
+    # the chunk buffers are made, so they add nothing to the peak.
+    stretches, divisors = _slice_divisors(plan)
+    frame_buffers = np.empty((2, rows, n), dtype=np.complex128)
+    # The bits' raw words, then the noise draws, then scratch for the
+    # receiver, the EVM and the hard decisions.
     noise_buffer = np.empty((rows, 2, n))
-    index_buffers = np.empty((2, rows, n), dtype=np.uint64)
+    index_buffer = np.empty((rows, n), dtype=np.uint64)
     mask_buffers = np.empty((2, rows, n), dtype=bool)
     num_slices = len(plan.slices)
-    stretches, divisors = _slice_divisors(plan)
     evm = np.empty((num_slices, config.num_runs))
     # Noiseless runs make no symbol errors.
-    errors = np.zeros((num_slices, config.num_runs), dtype=np.int64)
+    error_buffer = np.zeros((num_slices, rows), dtype=np.int64)
+    error_totals = np.zeros(num_slices, dtype=np.int64)
     row = _link_row(plan)
     with np.errstate(over="ignore", invalid="ignore"):
         for runs, rngs, chunk_taps in _drawn_chunks(config, profile, taps, size):
             r = len(rngs)
-            frames = frame_buffers[:, :r]
-            sent, gains = frames[0], frames[3]
-            noise = noise_buffer[:r]
-            words, index = indices = index_buffers[:, :r]
+            signal, gains = frames = frame_buffers[:, :r]
+            noise, index = noise_buffer[:r], index_buffer[:r]
+            # A C-contiguous view: take and the index kernel then read and
+            # write it without a buffered copy.
+            words = noise.reshape((2, r, n))[0].view(np.uint64)
             for raw, rng in zip(words, rngs):
                 raw[...] = rng.bit_generator.random_raw(n)
             # take reads intp indices; the view of the values 0..3 spares a cast copy.
-            _QPSK.take(_qpsk_index(words, index).view(np.intp), out=sent, mode="clip")
+            _QPSK.take(_qpsk_index(words, index).view(np.intp), out=gains, mode="clip")
+            _transmit_into(gains, plan.inverse_bin_order, signal, signal)
             # One channel spectrum per chunk serves the channel and the
-            # equalizer; the equalizer overwrites it, so it is padded anew.
+            # equalizer; the receiver overwrites it with its estimates.
             _spectrum_into(chunk_taps, gains)
             if rho is not None:
                 _standard_normals(rngs, (r, n), out=noise)
-            chunk_evm, chunk_errors = evm[:, runs], errors[:, runs]
-            _link_chunk(
-                plan, stretches, divisors, rho, frames, noise, indices, mask_buffers[:, :r], chunk_evm, chunk_errors
-            )
+            chunk_evm, chunk_errors, masks = evm[:, runs], error_buffer[:, :r], mask_buffers[:, :r]
+            _link_chunk(plan, stretches, divisors, rho, frames, noise, index, masks, chunk_evm, chunk_errors)
             if not np.isfinite(chunk_evm).all():
                 raise ValueError(f"snr_db {config.snr_db} is too small: the link's EVM overflows a float")
+            error_totals += np.add.reduce(chunk_errors, axis=-1)
             run_ids = np.arange(runs.start, runs.stop).repeat(num_slices).tolist()
             runs_csv.write(_rows(row, r, run_ids, chunk_evm.T.ravel().tolist(), chunk_errors.T.ravel().tolist()))
 
@@ -701,10 +748,10 @@ def _run_loopback(config: ExperimentConfig, plan: SlicePlan, profile: ChannelPro
         f"scenario={config.scenario} n_fft={config.n_fft} depth={config.depth} "
         f"cp_length={config.cp_length} snr_db={_fmt(config.snr_db)} runs={config.num_runs}",
     ]
-    for desc, slice_evm, slice_errors in zip(plan.slices, evm, errors):
+    for desc, slice_evm, slice_errors in zip(plan.slices, evm, error_totals.tolist()):
         lines.append(
             f"slice={desc.path or '(whole frame)'} size={desc.size} "
-            f"mean_evm={_fmt(float(np.mean(slice_evm)))} symbol_errors={int(slice_errors.sum())}"
+            f"mean_evm={_fmt(float(np.mean(slice_evm)))} symbol_errors={slice_errors}"
         )
     return lines
 

@@ -189,7 +189,11 @@ def transmit(payload: SlicePayload, plan: SlicePlan) -> OfdmFrame:
 def _transmit_into(frames: np.ndarray, inverse_order: np.ndarray, spectrum: np.ndarray, body: np.ndarray) -> None:
     """Frame bodies of :func:`transmit` into ``body``: the frame-order
     symbols ``frames`` laid out on their bins through ``inverse_order`` (the
-    plan's ``inverse_bin_order``) in ``spectrum``, then one unitary IDFT."""
+    plan's ``inverse_bin_order``) in ``spectrum``, then one unitary IDFT.
+
+    ``body`` may be ``spectrum``: the IDFT then runs in place, and numpy 2's
+    FFT gives the bits of the out-of-place one. ``frames`` shares no memory
+    with either: ``np.take`` would buffer a copy of its overlapping output."""
     # A permutation never leaves the index range, so "clip" clips nothing; it
     # lets take write into ``spectrum`` without a buffered copy.
     np.take(frames, inverse_order, axis=-1, out=spectrum, mode="clip")
@@ -268,9 +272,13 @@ def _propagate_into(
 ) -> None:
     """:func:`propagate` of frame bodies through channels of frequency
     response ``gains`` (the N-point FFT of the taps), unchecked, into
-    ``received``, which may be ``body``. ``noise`` holds the standard
-    normals of :func:`_standard_normals` and is scaled in place; it is
-    unused when ``rho`` is None. ``spectrum`` is scratch."""
+    ``received``. ``noise`` holds the standard normals of
+    :func:`_standard_normals` and is scaled in place; it is unused when
+    ``rho`` is None. ``spectrum`` is scratch.
+
+    ``received``, ``spectrum`` and ``body`` may be one array: both FFTs then
+    run in place, with the out-of-place bits. ``gains`` and ``noise`` share
+    no memory with them."""
     np.fft.fft(body, axis=-1, out=spectrum)
     spectrum *= gains
     np.fft.ifft(spectrum, axis=-1, out=received)
@@ -331,11 +339,18 @@ def _receive_into(
 ) -> None:
     """:func:`receive` of complex frames ``y`` through channels of frequency
     response ``gains``, unchecked: the frame-order estimates into
-    ``estimate``, which may be ``y``, and their erasure mask into
-    ``erasures``. ``gains`` is overwritten with the divisor (1 at the erased
-    bins). ``magnitude``, ``squares`` and ``erased`` (of the gains' shape)
-    and ``spectrum`` (of the frames' shape) are scratch. The erasure pass
-    runs only when some bin is erased.
+    ``estimate`` and their erasure mask into ``erasures``. ``gains`` is
+    overwritten with the divisor (1 at the erased bins). ``magnitude``,
+    ``squares`` and ``erased`` (of the gains' shape) and ``spectrum`` (of the
+    frames' shape) are scratch. The erasure pass runs only when some bin is
+    erased.
+
+    ``spectrum`` may be ``y``: the DFT then runs in place, with the
+    out-of-place bits. ``estimate`` may be ``y``, or ``gains`` when the
+    gains have the frames' shape: the estimates are gathered from
+    ``spectrum`` after the division. ``spectrum`` and ``estimate`` are two
+    arrays, and the float and bool scratch arrays share no memory with any
+    other argument or with each other.
 
     The orthonormal DFT multiplies each bin by 1/sqrt(N) inside the FFT.
     numpy divides a complex array by a real scalar c as

@@ -442,7 +442,7 @@ class TestScenarios:
 
     @pytest.mark.parametrize("n_fft,num_runs", [(2048, 9), (256, 70)])
     def test_loopback_chunks_equal_a_serial_single_frame_replay(self, tmp_path, n_fft, num_runs):
-        # Neither run count is a multiple of the chunk (4 at N=2048, 32 at N=256).
+        # Neither run count is a multiple of the chunk (8 at N=2048, 64 at N=256).
         cfg = make_config("loopback", n_fft=n_fft, cp_length=32 if n_fft == 256 else 169, num_runs=num_runs, seed=11)
         replay = loopback_replay(cfg)
         for workers in (1, 2, 8):
@@ -461,7 +461,7 @@ class TestScenarios:
         "scenario,num_runs", [("fig7", 37), ("fig7", 1), ("fig8", 37), ("fig8", 1), ("fig9", 70), ("fig9", 1)]
     )
     def test_mi_chunks_equal_a_per_run_report_replay(self, tmp_path, scenario, num_runs, mode):
-        # No run count is a multiple of the chunk (16 runs at N=2048, 64 at N=128).
+        # No run count is a multiple of the chunk (19 runs at N=2048, 64 at N=128).
         cfg = make_config(scenario, num_runs=num_runs, seed=7, mode=mode)
         reports, replay = mi_replay(cfg)
         residual = max(r.max_residual_rel() for r in reports)
@@ -517,11 +517,14 @@ class TestScenarios:
 
     def test_chunks_hold_one_byte_budget(self):
         link, mi = experiments._LINK_SAMPLE_BYTES, experiments._MI_SAMPLE_BYTES
-        # The link keeps 8192 frame samples per chunk from N = 128 up.
-        for e in range(7, 15):
-            assert experiments._chunk_runs(1 << e, link) == max(1, 8192 >> e)
+        # The link keeps 16384 frame samples per chunk from N = 256 up, and
+        # the 64-run cap below that.
+        for e in range(8, 16):
+            assert experiments._chunk_runs(1 << e, link) == max(1, 16384 >> e)
+        assert experiments._chunk_runs(128, link) == 64
         assert experiments._chunk_runs(16, link) == 64
-        assert experiments._chunk_runs(2048, mi) == 16
+        assert experiments._chunk_runs(2048, link) == 8
+        assert experiments._chunk_runs(2048, mi) == 19
         assert experiments._chunk_runs(128, mi) == 64
         assert experiments._chunk_runs(1 << 20, mi) == 1
 
@@ -568,6 +571,20 @@ class TestScenarios:
         # Hashing the seed words of every run at once holds 32 B of words and
         # about 117 B of hash temporaries per run on top of the kept arrays.
         assert traced_peak(tmp_path, scenario, num_runs, **overrides) / num_runs < bound
+
+    def test_fig8_keeps_only_the_columns_its_cdfs_read(self, tmp_path):
+        # The runs' three (num_runs,) columns hold 24 B per run, and the
+        # cdfs of the three curves 48 B. Keeping every run's chain MI at
+        # depth 11 would hold 184 B per run.
+        assert traced_peak(tmp_path, "fig8", 20000) / 20000 < 120
+
+    def test_the_link_holds_its_declared_bytes_per_frame_sample(self, tmp_path):
+        # One run at N = 16384 is one chunk of one frame. Its buffers hold
+        # _LINK_SAMPLE_BYTES per frame sample; the raw words of its bits
+        # (8 B per sample), its taps and its files fit in one complex frame.
+        n, link = 16384, experiments._LINK_SAMPLE_BYTES
+        peak = traced_peak(tmp_path, "loopback", 1, n_fft=n, cp_length=1352)
+        assert link * n < peak < (link + 16) * n
 
 
 class TestDrawnChunks:
@@ -993,12 +1010,18 @@ GOLDEN_DIGESTS = [
         "fig7_runs.csv": "bde57a9421d227da51ff570fbfdd1e010c83cf82bdf181d115e428bf49f3e0c7",
         "fig7_summary.txt": "3587848263abe8135144ac509588de6ab327fd1683bc84c5992f7f6859361774",
     }),
-    # 1100 runs cross a 1024-row cdf block, a 1024-run seed-hash block and
-    # 69 MI chunks, the last one partial.
+    # 1100 runs cross a 1024-row cdf block and 58 MI chunks, the last one
+    # partial.
     ("fig7", "--runs 1100", {
         "fig7_cdf.csv": "f7e868192b4c7ef844ff27da0e9ee8933c439b0a99b70f4ed81e53acc3f1a302",
         "fig7_runs.csv": "df063f2f5aadf38d09d51ba59405f5eaa38948c8dcc19afb936fbdda38f3ae20",
         "fig7_summary.txt": "d292ac50dbd2a99970443b35cd849fe0a5758738e6757a430a3a1712d7e78446",
+    }),
+    # 1300 runs also cross a seed-hash block of 64 chunks of 19 runs (1216).
+    ("fig7", "--runs 1300", {
+        "fig7_cdf.csv": "0b5082ae426754b8cac5d1d92552d1aba65c715c3f386dd69b0070acfef1251e",
+        "fig7_runs.csv": "961e22fb2cd39d0454397423308e733adeec9ad01c3c4537d78183632af75c4d",
+        "fig7_summary.txt": "e163a52f2795e568c826e1d9592361aa5d0e54121ea9ffdd37259e6b8b9b1eb1",
     }),
     # fig7 at depth 3 still plots the first split of a deeper plan.
     ("fig7", "--depth 3 --runs 20", {
@@ -1011,12 +1034,18 @@ GOLDEN_DIGESTS = [
         "fig8_runs.csv": "cf593740dd73b9df6ef500b7ecf7411ead195ed566845d82816ec0089a83db72",
         "fig8_summary.txt": "c873cbd0ded5fcdf9be12e4aed02cca56fa0ea20f46381c12bc627445cea2d6d",
     }),
-    # A chunk of 16 runs, whose root FFT takes numpy's multi-row path, then
-    # a chunk of one run, which takes the one-row path.
+    # One chunk of 17 runs.
     ("fig8", "--runs 17", {
         "fig8_cdf.csv": "2e98d4d212a28cdcaff33e54e7ccd1004527fff89d3c053c86ddf03b6f8c3c3c",
         "fig8_runs.csv": "56814a7fbdb089bd7cf3b1cb3845bcf169d9b8574d04c0c6b1e8f286f04ab0c5",
         "fig8_summary.txt": "b2f45cb7c293f078fbaaa02c1dafb1ca1b449436803ae8bfb5d842948bfadf47",
+    }),
+    # A chunk of 19 runs, whose root FFT takes numpy's multi-row path, then
+    # a chunk of one run, which takes the one-row path.
+    ("fig8", "--runs 20", {
+        "fig8_cdf.csv": "1cf8af451f8307b2842fe2f48179a17f0dfb8ec06caaed01040ac7a7191fd0b1",
+        "fig8_runs.csv": "836f6f631a0e6694b15f488b73ee660af1326ab9a4dbb2fd86c3c1442c396dcf",
+        "fig8_summary.txt": "9b19ef4978f1bc3aa0d861803ee61d0b001801837ad144a4ee9b5e1e3f5bf3f6",
     }),
     ("fig8", "--runs 37 --mode literal-triangular", {
         "fig8_cdf.csv": "60a26ff5d31c392f4d2e1b2bd4f3f1f351db55543e58ca9ed504ee79e9b7ec6e",
@@ -1115,15 +1144,17 @@ def link_chunk_cases(draw):
 def test_link_chunks_are_bitwise_the_scaled_receiver_and_per_slice_means(case):
     """An erased chunk, then a clean one on the same buffers: the receive
     kernel gives the oracle's estimates (up to the sign of zeros) and masks,
-    and each slice's EVM is bitwise, its error count exactly, the oracle's."""
+    and each slice's EVM is bitwise, its error count exactly, the oracle's.
+    The chunk runs on the loopback's six buffers in its order: the sent
+    symbols in ``gains``, transmitted into ``signal``, then the spectrum."""
     plan, snr_db, rows, clean_rows, zero_row, zero_bins, seed = case
     n = plan.frame_size
     rho = None if snr_db == math.inf else 10.0 ** (snr_db / 10.0)
     rng = np.random.default_rng(seed)
     stretches, divisors = experiments._slice_divisors(plan)
-    frames = np.empty((4, rows, n), complex)
+    frames = np.empty((2, rows, n), complex)
     noise_buffer = np.empty((rows, 2, n))
-    indices = np.empty((2, rows, n), np.uint64)
+    index_buffer = np.empty((rows, n), np.uint64)
     masks = np.empty((2, rows, n), bool)
     rx_frames, rx_floats, rx_masks = (np.empty((2, rows, n), dtype) for dtype in (complex, float, bool))
     for r, erase in ((rows, True), (clean_rows, False)):
@@ -1149,11 +1180,15 @@ def test_link_chunks_are_bitwise_the_scaled_receiver_and_per_slice_means(case):
         np.testing.assert_array_equal(estimate, want_estimate)
         np.testing.assert_array_equal(erasures, want_erasures)
 
-        frames[0, :r], frames[3, :r], noise_buffer[:r], indices[1, :r] = sent, gains, noise, index
+        signal, chunk_gains = frames[:, :r]
+        chunk_gains[...] = sent
+        _transmit_into(chunk_gains, plan.inverse_bin_order, signal, signal)
+        chunk_gains[...] = gains
+        noise_buffer[:r], index_buffer[:r] = noise, index
         evm = np.empty((len(plan.slices), r))
         errors = np.full(evm.shape, -1, dtype=np.int64)
         experiments._link_chunk(
-            plan, stretches, divisors, rho, frames[:, :r], noise_buffer[:r], indices[:, :r], masks[:, :r], evm, errors
+            plan, stretches, divisors, rho, frames[:, :r], noise_buffer[:r], index_buffer[:r], masks[:, :r], evm, errors
         )
         want_evm, want_errors = loopback_statistics(want_estimate, sent, index, plan)
         assert evm.tobytes() == want_evm.tobytes()

@@ -64,10 +64,24 @@ class TestStreamWords:
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             stream_words(seed, range(3))
 
-    @pytest.mark.parametrize("run_ids", [range(-1, 2), range(MAX_RUNS - 1, MAX_RUNS + 1)])
+    @pytest.mark.parametrize(
+        "run_ids",
+        [
+            range(-1, 2),
+            range(MAX_RUNS - 1, MAX_RUNS + 1),
+            # Reversed: the first id or the last one is out of range.
+            range(1, -2, -1),
+            range(MAX_RUNS, MAX_RUNS - 3, -1),
+            range(MAX_RUNS - 2, MAX_RUNS + 5, 3),
+        ],
+    )
     def test_run_ids_beyond_one_word_are_rejected(self, run_ids):
         with pytest.raises(ValueError, match="run ids must lie in"):
             stream_words(3, run_ids)
+
+    @pytest.mark.parametrize("run_ids", [range(5, -1, -1), range(MAX_RUNS - 1, MAX_RUNS - 9, -3), range(2, 30, 7)])
+    def test_reversed_and_stepped_ranges_within_one_word(self, run_ids):
+        assert_streams_match(3, run_ids, stream_words(3, run_ids))
 
 
 class TestSeedWords:

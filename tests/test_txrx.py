@@ -792,3 +792,35 @@ def test_link_kernels_carry_no_state_between_chunks_on_reused_buffers(rho):
         erasures = fresh[-1]
         assert erasures.sum() == (n + 1 if erase else 0)
         assert erasures[1].all() == erase
+
+
+@pytest.mark.parametrize("rho", [100.0, None])
+def test_link_kernels_give_the_same_bits_on_the_loopback_aliases(rho):
+    """The loopback's chain on two complex frames, ``signal`` and ``gains``:
+    the symbols are transmitted from ``gains`` into ``signal`` (the
+    transmit's spectrum is its body), the channel and the receiver
+    transform ``signal`` in place (their spectrum is the frames), and the
+    estimates go into ``gains``. Each result is bitwise the unaliased one."""
+    rng = np.random.default_rng(43)
+    n, rows, length = 64, 3, 6
+    plan = build_plan(n, 3, length)
+    for erase in (True, False):
+        frames = modulate(rng.integers(0, 2, (rows, 2 * n)), plan).frames
+        gains = np.fft.fft(random_taps(rng, (rows, length)), n, axis=-1)
+        if erase:
+            gains[1, 5] = 0.0
+        noise = rng.standard_normal((rows, 2, n))
+        want = run_link_kernels(frames, gains, noise, rho, plan, link_buffers(rows, n))
+
+        signal, shared = np.empty((2, rows, n), complex)
+        _, floats, (erased, erasures) = link_buffers(rows, n)
+        shared[...] = frames
+        _transmit_into(shared, plan.inverse_bin_order, signal, signal)
+        body = signal.copy()
+        shared[...] = gains
+        _propagate_into(signal, shared, rho, noise.copy(), signal, signal)
+        received = signal.copy()
+        _receive_into(signal, shared, plan.bin_order, signal, *floats, erased, shared, erasures)
+        for got, expected in zip((body, received, shared, erasures), want, strict=True):
+            assert got.tobytes() == expected.tobytes()
+        assert erasures.any() == erase
