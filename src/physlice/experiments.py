@@ -17,29 +17,20 @@ SeedSequence pass per block (``_streams.stream_words``); each chunk builds
 its runs' Generators from their rows and draws their channels first, with
 one call of the tap-draw kernel ``channel._draw_taps_into``. A scenario
 makes its buffers once and cuts them to ``[:r]`` rows for a short last
-chunk: the tap draw, the link kernels of ``txrx`` and the MI kernel
-``mi._chain_levels_into`` write every result into them, so no chunk
-allocates a frame-sized array. The N-point FFT of a chunk's taps, in the
-MI kernel and in ``loopback``, pads the taps into a frame buffer and
-transforms it in place (``channel._spectrum_into``), so numpy takes its
-multi-row FFT path for the chunk instead of padding and transforming one
-row at a time. Each chunk writes its runs' CSV rows as it finishes, with
-one ``%`` call (``_rows``): one run's row template, repeated for the
-chunk's runs, filled from one flat list of cells. It also keeps what the
-summaries read: an MI chunk hands its ``ChainMi`` rows to the runner,
-which keeps (num_runs, ...) arrays in fig4 and fig9 and only the three
-(num_runs,) columns of its cdfs in fig7 and fig8, and ``loopback`` keeps
-(slices, runs) EVMs and each slice's symbol-error total. The link holds
-58 bytes per frame sample, in six buffers that each serve several steps
-of a chunk (``_run_loopback``), so a chunk holds 8 frames at N = 2048 and
-spreads its fixed cost of numpy calls over more runs. The chunks run in
-order in the calling thread, so ``workers`` changes neither the output nor
-the speed (a thread pool never beat this loop: the chunks hold the GIL
-between short numpy calls). Plot rendering is
-left to external tools: the files written here are plain CSV plus a short
-text summary per scenario, each opened by ``_create``: it rewrites an
-existing regular, singly linked, writable file in place and cuts it to
-length, replaces any other regular file, and writes through a symlink.
+chunk: the tap draw, the link (``txrx._LinkBuffers``, whose docstring
+gives each buffer's roles) and the MI kernel ``mi._chain_levels_into``
+write every result into them, so no chunk allocates a frame-sized array.
+Each chunk writes its runs' CSV rows as it finishes, with one ``%`` call
+(``_rows``): one run's row template, repeated for the chunk's runs, filled
+from one flat list of cells. It also keeps what the summaries read: an MI
+chunk hands its ``ChainMi`` rows to the runner, which keeps (num_runs, ...)
+arrays in fig4 and fig9 and only the three (num_runs,) columns of its cdfs
+in fig7 and fig8, and ``loopback`` keeps (slices, runs) EVMs and each
+slice's symbol-error total. The chunks run in order in the calling thread,
+so ``workers`` changes neither the output nor the speed (a thread pool
+never beat this loop: the chunks hold the GIL between short numpy calls).
+Plot rendering is left to external tools: the files written here are plain
+CSV plus a short text summary per scenario, each opened by ``_create``.
 """
 
 from __future__ import annotations
@@ -63,24 +54,15 @@ from .channel import (
     _draw_taps_into,
     _profile_grid,
     _read_key_values,
-    _spectrum_into,
     build_circulant,
     load_profile,
     positive_child,
     profile_tap_count,
 )
-from .mi import MODE_EXACT, MODE_LITERAL, ChainMi, SnrSpec, _chain_levels_into, chain_mi
+from .mi import MODE_EXACT, MODE_LITERAL, ChainMi, SnrSpec, chain_mi
+from .mi import _SCRATCH_SAMPLE_BYTES, _chain_levels_into, _scratch
 from .sliceplan import SlicePlan, build_plan, decode_cost, total_cost
-from .txrx import (
-    _QPSK,
-    _hard_index,
-    _noise_rho,
-    _propagate_into,
-    _qpsk_index,
-    _receive_into,
-    _standard_normals,
-    _transmit_into,
-)
+from .txrx import _LinkBuffers, _slice_divisors
 
 __all__ = [
     "ExperimentConfig",
@@ -103,16 +85,11 @@ _CDF_BLOCK_ROWS = 1024
 # adds about 6 MB and 25 ms to ``import physlice``; the first run of a
 # scenario loads it either way.
 
-# Bytes of chunk buffers per chunk of runs on the batch axis; a chunk holds
-# as many runs as fit. The link holds 58 B per frame sample (two complex,
-# two float, one uint64 and two bool buffers), 8 runs at N=2048; the MI
-# engine holds 24 B (one complex and one float buffer), 19 runs at N=2048.
-# Each chunk also pays a fixed cost of some 45 numpy calls and the per-slice
-# loops, which a larger chunk spreads over more runs; a small budget keeps
-# the peak memory near that of a single run.
-_CHUNK_BYTES = 58 * 16384
-_LINK_SAMPLE_BYTES = 58
-_MI_SAMPLE_BYTES = 24
+# Bytes of chunk buffers per chunk: a chunk holds as many runs as fit at its
+# buffers' bytes per frame sample (``txrx._LinkBuffers``, ``mi._scratch``). A
+# larger chunk spreads a chunk's fixed numpy calls and per-slice loops over
+# more runs; a small budget keeps the peak memory near that of one run.
+_CHUNK_BYTES = 928 * 1024
 # Each run of a chunk also holds a Generator of about 0.75 KB. The seed
 # words of the runs are hashed for this many chunks at a time.
 _MAX_CHUNK_RUNS = 64
@@ -165,7 +142,7 @@ class ExperimentConfig:
 # The one schema of settings: ExperimentConfig's fields and annotations. No
 # setting is a bool, and every int setting is a size, a count or a seed.
 _ACCEPTED = {"int": (int, np.integer), "float": (int, float), "str": (str,)}
-_EXPECTED = {"int": "a non-negative integer", "float": "a number", "str": "a string"}
+_EXPECTED = {"int": "a non-negative integer", "float": "a Python int or float", "str": "a string"}
 _PARSERS = {"int": int, "float": float, "str": str}
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
@@ -180,6 +157,8 @@ def _setup(config: ExperimentConfig) -> tuple[SlicePlan, ChannelProfile, int]:
             raise ValueError(f"{name} must be {_EXPECTED[kind]}, got {value!r}")
         if kind == "float" and isinstance(value, int) and abs(value) > sys.float_info.max:
             raise ValueError(f"{name} must be a number within the float range, got an int of {value.bit_length()} bits")
+    if not config.output_dir:
+        raise ValueError("output_dir must name a directory, got ''")
     entry = _SCENARIOS.get(config.scenario)
     if entry is None:
         raise ValueError(f"unknown scenario {config.scenario!r}, expected one of {sorted(_SCENARIOS)}")
@@ -406,21 +385,19 @@ def _rate_scenario(
     a chunk at a time to ``keep``, and the largest relative conservation
     residual over them. ``_drawn_chunks`` draws the runs' ``taps``-tap
     channels a chunk at a time, and each chunk takes one engine kernel call,
-    which writes the chunk's ``ChainMi`` of (r, ...) arrays into buffers
-    made here; its spectra and log-gains (one complex and one float (R, N)
-    array) go in buffers made here too. Every buffer is cut to ``[:r]`` rows
-    for a short last chunk. Each chunk writes its rows of the runs CSV into
-    ``runs_csv`` as it finishes, with one ``_rows`` call: one row per run
-    and slice, with the slices in frame order. Then ``keep(runs, part)``
+    which writes the chunk's ``ChainMi`` of (r, ...) arrays, and its spectra
+    and log-gains (``mi._scratch``), into buffers made here, cut to ``[:r]``
+    rows for a short last chunk. Each chunk writes its rows of the runs CSV
+    into ``runs_csv`` as it finishes, with one ``_rows`` call: one row per
+    run and slice, with the slices in frame order. Then ``keep(runs, part)``
     takes what the runner reads of the chunk's ``ChainMi`` ``part``, whose
     arrays the next chunk overwrites; ``runs`` is the slice of its run ids."""
     n, depth = config.n_fft, config.depth
     rho = config.snr.rho
-    size = _chunk_runs(n, _MI_SAMPLE_BYTES)
+    size = _chunk_runs(n, _SCRATCH_SAMPLE_BYTES)
     rows = min(config.num_runs, size)
     chunk = ChainMi(np.empty(rows), np.empty((rows, depth)), np.empty((rows, depth)))
-    bins = np.empty((rows, n), dtype=np.complex128)
-    gains = np.empty(bins.shape)
+    bins, gains = _scratch((rows, n))
     residual = 0.0
     row, per_run = _mi_row(plan), len(plan.slices)
     for runs, rngs, chunk_taps in _drawn_chunks(config, profile, taps, size):
@@ -610,108 +587,28 @@ def _run_table1(config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfi
     ]
 
 
-def _slice_divisors(plan: SlicePlan) -> tuple[list[slice], tuple[np.ndarray, np.ndarray]]:
-    """The frame-order stretch of each slice of the plan, and the divisors
-    of each slice's summed squared error, as (slices, 1) columns: its size,
-    then its mean symbol power. Every QPSK point has the same |q|^2, so the
-    mean over a constant row is bitwise the mean over any frame's slice."""
-    stretches = [slice(desc.frame_offset, desc.frame_offset + desc.size) for desc in plan.slices]
-    sizes = np.array([[float(desc.size)] for desc in plan.slices])
-    powers = np.array([[np.mean(np.square(np.abs(np.full(desc.size, _QPSK[0]))))] for desc in plan.slices])
-    return stretches, (sizes, powers)
-
-
-def _link_chunk(
-    plan: SlicePlan,
-    stretches: list[slice],
-    divisors: tuple[np.ndarray, np.ndarray],
-    rho: float | None,
-    frames: np.ndarray,
-    noise: np.ndarray,
-    index: np.ndarray,
-    masks: np.ndarray,
-    evm: np.ndarray,
-    errors: np.ndarray,
-) -> None:
-    """One chunk of r transmitted frames through the channel and the
-    receiver, and each slice's EVM and symbol errors into its row of the
-    (slices, r) arrays ``evm`` and ``errors`` (left alone when ``rho`` is
-    None: noiseless runs make no symbol errors). ``stretches`` and
-    ``divisors`` are those of :func:`_slice_divisors`.
-
-    ``frames`` is two complex (r, N) arrays, ``signal`` and ``gains``:
-    ``signal`` holds the frame bodies of ``txrx._transmit_into`` and takes
-    every FFT of the channel and the receiver in place, and ``gains`` holds
-    the channel's frequency response (the N-point FFT of the taps). The
-    receiver gathers its estimates into ``gains`` once it has divided by
-    them; ``signal`` then takes the sent symbols, rebuilt from ``index``,
-    the uint64 (r, N) QPSK indices, and their difference from the
-    estimates. ``noise`` is the C-contiguous (r, 2, N) standard normals of
-    ``_standard_normals``, read when ``rho`` is not None; after the channel
-    it is two float (r, N) arrays of scratch, and the first of them, viewed
-    as uint64, takes the hard decisions. ``masks`` is two bool (r, N)
-    arrays of scratch.
-    """
-    signal, gains = frames
-    erased, erasures = masks
-    floats = noise.reshape((2,) + signal.shape)
-    _propagate_into(signal, gains, rho, noise, signal, signal)
-    _receive_into(signal, gains, plan.bin_order, signal, *floats, erased, gains, erasures)
-    estimate = gains
-    # Element-wise work on whole frames; each sum covers one slice, the same
-    # sums that np.mean and np.count_nonzero take.
-    sent = _QPSK.take(index.view(np.intp), out=signal, mode="clip")
-    error_power = floats[1]
-    np.square(np.abs(np.subtract(estimate, sent, out=signal), out=error_power), out=error_power)
-    if rho is not None:
-        # The erasure mask is spent (its bins are zeros in the estimate);
-        # it takes the symbol errors.
-        wrong = np.not_equal(_hard_index(estimate, floats[0].view(np.uint64), erased), index, out=erasures)
-    for i, stretch in enumerate(stretches):
-        np.add.reduce(error_power[:, stretch], axis=-1, out=evm[i])
-        if rho is not None:
-            np.add.reduce(wrong[:, stretch], axis=-1, dtype=np.intp, out=errors[i])
-    for divisor in divisors:
-        evm /= divisor
-    np.sqrt(evm, out=evm)
-
-
 def _run_loopback(config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, runs_csv) -> list[str]:
     """Transmit, propagate, receive one frame per run; report EVM and errors.
 
-    Runs go through the link in chunks of
-    ``_chunk_runs(n_fft, _LINK_SAMPLE_BYTES)`` frames on the batch axis.
-    ``_drawn_chunks`` draws each run's channel from its own stream; the run
-    then draws its bits and then its noise from the same stream. The chunks
-    share one set of buffers, made here and cut to ``[:r]`` rows for a
-    short last chunk, 58 bytes per frame sample: two complex frames,
-    ``signal`` and ``gains``, the (r, 2, N) noise draws, the uint64 QPSK
-    indices and two bool masks. The bits' raw words are drawn into the
-    noise memory and turned into the indices; ``gains`` takes the sent
-    symbols, which are transmitted into ``signal``, and only then the
-    channel spectrum, and the noise is drawn over the spent words.
-    ``_link_chunk`` does the rest in the same buffers, so no chunk
-    allocates a frame-sized array. Each chunk writes its rows of the runs
-    CSV into ``runs_csv`` with one ``_rows`` call, once it has checked that
-    their EVM is finite: an SNR that passes ``_setup`` can still make the
-    noise after the equalizer so large that the EVM overflows a float
+    Runs go through the link in chunks of frames on the batch axis, on one
+    ``txrx._LinkBuffers`` made here. ``_drawn_chunks`` draws each run's
+    channel from its own stream; the run then draws its bits and then its
+    noise from the same stream. Each chunk writes its rows of the runs CSV
+    into ``runs_csv`` with one ``_rows`` call, once it has checked that
+    their EVM is finite: an SNR that passes ``_setup`` can still make
+    the noise after the equalizer so large that the EVM overflows a float
     (below about -3020 dB), and that raises ValueError instead, with numpy's
     overflow and invalid-value warnings off. The summary's error counts are
     the slices' totals, summed a chunk at a time.
     """
-    n = config.n_fft
-    rho = _noise_rho(config.snr)
-    size = _chunk_runs(n, _LINK_SAMPLE_BYTES)
+    # The linear SNR, or None for a noiseless link; _setup has rejected 0.
+    rho = getattr(config.snr, "rho", None)
+    size = _chunk_runs(config.n_fft, _LinkBuffers.sample_bytes)
     rows = min(config.num_runs, size)
     # Its temporaries (a complex half frame at depth >= 1) are freed before
     # the chunk buffers are made, so they add nothing to the peak.
-    stretches, divisors = _slice_divisors(plan)
-    frame_buffers = np.empty((2, rows, n), dtype=np.complex128)
-    # The bits' raw words, then the noise draws, then scratch for the
-    # receiver, the EVM and the hard decisions.
-    noise_buffer = np.empty((rows, 2, n))
-    index_buffer = np.empty((rows, n), dtype=np.uint64)
-    mask_buffers = np.empty((2, rows, n), dtype=bool)
+    slices = _slice_divisors(plan)
+    link = _LinkBuffers(rows, config.n_fft)
     num_slices = len(plan.slices)
     evm = np.empty((num_slices, config.num_runs))
     # Noiseless runs make no symbol errors.
@@ -721,23 +618,8 @@ def _run_loopback(config: ExperimentConfig, plan: SlicePlan, profile: ChannelPro
     with np.errstate(over="ignore", invalid="ignore"):
         for runs, rngs, chunk_taps in _drawn_chunks(config, profile, taps, size):
             r = len(rngs)
-            signal, gains = frames = frame_buffers[:, :r]
-            noise, index = noise_buffer[:r], index_buffer[:r]
-            # A C-contiguous view: take and the index kernel then read and
-            # write it without a buffered copy.
-            words = noise.reshape((2, r, n))[0].view(np.uint64)
-            for raw, rng in zip(words, rngs):
-                raw[...] = rng.bit_generator.random_raw(n)
-            # take reads intp indices; the view of the values 0..3 spares a cast copy.
-            _QPSK.take(_qpsk_index(words, index).view(np.intp), out=gains, mode="clip")
-            _transmit_into(gains, plan.inverse_bin_order, signal, signal)
-            # One channel spectrum per chunk serves the channel and the
-            # equalizer; the receiver overwrites it with its estimates.
-            _spectrum_into(chunk_taps, gains)
-            if rho is not None:
-                _standard_normals(rngs, (r, n), out=noise)
-            chunk_evm, chunk_errors, masks = evm[:, runs], error_buffer[:, :r], mask_buffers[:, :r]
-            _link_chunk(plan, stretches, divisors, rho, frames, noise, index, masks, chunk_evm, chunk_errors)
+            chunk_evm, chunk_errors = evm[:, runs], error_buffer[:, :r]
+            link.run(plan, slices, rho, rngs, chunk_taps, chunk_evm, chunk_errors)
             if not np.isfinite(chunk_evm).all():
                 raise ValueError(f"snr_db {config.snr_db} is too small: the link's EVM overflows a float")
             error_totals += np.add.reduce(chunk_errors, axis=-1)

@@ -26,13 +26,10 @@ spectrum and log-gain vector in two scratch buffers it is handed too, one
 complex and one float of the taps' batch shape + (N,). In literal mode,
 level 1 is the root spectrum itself while the taps fit in N/2 samples, and
 levels 2 .. depth take their 2s-point FFTs in blocks laid one after another
-in the scratch, so one log-gain pass covers them all. Each N-point FFT
-pads its taps into the complex scratch and transforms it in place
-(``channel._spectrum_into``): numpy runs a batch of full-length rows
-through pocketfft's multi-row SIMD transform, where it pads short rows and
-transforms them one at a time, with the same bits. The Monte Carlo
-scenarios make those buffers once and have the kernel write each chunk of
-runs into their kept arrays. ``chain_mi`` is the validated public entry
+in the scratch, so one log-gain pass covers them all. Each N-point FFT is
+``channel._spectrum_into`` in the complex scratch. The Monte Carlo
+scenarios make those buffers (``_scratch``) once and have the kernel write
+each chunk of runs into their kept arrays. ``chain_mi`` is the validated public entry
 point: it checks its inputs, makes the result and scratch arrays for one
 call and runs the kernel. :class:`ChainMi` is the one result type: the
 scenarios read per-slice MI, residuals and the conservation check straight
@@ -66,6 +63,11 @@ __all__ = [
 MODE_EXACT = "exact-fold"
 MODE_LITERAL = "literal-triangular"
 _MODES = (MODE_EXACT, MODE_LITERAL)
+
+# The dtypes of the engine's scratch, ``bins`` and ``gains`` of
+# ``_chain_levels_into``, and their bytes per frame sample.
+_SCRATCH_DTYPES = (np.complex128, np.float64)
+_SCRATCH_SAMPLE_BYTES = sum(np.dtype(dtype).itemsize for dtype in _SCRATCH_DTYPES)
 
 
 @dataclass(frozen=True)
@@ -191,6 +193,12 @@ def _split_into(level_gains: np.ndarray, positive: np.ndarray, negative: np.ndar
     np.add.reduce(level_gains[..., 1::2], axis=-1, out=negative)
 
 
+def _scratch(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The ``bins`` and ``gains`` scratch of :func:`_chain_levels_into` for
+    taps of batch shape ``shape[:-1]`` at ``shape[-1]`` frame samples."""
+    return tuple(np.empty(shape, dtype) for dtype in _SCRATCH_DTYPES)
+
+
 def _chain_levels_into(
     taps: np.ndarray,
     size: int,
@@ -212,11 +220,8 @@ def _chain_levels_into(
     and ``negative[..., k-1]``. ``bins`` (complex) and ``gains`` (float),
     both C-contiguous B + (size,), are scratch: the spectra and their
     log-gains are made in them, so the call allocates no frame-sized array.
-    Each ``size``-point FFT copies its taps into the head of ``bins``,
-    zeroes the tail and transforms ``bins`` in place
-    (``channel._spectrum_into``), so numpy takes its multi-row FFT path for
-    the whole batch; the bits are those of ``np.fft.fft(taps, size,
-    axis=-1)``.
+    Each ``size``-point FFT is ``channel._spectrum_into`` in ``bins``, which
+    gives the bits of ``np.fft.fft(taps, size, axis=-1)``.
 
     Literal mode takes level 1 from the root's log-gains while the taps fit
     in ``size // 2`` samples (its FFT of ``taps[..., :size // 2]`` is then
@@ -274,10 +279,8 @@ def chain_mi(taps, frame_size: int, depth: int, snr, mode: str = MODE_EXACT) -> 
     rho = _rho(snr)
     batch = taps.shape[:-1]
     chain = ChainMi(np.empty(batch), np.empty(batch + (depth,)), np.empty(batch + (depth,)))
-    bins = np.empty(batch + (frame_size,), dtype=np.complex128)
-    _chain_levels_into(
-        taps, frame_size, depth, rho, mode, chain.total, chain.positive, chain.negative, bins, np.empty(bins.shape)
-    )
+    bins, gains = _scratch(batch + (frame_size,))
+    _chain_levels_into(taps, frame_size, depth, rho, mode, chain.total, chain.positive, chain.negative, bins, gains)
     return chain
 
 

@@ -22,9 +22,9 @@ receive:   one unitary N-point DFT, one-tap zero-forcing equalization against
 Each stage is a private kernel (``_transmit_into``, ``_propagate_into``,
 ``_receive_into``) that writes every FFT and element-wise result into
 arrays its caller passes in. The public functions allocate those arrays
-and call the kernels; the loopback scenario allocates one set per scenario
-and runs every chunk of frames through it, so a chunk allocates no frame-
-sized array.
+and call the kernels; the loopback scenario runs every chunk of frames
+through one set of chunk buffers, ``_LinkBuffers``, whose docstring says
+what each buffer holds and which aliases the kernels allow.
 
 A channel is its taps: one (L,) array shared by a batch, or one row per
 frame, such as the (R, L) taps of ``channel.draw_taps``.
@@ -35,12 +35,13 @@ the order-recursive inverse of a lower-triangular Toeplitz matrix it builds on.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import check_taps, circular_complement, lower_triangular_toeplitz
+from .channel import _spectrum_into, check_taps, circular_complement, lower_triangular_toeplitz
 from .sliceplan import SlicePlan
 
 __all__ = [
@@ -190,10 +191,7 @@ def _transmit_into(frames: np.ndarray, inverse_order: np.ndarray, spectrum: np.n
     """Frame bodies of :func:`transmit` into ``body``: the frame-order
     symbols ``frames`` laid out on their bins through ``inverse_order`` (the
     plan's ``inverse_bin_order``) in ``spectrum``, then one unitary IDFT.
-
-    ``body`` may be ``spectrum``: the IDFT then runs in place, and numpy 2's
-    FFT gives the bits of the out-of-place one. ``frames`` shares no memory
-    with either: ``np.take`` would buffer a copy of its overlapping output."""
+    ``_LinkBuffers`` gives the aliases it allows."""
     # A permutation never leaves the index range, so "clip" clips nothing; it
     # lets take write into ``spectrum`` without a buffered copy.
     np.take(frames, inverse_order, axis=-1, out=spectrum, mode="clip")
@@ -274,11 +272,8 @@ def _propagate_into(
     response ``gains`` (the N-point FFT of the taps), unchecked, into
     ``received``. ``noise`` holds the standard normals of
     :func:`_standard_normals` and is scaled in place; it is unused when
-    ``rho`` is None. ``spectrum`` is scratch.
-
-    ``received``, ``spectrum`` and ``body`` may be one array: both FFTs then
-    run in place, with the out-of-place bits. ``gains`` and ``noise`` share
-    no memory with them."""
+    ``rho`` is None. ``spectrum`` is scratch. ``_LinkBuffers`` gives the
+    aliases it allows."""
     np.fft.fft(body, axis=-1, out=spectrum)
     spectrum *= gains
     np.fft.ifft(spectrum, axis=-1, out=received)
@@ -343,14 +338,7 @@ def _receive_into(
     overwritten with the divisor (1 at the erased bins). ``magnitude``,
     ``squares`` and ``erased`` (of the gains' shape) and ``spectrum`` (of the
     frames' shape) are scratch. The erasure pass runs only when some bin is
-    erased.
-
-    ``spectrum`` may be ``y``: the DFT then runs in place, with the
-    out-of-place bits. ``estimate`` may be ``y``, or ``gains`` when the
-    gains have the frames' shape: the estimates are gathered from
-    ``spectrum`` after the division. ``spectrum`` and ``estimate`` are two
-    arrays, and the float and bool scratch arrays share no memory with any
-    other argument or with each other.
+    erased. ``_LinkBuffers`` gives the aliases it allows.
 
     The orthonormal DFT multiplies each bin by 1/sqrt(N) inside the FFT.
     numpy divides a complex array by a real scalar c as
@@ -374,6 +362,132 @@ def _receive_into(
         np.copyto(estimate, 0.0, where=erasures)
     else:
         erasures[...] = False
+
+
+# The loopback link's chunk buffers by dtype, in the order of ``_LinkBuffers.buffers``:
+# each one's name and the axes between its rows and its N samples.
+_LINK_BUFFERS = {
+    np.complex128: {"signal": (), "gains": ()},
+    np.float64: {"noise": (2,)},
+    np.uint64: {"index": ()},
+    np.bool_: {"erased": (), "erasures": ()},
+}
+
+
+def _slice_divisors(plan: SlicePlan) -> tuple[list[slice], tuple[np.ndarray, np.ndarray]]:
+    """The frame-order stretch of each slice of the plan, and the divisors
+    of each slice's summed squared error, as (slices, 1) columns: its size,
+    then its mean symbol power. Every QPSK point has the same |q|^2, so the
+    mean over a constant row is bitwise the mean over any frame's slice."""
+    stretches = [slice(desc.frame_offset, desc.frame_offset + desc.size) for desc in plan.slices]
+    sizes = np.array([[float(desc.size)] for desc in plan.slices])
+    powers = np.array([[np.mean(np.square(np.abs(np.full(desc.size, _QPSK[0]))))] for desc in plan.slices])
+    return stretches, (sizes, powers)
+
+
+class _LinkBuffers:
+    """The loopback link's chunk buffers for chunks of up to ``rows`` frames
+    of N samples (dtypes and shapes in ``_LINK_BUFFERS``, ``sample_bytes``
+    per frame sample), and the chunk of frames they run: the one statement
+    of what each buffer holds and of the aliases the link kernels allow.
+    Each buffer serves several steps, so a chunk allocates no frame-sized
+    array:
+
+    1. ``words``, the first half of ``noise`` as uint64, takes the raw bit
+       words, which :func:`_qpsk_index` turns into ``index``, kept to the
+       end. ``words`` is C-contiguous: with a strided view, ``np.take``
+       buffered a frame-sized copy.
+    2. ``gains`` takes the sent symbols, ``signal`` their frame bodies, then
+       ``gains`` the channel spectrum and ``noise`` the noise draws.
+    3. The channel and the receiver run every FFT in place in ``signal``,
+       use the halves ``floats`` of ``noise`` as float scratch and gather
+       the estimates into ``gains``.
+    4. :meth:`measure` rebuilds the sent symbols into ``signal`` for the
+       errors, squares them into ``floats[1]``, and takes ``words`` and
+       ``erased`` for the hard decisions, whose misses go into ``erasures``.
+
+    The kernels allow these aliases and no other; numpy 2's FFT in place
+    gives the bits of the out-of-place one. ``_transmit_into``: ``body`` may
+    be ``spectrum``; ``frames`` shares no memory with them (``np.take``
+    would buffer a copy of its output). ``_propagate_into``: ``body``,
+    ``spectrum`` and ``received`` may be one array. ``_receive_into``:
+    ``spectrum`` may be ``y``, and ``estimate`` may be ``y`` or ``gains`` (of
+    the frames' shape), since it is gathered after the division.
+    """
+
+    sample_bytes = sum(
+        np.dtype(dtype).itemsize * math.prod(axes) for dtype, group in _LINK_BUFFERS.items() for axes in group.values()
+    )
+
+    def __init__(self, rows: int, n: int):
+        # One allocation per dtype: six made glibc trim the heap they were freed
+        # to (160 page faults per 60-run call at N = 2048), one for all six
+        # raised a run's peak memory by 0.3 MB.
+        buffers = []
+        for dtype, group in _LINK_BUFFERS.items():
+            sizes = [math.prod(axes) * rows * n for axes in group.values()]
+            parts = np.split(np.empty(sum(sizes), dtype), np.cumsum(sizes)[:-1])
+            buffers += [part.reshape((rows, *axes, n)) for part, axes in zip(parts, group.values())]
+        self._bind(tuple(buffers))
+
+    def _bind(self, buffers: tuple[np.ndarray, ...]) -> None:
+        self.buffers = buffers
+        self.signal, self.gains, self.noise, self.index, self.erased, self.erasures = buffers
+        self.floats = tuple(self.noise.reshape((2,) + self.signal.shape))
+        self.words = self.floats[0].view(np.uint64)
+        # take reads intp indices; the view of the values 0..3 spares a cast copy.
+        self.indices = self.index.view(np.intp)
+
+    def cut(self, rows: int) -> _LinkBuffers:
+        """The buffers of a chunk of ``rows`` frames, the first rows of these."""
+        part = object.__new__(_LinkBuffers)
+        part._bind(tuple(buffer[:rows] for buffer in self.buffers))
+        return part
+
+    def run(self, plan: SlicePlan, slices, rho: float | None, rngs, taps: np.ndarray, evm, errors) -> None:
+        """One frame per Generator of ``rngs`` through the link, in the first
+        rows: each run draws its bits, then its noise (unless ``rho`` is
+        None), from its own stream; row i of ``taps`` is run i's channel."""
+        r = len(rngs)
+        if r < len(self.signal):
+            return self.cut(r).run(plan, slices, rho, rngs, taps, evm, errors)
+        n = self.signal.shape[-1]
+        for raw, rng in zip(self.words, rngs):
+            raw[...] = rng.bit_generator.random_raw(n)
+        _qpsk_index(self.words, self.index)
+        _QPSK.take(self.indices, out=self.gains, mode="clip")
+        _transmit_into(self.gains, plan.inverse_bin_order, self.signal, self.signal)
+        _spectrum_into(taps, self.gains)
+        if rho is not None:
+            _standard_normals(rngs, (r, n), out=self.noise)
+        self.measure(plan, slices, rho, evm, errors)
+
+    def measure(self, plan: SlicePlan, slices, rho: float | None, evm: np.ndarray, errors: np.ndarray) -> None:
+        """The frame bodies in ``signal`` through the channel ``gains``, the
+        ``noise`` and the receiver, and each slice's EVM and symbol errors
+        against ``index`` into its row of the (slices, r) arrays ``evm`` and
+        ``errors`` (left alone when ``rho`` is None: noiseless runs make no
+        symbol errors). ``slices`` is :func:`_slice_divisors` of the plan."""
+        signal, estimate = self.signal, self.gains
+        _propagate_into(signal, estimate, rho, self.noise, signal, signal)
+        _receive_into(signal, estimate, plan.bin_order, signal, *self.floats, self.erased, estimate, self.erasures)
+        # Element-wise work on whole frames; each sum covers one slice, the same
+        # sums that np.mean and np.count_nonzero take.
+        sent = _QPSK.take(self.indices, out=signal, mode="clip")
+        error_power = self.floats[1]
+        np.square(np.abs(np.subtract(estimate, sent, out=signal), out=error_power), out=error_power)
+        if rho is not None:
+            # The erasure mask is spent (its bins are zeros in the estimate);
+            # it takes the symbol errors.
+            wrong = np.not_equal(_hard_index(estimate, self.words, self.erased), self.index, out=self.erasures)
+        stretches, divisors = slices
+        for i, stretch in enumerate(stretches):
+            np.add.reduce(error_power[:, stretch], axis=-1, out=evm[i])
+            if rho is not None:
+                np.add.reduce(wrong[:, stretch], axis=-1, dtype=np.intp, out=errors[i])
+        for divisor in divisors:
+            evm /= divisor
+        np.sqrt(evm, out=evm)
 
 
 def iterative_decode(z3, z4, taps, max_iters: int = 100, tol: float = 1e-10):

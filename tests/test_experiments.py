@@ -21,8 +21,9 @@ from physlice.experiments import (
     make_config,
     run_scenario,
 )
+from physlice.mi import _SCRATCH_SAMPLE_BYTES, _scratch
 from physlice.sliceplan import build_plan
-from physlice.txrx import _QPSK, _propagate_into, _receive_into, _transmit_into
+from physlice.txrx import _QPSK, _LinkBuffers, _propagate_into, _receive_into, _slice_divisors, _transmit_into
 
 from oracles import cdf_text, link_rows, loopback_statistics, mi_rows, report_text, scaled_receive
 
@@ -240,11 +241,29 @@ class TestConfig:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "field,value,expected", [("snr_db", "10", "a number"), ("delta_f_hz", True, "a number"), ("mode", 1, "a string")]
+        "field,value,expected",
+        [
+            ("snr_db", "10", "a Python int or float"),
+            ("delta_f_hz", True, "a Python int or float"),
+            ("mode", 1, "a string"),
+            # numpy scalars other than float64 are neither, whatever they hold.
+            ("snr_db", np.int64(10), "a Python int or float"),
+            ("snr_db", np.float32(10.0), "a Python int or float"),
+            ("delta_f_hz", np.int64(15000), "a Python int or float"),
+        ],
     )
     def test_validation_checks_number_and_string_fields_by_the_schema(self, field, value, expected):
-        with pytest.raises(ValueError, match=f"^{field} must be {expected}, got {value!r}"):
+        with pytest.raises(ValueError, match="^" + re.escape(f"{field} must be {expected}, got {value!r}")):
             make_config("fig9", **{field: value}).validated()
+
+    def test_validation_rejects_an_empty_output_dir_before_making_a_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = make_config("fig9", num_runs=1, output_dir="")
+        with pytest.raises(ValueError, match="^output_dir must name a directory, got ''$"):
+            cfg.validated()
+        with pytest.raises(ValueError, match="^output_dir must name a directory"):
+            run_scenario(cfg)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["1e400", "-1e400"])
     @pytest.mark.parametrize("field", ["snr_db", "delta_f_hz"])
@@ -516,7 +535,7 @@ class TestScenarios:
             assert path.read_bytes() == single[name].read_bytes(), name
 
     def test_chunks_hold_one_byte_budget(self):
-        link, mi = experiments._LINK_SAMPLE_BYTES, experiments._MI_SAMPLE_BYTES
+        link, mi = _LinkBuffers.sample_bytes, _SCRATCH_SAMPLE_BYTES
         # The link keeps 16384 frame samples per chunk from N = 256 up, and
         # the 64-run cap below that.
         for e in range(8, 16):
@@ -527,6 +546,13 @@ class TestScenarios:
         assert experiments._chunk_runs(2048, mi) == 19
         assert experiments._chunk_runs(128, mi) == 64
         assert experiments._chunk_runs(1 << 20, mi) == 1
+
+    @pytest.mark.parametrize("rows,n", [(1, 2), (3, 16), (8, 2048), (1, 16384)])
+    def test_buffer_plans_allocate_their_declared_bytes_per_sample(self, rows, n):
+        link = _LinkBuffers(rows, n)
+        assert sum(buffer.nbytes for buffer in link.buffers) == _LinkBuffers.sample_bytes * rows * n
+        assert sum(buffer.nbytes for buffer in link.cut(1).buffers) == _LinkBuffers.sample_bytes * n
+        assert sum(buffer.nbytes for buffer in _scratch((rows, n))) == _SCRATCH_SAMPLE_BYTES * rows * n
 
     @pytest.mark.parametrize("scenario", ["fig7", "loopback"])
     def test_multi_word_seed_is_identical_across_worker_counts(self, tmp_path, scenario):
@@ -580,9 +606,9 @@ class TestScenarios:
 
     def test_the_link_holds_its_declared_bytes_per_frame_sample(self, tmp_path):
         # One run at N = 16384 is one chunk of one frame. Its buffers hold
-        # _LINK_SAMPLE_BYTES per frame sample; the raw words of its bits
+        # _LinkBuffers.sample_bytes per frame sample; the raw words of its bits
         # (8 B per sample), its taps and its files fit in one complex frame.
-        n, link = 16384, experiments._LINK_SAMPLE_BYTES
+        n, link = 16384, _LinkBuffers.sample_bytes
         peak = traced_peak(tmp_path, "loopback", 1, n_fft=n, cp_length=1352)
         assert link * n < peak < (link + 16) * n
 
@@ -919,6 +945,18 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "envout" / "fig9_runs.csv").exists()
 
+    @pytest.mark.parametrize("flags,env", [([], ""), (["--out", ""], None)], ids=["empty-env", "empty-out"])
+    def test_an_empty_output_dir_is_reported_and_nothing_is_written(self, tmp_path, monkeypatch, capsys, flags, env):
+        monkeypatch.chdir(tmp_path)
+        if env is None:
+            monkeypatch.delenv("PHYSLICE_OUT", raising=False)
+        else:
+            monkeypatch.setenv("PHYSLICE_OUT", env)
+        code = cli_main(["--scenario", "fig9", "--runs", "2", *flags])
+        assert code == 2
+        assert "output_dir must name a directory, got ''" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 # SHA-256 of every file that a scenario writes, by CLI flags on top of the
 # preset. Pinned so that a change to how a scenario is computed or formatted
@@ -1151,11 +1189,8 @@ def test_link_chunks_are_bitwise_the_scaled_receiver_and_per_slice_means(case):
     n = plan.frame_size
     rho = None if snr_db == math.inf else 10.0 ** (snr_db / 10.0)
     rng = np.random.default_rng(seed)
-    stretches, divisors = experiments._slice_divisors(plan)
-    frames = np.empty((2, rows, n), complex)
-    noise_buffer = np.empty((rows, 2, n))
-    index_buffer = np.empty((rows, n), np.uint64)
-    masks = np.empty((2, rows, n), bool)
+    slices = _slice_divisors(plan)
+    link = _LinkBuffers(rows, n)
     rx_frames, rx_floats, rx_masks = (np.empty((2, rows, n), dtype) for dtype in (complex, float, bool))
     for r, erase in ((rows, True), (clean_rows, False)):
         index = rng.integers(0, 4, (r, n)).astype(np.uint64)
@@ -1180,16 +1215,14 @@ def test_link_chunks_are_bitwise_the_scaled_receiver_and_per_slice_means(case):
         np.testing.assert_array_equal(estimate, want_estimate)
         np.testing.assert_array_equal(erasures, want_erasures)
 
-        signal, chunk_gains = frames[:, :r]
-        chunk_gains[...] = sent
-        _transmit_into(chunk_gains, plan.inverse_bin_order, signal, signal)
-        chunk_gains[...] = gains
-        noise_buffer[:r], index_buffer[:r] = noise, index
+        chunk = link.cut(r)
+        chunk.gains[...] = sent
+        _transmit_into(chunk.gains, plan.inverse_bin_order, chunk.signal, chunk.signal)
+        chunk.gains[...] = gains
+        chunk.noise[...], chunk.index[...] = noise, index
         evm = np.empty((len(plan.slices), r))
         errors = np.full(evm.shape, -1, dtype=np.int64)
-        experiments._link_chunk(
-            plan, stretches, divisors, rho, frames[:, :r], noise_buffer[:r], index_buffer[:r], masks[:, :r], evm, errors
-        )
+        chunk.measure(plan, slices, rho, evm, errors)
         want_evm, want_errors = loopback_statistics(want_estimate, sent, index, plan)
         assert evm.tobytes() == want_evm.tobytes()
         # Noiseless runs count no symbol errors; their rows are left alone.

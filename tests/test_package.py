@@ -168,3 +168,20 @@ def test_ci_replay_table_names_each_directory_once_and_every_config_validates():
         except (SystemExit, ValueError) as err:
             pytest.fail(f"replay config {name}: {err!r}")
     assert "replay/" in (ROOT / ".gitignore").read_text().splitlines()
+
+
+def test_experiments_imports_few_private_names_of_the_kernel_modules():
+    """The scenarios reach the kernel modules' internals through a pinned
+    list of private names, and the link's through at most two: its chunk
+    buffers and what they run live in ``txrx``."""
+    tree = ast.parse((SRC / "physlice" / "experiments.py").read_text())
+    private: dict[str, list[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in ("txrx", "mi", "channel"):
+            private.setdefault(node.module, []).extend(a.name for a in node.names if a.name.startswith("_"))
+    assert private == {
+        "channel": ["_draw_taps_into", "_profile_grid", "_read_key_values"],
+        "mi": ["_SCRATCH_SAMPLE_BYTES", "_chain_levels_into", "_scratch"],
+        "txrx": ["_LinkBuffers", "_slice_divisors"],
+    }
+    assert len(private["txrx"]) <= 2
