@@ -212,14 +212,21 @@ def _draw_taps_into(rngs, scale: np.ndarray, columns: np.ndarray, draws: np.ndar
     ``taps``, a C-contiguous complex (R, L) array that is zeroed first.
     ``scale`` and ``columns`` are :func:`_profile_grid`'s, and ``draws`` is a
     float (R, 2, K) scratch array."""
-    for row, rng in zip(draws, rngs):
-        rng.standard_normal(out=row)
+    _normals_into(rngs, draws)
     draws *= scale
     taps.fill(0)
     # A complex sum adds the real and the imaginary parts apart, so the
     # float view takes the same sums; np.add.at adds taps that land on one
     # index in profile order.
     np.add.at(taps.view(np.float64), (slice(None), columns), draws.reshape(len(draws), columns.size))
+
+
+def _normals_into(rngs, out: np.ndarray) -> np.ndarray:
+    """The package's one per-run normals loop, unchecked: row i of ``out``
+    is one ``standard_normal`` fill by Generator ``rngs[i]``; returns ``out``."""
+    for row, rng in zip(out, rngs):
+        rng.standard_normal(out=row)
+    return out
 
 
 def _spectrum_into(taps: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -17,9 +17,10 @@ SeedSequence pass per block (``_streams.stream_words``); each chunk builds
 its runs' Generators from their rows and draws their channels first, with
 one call of the tap-draw kernel ``channel._draw_taps_into``. A scenario
 makes its buffers once and cuts them to ``[:r]`` rows for a short last
-chunk: the tap draw, the link (``txrx._LinkBuffers``, whose docstring
-gives each buffer's roles) and the MI kernel ``mi._chain_levels_into``
-write every result into them, so no chunk allocates a frame-sized array.
+chunk: the tap draw, the link (``txrx._LinkBuffers``, bound to the plan
+and the SNR, whose docstring gives each buffer's roles) and the MI kernel
+``mi._chain_levels_into`` write every result into them, so no chunk
+allocates a frame-sized array.
 Each chunk writes its runs' CSV rows as it finishes, with one ``%`` call
 (``_rows``): one run's row template, repeated for the chunk's runs, filled
 from one flat list of cells. It also keeps what the summaries read: an MI
@@ -62,7 +63,7 @@ from .channel import (
 from .mi import MODE_EXACT, MODE_LITERAL, ChainMi, SnrSpec, chain_mi
 from .mi import _SCRATCH_SAMPLE_BYTES, _chain_levels_into, _scratch
 from .sliceplan import SlicePlan, build_plan, decode_cost, total_cost
-from .txrx import _LinkBuffers, _slice_divisors
+from .txrx import _LinkBuffers
 
 __all__ = [
     "ExperimentConfig",
@@ -90,6 +91,11 @@ _CDF_BLOCK_ROWS = 1024
 # larger chunk spreads a chunk's fixed numpy calls and per-slice loops over
 # more runs; a small budget keeps the peak memory near that of one run.
 _CHUNK_BYTES = 928 * 1024
+# The largest n_fft, and snr_db of a scenario that computes MI: one run's link
+# buffers take 58 MB at 2**20 samples, and at 3000 dB (rho = 1e300) rho *
+# |gain|^2 overflows only at a bin gain of 1.3e4 (a 20-run fig9 does at 3080).
+_MAX_N_FFT = 2**20
+_MAX_MI_SNR_DB = 3000
 # Each run of a chunk also holds a Generator of about 0.75 KB. The seed
 # words of the runs are hashed for this many chunks at a time.
 _MAX_CHUNK_RUNS = 64
@@ -149,21 +155,25 @@ _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 def _setup(config: ExperimentConfig) -> tuple[SlicePlan, ChannelProfile, int]:
     """Check every input of a scenario and return its plan, its channel
-    profile and the channel's tap count. The profile is resolved (a file
-    read) once, here; nothing is written before this returns."""
+    profile and the channel's tap count. A numpy integer setting is replaced
+    by its Python int. The profile is resolved (a file read) once, here;
+    nothing is written before this returns."""
     for name, kind in _FIELD_TYPES.items():
         value = getattr(config, name)
         if isinstance(value, bool) or not isinstance(value, _ACCEPTED[kind]) or (kind == "int" and value < 0):
             raise ValueError(f"{name} must be {_EXPECTED[kind]}, got {value!r}")
         if kind == "float" and isinstance(value, int) and abs(value) > sys.float_info.max:
             raise ValueError(f"{name} must be a number within the float range, got an int of {value.bit_length()} bits")
+        if isinstance(value, np.integer):
+            # numpy's fixed-width arithmetic would wrap a size or a count around.
+            setattr(config, name, int(value))
     if not config.output_dir:
         raise ValueError("output_dir must name a directory, got ''")
     entry = _SCENARIOS.get(config.scenario)
     if entry is None:
         raise ValueError(f"unknown scenario {config.scenario!r}, expected one of {sorted(_SCENARIOS)}")
-    if config.n_fft < 2 or config.n_fft & (config.n_fft - 1):
-        raise ValueError(f"n_fft must be a power of two >= 2, got {config.n_fft}")
+    if not 2 <= config.n_fft <= _MAX_N_FFT or config.n_fft & (config.n_fft - 1):
+        raise ValueError(f"n_fft must be a power of two from 2 to 2**20, got {config.n_fft}")
     if not 0 < config.delta_f_hz < math.inf:
         raise ValueError(f"delta_f_hz must be a positive finite number of Hz, got {config.delta_f_hz}")
     if math.isnan(config.snr_db) or config.snr_db == -math.inf:
@@ -172,6 +182,9 @@ def _setup(config: ExperimentConfig) -> tuple[SlicePlan, ChannelProfile, int]:
         raise ValueError(f"scenario {config.scenario!r} computes mutual information and needs a finite snr_db")
     if config.snr_db != math.inf and config.snr.rho == 0.0:
         raise ValueError(f"snr_db {config.snr_db} is too small: 10**(snr_db / 10) is 0 in a float")
+    if config.snr_db > _MAX_MI_SNR_DB and not entry.noiseless:
+        raise ValueError(f"snr_db {config.snr_db} is too large: scenario {config.scenario!r} computes mutual "
+                         f"information, whose rho * |gain|^2 can overflow a float above {_MAX_MI_SNR_DB} dB")
     if config.num_runs < 1:
         raise ValueError("num_runs must be at least 1")
     from ._streams import MAX_RUNS
@@ -478,16 +491,16 @@ def _run_rate_cdf(
     pos, neg, parent = np.empty((3, config.num_runs))
 
     def keep(runs: slice, part: ChainMi) -> None:
-        pos[runs], neg[runs] = part.positive[:, k], part.negative[:, k]
-        # The slice that level k splits: the root, or the positive child of the level above.
-        parent[runs] = part.total if k == 0 else part.positive[:, k - 1]
+        pos[runs], neg[runs], parent[runs] = part.positive[:, k], part.negative[:, k], part.parent[:, k]
 
     residual = _rate_scenario(config, plan, profile, taps, runs_csv, keep)
     lines = _summary_lines(config, plan, taps, residual)
     curves = dict(zip(names, (empirical_cdf(pos), empirical_cdf(neg), empirical_cdf(parent / 2.0))))
     _write_cdf(cdf_csv, curves)
     if gaps:
-        gap = np.abs(pos - neg) / parent
+        # A split of a slice with no MI (a subnormal rho) counts its absolute gap, as the residual does.
+        gap = np.abs(pos - neg)
+        np.divide(gap, parent, out=gap, where=parent > 0)
         lines.append(f"mean_branch_gap_rel={_fmt(float(np.mean(gap)))}")
         lines.append(f"max_branch_gap_rel={_fmt(float(np.max(gap)))}")
     return lines
@@ -591,24 +604,20 @@ def _run_loopback(config: ExperimentConfig, plan: SlicePlan, profile: ChannelPro
     """Transmit, propagate, receive one frame per run; report EVM and errors.
 
     Runs go through the link in chunks of frames on the batch axis, on one
-    ``txrx._LinkBuffers`` made here. ``_drawn_chunks`` draws each run's
-    channel from its own stream; the run then draws its bits and then its
-    noise from the same stream. Each chunk writes its rows of the runs CSV
-    into ``runs_csv`` with one ``_rows`` call, once it has checked that
-    their EVM is finite: an SNR that passes ``_setup`` can still make
-    the noise after the equalizer so large that the EVM overflows a float
-    (below about -3020 dB), and that raises ValueError instead, with numpy's
-    overflow and invalid-value warnings off. The summary's error counts are
-    the slices' totals, summed a chunk at a time.
+    ``txrx._LinkBuffers`` made here and bound to the plan and the SNR.
+    ``_drawn_chunks`` draws each run's channel from its own stream; the run
+    then draws its bits and then its noise from the same stream. Each chunk
+    writes its rows of the runs CSV into ``runs_csv`` with one ``_rows``
+    call, once it has checked that their EVM is finite: an SNR that passes
+    ``_setup`` can still make the noise after the equalizer so large that
+    the EVM overflows a float (below about -3020 dB), and that raises
+    ValueError instead, with numpy's overflow and invalid-value warnings
+    off. The summary's error counts are the slices' totals, summed a chunk
+    at a time.
     """
-    # The linear SNR, or None for a noiseless link; _setup has rejected 0.
-    rho = getattr(config.snr, "rho", None)
     size = _chunk_runs(config.n_fft, _LinkBuffers.sample_bytes)
     rows = min(config.num_runs, size)
-    # Its temporaries (a complex half frame at depth >= 1) are freed before
-    # the chunk buffers are made, so they add nothing to the peak.
-    slices = _slice_divisors(plan)
-    link = _LinkBuffers(rows, config.n_fft)
+    link = _LinkBuffers(plan, config.snr, rows)
     num_slices = len(plan.slices)
     evm = np.empty((num_slices, config.num_runs))
     # Noiseless runs make no symbol errors.
@@ -619,7 +628,7 @@ def _run_loopback(config: ExperimentConfig, plan: SlicePlan, profile: ChannelPro
         for runs, rngs, chunk_taps in _drawn_chunks(config, profile, taps, size):
             r = len(rngs)
             chunk_evm, chunk_errors = evm[:, runs], error_buffer[:, :r]
-            link.run(plan, slices, rho, rngs, chunk_taps, chunk_evm, chunk_errors)
+            link.run(rngs, chunk_taps, chunk_evm, chunk_errors)
             if not np.isfinite(chunk_evm).all():
                 raise ValueError(f"snr_db {config.snr_db} is too small: the link's EVM overflows a float")
             error_totals += np.add.reduce(chunk_errors, axis=-1)

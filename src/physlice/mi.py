@@ -87,12 +87,10 @@ class SnrSpec:
         except OverflowError:
             raise ValueError(f"snr_db {snr_db} is too large: 10**(snr_db / 10) overflows a float") from None
 
-
-def _rho(snr) -> float:
-    rho = float(snr.rho) if isinstance(snr, SnrSpec) else float(snr)
-    if not np.isfinite(rho) or rho < 0:
-        raise ValueError(f"rho must be finite and non-negative, got {rho}")
-    return rho
+    @classmethod
+    def of(cls, snr) -> "SnrSpec":
+        """``snr`` itself if it is a SnrSpec, else the SnrSpec of the linear rho ``float(snr)``."""
+        return snr if isinstance(snr, cls) else cls(float(snr))
 
 
 def _log_gains_into(bins: np.ndarray, rho: float, out: np.ndarray) -> np.ndarray:
@@ -117,7 +115,7 @@ def mi_fast(generator, snr) -> float:
     if g.ndim != 1:
         raise ValueError("generator must be one-dimensional")
     bins = np.fft.fft(g)
-    return float(np.sum(_log_gains_into(bins, _rho(snr), np.empty(bins.shape))))
+    return float(np.sum(_log_gains_into(bins, SnrSpec.of(snr).rho, np.empty(bins.shape))))
 
 
 def uniformity_ratio(taps, frame_size: int) -> float:
@@ -276,7 +274,7 @@ def chain_mi(taps, frame_size: int, depth: int, snr, mode: str = MODE_EXACT) -> 
         raise ValueError(f"unknown mode {mode!r}, expected one of {_MODES}")
     check_plan(frame_size, depth)
     taps = check_taps(taps, frame_size)
-    rho = _rho(snr)
+    rho = SnrSpec.of(snr).rho
     batch = taps.shape[:-1]
     chain = ChainMi(np.empty(batch), np.empty(batch + (depth,)), np.empty(batch + (depth,)))
     bins, gains = _scratch(batch + (frame_size,))

@@ -102,7 +102,7 @@ def check_plan(frame_size: int, depth: int) -> None:
     not fit it (depth < 0 or 2^depth > frame_size)."""
     if not is_pow2(frame_size):
         raise ValueError(f"frame size must be a power of two, got {frame_size}")
-    if depth < 0 or (1 << depth) > frame_size:
+    if depth < 0 or depth > int(frame_size).bit_length() - 1:
         raise ValueError(f"depth {depth} is invalid for frame size {frame_size}")
 
 

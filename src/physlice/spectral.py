@@ -44,24 +44,14 @@ def _transform_input(x) -> np.ndarray:
 
 def dft(x) -> np.ndarray:
     """Unitary forward DFT of a power-of-two length vector."""
-    return _dft(_transform_input(x))
+    x = _transform_input(x)
+    return np.fft.fft(x) / np.sqrt(x.size)
 
 
 def idft(x) -> np.ndarray:
     """Unitary inverse DFT, the exact inverse of :func:`dft`."""
-    return _idft(_transform_input(x))
-
-
-# Unchecked kernels along the last axis, for callers that validated their
-# whole (..., n) input once at their own boundary.
-
-
-def _dft(x: np.ndarray) -> np.ndarray:
-    return np.fft.fft(x, axis=-1) / np.sqrt(x.shape[-1])
-
-
-def _idft(x: np.ndarray) -> np.ndarray:
-    return np.fft.ifft(x, axis=-1) * np.sqrt(x.shape[-1])
+    x = _transform_input(x)
+    return np.fft.ifft(x) * np.sqrt(x.size)
 
 
 def logdet2_psd(a) -> float:

@@ -9,7 +9,7 @@ A frame stays one frame-order array from the bits to the estimates: a
 :class:`SlicePayload` holds it with its plan, and slices are views of it.
 
 transmit:  slices onto their bins through the plan's ``inverse_bin_order``,
-           one unitary N-point IDFT, cyclic prefix.
+           one unitary N-point IDFT, cyclic prefix (a view of the body's tail).
 propagate: the receiver keeps the N samples after the CP. The CP covers the
            channel (cp_length >= L is enforced), so those samples are the
            circular convolution of the body with the taps, computed here by
@@ -35,13 +35,14 @@ the order-recursive inverse of a lower-triangular Toeplitz matrix it builds on.
 
 from __future__ import annotations
 
+import copy
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _spectrum_into, check_taps, circular_complement, lower_triangular_toeplitz
+from .channel import _normals_into, _spectrum_into, check_taps, circular_complement, lower_triangular_toeplitz
 from .sliceplan import SlicePlan
 
 __all__ = [
@@ -125,22 +126,22 @@ class SlicePayload:
 
 @dataclass
 class OfdmFrame:
-    """Time-domain frames: transformed bodies (..., N) plus cyclic prefixes
-    (..., cp_length), each a copy of its body's tail."""
+    """Time-domain frames: transformed bodies (..., N) laid out by ``plan``.
+    The cyclic prefix is not stored: it is the tail of each body."""
 
     body: np.ndarray
-    cyclic_prefix: np.ndarray
     plan: SlicePlan
 
     def __post_init__(self):
-        n = self.plan.frame_size
-        if self.body.shape[-1:] != (n,):
-            raise ValueError(f"body has shape {self.body.shape}, plan expects {n} samples per frame")
-        cp = self.plan.cp_length
-        if self.cyclic_prefix.shape != self.body.shape[:-1] + (cp,) or not np.array_equal(
-            self.cyclic_prefix, self.body[..., n - cp :]
-        ):
-            raise ValueError("cyclic prefix must be a copy of the last cp_length body samples")
+        if self.body.shape[-1:] != (self.plan.frame_size,):
+            raise ValueError(f"body has shape {self.body.shape}, plan expects {self.plan.frame_size} samples per frame")
+
+    @property
+    def cyclic_prefix(self) -> np.ndarray:
+        """Read-only view of the last ``cp_length`` samples of each body, (..., cp_length)."""
+        prefix = self.body[..., self.plan.frame_size - self.plan.cp_length :]
+        prefix.flags.writeable = False
+        return prefix
 
 
 def modulate(bits, plan: SlicePlan) -> SlicePayload:
@@ -183,8 +184,7 @@ def transmit(payload: SlicePayload, plan: SlicePlan) -> OfdmFrame:
         raise ValueError("payload contains non-finite symbols")
     body = np.empty(frames.shape, dtype=np.complex128)
     _transmit_into(frames, plan.inverse_bin_order, np.empty_like(body), body)
-    cp = body[..., plan.frame_size - plan.cp_length :].copy()
-    return OfdmFrame(body=body, cyclic_prefix=cp, plan=plan)
+    return OfdmFrame(body=body, plan=plan)
 
 
 def _transmit_into(frames: np.ndarray, inverse_order: np.ndarray, spectrum: np.ndarray, body: np.ndarray) -> None:
@@ -200,34 +200,25 @@ def _transmit_into(frames: np.ndarray, inverse_order: np.ndarray, spectrum: np.n
 
 
 def _noise_rho(snr) -> float | None:
-    if snr is None:
-        return None
-    rho = float(getattr(snr, "rho", snr))
-    if rho == np.inf:
-        return None
+    """The linear SNR of ``snr``, a number or an object with a ``rho``;
+    None for None or +inf, which add no noise."""
+    rho = math.inf if snr is None else float(getattr(snr, "rho", snr))
     if not rho > 0:
         raise ValueError(f"snr must be positive, got {rho}")
-    return rho
+    return None if rho == math.inf else rho
 
 
-def _standard_normals(rng, shape: tuple[int, ...], out: np.ndarray | None = None) -> np.ndarray:
-    """Standard normals for the noise of frames of ``shape`` (..., N), as an
-    array of shape shape[:-1] + (2, N): each frame's N real parts, then its N
-    imaginary parts.
-
-    ``rng`` is one stream for all frames (a Generator or a seed), which draws
-    every frame's real parts first; or, for an (R, N) batch, a sequence of R
-    Generators, each of which fills its frame's row of ``out`` (allocated
-    when None) with its real, then its imaginary parts. An empty sequence
-    is a sequence of no Generators, not a seed: it fits only an empty batch.
-    """
+def _standard_normals(rng, shape: tuple[int, ...]) -> np.ndarray:
+    """Standard normals for the noise of frames of ``shape`` (..., N), as
+    shape[:-1] + (2, N): each frame's N real, then its N imaginary parts.
+    ``rng`` is one stream for all frames (a Generator or a seed), which
+    draws every frame's real parts first, or a sequence of one Generator per
+    frame of an (R, N) batch, each filling its frame's row; an empty
+    sequence is no Generators, not a seed, and fits only an empty batch."""
     if isinstance(rng, Sequence) and all(isinstance(g, np.random.Generator) for g in rng):
         if len(shape) != 2 or len(rng) != shape[0]:
             raise ValueError(f"expected one generator per frame of batch shape {shape[:-1]}, got {len(rng)}")
-        draws = np.empty((shape[0], 2, shape[1])) if out is None else out
-        for row, g in zip(draws, rng):
-            g.standard_normal(out=row)
-        return draws
+        return _normals_into(rng, np.empty((shape[0], 2, shape[1])))
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     return np.moveaxis(rng.standard_normal((2,) + shape), 0, -2)
@@ -374,24 +365,22 @@ _LINK_BUFFERS = {
 }
 
 
-def _slice_divisors(plan: SlicePlan) -> tuple[list[slice], tuple[np.ndarray, np.ndarray]]:
-    """The frame-order stretch of each slice of the plan, and the divisors
-    of each slice's summed squared error, as (slices, 1) columns: its size,
-    then its mean symbol power. Every QPSK point has the same |q|^2, so the
-    mean over a constant row is bitwise the mean over any frame's slice."""
-    stretches = [slice(desc.frame_offset, desc.frame_offset + desc.size) for desc in plan.slices]
-    sizes = np.array([[float(desc.size)] for desc in plan.slices])
-    powers = np.array([[np.mean(np.square(np.abs(np.full(desc.size, _QPSK[0]))))] for desc in plan.slices])
-    return stretches, (sizes, powers)
-
-
 class _LinkBuffers:
-    """The loopback link's chunk buffers for chunks of up to ``rows`` frames
-    of N samples (dtypes and shapes in ``_LINK_BUFFERS``, ``sample_bytes``
-    per frame sample), and the chunk of frames they run: the one statement
-    of what each buffer holds and of the aliases the link kernels allow.
-    Each buffer serves several steps, so a chunk allocates no frame-sized
-    array:
+    """The loopback link of one plan and SNR, on chunk buffers for chunks of
+    up to ``rows`` frames of the plan's N samples (dtypes and shapes in
+    ``_LINK_BUFFERS``, ``sample_bytes`` per frame sample), and the chunk of
+    frames they run: the one statement of what the link binds, what each
+    buffer holds and which aliases the link kernels allow.
+
+    Bound once, before the buffers are made (so the divisors' half-frame
+    temporaries stay out of the peak): ``plan``; ``rho``, the SNR resolved by
+    :func:`_noise_rho` as in :func:`propagate`, None for a noiseless link
+    (no noise draw, no symbol errors counted); ``stretches``, each slice's
+    frame-order stretch; and ``divisors``, (slices, 1) columns of each
+    slice's size and mean symbol power. Every QPSK point has the same
+    |q|^2, so that mean is bitwise the mean over any frame's slice.
+
+    Each buffer serves several steps, so a chunk makes no frame-sized array:
 
     1. ``words``, the first half of ``noise`` as uint64, takes the raw bit
        words, which :func:`_qpsk_index` turns into ``index``, kept to the
@@ -419,15 +408,21 @@ class _LinkBuffers:
         np.dtype(dtype).itemsize * math.prod(axes) for dtype, group in _LINK_BUFFERS.items() for axes in group.values()
     )
 
-    def __init__(self, rows: int, n: int):
+    def __init__(self, plan: SlicePlan, snr, rows: int):
+        self.plan = plan
+        self.rho = _noise_rho(snr)
+        self.stretches = [slice(desc.frame_offset, desc.frame_offset + desc.size) for desc in plan.slices]
+        sizes = np.array([[float(desc.size)] for desc in plan.slices])
+        powers = np.array([[np.mean(np.square(np.abs(np.full(desc.size, _QPSK[0]))))] for desc in plan.slices])
+        self.divisors = (sizes, powers)
         # One allocation per dtype: six made glibc trim the heap they were freed
         # to (160 page faults per 60-run call at N = 2048), one for all six
         # raised a run's peak memory by 0.3 MB.
         buffers = []
         for dtype, group in _LINK_BUFFERS.items():
-            sizes = [math.prod(axes) * rows * n for axes in group.values()]
-            parts = np.split(np.empty(sum(sizes), dtype), np.cumsum(sizes)[:-1])
-            buffers += [part.reshape((rows, *axes, n)) for part, axes in zip(parts, group.values())]
+            lengths = [math.prod(axes) * rows * plan.frame_size for axes in group.values()]
+            parts = np.split(np.empty(sum(lengths), dtype), np.cumsum(lengths)[:-1])
+            buffers += [part.reshape((rows, *axes, plan.frame_size)) for part, axes in zip(parts, group.values())]
         self._bind(tuple(buffers))
 
     def _bind(self, buffers: tuple[np.ndarray, ...]) -> None:
@@ -439,38 +434,38 @@ class _LinkBuffers:
         self.indices = self.index.view(np.intp)
 
     def cut(self, rows: int) -> _LinkBuffers:
-        """The buffers of a chunk of ``rows`` frames, the first rows of these."""
-        part = object.__new__(_LinkBuffers)
+        """The link of a chunk of ``rows`` frames, on the first rows of these buffers."""
+        part = copy.copy(self)
         part._bind(tuple(buffer[:rows] for buffer in self.buffers))
         return part
 
-    def run(self, plan: SlicePlan, slices, rho: float | None, rngs, taps: np.ndarray, evm, errors) -> None:
+    def run(self, rngs, taps: np.ndarray, evm: np.ndarray, errors: np.ndarray) -> None:
         """One frame per Generator of ``rngs`` through the link, in the first
         rows: each run draws its bits, then its noise (unless ``rho`` is
         None), from its own stream; row i of ``taps`` is run i's channel."""
         r = len(rngs)
         if r < len(self.signal):
-            return self.cut(r).run(plan, slices, rho, rngs, taps, evm, errors)
+            return self.cut(r).run(rngs, taps, evm, errors)
         n = self.signal.shape[-1]
         for raw, rng in zip(self.words, rngs):
             raw[...] = rng.bit_generator.random_raw(n)
         _qpsk_index(self.words, self.index)
         _QPSK.take(self.indices, out=self.gains, mode="clip")
-        _transmit_into(self.gains, plan.inverse_bin_order, self.signal, self.signal)
+        _transmit_into(self.gains, self.plan.inverse_bin_order, self.signal, self.signal)
         _spectrum_into(taps, self.gains)
-        if rho is not None:
-            _standard_normals(rngs, (r, n), out=self.noise)
-        self.measure(plan, slices, rho, evm, errors)
+        if self.rho is not None:
+            _normals_into(rngs, self.noise)
+        self.measure(evm, errors)
 
-    def measure(self, plan: SlicePlan, slices, rho: float | None, evm: np.ndarray, errors: np.ndarray) -> None:
+    def measure(self, evm: np.ndarray, errors: np.ndarray) -> None:
         """The frame bodies in ``signal`` through the channel ``gains``, the
         ``noise`` and the receiver, and each slice's EVM and symbol errors
         against ``index`` into its row of the (slices, r) arrays ``evm`` and
         ``errors`` (left alone when ``rho`` is None: noiseless runs make no
-        symbol errors). ``slices`` is :func:`_slice_divisors` of the plan."""
-        signal, estimate = self.signal, self.gains
+        symbol errors)."""
+        rho, signal, estimate = self.rho, self.signal, self.gains
         _propagate_into(signal, estimate, rho, self.noise, signal, signal)
-        _receive_into(signal, estimate, plan.bin_order, signal, *self.floats, self.erased, estimate, self.erasures)
+        _receive_into(signal, estimate, self.plan.bin_order, signal, *self.floats, self.erased, estimate, self.erasures)
         # Element-wise work on whole frames; each sum covers one slice, the same
         # sums that np.mean and np.count_nonzero take.
         sent = _QPSK.take(self.indices, out=signal, mode="clip")
@@ -480,12 +475,11 @@ class _LinkBuffers:
             # The erasure mask is spent (its bins are zeros in the estimate);
             # it takes the symbol errors.
             wrong = np.not_equal(_hard_index(estimate, self.words, self.erased), self.index, out=self.erasures)
-        stretches, divisors = slices
-        for i, stretch in enumerate(stretches):
+        for i, stretch in enumerate(self.stretches):
             np.add.reduce(error_power[:, stretch], axis=-1, out=evm[i])
             if rho is not None:
                 np.add.reduce(wrong[:, stretch], axis=-1, dtype=np.intp, out=errors[i])
-        for divisor in divisors:
+        for divisor in self.divisors:
             evm /= divisor
         np.sqrt(evm, out=evm)
 

@@ -41,7 +41,7 @@ from itertools import count
 import numpy as np
 
 from physlice.channel import CirculantChannel, _lagged_circulant
-from physlice.mi import MODE_EXACT, _rho
+from physlice.mi import MODE_EXACT, SnrSpec
 from physlice.sliceplan import check_plan
 from physlice.spectral import is_pow2, logdet2_psd
 from physlice.transform import butterfly_mixer
@@ -87,7 +87,7 @@ def mi_logdet(channel, snr):
     n = h.shape[0]
     if n > _LOGDET_CAP:
         raise ValueError(f"dense log-det MI is capped at size {_LOGDET_CAP}, got {n}")
-    rho = _rho(snr)
+    rho = SnrSpec.of(snr).rho
     gram = np.eye(n, dtype=np.complex128) + rho * (h @ h.conj().T)
     return logdet2_psd(gram)
 

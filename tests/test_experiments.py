@@ -1,7 +1,11 @@
+import csv
+import dataclasses
 import io
 import math
 import os
 import re
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +27,7 @@ from physlice.experiments import (
 )
 from physlice.mi import _SCRATCH_SAMPLE_BYTES, _scratch
 from physlice.sliceplan import build_plan
-from physlice.txrx import _QPSK, _LinkBuffers, _propagate_into, _receive_into, _slice_divisors, _transmit_into
+from physlice.txrx import _QPSK, _LinkBuffers, _propagate_into, _receive_into, _transmit_into
 
 from oracles import cdf_text, link_rows, loopback_statistics, mi_rows, report_text, scaled_receive
 
@@ -283,6 +287,34 @@ class TestConfig:
         assert make_config("fig7", num_runs=2**32).validated().num_runs == 2**32
         with pytest.raises(ValueError, match=r"num_runs must be at most 2\*\*32"):
             make_config("fig7", num_runs=2**32 + 1).validated()
+
+    def test_validation_bounds_the_frame_size(self):
+        # 2**20 samples at the ETU preset's 32.55 ns sample period, and a CP that covers its 155 taps.
+        wide = dict(delta_f_hz=15e3 / 512, cp_length=169)
+        assert make_config("loopback", n_fft=2**20, **wide).validated().n_fft == 2**20
+        for n_fft in (2**21, 2**30, 2**64):
+            message = f"n_fft must be a power of two from 2 to 2**20, got {n_fft}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                make_config("loopback", n_fft=n_fft, **wide).validated()
+
+    @pytest.mark.parametrize("scenario", ["fig7", "fig9", "table1"])
+    def test_validation_bounds_the_snr_of_an_mi_scenario(self, scenario):
+        assert make_config(scenario, snr_db=3000).validated().snr_db == 3000
+        assert make_config("loopback", snr_db=3080).validated().snr_db == 3080
+        with pytest.raises(ValueError, match=f"snr_db 3080 is too large: scenario '{scenario}' computes mutual info"):
+            make_config(scenario, snr_db=3080).validated()
+
+    def test_numpy_integer_settings_run_as_python_ints(self, tmp_path):
+        """numpy's fixed-width arithmetic would wrap np.int8(16) * 58 bytes."""
+        settings = dict(n_fft=16, depth=2, cp_length=2, num_runs=3, seed=2)
+        plain = run_scenario(make_config("loopback", output_dir=str(tmp_path / "plain"), **settings))
+        kinds = (np.int8, np.uint8, np.int16, np.uint64, np.int64)
+        as_numpy = {name: kind(value) for (name, value), kind in zip(settings.items(), kinds)}
+        cfg = make_config("loopback", output_dir=str(tmp_path / "numpy"), **as_numpy)
+        written = run_scenario(cfg)
+        assert all(type(getattr(cfg, name)) is int for name in settings)
+        for key, path in plain.items():
+            assert written[key].read_bytes() == path.read_bytes(), key
 
     def test_infinite_snr_maps_to_noiseless(self):
         cfg = make_config("loopback", snr_db=math.inf)
@@ -549,7 +581,7 @@ class TestScenarios:
 
     @pytest.mark.parametrize("rows,n", [(1, 2), (3, 16), (8, 2048), (1, 16384)])
     def test_buffer_plans_allocate_their_declared_bytes_per_sample(self, rows, n):
-        link = _LinkBuffers(rows, n)
+        link = _LinkBuffers(build_plan(n, 1, 1), 10.0, rows)
         assert sum(buffer.nbytes for buffer in link.buffers) == _LinkBuffers.sample_bytes * rows * n
         assert sum(buffer.nbytes for buffer in link.cut(1).buffers) == _LinkBuffers.sample_bytes * n
         assert sum(buffer.nbytes for buffer in _scratch((rows, n))) == _SCRATCH_SAMPLE_BYTES * rows * n
@@ -839,6 +871,13 @@ class TestCli:
         assert cli_main(["--scenario", scenario, f"--snr-db={snr_db}", "--runs", "2", "--out", str(out)]) == 0
         cells = [row.split(",")[2:] for row in (out / f"{scenario}_runs.csv").read_text().splitlines()[1:]]
         assert cells and np.isfinite(np.array(cells, dtype=float)).all()
+
+    def test_fig7_at_a_subnormal_snr_counts_absolute_branch_gaps(self, tmp_path):
+        """At -3200 dB rho is subnormal and every MI is 0, so a relative gap would be 0 / 0."""
+        out = tmp_path / "out"
+        assert cli_main(["--scenario", "fig7", "--snr-db=-3200", "--runs", "2", "--out", str(out)]) == 0
+        summary = (out / "fig7_summary.txt").read_text()
+        assert "mean_branch_gap_rel=0\n" in summary and "max_branch_gap_rel=0\n" in summary
 
     @pytest.mark.parametrize("delta_f", ["nan", "inf"])
     def test_non_finite_spacing_is_reported(self, tmp_path, capsys, delta_f):
@@ -1189,8 +1228,7 @@ def test_link_chunks_are_bitwise_the_scaled_receiver_and_per_slice_means(case):
     n = plan.frame_size
     rho = None if snr_db == math.inf else 10.0 ** (snr_db / 10.0)
     rng = np.random.default_rng(seed)
-    slices = _slice_divisors(plan)
-    link = _LinkBuffers(rows, n)
+    link = _LinkBuffers(plan, rho, rows)
     rx_frames, rx_floats, rx_masks = (np.empty((2, rows, n), dtype) for dtype in (complex, float, bool))
     for r, erase in ((rows, True), (clean_rows, False)):
         index = rng.integers(0, 4, (r, n)).astype(np.uint64)
@@ -1222,7 +1260,7 @@ def test_link_chunks_are_bitwise_the_scaled_receiver_and_per_slice_means(case):
         chunk.noise[...], chunk.index[...] = noise, index
         evm = np.empty((len(plan.slices), r))
         errors = np.full(evm.shape, -1, dtype=np.int64)
-        chunk.measure(plan, slices, rho, evm, errors)
+        chunk.measure(evm, errors)
         want_evm, want_errors = loopback_statistics(want_estimate, sent, index, plan)
         assert evm.tobytes() == want_evm.tobytes()
         # Noiseless runs count no symbol errors; their rows are left alone.
@@ -1311,3 +1349,106 @@ def test_report_rows_are_the_per_record_str_format_rows(records):
     fh.write(experiments._SCENARIOS["table1"].files["report"] + "\n")
     fh.write(experiments._rows(experiments._REPORT_ROW, len(records), *zip(*records)))
     assert fh.getvalue() == report_text(records)
+
+
+# The config boundary by property: Python and numpy scalars of every kind
+# (bools too), ints beyond the int64 and the float ranges, signed zeros,
+# subnormals, nan, infinities and a float near the top of the range, and
+# empty and whitespace strings.
+_SCALAR_TYPES = (
+    int, float, str, np.str_, np.bool_, np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32,
+    np.uint64, np.float16, np.float32, np.float64, np.longdouble, np.complex128,
+)
+_ODD_VALUES = [
+    True, False, 0, -1, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.nan, math.inf, -math.inf,
+    2**63, -(2**63) - 1, 2**64, 10**400, -(10**400), 1e300, -1e300, "", " ", "\t\n",
+]
+# Values a field plausibly takes, at frames of at most 64 samples and at most 3 runs.
+_FIELD_VALUES = {
+    "scenario": sorted(experiments._SCENARIOS),
+    "n_fft": [2, 16, 64],
+    "delta_f_hz": [480e3, 1],
+    "profile": ["epa", "ETU"],
+    "snr_db": [10.0, 0, -3200, 3080],
+    "num_runs": [1, 3],
+    "depth": [0, 2, 6],
+    "cp_length": [0, 16, 64],
+    "seed": [0, 1, 2**32 + 1],
+    "mode": ["exact-fold", "literal-triangular"],
+    "output_dir": ["out", "a/b"],
+    "workers": [1, 2],
+}
+
+
+def _scalar_forms(value) -> list:
+    """``value`` as each of ``_SCALAR_TYPES`` that takes it."""
+    forms = []
+    for kind in _SCALAR_TYPES:
+        try:
+            with np.errstate(all="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                forms.append(kind(value))
+        except (ValueError, TypeError, OverflowError):
+            pass
+    return forms
+
+
+_FIELD_CANDIDATES = {
+    name: [form for value in values for form in _scalar_forms(value)] + _ODD_VALUES
+    for name, values in _FIELD_VALUES.items()
+}
+
+
+@st.composite
+def boundary_configs(draw):
+    """The fields of a small run of any scenario, one to three of them
+    replaced by a value from the field's candidates."""
+    scenario = draw(st.sampled_from(_FIELD_VALUES["scenario"]))
+    values = dict(
+        scenario=scenario, n_fft=64, delta_f_hz=480e3, profile="epa", snr_db=10.0,
+        num_runs=1 if experiments._SCENARIOS[scenario].one_run else 3, depth=2, cp_length=16, seed=1,
+        mode="exact-fold", output_dir="out", workers=1,
+    )
+    for name in draw(st.lists(st.sampled_from(sorted(_FIELD_CANDIDATES)), min_size=1, max_size=3, unique=True)):
+        values[name] = draw(st.sampled_from(_FIELD_CANDIDATES[name]))
+    return values
+
+
+def test_the_boundary_candidates_cover_every_field():
+    assert _FIELD_VALUES.keys() == {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+@settings(max_examples=400, deadline=None)
+@given(boundary_configs())
+def test_every_config_runs_to_finite_numbers_or_fails_cleanly(values):
+    """A run completes with only finite numbers in its CSV files, or raises
+    ValueError or TypeError. A config that ``_setup`` rejects leaves no
+    output directory; a config that it accepts fails only at the loopback
+    EVM floor."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as root:
+        os.chdir(root)
+        try:
+            config = ExperimentConfig(**values)
+            try:
+                paths = run_scenario(config)
+            except (ValueError, TypeError) as err:
+                try:
+                    experiments._setup(config)
+                except (ValueError, TypeError):
+                    assert os.listdir(root) == []
+                else:
+                    assert config.scenario == "loopback" and "EVM overflows a float" in str(err), err
+                return
+            for key, path in paths.items():
+                if key == "summary":
+                    continue
+                for row in list(csv.reader(path.read_text().splitlines()))[1:]:
+                    for cell in row:
+                        try:
+                            number = float(cell)
+                        except ValueError:
+                            continue
+                        assert math.isfinite(number), (key, row)
+        finally:
+            os.chdir(cwd)

@@ -172,8 +172,8 @@ def test_ci_replay_table_names_each_directory_once_and_every_config_validates():
 
 def test_experiments_imports_few_private_names_of_the_kernel_modules():
     """The scenarios reach the kernel modules' internals through a pinned
-    list of private names, and the link's through at most two: its chunk
-    buffers and what they run live in ``txrx``."""
+    list of private names, and the link's through one: its chunk buffers,
+    bound to the plan and the SNR, and what they run live in ``txrx``."""
     tree = ast.parse((SRC / "physlice" / "experiments.py").read_text())
     private: dict[str, list[str]] = {}
     for node in ast.walk(tree):
@@ -182,6 +182,6 @@ def test_experiments_imports_few_private_names_of_the_kernel_modules():
     assert private == {
         "channel": ["_draw_taps_into", "_profile_grid", "_read_key_values"],
         "mi": ["_SCRATCH_SAMPLE_BYTES", "_chain_levels_into", "_scratch"],
-        "txrx": ["_LinkBuffers", "_slice_divisors"],
+        "txrx": ["_LinkBuffers"],
     }
-    assert len(private["txrx"]) <= 2
+    assert len(private["txrx"]) <= 1

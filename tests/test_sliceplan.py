@@ -86,6 +86,8 @@ class TestBuildPlan:
             (100, 2, "frame size must be a power of two, got 100"),
             (16, 5, "depth 5 is invalid for frame size 16"),
             (16, -1, "depth -1 is invalid for frame size 16"),
+            # 1 << depth would overflow; the depth is compared with log2 of the size instead.
+            (16, 2**63, f"depth {2**63} is invalid for frame size 16"),
         ],
     )
     def test_every_plan_boundary_shares_one_check(self, frame_size, depth, message):

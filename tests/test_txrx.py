@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import warnings
 from types import SimpleNamespace
@@ -174,12 +175,19 @@ class TestTransmit:
         with pytest.raises(AttributeError):
             payload.symbols = ()
 
-    def test_frame_rejects_inconsistent_cyclic_prefix(self):
+    def test_cyclic_prefix_is_a_read_only_view_of_the_body_tail(self):
         plan = build_plan(8, 1, 2)
-        body = np.arange(8, dtype=complex)
-        with pytest.raises(ValueError, match="cyclic prefix"):
-            OfdmFrame(body=body, cyclic_prefix=np.zeros(2, complex), plan=plan)
-        OfdmFrame(body=body, cyclic_prefix=body[-2:].copy(), plan=plan)
+        assert [field.name for field in dataclasses.fields(OfdmFrame)] == ["body", "plan"]
+        body = np.arange(16, dtype=complex).reshape(2, 8)
+        prefix = OfdmFrame(body=body, plan=plan).cyclic_prefix
+        np.testing.assert_array_equal(prefix, body[:, -2:])
+        assert np.shares_memory(prefix, body) and not prefix.flags.writeable and body.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            prefix[...] = 0
+        sent = transmit(random_payload(np.random.default_rng(6), plan), plan)
+        assert np.shares_memory(sent.cyclic_prefix, sent.body)
+        with pytest.raises(ValueError, match="plan expects 8 samples"):
+            OfdmFrame(body=np.zeros((2, 7), complex), plan=plan)
 
 
 class TestPropagate:
