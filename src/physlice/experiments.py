@@ -416,9 +416,7 @@ def _rate_scenario(
     for runs, rngs, chunk_taps in _drawn_chunks(config, profile, taps, size):
         r = len(rngs)
         part = ChainMi(chunk.total[:r], chunk.positive[:r], chunk.negative[:r])
-        _chain_levels_into(
-            chunk_taps, n, depth, rho, config.mode, part.total, part.positive, part.negative, bins[:r], gains[:r]
-        )
+        _chain_levels_into(chunk_taps, rho, config.mode, part, bins[:r], gains[:r])
         residual = max(residual, part.max_residual_rel())
         run_ids = np.arange(runs.start, runs.stop).repeat(per_run).tolist()
         runs_csv.write(_rows(row, r, run_ids, part.slice_mi().ravel().tolist()))

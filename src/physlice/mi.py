@@ -20,23 +20,24 @@ child and the odd bins to the negative child:
   coincide while the channel fits in the slice and reproduce non-uniform
   splitting once it does not.
 
-The engine is one private kernel, ``_chain_levels_into``: it writes the
-root and per-level MI into result arrays it is handed, and builds every
-spectrum and log-gain vector in two scratch buffers it is handed too, one
-complex and one float of the taps' batch shape + (N,). In literal mode,
-level 1 is the root spectrum itself while the taps fit in N/2 samples, and
-levels 2 .. depth take their 2s-point FFTs in blocks laid one after another
-in the scratch, so one log-gain pass covers them all. Each N-point FFT is
-``channel._spectrum_into`` in the complex scratch. The Monte Carlo
-scenarios make those buffers (``_scratch``) once and have the kernel write
-each chunk of runs into their kept arrays. ``chain_mi`` is the validated public entry
+The engine is one private kernel, ``_chain_levels_into``: it writes the root
+and per-level MI into the arrays of a :class:`ChainMi` it is handed, whose
+shape gives the depth, and builds every spectrum and log-gain vector in two
+scratch buffers it is handed too, one complex and one float of the taps'
+batch shape + (N,), whose last axis gives N. In literal mode, level 1 is the
+root spectrum itself while the taps fit in N/2 samples, and levels 2 ..
+depth take their 2s-point FFTs in blocks laid one after another in the
+scratch, so one log-gain pass covers them all. Each N-point FFT is
+``channel._spectrum_into`` in the complex scratch. The Monte Carlo scenarios
+make those buffers (``_scratch``) once and have the kernel write each chunk
+of runs into their kept arrays. ``chain_mi`` is the validated public entry
 point: it checks its inputs, makes the result and scratch arrays for one
 call and runs the kernel. :class:`ChainMi` is the one result type: the
 scenarios read per-slice MI, residuals and the conservation check straight
 from its arrays. ``split_report`` is its case for one (L,) channel, a
-ChainMi of batch shape (). Every row of a batch is bit-identical to the
-same channel run on its own. No dense matrix is built on this path; the
-tests hold the engine to a dense log-det oracle and to the generator fold of
+ChainMi of batch shape (). Every row of a batch is bit-identical to the same
+channel run on its own. No dense matrix is built on this path; the tests
+hold the engine to a dense log-det oracle and to the generator fold of
 ``channel``.
 """
 
@@ -198,26 +199,18 @@ def _scratch(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
 
 
 def _chain_levels_into(
-    taps: np.ndarray,
-    size: int,
-    depth: int,
-    rho: float,
-    mode: str,
-    total: np.ndarray,
-    positive: np.ndarray,
-    negative: np.ndarray,
-    bins: np.ndarray,
-    gains: np.ndarray,
+    taps: np.ndarray, rho: float, mode: str, chain: ChainMi, bins: np.ndarray, gains: np.ndarray
 ) -> None:
-    """Root MI and the split of each level of the chain, from the taps' spectra.
+    """Root MI and the split of each level of the chain into ``chain``.
 
-    ``taps`` has shape B + (L,) with L <= size. Level k splits the positive
-    slice of the level above into two slices of size ``size >> k``; its
-    positive slice is the parent of level k + 1. The root MI goes into
-    ``total`` (B) and the children of level k into ``positive[..., k-1]``
-    and ``negative[..., k-1]``. ``bins`` (complex) and ``gains`` (float),
-    both C-contiguous B + (size,), are scratch: the spectra and their
-    log-gains are made in them, so the call allocates no frame-sized array.
+    ``taps`` has shape B + (L,) with L <= size, and ``chain.positive`` and
+    ``chain.negative`` B + (depth,). Level k splits the positive slice of the
+    level above into two slices of size ``size >> k``; its positive slice is
+    the parent of level k + 1. The root MI goes into ``chain.total`` (B) and
+    the children of level k into ``positive[..., k-1]`` and
+    ``negative[..., k-1]``. ``bins`` (complex) and ``gains`` (float), both
+    C-contiguous B + (size,), are scratch: the spectra and their log-gains
+    are made in them, so the call allocates no frame-sized array.
     Each ``size``-point FFT is ``channel._spectrum_into`` in ``bins``, which
     gives the bits of ``np.fft.fft(taps, size, axis=-1)``.
 
@@ -229,8 +222,10 @@ def _chain_levels_into(
     per row in all, and one log-gain pass covers every block. These short
     FFTs keep numpy's own padding: padding them by hand measured no faster.
     """
+    size, depth = bins.shape[-1], chain.positive.shape[-1]
+    positive, negative = chain.positive, chain.negative
     spectrum = _log_gains_into(_spectrum_into(taps, bins), rho, gains)
-    np.add.reduce(spectrum, axis=-1, out=total)
+    np.add.reduce(spectrum, axis=-1, out=chain.total)
     if mode == MODE_EXACT:
         # The parent of level k is the frame spectrum's residue class 0 mod 2^(k-1).
         for level in range(1, depth + 1):
@@ -278,7 +273,7 @@ def chain_mi(taps, frame_size: int, depth: int, snr, mode: str = MODE_EXACT) -> 
     batch = taps.shape[:-1]
     chain = ChainMi(np.empty(batch), np.empty(batch + (depth,)), np.empty(batch + (depth,)))
     bins, gains = _scratch(batch + (frame_size,))
-    _chain_levels_into(taps, frame_size, depth, rho, mode, chain.total, chain.positive, chain.negative, bins, gains)
+    _chain_levels_into(taps, rho, mode, chain, bins, gains)
     return chain
 
 

@@ -11,7 +11,7 @@ FFT-operation units that determines its latency rank.
 from __future__ import annotations
 
 import functools
-import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +78,14 @@ class SlicePlan:
         return inverse
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int; TypeError naming ``name`` if it is no integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def decode_cost(path: str, size: int) -> int:
     """Decode cost of one slice in FFT-operation units.
 
@@ -86,6 +94,7 @@ def decode_cost(path: str, size: int) -> int:
     operations for the mixer rotation ahead of its FFT. Size-1 leaves cost
     2 (negative) and 1 (positive) by convention.
     """
+    size = _integer("slice size", size)
     if size < 1 or not is_pow2(size):
         raise ValueError(f"slice size must be a positive power of two, got {size}")
     negative = path.endswith("-")
@@ -118,22 +127,25 @@ def build_plan(
     than the frame. ``channel_length`` is an optional hint of at least one
     tap: the cyclic prefix must cover it, and the plan is flagged
     non-uniform when the channel outgrows the smallest slice (the regime
-    where the two branches of a split stop sharing the rate evenly). A
-    length that is not an integer raises TypeError. Plans are immutable, so
-    the last 32 distinct argument sets are cached and their plans shared.
+    where the two branches of a split stop sharing the rate evenly). An
+    argument that is not an integer raises TypeError, and numpy integers
+    count as their Python ints. Plans are immutable, so the last 32 distinct
+    argument sets are cached and their plans shared.
     """
-    return _build_plan(frame_size, depth, cp_length, channel_length)
+    if channel_length is not None:
+        channel_length = _integer("channel length", channel_length)
+    return _build_plan(
+        _integer("frame size", frame_size), _integer("depth", depth), _integer("cyclic prefix length", cp_length),
+        channel_length,
+    )
 
 
 # The cache sits behind the plain function above so that tools which wrap a
-# module's functions (the benchmark's call spans) still see build_plan. It is
-# typed, so a float size is rejected even after the same int size was cached.
-@functools.lru_cache(maxsize=32, typed=True)
+# module's functions (the benchmark's call spans) still see build_plan, and
+# so that it keys on the Python ints of the arguments.
+@functools.lru_cache(maxsize=32)
 def _build_plan(frame_size: int, depth: int, cp_length: int, channel_length: int | None) -> SlicePlan:
     check_plan(frame_size, depth)
-    for name, length in (("cyclic prefix", cp_length), ("channel", channel_length)):
-        if length is not None and not isinstance(length, numbers.Integral):
-            raise TypeError(f"{name} length must be an integer, got {length!r}")
     if channel_length is not None and channel_length < 1:
         raise ValueError(f"channel length must be at least 1, got {channel_length}")
     if cp_length < 0:
@@ -166,7 +178,7 @@ def _build_plan(frame_size: int, depth: int, cp_length: int, channel_length: int
     uniform_floor = None
     if channel_length is not None:
         non_uniform = channel_length > frame_size >> depth
-        uniform_floor = 1 << (int(channel_length) - 1).bit_length()
+        uniform_floor = 1 << (channel_length - 1).bit_length()
     return SlicePlan(
         frame_size=frame_size,
         depth=depth,

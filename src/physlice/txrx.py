@@ -20,11 +20,12 @@ receive:   one unitary N-point DFT, one-tap zero-forcing equalization against
            gathered back into frame order through ``bin_order``.
 
 Each stage is a private kernel (``_transmit_into``, ``_propagate_into``,
-``_receive_into``) that writes every FFT and element-wise result into
-arrays its caller passes in. The public functions allocate those arrays
-and call the kernels; the loopback scenario runs every chunk of frames
-through one set of chunk buffers, ``_LinkBuffers``, whose docstring says
-what each buffer holds and which aliases the kernels allow.
+``_receive_into``) that runs its FFTs in place in the frames array it
+produces and writes every other result into arrays its caller passes in. The
+public functions allocate those arrays, change no input and call the
+kernels; the loopback scenario runs every chunk of frames through one set of
+chunk buffers, ``_LinkBuffers``, whose docstring says what each buffer holds
+and which aliases the kernels allow.
 
 A channel is its taps: one (L,) array shared by a batch, or one row per
 frame, such as the (R, L) taps of ``channel.draw_taps``.
@@ -183,19 +184,19 @@ def transmit(payload: SlicePayload, plan: SlicePlan) -> OfdmFrame:
     if not np.all(np.isfinite(frames)):
         raise ValueError("payload contains non-finite symbols")
     body = np.empty(frames.shape, dtype=np.complex128)
-    _transmit_into(frames, plan.inverse_bin_order, np.empty_like(body), body)
+    _transmit_into(frames, plan.inverse_bin_order, body)
     return OfdmFrame(body=body, plan=plan)
 
 
-def _transmit_into(frames: np.ndarray, inverse_order: np.ndarray, spectrum: np.ndarray, body: np.ndarray) -> None:
+def _transmit_into(frames: np.ndarray, inverse_order: np.ndarray, body: np.ndarray) -> None:
     """Frame bodies of :func:`transmit` into ``body``: the frame-order
     symbols ``frames`` laid out on their bins through ``inverse_order`` (the
-    plan's ``inverse_bin_order``) in ``spectrum``, then one unitary IDFT.
+    plan's ``inverse_bin_order``), then one unitary IDFT in place.
     ``_LinkBuffers`` gives the aliases it allows."""
     # A permutation never leaves the index range, so "clip" clips nothing; it
-    # lets take write into ``spectrum`` without a buffered copy.
-    np.take(frames, inverse_order, axis=-1, out=spectrum, mode="clip")
-    np.fft.ifft(spectrum, axis=-1, out=body)
+    # lets take write into ``body`` without a buffered copy.
+    np.take(frames, inverse_order, axis=-1, out=body, mode="clip")
+    np.fft.ifft(body, axis=-1, out=body)
     body *= np.sqrt(body.shape[-1])
 
 
@@ -247,27 +248,22 @@ def propagate(frame: OfdmFrame, taps, snr=None, rng=None) -> np.ndarray:
     rho = _noise_rho(snr)
     noise = None if rho is None else _standard_normals(rng, body.shape)
     received = np.empty(body.shape, dtype=np.complex128)
-    _propagate_into(body, np.fft.fft(taps, n, axis=-1), rho, noise, np.empty_like(received), received)
+    _propagate_into(body, np.fft.fft(taps, n, axis=-1), rho, noise, received)
     return received
 
 
 def _propagate_into(
-    body: np.ndarray,
-    gains: np.ndarray,
-    rho: float | None,
-    noise: np.ndarray | None,
-    spectrum: np.ndarray,
-    received: np.ndarray,
+    body: np.ndarray, gains: np.ndarray, rho: float | None, noise: np.ndarray | None, received: np.ndarray
 ) -> None:
     """:func:`propagate` of frame bodies through channels of frequency
     response ``gains`` (the N-point FFT of the taps), unchecked, into
-    ``received``. ``noise`` holds the standard normals of
-    :func:`_standard_normals` and is scaled in place; it is unused when
-    ``rho`` is None. ``spectrum`` is scratch. ``_LinkBuffers`` gives the
-    aliases it allows."""
-    np.fft.fft(body, axis=-1, out=spectrum)
-    spectrum *= gains
-    np.fft.ifft(spectrum, axis=-1, out=received)
+    ``received``, whose spectrum it takes in place. ``noise`` holds the
+    standard normals of :func:`_standard_normals` and is scaled in place; it
+    is unused when ``rho`` is None. ``_LinkBuffers`` gives the aliases it
+    allows."""
+    np.fft.fft(body, axis=-1, out=received)
+    received *= gains
+    np.fft.ifft(received, axis=-1, out=received)
     if rho is None:
         return
     # Unit average signal power is guaranteed by the unitary chain and
@@ -300,15 +296,12 @@ def receive(y, plan: SlicePlan, taps) -> SlicePayload:
 def _receive(y: np.ndarray, plan: SlicePlan, gains: np.ndarray) -> SlicePayload:
     """:func:`receive` of complex frames ``y`` through channels of frequency
     response ``gains`` (the N-point FFT of the taps), unchecked; neither
-    input is changed."""
-    gains = np.array(gains, dtype=np.complex128)
+    input is changed: the kernel runs on copies of both."""
+    y, gains = np.array(y), np.array(gains, dtype=np.complex128)
     magnitude, squares = np.empty((2,) + gains.shape)
     estimate = np.empty(y.shape, dtype=np.complex128)
     erasures = np.empty(y.shape, dtype=bool)
-    _receive_into(
-        y, gains, plan.bin_order, np.empty_like(estimate), magnitude, squares, np.empty(gains.shape, dtype=bool),
-        estimate, erasures,
-    )
+    _receive_into(y, gains, plan.bin_order, magnitude, squares, np.empty(gains.shape, dtype=bool), estimate, erasures)
     return SlicePayload(frames=estimate, plan=plan, erasures=erasures)
 
 
@@ -316,7 +309,6 @@ def _receive_into(
     y: np.ndarray,
     gains: np.ndarray,
     order: np.ndarray,
-    spectrum: np.ndarray,
     magnitude: np.ndarray,
     squares: np.ndarray,
     erased: np.ndarray,
@@ -325,10 +317,10 @@ def _receive_into(
 ) -> None:
     """:func:`receive` of complex frames ``y`` through channels of frequency
     response ``gains``, unchecked: the frame-order estimates into
-    ``estimate`` and their erasure mask into ``erasures``. ``gains`` is
-    overwritten with the divisor (1 at the erased bins). ``magnitude``,
-    ``squares`` and ``erased`` (of the gains' shape) and ``spectrum`` (of the
-    frames' shape) are scratch. The erasure pass runs only when some bin is
+    ``estimate`` and their erasure mask into ``erasures``. ``y`` is
+    overwritten with its equalized spectrum and ``gains`` with the divisor
+    (1 at the erased bins). ``magnitude``, ``squares`` and ``erased`` (of the
+    gains' shape) are scratch. The erasure pass runs only when some bin is
     erased. ``_LinkBuffers`` gives the aliases it allows.
 
     The orthonormal DFT multiplies each bin by 1/sqrt(N) inside the FFT.
@@ -345,11 +337,11 @@ def _receive_into(
     any_erased = erased.any()
     if any_erased:
         np.copyto(gains, 1.0, where=erased)
-    np.fft.fft(y, axis=-1, out=spectrum, norm="ortho")
-    spectrum /= gains
-    np.take(spectrum, order, axis=-1, out=estimate, mode="clip")
+    np.fft.fft(y, axis=-1, out=y, norm="ortho")
+    y /= gains
+    np.take(y, order, axis=-1, out=estimate, mode="clip")
     if any_erased:
-        np.take(np.broadcast_to(erased, spectrum.shape), order, axis=-1, out=erasures, mode="clip")
+        np.take(np.broadcast_to(erased, y.shape), order, axis=-1, out=erasures, mode="clip")
         np.copyto(estimate, 0.0, where=erasures)
     else:
         erasures[...] = False
@@ -395,13 +387,14 @@ class _LinkBuffers:
        errors, squares them into ``floats[1]``, and takes ``words`` and
        ``erased`` for the hard decisions, whose misses go into ``erasures``.
 
-    The kernels allow these aliases and no other; numpy 2's FFT in place
-    gives the bits of the out-of-place one. ``_transmit_into``: ``body`` may
-    be ``spectrum``; ``frames`` shares no memory with them (``np.take``
-    would buffer a copy of its output). ``_propagate_into``: ``body``,
-    ``spectrum`` and ``received`` may be one array. ``_receive_into``:
-    ``spectrum`` may be ``y``, and ``estimate`` may be ``y`` or ``gains`` (of
-    the frames' shape), since it is gathered after the division.
+    Every kernel runs its FFTs in place, in the frames array it produces
+    (numpy 2's FFT in place gives the bits of the out-of-place one), and
+    allows these aliases and no other. ``_transmit_into``: ``frames`` shares
+    no memory with ``body`` (``np.take`` would buffer a copy of its output).
+    ``_propagate_into``: ``received`` may be ``body``. ``_receive_into``
+    overwrites ``y`` with its spectrum; ``estimate`` may be ``gains`` (of
+    the frames' shape), since it is gathered after the division, but not
+    ``y``, or ``np.take`` buffers a copy.
     """
 
     sample_bytes = sum(
@@ -451,7 +444,7 @@ class _LinkBuffers:
             raw[...] = rng.bit_generator.random_raw(n)
         _qpsk_index(self.words, self.index)
         _QPSK.take(self.indices, out=self.gains, mode="clip")
-        _transmit_into(self.gains, self.plan.inverse_bin_order, self.signal, self.signal)
+        _transmit_into(self.gains, self.plan.inverse_bin_order, self.signal)
         _spectrum_into(taps, self.gains)
         if self.rho is not None:
             _normals_into(rngs, self.noise)
@@ -464,8 +457,8 @@ class _LinkBuffers:
         ``errors`` (left alone when ``rho`` is None: noiseless runs make no
         symbol errors)."""
         rho, signal, estimate = self.rho, self.signal, self.gains
-        _propagate_into(signal, estimate, rho, self.noise, signal, signal)
-        _receive_into(signal, estimate, self.plan.bin_order, signal, *self.floats, self.erased, estimate, self.erasures)
+        _propagate_into(signal, estimate, rho, self.noise, signal)
+        _receive_into(signal, estimate, self.plan.bin_order, *self.floats, self.erased, estimate, self.erasures)
         # Element-wise work on whole frames; each sum covers one slice, the same
         # sums that np.mean and np.count_nonzero take.
         sent = _QPSK.take(self.indices, out=signal, mode="clip")

@@ -1240,22 +1240,21 @@ def test_link_chunks_are_bitwise_the_scaled_receiver_and_per_slice_means(case):
             gains[:, zero_bins] = 0.0
         noise = rng.standard_normal((r, 2, n))
         received = np.empty((r, n), complex)
-        _transmit_into(sent, plan.inverse_bin_order, np.empty_like(received), received)
-        _propagate_into(received, gains, rho, noise.copy(), np.empty_like(received), received)
+        _transmit_into(sent, plan.inverse_bin_order, received)
+        _propagate_into(received, gains, rho, noise.copy(), received)
         want_estimate, want_erasures = scaled_receive(received, plan, gains)
         assert want_erasures.any() == erase
 
         spectrum, estimate = rx_frames[:, :r]
         erased, erasures = rx_masks[:, :r]
-        _receive_into(
-            received.copy(), gains.copy(), plan.bin_order, spectrum, *rx_floats[:, :r], erased, estimate, erasures
-        )
+        spectrum[...] = received
+        _receive_into(spectrum, gains.copy(), plan.bin_order, *rx_floats[:, :r], erased, estimate, erasures)
         np.testing.assert_array_equal(estimate, want_estimate)
         np.testing.assert_array_equal(erasures, want_erasures)
 
         chunk = link.cut(r)
         chunk.gains[...] = sent
-        _transmit_into(chunk.gains, plan.inverse_bin_order, chunk.signal, chunk.signal)
+        _transmit_into(chunk.gains, plan.inverse_bin_order, chunk.signal)
         chunk.gains[...] = gains
         chunk.noise[...], chunk.index[...] = noise, index
         evm = np.empty((len(plan.slices), r))

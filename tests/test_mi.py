@@ -455,12 +455,13 @@ def chain_buffers(rows, n, depth):
     return *results, np.empty((rows, n), complex), np.empty((rows, n))
 
 
-def run_chain_kernel(taps, n, depth, rho, mode, buffers):
+def run_chain_kernel(taps, rho, mode, buffers):
     """The kernel on (r, L) taps in rows [:r] of ``buffers``: copies of the
-    total, positive and negative MI it writes."""
+    total, positive and negative MI it writes. The frame size and the depth
+    are those of the buffers."""
     r = len(taps)
     total, positive, negative, bins, gains = (b[:r] for b in buffers)
-    _chain_levels_into(taps, n, depth, rho, mode, total, positive, negative, bins, gains)
+    _chain_levels_into(taps, rho, mode, ChainMi(total, positive, negative), bins, gains)
     return total.copy(), positive.copy(), negative.copy()
 
 
@@ -490,7 +491,7 @@ class TestChainKernel:
     def test_kernel_is_bitwise_the_allocating_engine(self, case, mode, rho):
         rows, n, depth, length, seed = case
         taps = random_taps(np.random.default_rng(seed), (rows, length))
-        got = run_chain_kernel(taps, n, depth, rho, mode, chain_buffers(rows, n, depth))
+        got = run_chain_kernel(taps, rho, mode, chain_buffers(rows, n, depth))
         for have, want in zip(got, chain_levels(taps, n, depth, rho, mode), strict=True):
             assert have.shape == want.shape
             assert np.array_equal(have, want)
@@ -513,8 +514,8 @@ class TestChainKernel:
         ]
         for r, mode, length in chunks:
             taps = random_taps(rng, (r, length))
-            reused = run_chain_kernel(taps, n, depth, 10.0, mode, buffers)
-            fresh = run_chain_kernel(taps, n, depth, 10.0, mode, chain_buffers(r, n, depth))
+            reused = run_chain_kernel(taps, 10.0, mode, buffers)
+            fresh = run_chain_kernel(taps, 10.0, mode, chain_buffers(r, n, depth))
             for got, want, oracle in zip(reused, fresh, chain_levels(taps, n, depth, 10.0, mode), strict=True):
                 assert got.tobytes() == want.tobytes() == oracle.tobytes()
 

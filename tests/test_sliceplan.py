@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -60,17 +61,35 @@ class TestBuildPlan:
             build_plan(8, 2, 3, channel_length=channel_length)
 
     @pytest.mark.parametrize(
-        "lengths,name",
-        [(dict(cp_length=2.5), "cyclic prefix"), (dict(cp_length=3, channel_length=2.5), "channel")],
+        "arguments,message",
+        [
+            (dict(cp_length=2.5), "cyclic prefix length must be an integer, got 2.5"),
+            (dict(cp_length=3, channel_length=2.5), "channel length must be an integer, got 2.5"),
+            (dict(frame_size=8.0), "frame size must be an integer, got 8.0"),
+            (dict(frame_size=np.float64(8)), "frame size must be an integer, got np.float64(8.0)"),
+            (dict(depth=2.0), "depth must be an integer, got 2.0"),
+            (dict(cp_length="3"), "cyclic prefix length must be an integer, got '3'"),
+        ],
     )
-    def test_rejects_a_length_that_is_not_an_integer(self, lengths, name):
-        with pytest.raises(TypeError, match=f"^{name} length must be an integer, got 2.5$"):
-            build_plan(8, 2, **lengths)
+    def test_rejects_an_argument_that_is_not_an_integer(self, arguments, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            build_plan(**{"frame_size": 8, "depth": 2, "cp_length": 3, **arguments})
 
-    def test_accepts_numpy_integer_lengths(self):
-        plan = build_plan(8, 2, np.int64(3), channel_length=np.int64(2))
-        assert plan == build_plan(8, 2, 3, channel_length=2)
+    @pytest.mark.parametrize(
+        "arguments",
+        [
+            (8, 2, np.int64(3), np.int64(2)),
+            (np.int64(8), 2, 3, 2),
+            (8, np.int64(2), 3, 2),
+            (np.uint16(8), np.int8(2), np.int32(3), np.int64(2)),
+        ],
+    )
+    def test_accepts_numpy_integer_arguments_as_their_python_ints(self, arguments):
+        plan = build_plan(*arguments)
+        assert plan is build_plan(8, 2, 3, channel_length=2)
         assert plan.uniform_floor == 2 and not plan.non_uniform
+        fields = (plan.frame_size, plan.depth, plan.cp_length, plan.uniform_floor, *(d.size for d in plan.slices))
+        assert all(type(field) is int for field in fields)
 
     def test_rejects_excess_depth(self):
         with pytest.raises(ValueError):
@@ -180,6 +199,13 @@ class TestCosts:
             assert decode_cost("-", size) == ops
         assert decode_cost("-", 1) == 2
         assert decode_cost("+", 1) == 1
+
+    def test_numpy_integer_sizes_cost_their_python_ints(self):
+        for size in (1, 2, 128):
+            assert decode_cost("-", np.int64(size)) == decode_cost("-", size)
+            assert decode_cost("+", np.uint8(size)) == decode_cost("+", size)
+        with pytest.raises(TypeError, match=r"^slice size must be an integer, got 128\.0$"):
+            decode_cost("-", 128.0)
 
     def test_positive_slice_is_plain_fft_count(self):
         assert decode_cost("+++", 256) == 256 * 8

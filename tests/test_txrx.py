@@ -20,6 +20,7 @@ from physlice.txrx import (
     _receive,
     _receive_into,
     _transmit_into,
+    EQUALIZER_ERASURE_THRESHOLD,
     OfdmFrame,
     SlicePayload,
     demodulate,
@@ -767,14 +768,34 @@ def run_link_kernels(frames, gains, noise, rho, plan, buffers):
     ``buffers``: copies of the body, the received frames, the estimates and
     the erasure mask. Neither input is changed."""
     r = len(frames)
-    (spectrum, signal), floats, (erased, erasures) = (b[:, :r] for b in buffers)
+    (signal, estimate), floats, (erased, erasures) = (b[:, :r] for b in buffers)
     gains = gains.copy()
-    _transmit_into(frames, plan.inverse_bin_order, spectrum, signal)
+    _transmit_into(frames, plan.inverse_bin_order, signal)
     body = signal.copy()
-    _propagate_into(signal, gains, rho, noise.copy(), spectrum, signal)
+    _propagate_into(signal, gains, rho, noise.copy(), signal)
     received = signal.copy()
-    _receive_into(signal, gains, plan.bin_order, spectrum, *floats, erased, signal, erasures)
-    return body, received, signal.copy(), erasures.copy()
+    _receive_into(signal, gains, plan.bin_order, *floats, erased, estimate, erasures)
+    return body, received, estimate.copy(), erasures.copy()
+
+
+def out_of_place_link(frames, gains, noise, rho, plan):
+    """The kernel chain of :func:`run_link_kernels` as numpy's out-of-place
+    calls, each result a new array: the body, the received frames, the
+    estimates and the erasure mask."""
+    n = frames.shape[-1]
+    body = np.fft.ifft(np.take(frames, plan.inverse_bin_order, axis=-1), axis=-1) * np.sqrt(n)
+    received = np.fft.ifft(np.fft.fft(body, axis=-1) * gains, axis=-1)
+    if rho is not None:
+        scaled = noise * np.sqrt(1.0 / (2.0 * rho))
+        noisy = np.empty_like(received)
+        noisy.real, noisy.imag = received.real + scaled[..., 0, :], received.imag + scaled[..., 1, :]
+        received = noisy
+    magnitude = np.abs(gains)
+    rms = np.sqrt(np.add.reduce(np.square(magnitude), axis=-1, keepdims=True) / n)
+    erased = magnitude <= EQUALIZER_ERASURE_THRESHOLD * rms
+    spectrum = np.fft.fft(received, axis=-1, norm="ortho") / np.where(erased, 1.0, gains)
+    erasures = np.take(np.broadcast_to(erased, spectrum.shape), plan.bin_order, axis=-1)
+    return body, received, np.where(erasures, 0.0, np.take(spectrum, plan.bin_order, axis=-1)), erasures
 
 
 @pytest.mark.parametrize("rho", [100.0, None])
@@ -803,12 +824,12 @@ def test_link_kernels_carry_no_state_between_chunks_on_reused_buffers(rho):
 
 
 @pytest.mark.parametrize("rho", [100.0, None])
-def test_link_kernels_give_the_same_bits_on_the_loopback_aliases(rho):
-    """The loopback's chain on two complex frames, ``signal`` and ``gains``:
-    the symbols are transmitted from ``gains`` into ``signal`` (the
-    transmit's spectrum is its body), the channel and the receiver
-    transform ``signal`` in place (their spectrum is the frames), and the
-    estimates go into ``gains``. Each result is bitwise the unaliased one."""
+def test_link_kernels_in_place_on_the_loopback_aliases_are_bitwise_numpy_out_of_place(rho):
+    """The loopback's chain on two complex frames, ``signal`` and ``shared``:
+    the symbols are transmitted from ``shared`` into ``signal``, the channel
+    and the receiver transform ``signal`` in place, and the estimates go
+    into ``shared``, which held the gains. Each result is bitwise that of
+    numpy's out-of-place calls, each into a new array."""
     rng = np.random.default_rng(43)
     n, rows, length = 64, 3, 6
     plan = build_plan(n, 3, length)
@@ -818,17 +839,44 @@ def test_link_kernels_give_the_same_bits_on_the_loopback_aliases(rho):
         if erase:
             gains[1, 5] = 0.0
         noise = rng.standard_normal((rows, 2, n))
-        want = run_link_kernels(frames, gains, noise, rho, plan, link_buffers(rows, n))
+        want = out_of_place_link(frames, gains, noise, rho, plan)
 
         signal, shared = np.empty((2, rows, n), complex)
         _, floats, (erased, erasures) = link_buffers(rows, n)
         shared[...] = frames
-        _transmit_into(shared, plan.inverse_bin_order, signal, signal)
+        _transmit_into(shared, plan.inverse_bin_order, signal)
         body = signal.copy()
         shared[...] = gains
-        _propagate_into(signal, shared, rho, noise.copy(), signal, signal)
+        _propagate_into(signal, shared, rho, noise.copy(), signal)
         received = signal.copy()
-        _receive_into(signal, shared, plan.bin_order, signal, *floats, erased, shared, erasures)
+        _receive_into(signal, shared, plan.bin_order, *floats, erased, shared, erasures)
         for got, expected in zip((body, received, shared, erasures), want, strict=True):
+            assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
         assert erasures.any() == erase
+
+
+def test_public_link_calls_leave_their_inputs_unchanged():
+    """``np.asarray`` hands complex128 C-contiguous inputs through as the
+    caller's own arrays; every public link call, and ``_receive``, leaves
+    their bytes as they were."""
+    rng = np.random.default_rng(44)
+    n, rows, length = 64, 3, 6
+    plan = build_plan(n, 3, length)
+    taps = random_taps(rng, (rows, length))
+    payload = modulate(rng.integers(0, 2, (rows, 2 * n)), plan)
+    y = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    gains = np.fft.fft(taps, n, axis=-1)
+    gains[1, 5] = 0.0
+    inputs = (payload.frames, taps, y, gains)
+    assert all(a.dtype == np.complex128 and a.flags.c_contiguous for a in inputs)
+    before = [a.tobytes() for a in inputs]
+
+    frame = transmit(payload, plan)
+    body = frame.body.tobytes()
+    for noise_rng in (np.random.default_rng(1), [np.random.default_rng(seed) for seed in range(rows)]):
+        propagate(frame, taps, snr=10.0, rng=noise_rng)
+        assert frame.body.tobytes() == body
+    receive(y, plan, taps)
+    assert _receive(y, plan, gains).erasures.any()
+    assert [a.tobytes() for a in inputs] == before
