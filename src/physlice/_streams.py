@@ -114,11 +114,14 @@ def stream_words(seed: int, run_ids: range) -> np.ndarray:
 class _SeedWords(ISeedSequence):
     """Hands PCG64 the four uint64 words :func:`stream_words` hashed for a run."""
 
+    __slots__ = ("_words",)
+
     def __init__(self, words: np.ndarray):
         self._words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
+        # PCG64 asks for np.uint64 itself: the identity test skips np.dtype().
+        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
             raise ValueError(f"only the 4 uint64 words of a PCG64 seed are held, not {n_words} of {dtype}")
         return self._words
 

@@ -8,17 +8,19 @@ directory is made. It then opens and heads every file of the scenario,
 calls the runner with the open CSV files and writes the summary it returns.
 
 The Monte Carlo scenarios run their realizations in chunks of consecutive
-runs on a leading batch axis, as many as fit in ``_CHUNK_BYTES`` of the
-scenario's buffers (``_chunk_runs``). One generator, ``_drawn_chunks``,
-draws every scenario's runs: each run draws from its own RNG stream,
-bitwise ``np.random.default_rng([seed, run_id])``, whose seed words are
-hashed for ``_MAX_CHUNK_RUNS`` chunks of runs at a time, one vectorized
-SeedSequence pass per block (``_streams.stream_words``); each chunk builds
-its runs' Generators from their rows and draws their channels first, with
-one call of the tap-draw kernel ``channel._draw_taps_into``. A scenario
-makes its buffers once and cuts them to ``[:r]`` rows for a short last
-chunk: the tap draw, the link (``txrx._LinkBuffers``, bound to the plan
-and the SNR, whose docstring gives each buffer's roles) and the MI kernel
+runs on a leading batch axis, as many as fit in the chunk budget of the
+scenario's buffer plan (``_chunk_runs``: ``_LINK_CHUNK_BYTES`` for the link,
+``_MI_CHUNK_BYTES`` for the MI engine), at most ``_MAX_CHUNK_RUNS``. One
+generator, ``_drawn_chunks``, draws every scenario's runs: each run draws
+from its own RNG stream, bitwise ``np.random.default_rng([seed, run_id])``,
+whose seed words are hashed for a block of whole chunks of at most
+``_HASH_BLOCK_RUNS`` runs at a time, one vectorized SeedSequence pass per
+block (``_streams.stream_words``); each chunk builds its runs' Generators
+from their rows and draws their channels first, with one call of the
+tap-draw kernel ``channel._draw_taps_into``. A scenario makes its buffers
+once and cuts them to ``[:r]`` rows for a short last chunk: the tap draw,
+the link (``txrx._LinkBuffers``, bound to the plan and the SNR, whose
+docstring gives each buffer's roles) and the MI kernel
 ``mi._chain_levels_into`` write every result into them, so no chunk
 allocates a frame-sized array.
 Each chunk writes its runs' CSV rows as it finishes, with one ``%`` call
@@ -86,19 +88,27 @@ _CDF_BLOCK_ROWS = 1024
 # adds about 6 MB and 25 ms to ``import physlice``; the first run of a
 # scenario loads it either way.
 
-# Bytes of chunk buffers per chunk: a chunk holds as many runs as fit at its
-# buffers' bytes per frame sample (``txrx._LinkBuffers``, ``mi._scratch``). A
-# larger chunk spreads a chunk's fixed numpy calls and per-slice loops over
-# more runs; a small budget keeps the peak memory near that of one run.
-_CHUNK_BYTES = 928 * 1024
+# Bytes of chunk buffers per chunk, one budget per buffer plan: a chunk holds
+# as many runs as fit at its plan's bytes per frame sample
+# (``txrx._LinkBuffers``, ``mi._scratch``). A larger chunk spreads a chunk's
+# fixed numpy calls and per-slice loops over more runs, and adds its buffers
+# to the peak memory. The link's budget is 16384 frame samples (8 frames at
+# N = 2048); the MI engine's is 28 runs at N = 2048: a larger chunk measured
+# at most 2 % faster and nears the bound of the fig8 memory test.
+_LINK_CHUNK_BYTES = 928 * 1024
+_MI_CHUNK_BYTES = 1344 * 1024
 # The largest n_fft, and snr_db of a scenario that computes MI: one run's link
 # buffers take 58 MB at 2**20 samples, and at 3000 dB (rho = 1e300) rho *
 # |gain|^2 overflows only at a bin gain of 1.3e4 (a 20-run fig9 does at 3080).
 _MAX_N_FFT = 2**20
 _MAX_MI_SNR_DB = 3000
-# Each run of a chunk also holds a Generator of about 0.75 KB. The seed
-# words of the runs are hashed for this many chunks at a time.
+# Each run of a chunk also holds a Generator of about 0.75 KB, so no chunk
+# holds more runs than this.
 _MAX_CHUNK_RUNS = 64
+# The seed words of the runs are hashed one block of whole chunks at a time,
+# at most this many runs unless one chunk holds more: the hash takes about
+# 150 B of words and temporaries per run of the block.
+_HASH_BLOCK_RUNS = 1024
 
 
 @dataclass
@@ -275,11 +285,11 @@ def empirical_cdf(samples) -> EmpiricalCdf:
     return EmpiricalCdf(values=ordered, probs=probs)
 
 
-def _chunk_runs(n_fft: int, sample_bytes: int) -> int:
-    """Runs per chunk of a scenario that holds ``sample_bytes`` of buffers
-    per frame sample: ``_CHUNK_BYTES // (sample_bytes * n_fft)``, clipped to
-    1 .. ``_MAX_CHUNK_RUNS``."""
-    return min(max(1, _CHUNK_BYTES // (sample_bytes * n_fft)), _MAX_CHUNK_RUNS)
+def _chunk_runs(n_fft: int, sample_bytes: int, budget: int) -> int:
+    """Runs per chunk of a scenario whose buffer plan holds ``sample_bytes``
+    per frame sample within ``budget`` bytes: ``budget // (sample_bytes *
+    n_fft)``, clipped to 1 .. ``_MAX_CHUNK_RUNS``."""
+    return min(max(1, budget // (sample_bytes * n_fft)), _MAX_CHUNK_RUNS)
 
 
 def _drawn_chunks(config: ExperimentConfig, profile: ChannelProfile, taps: int, size: int):
@@ -289,7 +299,8 @@ def _drawn_chunks(config: ExperimentConfig, profile: ChannelProfile, taps: int, 
     the Generators of its runs, and the yielded ``taps`` is a complex
     (r, ``taps``) view of one reused buffer: row i is the channel that run i
     drew first from its stream (``channel._draw_taps_into``). The seed words
-    are hashed for ``_MAX_CHUNK_RUNS`` chunks at a time, so the hash holds
+    are hashed one block of whole chunks at a time, at most
+    ``_HASH_BLOCK_RUNS`` runs unless one chunk holds more, so the hash holds
     one block of runs, not every run; each chunk builds its Generators from
     its rows of the read-only words. The caller runs the chunks one after
     another, whatever ``workers`` says."""
@@ -299,7 +310,7 @@ def _drawn_chunks(config: ExperimentConfig, profile: ChannelProfile, taps: int, 
     rows = min(config.num_runs, size)
     draws = np.empty((rows, 2, scale.size))
     buffer = np.empty((rows, taps), dtype=np.complex128)
-    block = size * _MAX_CHUNK_RUNS
+    block = size * max(1, _HASH_BLOCK_RUNS // size)
     for first in range(0, config.num_runs, block):
         words = stream_words(config.seed, range(first, min(first + block, config.num_runs)))
         for start in range(0, len(words), size):
@@ -407,7 +418,7 @@ def _rate_scenario(
     arrays the next chunk overwrites; ``runs`` is the slice of its run ids."""
     n, depth = config.n_fft, config.depth
     rho = config.snr.rho
-    size = _chunk_runs(n, _SCRATCH_SAMPLE_BYTES)
+    size = _chunk_runs(n, _SCRATCH_SAMPLE_BYTES, _MI_CHUNK_BYTES)
     rows = min(config.num_runs, size)
     chunk = ChainMi(np.empty(rows), np.empty((rows, depth)), np.empty((rows, depth)))
     bins, gains = _scratch((rows, n))
@@ -613,7 +624,7 @@ def _run_loopback(config: ExperimentConfig, plan: SlicePlan, profile: ChannelPro
     off. The summary's error counts are the slices' totals, summed a chunk
     at a time.
     """
-    size = _chunk_runs(config.n_fft, _LinkBuffers.sample_bytes)
+    size = _chunk_runs(config.n_fft, _LinkBuffers.sample_bytes, _LINK_CHUNK_BYTES)
     rows = min(config.num_runs, size)
     link = _LinkBuffers(plan, config.snr, rows)
     num_slices = len(plan.slices)

@@ -108,10 +108,12 @@ def decode_cost(path: str, size: int) -> int:
 
 def check_plan(frame_size: int, depth: int) -> None:
     """Reject a frame size that is not a power of two, or a depth that does
-    not fit it (depth < 0 or 2^depth > frame_size)."""
+    not fit it (depth < 0 or 2^depth > frame_size). An argument that is not
+    an integer raises TypeError; numpy integers count as their Python ints."""
+    frame_size, depth = _integer("frame size", frame_size), _integer("depth", depth)
     if not is_pow2(frame_size):
         raise ValueError(f"frame size must be a power of two, got {frame_size}")
-    if depth < 0 or depth > int(frame_size).bit_length() - 1:
+    if depth < 0 or depth > frame_size.bit_length() - 1:
         raise ValueError(f"depth {depth} is invalid for frame size {frame_size}")
 
 

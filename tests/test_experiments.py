@@ -32,6 +32,16 @@ from physlice.txrx import _QPSK, _LinkBuffers, _propagate_into, _receive_into, _
 from oracles import cdf_text, link_rows, loopback_statistics, mi_rows, report_text, scaled_receive
 
 
+def link_chunk(n_fft: int) -> int:
+    """Frames per chunk of the loopback link at ``n_fft``."""
+    return experiments._chunk_runs(n_fft, _LinkBuffers.sample_bytes, experiments._LINK_CHUNK_BYTES)
+
+
+def mi_chunk(n_fft: int) -> int:
+    """Runs per chunk of the MI engine at ``n_fft``."""
+    return experiments._chunk_runs(n_fft, _SCRATCH_SAMPLE_BYTES, experiments._MI_CHUNK_BYTES)
+
+
 def loopback_replay(cfg) -> bytes:
     """The loopback runs file, one frame at a time from each run's
     ``default_rng([seed, run_id])`` stream through the public link calls."""
@@ -491,9 +501,9 @@ class TestScenarios:
         live_power = np.mean(np.abs(estimate.symbols[1]) ** 2)
         assert muted_power < 0.05 * live_power
 
-    @pytest.mark.parametrize("n_fft,num_runs", [(2048, 9), (256, 70)])
+    # Each run count ends on a partial chunk, after a full one.
+    @pytest.mark.parametrize("n_fft,num_runs", [(2048, link_chunk(2048) + 1), (256, link_chunk(256) + 6)])
     def test_loopback_chunks_equal_a_serial_single_frame_replay(self, tmp_path, n_fft, num_runs):
-        # Neither run count is a multiple of the chunk (8 at N=2048, 64 at N=256).
         cfg = make_config("loopback", n_fft=n_fft, cp_length=32 if n_fft == 256 else 169, num_runs=num_runs, seed=11)
         replay = loopback_replay(cfg)
         for workers in (1, 2, 8):
@@ -508,11 +518,16 @@ class TestScenarios:
             assert paths["summary"].read_bytes() == (tmp_path / "w1" / "loopback_summary.txt").read_bytes()
 
     @pytest.mark.parametrize("mode", ["exact-fold", "literal-triangular"])
+    # No run count is a multiple of the chunk: fig7 and fig8 (N = 2048) and
+    # fig9 (N = 128) end on a partial chunk after a full one.
     @pytest.mark.parametrize(
-        "scenario,num_runs", [("fig7", 37), ("fig7", 1), ("fig8", 37), ("fig8", 1), ("fig9", 70), ("fig9", 1)]
+        "scenario,num_runs",
+        [
+            ("fig7", mi_chunk(2048) + 9), ("fig7", 1), ("fig8", mi_chunk(2048) + 9), ("fig8", 1),
+            ("fig9", mi_chunk(128) + 6), ("fig9", 1),
+        ],
     )
     def test_mi_chunks_equal_a_per_run_report_replay(self, tmp_path, scenario, num_runs, mode):
-        # No run count is a multiple of the chunk (19 runs at N=2048, 64 at N=128).
         cfg = make_config(scenario, num_runs=num_runs, seed=7, mode=mode)
         reports, replay = mi_replay(cfg)
         residual = max(r.max_residual_rel() for r in reports)
@@ -552,32 +567,64 @@ class TestScenarios:
             ("fig8", "exact-fold", 37),
             ("fig8", "literal-triangular", 37),
             ("fig9", "literal-triangular", 70),
-            # One run per chunk hashes the seed words 64 runs at a time, so
-            # 70 runs cross a hash block.
+            # One run per chunk hashes the seed words _HASH_BLOCK_RUNS runs
+            # at a time, so this many runs cross a hash block.
+            ("fig9", "literal-triangular", experiments._HASH_BLOCK_RUNS + 6),
             ("loopback", None, 70),
         ],
     )
     def test_mi_files_do_not_depend_on_the_chunk_size(self, tmp_path, monkeypatch, scenario, mode, num_runs):
         cfg = dict(num_runs=num_runs, seed=3, mode=mode)
         chunked = run_scenario(make_config(scenario, output_dir=str(tmp_path / "chunked"), **cfg))
-        monkeypatch.setattr(experiments, "_chunk_runs", lambda n_fft, sample_bytes: 1)
+        monkeypatch.setattr(experiments, "_chunk_runs", lambda n_fft, sample_bytes, budget: 1)
         single = run_scenario(make_config(scenario, output_dir=str(tmp_path / "single"), **cfg))
         assert chunked.keys() == single.keys()
         for name, path in chunked.items():
             assert path.read_bytes() == single[name].read_bytes(), name
 
-    def test_chunks_hold_one_byte_budget(self):
-        link, mi = _LinkBuffers.sample_bytes, _SCRATCH_SAMPLE_BYTES
-        # The link keeps 16384 frame samples per chunk from N = 256 up, and
-        # the 64-run cap below that.
-        for e in range(8, 16):
-            assert experiments._chunk_runs(1 << e, link) == max(1, 16384 >> e)
-        assert experiments._chunk_runs(128, link) == 64
-        assert experiments._chunk_runs(16, link) == 64
-        assert experiments._chunk_runs(2048, link) == 8
-        assert experiments._chunk_runs(2048, mi) == 19
-        assert experiments._chunk_runs(128, mi) == 64
-        assert experiments._chunk_runs(1 << 20, mi) == 1
+    @pytest.mark.parametrize("plan", ["link", "mi"])
+    def test_each_buffer_plan_fills_its_own_chunk_budget(self, plan):
+        sample_bytes, budget = {
+            "link": (_LinkBuffers.sample_bytes, experiments._LINK_CHUNK_BYTES),
+            "mi": (_SCRATCH_SAMPLE_BYTES, experiments._MI_CHUNK_BYTES),
+        }[plan]
+        cap = experiments._MAX_CHUNK_RUNS
+        # As many runs as the plan's budget holds, at least one and at most
+        # the cap: a frame too large for the budget still takes one run.
+        for e in range(1, 21):
+            n = 1 << e
+            runs = experiments._chunk_runs(n, sample_bytes, budget)
+            assert 1 <= runs <= cap
+            assert runs == 1 or runs * sample_bytes * n <= budget
+            assert runs == cap or (runs + 1) * sample_bytes * n > budget
+        assert experiments._chunk_runs(2, sample_bytes, budget) == cap
+        assert experiments._chunk_runs(experiments._MAX_N_FFT, sample_bytes, budget) == 1
+
+    @pytest.mark.parametrize(
+        "size", [1, 3, mi_chunk(2048), experiments._MAX_CHUNK_RUNS, experiments._HASH_BLOCK_RUNS + 1]
+    )
+    def test_seed_words_are_hashed_in_blocks_of_whole_chunks(self, monkeypatch, size):
+        """Each hash block but the last holds as many whole chunks as fit in
+        _HASH_BLOCK_RUNS runs, or one chunk if it holds more, and the blocks
+        cover the runs in order."""
+        from physlice import _streams
+
+        hashed, stream_words = [], _streams.stream_words
+
+        def recorded(seed, run_ids):
+            hashed.append(run_ids)
+            return stream_words(seed, run_ids)
+
+        monkeypatch.setattr(_streams, "stream_words", recorded)
+        limit = max(experiments._HASH_BLOCK_RUNS, size)
+        num_runs = 2 * limit + size + 1
+        cfg = make_config("fig9", num_runs=num_runs, seed=5)
+        _, profile, taps = experiments._setup(cfg)
+        chunks = [runs for runs, _, _ in experiments._drawn_chunks(cfg, profile, taps, size)]
+        assert [runs.stop - runs.start for runs in chunks[:-1]] == [size] * (len(chunks) - 1)
+        assert [run for block in hashed for run in block] == list(range(num_runs))
+        for block in hashed[:-1]:
+            assert len(block) % size == 0 and len(block) <= limit < len(block) + size
 
     @pytest.mark.parametrize("rows,n", [(1, 2), (3, 16), (8, 2048), (1, 16384)])
     def test_buffer_plans_allocate_their_declared_bytes_per_sample(self, rows, n):
@@ -648,16 +695,17 @@ class TestScenarios:
 class TestDrawnChunks:
     @pytest.mark.parametrize("size", [1, 3])
     def test_each_run_draws_its_channel_first_from_its_own_stream(self, size):
-        """One-run chunks over 70 runs cross a hash block of 64 chunks, and
+        """One-run chunks cross a hash block of _HASH_BLOCK_RUNS runs, and
         three-run chunks end on a chunk of one. EPA at the fig9 preset puts
         two taps on one index."""
         from physlice.channel import draw_taps
 
-        cfg = make_config("fig9", num_runs=70, seed=5)
+        num_runs = 3 * (experiments._HASH_BLOCK_RUNS // 3 + 1) + 1
+        cfg = make_config("fig9", num_runs=num_runs, seed=5)
         _, profile, taps = experiments._setup(cfg)
         next_run = 0
         for runs, rngs, chunk_taps in experiments._drawn_chunks(cfg, profile, taps, size):
-            assert runs == slice(next_run, min(next_run + size, 70))
+            assert runs == slice(next_run, min(next_run + size, num_runs))
             assert len(rngs) == len(chunk_taps) == runs.stop - runs.start
             assert chunk_taps.shape[1] == taps
             for run, rng, row in zip(range(runs.start, runs.stop), rngs, chunk_taps):
@@ -666,7 +714,7 @@ class TestDrawnChunks:
                 assert rng.bit_generator.state == oracle.bit_generator.state
                 assert rng.standard_normal() == oracle.standard_normal()
             next_run = runs.stop
-        assert next_run == 70
+        assert next_run == num_runs
 
     def test_table1_folds_the_channel_of_run_0(self, tmp_path, monkeypatch):
         from physlice.channel import draw_taps
@@ -723,7 +771,7 @@ class TestOutputFiles:
         old = run_scenario(make_config("fig9", num_runs=9, output_dir=str(tmp_path / "out")))
         inodes = {path.name: path.stat().st_ino for path in old.values()}
         full = run_scenario(make_config("fig9", num_runs=5, output_dir=str(tmp_path / "full")))["runs"].read_bytes()
-        monkeypatch.setattr(experiments, "_chunk_runs", lambda n_fft, sample_bytes: 2)
+        monkeypatch.setattr(experiments, "_chunk_runs", lambda n_fft, sample_bytes, budget: 2)
         kernel, calls = experiments._chain_levels_into, []
 
         def fail_second_chunk(*args):
@@ -1087,14 +1135,21 @@ GOLDEN_DIGESTS = [
         "fig7_runs.csv": "bde57a9421d227da51ff570fbfdd1e010c83cf82bdf181d115e428bf49f3e0c7",
         "fig7_summary.txt": "3587848263abe8135144ac509588de6ab327fd1683bc84c5992f7f6859361774",
     }),
-    # 1100 runs cross a 1024-row cdf block and 58 MI chunks, the last one
-    # partial.
+    # 1009 runs at N = 2048: one seed-hash block of 36 MI chunks of 28 runs
+    # (1008 runs, at most _HASH_BLOCK_RUNS), then a block of one run.
+    ("fig7", "--runs 1009", {
+        "fig7_cdf.csv": "210fed7d293a78baf155eeeee25cbfe6f2f6b4712407e12bd63ad7236c4b3dc5",
+        "fig7_runs.csv": "59037767ea2a20a297e540a4cfeff7104e961d7809860905d8a5283d68ac6b7e",
+        "fig7_summary.txt": "61ee954b8f80510f9e065f3d20c15de87a262266625955d4cccc2d162f7208a0",
+    }),
+    # 1100 runs cross a 1024-row cdf block, a seed-hash block and 40 MI
+    # chunks of 28 runs, the last one partial.
     ("fig7", "--runs 1100", {
         "fig7_cdf.csv": "f7e868192b4c7ef844ff27da0e9ee8933c439b0a99b70f4ed81e53acc3f1a302",
         "fig7_runs.csv": "df063f2f5aadf38d09d51ba59405f5eaa38948c8dcc19afb936fbdda38f3ae20",
         "fig7_summary.txt": "d292ac50dbd2a99970443b35cd849fe0a5758738e6757a430a3a1712d7e78446",
     }),
-    # 1300 runs also cross a seed-hash block of 64 chunks of 19 runs (1216).
+    # 1300 runs: 47 MI chunks, and a second seed-hash block cut short.
     ("fig7", "--runs 1300", {
         "fig7_cdf.csv": "0b5082ae426754b8cac5d1d92552d1aba65c715c3f386dd69b0070acfef1251e",
         "fig7_runs.csv": "961e22fb2cd39d0454397423308e733adeec9ad01c3c4537d78183632af75c4d",
@@ -1117,12 +1172,18 @@ GOLDEN_DIGESTS = [
         "fig8_runs.csv": "56814a7fbdb089bd7cf3b1cb3845bcf169d9b8574d04c0c6b1e8f286f04ab0c5",
         "fig8_summary.txt": "b2f45cb7c293f078fbaaa02c1dafb1ca1b449436803ae8bfb5d842948bfadf47",
     }),
-    # A chunk of 19 runs, whose root FFT takes numpy's multi-row path, then
-    # a chunk of one run, which takes the one-row path.
+    # One chunk of 20 runs, whose root FFT takes numpy's multi-row path.
     ("fig8", "--runs 20", {
         "fig8_cdf.csv": "1cf8af451f8307b2842fe2f48179a17f0dfb8ec06caaed01040ac7a7191fd0b1",
         "fig8_runs.csv": "836f6f631a0e6694b15f488b73ee660af1326ab9a4dbb2fd86c3c1442c396dcf",
         "fig8_summary.txt": "9b19ef4978f1bc3aa0d861803ee61d0b001801837ad144a4ee9b5e1e3f5bf3f6",
+    }),
+    # A chunk of 28 runs, the MI chunk at N = 2048 (_MI_CHUNK_BYTES), then a
+    # chunk of one run, whose root FFT takes numpy's one-row path.
+    ("fig8", "--runs 29", {
+        "fig8_cdf.csv": "a6dd0001667d72e10811230b2be6c950b26d470052d9c50e23fdd8673124f398",
+        "fig8_runs.csv": "6b192945faa71f42b84e71070f8c073d13f49057d632dbd18b5d55c095a980dd",
+        "fig8_summary.txt": "7ea5abd90dc63ef556c788f8a560d4323269232e87437967b2fb597a3660872e",
     }),
     ("fig8", "--runs 37 --mode literal-triangular", {
         "fig8_cdf.csv": "60a26ff5d31c392f4d2e1b2bd4f3f1f351db55543e58ca9ed504ee79e9b7ec6e",
@@ -1139,6 +1200,7 @@ GOLDEN_DIGESTS = [
         "fig9_runs.csv": "29809da55ddc486ce61a707097424fe0d47ee7cba1770549ab103a93ba9f7dd5",
         "fig9_summary.txt": "db390783ba8c5011369e30f2e584f7d0ec903e7b7a61cb747d663b0375ccf3c9",
     }),
+    # A chunk of 64 runs at N = 128 (the chunk cap), then a chunk of 6.
     ("fig9", "--mode literal-triangular --runs 70", {
         "fig9_runs.csv": "c3e0e8e065de0066dcb892d9a583f5c1681a8175011d1bdd095fab683e9c67d6",
         "fig9_summary.txt": "fd19e4c824907cb822392b1f0e1403ebab8a4a72ef5621a12f182173bcb2b1da",
@@ -1155,6 +1217,7 @@ GOLDEN_DIGESTS = [
         "fig9_runs.csv": "f02d6f5afdd8342696a9552296ac91ce3f3752e8ca4a2669cc1318c77f74e20a",
         "fig9_summary.txt": "233991952857d812a8e38ed3e45ec30f27454d612c959199d42c8021b3e2e301",
     }),
+    # Depth 0: a chunk of 64 runs, then a chunk of one.
     ("fig9", "--depth 0 --runs 65", {
         "fig9_runs.csv": "5eb5549d1e6ddec1e549377c77238cc1064d571b2bd0f791a8ed1aa4ad0d5ec1",
         "fig9_summary.txt": "41f7384de2f4e465e3249f9435120ed4cea849c21abbb21430d581731d90d326",
@@ -1183,6 +1246,8 @@ GOLDEN_DIGESTS = [
         "loopback_runs.csv": "02f981e48b0a47dc99fdccad4d763a6da49b85d97c479e4b811f46970a494296",
         "loopback_summary.txt": "dfdd2445acc16a00457138e13fd8929f5f1b684e6b106347ea2b77bc871f8a11",
     }),
+    # N = 16: 18 chunks of at most 64 runs (the cap), the last one partial,
+    # across a seed-hash block of 1024 runs.
     ("loopback", "--n-fft 16 --depth 4 --cp 2 --runs 1100", {
         "loopback_runs.csv": "e6cbac96c0cbf25bae414ca22ba74b28b551d4224311ace45af14d145a48015b",
         "loopback_summary.txt": "7b3250185e223809299d0d69b160cfdf8dee811bcf28ed3bd94541c6f52a804d",

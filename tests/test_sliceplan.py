@@ -4,15 +4,16 @@ import re
 import numpy as np
 import pytest
 
-from physlice.mi import split_report
+from physlice.mi import chain_mi, split_report
 from physlice.sliceplan import (
     SliceDescriptor,
     bins_for_slice,
     build_plan,
+    check_plan,
     decode_cost,
     total_cost,
 )
-from physlice.transform import forward_transform
+from physlice.transform import forward_transform, inverse_transform
 
 from oracles import recursive_matrix
 
@@ -119,6 +120,37 @@ class TestBuildPlan:
         for call in boundaries:
             with pytest.raises(ValueError, match=message):
                 call()
+
+    @pytest.mark.parametrize(
+        "frame_size,depth,message",
+        [
+            (64.0, 2, "frame size must be an integer, got 64.0"),
+            (np.float64(64), 2, "frame size must be an integer, got np.float64(64.0)"),
+            (64, 2.0, "depth must be an integer, got 2.0"),
+            (64, "2", "depth must be an integer, got '2'"),
+        ],
+    )
+    def test_every_plan_boundary_names_an_argument_that_is_not_an_integer(self, frame_size, depth, message):
+        # A float frame size once failed in is_pow2's `&` without naming it,
+        # and a float depth passed check_plan silently.
+        boundaries = [
+            lambda: check_plan(frame_size, depth),
+            lambda: build_plan(frame_size, depth, 4),
+            lambda: recursive_matrix(frame_size, depth),
+            lambda: chain_mi(np.ones(3), frame_size, depth, 1.0),
+            lambda: split_report([1.0], frame_size, depth, 1.0),
+        ]
+        if not isinstance(depth, int):
+            boundaries.append(lambda: forward_transform(np.ones(64), depth))
+            boundaries.append(lambda: inverse_transform(np.ones(64), depth))
+        for call in boundaries:
+            with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+                call()
+
+    def test_a_plan_check_takes_numpy_integers(self):
+        check_plan(np.int64(64), np.uint8(6))
+        with pytest.raises(ValueError, match="^depth 7 is invalid for frame size 64$"):
+            check_plan(np.int32(64), np.int8(7))
 
 
 class TestBins:

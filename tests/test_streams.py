@@ -85,8 +85,20 @@ class TestStreamWords:
 
 
 class TestSeedWords:
-    @pytest.mark.parametrize("n_words,dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64)])
+    @pytest.mark.parametrize(
+        "n_words,dtype",
+        [
+            (4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64), (0, np.uint64), (4.5, np.uint64),
+            (4, np.int64), (4, np.float64), (4, ">u8"), (4, np.dtype(np.uint32)), (3, np.dtype(np.uint64)),
+        ],
+    )
     def test_only_the_pcg64_request_is_served(self, n_words, dtype):
         held = _SeedWords(stream_words(3, range(1))[0])
         with pytest.raises(ValueError, match="only the 4 uint64 words"):
             held.generate_state(n_words, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.uint64, np.dtype(np.uint64), "uint64", "<u8"])
+    def test_the_pcg64_request_gets_the_held_words(self, dtype):
+        words = stream_words(3, range(1))[0]
+        held = _SeedWords(words)
+        assert held.generate_state(4, dtype) is words
