@@ -1234,6 +1234,12 @@ GOLDEN_DIGESTS = [
         "loopback_runs.csv": "6269ed7fc63665525750d1cbe7f0b989430a163c74619118074f4cdeea6a24c5",
         "loopback_summary.txt": "05d035db154bd5c718388eb4b4788ebf513e69a783354fe65cd9618e1a0b90b7",
     }),
+    # Most hard decisions are wrong, and every slice down to size 1 counts
+    # errors.
+    ("loopback", "--snr-db -10 --depth 11 --runs 9", {
+        "loopback_runs.csv": "bf4bf6ecc495c2a4c6103e2f79b18537a7deb39facf28c2e2023c41f20c4d3e4",
+        "loopback_summary.txt": "0e86c12603e88a914d9e23b67279951ab05707a3f8575f5c53f8c2b876a22aa4",
+    }),
     ("loopback", "--depth 0", {
         "loopback_runs.csv": "f0ffc5eae013f52e8050c8e0650333e2e9b88aa8fc26fb0b4bf03066ede1ca55",
         "loopback_summary.txt": "50562b63e46d260fd0f4a24f7e8e42079cefa4f8f77a53c81f656e7968de3b7f",
@@ -1270,7 +1276,8 @@ def test_single_realization_outputs_match_their_pinned_digests(tmp_path, capsys,
 def link_chunk_cases(draw):
     """A plan of N = 16 .. 2048 at any depth, an SNR of at most 0 dB or
     none, a chunk size and a shorter or equal one, the zero-gain row and
-    bins of an erased chunk (at least one of them), and a seed."""
+    bins of an erased chunk (at least one of them), a silent row (no body
+    and no noise) or none, and a seed."""
     log_n = draw(st.integers(4, 11))
     n = 1 << log_n
     plan = build_plan(n, draw(st.integers(0, log_n)), 8)
@@ -1278,7 +1285,10 @@ def link_chunk_cases(draw):
     rows = draw(st.integers(1, 4))
     zero_row = draw(st.one_of(st.none(), st.integers(0, rows - 1)))
     zero_bins = draw(st.lists(st.integers(0, n - 1), min_size=0 if zero_row is not None else 1, max_size=4))
-    return plan, snr_db, rows, draw(st.integers(1, rows)), zero_row, zero_bins, draw(st.integers(0, 2**32 - 1))
+    silent_row = draw(st.one_of(st.none(), st.integers(0, rows - 1)))
+    return (
+        plan, snr_db, rows, draw(st.integers(1, rows)), zero_row, zero_bins, silent_row, draw(st.integers(0, 2**32 - 1))
+    )
 
 
 @settings(max_examples=120, deadline=None)
@@ -1287,9 +1297,12 @@ def test_link_chunks_are_bitwise_the_scaled_receiver_and_per_slice_means(case):
     """An erased chunk, then a clean one on the same buffers: the receive
     kernel gives the oracle's estimates (up to the sign of zeros) and masks,
     and each slice's EVM is bitwise, its error count exactly, the oracle's.
-    The chunk runs on the loopback's six buffers in its order: the sent
-    symbols in ``gains``, transmitted into ``signal``, then the spectrum."""
-    plan, snr_db, rows, clean_rows, zero_row, zero_bins, seed = case
+    The chunk runs on the loopback's six buffers, from the frame bodies in
+    ``signal`` and the spectrum in ``gains``. A silent row's estimates are
+    zeros, of both signs in all but about 1 in 10**4 draws at N = 16, which
+    the hard decision's ``< 0`` test reads alike (``np.signbit`` would not);
+    an erased bin's estimate is +0."""
+    plan, snr_db, rows, clean_rows, zero_row, zero_bins, silent_row, seed = case
     n = plan.frame_size
     rho = None if snr_db == math.inf else 10.0 ** (snr_db / 10.0)
     rng = np.random.default_rng(seed)
@@ -1306,6 +1319,10 @@ def test_link_chunks_are_bitwise_the_scaled_receiver_and_per_slice_means(case):
         noise = rng.standard_normal((r, 2, n))
         received = np.empty((r, n), complex)
         _transmit_into(sent, plan.inverse_bin_order, received)
+        silent = silent_row is not None and silent_row < r
+        if silent:
+            received[silent_row] = noise[silent_row] = 0.0
+        body = received.copy()
         _propagate_into(received, gains, rho, noise.copy(), received)
         want_estimate, want_erasures = scaled_receive(received, plan, gains)
         assert want_erasures.any() == erase
@@ -1316,11 +1333,11 @@ def test_link_chunks_are_bitwise_the_scaled_receiver_and_per_slice_means(case):
         _receive_into(spectrum, gains.copy(), plan.bin_order, *rx_floats[:, :r], erased, estimate, erasures)
         np.testing.assert_array_equal(estimate, want_estimate)
         np.testing.assert_array_equal(erasures, want_erasures)
+        if silent:
+            assert not estimate[silent_row].any()
 
         chunk = link.cut(r)
-        chunk.gains[...] = sent
-        _transmit_into(chunk.gains, plan.inverse_bin_order, chunk.signal)
-        chunk.gains[...] = gains
+        chunk.signal[...], chunk.gains[...] = body, gains
         chunk.noise[...], chunk.index[...] = noise, index
         evm = np.empty((len(plan.slices), r))
         errors = np.full(evm.shape, -1, dtype=np.int64)

@@ -20,6 +20,7 @@ from physlice.txrx import (
     _receive,
     _receive_into,
     _transmit_into,
+    _unitary_idft,
     EQUALIZER_ERASURE_THRESHOLD,
     OfdmFrame,
     SlicePayload,
@@ -660,13 +661,21 @@ class TestBatchOracles:
                 propagate(frame, [1.0], snr=rho, rng=0)
 
 
+# Factors of a real null gain 2T * hi * factor, with T the erasure threshold
+# and hi the gains' largest part: the gains' parts then span just inside or
+# just outside the 1/(2T) that the receiver's erasure proof clears.
+_PROOF_SPANS = {"inside": 1 + 2**-40, "outside": 1 - 2**-40}
+
+
 @st.composite
 def frame_order_cases(draw):
     """A plan of N = 2^0 .. 2^11 at any depth and cyclic prefix that fit, a
     batch shape (), (R,) or (R1, R2), gains shared by the batch or one row
     per frame with up to four bins set to 0, to 1e-13 or to 1e-11 (below and
-    above the erasure threshold for gains of RMS near 1), and a seed for the
-    bits, frames and gains."""
+    above the erasure threshold for gains of RMS near 1) or to a gain of
+    ``_PROOF_SPANS``, then all scaled by 1, by 1e-160 (whose squares are
+    subnormal) or by 0 (the zero channel), and a seed for the bits, frames
+    and gains."""
     log_n = draw(st.integers(0, 11))
     n = 1 << log_n
     plan = build_plan(n, draw(st.integers(0, log_n)), draw(st.integers(0, n)))
@@ -674,8 +683,10 @@ def frame_order_cases(draw):
         st.one_of(st.just(()), st.tuples(st.integers(1, 4)), st.tuples(st.integers(1, 3), st.integers(1, 3)))
     )
     gains_shape = draw(st.sampled_from([(), batch])) + (n,)
-    nulls = draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from([0.0, 1e-13, 1e-11])), max_size=4))
-    return plan, batch, gains_shape, nulls, draw(st.integers(0, 2**32 - 1))
+    values = st.sampled_from([0.0, 1e-13, 1e-11, *_PROOF_SPANS])
+    nulls = draw(st.lists(st.tuples(st.integers(0, n - 1), values), max_size=4))
+    scale = draw(st.sampled_from([1.0, 1e-160, 0.0]))
+    return plan, batch, gains_shape, nulls, scale, draw(st.integers(0, 2**32 - 1))
 
 
 def frame_rms(x):
@@ -686,7 +697,7 @@ def frame_rms(x):
 @settings(max_examples=150, deadline=None)
 @given(frame_order_cases())
 def test_link_is_the_tuple_chain_to_round_off_and_the_transform_is_bitwise_the_recursion(case):
-    plan, batch, gains_shape, nulls, seed = case
+    plan, batch, gains_shape, nulls, scale, seed = case
     n = plan.frame_size
     rng = np.random.default_rng(seed)
     payload = modulate(rng.integers(0, 2, batch + (2 * n,)), plan)
@@ -698,8 +709,11 @@ def test_link_is_the_tuple_chain_to_round_off_and_the_transform_is_bitwise_the_r
 
     y = rng.standard_normal(batch + (n,)) + 1j * rng.standard_normal(batch + (n,))
     gains = rng.standard_normal(gains_shape) + 1j * rng.standard_normal(gains_shape)
+    # 2T times the gains' largest part.
+    edge = 2 * EQUALIZER_ERASURE_THRESHOLD * np.abs(gains.view(float)).max()
     for index, value in nulls:
-        gains[..., index] = value
+        gains[..., index] = value if isinstance(value, float) else edge * _PROOF_SPANS[value]
+    gains *= scale
     estimate = _receive(y, plan, gains)
     assert estimate.frames.shape == estimate.erasures.shape == batch + (n,)
     rms = np.linalg.norm(gains, axis=-1, keepdims=True) / np.sqrt(n)
@@ -826,15 +840,17 @@ def test_link_kernels_carry_no_state_between_chunks_on_reused_buffers(rho):
 @pytest.mark.parametrize("rho", [100.0, None])
 def test_link_kernels_in_place_on_the_loopback_aliases_are_bitwise_numpy_out_of_place(rho):
     """The loopback's chain on two complex frames, ``signal`` and ``shared``:
-    the symbols are transmitted from ``shared`` into ``signal``, the channel
-    and the receiver transform ``signal`` in place, and the estimates go
-    into ``shared``, which held the gains. Each result is bitwise that of
-    numpy's out-of-place calls, each into a new array."""
+    the symbols of the QPSK indices gathered onto their bins are taken into
+    ``signal`` and transmitted in place, the channel and the receiver
+    transform ``signal`` in place, and the estimates go into ``shared``,
+    which held the gains. Each result is bitwise that of numpy's
+    out-of-place calls on the frame-order symbols, each into a new array."""
     rng = np.random.default_rng(43)
     n, rows, length = 64, 3, 6
     plan = build_plan(n, 3, length)
     for erase in (True, False):
-        frames = modulate(rng.integers(0, 2, (rows, 2 * n)), plan).frames
+        index = rng.integers(0, 4, (rows, n))
+        frames = _QPSK[index]
         gains = np.fft.fft(random_taps(rng, (rows, length)), n, axis=-1)
         if erase:
             gains[1, 5] = 0.0
@@ -843,8 +859,8 @@ def test_link_kernels_in_place_on_the_loopback_aliases_are_bitwise_numpy_out_of_
 
         signal, shared = np.empty((2, rows, n), complex)
         _, floats, (erased, erasures) = link_buffers(rows, n)
-        shared[...] = frames
-        _transmit_into(shared, plan.inverse_bin_order, signal)
+        _QPSK.take(np.take(index, plan.inverse_bin_order, axis=-1), out=signal)
+        _unitary_idft(signal)
         body = signal.copy()
         shared[...] = gains
         _propagate_into(signal, shared, rho, noise.copy(), signal)
