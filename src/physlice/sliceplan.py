@@ -92,8 +92,12 @@ def decode_cost(path: str, size: int) -> int:
     A positive slice of size M is decoded with a plain M-point FFT,
     M*log2(M) operations; a negative slice pays 2M additional real
     operations for the mixer rotation ahead of its FFT. Size-1 leaves cost
-    2 (negative) and 1 (positive) by convention.
+    2 (negative) and 1 (positive) by convention. ``path`` holds only '+' and '-'.
     """
+    if not isinstance(path, str):
+        raise TypeError(f"slice path must be a string, got {path!r}")
+    if path.strip("+-"):
+        raise ValueError(f"slice path must be a string of '+' and '-', got {path!r}")
     size = _integer("slice size", size)
     if size < 1 or not is_pow2(size):
         raise ValueError(f"slice size must be a positive power of two, got {size}")

@@ -12,6 +12,8 @@ Two normalization conventions deliberately coexist:
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 __all__ = ["is_pow2", "dft", "idft", "logdet2_psd", "freq_response"]
@@ -87,7 +89,10 @@ def freq_response(taps, n_bins: int) -> np.ndarray:
     one-tap equalizer divides by after the unitary TX/RX pair.
     """
     taps = _as_vector(taps, "taps")
-    n_bins = int(n_bins)
+    try:
+        n_bins = operator.index(n_bins)
+    except TypeError:
+        raise TypeError(f"n_bins must be an integer, got {n_bins!r}") from None
     if taps.size > n_bins:
         raise ValueError(f"{taps.size} taps do not fit in {n_bins} bins")
     return np.fft.fft(taps, n_bins)

@@ -19,9 +19,9 @@ receive:   one unitary N-point DFT, one-tap zero-forcing equalization against
            the true channel response (genie-aided; no pilot estimation),
            gathered back into frame order through ``bin_order``.
 
-Each stage is a private kernel (``_transmit_into``, ``_propagate_into``,
-``_receive_into``) that runs its FFTs in place in the frames array it
-produces and writes every other result into arrays its caller passes in. The
+The channel and the receiver are private kernels (``_propagate_into``,
+``_receive_into``) that run their FFTs in place in the frames array they
+produce and write every other result into arrays their caller passes in. The
 public functions allocate those arrays, change no input and call the
 kernels; the loopback scenario runs every chunk of frames through one set of
 chunk buffers, ``_LinkBuffers``, whose docstring says what each buffer holds
@@ -59,14 +59,11 @@ __all__ = [
     "EQUALIZER_ERASURE_THRESHOLD",
 ]
 
-# Bins whose |gain| is at most this fraction of the frame's RMS gain are
-# flagged as erasures instead of divided by. The RMS over the N bins of the
-# unnormalized channel FFT is ||taps||_2 (Parseval), so the rule does not
-# depend on the channel's scale, and a zero channel erases every bin.
+# Bins whose |gain| is at most this fraction of the frame's RMS gain,
+# ||taps||_2 by Parseval, are flagged as erasures instead of divided by. The
+# receiver scales each frame's gains by a power of two first, so the rule does
+# not depend on the channel's scale; a zero channel erases every bin.
 EQUALIZER_ERASURE_THRESHOLD = 1e-12
-# The range of part sizes in which the receiver's erasure proof holds (see
-# ``_receive_into``).
-_PROOF_FLOOR, _PROOF_CEILING = 2.0**-480, 2.0**480
 
 # Gray-mapped QPSK, unit average power; symbol index is (real_bit << 1) | imag_bit
 # with bit 1 selecting the negative half-plane.
@@ -142,12 +139,14 @@ class OfdmFrame:
 def modulate(bits, plan: SlicePlan) -> SlicePayload:
     """Map bit streams of shape (..., 2 * N) onto QPSK frames of shape
     (..., N), frame order, one frame per leading index."""
-    bits = np.asarray(bits, dtype=np.int64)
+    bits = np.asarray(bits)
     expected = 2 * plan.frame_size
     if bits.shape[-1:] != (expected,):
         raise ValueError(f"expected {expected} bits for this plan, got shape {bits.shape}")
-    if np.any((bits != 0) & (bits != 1)):
+    # Checked before the cast, which would truncate 0.5 and 1.7 and parse '1'.
+    if bits.dtype.kind not in "biuf" or np.any((bits != 0) & (bits != 1)):
         raise ValueError("bits must be 0/1")
+    bits = bits.astype(np.int64)
     return SlicePayload(frames=_QPSK[2 * bits[..., 0::2] + bits[..., 1::2]], plan=plan)
 
 
@@ -177,20 +176,9 @@ def transmit(payload: SlicePayload, plan: SlicePlan) -> OfdmFrame:
         raise ValueError(f"expected {plan.frame_size} symbols per frame, got shape {frames.shape}")
     if not np.all(np.isfinite(frames)):
         raise ValueError("payload contains non-finite symbols")
-    body = np.empty(frames.shape, dtype=np.complex128)
-    _transmit_into(frames, plan.inverse_bin_order, body)
-    return OfdmFrame(body=body, plan=plan)
-
-
-def _transmit_into(frames: np.ndarray, inverse_order: np.ndarray, body: np.ndarray) -> None:
-    """Frame bodies of :func:`transmit` into ``body``: the frame-order
-    symbols ``frames`` laid out on their bins through ``inverse_order`` (the
-    plan's ``inverse_bin_order``), then :func:`_unitary_idft`.
-    ``frames`` shares no memory with ``body``."""
-    # A permutation never leaves the index range, so "clip" clips nothing; it
-    # lets take write into ``body`` without a buffered copy.
-    np.take(frames, inverse_order, axis=-1, out=body, mode="clip")
+    body = np.take(frames, plan.inverse_bin_order, axis=-1)
     _unitary_idft(body)
+    return OfdmFrame(body=body, plan=plan)
 
 
 def _unitary_idft(bins: np.ndarray) -> None:
@@ -327,13 +315,13 @@ def _receive_into(
     gains, and T = ``EQUALIZER_ERASURE_THRESHOLD``, lo > 2·T·hi implies
     |g| > T·rms for every bin of every frame: |g| is at least its larger
     part, and a frame's computed rms is at most √2·hi up to round-off, which
-    the factor 2 covers. The proof also asks 2**-480 < lo and hi < 2**480,
-    so that no square of the exact rule overflows (which makes its rms
-    infinite and erases every bin) and the round-off of subnormal squares
-    stays below the slack. Only gains the proof cannot clear, such as a
-    chunk holding a frame with a spectral null or a zero channel, run the
-    exact rule: |g|, the rms from the pairwise sum of |g|^2, and the
-    comparison; its erasure pass runs only when some bin is erased.
+    the factor 2 covers. Only gains the proof cannot clear, such as a chunk
+    holding a frame with a spectral null or a zero channel, run the exact
+    rule: |g|, the rms from the pairwise sum of |g|^2, and the comparison;
+    its erasure pass runs only when some bin is erased. It first scales each
+    frame's |g| by the power of two that brings the largest into [1/2, 1)
+    (``np.frexp``; a zero frame stays zero), so that no square overflows and
+    every decision without overflow or underflow keeps its bits.
 
     The orthonormal DFT multiplies each bin by 1/sqrt(N) inside the FFT.
     numpy divides a complex array by a real scalar c as
@@ -345,9 +333,10 @@ def _receive_into(
     np.abs(gains.real, out=magnitude)
     np.maximum(magnitude, np.abs(gains.imag, out=squares), out=magnitude)
     lo, hi = magnitude.min(), magnitude.max()
-    any_erased = not (max(2 * EQUALIZER_ERASURE_THRESHOLD * hi, _PROOF_FLOOR) < lo and hi < _PROOF_CEILING)
+    any_erased = not 2 * EQUALIZER_ERASURE_THRESHOLD * hi < lo
     if any_erased:
         np.abs(gains, out=magnitude)
+        np.ldexp(magnitude, -np.frexp(magnitude.max(axis=-1, keepdims=True))[1], out=magnitude)
         # np.mean's own pairwise sum and divide, without its wrapper.
         rms = np.sqrt(np.add.reduce(np.square(magnitude, out=squares), axis=-1, keepdims=True) / magnitude.shape[-1])
         np.less_equal(magnitude, EQUALIZER_ERASURE_THRESHOLD * rms, out=erased)
@@ -417,11 +406,11 @@ class _LinkBuffers:
     (numpy 2's FFT in place gives the bits of the out-of-place one), and
     allows these aliases and no other. ``np.take`` writes into no array
     that shares memory with its input (it would buffer a copy of its
-    output): ``_transmit_into``'s ``frames`` and ``body``, and ``index`` and
-    ``words`` here. ``_propagate_into``: ``received`` may be ``body``.
-    ``_receive_into`` overwrites ``y`` with its spectrum; ``estimate`` may
-    be ``gains`` (of the frames' shape), since it is gathered after the
-    division, but not ``y``, or ``np.take`` buffers a copy.
+    output): here, ``index`` and ``words``. ``_propagate_into``:
+    ``received`` may be ``body``. ``_receive_into`` overwrites ``y`` with
+    its spectrum; ``estimate`` may be ``gains`` (of the frames' shape),
+    since it is gathered after the division, but not ``y``, or ``np.take``
+    buffers a copy.
     """
 
     sample_bytes = sum(

@@ -182,13 +182,21 @@ def tuple_transmit(symbols, plan):
     return recursive_forward(np.concatenate(spread, axis=-1), plan.depth)
 
 
+def erased_bins(gains):
+    """The bins the equalizer erases, of the gains' shape: those whose
+    |gain| is at most the threshold times the frame's RMS gain, both taken
+    on the frame's |gains| scaled by the power of two that brings the
+    largest into [1/2, 1), so that no square overflows."""
+    magnitude = np.abs(gains)
+    magnitude = np.ldexp(magnitude, -np.frexp(magnitude.max(axis=-1, keepdims=True))[1])
+    return magnitude <= EQUALIZER_ERASURE_THRESHOLD * np.sqrt(np.mean(np.square(magnitude), axis=-1, keepdims=True))
+
+
 def tuple_receive(y, plan, gains):
     """Per-slice estimates and erasures of frames ``y`` through channels of
     frequency response ``gains``: recursive adjoint, unitary DFT per slice,
-    one-tap zero forcing, erased bins set to 0. A bin is erased when its
-    gain is at most the threshold times the frame's RMS gain."""
-    magnitude = np.abs(gains)
-    erased = magnitude <= EQUALIZER_ERASURE_THRESHOLD * np.sqrt(np.mean(magnitude**2, axis=-1, keepdims=True))
+    one-tap zero forcing, erased bins (:func:`erased_bins`) set to 0."""
+    erased = erased_bins(gains)
     safe = np.where(erased, 1.0, gains)
     z = recursive_inverse(y, plan.depth)
     estimates, erasures = [], []
@@ -206,11 +214,9 @@ def tuple_receive(y, plan, gains):
 def scaled_receive(y, plan, gains):
     """Frame-order estimates and erasures of frames ``y`` through channels
     of frequency response ``gains``: an unnormalized DFT, then ``/= sqrt(N)``,
-    then ``/= gains`` with 1 at the erased bins, gathered through the plan's
-    ``bin_order``; erased bins set to 0."""
-    magnitude = np.abs(gains)
-    rms = np.sqrt(np.mean(np.square(magnitude), axis=-1, keepdims=True))
-    erased = magnitude <= EQUALIZER_ERASURE_THRESHOLD * rms
+    then ``/= gains`` with 1 at the erased bins (:func:`erased_bins`),
+    gathered through the plan's ``bin_order``; erased bins set to 0."""
+    erased = erased_bins(gains)
     spectrum = np.fft.fft(y, axis=-1)
     spectrum /= np.sqrt(spectrum.shape[-1])
     spectrum /= np.where(erased, 1.0, gains)

@@ -239,6 +239,14 @@ class TestCosts:
         with pytest.raises(TypeError, match=r"^slice size must be an integer, got 128\.0$"):
             decode_cost("-", 128.0)
 
+    def test_path_must_be_a_string_of_signs(self):
+        for bad in ("x", "+x-", "+ -", "0"):
+            with pytest.raises(ValueError, match="slice path must be a string of '\\+' and '-'"):
+                decode_cost(bad, 8)
+        for bad in (None, 1, ["-"]):
+            with pytest.raises(TypeError, match="slice path must be a string"):
+                decode_cost(bad, 8)
+
     def test_positive_slice_is_plain_fft_count(self):
         assert decode_cost("+++", 256) == 256 * 8
         assert decode_cost("", 16) == 16 * 4

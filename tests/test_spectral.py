@@ -135,6 +135,13 @@ def test_freq_response_rejects_too_many_taps():
         freq_response(np.ones(5), 4)
 
 
+def test_freq_response_takes_an_integer_bin_count():
+    np.testing.assert_array_equal(freq_response([1.0, 2.0], np.int64(4)), freq_response([1.0, 2.0], 4))
+    for bad in (2.5, 4.0, "4", None):
+        with pytest.raises(TypeError, match="n_bins must be an integer"):
+            freq_response([1.0], bad)
+
+
 def test_freq_response_circular_shift_phase_law():
     rng = np.random.default_rng(9)
     n = 32

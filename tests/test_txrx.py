@@ -19,7 +19,6 @@ from physlice.txrx import (
     _qpsk_index,
     _receive,
     _receive_into,
-    _transmit_into,
     _unitary_idft,
     EQUALIZER_ERASURE_THRESHOLD,
     OfdmFrame,
@@ -36,6 +35,7 @@ from physlice.txrx import (
 
 from oracles import (
     dense,
+    erased_bins,
     random_taps,
     recursive_forward,
     recursive_inverse,
@@ -116,6 +116,15 @@ class TestModulation:
         plan = build_plan(8, 1, 0)
         with pytest.raises(ValueError, match="expected 16 bits"):
             modulate(np.zeros(10, dtype=int), plan)
+
+    def test_bits_must_be_exactly_zero_or_one_before_any_cast(self):
+        plan = build_plan(2, 0, 0)
+        for bad in (0.5, 1.7, "1", np.nan, 2, -1):
+            with pytest.raises(ValueError, match="bits must be 0/1"):
+                modulate([0, 1, 1, bad], plan)
+        want = modulate([0, 1, 1, 0], plan).frames
+        for good in ([False, True, True, False], [0.0, 1.0, 1.0, 0.0], np.array([0, 1, 1, 0], np.uint8)):
+            np.testing.assert_array_equal(modulate(good, plan).frames, want)
 
     def test_slice_sizes_follow_plan(self):
         rng = np.random.default_rng(2)
@@ -313,6 +322,33 @@ class TestReceive:
             estimate = receive(propagate(transmit(payload, plan), taps), plan, taps)
         assert estimate.erasures.all()
         assert not estimate.frames.any()
+
+    def test_erasures_do_not_depend_on_the_channel_scale(self):
+        plan = build_plan(16, 2, 4)
+        flat = receive(np.ones(16), plan, [1.0]).frames
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scale in (1e10, 1e160, 1e300):
+                estimate = receive(np.ones(16), plan, [scale])
+                assert not estimate.erasures.any()
+                np.testing.assert_allclose(estimate.frames * scale, flat, rtol=1e-15)
+            assert receive(np.ones(16), plan, [0.0]).erasures.all()
+
+    def test_each_frame_is_erased_at_its_own_scale(self):
+        # One batch holds channels near 1e100 and 1e-100, each with a bin at
+        # about 1e-13 of its RMS gain: each frame's erasures are those of the
+        # frame alone, although the squares of the small frame's bins would
+        # underflow if scaled with the large one.
+        rng = np.random.default_rng(17)
+        plan = build_plan(16, 2, 4)
+        gains = rng.standard_normal((2, 16)) + 1j * rng.standard_normal((2, 16))
+        gains[:, 3] = 1e-13
+        gains *= [[1e100], [1e-100]]
+        y = rng.standard_normal((2, 16)) + 1j * rng.standard_normal((2, 16))
+        batch = _receive(y, plan, gains)
+        for row in range(2):
+            np.testing.assert_array_equal(batch.erasures[row], _receive(y[row], plan, gains[row]).erasures)
+        assert batch.erasures.sum() == 2
 
     def test_post_equalization_snr_follows_channel_gain(self):
         rng = np.random.default_rng(14)
@@ -674,8 +710,8 @@ def frame_order_cases(draw):
     per frame with up to four bins set to 0, to 1e-13 or to 1e-11 (below and
     above the erasure threshold for gains of RMS near 1) or to a gain of
     ``_PROOF_SPANS``, then all scaled by 1, by 1e-160 (whose squares are
-    subnormal) or by 0 (the zero channel), and a seed for the bits, frames
-    and gains."""
+    subnormal), by 1e160 or 1e300 (whose squares overflow) or by 0 (the zero
+    channel), and a seed for the bits, frames and gains."""
     log_n = draw(st.integers(0, 11))
     n = 1 << log_n
     plan = build_plan(n, draw(st.integers(0, log_n)), draw(st.integers(0, n)))
@@ -685,7 +721,7 @@ def frame_order_cases(draw):
     gains_shape = draw(st.sampled_from([(), batch])) + (n,)
     values = st.sampled_from([0.0, 1e-13, 1e-11, *_PROOF_SPANS])
     nulls = draw(st.lists(st.tuples(st.integers(0, n - 1), values), max_size=4))
-    scale = draw(st.sampled_from([1.0, 1e-160, 0.0]))
+    scale = draw(st.sampled_from([1.0, 1e-160, 1e160, 1e300, 0.0]))
     return plan, batch, gains_shape, nulls, scale, draw(st.integers(0, 2**32 - 1))
 
 
@@ -716,8 +752,7 @@ def test_link_is_the_tuple_chain_to_round_off_and_the_transform_is_bitwise_the_r
     gains *= scale
     estimate = _receive(y, plan, gains)
     assert estimate.frames.shape == estimate.erasures.shape == batch + (n,)
-    rms = np.linalg.norm(gains, axis=-1, keepdims=True) / np.sqrt(n)
-    erased = np.abs(gains) <= 1e-12 * rms
+    erased = erased_bins(gains)
     assert estimate.erasures.sum() == np.broadcast_to(erased, y.shape).sum()
     want, want_erased = tuple_receive(y, plan, gains)
     for payload_ in (payload, estimate):
@@ -784,7 +819,8 @@ def run_link_kernels(frames, gains, noise, rho, plan, buffers):
     r = len(frames)
     (signal, estimate), floats, (erased, erasures) = (b[:, :r] for b in buffers)
     gains = gains.copy()
-    _transmit_into(frames, plan.inverse_bin_order, signal)
+    np.take(frames, plan.inverse_bin_order, axis=-1, out=signal, mode="clip")
+    _unitary_idft(signal)
     body = signal.copy()
     _propagate_into(signal, gains, rho, noise.copy(), signal)
     received = signal.copy()
