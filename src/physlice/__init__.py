@@ -13,8 +13,6 @@ from .channel import (
     EPA_PROFILE,
     ETU_PROFILE,
     ChannelProfile,
-    CirculantChannel,
-    build_circulant,
     draw_taps,
     load_profile,
     negative_child,
@@ -34,7 +32,6 @@ from .mi import (
     MODE_EXACT,
     MODE_LITERAL,
     ChainMi,
-    SnrSpec,
     chain_mi,
     mi_fast,
     split_report,

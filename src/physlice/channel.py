@@ -8,26 +8,26 @@ scales and the columns the draws add into) is computed once per (profile,
 sampling period) and cached.
 :func:`sample_cir` is its batch-of-one case, an (L,) array.
 
-A channel is its taps throughout the package: a complex (L,) array, or
-batch + (L,) for one zero-padded channel per frame. Every public function
-that takes taps checks them once, with :func:`check_taps`.
-
-The circulant channel matrix of the taps is represented by its generator
-(first column) throughout, and the two half-size descendants of one split
-are computed directly on generators:
+A channel is its taps, an SNR is its linear rho, noiseless is ``inf``:
+throughout the package a channel is a complex (L,) array of taps, or batch +
+(L,) for one zero-padded channel per frame. Every public function that takes
+taps checks them once, with :func:`check_taps`. Its size-n circulant matrix
+is its generator (first column), the taps zero-padded to n. The two
+half-size descendants of one split are computed directly on generators, a
+complex (..., n) array with one generator per leading index, so a batch
+folds in one call:
 
 * positive branch: fold the generator in half (a no-op when the taps already
   fit in the half size);
 * negative branch: fold with a sign flip, then modulate each tap by one
   discrete frequency of the parent size.
 
-:class:`CirculantChannel`, :func:`build_circulant` and the two child
-functions are the paper's generator algebra as library API: ``table1`` folds
-its channel down to the continuation root with them. No dense circulant
-matrix is built here; the tests keep that oracle. The literal
-triangular-block constructions serve the non-uniform splitting analysis.
-They are numpy gathers from one grid of lags i - j: the size-``size``
-circulant of the taps reads them at (i - j) mod size, and the
+:func:`positive_child` and :func:`negative_child` are the paper's generator
+algebra as library API: ``table1`` folds its channel down to the continuation
+root with them. No dense circulant matrix is built here; the tests keep that
+oracle. The literal triangular-block constructions serve the non-uniform
+splitting analysis. They are numpy gathers from one grid of lags i - j: the
+size-``size`` circulant of the taps reads them at (i - j) mod size, and the
 lower-triangular block and its wraparound complement are the parts of that
 circulant on and below, and above, the diagonal.
 """
@@ -45,7 +45,6 @@ from .spectral import is_pow2
 
 __all__ = [
     "ChannelProfile",
-    "CirculantChannel",
     "ETU_PROFILE",
     "EPA_PROFILE",
     "BUILTIN_PROFILES",
@@ -54,7 +53,6 @@ __all__ = [
     "draw_taps",
     "sample_cir",
     "check_taps",
-    "build_circulant",
     "positive_child",
     "negative_child",
     "lower_triangular_toeplitz",
@@ -275,61 +273,44 @@ def check_taps(taps, n_bins: int, batch: tuple[int, ...] | None = None) -> np.nd
     return taps
 
 
-@dataclass(frozen=True)
-class CirculantChannel:
-    """Power-of-two circulant channel described by its generator (first column)."""
-
-    generator: np.ndarray
-
-    def __post_init__(self):
-        gen = np.asarray(self.generator, dtype=np.complex128)
-        if gen.ndim != 1:
-            raise ValueError("generator must be one-dimensional")
-        if not is_pow2(gen.size):
-            raise ValueError(f"circulant size must be a power of two, got {gen.size}")
-        if not np.all(np.isfinite(gen)):
-            raise ValueError("generator contains non-finite entries")
-        object.__setattr__(self, "generator", gen)
-
-    @property
-    def size(self) -> int:
-        return int(self.generator.size)
+def _check_generator(generator) -> np.ndarray:
+    """``generator`` as a complex (..., n) array of circulant generators,
+    checked: n a power of two of at least 2 (a size-1 channel does not
+    split), all entries finite."""
+    gen = np.asarray(generator, dtype=np.complex128)
+    size = gen.shape[-1] if gen.ndim else 0
+    if not is_pow2(size) or size < 2:
+        raise ValueError(f"generators must have a power-of-two size of at least 2, got shape {gen.shape}")
+    if not np.all(np.isfinite(gen)):
+        raise ValueError("generator contains non-finite entries")
+    return gen
 
 
-def build_circulant(taps, size: int) -> CirculantChannel:
-    """Size ``size`` circulant channel of (L,) taps (generator zero-padded)."""
-    taps = check_taps(taps, size, ())
-    gen = np.zeros(size, dtype=np.complex128)
-    gen[: taps.size] = taps
-    return CirculantChannel(gen)
-
-
-def positive_child(channel: CirculantChannel) -> CirculantChannel:
-    """Half-size circulant of the positive branch: the generator folded in half.
+def positive_child(generator) -> np.ndarray:
+    """Generators (..., n/2) of the half-size circulants of the positive
+    branch: each generator (..., n) folded in half.
 
     When the taps fit in the half size the fold is a no-op, so the child is
     the original channel at half size.
     """
-    if channel.size < 2:
-        raise ValueError("cannot split a size-1 channel")
-    half = channel.size // 2
-    g = channel.generator
-    return CirculantChannel(g[:half] + g[half:])
+    g = _check_generator(generator)
+    half = g.shape[-1] // 2
+    return g[..., :half] + g[..., half:]
 
 
-def negative_child(channel: CirculantChannel) -> CirculantChannel:
-    """Half-size circulant of the mixed negative branch.
+def negative_child(generator) -> np.ndarray:
+    """Generators (..., n/2) of the half-size circulants of the mixed
+    negative branch of each generator (..., n).
 
-    Generator: (g_n - g_{n + M/2}) * exp(-j*2*pi*n/M). For taps that fit in
+    Generator: (g_k - g_{k + n/2}) * exp(-j*2*pi*k/n). For taps that fit in
     the half size this is exactly the original impulse response modulated at
     one discrete frequency of the parent size.
     """
-    if channel.size < 2:
-        raise ValueError("cannot split a size-1 channel")
-    half = channel.size // 2
-    g = channel.generator
-    modulation = np.exp(-2j * np.pi * np.arange(half) / channel.size)
-    return CirculantChannel((g[:half] - g[half:]) * modulation)
+    g = _check_generator(generator)
+    size = g.shape[-1]
+    half = size // 2
+    modulation = np.exp(-2j * np.pi * np.arange(half) / size)
+    return (g[..., :half] - g[..., half:]) * modulation
 
 
 def _lagged_circulant(taps, size: int) -> tuple[np.ndarray, np.ndarray]:

@@ -26,9 +26,10 @@ allocates a frame-sized array.
 Each chunk writes its runs' CSV rows as it finishes, with one ``%`` call
 (``_rows``): one run's row template, repeated for the chunk's runs, filled
 from one flat list of cells. It also keeps what the summaries read: an MI
-chunk hands its ``ChainMi`` rows to the runner, which keeps (num_runs, ...)
-arrays in fig4 and fig9 and only the three (num_runs,) columns of its cdfs
-in fig7 and fig8, and ``loopback`` keeps (slices, runs) EVMs and each
+chunk hands its ``ChainMi`` rows to the runner, which keeps the one run's
+``ChainMi`` in fig4, a level-major (2, depth, num_runs) array of the branch
+MI in fig9 and only the three (num_runs,) columns of its cdfs in fig7 and
+fig8, and ``loopback`` keeps (slices, runs) EVMs and each
 slice's symbol-error total. The chunks run in order in the calling thread,
 so ``workers`` changes neither the output nor the speed (a thread pool
 never beat this loop: the chunks hold the GIL between short numpy calls).
@@ -57,12 +58,11 @@ from .channel import (
     _draw_taps_into,
     _profile_grid,
     _read_key_values,
-    build_circulant,
     load_profile,
     positive_child,
     profile_tap_count,
 )
-from .mi import MODE_EXACT, MODE_LITERAL, ChainMi, SnrSpec, chain_mi
+from .mi import MODE_EXACT, MODE_LITERAL, ChainMi, chain_mi
 from .mi import _SCRATCH_SAMPLE_BYTES, _chain_levels_into, _scratch
 from .sliceplan import SlicePlan, build_plan, decode_cost, total_cost
 from .txrx import _LinkBuffers
@@ -131,11 +131,12 @@ class ExperimentConfig:
         return 1e9 / (self.n_fft * self.delta_f_hz)
 
     @property
-    def snr(self) -> SnrSpec | None:
-        """Linear SNR; None for the exact noiseless flag snr_db = +inf."""
-        if self.snr_db == math.inf:
-            return None
-        return SnrSpec.from_db(self.snr_db)
+    def snr(self) -> float:
+        """Linear SNR rho = 10**(snr_db / 10); ``inf`` for the noiseless snr_db = +inf."""
+        try:
+            return 10.0 ** (self.snr_db / 10.0)
+        except OverflowError:
+            raise ValueError(f"snr_db {self.snr_db} is too large: 10**(snr_db / 10) overflows a float") from None
 
     def resolve_profile(self) -> ChannelProfile:
         key = self.profile.lower()
@@ -190,7 +191,7 @@ def _setup(config: ExperimentConfig) -> tuple[SlicePlan, ChannelProfile, int]:
         raise ValueError(f"snr_db must be a number of dB or inf (noiseless), got {config.snr_db}")
     if config.snr_db == math.inf and not entry.noiseless:
         raise ValueError(f"scenario {config.scenario!r} computes mutual information and needs a finite snr_db")
-    if config.snr_db != math.inf and config.snr.rho == 0.0:
+    if config.snr == 0.0:
         raise ValueError(f"snr_db {config.snr_db} is too small: 10**(snr_db / 10) is 0 in a float")
     if config.snr_db > _MAX_MI_SNR_DB and not entry.noiseless:
         raise ValueError(f"snr_db {config.snr_db} is too large: scenario {config.scenario!r} computes mutual "
@@ -417,7 +418,7 @@ def _rate_scenario(
     takes what the runner reads of the chunk's ``ChainMi`` ``part``, whose
     arrays the next chunk overwrites; ``runs`` is the slice of its run ids."""
     n, depth = config.n_fft, config.depth
-    rho = config.snr.rho
+    rho = config.snr
     size = _chunk_runs(n, _SCRATCH_SAMPLE_BYTES, _MI_CHUNK_BYTES)
     rows = min(config.num_runs, size)
     chunk = ChainMi(np.empty(rows), np.empty((rows, depth)), np.empty((rows, depth)))
@@ -433,18 +434,6 @@ def _rate_scenario(
         runs_csv.write(_rows(row, r, run_ids, part.slice_mi().ravel().tolist()))
         keep(runs, part)
     return residual
-
-
-def _kept_chain(config: ExperimentConfig) -> tuple[ChainMi, Callable[[slice, ChainMi], None]]:
-    """A ``ChainMi`` of (num_runs, ...) arrays, and the ``keep`` of
-    :func:`_rate_scenario` that fills it with every run's chain MI."""
-    num_runs, depth = config.num_runs, config.depth
-    chain = ChainMi(np.empty(num_runs), np.empty((num_runs, depth)), np.empty((num_runs, depth)))
-
-    def keep(runs: slice, part: ChainMi) -> None:
-        chain.total[runs], chain.positive[runs], chain.negative[runs] = part.total, part.positive, part.negative
-
-    return chain, keep
 
 
 def _summary_lines(config: ExperimentConfig, plan: SlicePlan, taps: int, residual: float) -> list[str]:
@@ -516,17 +505,20 @@ def _run_rate_cdf(
 
 
 def _run_fig9(config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, runs_csv) -> list[str]:
-    chain, keep = _kept_chain(config)
+    # Only what the summary reads is kept: the positive, then the negative MI
+    # of every level, level-major, so that each level's runs are one
+    # contiguous row and one reduce sums every row pairwise, as np.mean would.
+    kept = np.empty((2, config.depth, config.num_runs))
+
+    def keep(runs: slice, part: ChainMi) -> None:
+        kept[0, :, runs], kept[1, :, runs] = part.positive.T, part.negative.T
+
     residual = _rate_scenario(config, plan, profile, taps, runs_csv, keep)
 
     lines = _summary_lines(config, plan, taps, residual)
     lines.append("level,child_size,mean_mi_positive,mean_mi_negative,branch_gap_rel")
-    runs = config.num_runs
-    for level in range(1, config.depth + 1):
-        # np.mean's pairwise sum over each column view and its divide,
-        # without its wrapper; a reduce over axis 0 would sum in run order.
-        pos = float(np.add.reduce(chain.positive[:, level - 1]) / runs)
-        neg = float(np.add.reduce(chain.negative[:, level - 1]) / runs)
+    means = np.add.reduce(kept, axis=-1) / config.num_runs
+    for level, (pos, neg) in enumerate(zip(*means.tolist()), 1):
         gap = abs(pos - neg) / max(pos, neg) if max(pos, neg) > 0 else 0.0
         lines.append(
             f"{level},{config.n_fft >> level},{_fmt(pos)},{_fmt(neg)},{_fmt(gap)}"
@@ -542,8 +534,11 @@ def _table_head(size: int, depth: int, mode: str, rho: float, total: float) -> s
 def _run_fig4(
     config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfile, taps: int, runs_csv, report_csv
 ) -> list[str]:
-    chain, keep = _kept_chain(config)
-    max_residual = _rate_scenario(config, plan, profile, taps, runs_csv, keep)
+    # One run makes one chunk, so its ChainMi is kept as it is: no later
+    # chunk overwrites the buffers it views.
+    parts: list[ChainMi] = []
+    max_residual = _rate_scenario(config, plan, profile, taps, runs_csv, lambda runs, part: parts.append(part))
+    (chain,) = parts
     # Each slice with the residual of the split that made it, at level
     # len(path); the whole frame of a depth-0 plan has none.
     residual = [0.0] + chain.residual()[0].tolist()
@@ -556,7 +551,7 @@ def _run_fig4(
     total = float(chain.total[0])
     lines = _summary_lines(config, plan, taps, max_residual)
     lines.append(f"total_mi_bits={_fmt(total)}")
-    lines.append(_table_head(config.n_fft, config.depth, config.mode, config.snr.rho, total))
+    lines.append(_table_head(config.n_fft, config.depth, config.mode, config.snr, total))
     lines.append(f"{'path':>12} {'size':>6} {'mi_bits':>14} {'residual':>12}")
     lines += [f"{path:>12} {size:>6} {mi_bits:>14.6f} {res:>12.3e}" for _, path, size, _, mi_bits, res in records]
     if plan.non_uniform:
@@ -572,14 +567,14 @@ def _run_table1(config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfi
     1, and report both children of every level in both modes, with the
     decode cost of each child size."""
     _, _, (run_taps,) = next(_drawn_chunks(config, profile, taps, 1))
-    channel = build_circulant(run_taps, config.n_fft)
+    generator = np.zeros(config.n_fft, dtype=np.complex128)
+    generator[:taps] = run_taps
     for _ in range(config.depth):
-        channel = positive_child(channel)
-    depth = channel.size.bit_length() - 1
-    chains = {
-        mode: chain_mi(channel.generator, channel.size, depth, config.snr, mode) for mode in (MODE_EXACT, MODE_LITERAL)
-    }
-    sizes = [channel.size >> level for level in range(1, depth + 1)]
+        generator = positive_child(generator)
+    size = generator.size
+    depth = size.bit_length() - 1
+    chains = {mode: chain_mi(generator, size, depth, config.snr, mode) for mode in (MODE_EXACT, MODE_LITERAL)}
+    sizes = [size >> level for level in range(1, depth + 1)]
     records = [
         (level, path, size, mode, mi_bits, res)
         for mode, chain in chains.items()
@@ -599,10 +594,10 @@ def _run_table1(config: ExperimentConfig, plan: SlicePlan, profile: ChannelProfi
     widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
     return [
         f"scenario={config.scenario}",
-        f"continuation_root_size={channel.size} (deepest positive slice of a depth-{config.depth} plan)",
+        f"continuation_root_size={size} (deepest positive slice of a depth-{config.depth} plan)",
         f"seed={config.seed} snr_db={_fmt(config.snr_db)}",
         f"decode_cost_row={','.join(cost_row)}",
-        _table_head(channel.size, depth, "both", config.snr.rho, float(chains[MODE_EXACT].total)),
+        _table_head(size, depth, "both", config.snr, float(chains[MODE_EXACT].total)),
         *("  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in table),
         "note: the two modes coincide while the taps fit in the block and diverge below; "
         "per-level sums in literal mode need not match the parent",

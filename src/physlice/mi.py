@@ -1,5 +1,9 @@
 """Mutual-information analysis of sliced channels.
 
+A channel is its taps, an SNR is its linear rho, noiseless is ``inf``: the
+public functions take zero-padded taps and rho as a float. MI needs noise,
+so they accept a finite rho >= 0 only.
+
 One spectral engine computes the per-slice MI of the canonical chain plan in
 both modes, for a batch of channels at once: it takes zero-padded taps of
 shape (..., L), one channel per leading index, and returns the root MI and
@@ -43,6 +47,7 @@ hold the engine to a dense log-det oracle and to the generator fold of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +56,6 @@ from .channel import _spectrum_into, check_taps, circular_complement, lower_tria
 from .sliceplan import check_plan
 
 __all__ = [
-    "SnrSpec",
     "ChainMi",
     "MODE_EXACT",
     "MODE_LITERAL",
@@ -71,27 +75,12 @@ _SCRATCH_DTYPES = (np.complex128, np.float64)
 _SCRATCH_SAMPLE_BYTES = sum(np.dtype(dtype).itemsize for dtype in _SCRATCH_DTYPES)
 
 
-@dataclass(frozen=True)
-class SnrSpec:
-    """Linear signal-to-noise ratio rho = P / sigma^2 under uniform power."""
-
-    rho: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.rho) or self.rho < 0:
-            raise ValueError(f"rho must be finite and non-negative, got {self.rho}")
-
-    @classmethod
-    def from_db(cls, snr_db: float) -> "SnrSpec":
-        try:
-            return cls(10.0 ** (snr_db / 10.0))
-        except OverflowError:
-            raise ValueError(f"snr_db {snr_db} is too large: 10**(snr_db / 10) overflows a float") from None
-
-    @classmethod
-    def of(cls, snr) -> "SnrSpec":
-        """``snr`` itself if it is a SnrSpec, else the SnrSpec of the linear rho ``float(snr)``."""
-        return snr if isinstance(snr, cls) else cls(float(snr))
+def _check_rho(rho) -> float:
+    """The linear SNR ``rho`` as a float, checked finite and non-negative."""
+    rho = float(rho)
+    if not 0.0 <= rho < math.inf:
+        raise ValueError(f"rho must be finite and non-negative, got {rho}")
+    return rho
 
 
 def _log_gains_into(bins: np.ndarray, rho: float, out: np.ndarray) -> np.ndarray:
@@ -105,7 +94,7 @@ def _log_gains_into(bins: np.ndarray, rho: float, out: np.ndarray) -> np.ndarray
     return np.log2(out, out=out)
 
 
-def mi_fast(generator, snr) -> float:
+def mi_fast(generator, rho: float) -> float:
     """Per-bin mutual information of a circulant channel in bits.
 
     Sums log2(1 + rho * |G_b|^2) over the unnormalized frequency bins of the
@@ -116,7 +105,7 @@ def mi_fast(generator, snr) -> float:
     if g.ndim != 1:
         raise ValueError("generator must be one-dimensional")
     bins = np.fft.fft(g)
-    return float(np.sum(_log_gains_into(bins, SnrSpec.of(snr).rho, np.empty(bins.shape))))
+    return float(np.sum(_log_gains_into(bins, _check_rho(rho), np.empty(bins.shape))))
 
 
 def uniformity_ratio(taps, frame_size: int) -> float:
@@ -257,7 +246,7 @@ def _chain_levels_into(
         _split_into(level_gains, positive[..., level - 1], negative[..., level - 1])
 
 
-def chain_mi(taps, frame_size: int, depth: int, snr, mode: str = MODE_EXACT) -> ChainMi:
+def chain_mi(taps, frame_size: int, depth: int, rho: float, mode: str = MODE_EXACT) -> ChainMi:
     """Chain-plan MI of one channel per leading index of ``taps`` (..., L).
 
     Rows are zero-padded tap sequences, such as the (R, L) taps of
@@ -269,7 +258,7 @@ def chain_mi(taps, frame_size: int, depth: int, snr, mode: str = MODE_EXACT) -> 
         raise ValueError(f"unknown mode {mode!r}, expected one of {_MODES}")
     check_plan(frame_size, depth)
     taps = check_taps(taps, frame_size)
-    rho = SnrSpec.of(snr).rho
+    rho = _check_rho(rho)
     batch = taps.shape[:-1]
     chain = ChainMi(np.empty(batch), np.empty(batch + (depth,)), np.empty(batch + (depth,)))
     bins, gains = _scratch(batch + (frame_size,))
@@ -277,7 +266,7 @@ def chain_mi(taps, frame_size: int, depth: int, snr, mode: str = MODE_EXACT) -> 
     return chain
 
 
-def split_report(taps, frame_size: int, depth: int, snr, mode: str = MODE_EXACT) -> ChainMi:
+def split_report(taps, frame_size: int, depth: int, rho: float, mode: str = MODE_EXACT) -> ChainMi:
     """:func:`chain_mi` of one channel realization given as (L,) taps: a
     :class:`ChainMi` of batch shape ()."""
-    return chain_mi(check_taps(taps, frame_size, ()), frame_size, depth, snr, mode)
+    return chain_mi(check_taps(taps, frame_size, ()), frame_size, depth, rho, mode)

@@ -27,8 +27,10 @@ kernels; the loopback scenario runs every chunk of frames through one set of
 chunk buffers, ``_LinkBuffers``, whose docstring says what each buffer holds
 and which aliases the kernels allow.
 
-A channel is its taps: one (L,) array shared by a batch, or one row per
-frame, such as the (R, L) taps of ``channel.draw_taps``.
+A channel is its taps, an SNR is its linear rho, noiseless is ``inf``: the
+taps are one (L,) array shared by a batch, or one row per frame, such as the
+(R, L) taps of ``channel.draw_taps``, and ``propagate`` takes rho as a float,
+by default ``math.inf``, which adds no noise.
 
 Also here: the direct fixed-point decoder for the unmixed negative branch and
 the order-recursive inverse of a lower-triangular Toeplitz matrix it builds on.
@@ -58,6 +60,9 @@ __all__ = [
     "triangular_toeplitz_inverse",
     "EQUALIZER_ERASURE_THRESHOLD",
 ]
+
+# The smallest positive normal float64, 2**-1022.
+_SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
 
 # Bins whose |gain| is at most this fraction of the frame's RMS gain,
 # ||taps||_2 by Parseval, are flagged as erasures instead of divided by. The
@@ -188,13 +193,12 @@ def _unitary_idft(bins: np.ndarray) -> None:
     bins *= np.sqrt(bins.shape[-1])
 
 
-def _noise_rho(snr) -> float | None:
-    """The linear SNR of ``snr``, a number or an object with a ``rho``;
-    None for None or +inf, which add no noise."""
-    rho = math.inf if snr is None else float(getattr(snr, "rho", snr))
+def _noise_rho(snr) -> float:
+    """The linear SNR ``snr`` as a float, checked positive; ``inf`` adds no noise."""
+    rho = float(snr)
     if not rho > 0:
         raise ValueError(f"snr must be positive, got {rho}")
-    return None if rho == math.inf else rho
+    return rho
 
 
 def _standard_normals(rng, shape: tuple[int, ...]) -> np.ndarray:
@@ -213,17 +217,17 @@ def _standard_normals(rng, shape: tuple[int, ...]) -> np.ndarray:
     return np.moveaxis(rng.standard_normal((2,) + shape), 0, -2)
 
 
-def propagate(frame: OfdmFrame, taps, snr=None, rng=None) -> np.ndarray:
+def propagate(frame: OfdmFrame, taps, snr: float = math.inf, rng=None) -> np.ndarray:
     """Send frames through the channel and return the N post-CP samples of each.
 
     ``taps`` is one (L,) channel for every frame, or one per frame, (R, L)
     for an (R, N) batch. With the CP covering the channel, the post-CP
     samples of the linear convolution of (CP || body) with the taps are the
     circular convolution of the body, computed here by FFT. ``snr`` is the
-    linear rho (or an object with a ``rho`` attribute); None or +infinity
-    bypasses noise addition exactly. ``rng`` is one noise stream for all frames (a Generator
-    or a seed), or, for an (R, N) batch, a sequence of R Generators: each
-    then draws its frame's N real noise parts, then its N imaginary parts.
+    linear rho; ``math.inf`` bypasses noise addition exactly. ``rng`` is one
+    noise stream for all frames (a Generator or a seed), or, for an (R, N)
+    batch, a sequence of R Generators: each then draws its frame's N real
+    noise parts, then its N imaginary parts.
     """
     plan = frame.plan
     n = plan.frame_size
@@ -234,25 +238,25 @@ def propagate(frame: OfdmFrame, taps, snr=None, rng=None) -> np.ndarray:
             f"cyclic prefix ({plan.cp_length}) shorter than the channel ({taps.shape[-1]})"
         )
     rho = _noise_rho(snr)
-    noise = None if rho is None else _standard_normals(rng, body.shape)
+    noise = None if rho == math.inf else _standard_normals(rng, body.shape)
     received = np.empty(body.shape, dtype=np.complex128)
     _propagate_into(body, np.fft.fft(taps, n, axis=-1), rho, noise, received)
     return received
 
 
 def _propagate_into(
-    body: np.ndarray, gains: np.ndarray, rho: float | None, noise: np.ndarray | None, received: np.ndarray
+    body: np.ndarray, gains: np.ndarray, rho: float, noise: np.ndarray | None, received: np.ndarray
 ) -> None:
     """:func:`propagate` of frame bodies through channels of frequency
     response ``gains`` (the N-point FFT of the taps), unchecked, into
     ``received``, whose spectrum it takes in place. ``noise`` holds the
     standard normals of :func:`_standard_normals` and is scaled in place; it
-    is unused when ``rho`` is None. ``_LinkBuffers`` gives the aliases it
+    is unused when ``rho`` is ``inf``. ``_LinkBuffers`` gives the aliases it
     allows."""
     np.fft.fft(body, axis=-1, out=received)
     received *= gains
     np.fft.ifft(received, axis=-1, out=received)
-    if rho is None:
+    if rho == math.inf:
         return
     # Unit average signal power is guaranteed by the unitary chain and
     # unit-power constellations, so the noise variance is 1/rho.
@@ -323,6 +327,15 @@ def _receive_into(
     (``np.frexp``; a zero frame stays zero), so that no square overflows and
     every decision without overflow or underflow keeps its bits.
 
+    numpy divides by a complex g through 1 / d, where |d| is between g's
+    larger part and twice that. Below the smallest normal float, d loses
+    bits, and 1 / d overflows below about 2**-1024 although the quotient is
+    finite. So a chunk whose lo is below the smallest normal divides by each
+    frame's gains scaled by the power of two that brings its largest part
+    into [1/2, 1), and scales the quotients back by the same power; in the
+    normal range that gives the bits of the plain division, and every other
+    chunk takes the plain division. ``gains`` then holds the scaled divisor.
+
     The orthonormal DFT multiplies each bin by 1/sqrt(N) inside the FFT.
     numpy divides a complex array by a real scalar c as
     ``(re + im * 0) * (1 / c)``, so :func:`receive` gives what an
@@ -334,6 +347,9 @@ def _receive_into(
     np.maximum(magnitude, np.abs(gains.imag, out=squares), out=magnitude)
     lo, hi = magnitude.min(), magnitude.max()
     any_erased = not 2 * EQUALIZER_ERASURE_THRESHOLD * hi < lo
+    # Each frame's power of two that brings its largest part into [1/2, 1),
+    # taken before the exact rule reuses ``magnitude``.
+    shift = -np.frexp(magnitude.max(axis=-1, keepdims=True))[1] if lo < _SMALLEST_NORMAL else None
     if any_erased:
         np.abs(gains, out=magnitude)
         np.ldexp(magnitude, -np.frexp(magnitude.max(axis=-1, keepdims=True))[1], out=magnitude)
@@ -341,10 +357,14 @@ def _receive_into(
         rms = np.sqrt(np.add.reduce(np.square(magnitude, out=squares), axis=-1, keepdims=True) / magnitude.shape[-1])
         np.less_equal(magnitude, EQUALIZER_ERASURE_THRESHOLD * rms, out=erased)
         any_erased = erased.any()
+    if shift is not None:
+        np.ldexp(gains.view(np.float64), shift, out=gains.view(np.float64))
     if any_erased:
         np.copyto(gains, 1.0, where=erased)
     np.fft.fft(y, axis=-1, out=y, norm="ortho")
     y /= gains
+    if shift is not None:
+        np.ldexp(y.view(np.float64), shift, out=y.view(np.float64))
     np.take(y, order, axis=-1, out=estimate, mode="clip")
     if any_erased:
         np.take(np.broadcast_to(erased, y.shape), order, axis=-1, out=erasures, mode="clip")
@@ -372,7 +392,7 @@ class _LinkBuffers:
 
     Bound once, before the buffers are made (so the divisors' half-frame
     temporaries stay out of the peak): ``plan``; ``rho``, the SNR resolved by
-    :func:`_noise_rho` as in :func:`propagate`, None for a noiseless link
+    :func:`_noise_rho` as in :func:`propagate`, ``inf`` for a noiseless link
     (no noise draw, no symbol errors counted); ``stretches``, each slice's
     frame-order stretch; and ``divisors``, (slices, 1) columns of each
     slice's size and mean symbol power. Every QPSK point has the same
@@ -454,7 +474,7 @@ class _LinkBuffers:
     def run(self, rngs, taps: np.ndarray, evm: np.ndarray, errors: np.ndarray) -> None:
         """One frame per Generator of ``rngs`` through the link, in the first
         rows: each run draws its bits, then its noise (unless ``rho`` is
-        None), from its own stream; row i of ``taps`` is run i's channel."""
+        ``inf``), from its own stream; row i of ``taps`` is run i's channel."""
         r = len(rngs)
         if r < len(self.signal):
             return self.cut(r).run(rngs, taps, evm, errors)
@@ -466,7 +486,7 @@ class _LinkBuffers:
         _QPSK.take(bins, out=self.signal, mode="clip")
         _unitary_idft(self.signal)
         _spectrum_into(taps, self.gains)
-        if self.rho is not None:
+        if self.rho != math.inf:
             _normals_into(rngs, self.noise)
         self.measure(evm, errors)
 
@@ -474,15 +494,16 @@ class _LinkBuffers:
         """The frame bodies in ``signal`` through the channel ``gains``, the
         ``noise`` and the receiver, and each slice's EVM and symbol errors
         against ``index`` into its row of the (slices, r) arrays ``evm`` and
-        ``errors`` (left alone when ``rho`` is None: noiseless runs make no
+        ``errors`` (left alone when ``rho`` is ``inf``: noiseless runs make no
         symbol errors)."""
         rho, signal, estimate = self.rho, self.signal, self.gains
+        noisy = rho != math.inf
         _propagate_into(signal, estimate, rho, self.noise, signal)
         _receive_into(signal, estimate, self.plan.bin_order, *self.floats, self.erased, estimate, self.erasures)
         # Element-wise work on whole frames; each sum covers one slice, the same
         # sums that np.mean and np.count_nonzero take.
         sent = _QPSK.take(self.indices, out=signal, mode="clip")
-        if rho is not None:
+        if noisy:
             # A symbol is wrong when the < 0 test of _hard_index reads another
             # flag on either part of its estimate than on the sent symbol's: when
             # the pairs of flags, one uint16 each, differ. The erasure mask is
@@ -494,7 +515,7 @@ class _LinkBuffers:
         np.square(np.abs(np.subtract(estimate, sent, out=signal), out=error_power), out=error_power)
         for i, stretch in enumerate(self.stretches):
             np.add.reduce(error_power[:, stretch], axis=-1, out=evm[i])
-            if rho is not None:
+            if noisy:
                 np.add.reduce(wrong[:, stretch], axis=-1, dtype=np.intp, out=errors[i])
         for divisor in self.divisors:
             evm /= divisor

@@ -2,7 +2,8 @@
 
 The package never builds a channel or transform matrix. The tests hold it
 to dense forms kept here at oracle scale: ``dense`` (the circulant matrix
-of a ``CirculantChannel``), ``extract_blocks`` (its half blocks),
+of a generator, such as the taps zero-padded by ``pad``),
+``extract_blocks`` (its half blocks),
 ``split_matrix`` and ``recursive_matrix`` (the split transform as a
 matrix), and ``mi_logdet`` (MI as a Cholesky log-det). The size caps keep
 them from being called at frame scale.
@@ -40,8 +41,8 @@ from itertools import count
 
 import numpy as np
 
-from physlice.channel import CirculantChannel, _lagged_circulant
-from physlice.mi import MODE_EXACT, SnrSpec
+from physlice.channel import _lagged_circulant
+from physlice.mi import MODE_EXACT
 from physlice.sliceplan import check_plan
 from physlice.spectral import is_pow2, logdet2_psd
 from physlice.transform import butterfly_mixer
@@ -61,33 +62,45 @@ def random_taps(rng, length):
     return rng.standard_normal(length) + 1j * rng.standard_normal(length)
 
 
-def dense(channel):
-    """Dense materialization of a CirculantChannel (oracle scale): entry (i, j) = g[(i - j) mod size]."""
-    return _lagged_circulant(channel.generator, channel.size)[1]
+def pad(taps, size):
+    """The generator of the size-``size`` circulant of (L,) taps, L <= size: the taps zero-padded."""
+    taps = np.asarray(taps, dtype=np.complex128)
+    if taps.ndim != 1 or taps.size > size:
+        raise ValueError(f"expected at most {size} taps of shape (L,), got {taps.shape}")
+    generator = np.zeros(size, dtype=np.complex128)
+    generator[: taps.size] = taps
+    return generator
 
 
-def extract_blocks(channel):
-    """Top-left and top-right half blocks (A, B) with dense(C) == [[A, B], [B, A]]."""
-    if channel.size % 2:
+def dense(generator):
+    """Dense circulant matrix of a 1-D generator (oracle scale): entry (i, j) = g[(i - j) mod size]."""
+    g = np.asarray(generator, dtype=np.complex128)
+    if g.ndim != 1:
+        raise ValueError(f"expected one generator of shape (n,), got {g.shape}")
+    return _lagged_circulant(g, g.size)[1]
+
+
+def extract_blocks(generator):
+    """Top-left and top-right half blocks (A, B) with dense(g) == [[A, B], [B, A]]."""
+    matrix = dense(generator)
+    if len(matrix) % 2:
         raise ValueError("block extraction needs an even size")
-    half = channel.size // 2
-    matrix = dense(channel)
+    half = len(matrix) // 2
     return matrix[:half, :half].copy(), matrix[:half, half:].copy()
 
 
-def mi_logdet(channel, snr):
+def mi_logdet(channel, rho):
     """Exact mutual information in bits: log2 det(I + rho * H H^H).
 
-    ``channel`` is a CirculantChannel or a dense square matrix; oracle scale
-    only (size <= 512).
+    ``channel`` is a 1-D circulant generator or a dense square matrix;
+    oracle scale only (size <= 512).
     """
-    h = dense(channel) if isinstance(channel, CirculantChannel) else np.asarray(channel, dtype=np.complex128)
+    h = dense(channel) if np.ndim(channel) == 1 else np.asarray(channel, dtype=np.complex128)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square channel matrix, got shape {h.shape}")
     n = h.shape[0]
     if n > _LOGDET_CAP:
         raise ValueError(f"dense log-det MI is capped at size {_LOGDET_CAP}, got {n}")
-    rho = SnrSpec.of(snr).rho
     gram = np.eye(n, dtype=np.complex128) + rho * (h @ h.conj().T)
     return logdet2_psd(gram)
 

@@ -12,8 +12,6 @@ from physlice.channel import (
     EPA_PROFILE,
     ETU_PROFILE,
     ChannelProfile,
-    CirculantChannel,
-    build_circulant,
     check_taps,
     circular_complement,
     draw_taps,
@@ -26,7 +24,7 @@ from physlice.channel import (
     split_coupling,
 )
 
-from oracles import dense, extract_blocks, random_taps, split_matrix
+from oracles import dense, extract_blocks, pad, random_taps, split_matrix
 
 # Sub-6 GHz numerology used by the urban scenario: 1 / (2048 * 15 kHz).
 TS_LTE_NS = 1e9 / (2048 * 15e3)
@@ -324,12 +322,12 @@ class TestSpectrumInto:
 
 class TestCirculantBuild:
     def test_identity_channel(self):
-        ch = build_circulant([1.0], 4)
+        ch = pad([1.0], 4)
         np.testing.assert_allclose(dense(ch), np.eye(4), atol=1e-15)
 
     def test_first_column_and_cyclic_wrap(self):
-        ch = build_circulant([2.0, 3.0], 4)
-        np.testing.assert_allclose(ch.generator, [2, 3, 0, 0])
+        ch = pad([2.0, 3.0], 4)
+        np.testing.assert_allclose(ch, [2, 3, 0, 0])
         matrix = dense(ch)
         np.testing.assert_allclose(matrix[:, 0], [2, 3, 0, 0])
         assert matrix[0, 3] == 3.0  # wraparound of the delayed tap
@@ -337,7 +335,7 @@ class TestCirculantBuild:
     def test_block_shapes_when_taps_fit_half(self):
         rng = np.random.default_rng(5)
         taps = random_taps(rng, 3)
-        matrix = dense(build_circulant(taps, 8))
+        matrix = dense(pad(taps, 8))
         top_left = matrix[:4, :4]
         top_right = matrix[:4, 4:]
         # In-block part: lower-triangular Toeplitz of the taps.
@@ -346,32 +344,25 @@ class TestCirculantBuild:
         assert np.max(np.abs(np.tril(top_right))) == 0.0
         np.testing.assert_allclose(top_right, circular_complement(taps, 4), atol=1e-15)
 
-    def test_rejects_channel_longer_than_size(self):
-        with pytest.raises(ValueError):
-            build_circulant(np.ones(5), 4)
-
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError):
-            CirculantChannel(np.ones(6))
 
 
 class TestBlocks:
     def test_trivial_blocks(self):
-        ch = build_circulant([1.0], 2)
+        ch = pad([1.0], 2)
         a, b = extract_blocks(ch)
         np.testing.assert_allclose(a, [[1.0]])
         np.testing.assert_allclose(b, [[0.0]])
 
     def test_two_tap_blocks(self):
         h0, h1 = 0.8 + 0.1j, 0.3 - 0.2j
-        ch = build_circulant([h0, h1], 4)
+        ch = pad([h0, h1], 4)
         a, b = extract_blocks(ch)
         np.testing.assert_allclose(a, [[h0, 0], [h1, h0]], atol=1e-15)
         np.testing.assert_allclose(b, [[0, h1], [0, 0]], atol=1e-15)
 
     def test_persymmetric_block_identity(self):
         rng = np.random.default_rng(8)
-        ch = CirculantChannel(rng.standard_normal(8) + 1j * rng.standard_normal(8))
+        ch = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         a, b = extract_blocks(ch)
         matrix = dense(ch)
         np.testing.assert_allclose(matrix[4:, :4], b, atol=1e-15)
@@ -380,39 +371,39 @@ class TestBlocks:
 
 class TestChildren:
     def test_positive_child_no_fold_for_short_taps(self):
-        ch = build_circulant([0.5, 0.25j], 8)
+        ch = pad([0.5, 0.25j], 8)
         child = positive_child(ch)
-        np.testing.assert_allclose(child.generator, [0.5, 0.25j, 0, 0], atol=1e-15)
+        np.testing.assert_allclose(child, [0.5, 0.25j, 0, 0], atol=1e-15)
 
     def test_positive_child_folds_overhang(self):
-        ch = CirculantChannel(np.array([1, 0, 0, 0, 0, 0, 0, 0.5], dtype=complex))
-        np.testing.assert_allclose(positive_child(ch).generator, [1, 0, 0, 0.5], atol=1e-15)
+        ch = np.array([1, 0, 0, 0, 0, 0, 0, 0.5], dtype=complex)
+        np.testing.assert_allclose(positive_child(ch), [1, 0, 0, 0.5], atol=1e-15)
 
     def test_positive_child_fold_matches_dense_transform_block(self):
         rng = np.random.default_rng(3)
-        ch = CirculantChannel(rng.standard_normal(8) + 1j * rng.standard_normal(8))
+        ch = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         t = split_matrix(8)
         mixed = t.conj().T @ dense(ch) @ t
         np.testing.assert_allclose(mixed[:4, :4], dense(positive_child(ch)), atol=1e-12)
 
     def test_identity_channel_children_stay_identity(self):
-        ch = build_circulant([1.0], 16)
+        ch = pad([1.0], 16)
         for _ in range(4):
             ch = positive_child(ch)
             np.testing.assert_allclose(dense(ch), np.eye(ch.size), atol=1e-15)
-        ch = build_circulant([1.0], 16)
+        ch = pad([1.0], 16)
         np.testing.assert_allclose(dense(negative_child(ch)), np.eye(8), atol=1e-15)
 
     def test_negative_child_two_tap_modulation(self):
         h0, h1 = 0.9 - 0.4j, 0.2 + 0.7j
-        ch = build_circulant([h0, h1], 8)
+        ch = pad([h0, h1], 8)
         child = negative_child(ch)
         rot = 0.70710678 - 0.70710678j  # exp(-j*pi/4)
-        np.testing.assert_allclose(child.generator, [h0, h1 * rot, 0, 0], atol=1e-8)
+        np.testing.assert_allclose(child, [h0, h1 * rot, 0, 0], atol=1e-8)
 
     def test_negative_child_matches_dense_mixed_block(self):
         rng = np.random.default_rng(16)
-        ch = CirculantChannel(rng.standard_normal(16) + 1j * rng.standard_normal(16))
+        ch = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         a, b = extract_blocks(ch)
         w = np.diag(np.exp(2j * np.pi * np.arange(8) / 16))
         dense_child = w.conj().T @ (a - b) @ w
@@ -421,7 +412,7 @@ class TestChildren:
     @pytest.mark.parametrize("size", [8, 32, 128])
     def test_full_split_block_diagonalization(self, size):
         rng = np.random.default_rng(size)
-        ch = CirculantChannel(rng.standard_normal(size) + 1j * rng.standard_normal(size))
+        ch = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         t = split_matrix(size)
         mixed = t.conj().T @ dense(ch) @ t
         half = size // 2
@@ -433,17 +424,51 @@ class TestChildren:
     @pytest.mark.parametrize("size", [4, 16, 64])
     def test_children_take_even_and_odd_bins(self, size):
         rng = np.random.default_rng(size + 1)
-        ch = CirculantChannel(rng.standard_normal(size) + 1j * rng.standard_normal(size))
-        parent_bins = np.fft.fft(ch.generator)
-        assert np.max(np.abs(np.fft.fft(positive_child(ch).generator) - parent_bins[0::2])) < 1e-10
-        assert np.max(np.abs(np.fft.fft(negative_child(ch).generator) - parent_bins[1::2])) < 1e-10
+        ch = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        parent_bins = np.fft.fft(ch)
+        assert np.max(np.abs(np.fft.fft(positive_child(ch)) - parent_bins[0::2])) < 1e-10
+        assert np.max(np.abs(np.fft.fft(negative_child(ch)) - parent_bins[1::2])) < 1e-10
 
     def test_eigenvalues_equal_response_as_multiset(self):
         rng = np.random.default_rng(77)
-        ch = CirculantChannel(rng.standard_normal(16) + 1j * rng.standard_normal(16))
+        ch = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         eigs = np.sort_complex(np.linalg.eigvals(dense(ch)))
-        bins = np.sort_complex(np.fft.fft(ch.generator))
+        bins = np.sort_complex(np.fft.fft(ch))
         assert np.max(np.abs(eigs - bins)) < 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 4), log_size=st.integers(1, 7))
+    def test_a_batch_folds_as_its_rows_and_keeps_the_bin_law(self, data, rows, log_size):
+        """An (R, n) batch of generators gives bitwise the children of each
+        row, and each child's FFT is its parent's even or odd bins."""
+        size = 2**log_size
+        unit = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+        batch = np.array(data.draw(st.lists(unit, min_size=rows * size, max_size=rows * size)), dtype=np.complex128)
+        batch = batch.reshape(rows, size)
+        parent_bins = np.fft.fft(batch, axis=-1)
+        for child, residue in ((positive_child, 0), (negative_child, 1)):
+            children = child(batch)
+            assert children.shape == (rows, size // 2)
+            for row, got in zip(batch, children):
+                assert got.tobytes() == child(row).tobytes()
+            assert np.max(np.abs(np.fft.fft(children, axis=-1) - parent_bins[:, residue::2])) < 1e-10
+
+    @pytest.mark.parametrize("child", [positive_child, negative_child])
+    @pytest.mark.parametrize(
+        "generator,message",
+        [
+            (np.ones(6), "power-of-two size"),
+            (np.ones((2, 3)), "power-of-two size"),
+            (np.ones(1), "at least 2"),
+            (np.ones((2, 0)), "power-of-two size"),
+            (1.0, "power-of-two size"),
+            ([1.0, np.nan], "non-finite"),
+            ([[1.0, 0.0], [complex(0.0, np.inf), 1.0]], "non-finite"),
+        ],
+    )
+    def test_children_check_their_generators(self, child, generator, message):
+        with pytest.raises(ValueError, match=message):
+            child(generator)
 
 
 class TestSplitCoupling:
@@ -518,19 +543,19 @@ class TestTriangularBuilders:
     def test_dense_circulant_equals_scipy_circulant_bitwise(self, data, log_size):
         size = 2**log_size
         gen = np.array(data.draw(st.lists(entries, min_size=size, max_size=size)), dtype=np.complex128)
-        assert_bitwise_equal(dense(CirculantChannel(gen)), circulant(gen))
+        assert_bitwise_equal(dense(gen), circulant(gen))
 
     def test_lower_triangular_matches_block_of_circulant(self):
         rng = np.random.default_rng(2)
         taps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        matrix = dense(build_circulant(taps, 16))
+        matrix = dense(pad(taps, 16))
         np.testing.assert_allclose(lower_triangular_toeplitz(taps, 8), matrix[:8, :8], atol=1e-15)
 
     def test_sum_reconstructs_circulant_when_taps_fit(self):
         rng = np.random.default_rng(4)
         taps = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         total = lower_triangular_toeplitz(taps, 8) + circular_complement(taps, 8)
-        matrix = dense(build_circulant(taps, 8))
+        matrix = dense(pad(taps, 8))
         np.testing.assert_allclose(total, matrix, atol=1e-15)
 
     def test_overlong_taps_are_dropped(self):
@@ -561,7 +586,6 @@ def call_with_taps(name, taps):
         "receive": lambda: receive(frame.body, plan, taps),
         "chain_mi": lambda: chain_mi(taps, 16, 1, 1.0),
         "split_report": lambda: split_report(taps, 16, 1, 1.0),
-        "build_circulant": lambda: build_circulant(taps, 16),
         "split_coupling": lambda: split_coupling(taps, 16),
         "uniformity_ratio": lambda: uniformity_ratio(taps, 16),
         "iterative_decode": lambda: iterative_decode(block, block, taps),
@@ -571,7 +595,7 @@ def call_with_taps(name, taps):
 
 TAKE_TAPS = (
     "propagate", "receive", "chain_mi", "split_report",
-    "build_circulant", "split_coupling", "uniformity_ratio", "iterative_decode",
+    "split_coupling", "uniformity_ratio", "iterative_decode",
 )
 # chain_mi takes any leading batch shape; the others take one channel here.
 ONE_CHANNEL = tuple(name for name in TAKE_TAPS if name != "chain_mi")

@@ -328,8 +328,8 @@ class TestConfig:
 
     def test_infinite_snr_maps_to_noiseless(self):
         cfg = make_config("loopback", snr_db=math.inf)
-        assert cfg.snr is None
-        assert make_config("loopback", snr_db=-math.inf).snr.rho == 0.0
+        assert cfg.snr == math.inf
+        assert make_config("loopback", snr_db=-math.inf).snr == 0.0
 
     @pytest.mark.parametrize("snr_db", [-math.inf, math.nan])
     def test_validation_rejects_snr_without_signal_or_value(self, snr_db):
@@ -719,19 +719,22 @@ class TestDrawnChunks:
     def test_table1_folds_the_channel_of_run_0(self, tmp_path, monkeypatch):
         from physlice.channel import draw_taps
 
-        built = []
-        real_build_circulant = experiments.build_circulant
+        folded = []
+        real_positive_child = experiments.positive_child
 
-        def build_circulant(taps, size):
-            built.append(np.array(taps))
-            return real_build_circulant(taps, size)
+        def positive_child(generator):
+            folded.append(np.array(generator))
+            return real_positive_child(generator)
 
-        monkeypatch.setattr(experiments, "build_circulant", build_circulant)
+        monkeypatch.setattr(experiments, "positive_child", positive_child)
         cfg = make_config("table1", seed=9, output_dir=str(tmp_path))
         run_scenario(cfg)
-        (taps,) = built
+        # The first fold takes the taps zero-padded to the frame; one fold per level of the plan.
+        generator = folded[0]
+        assert [g.size for g in folded] == [cfg.n_fft >> level for level in range(cfg.depth)]
         want = draw_taps(cfg.resolve_profile(), cfg.sample_period_ns, [np.random.default_rng([9, 0])])[0]
-        assert taps.tobytes() == want.tobytes()
+        assert generator[: want.size].tobytes() == want.tobytes()
+        assert not generator[want.size :].any()
 
 
 class TestOutputFiles:
@@ -1304,7 +1307,7 @@ def test_link_chunks_are_bitwise_the_scaled_receiver_and_per_slice_means(case):
     an erased bin's estimate is +0."""
     plan, snr_db, rows, clean_rows, zero_row, zero_bins, silent_row, seed = case
     n = plan.frame_size
-    rho = None if snr_db == math.inf else 10.0 ** (snr_db / 10.0)
+    rho = 10.0 ** (snr_db / 10.0)
     rng = np.random.default_rng(seed)
     link = _LinkBuffers(plan, rho, rows)
     rx_frames, rx_floats, rx_masks = (np.empty((2, rows, n), dtype) for dtype in (complex, float, bool))
@@ -1345,7 +1348,7 @@ def test_link_chunks_are_bitwise_the_scaled_receiver_and_per_slice_means(case):
         want_evm, want_errors = loopback_statistics(want_estimate, sent, index, plan)
         assert evm.tobytes() == want_evm.tobytes()
         # Noiseless runs count no symbol errors; their rows are left alone.
-        np.testing.assert_array_equal(errors, want_errors if rho is not None else -1)
+        np.testing.assert_array_equal(errors, want_errors if rho != math.inf else -1)
 
 
 # Floats whose text the row writers must keep: signed zeros and infinities,

@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 
 from physlice.channel import (
     ETU_PROFILE,
-    CirculantChannel,
-    build_circulant,
     circular_complement,
     lower_triangular_toeplitz,
     negative_child,
@@ -17,7 +15,6 @@ from physlice.mi import (
     MODE_EXACT,
     MODE_LITERAL,
     ChainMi,
-    SnrSpec,
     _chain_levels_into,
     chain_mi,
     mi_fast,
@@ -27,50 +24,53 @@ from physlice.mi import (
 from physlice.experiments import make_config, run_scenario
 from physlice.sliceplan import build_plan
 
-from oracles import chain_levels, dense, mi_logdet, random_taps, recursive_matrix
+from oracles import chain_levels, dense, mi_logdet, pad, random_taps, recursive_matrix
 
 
-class TestSnrSpec:
+class TestRho:
     def test_from_db(self):
-        assert SnrSpec.from_db(10.0).rho == pytest.approx(10.0)
-        assert SnrSpec.from_db(0.0).rho == pytest.approx(1.0)
+        assert make_config("fig9", snr_db=10.0).snr == pytest.approx(10.0)
+        assert make_config("fig9", snr_db=0.0).snr == pytest.approx(1.0)
 
     def test_from_db_beyond_the_float_range_raises_value_error(self):
         with pytest.raises(ValueError, match=r"snr_db 4000.0 is too large: 10\*\*\(snr_db / 10\) overflows a float"):
-            SnrSpec.from_db(4000.0)
+            make_config("loopback", snr_db=4000.0).snr
 
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            SnrSpec(-1.0)
+    @pytest.mark.parametrize("rho", [-1.0, np.nan, np.inf])
+    def test_rejects_negative_and_non_finite(self, rho):
+        with pytest.raises(ValueError, match="rho must be finite and non-negative"):
+            mi_fast(np.ones(4), rho)
+        with pytest.raises(ValueError, match="rho must be finite and non-negative"):
+            chain_mi([1.0], 4, 1, rho)
 
 
 class TestMiKernels:
     def test_identity_channel_logdet(self):
-        ch = build_circulant([1.0], 4)
-        assert mi_logdet(ch, SnrSpec(1.0)) == pytest.approx(4.0, abs=1e-12)
+        ch = pad([1.0], 4)
+        assert mi_logdet(ch, 1.0) == pytest.approx(4.0, abs=1e-12)
 
     def test_flat_channel_logdet(self):
-        ch = build_circulant([1.0], 8)
-        assert mi_logdet(ch, SnrSpec(3.0)) == pytest.approx(16.0, abs=1e-12)
+        ch = pad([1.0], 8)
+        assert mi_logdet(ch, 3.0) == pytest.approx(16.0, abs=1e-12)
 
     def test_flat_generator_fast(self):
         gen = np.zeros(32, dtype=complex)
         gen[0] = 1.0
-        assert mi_fast(gen, SnrSpec(9.0)) == pytest.approx(32 * np.log2(10.0), rel=1e-12)
+        assert mi_fast(gen, 9.0) == pytest.approx(32 * np.log2(10.0), rel=1e-12)
 
     def test_fast_equals_logdet_on_random_channels(self):
         rng = np.random.default_rng(21)
         for n in (16, 64, 128):
             taps = random_taps(rng, n // 4)
-            ch = build_circulant(taps, n)
-            assert mi_fast(ch.generator, 5.0) == pytest.approx(mi_logdet(ch, 5.0), rel=1e-9)
+            ch = pad(taps, n)
+            assert mi_fast(ch, 5.0) == pytest.approx(mi_logdet(ch, 5.0), rel=1e-9)
 
     def test_fast_splits_into_even_and_odd_bins(self):
         rng = np.random.default_rng(2)
-        ch = CirculantChannel(rng.standard_normal(16) + 1j * rng.standard_normal(16))
-        parent = mi_fast(ch.generator, 4.0)
-        children = mi_fast(positive_child(ch).generator, 4.0) + mi_fast(
-            negative_child(ch).generator, 4.0
+        ch = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        parent = mi_fast(ch, 4.0)
+        children = mi_fast(positive_child(ch), 4.0) + mi_fast(
+            negative_child(ch), 4.0
         )
         assert children == pytest.approx(parent, rel=1e-9)
 
@@ -88,7 +88,7 @@ class TestMiKernels:
         rng = np.random.default_rng(9)
         for n, depth in ((32, 2), (128, 3)):
             taps = random_taps(rng, n // 4)
-            h = dense(build_circulant(taps, n))
+            h = dense(pad(taps, n))
             g = recursive_matrix(n, depth)
             assert mi_logdet(h, 7.0) == pytest.approx(mi_logdet(g.conj().T @ h @ g, 7.0), rel=1e-9)
 
@@ -96,7 +96,7 @@ class TestMiKernels:
 class TestSplitReport:
     def test_flat_channel_splits_exactly_in_half(self):
         taps = [1.0]
-        report = split_report(taps, 64, 3, SnrSpec(10.0))
+        report = split_report(taps, 64, 3, 10.0)
         assert report.positive == pytest.approx(report.parent / 2, rel=1e-12)
         assert report.negative == pytest.approx(report.parent / 2, rel=1e-12)
         sizes = [desc.size for desc in build_plan(64, 3, 0).slices]
@@ -108,7 +108,7 @@ class TestSplitReport:
         rng = np.random.default_rng(5)
         for n, depth in ((64, 3), (128, 5), (1024, 6)):
             taps = random_taps(rng, n // 8)
-            report = split_report(taps, n, depth, SnrSpec(10.0))
+            report = split_report(taps, n, depth, 10.0)
             assert report.max_residual_rel() < 1e-9
             leaf_sum = sum(report.slice_mi().tolist())
             assert leaf_sum == pytest.approx(float(report.total), rel=1e-9)
@@ -116,9 +116,9 @@ class TestSplitReport:
     def test_total_matches_dense_oracle(self):
         rng = np.random.default_rng(6)
         taps = random_taps(rng, 10)
-        report = split_report(taps, 128, 2, SnrSpec(10.0))
+        report = split_report(taps, 128, 2, 10.0)
         assert float(report.total) == pytest.approx(
-            mi_logdet(build_circulant(taps, 128), SnrSpec(10.0)), rel=1e-9
+            mi_logdet(pad(taps, 128), 10.0), rel=1e-9
         )
 
     def test_urban_scale_first_split_is_nearly_even(self):
@@ -128,7 +128,7 @@ class TestSplitReport:
         rng = np.random.default_rng(11)
         for _ in range(5):
             taps = sample_cir(ETU_PROFILE, ts, rng)
-            report = split_report(taps, 2048, 1, SnrSpec.from_db(10.0))
+            report = split_report(taps, 2048, 1, 10.0)
             gap = abs(report.positive[0] - report.negative[0]) / report.parent[0]
             assert gap < 0.01
 
@@ -152,7 +152,7 @@ class TestSplitReport:
         # With a very short channel every slice approaches total / 2^level.
         rng = np.random.default_rng(13)
         taps = random_taps(rng, 2)
-        report = split_report(taps, 1024, 4, SnrSpec.from_db(10.0))
+        report = split_report(taps, 1024, 4, 10.0)
         for desc, mi_bits in zip(build_plan(1024, 4, 0).slices, report.slice_mi().tolist(), strict=True):
             expected = float(report.total) / (1 << len(desc.path))
             assert mi_bits == pytest.approx(expected, rel=0.01)
@@ -208,7 +208,7 @@ class TestUniformity:
             length = int(rng.integers(2, 65))
             taps = random_taps(rng, length)
             diagnostics.append(uniformity_ratio(taps, 256))
-            report = split_report(taps, 256, 1, SnrSpec.from_db(10.0))
+            report = split_report(taps, 256, 1, 10.0)
             gaps.append(abs(report.positive[0] - report.negative[0]) / report.parent[0])
         ranks_d = np.argsort(np.argsort(diagnostics))
         ranks_g = np.argsort(np.argsort(gaps))
@@ -233,23 +233,23 @@ class TestDeepReport:
 
     def test_exact_mode_conserves_at_first_level(self):
         rng = np.random.default_rng(17)
-        channel = build_circulant(random_taps(rng, 100), 256)
-        report = chain_mi(channel.generator, 256, 8, SnrSpec.from_db(10.0), MODE_EXACT)
+        channel = pad(random_taps(rng, 100), 256)
+        report = chain_mi(channel, 256, 8, 10.0, MODE_EXACT)
         assert report.positive[0] + report.negative[0] == pytest.approx(report.parent[0], rel=1e-9)
         assert report.max_residual_rel() < 1e-9
 
     def test_flat_channel_halves_down_to_size_one(self):
-        channel = build_circulant([1.0], 256)
+        channel = pad([1.0], 256)
         for mode in (MODE_EXACT, MODE_LITERAL):
-            report = chain_mi(channel.generator, 256, 8, SnrSpec(1.0), mode)
+            report = chain_mi(channel, 256, 8, 1.0, mode)
             expected = float(report.total) * np.array([(256 >> level) / 256 for level in range(1, 9)])
             assert report.positive == pytest.approx(expected, rel=1e-9)
             assert report.negative == pytest.approx(expected, rel=1e-9)
 
     def test_modes_coincide_while_taps_fit(self):
         rng = np.random.default_rng(18)
-        channel = build_circulant(random_taps(rng, 20), 256)
-        exact, literal = (chain_mi(channel.generator, 256, 8, 10.0, mode) for mode in (MODE_EXACT, MODE_LITERAL))
+        channel = pad(random_taps(rng, 20), 256)
+        exact, literal = (chain_mi(channel, 256, 8, 10.0, mode) for mode in (MODE_EXACT, MODE_LITERAL))
         fits = slice(0, 3)  # levels 1-3, slices of 128 down to 32: the channel (20 taps) still fits
         assert literal.positive[fits] == pytest.approx(exact.positive[fits], rel=1e-9)
         assert literal.negative[fits] == pytest.approx(exact.negative[fits], rel=1e-9)
@@ -267,14 +267,13 @@ class TestDeepReport:
 
 def fold_walk(generator, depth, rho):
     """(parent, positive, negative) MI per level of the generator-fold chain."""
-    channel = CirculantChannel(generator)
-    parent = mi_fast(channel.generator, rho)
+    parent = mi_fast(generator, rho)
     levels = []
     for _ in range(depth):
-        pos, neg = positive_child(channel), negative_child(channel)
-        pos_mi = mi_fast(pos.generator, rho)
-        levels.append((parent, pos_mi, mi_fast(neg.generator, rho)))
-        channel, parent = pos, pos_mi
+        pos, neg = positive_child(generator), negative_child(generator)
+        pos_mi = mi_fast(pos, rho)
+        levels.append((parent, pos_mi, mi_fast(neg, rho)))
+        generator, parent = pos, pos_mi
     return levels
 
 
@@ -289,7 +288,7 @@ def triangular_walk(channels, size, depth, rho):
     """The chain of each channel with every child the dense ``low +/- wrap``
     of the raw taps: (parent, positive, negative) MI per level, (R, depth, 3)."""
     levels = np.empty((len(channels), depth, 3))
-    parent = dense_mi(np.stack([dense(build_circulant(taps, size)) for taps in channels]), rho)
+    parent = dense_mi(np.stack([dense(pad(taps, size)) for taps in channels]), rho)
     for level in range(1, depth + 1):
         half = size >> level
         low = np.stack([lower_triangular_toeplitz(taps, half) for taps in channels])
@@ -331,7 +330,7 @@ class TestEngineOracles:
         for row, taps in zip(stacked, channels):
             row[: taps.size] = taps
         oracles = {
-            MODE_EXACT: np.array([fold_walk(build_circulant(taps, n).generator, full, self.RHO) for taps in channels]),
+            MODE_EXACT: np.array([fold_walk(pad(taps, n), full, self.RHO) for taps in channels]),
             MODE_LITERAL: np.concatenate(
                 [triangular_walk(channels[i : i + self.STACK], n, full, self.RHO) for i in range(0, n, self.STACK)]
             ),
@@ -339,7 +338,7 @@ class TestEngineOracles:
         # The stacked Cholesky oracle is the single-matrix dense log-det oracle.
         np.testing.assert_allclose(
             oracles[MODE_LITERAL][: self.STACK, 0, 0],
-            [mi_logdet(build_circulant(taps, n), self.RHO) for taps in channels[: self.STACK]],
+            [mi_logdet(pad(taps, n), self.RHO) for taps in channels[: self.STACK]],
             rtol=1e-12,
         )
         for k in range(1, full + 1):

@@ -76,19 +76,19 @@ def test_readme_tour_runs_as_written():
 
 def test_dense_oracles_live_only_in_the_tests():
     """The dense matrices are test oracles (``tests/oracles.py``): neither
-    the package nor any of its modules defines one, and a circulant channel
-    is its generator alone."""
+    the package nor any of its modules defines one. A channel is its taps
+    and an SNR its linear rho: no wrapper type of either, nor the builder of
+    one, is left in the package or any ``__all__``."""
     import physlice
 
     names = [f"physlice.{info.name}" for info in pkgutil.iter_modules(physlice.__path__)]
     modules = [physlice] + [importlib.import_module(name) for name in names]
     moved = ("mi_logdet", "split_matrix", "recursive_matrix", "_recursive_dense", "extract_blocks")
+    retired = ("SnrSpec", "CirculantChannel", "build_circulant")
     for module in modules:
-        for name in moved + ("_LOGDET_CAP", "_DENSE_CAP"):
+        for name in moved + retired + ("_LOGDET_CAP", "_DENSE_CAP"):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
-        assert not set(moved) & set(getattr(module, "__all__", ())), module.__name__
-    for attribute in ("dense", "response"):
-        assert not hasattr(physlice.CirculantChannel, attribute), attribute
+        assert not set(moved + retired) & set(getattr(module, "__all__", ())), module.__name__
 
 
 def test_scenario_names_appear_only_in_the_scenario_table():

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from physlice.channel import CirculantChannel
 from physlice.sliceplan import build_plan
 from physlice.transform import butterfly_mixer, forward_transform, inverse_transform
 
@@ -158,7 +157,7 @@ def test_single_split_block_diagonalizes_short_channels(n):
         taps = random_complex(rng, rng.integers(1, n // 2 + 1))
         gen = np.zeros(n, dtype=complex)
         gen[: taps.size] = taps
-        h = dense(CirculantChannel(gen))
+        h = dense(gen)
         g = recursive_matrix(n, 1)
         mixed = g.conj().T @ h @ g
         half = n // 2
