@@ -22,9 +22,7 @@ from .channel import (
     split_coupling,
 )
 from .experiments import (
-    EmpiricalCdf,
     ExperimentConfig,
-    empirical_cdf,
     make_config,
     run_scenario,
 )

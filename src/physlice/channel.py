@@ -286,6 +286,13 @@ def _check_generator(generator) -> np.ndarray:
     return gen
 
 
+def _finite_child(child: np.ndarray) -> np.ndarray:
+    """``child``, checked finite: a fold near the float maximum can overflow."""
+    if not np.all(np.isfinite(child)):
+        raise ValueError("child generator overflows a float: the generator's entries are too large to fold")
+    return child
+
+
 def positive_child(generator) -> np.ndarray:
     """Generators (..., n/2) of the half-size circulants of the positive
     branch: each generator (..., n) folded in half.
@@ -295,7 +302,8 @@ def positive_child(generator) -> np.ndarray:
     """
     g = _check_generator(generator)
     half = g.shape[-1] // 2
-    return g[..., :half] + g[..., half:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite_child(g[..., :half] + g[..., half:])
 
 
 def negative_child(generator) -> np.ndarray:
@@ -310,7 +318,8 @@ def negative_child(generator) -> np.ndarray:
     size = g.shape[-1]
     half = size // 2
     modulation = np.exp(-2j * np.pi * np.arange(half) / size)
-    return (g[..., :half] - g[..., half:]) * modulation
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite_child((g[..., :half] - g[..., half:]) * modulation)
 
 
 def _lagged_circulant(taps, size: int) -> tuple[np.ndarray, np.ndarray]:

@@ -29,10 +29,11 @@ from one flat list of cells. It also keeps what the summaries read: an MI
 chunk hands its ``ChainMi`` rows to the runner, which keeps the one run's
 ``ChainMi`` in fig4, a level-major (2, depth, num_runs) array of the branch
 MI in fig9 and only the three (num_runs,) columns of its cdfs in fig7 and
-fig8, and ``loopback`` keeps (slices, runs) EVMs and each
-slice's symbol-error total. The chunks run in order in the calling thread,
-so ``workers`` changes neither the output nor the speed (a thread pool
-never beat this loop: the chunks hold the GIL between short numpy calls).
+fig8, which ``_write_cdf`` sorts in place, and ``loopback`` keeps (slices,
+runs) EVMs and each slice's symbol-error total. The chunks run in order in
+the calling thread, so ``workers`` changes neither the output nor the speed
+(a thread pool never beat this loop: the chunks hold the GIL between short
+numpy calls).
 Plot rendering is left to external tools: the files written here are plain
 CSV plus a short text summary per scenario, each opened by ``_create``.
 """
@@ -69,11 +70,9 @@ from .txrx import _LinkBuffers
 
 __all__ = [
     "ExperimentConfig",
-    "EmpiricalCdf",
     "PRESETS",
     "make_config",
     "load_config_file",
-    "empirical_cdf",
     "run_scenario",
 ]
 
@@ -258,34 +257,6 @@ def load_config_file(path) -> dict:
     return values
 
 
-@dataclass(frozen=True)
-class EmpiricalCdf:
-    """Step empirical cdf: value k/n at the k-th order statistic."""
-
-    values: np.ndarray
-    probs: np.ndarray
-
-    def evaluate(self, x) -> np.ndarray:
-        """P(sample <= x) on the step function."""
-        ranks = np.searchsorted(self.values, np.asarray(x, dtype=float), side="right")
-        return ranks / self.values.size
-
-    def quantile(self, p: float) -> float:
-        """Smallest sample value with cdf >= p."""
-        if not 0.0 < p <= 1.0:
-            raise ValueError(f"quantile level must be in (0, 1], got {p}")
-        return float(self.values[np.searchsorted(self.probs, p)])
-
-
-def empirical_cdf(samples) -> EmpiricalCdf:
-    samples = np.asarray(samples, dtype=float).ravel()
-    if samples.size == 0:
-        raise ValueError("empirical cdf needs at least one sample")
-    ordered = np.sort(samples)
-    probs = np.arange(1, ordered.size + 1, dtype=float) / ordered.size
-    return EmpiricalCdf(values=ordered, probs=probs)
-
-
 def _chunk_runs(n_fft: int, sample_bytes: int, budget: int) -> int:
     """Runs per chunk of a scenario whose buffer plan holds ``sample_bytes``
     per frame sample within ``budget`` bytes: ``budget // (sample_bytes *
@@ -391,15 +362,18 @@ def _create(path: Path):
     return path.open("w", newline="")
 
 
-def _write_cdf(fh, curves: dict[str, EmpiricalCdf]) -> None:
-    """One row into ``fh`` per point of each curve, curve after curve, in
-    blocks of ``_CDF_BLOCK_ROWS`` rows, each written by one ``_rows`` call."""
-    for name, cdf in curves.items():
+def _write_cdf(fh, curves: dict[str, np.ndarray]) -> None:
+    """The step empirical cdf of each curve's (n,) float samples into ``fh``,
+    curve after curve: one row per order statistic, the k-th at cdf k/n, in
+    blocks of ``_CDF_BLOCK_ROWS`` rows, each written by one ``_rows`` call.
+    Each curve's samples are sorted in place, as ``np.sort`` sorts a copy."""
+    for name, samples in curves.items():
+        samples.sort()
         row = f"{name},{_FLOAT_FIELD},{_FLOAT_FIELD}\n"
-        for first in range(0, cdf.values.size, _CDF_BLOCK_ROWS):
-            block = slice(first, first + _CDF_BLOCK_ROWS)
-            values = cdf.values[block].tolist()
-            fh.write(_rows(row, len(values), values, cdf.probs[block].tolist()))
+        for first in range(0, samples.size, _CDF_BLOCK_ROWS):
+            values = samples[first : first + _CDF_BLOCK_ROWS].tolist()
+            probs = (np.arange(first + 1, first + len(values) + 1, dtype=float) / samples.size).tolist()
+            fh.write(_rows(row, len(values), values, probs))
 
 
 def _rate_scenario(
@@ -493,14 +467,15 @@ def _run_rate_cdf(
 
     residual = _rate_scenario(config, plan, profile, taps, runs_csv, keep)
     lines = _summary_lines(config, plan, taps, residual)
-    curves = dict(zip(names, (empirical_cdf(pos), empirical_cdf(neg), empirical_cdf(parent / 2.0))))
-    _write_cdf(cdf_csv, curves)
     if gaps:
-        # A split of a slice with no MI (a subnormal rho) counts its absolute gap, as the residual does.
+        # Taken in run order, before the cdf writer sorts the columns. A split of
+        # a slice with no MI (a subnormal rho) counts its absolute gap, as the residual does.
         gap = np.abs(pos - neg)
         np.divide(gap, parent, out=gap, where=parent > 0)
         lines.append(f"mean_branch_gap_rel={_fmt(float(np.mean(gap)))}")
         lines.append(f"max_branch_gap_rel={_fmt(float(np.max(gap)))}")
+    parent /= 2.0
+    _write_cdf(cdf_csv, dict(zip(names, (pos, neg, parent))))
     return lines
 
 

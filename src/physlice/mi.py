@@ -2,7 +2,8 @@
 
 A channel is its taps, an SNR is its linear rho, noiseless is ``inf``: the
 public functions take zero-padded taps and rho as a float. MI needs noise,
-so they accept a finite rho >= 0 only.
+so they accept a finite rho >= 0 only, and they raise ValueError where
+rho * |gain|^2 overflows a float.
 
 One spectral engine computes the per-slice MI of the canonical chain plan in
 both modes, for a batch of channels at once: it takes zero-padded taps of
@@ -83,6 +84,13 @@ def _check_rho(rho) -> float:
     return rho
 
 
+def _check_finite_mi(*values) -> None:
+    """Raise unless every MI of ``values`` is finite: for finite taps and rho,
+    unless rho * |gain|^2 overflows (the scenarios' 3000 dB limit prevents it)."""
+    if not all(np.all(np.isfinite(value)) for value in values):
+        raise ValueError("rho * |gain|^2 overflows a float: the taps or rho are too large for a finite MI")
+
+
 def _log_gains_into(bins: np.ndarray, rho: float, out: np.ndarray) -> np.ndarray:
     """Per-bin mutual information in bits, log2(1 + rho * |b|^2), of the
     diagonal gains ``bins``, built in place in the float array ``out`` of
@@ -105,7 +113,10 @@ def mi_fast(generator, rho: float) -> float:
     if g.ndim != 1:
         raise ValueError("generator must be one-dimensional")
     bins = np.fft.fft(g)
-    return float(np.sum(_log_gains_into(bins, _check_rho(rho), np.empty(bins.shape))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mi = float(np.sum(_log_gains_into(bins, _check_rho(rho), np.empty(bins.shape))))
+    _check_finite_mi(mi)
+    return mi
 
 
 def uniformity_ratio(taps, frame_size: int) -> float:
@@ -262,7 +273,9 @@ def chain_mi(taps, frame_size: int, depth: int, rho: float, mode: str = MODE_EXA
     batch = taps.shape[:-1]
     chain = ChainMi(np.empty(batch), np.empty(batch + (depth,)), np.empty(batch + (depth,)))
     bins, gains = _scratch(batch + (frame_size,))
-    _chain_levels_into(taps, rho, mode, chain, bins, gains)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _chain_levels_into(taps, rho, mode, chain, bins, gains)
+    _check_finite_mi(chain.total, chain.positive, chain.negative)
     return chain
 
 

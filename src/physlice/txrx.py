@@ -323,18 +323,19 @@ def _receive_into(
     holding a frame with a spectral null or a zero channel, run the exact
     rule: |g|, the rms from the pairwise sum of |g|^2, and the comparison;
     its erasure pass runs only when some bin is erased. It first scales each
-    frame's |g| by the power of two that brings the largest into [1/2, 1)
-    (``np.frexp``; a zero frame stays zero), so that no square overflows and
-    every decision without overflow or underflow keeps its bits.
+    frame's |g| by the power of two that brings the frame's largest part into
+    [1/2, 1) (``np.frexp``; a zero frame stays zero), so every |g| stays
+    below √2, no square overflows, and every decision without overflow or
+    underflow keeps its bits.
 
     numpy divides by a complex g through 1 / d, where |d| is between g's
     larger part and twice that. Below the smallest normal float, d loses
     bits, and 1 / d overflows below about 2**-1024 although the quotient is
     finite. So a chunk whose lo is below the smallest normal divides by each
-    frame's gains scaled by the power of two that brings its largest part
-    into [1/2, 1), and scales the quotients back by the same power; in the
-    normal range that gives the bits of the plain division, and every other
-    chunk takes the plain division. ``gains`` then holds the scaled divisor.
+    frame's gains scaled by the same power of two as the exact rule's |g|,
+    and scales the quotients back by it; in the normal range that gives the
+    bits of the plain division, and every other chunk takes the plain
+    division. ``gains`` then holds the scaled divisor.
 
     The orthonormal DFT multiplies each bin by 1/sqrt(N) inside the FFT.
     numpy divides a complex array by a real scalar c as
@@ -347,23 +348,24 @@ def _receive_into(
     np.maximum(magnitude, np.abs(gains.imag, out=squares), out=magnitude)
     lo, hi = magnitude.min(), magnitude.max()
     any_erased = not 2 * EQUALIZER_ERASURE_THRESHOLD * hi < lo
+    subnormal = lo < _SMALLEST_NORMAL
     # Each frame's power of two that brings its largest part into [1/2, 1),
     # taken before the exact rule reuses ``magnitude``.
-    shift = -np.frexp(magnitude.max(axis=-1, keepdims=True))[1] if lo < _SMALLEST_NORMAL else None
+    shift = -np.frexp(magnitude.max(axis=-1, keepdims=True))[1] if any_erased or subnormal else None
     if any_erased:
         np.abs(gains, out=magnitude)
-        np.ldexp(magnitude, -np.frexp(magnitude.max(axis=-1, keepdims=True))[1], out=magnitude)
+        np.ldexp(magnitude, shift, out=magnitude)
         # np.mean's own pairwise sum and divide, without its wrapper.
         rms = np.sqrt(np.add.reduce(np.square(magnitude, out=squares), axis=-1, keepdims=True) / magnitude.shape[-1])
         np.less_equal(magnitude, EQUALIZER_ERASURE_THRESHOLD * rms, out=erased)
         any_erased = erased.any()
-    if shift is not None:
+    if subnormal:
         np.ldexp(gains.view(np.float64), shift, out=gains.view(np.float64))
     if any_erased:
         np.copyto(gains, 1.0, where=erased)
     np.fft.fft(y, axis=-1, out=y, norm="ortho")
     y /= gains
-    if shift is not None:
+    if subnormal:
         np.ldexp(y.view(np.float64), shift, out=y.view(np.float64))
     np.take(y, order, axis=-1, out=estimate, mode="clip")
     if any_erased:

@@ -301,14 +301,25 @@ def link_rows(plan, start, evm, errors):
 
 
 def cdf_text(curves):
-    """A cdf CSV of ``{name: EmpiricalCdf}``: the header, then one
-    ``str.format`` per point, curve after curve."""
+    """A cdf CSV of ``{name: samples}``: the header, then one
+    ``str.format`` per point, curve after curve: the k-th of the n sorted
+    samples (``np.sort``) at cdf k / n."""
     rows = (
-        f"{name},{{:.12g}},{{:.12g}}\n".format(x, p)
-        for name, cdf in curves.items()
-        for x, p in zip(cdf.values.tolist(), cdf.probs.tolist())
+        f"{name},{{:.12g}},{{:.12g}}\n".format(x, k / len(xs))
+        for name, samples in curves.items()
+        for xs in [np.sort(samples).tolist()]
+        for k, x in enumerate(xs, 1)
     )
     return "curve,x,cdf\n" + "".join(rows)
+
+
+def cdf_quantile(samples, p):
+    """The p-quantile, p in (0, 1], of the step empirical cdf of ``samples``
+    that the cdf files plot: the smallest sample whose cdf k / n is at
+    least p, found by ``searchsorted`` of p in the (n,) column of k / n."""
+    values = np.sort(np.asarray(samples, dtype=float).ravel())
+    probs = np.arange(1, values.size + 1, dtype=float) / values.size
+    return float(values[np.searchsorted(probs, p)])
 
 
 def report_text(records):

@@ -18,13 +18,13 @@ from physlice.channel import (
     positive_child,
     sample_cir,
 )
-from physlice.experiments import empirical_cdf, make_config, run_scenario
+from physlice.experiments import make_config, run_scenario
 from physlice.mi import split_report
 from physlice.sliceplan import bins_for_slice, build_plan, decode_cost, total_cost
 from physlice.transform import butterfly_mixer
 from physlice.txrx import iterative_decode, modulate, propagate, receive, transmit, triangular_toeplitz_inverse
 
-from oracles import dense, extract_blocks, mi_logdet, pad, random_taps, recursive_matrix
+from oracles import cdf_quantile, dense, extract_blocks, mi_logdet, pad, random_taps, recursive_matrix
 
 TS_LTE_NS = 1e9 / (2048 * 15e3)
 
@@ -154,11 +154,10 @@ def test_criterion_06_urban_first_split_distribution():
         if abs(positive - negative) / parent < 0.01:
             within += 1
     assert within >= int(np.ceil(0.99 * runs))
-    cdf_pos, cdf_neg, cdf_bench = map(empirical_cdf, (pos, neg, bench))
     for p in np.arange(0.05, 0.96, 0.05):
-        reference = cdf_bench.quantile(p)
-        assert abs(cdf_pos.quantile(p) - reference) / reference < 0.01
-        assert abs(cdf_neg.quantile(p) - reference) / reference < 0.01
+        reference = cdf_quantile(bench, p)
+        assert abs(cdf_quantile(pos, p) - reference) / reference < 0.01
+        assert abs(cdf_quantile(neg, p) - reference) / reference < 0.01
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
     _passed(

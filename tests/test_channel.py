@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -469,6 +470,22 @@ class TestChildren:
     def test_children_check_their_generators(self, child, generator, message):
         with pytest.raises(ValueError, match=message):
             child(generator)
+
+    @pytest.mark.parametrize(
+        "child,generator",
+        [
+            (positive_child, np.full(4, 1e308)),
+            (positive_child, [[1.0, 1.0], [1e308j, 1e308j]]),
+            (negative_child, [1e308, 0.0, -1e308, 0.0]),
+            # The difference is finite; its product with exp(-j*pi/4) is not.
+            (negative_child, [0.0, 1.5e308 + 1.5e308j, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
+        ],
+    )
+    def test_children_reject_a_fold_that_overflows_without_a_warning(self, child, generator):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows a float"):
+                child(generator)
 
 
 class TestSplitCoupling:

@@ -12,15 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
 from physlice import experiments
 from physlice.cli import main as cli_main
 from physlice.experiments import (
     PRESETS,
-    EmpiricalCdf,
     ExperimentConfig,
-    empirical_cdf,
     load_config_file,
     make_config,
     run_scenario,
@@ -29,7 +26,7 @@ from physlice.mi import _SCRATCH_SAMPLE_BYTES, _scratch
 from physlice.sliceplan import build_plan
 from physlice.txrx import _QPSK, _LinkBuffers, _propagate_into, _receive_into, _unitary_idft
 
-from oracles import cdf_text, link_rows, loopback_statistics, mi_rows, report_text, scaled_receive
+from oracles import cdf_quantile, cdf_text, link_rows, loopback_statistics, mi_rows, report_text, scaled_receive
 
 
 def link_chunk(n_fft: int) -> int:
@@ -105,51 +102,37 @@ def traced_peak(tmp_path, scenario, num_runs, **overrides) -> int:
         tracemalloc.stop()
 
 
-class TestEmpiricalCdf:
-    def test_small_sample_values(self):
-        cdf = empirical_cdf([1.0, 2.0, 3.0])
-        assert cdf.evaluate(2.0) == pytest.approx(2 / 3)
-        assert cdf.evaluate(0.5) == 0.0
-        assert cdf.evaluate(3.0) == 1.0
+class TestCdf:
+    """A cdf file plots the step empirical cdf of each curve: the k-th of its
+    n sorted samples at k / n, whose quantiles ``oracles.cdf_quantile``
+    takes."""
 
-    def test_reaches_one_at_max(self):
-        rng = np.random.default_rng(0)
-        cdf = empirical_cdf(rng.standard_normal(101))
-        assert cdf.evaluate(cdf.values[-1]) == 1.0
-        assert cdf.probs[-1] == 1.0
-        assert np.all(np.diff(cdf.probs) > 0)
+    def test_written_cdf_rises_strictly_to_one_over_the_sorted_samples(self):
+        samples = np.random.default_rng(0).standard_normal(101)
+        fh = io.StringIO()
+        experiments._write_cdf(fh, {"c": samples})
+        probs = [float(line.split(",")[2]) for line in fh.getvalue().splitlines()]
+        assert probs[-1] == 1.0
+        assert np.all(np.diff(probs) > 0)
+        assert np.all(np.diff(samples) >= 0)
 
     def test_quantile_inverts_cdf(self):
-        cdf = empirical_cdf([10.0, 20.0, 30.0, 40.0])
-        assert cdf.quantile(0.25) == 10.0
-        assert cdf.quantile(0.5) == 20.0
-        assert cdf.quantile(1.0) == 40.0
+        samples = [10.0, 20.0, 30.0, 40.0]
+        assert cdf_quantile(samples, 0.25) == 10.0
+        assert cdf_quantile(samples, 0.5) == 20.0
+        assert cdf_quantile(samples, 1.0) == 40.0
 
     def test_quantile_does_not_round_k_over_n_up(self):
         # 0.28 * 25 is a hair above 7.
-        cdf = empirical_cdf(range(25))
-        assert cdf.evaluate(6.0) == 0.28
-        assert cdf.quantile(0.28) == 6.0
+        fh = io.StringIO()
+        experiments._write_cdf(fh, {"c": np.arange(25.0)})
+        assert fh.getvalue().splitlines()[6] == "c,6,0.28"
+        assert cdf_quantile(range(25), 0.28) == 6.0
 
     @given(st.integers(1, 300), st.data())
     def test_quantile_at_k_over_n_is_the_k_th_order_statistic(self, n, data):
         k = data.draw(st.integers(1, n))
-        cdf = empirical_cdf(np.arange(n, dtype=float)[::-1])
-        assert cdf.evaluate(float(k - 1)) == k / n
-        assert cdf.quantile(k / n) == k - 1
-
-    def test_converges_to_normal_cdf(self):
-        rng = np.random.default_rng(1)
-        samples = rng.standard_normal(10_000)
-        cdf = empirical_cdf(samples)
-        # Kolmogorov-Smirnov distance below the 1% critical value 1.63/sqrt(n).
-        grid = np.linspace(-3, 3, 601)
-        ks = np.max(np.abs(cdf.evaluate(grid) - stats.norm.cdf(grid)))
-        assert ks < 1.63 / np.sqrt(10_000)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            empirical_cdf([])
+        assert cdf_quantile(np.arange(n, dtype=float)[::-1], k / n) == k - 1
 
 
 class TestConfig:
@@ -678,10 +661,16 @@ class TestScenarios:
         assert traced_peak(tmp_path, scenario, num_runs, **overrides) / num_runs < bound
 
     def test_fig8_keeps_only_the_columns_its_cdfs_read(self, tmp_path):
-        # The runs' three (num_runs,) columns hold 24 B per run, and the
-        # cdfs of the three curves 48 B. Keeping every run's chain MI at
-        # depth 11 would hold 184 B per run.
+        # The runs' three (num_runs,) columns hold 24 B per run. Keeping every
+        # run's chain MI at depth 11 would hold 184 B per run.
         assert traced_peak(tmp_path, "fig8", 20000) / 20000 < 120
+
+    def test_fig7_cdfs_sort_the_kept_columns_in_place(self, tmp_path):
+        # Past the chunk phase the peak is the three kept columns (24 B per
+        # run) and the branch gaps' two temporaries (16 B). A sorted copy of
+        # each column and its k / n would hold 48 B per run more.
+        config = dict(n_fft=128, profile="epa", delta_f_hz=240e3, cp_length=16)
+        assert traced_peak(tmp_path, "fig7", 40000, **config) / 40000 < 48
 
     def test_the_link_holds_its_declared_bytes_per_frame_sample(self, tmp_path):
         # One run at N = 16384 is one chunk of one frame. Its buffers hold
@@ -1193,6 +1182,13 @@ GOLDEN_DIGESTS = [
         "fig8_runs.csv": "99c436cad35325b74a7e1935f21d4cbebb1c7e242232fc034fa8fb9217c0b6f2",
         "fig8_summary.txt": "154a165eff75a7569e2894fb136db3abddbc86ebf6562315a22e8ae04f5e87e7",
     }),
+    # 1025 runs: past one 1024-row cdf block, and past one seed-hash block of
+    # 36 MI chunks (1008 runs) into a block of 17.
+    ("fig8", "--runs 1025", {
+        "fig8_cdf.csv": "7f52da93df5ed8f89bfbadd05fbc81e6e40cab9c5fb0575a9e0af88330ee371c",
+        "fig8_runs.csv": "21817f4d78310610f7e7120b7a95341b5a9d765979c579e19f856d6af16590c7",
+        "fig8_summary.txt": "0db2e548d89f225a91ed0b7f25462ad7e565fdc4bc8fb627d1eb7d4b0f2deb16",
+    }),
     # fig8 below depth 11 plots the deepest split of a shallower plan.
     ("fig8", "--depth 4 --runs 20", {
         "fig8_cdf.csv": "98284c9d9a90a63673eba923c23af205ea3709e415a34890197dbe835ec2b776",
@@ -1393,7 +1389,7 @@ def test_chunk_rows_are_the_per_run_str_format_rows(case):
 @given(
     curves=st.dictionaries(
         st.from_regex(r"[a-z_]{1,16}", fullmatch=True),
-        st.lists(st.tuples(_ROW_FLOATS, _ROW_FLOATS), min_size=1, max_size=12),
+        st.lists(_ROW_FLOATS, min_size=1, max_size=12),
         min_size=1,
         max_size=3,
     ),
@@ -1401,15 +1397,19 @@ def test_chunk_rows_are_the_per_run_str_format_rows(case):
 )
 def test_cdf_blocks_write_the_per_point_str_format_rows(curves, block):
     """The cdf writer, in blocks of a few rows, writes the text of one
-    ``str.format`` per point, curve after curve, below the table's header."""
+    ``str.format`` per point of each curve's sorted samples, curve after
+    curve, below the table's header, and leaves each column sorted."""
     from unittest import mock
 
-    cdfs = {name: EmpiricalCdf(*np.array(points).T.copy()) for name, points in curves.items()}
+    columns = {name: np.array(samples, dtype=float) for name, samples in curves.items()}
+    expected = cdf_text(columns)
     fh = io.StringIO()
     fh.write(experiments._SCENARIOS["fig7"].files["cdf"] + "\n")
     with mock.patch.object(experiments, "_CDF_BLOCK_ROWS", block):
-        experiments._write_cdf(fh, cdfs)
-    assert fh.getvalue() == cdf_text(cdfs)
+        experiments._write_cdf(fh, columns)
+    assert fh.getvalue() == expected
+    for name, samples in curves.items():
+        assert columns[name].tobytes() == np.sort(samples).tobytes()
 
 
 @settings(max_examples=100, deadline=None)

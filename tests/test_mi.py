@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -42,6 +44,29 @@ class TestRho:
             mi_fast(np.ones(4), rho)
         with pytest.raises(ValueError, match="rho must be finite and non-negative"):
             chain_mi([1.0], 4, 1, rho)
+
+    @pytest.mark.parametrize("rho", [1.0, 0.0])
+    @pytest.mark.parametrize(
+        "mi",
+        [
+            lambda rho: chain_mi(np.array([1e200]), 4, 1, rho),
+            lambda rho: chain_mi(np.array([1e200]), 4, 1, rho, MODE_LITERAL),
+            lambda rho: split_report(np.array([1e200]), 4, 1, rho),
+            lambda rho: mi_fast(np.array([1e155, 0.0]), rho),
+        ],
+        ids=["chain_mi", "chain_mi-literal", "split_report", "mi_fast"],
+    )
+    def test_mi_of_finite_inputs_whose_gain_overflows_raises_without_a_warning(self, rho, mi):
+        # |gain|^2 overflows a float; at rho = 0 the product would be 0 * inf = nan.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"rho \* \|gain\|\^2 overflows a float"):
+                mi(rho)
+
+    def test_mi_near_the_overflow_stays_finite(self):
+        # rho * |gain|^2 = 1e300 * 1e8 overflows nowhere.
+        assert np.isfinite(mi_fast(np.array([1e4, 0.0]), 1e300))
+        assert np.isfinite(chain_mi(np.array([1e4]), 4, 1, 1e300).total)
 
 
 class TestMiKernels:

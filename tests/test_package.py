@@ -77,14 +77,15 @@ def test_readme_tour_runs_as_written():
 def test_dense_oracles_live_only_in_the_tests():
     """The dense matrices are test oracles (``tests/oracles.py``): neither
     the package nor any of its modules defines one. A channel is its taps
-    and an SNR its linear rho: no wrapper type of either, nor the builder of
-    one, is left in the package or any ``__all__``."""
+    and an SNR its linear rho, and a cdf is its sorted samples: no wrapper
+    type of any, nor the builder of one, is left in the package or any
+    ``__all__``."""
     import physlice
 
     names = [f"physlice.{info.name}" for info in pkgutil.iter_modules(physlice.__path__)]
     modules = [physlice] + [importlib.import_module(name) for name in names]
     moved = ("mi_logdet", "split_matrix", "recursive_matrix", "_recursive_dense", "extract_blocks")
-    retired = ("SnrSpec", "CirculantChannel", "build_circulant")
+    retired = ("SnrSpec", "CirculantChannel", "build_circulant", "EmpiricalCdf", "empirical_cdf")
     for module in modules:
         for name in moved + retired + ("_LOGDET_CAP", "_DENSE_CAP"):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
