@@ -374,5 +374,15 @@ def split_coupling(taps, frame_size: int) -> tuple[np.ndarray, np.ndarray, float
     block = lower_triangular_toeplitz(check_taps(taps, quarter, ()), quarter)
     low = block[:eighth, :eighth].copy()
     wrap = block[eighth:, :eighth].copy()
-    coupling = float(np.linalg.norm(wrap @ low.conj().T, 2))
-    return low, wrap, coupling
+    return low, wrap, _gram_norm((wrap, low))
+
+
+def _gram_norm(*pairs) -> float:
+    """Spectral norm of the sum of ``a @ b^H`` over the ``(a, b)`` block
+    ``pairs``. Products that overflow a float raise a ValueError before the
+    norm, whose LAPACK call would print to stdout and return NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = sum(a @ b.conj().T for a, b in pairs)
+    if not np.all(np.isfinite(gram)):
+        raise ValueError("a product of the split's Toeplitz blocks overflows a float")
+    return float(np.linalg.norm(gram, 2))

@@ -53,7 +53,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _spectrum_into, check_taps, circular_complement, lower_triangular_toeplitz, split_coupling
+from .channel import (
+    _gram_norm, _spectrum_into, check_taps, circular_complement, lower_triangular_toeplitz, split_coupling
+)
 from .sliceplan import check_plan
 
 __all__ = [
@@ -130,7 +132,7 @@ def uniformity_ratio(taps, frame_size: int) -> float:
     quarter = frame_size // 4
     low = lower_triangular_toeplitz(taps, quarter)
     wrap = circular_complement(taps, quarter)
-    diag_norm = float(np.linalg.norm(low @ low.conj().T + wrap @ wrap.conj().T, 2))
+    diag_norm = _gram_norm((low, low), (wrap, wrap))
     if diag_norm == 0.0:
         return 0.0
     return coupling / diag_norm

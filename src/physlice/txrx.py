@@ -13,8 +13,9 @@ transmit:  slices onto their bins through the plan's ``inverse_bin_order``,
 propagate: the receiver keeps the N samples after the CP. The CP covers the
            channel (cp_length >= L is enforced), so those samples are the
            circular convolution of the body with the taps, computed here by
-           FFT; then optional complex AWGN. The tests keep the linear
-           convolution of (CP || body) as the oracle.
+           FFT; then optional complex AWGN, drawn from one stream per
+           frame. The tests keep the linear convolution of (CP || body) as
+           the oracle.
 receive:   one unitary N-point DFT, one-tap zero-forcing equalization against
            the true channel response (genie-aided; no pilot estimation),
            gathered back into frame order through ``bin_order``.
@@ -30,7 +31,9 @@ and which aliases the kernels allow.
 A channel is its taps, an SNR is its linear rho, noiseless is ``inf``: the
 taps are one (L,) array shared by a batch, or one row per frame, such as the
 (R, L) taps of ``channel.draw_taps``, and ``propagate`` takes rho as a float,
-by default ``math.inf``, which adds no noise.
+by default ``math.inf``, which adds no noise. Noise streams go one per frame,
+as channel streams do: an (N,) frame takes one Generator or seed, an (R, N)
+batch a sequence of R Generators.
 
 Also here: the direct fixed-point decoder for the unmixed negative branch and
 the order-recursive inverse of a lower-triangular Toeplitz matrix it builds on.
@@ -201,22 +204,6 @@ def _noise_rho(snr) -> float:
     return rho
 
 
-def _standard_normals(rng, shape: tuple[int, ...]) -> np.ndarray:
-    """Standard normals for the noise of frames of ``shape`` (..., N), as
-    shape[:-1] + (2, N): each frame's N real, then its N imaginary parts.
-    ``rng`` is one stream for all frames (a Generator or a seed), which
-    draws every frame's real parts first, or a sequence of one Generator per
-    frame of an (R, N) batch, each filling its frame's row; an empty
-    sequence is no Generators, not a seed, and fits only an empty batch."""
-    if isinstance(rng, Sequence) and all(isinstance(g, np.random.Generator) for g in rng):
-        if len(shape) != 2 or len(rng) != shape[0]:
-            raise ValueError(f"expected one generator per frame of batch shape {shape[:-1]}, got {len(rng)}")
-        return _normals_into(rng, np.empty((shape[0], 2, shape[1])))
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    return np.moveaxis(rng.standard_normal((2,) + shape), 0, -2)
-
-
 def propagate(frame: OfdmFrame, taps, snr: float = math.inf, rng=None) -> np.ndarray:
     """Send frames through the channel and return the N post-CP samples of each.
 
@@ -224,21 +211,31 @@ def propagate(frame: OfdmFrame, taps, snr: float = math.inf, rng=None) -> np.nda
     for an (R, N) batch. With the CP covering the channel, the post-CP
     samples of the linear convolution of (CP || body) with the taps are the
     circular convolution of the body, computed here by FFT. ``snr`` is the
-    linear rho; ``math.inf`` bypasses noise addition exactly. ``rng`` is one
-    noise stream for all frames (a Generator or a seed), or, for an (R, N)
-    batch, a sequence of R Generators: each then draws its frame's N real
-    noise parts, then its N imaginary parts.
+    linear rho; ``math.inf`` bypasses noise addition exactly. The noise
+    takes one stream per frame: an (N,) frame one Generator or seed (a list
+    of ints such as ``[seed, run]`` is one seed), an (R, N) batch a sequence
+    of R Generators. Each draws ``standard_normal((2, N))``: its frame's N
+    real noise parts, then its N imaginary parts.
     """
     plan = frame.plan
     n = plan.frame_size
     body = frame.body
-    taps = check_taps(taps, n, body.shape[:-1])
+    batch = body.shape[:-1]
+    taps = check_taps(taps, n, batch)
     if plan.cp_length < taps.shape[-1]:
-        raise ValueError(
-            f"cyclic prefix ({plan.cp_length}) shorter than the channel ({taps.shape[-1]})"
-        )
+        raise ValueError(f"cyclic prefix ({plan.cp_length}) shorter than the channel ({taps.shape[-1]})")
     rho = _noise_rho(snr)
-    noise = None if rho == math.inf else _standard_normals(rng, body.shape)
+    noise = None
+    if rho != math.inf:
+        if 1.0 / (2.0 * rho) == math.inf:
+            raise ValueError(f"snr {rho} is too small: the noise scale 1 / (2 * snr) overflows a float")
+        streams = isinstance(rng, Sequence) and all(isinstance(g, np.random.Generator) for g in rng)
+        if not batch and not streams:
+            rng = [np.random.default_rng(rng)]
+        elif len(batch) != 1 or not streams or len(rng) != batch[0]:
+            got = len(rng) if streams else "one stream"
+            raise ValueError(f"expected one generator per frame of batch shape {batch}, got {got}")
+        noise = _normals_into(rng, np.empty((len(rng), 2, n))).reshape(batch + (2, n))
     received = np.empty(body.shape, dtype=np.complex128)
     _propagate_into(body, np.fft.fft(taps, n, axis=-1), rho, noise, received)
     return received
@@ -249,9 +246,9 @@ def _propagate_into(
 ) -> None:
     """:func:`propagate` of frame bodies through channels of frequency
     response ``gains`` (the N-point FFT of the taps), unchecked, into
-    ``received``, whose spectrum it takes in place. ``noise`` holds the
-    standard normals of :func:`_standard_normals` and is scaled in place; it
-    is unused when ``rho`` is ``inf``. ``_LinkBuffers`` gives the aliases it
+    ``received``, whose spectrum it takes in place. ``noise`` holds each
+    frame's standard normals, (..., 2, N), and is scaled in place; it is
+    unused when ``rho`` is ``inf``. ``_LinkBuffers`` gives the aliases it
     allows."""
     np.fft.fft(body, axis=-1, out=received)
     received *= gains
@@ -375,22 +372,11 @@ def _receive_into(
         erasures[...] = False
 
 
-# The loopback link's chunk buffers by dtype, in the order of ``_LinkBuffers.buffers``:
-# each one's name and the axes between its rows and its N samples.
-_LINK_BUFFERS = {
-    np.complex128: {"signal": (), "gains": ()},
-    np.float64: {"noise": (2,)},
-    np.uint64: {"index": ()},
-    np.bool_: {"erased": (), "erasures": ()},
-}
-
-
 class _LinkBuffers:
     """The loopback link of one plan and SNR, on chunk buffers for chunks of
-    up to ``rows`` frames of the plan's N samples (dtypes and shapes in
-    ``_LINK_BUFFERS``, ``sample_bytes`` per frame sample), and the chunk of
-    frames they run: the one statement of what the link binds, what each
-    buffer holds and which aliases the link kernels allow.
+    up to ``rows`` frames of the plan's N samples, and the chunk of frames
+    they run: the one statement of what the link binds, what each buffer
+    holds and which aliases the link kernels allow.
 
     Bound once, before the buffers are made (so the divisors' half-frame
     temporaries stay out of the peak): ``plan``; ``rho``, the SNR resolved by
@@ -400,7 +386,11 @@ class _LinkBuffers:
     slice's size and mean symbol power. Every QPSK point has the same
     |q|^2, so that mean is bitwise the mean over any frame's slice.
 
-    Each buffer serves several steps, so a chunk makes no frame-sized array:
+    The six buffers live in ``buffers``, four arrays, one per dtype: complex
+    (2, rows, N) ``signal`` and ``gains``, float (rows, 2, N) ``noise``,
+    uint64 (rows, N) ``index`` and bool (2, rows, N) ``erased`` and
+    ``erasures``; ``sample_bytes`` per frame sample. Each buffer serves
+    several steps, so a chunk makes no frame-sized array:
 
     1. ``words``, the first half of ``noise``, has three roles. As uint64
        it takes the raw bit words, which :func:`_qpsk_index` turns into
@@ -435,9 +425,7 @@ class _LinkBuffers:
     buffers a copy.
     """
 
-    sample_bytes = sum(
-        np.dtype(dtype).itemsize * math.prod(axes) for dtype, group in _LINK_BUFFERS.items() for axes in group.values()
-    )
+    sample_bytes = 2 * 16 + 2 * 8 + 8 + 2 * 1
 
     def __init__(self, plan: SlicePlan, snr, rows: int):
         self.plan = plan
@@ -449,20 +437,17 @@ class _LinkBuffers:
         # One allocation per dtype: six made glibc trim the heap they were freed
         # to (160 page faults per 60-run call at N = 2048), one for all six
         # raised a run's peak memory by 0.3 MB.
-        buffers = []
-        for dtype, group in _LINK_BUFFERS.items():
-            lengths = [math.prod(axes) * rows * plan.frame_size for axes in group.values()]
-            parts = np.split(np.empty(sum(lengths), dtype), np.cumsum(lengths)[:-1])
-            buffers += [part.reshape((rows, *axes, plan.frame_size)) for part, axes in zip(parts, group.values())]
-        self._bind(tuple(buffers))
+        n = plan.frame_size
+        frames, masks = np.empty((2, rows, n), np.complex128), np.empty((2, rows, n), np.bool_)
+        self._bind(frames, np.empty((rows, 2, n)), np.empty((rows, n), np.uint64), masks)
 
-    def _bind(self, buffers: tuple[np.ndarray, ...]) -> None:
-        self.buffers = buffers
-        self.signal, self.gains, self.noise, self.index, self.erased, self.erasures = buffers
-        self.floats = tuple(self.noise.reshape((2,) + self.signal.shape))
+    def _bind(self, frames: np.ndarray, noise: np.ndarray, index: np.ndarray, masks: np.ndarray) -> None:
+        self.buffers = frames, noise, index, masks
+        (self.signal, self.gains), self.noise, self.index, (self.erased, self.erasures) = self.buffers
+        self.floats = tuple(noise.reshape((2,) + self.signal.shape))
         self.words = self.floats[0].view(np.uint64)
         # take reads intp indices; the view of the values 0..3 spares a cast copy.
-        self.indices = self.index.view(np.intp)
+        self.indices = index.view(np.intp)
         # Two (rows, N, 2) bool arrays, one flag per real and imaginary part.
         flags = self.words.reshape(-1).view(np.bool_)[: 4 * self.signal.size]
         self.signs = flags.reshape((2, *self.signal.shape, 2))
@@ -470,7 +455,8 @@ class _LinkBuffers:
     def cut(self, rows: int) -> _LinkBuffers:
         """The link of a chunk of ``rows`` frames, on the first rows of these buffers."""
         part = copy.copy(self)
-        part._bind(tuple(buffer[:rows] for buffer in self.buffers))
+        frames, noise, index, masks = self.buffers
+        part._bind(frames[:, :rows], noise[:rows], index[:rows], masks[:, :rows])
         return part
 
     def run(self, rngs, taps: np.ndarray, evm: np.ndarray, errors: np.ndarray) -> None:

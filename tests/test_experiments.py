@@ -1257,6 +1257,23 @@ GOLDEN_DIGESTS = [
         "loopback_runs.csv": "e6cbac96c0cbf25bae414ca22ba74b28b551d4224311ace45af14d145a48015b",
         "loopback_summary.txt": "7b3250185e223809299d0d69b160cfdf8dee811bcf28ed3bd94541c6f52a804d",
     }),
+    # N = 8192: a chunk of two frames, then the link buffers cut to one.
+    ("loopback", "--n-fft 8192 --cp 700 --runs 3", {
+        "loopback_runs.csv": "d39877edc38accce4ded02232d40ed4c50036628025107c4e91bafbc5fdf22cb",
+        "loopback_summary.txt": "0408c3d52506a2b6a9282f6a30c0dbd70bc007a5d85f6b12516f245c84beed72",
+    }),
+    # N = 16384 at depth 14: chunks of one frame, never cut, with every slice
+    # down to size 1.
+    ("loopback", "--n-fft 16384 --cp 1352 --depth 14 --runs 2", {
+        "loopback_runs.csv": "dd0ed03c0bb5a26f52e7f140deb702d7e6161b34523cc7aa6edd664d0f04be1e",
+        "loopback_summary.txt": "deea7e5c206a5385090f78f87495f72c89f96edf253685fed75f74543ee49def",
+    }),
+    # N = 2: a chunk of 64 frames (the cap), then a cut to one, whose sign
+    # flags take the smallest view of the raw words.
+    ("loopback", "--n-fft 2 --depth 1 --cp 1 --runs 65", {
+        "loopback_runs.csv": "f0702b06b50b2e35b77a0a283a52a0f739576c1956d2c224205c13676cb42e3f",
+        "loopback_summary.txt": "ef95d907320bfac547eab304fc696872b6a42a71ad76b638791294324fc6fa97",
+    }),
 ]
 
 

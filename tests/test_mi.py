@@ -12,6 +12,7 @@ from physlice.channel import (
     negative_child,
     positive_child,
     sample_cir,
+    split_coupling,
 )
 from physlice.mi import (
     MODE_EXACT,
@@ -243,6 +244,25 @@ class TestUniformity:
     def test_rejects_overlong_channel(self):
         with pytest.raises(ValueError):
             uniformity_ratio(np.ones(17), 64)
+
+    def test_finite_taps_whose_block_products_overflow_are_rejected_silently(self, capfd):
+        """Taps near 1e200 square past the float range: both diagnostics
+        raise before LAPACK's norm, which would print its DLASCL complaint
+        to stdout and return NaN. A single tap leaves the coupling at zero
+        but overflows the diagonal Gram term. At 1e100 the products are
+        finite and the ratio is the unscaled one."""
+        taps = np.array([1.0, 0.5, 0.25, 0.125])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (
+                lambda: uniformity_ratio(np.full(4, 1e200), 64),
+                lambda: split_coupling(np.full(4, 1e200), 64),
+                lambda: uniformity_ratio([1e200], 64),
+            ):
+                with pytest.raises(ValueError, match="overflows a float"):
+                    call()
+            assert uniformity_ratio(taps * 1e100, 64) == pytest.approx(uniformity_ratio(taps, 64), rel=1e-12)
+        assert capfd.readouterr() == ("", "")
 
 
 class TestDeepReport:

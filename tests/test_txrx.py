@@ -238,6 +238,29 @@ class TestPropagate:
         noise_power = np.mean(np.abs(noisy - frame.body) ** 2)
         assert noise_power == pytest.approx(1.0 / 100.0, rel=0.2)
 
+    def test_a_frame_takes_one_stream_and_a_seed_list_is_one_seed(self):
+        """A silent frame at rho = 1/2 (noise scale exactly 1) returns its
+        noise: one ``standard_normal((2, N))`` of its stream, real parts
+        first. ``[7, 3]`` is the seed of ``default_rng([7, 3])``, not two
+        streams."""
+        plan = build_plan(64, 2, 4)
+        silent = OfdmFrame(body=np.zeros(64, dtype=complex), plan=plan)
+        want = np.random.default_rng([7, 3]).standard_normal((2, 64))
+        for rng in ([7, 3], (7, 3), np.random.default_rng([7, 3])):
+            got = propagate(silent, [1.0], snr=0.5, rng=rng)
+            assert got.real.tobytes() == want[0].tobytes()
+            assert got.imag.tobytes() == want[1].tobytes()
+
+    def test_an_snr_whose_noise_scale_overflows_is_rejected_without_a_warning(self):
+        plan = build_plan(16, 1, 2)
+        frame = transmit(modulate(np.zeros(32, dtype=int), plan), plan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rho in (1e-310, 1e-320):
+                with pytest.raises(ValueError, match=re.escape(f"snr {rho} is too small: the noise scale")):
+                    propagate(frame, [1.0], snr=rho, rng=0)
+            assert np.all(np.isfinite(propagate(frame, [1.0], snr=5e-309, rng=0)))
+
     def test_rejects_short_cp(self):
         rng = np.random.default_rng(9)
         plan = build_plan(32, 1, 2)
@@ -678,6 +701,14 @@ class TestBatchOracles:
             propagate(frames, np.ones((2, 1)))
         with pytest.raises(ValueError, match="one generator per frame"):
             propagate(frames, [1.0], snr=10.0, rng=[np.random.default_rng(0)] * 2)
+        # One stream, a Generator or an int seed, does not fit a batch.
+        for stream in (np.random.default_rng(0), 0):
+            with pytest.raises(ValueError, match=re.escape("one generator per frame of batch shape (3,), got one")):
+                propagate(frames, [1.0], snr=10.0, rng=stream)
+        # Noise streams go one per row of a single batch axis.
+        stacked = OfdmFrame(body=frames.body[None], plan=plan)
+        with pytest.raises(ValueError, match=re.escape("one generator per frame of batch shape (1, 3), got 1")):
+            propagate(stacked, [1.0], snr=10.0, rng=[np.random.default_rng(0)])
         # An empty sequence holds no generator; it is not read as a seed.
         for empty in ([], ()):
             with pytest.raises(ValueError, match="one generator per frame"):
@@ -946,9 +977,8 @@ def test_public_link_calls_leave_their_inputs_unchanged():
 
     frame = transmit(payload, plan)
     body = frame.body.tobytes()
-    for noise_rng in (np.random.default_rng(1), [np.random.default_rng(seed) for seed in range(rows)]):
-        propagate(frame, taps, snr=10.0, rng=noise_rng)
-        assert frame.body.tobytes() == body
+    propagate(frame, taps, snr=10.0, rng=[np.random.default_rng(seed) for seed in range(rows)])
+    assert frame.body.tobytes() == body
     receive(y, plan, taps)
     assert _receive(y, plan, gains).erasures.any()
     assert [a.tobytes() for a in inputs] == before
