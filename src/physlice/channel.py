@@ -41,6 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .sliceplan import _integer
 from .spectral import is_pow2
 
 __all__ = [
@@ -286,11 +287,19 @@ def _check_generator(generator) -> np.ndarray:
     return gen
 
 
-def _finite_child(child: np.ndarray) -> np.ndarray:
-    """``child``, checked finite: a fold near the float maximum can overflow."""
-    if not np.all(np.isfinite(child)):
-        raise ValueError("child generator overflows a float: the generator's entries are too large to fold")
-    return child
+def _finite(message: str, value, *more):
+    """``value``, checked with the arrays ``more`` to hold only finite
+    entries; a ValueError with ``message`` otherwise. The package's one check
+    of a result that finite inputs made under ``np.errstate(over="ignore",
+    invalid="ignore")``: near the float maximum a fold, a product or an FFT
+    overflows, and this raises in place of numpy's warning and the
+    non-finite result."""
+    if not all(np.all(np.isfinite(array)) for array in (value, *more)):
+        raise ValueError(message)
+    return value
+
+
+_FOLD_OVERFLOW = "child generator overflows a float: the generator's entries are too large to fold"
 
 
 def positive_child(generator) -> np.ndarray:
@@ -303,7 +312,7 @@ def positive_child(generator) -> np.ndarray:
     g = _check_generator(generator)
     half = g.shape[-1] // 2
     with np.errstate(over="ignore", invalid="ignore"):
-        return _finite_child(g[..., :half] + g[..., half:])
+        return _finite(_FOLD_OVERFLOW, g[..., :half] + g[..., half:])
 
 
 def negative_child(generator) -> np.ndarray:
@@ -319,7 +328,7 @@ def negative_child(generator) -> np.ndarray:
     half = size // 2
     modulation = np.exp(-2j * np.pi * np.arange(half) / size)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _finite_child((g[..., :half] - g[..., half:]) * modulation)
+        return _finite(_FOLD_OVERFLOW, (g[..., :half] - g[..., half:]) * modulation)
 
 
 def _lagged_circulant(taps, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -367,6 +376,7 @@ def split_coupling(taps, frame_size: int) -> tuple[np.ndarray, np.ndarray, float
     the two branches' Gram matrices, so a small coupling means both branches
     carry nearly equal mutual information.
     """
+    frame_size = _integer("frame size", frame_size)
     if not is_pow2(frame_size) or frame_size < 8:
         raise ValueError(f"frame size must be a power of two >= 8, got {frame_size}")
     quarter = frame_size // 4
@@ -383,6 +393,4 @@ def _gram_norm(*pairs) -> float:
     norm, whose LAPACK call would print to stdout and return NaN."""
     with np.errstate(over="ignore", invalid="ignore"):
         gram = sum(a @ b.conj().T for a, b in pairs)
-    if not np.all(np.isfinite(gram)):
-        raise ValueError("a product of the split's Toeplitz blocks overflows a float")
-    return float(np.linalg.norm(gram, 2))
+    return float(np.linalg.norm(_finite("a product of the split's Toeplitz blocks overflows a float", gram), 2))

@@ -91,13 +91,15 @@ _CDF_BLOCK_ROWS = 1024
 # as many runs as fit at its plan's bytes per frame sample
 # (``txrx._LinkBuffers``, ``mi._scratch``). A larger chunk spreads a chunk's
 # fixed numpy calls and per-slice loops over more runs, and adds its buffers
-# to the peak memory. The link's budget is 16384 frame samples (8 frames at
-# N = 2048); the MI engine's is 28 runs at N = 2048: a larger chunk measured
-# at most 2 % faster and nears the bound of the fig8 memory test.
+# to the peak memory. The link's 928 KB hold 16671 frame samples at its 57 B
+# each, so a link chunk holds 16384 / N frames up to the cap (8 at N = 2048,
+# 64 at N = 256 and below, one from N = 16384 up); the MI engine's is 28 runs
+# at N = 2048: a larger chunk measured at most 2 % faster and nears the bound
+# of the fig8 memory test.
 _LINK_CHUNK_BYTES = 928 * 1024
 _MI_CHUNK_BYTES = 1344 * 1024
 # The largest n_fft, and snr_db of a scenario that computes MI: one run's link
-# buffers take 58 MB at 2**20 samples, and at 3000 dB (rho = 1e300) rho *
+# buffers take 57 MB at 2**20 samples, and at 3000 dB (rho = 1e300) rho *
 # |gain|^2 overflows only at a bin gain of 1.3e4 (a 20-run fig9 does at 3080).
 _MAX_N_FFT = 2**20
 _MAX_MI_SNR_DB = 3000

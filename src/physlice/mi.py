@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
-    _gram_norm, _spectrum_into, check_taps, circular_complement, lower_triangular_toeplitz, split_coupling
+    _finite, _gram_norm, _spectrum_into, check_taps, circular_complement, lower_triangular_toeplitz, split_coupling
 )
 from .sliceplan import check_plan
 
@@ -86,11 +86,9 @@ def _check_rho(rho) -> float:
     return rho
 
 
-def _check_finite_mi(*values) -> None:
-    """Raise unless every MI of ``values`` is finite: for finite taps and rho,
-    unless rho * |gain|^2 overflows (the scenarios' 3000 dB limit prevents it)."""
-    if not all(np.all(np.isfinite(value)) for value in values):
-        raise ValueError("rho * |gain|^2 overflows a float: the taps or rho are too large for a finite MI")
+# For finite taps and rho, an MI is not finite only where rho * |gain|^2
+# overflows; the scenarios' 3000 dB limit prevents it.
+_MI_OVERFLOW = "rho * |gain|^2 overflows a float: the taps or rho are too large for a finite MI"
 
 
 def _log_gains_into(bins: np.ndarray, rho: float, out: np.ndarray) -> np.ndarray:
@@ -117,8 +115,7 @@ def mi_fast(generator, rho: float) -> float:
     bins = np.fft.fft(g)
     with np.errstate(over="ignore", invalid="ignore"):
         mi = float(np.sum(_log_gains_into(bins, _check_rho(rho), np.empty(bins.shape))))
-    _check_finite_mi(mi)
-    return mi
+    return _finite(_MI_OVERFLOW, mi)
 
 
 def uniformity_ratio(taps, frame_size: int) -> float:
@@ -277,7 +274,7 @@ def chain_mi(taps, frame_size: int, depth: int, rho: float, mode: str = MODE_EXA
     bins, gains = _scratch(batch + (frame_size,))
     with np.errstate(over="ignore", invalid="ignore"):
         _chain_levels_into(taps, rho, mode, chain, bins, gains)
-    _check_finite_mi(chain.total, chain.positive, chain.negative)
+    _finite(_MI_OVERFLOW, chain.total, chain.positive, chain.negative)
     return chain
 
 

@@ -14,7 +14,7 @@ import functools
 
 import numpy as np
 
-from .sliceplan import check_plan
+from .sliceplan import _integer, check_plan
 from .spectral import is_pow2
 
 __all__ = [
@@ -34,6 +34,7 @@ def butterfly_mixer(size: int) -> np.ndarray:
     have unit modulus, so the split stays orthonormal. For size 2 the mixer
     is the scalar 1.
     """
+    size = _integer("split size", size)
     if not is_pow2(size) or size < 2:
         raise ValueError(f"split size must be a power of two >= 2, got {size}")
     return np.exp(2j * np.pi * np.arange(size // 2) / size)

@@ -48,8 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _normals_into, _spectrum_into, check_taps, circular_complement, lower_triangular_toeplitz
-from .sliceplan import SlicePlan
+from .channel import _finite, _normals_into, _spectrum_into, check_taps, circular_complement, lower_triangular_toeplitz
+from .sliceplan import SlicePlan, _integer
 
 __all__ = [
     "SlicePayload",
@@ -185,8 +185,9 @@ def transmit(payload: SlicePayload, plan: SlicePlan) -> OfdmFrame:
     if not np.all(np.isfinite(frames)):
         raise ValueError("payload contains non-finite symbols")
     body = np.take(frames, plan.inverse_bin_order, axis=-1)
-    _unitary_idft(body)
-    return OfdmFrame(body=body, plan=plan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _unitary_idft(body)
+    return OfdmFrame(body=_finite("the frame bodies overflow a float: the symbols are too large", body), plan=plan)
 
 
 def _unitary_idft(bins: np.ndarray) -> None:
@@ -237,8 +238,9 @@ def propagate(frame: OfdmFrame, taps, snr: float = math.inf, rng=None) -> np.nda
             raise ValueError(f"expected one generator per frame of batch shape {batch}, got {got}")
         noise = _normals_into(rng, np.empty((len(rng), 2, n))).reshape(batch + (2, n))
     received = np.empty(body.shape, dtype=np.complex128)
-    _propagate_into(body, np.fft.fft(taps, n, axis=-1), rho, noise, received)
-    return received
+    with np.errstate(over="ignore", invalid="ignore"):
+        _propagate_into(body, np.fft.fft(taps, n, axis=-1), rho, noise, received)
+    return _finite("the received frames overflow a float: the frames or taps are too large", received)
 
 
 def _propagate_into(
@@ -278,8 +280,12 @@ def receive(y, plan: SlicePlan, taps) -> SlicePayload:
         raise ValueError(f"expected {plan.frame_size} samples per frame, got shape {y.shape}")
     if not np.all(np.isfinite(y)):
         raise ValueError("received samples contain non-finite entries")
-    gains = np.fft.fft(check_taps(taps, plan.frame_size, y.shape[:-1]), plan.frame_size, axis=-1)
-    return _receive(y, plan, gains)
+    taps = check_taps(taps, plan.frame_size, y.shape[:-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        gains = np.fft.fft(taps, plan.frame_size, axis=-1)
+        payload = _receive(y, plan, gains)
+    _finite("the equalized frames overflow a float: the samples or taps are too large", payload.frames, gains)
+    return payload
 
 
 def _receive(y: np.ndarray, plan: SlicePlan, gains: np.ndarray) -> SlicePayload:
@@ -290,7 +296,7 @@ def _receive(y: np.ndarray, plan: SlicePlan, gains: np.ndarray) -> SlicePayload:
     magnitude, squares = np.empty((2,) + gains.shape)
     estimate = np.empty(y.shape, dtype=np.complex128)
     erasures = np.empty(y.shape, dtype=bool)
-    _receive_into(y, gains, plan.bin_order, magnitude, squares, np.empty(gains.shape, dtype=bool), estimate, erasures)
+    _receive_into(y, gains, plan.bin_order, magnitude, squares, estimate, erasures)
     return SlicePayload(frames=estimate, plan=plan, erasures=erasures)
 
 
@@ -300,39 +306,42 @@ def _receive_into(
     order: np.ndarray,
     magnitude: np.ndarray,
     squares: np.ndarray,
-    erased: np.ndarray,
     estimate: np.ndarray,
     erasures: np.ndarray,
 ) -> None:
     """:func:`receive` of complex frames ``y`` through channels of frequency
     response ``gains``, unchecked: the frame-order estimates into
     ``estimate`` and their erasure mask into ``erasures``. ``y`` is
-    overwritten with its equalized spectrum and ``gains`` with the divisor
-    (1 at the erased bins). ``magnitude``, ``squares`` and ``erased`` (of the
-    gains' shape) are scratch. ``_LinkBuffers`` gives the aliases it allows.
+    overwritten with its equalized spectrum and ``gains`` with the divisor.
+    ``magnitude`` and ``squares`` (of the gains' shape) are scratch.
+    ``_LinkBuffers`` gives the aliases it allows.
 
     A hypot-free proof clears most calls of the exact erasure rule. With lo
     and hi the smallest and largest max(|re|, |im|) over all bins of the
     gains, and T = ``EQUALIZER_ERASURE_THRESHOLD``, lo > 2·T·hi implies
     |g| > T·rms for every bin of every frame: |g| is at least its larger
     part, and a frame's computed rms is at most √2·hi up to round-off, which
-    the factor 2 covers. Only gains the proof cannot clear, such as a chunk
-    holding a frame with a spectral null or a zero channel, run the exact
-    rule: |g|, the rms from the pairwise sum of |g|^2, and the comparison;
-    its erasure pass runs only when some bin is erased. It first scales each
-    frame's |g| by the power of two that brings the frame's largest part into
-    [1/2, 1) (``np.frexp``; a zero frame stays zero), so every |g| stays
-    below √2, no square overflows, and every decision without overflow or
-    underflow keeps its bits.
+    the factor 2 covers. A cleared call whose lo is a normal float divides
+    by the gains as they are and allocates nothing.
 
-    numpy divides by a complex g through 1 / d, where |d| is between g's
-    larger part and twice that. Below the smallest normal float, d loses
-    bits, and 1 / d overflows below about 2**-1024 although the quotient is
-    finite. So a chunk whose lo is below the smallest normal divides by each
-    frame's gains scaled by the same power of two as the exact rule's |g|,
-    and scales the quotients back by it; in the normal range that gives the
-    bits of the plain division, and every other chunk takes the plain
-    division. ``gains`` then holds the scaled divisor.
+    Every other call takes one scaled branch, which makes temporaries of the
+    gains' shape: no loopback chunk of the scenarios reaches it, so the link
+    keeps no buffer for it. The branch scales each frame's gains by the
+    power of two that brings the frame's largest part into [1/2, 1)
+    (``np.frexp``; a zero frame stays zero), takes the exact rule on them
+    (|g|, the rms from ``np.mean`` of |g|^2, and the comparison), sets the
+    erased divisors to 1 and the erased bins of the spectrum to 0, scales
+    the spectrum by the same power of two and divides. numpy divides by a
+    complex g through 1 / d, where |d| is between g's larger part and twice
+    that (Smith's method: R. L. Smith, Commun. ACM 5(8), 1962). In the
+    normal range a power of two leaves |g| and every step of that division
+    exact: the rule does not depend on the channel's scale, no square
+    overflows, and the quotients are bitwise those of the plain division.
+    Below the smallest normal float d loses bits, and 1 / d overflows below
+    about 2**-1024 although the quotient is finite; scaled, such gains
+    divide as the same frame scaled into the normal range does. A scaled
+    spectrum overflows only where its quotient is within a factor √2 of
+    overflowing: the scaled gains are below √2 in magnitude.
 
     The orthonormal DFT multiplies each bin by 1/sqrt(N) inside the FFT.
     numpy divides a complex array by a real scalar c as
@@ -344,32 +353,22 @@ def _receive_into(
     np.abs(gains.real, out=magnitude)
     np.maximum(magnitude, np.abs(gains.imag, out=squares), out=magnitude)
     lo, hi = magnitude.min(), magnitude.max()
-    any_erased = not 2 * EQUALIZER_ERASURE_THRESHOLD * hi < lo
-    subnormal = lo < _SMALLEST_NORMAL
-    # Each frame's power of two that brings its largest part into [1/2, 1),
-    # taken before the exact rule reuses ``magnitude``.
-    shift = -np.frexp(magnitude.max(axis=-1, keepdims=True))[1] if any_erased or subnormal else None
-    if any_erased:
-        np.abs(gains, out=magnitude)
-        np.ldexp(magnitude, shift, out=magnitude)
-        # np.mean's own pairwise sum and divide, without its wrapper.
-        rms = np.sqrt(np.add.reduce(np.square(magnitude, out=squares), axis=-1, keepdims=True) / magnitude.shape[-1])
-        np.less_equal(magnitude, EQUALIZER_ERASURE_THRESHOLD * rms, out=erased)
-        any_erased = erased.any()
-    if subnormal:
-        np.ldexp(gains.view(np.float64), shift, out=gains.view(np.float64))
-    if any_erased:
-        np.copyto(gains, 1.0, where=erased)
     np.fft.fft(y, axis=-1, out=y, norm="ortho")
-    y /= gains
-    if subnormal:
-        np.ldexp(y.view(np.float64), shift, out=y.view(np.float64))
-    np.take(y, order, axis=-1, out=estimate, mode="clip")
-    if any_erased:
-        np.take(np.broadcast_to(erased, y.shape), order, axis=-1, out=erasures, mode="clip")
-        np.copyto(estimate, 0.0, where=erasures)
-    else:
+    if 2 * EQUALIZER_ERASURE_THRESHOLD * hi < lo and lo >= _SMALLEST_NORMAL:
+        y /= gains
+        np.take(y, order, axis=-1, out=estimate, mode="clip")
         erasures[...] = False
+        return
+    shift = -np.frexp(magnitude.max(axis=-1, keepdims=True))[1]
+    np.ldexp(gains.view(np.float64), shift, out=gains.view(np.float64))
+    scaled = np.abs(gains)
+    erased = scaled <= EQUALIZER_ERASURE_THRESHOLD * np.sqrt(np.mean(np.square(scaled), axis=-1, keepdims=True))
+    np.copyto(gains, 1.0, where=erased)
+    np.copyto(y, 0.0, where=erased)
+    np.ldexp(y.view(np.float64), shift, out=y.view(np.float64))
+    y /= gains
+    np.take(y, order, axis=-1, out=estimate, mode="clip")
+    np.take(np.broadcast_to(erased, y.shape), order, axis=-1, out=erasures, mode="clip")
 
 
 class _LinkBuffers:
@@ -386,11 +385,13 @@ class _LinkBuffers:
     slice's size and mean symbol power. Every QPSK point has the same
     |q|^2, so that mean is bitwise the mean over any frame's slice.
 
-    The six buffers live in ``buffers``, four arrays, one per dtype: complex
-    (2, rows, N) ``signal`` and ``gains``, float (rows, 2, N) ``noise``,
-    uint64 (rows, N) ``index`` and bool (2, rows, N) ``erased`` and
-    ``erasures``; ``sample_bytes`` per frame sample. Each buffer serves
-    several steps, so a chunk makes no frame-sized array:
+    The five buffers live in ``buffers``, four arrays, one per dtype:
+    complex (2, rows, N) ``signal`` and ``gains``, float (rows, 2, N)
+    ``noise``, uint64 (rows, N) ``index`` and bool (rows, N) ``erasures``;
+    ``sample_bytes`` (57) per frame sample. Each buffer serves several
+    steps, so a chunk whose gains the receiver's proof clears makes no
+    frame-sized array (the receiver's scaled branch, which no scenario
+    chunk reaches, makes its own temporaries):
 
     1. ``words``, the first half of ``noise``, has three roles. As uint64
        it takes the raw bit words, which :func:`_qpsk_index` turns into
@@ -425,7 +426,7 @@ class _LinkBuffers:
     buffers a copy.
     """
 
-    sample_bytes = 2 * 16 + 2 * 8 + 8 + 2 * 1
+    sample_bytes = 2 * 16 + 2 * 8 + 8 + 1
 
     def __init__(self, plan: SlicePlan, snr, rows: int):
         self.plan = plan
@@ -434,16 +435,16 @@ class _LinkBuffers:
         sizes = np.array([[float(desc.size)] for desc in plan.slices])
         powers = np.array([[np.mean(np.square(np.abs(np.full(desc.size, _QPSK[0]))))] for desc in plan.slices])
         self.divisors = (sizes, powers)
-        # One allocation per dtype: six made glibc trim the heap they were freed
-        # to (160 page faults per 60-run call at N = 2048), one for all six
-        # raised a run's peak memory by 0.3 MB.
+        # One allocation per dtype: one per buffer made glibc trim the heap they
+        # were freed to (160 page faults per 60-run call at N = 2048), one for
+        # all of them raised a run's peak memory by 0.3 MB.
         n = plan.frame_size
-        frames, masks = np.empty((2, rows, n), np.complex128), np.empty((2, rows, n), np.bool_)
-        self._bind(frames, np.empty((rows, 2, n)), np.empty((rows, n), np.uint64), masks)
+        frames = np.empty((2, rows, n), np.complex128)
+        self._bind(frames, np.empty((rows, 2, n)), np.empty((rows, n), np.uint64), np.empty((rows, n), np.bool_))
 
-    def _bind(self, frames: np.ndarray, noise: np.ndarray, index: np.ndarray, masks: np.ndarray) -> None:
-        self.buffers = frames, noise, index, masks
-        (self.signal, self.gains), self.noise, self.index, (self.erased, self.erasures) = self.buffers
+    def _bind(self, frames: np.ndarray, noise: np.ndarray, index: np.ndarray, erasures: np.ndarray) -> None:
+        self.buffers = frames, noise, index, erasures
+        (self.signal, self.gains), self.noise, self.index, self.erasures = self.buffers
         self.floats = tuple(noise.reshape((2,) + self.signal.shape))
         self.words = self.floats[0].view(np.uint64)
         # take reads intp indices; the view of the values 0..3 spares a cast copy.
@@ -455,8 +456,8 @@ class _LinkBuffers:
     def cut(self, rows: int) -> _LinkBuffers:
         """The link of a chunk of ``rows`` frames, on the first rows of these buffers."""
         part = copy.copy(self)
-        frames, noise, index, masks = self.buffers
-        part._bind(frames[:, :rows], noise[:rows], index[:rows], masks[:, :rows])
+        frames, noise, index, erasures = self.buffers
+        part._bind(frames[:, :rows], noise[:rows], index[:rows], erasures[:rows])
         return part
 
     def run(self, rngs, taps: np.ndarray, evm: np.ndarray, errors: np.ndarray) -> None:
@@ -487,7 +488,7 @@ class _LinkBuffers:
         rho, signal, estimate = self.rho, self.signal, self.gains
         noisy = rho != math.inf
         _propagate_into(signal, estimate, rho, self.noise, signal)
-        _receive_into(signal, estimate, self.plan.bin_order, *self.floats, self.erased, estimate, self.erasures)
+        _receive_into(signal, estimate, self.plan.bin_order, *self.floats, estimate, self.erasures)
         # Element-wise work on whole frames; each sum covers one slice, the same
         # sums that np.mean and np.count_nonzero take.
         sent = _QPSK.take(self.indices, out=signal, mode="clip")
@@ -521,7 +522,9 @@ def iterative_decode(z3, z4, taps, max_iters: int = 100, tol: float = 1e-10):
     radius of C is below one; a growing or overflowing update is flagged and
     never reported as converged.
 
-    Returns (s3, s4, iterations, converged).
+    ``max_iters`` is an integer of at least 1 and ``tol`` a finite positive
+    bound on the largest change of one iteration. Returns (s3, s4,
+    iterations, converged).
     """
     z3 = np.asarray(z3, dtype=np.complex128)
     z4 = np.asarray(z4, dtype=np.complex128)
@@ -529,8 +532,11 @@ def iterative_decode(z3, z4, taps, max_iters: int = 100, tol: float = 1e-10):
         raise ValueError("z3 and z4 must be one-dimensional vectors of equal length")
     q = z3.size
     taps = check_taps(taps, q, ())
+    max_iters = _integer("max_iters", max_iters)
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
 
     inv_h = triangular_toeplitz_inverse(lower_triangular_toeplitz(taps, q))
     # A finite inverse can still make the iteration overflow (h0 tiny next to

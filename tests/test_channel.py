@@ -636,6 +636,21 @@ class TestTapBoundaries:
         with pytest.raises(ValueError, match=message):
             call_with_taps(name, taps)
 
+    @pytest.mark.parametrize("size", [64.0, "64"])
+    @pytest.mark.parametrize("name", ["butterfly_mixer", "split_coupling", "uniformity_ratio"])
+    def test_a_size_that_is_not_an_integer_is_named(self, name, size):
+        from physlice.mi import uniformity_ratio
+        from physlice.transform import butterfly_mixer
+
+        calls = {
+            "butterfly_mixer": (lambda: butterfly_mixer(size), "split size"),
+            "split_coupling": (lambda: split_coupling([1.0], size), "frame size"),
+            "uniformity_ratio": (lambda: uniformity_ratio([1.0], size), "frame size"),
+        }
+        call, argument = calls[name]
+        with pytest.raises(TypeError, match=re.escape(f"{argument} must be an integer, got {size!r}")):
+            call()
+
     @pytest.mark.parametrize("name", ONE_CHANNEL)
     def test_rejects_two_dimensional_taps_for_one_channel(self, name):
         with pytest.raises(ValueError, match=re.escape("expected taps of shape (L,), got (2, 2)")):

@@ -1313,7 +1313,7 @@ def test_link_chunks_are_bitwise_the_scaled_receiver_and_per_slice_means(case):
     """An erased chunk, then a clean one on the same buffers: the receive
     kernel gives the oracle's estimates (up to the sign of zeros) and masks,
     and each slice's EVM is bitwise, its error count exactly, the oracle's.
-    The chunk runs on the loopback's six buffers, from the frame bodies in
+    The chunk runs on the loopback's five buffers, from the frame bodies in
     ``signal`` and the spectrum in ``gains``. A silent row's estimates are
     zeros, of both signs in all but about 1 in 10**4 draws at N = 16, which
     the hard decision's ``< 0`` test reads alike (``np.signbit`` would not);
@@ -1323,7 +1323,8 @@ def test_link_chunks_are_bitwise_the_scaled_receiver_and_per_slice_means(case):
     rho = 10.0 ** (snr_db / 10.0)
     rng = np.random.default_rng(seed)
     link = _LinkBuffers(plan, rho, rows)
-    rx_frames, rx_floats, rx_masks = (np.empty((2, rows, n), dtype) for dtype in (complex, float, bool))
+    rx_frames, rx_floats = (np.empty((2, rows, n), dtype) for dtype in (complex, float))
+    rx_erasures = np.empty((rows, n), bool)
     for r, erase in ((rows, True), (clean_rows, False)):
         index = rng.integers(0, 4, (r, n)).astype(np.uint64)
         sent = _QPSK[index]
@@ -1344,9 +1345,9 @@ def test_link_chunks_are_bitwise_the_scaled_receiver_and_per_slice_means(case):
         assert want_erasures.any() == erase
 
         spectrum, estimate = rx_frames[:, :r]
-        erased, erasures = rx_masks[:, :r]
+        erasures = rx_erasures[:r]
         spectrum[...] = received
-        _receive_into(spectrum, gains.copy(), plan.bin_order, *rx_floats[:, :r], erased, estimate, erasures)
+        _receive_into(spectrum, gains.copy(), plan.bin_order, *rx_floats[:, :r], estimate, erasures)
         np.testing.assert_array_equal(estimate, want_estimate)
         np.testing.assert_array_equal(erasures, want_erasures)
         if silent:

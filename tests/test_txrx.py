@@ -179,6 +179,13 @@ class TestTransmit:
         # The cyclic prefix is not part of the layout.
         transmit(payload, build_plan(16, 2, 4))
 
+    def test_symbols_whose_frame_body_overflows_are_rejected_without_a_warning(self):
+        plan = build_plan(16, 2, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="the frame bodies overflow a float"):
+                transmit(SlicePayload(frames=np.full(16, 1e308 + 0j), plan=plan), plan)
+
     def test_symbols_are_read_only_views_of_the_frames(self):
         plan = build_plan(16, 2, 0)
         payload = modulate(np.zeros((2, 32), dtype=int), plan)
@@ -260,6 +267,15 @@ class TestPropagate:
                 with pytest.raises(ValueError, match=re.escape(f"snr {rho} is too small: the noise scale")):
                     propagate(frame, [1.0], snr=rho, rng=0)
             assert np.all(np.isfinite(propagate(frame, [1.0], snr=5e-309, rng=0)))
+
+    def test_frames_whose_channel_output_overflows_are_rejected_without_a_warning(self):
+        plan = build_plan(16, 2, 4)
+        frame = OfdmFrame(body=np.full(16, 1e308 + 0j), plan=plan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for snr in (math.inf, 10.0):
+                with pytest.raises(ValueError, match="the received frames overflow a float"):
+                    propagate(frame, [1.0], snr=snr, rng=0)
 
     def test_rejects_short_cp(self):
         rng = np.random.default_rng(9)
@@ -358,6 +374,48 @@ class TestReceive:
                 assert not estimate.erasures.any()
                 np.testing.assert_allclose(estimate.frames * scale, flat, rtol=1e-15)
             assert receive(np.ones(16), plan, [0.0]).erasures.all()
+            # Frames whose gains hold a bin below the threshold take the
+            # receiver's scaled branch: frames and gains scaled together by
+            # 2**k give the unscaled call's erasures and, bit for bit, its
+            # estimates, down to gains near 1e-301 and up to near 1e301.
+            rng = np.random.default_rng(18)
+            y = rng.standard_normal((2, 16)) + 1j * rng.standard_normal((2, 16))
+            gains = rng.standard_normal((2, 16)) + 1j * rng.standard_normal((2, 16))
+            gains[0, 3], gains[1, [5, 9]] = 1e-13, 0.0
+            want = _receive(y, plan, gains)
+            assert want.erasures.sum() == 3
+            for k in (-1000, -500, 500, 1000):
+                got = _receive(y * 2.0**k, plan, gains * 2.0**k)
+                np.testing.assert_array_equal(got.erasures, want.erasures)
+                assert got.frames.tobytes() == want.frames.tobytes()
+
+    def test_samples_or_taps_whose_spectrum_overflows_are_rejected_without_a_warning(self):
+        # Samples near the float maximum overflow the DFT; taps near it
+        # overflow the channel response, which would otherwise erase every bin.
+        plan = build_plan(16, 2, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for y, taps in ((np.full(16, 1e308 + 0j), [1.0]), (np.ones(16), [1e308, 1e308])):
+                with pytest.raises(ValueError, match="the equalized frames overflow a float"):
+                    receive(y, plan, taps)
+
+    def test_gains_near_the_float_maximum_with_a_null_keep_the_plain_quotients(self):
+        # A bin erased at 1e-20 of gains near 1e300 sends the frame through
+        # the scaled branch. The spectrum is scaled with the gains, so a bin
+        # of gain 1e290 keeps its plain quotient 1e10, which the gains scaled
+        # alone would have made overflow.
+        plan = build_plan(16, 2, 4)
+        gains = np.full(16, 1e300 + 0j)
+        gains[3], gains[5] = 1e280, 1e290
+        y = np.fft.ifft(np.full(16, 1e300 + 0j), norm="ortho")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            estimate = _receive(y, plan, gains)
+        spectrum = np.fft.fft(y, norm="ortho")
+        assert estimate.erasures.sum() == 1 and estimate.erasures[plan.inverse_bin_order[3]]
+        kept = ~estimate.erasures
+        want = (spectrum / gains)[plan.bin_order]
+        assert estimate.frames[kept].tobytes() == want[kept].tobytes()
 
     def test_each_frame_is_erased_at_its_own_scale(self):
         # One batch holds channels near 1e100 and 1e-100, each with a bin at
@@ -562,6 +620,22 @@ class TestIterativeDecode:
             atol = 1e-9 * max(1.0, float(np.max(np.abs(np.concatenate([o3, o4])))))
             np.testing.assert_allclose(r3, o3, rtol=0, atol=atol)
             np.testing.assert_allclose(r4, o4, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize(
+        "arguments,error,message",
+        [
+            ({"tol": math.inf}, ValueError, "tol must be finite and positive, got inf"),
+            ({"tol": -1.0}, ValueError, "tol must be finite and positive, got -1.0"),
+            ({"tol": math.nan}, ValueError, "tol must be finite and positive, got nan"),
+            ({"max_iters": 2.5}, TypeError, "max_iters must be an integer, got 2.5"),
+        ],
+    )
+    def test_rejects_a_tol_that_is_not_finite_and_positive_and_a_max_iters_that_is_no_integer(
+        self, arguments, error, message
+    ):
+        block = np.ones(4, complex)
+        with pytest.raises(error, match=re.escape(message)):
+            iterative_decode(block, block, [1.0, 0.1], **arguments)
 
     def test_rejects_channel_longer_than_block(self):
         with pytest.raises(ValueError, match="3 taps do not fit in 2 bins"):
@@ -859,8 +933,8 @@ def test_qpsk_index_of_raw_words_is_modulate_of_integer_bits_and_leaves_the_stre
 
 def link_buffers(rows, n):
     """Buffers of the link kernels for chunks of up to ``rows`` frames: two
-    complex, two float and two bool (rows, n) arrays."""
-    return np.empty((2, rows, n), complex), np.empty((2, rows, n)), np.empty((2, rows, n), bool)
+    complex and two float (rows, n) arrays, and one bool (rows, n) array."""
+    return np.empty((2, rows, n), complex), np.empty((2, rows, n)), np.empty((rows, n), bool)
 
 
 def run_link_kernels(frames, gains, noise, rho, plan, buffers):
@@ -868,14 +942,15 @@ def run_link_kernels(frames, gains, noise, rho, plan, buffers):
     ``buffers``: copies of the body, the received frames, the estimates and
     the erasure mask. Neither input is changed."""
     r = len(frames)
-    (signal, estimate), floats, (erased, erasures) = (b[:, :r] for b in buffers)
+    frames_buffer, floats_buffer, mask = buffers
+    (signal, estimate), floats, erasures = frames_buffer[:, :r], floats_buffer[:, :r], mask[:r]
     gains = gains.copy()
     np.take(frames, plan.inverse_bin_order, axis=-1, out=signal, mode="clip")
     _unitary_idft(signal)
     body = signal.copy()
     _propagate_into(signal, gains, rho, noise.copy(), signal)
     received = signal.copy()
-    _receive_into(signal, gains, plan.bin_order, *floats, erased, estimate, erasures)
+    _receive_into(signal, gains, plan.bin_order, *floats, estimate, erasures)
     return body, received, estimate.copy(), erasures.copy()
 
 
@@ -945,14 +1020,14 @@ def test_link_kernels_in_place_on_the_loopback_aliases_are_bitwise_numpy_out_of_
         want = out_of_place_link(frames, gains, noise, rho, plan)
 
         signal, shared = np.empty((2, rows, n), complex)
-        _, floats, (erased, erasures) = link_buffers(rows, n)
+        _, floats, erasures = link_buffers(rows, n)
         _QPSK.take(np.take(index, plan.inverse_bin_order, axis=-1), out=signal)
         _unitary_idft(signal)
         body = signal.copy()
         shared[...] = gains
         _propagate_into(signal, shared, rho, noise.copy(), signal)
         received = signal.copy()
-        _receive_into(signal, shared, plan.bin_order, *floats, erased, shared, erasures)
+        _receive_into(signal, shared, plan.bin_order, *floats, shared, erasures)
         for got, expected in zip((body, received, shared, erasures), want, strict=True):
             assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
