@@ -601,8 +601,7 @@ def _run_loopback(config: ExperimentConfig, plan: SlicePlan, profile: ChannelPro
     link = _LinkBuffers(plan, config.snr, rows)
     num_slices = len(plan.slices)
     evm = np.empty((num_slices, config.num_runs))
-    # Noiseless runs make no symbol errors.
-    error_buffer = np.zeros((num_slices, rows), dtype=np.int64)
+    error_buffer = np.empty((num_slices, rows), dtype=np.int64)
     error_totals = np.zeros(num_slices, dtype=np.int64)
     row = _link_row(plan)
     with np.errstate(over="ignore", invalid="ignore"):

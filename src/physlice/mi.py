@@ -110,8 +110,8 @@ def mi_fast(generator, rho: float) -> float:
     eigenvalues.
     """
     g = np.asarray(generator, dtype=np.complex128)
-    if g.ndim != 1:
-        raise ValueError("generator must be one-dimensional")
+    if g.ndim != 1 or not g.size:
+        raise ValueError("generator must be a non-empty one-dimensional array")
     bins = np.fft.fft(g)
     with np.errstate(over="ignore", invalid="ignore"):
         mi = float(np.sum(_log_gains_into(bins, _check_rho(rho), np.empty(bins.shape))))

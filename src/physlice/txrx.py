@@ -377,13 +377,12 @@ class _LinkBuffers:
     they run: the one statement of what the link binds, what each buffer
     holds and which aliases the link kernels allow.
 
-    Bound once, before the buffers are made (so the divisors' half-frame
-    temporaries stay out of the peak): ``plan``; ``rho``, the SNR resolved by
-    :func:`_noise_rho` as in :func:`propagate`, ``inf`` for a noiseless link
-    (no noise draw, no symbol errors counted); ``stretches``, each slice's
-    frame-order stretch; and ``divisors``, (slices, 1) columns of each
-    slice's size and mean symbol power. Every QPSK point has the same
-    |q|^2, so that mean is bitwise the mean over any frame's slice.
+    Bound once: ``plan``; ``rho``, the SNR resolved by :func:`_noise_rho` as
+    in :func:`propagate`, ``inf`` for a noiseless link (no noise draw; the
+    errors are still counted); ``stretches``, each slice's frame-order
+    stretch; and ``sizes``, the (slices, 1) column of each slice's size.
+    Every QPSK point has |q|^2 = 1.0 exactly, so a slice's mean symbol power
+    is 1.0 and the EVM divides by the size alone.
 
     The five buffers live in ``buffers``, four arrays, one per dtype:
     complex (2, rows, N) ``signal`` and ``gains``, float (rows, 2, N)
@@ -432,9 +431,7 @@ class _LinkBuffers:
         self.plan = plan
         self.rho = _noise_rho(snr)
         self.stretches = [slice(desc.frame_offset, desc.frame_offset + desc.size) for desc in plan.slices]
-        sizes = np.array([[float(desc.size)] for desc in plan.slices])
-        powers = np.array([[np.mean(np.square(np.abs(np.full(desc.size, _QPSK[0]))))] for desc in plan.slices])
-        self.divisors = (sizes, powers)
+        self.sizes = np.array([[float(desc.size)] for desc in plan.slices])
         # One allocation per dtype: one per buffer made glibc trim the heap they
         # were freed to (160 page faults per 60-run call at N = 2048), one for
         # all of them raised a run's peak memory by 0.3 MB.
@@ -483,31 +480,26 @@ class _LinkBuffers:
         """The frame bodies in ``signal`` through the channel ``gains``, the
         ``noise`` and the receiver, and each slice's EVM and symbol errors
         against ``index`` into its row of the (slices, r) arrays ``evm`` and
-        ``errors`` (left alone when ``rho`` is ``inf``: noiseless runs make no
-        symbol errors)."""
-        rho, signal, estimate = self.rho, self.signal, self.gains
-        noisy = rho != math.inf
-        _propagate_into(signal, estimate, rho, self.noise, signal)
+        ``errors``, at every SNR."""
+        signal, estimate = self.signal, self.gains
+        _propagate_into(signal, estimate, self.rho, self.noise, signal)
         _receive_into(signal, estimate, self.plan.bin_order, *self.floats, estimate, self.erasures)
         # Element-wise work on whole frames; each sum covers one slice, the same
         # sums that np.mean and np.count_nonzero take.
         sent = _QPSK.take(self.indices, out=signal, mode="clip")
-        if noisy:
-            # A symbol is wrong when the < 0 test of _hard_index reads another
-            # flag on either part of its estimate than on the sent symbol's: when
-            # the pairs of flags, one uint16 each, differ. The erasure mask is
-            # spent (its bins are zeros in the estimate); it takes the errors.
-            for frames, negative in zip((sent, estimate), self.signs):
-                np.less(frames.view(np.float64).reshape(negative.shape), 0, out=negative)
-            wrong = np.not_equal(*self.signs.view(np.uint16)[..., 0], out=self.erasures)
+        # A symbol is wrong when the < 0 test of _hard_index reads another flag
+        # on either part of its estimate than on the sent symbol's: when the
+        # pairs of flags, one uint16 each, differ. The erasure mask is spent
+        # (its bins are zeros in the estimate); it takes the errors.
+        for frames, negative in zip((sent, estimate), self.signs):
+            np.less(frames.view(np.float64).reshape(negative.shape), 0, out=negative)
+        wrong = np.not_equal(*self.signs.view(np.uint16)[..., 0], out=self.erasures)
         error_power = self.floats[1]
         np.square(np.abs(np.subtract(estimate, sent, out=signal), out=error_power), out=error_power)
         for i, stretch in enumerate(self.stretches):
             np.add.reduce(error_power[:, stretch], axis=-1, out=evm[i])
-            if noisy:
-                np.add.reduce(wrong[:, stretch], axis=-1, dtype=np.intp, out=errors[i])
-        for divisor in self.divisors:
-            evm /= divisor
+            np.add.reduce(wrong[:, stretch], axis=-1, dtype=np.intp, out=errors[i])
+        evm /= self.sizes
         np.sqrt(evm, out=evm)
 
 

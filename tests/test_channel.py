@@ -173,6 +173,13 @@ class TestProfiles:
         with pytest.raises(ValueError, match="line 3: repeated profile key 'delays_ns'"):
             load_profile(path)
 
+    def test_load_profile_rejects_a_line_without_an_equals_sign(self, tmp_path):
+        path = tmp_path / "bare.profile"
+        path.write_text("delays_ns = 0, 10\npowers_db 0, -3\n")
+        message = f"{path}, line 2: malformed profile line (expected key = value): 'powers_db 0, -3'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_profile(path)
+
     def test_builtin_registry(self):
         assert set(BUILTIN_PROFILES) == {"etu", "epa"}
 
@@ -515,6 +522,11 @@ class TestSplitCoupling:
     def test_rejects_overlong_channel(self):
         with pytest.raises(ValueError):
             split_coupling(np.ones(17), 64)
+
+    @pytest.mark.parametrize("frame_size", [4, 12])
+    def test_rejects_a_frame_that_is_not_a_power_of_two_of_at_least_eight(self, frame_size):
+        with pytest.raises(ValueError, match=f"frame size must be a power of two >= 8, got {frame_size}"):
+            split_coupling([1.0], frame_size)
 
 
 def scipy_triangular_blocks(taps, size):

@@ -988,7 +988,11 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "flag,message",
-        [("--seed=-1", "seed must be a non-negative integer"), ("--runs=4294967297", "num_runs must be at most")],
+        [
+            ("--seed=-1", "seed must be a non-negative integer"),
+            ("--runs=4294967297", "num_runs must be at most"),
+            ("--runs=0", "num_runs must be at least 1"),
+        ],
     )
     def test_seed_and_run_count_beyond_the_run_streams_are_reported(self, tmp_path, capsys, flag, message):
         out = tmp_path / "out"
@@ -1361,8 +1365,8 @@ def test_link_chunks_are_bitwise_the_scaled_receiver_and_per_slice_means(case):
         chunk.measure(evm, errors)
         want_evm, want_errors = loopback_statistics(want_estimate, sent, index, plan)
         assert evm.tobytes() == want_evm.tobytes()
-        # Noiseless runs count no symbol errors; their rows are left alone.
-        np.testing.assert_array_equal(errors, want_errors if rho != math.inf else -1)
+        # Every SNR counts its errors: an erased bin is a miss unless its sent index is 0.
+        np.testing.assert_array_equal(errors, want_errors)
 
 
 # Floats whose text the row writers must keep: signed zeros and infinities,

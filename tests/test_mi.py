@@ -64,6 +64,11 @@ class TestRho:
             with pytest.raises(ValueError, match=r"rho \* \|gain\|\^2 overflows a float"):
                 mi(rho)
 
+    @pytest.mark.parametrize("generator", [np.ones((2, 2)), [], 1.0])
+    def test_mi_fast_rejects_a_generator_that_is_not_a_non_empty_vector(self, generator):
+        with pytest.raises(ValueError, match="generator must be a non-empty one-dimensional array"):
+            mi_fast(generator, 1.0)
+
     def test_mi_near_the_overflow_stays_finite(self):
         # rho * |gain|^2 = 1e300 * 1e8 overflows nowhere.
         assert np.isfinite(mi_fast(np.array([1e4, 0.0]), 1e300))
@@ -214,6 +219,10 @@ class TestSplitReport:
 class TestUniformity:
     def test_single_tap_is_exactly_zero(self):
         assert uniformity_ratio([1.0], 64) == 0.0
+
+    def test_zero_taps_are_exactly_zero(self):
+        # Both Gram terms vanish; the ratio is 0, not 0 / 0.
+        assert uniformity_ratio(np.zeros(3), 64) == 0.0
 
     def test_monotone_for_nonnegative_prefixes(self):
         rng = np.random.default_rng(14)

@@ -51,6 +51,10 @@ class TestBuildPlan:
         with pytest.raises(ValueError, match="cyclic prefix"):
             build_plan(2048, 3, 100, channel_length=155)
 
+    def test_rejects_a_negative_cp(self):
+        with pytest.raises(ValueError, match="cyclic prefix length must be non-negative"):
+            build_plan(16, 2, -1)
+
     def test_rejects_cp_longer_than_the_frame(self):
         assert build_plan(16, 2, 16).cp_length == 16
         with pytest.raises(ValueError, match=r"cyclic prefix \(17\) longer than the frame \(16\)"):

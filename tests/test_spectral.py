@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,12 @@ def test_logdet_block_diagonal_additivity(sizes):
         combined[offset : offset + b.shape[0], offset : offset + b.shape[0]] = b
         offset += b.shape[0]
     assert logdet2_psd(combined) == pytest.approx(sum(logdet2_psd(b) for b in blocks), rel=1e-10)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4,)])
+def test_logdet_rejects_a_matrix_that_is_not_square(shape):
+    with pytest.raises(ValueError, match=re.escape(f"expected a square matrix, got shape {shape}")):
+        logdet2_psd(np.ones(shape))
 
 
 def test_logdet_rejects_non_hermitian():

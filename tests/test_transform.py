@@ -143,6 +143,12 @@ def test_forward_rejects_length_mismatch():
         forward_transform(np.ones(8), 4)
 
 
+@pytest.mark.parametrize("transform", [forward_transform, inverse_transform])
+def test_transforms_reject_a_scalar(transform):
+    with pytest.raises(ValueError, match="signal must have at least one dimension"):
+        transform(1.0, 0)
+
+
 @pytest.mark.parametrize("n", [16, 64, 256])
 def test_orthonormality_all_depths(n):
     for depth in range(n.bit_length()):

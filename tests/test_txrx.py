@@ -628,6 +628,7 @@ class TestIterativeDecode:
             ({"tol": -1.0}, ValueError, "tol must be finite and positive, got -1.0"),
             ({"tol": math.nan}, ValueError, "tol must be finite and positive, got nan"),
             ({"max_iters": 2.5}, TypeError, "max_iters must be an integer, got 2.5"),
+            ({"max_iters": 0}, ValueError, "max_iters must be at least 1"),
         ],
     )
     def test_rejects_a_tol_that_is_not_finite_and_positive_and_a_max_iters_that_is_no_integer(
@@ -636,6 +637,11 @@ class TestIterativeDecode:
         block = np.ones(4, complex)
         with pytest.raises(error, match=re.escape(message)):
             iterative_decode(block, block, [1.0, 0.1], **arguments)
+
+    @pytest.mark.parametrize("z3,z4", [(np.ones(4), np.ones(3)), (np.ones((2, 2)), np.ones((2, 2)))])
+    def test_rejects_blocks_that_are_not_vectors_of_equal_length(self, z3, z4):
+        with pytest.raises(ValueError, match="z3 and z4 must be one-dimensional vectors of equal length"):
+            iterative_decode(z3, z4, [1.0])
 
     def test_rejects_channel_longer_than_block(self):
         with pytest.raises(ValueError, match="3 taps do not fit in 2 bins"):
@@ -911,11 +917,10 @@ def test_nearest_symbols_snaps_to_constellation():
 
 
 def test_every_qpsk_point_has_one_power_bitwise():
-    # The loopback divides each slice's EVM by one mean symbol power per
-    # scenario, taken over a constant row; that holds only while every point
-    # has the same |q|^2 (libm's hypot need not give exactly 1).
-    powers = np.square(np.abs(_QPSK))
-    assert np.unique(powers.view(np.uint64)).size == 1
+    # The loopback divides each slice's EVM by the slice's size alone: that is
+    # the mean symbol power's division only while every point has |q|^2 = 1.0
+    # exactly (libm's hypot need not give exactly 1).
+    np.testing.assert_array_equal(np.square(np.abs(_QPSK)), 1.0)
 
 
 @settings(max_examples=200, deadline=None)
