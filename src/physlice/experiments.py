@@ -22,7 +22,8 @@ once and cuts them to ``[:r]`` rows for a short last chunk: the tap draw,
 the link (``txrx._LinkBuffers``, bound to the plan and the SNR, whose
 docstring gives each buffer's roles) and the MI kernel
 ``mi._chain_levels_into`` write every result into them, so no chunk
-allocates a frame-sized array.
+allocates a frame-sized array but the intp copy of the link's error mask
+that its one error-count reduction casts.
 Each chunk writes its runs' CSV rows as it finishes, with one ``%`` call
 (``_rows``): one run's row template, repeated for the chunk's runs, filled
 from one flat list of cells. It also keeps what the summaries read: an MI

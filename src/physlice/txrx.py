@@ -22,7 +22,8 @@ receive:   one unitary N-point DFT, one-tap zero-forcing equalization against
 
 The channel and the receiver are private kernels (``_propagate_into``,
 ``_receive_into``) that run their FFTs in place in the frames array they
-produce and write every other result into arrays their caller passes in. The
+produce and write every other result into arrays their caller passes in; the
+receiver returns its erasure mask, which only :func:`receive` reads. The
 public functions allocate those arrays, change no input and call the
 kernels; the loopback scenario runs every chunk of frames through one set of
 chunk buffers, ``_LinkBuffers``, whose docstring says what each buffer holds
@@ -291,12 +292,17 @@ def receive(y, plan: SlicePlan, taps) -> SlicePayload:
 def _receive(y: np.ndarray, plan: SlicePlan, gains: np.ndarray) -> SlicePayload:
     """:func:`receive` of complex frames ``y`` through channels of frequency
     response ``gains`` (the N-point FFT of the taps), unchecked; neither
-    input is changed: the kernel runs on copies of both."""
+    input is changed: the kernel runs on copies of both. The kernel returns
+    its erasure mask in bin order, or None when its proof clears every bin;
+    this function alone turns that into the frame-order ``erasures``."""
     y, gains = np.array(y), np.array(gains, dtype=np.complex128)
     magnitude, squares = np.empty((2,) + gains.shape)
     estimate = np.empty(y.shape, dtype=np.complex128)
-    erasures = np.empty(y.shape, dtype=bool)
-    _receive_into(y, gains, plan.bin_order, magnitude, squares, estimate, erasures)
+    erased = _receive_into(y, gains, plan.bin_order, magnitude, squares, estimate)
+    if erased is None:
+        erasures = np.zeros(y.shape, dtype=bool)
+    else:
+        erasures = np.take(np.broadcast_to(erased, y.shape), plan.bin_order, axis=-1)
     return SlicePayload(frames=estimate, plan=plan, erasures=erasures)
 
 
@@ -307,14 +313,16 @@ def _receive_into(
     magnitude: np.ndarray,
     squares: np.ndarray,
     estimate: np.ndarray,
-    erasures: np.ndarray,
-) -> None:
+) -> np.ndarray | None:
     """:func:`receive` of complex frames ``y`` through channels of frequency
     response ``gains``, unchecked: the frame-order estimates into
-    ``estimate`` and their erasure mask into ``erasures``. ``y`` is
-    overwritten with its equalized spectrum and ``gains`` with the divisor.
-    ``magnitude`` and ``squares`` (of the gains' shape) are scratch.
-    ``_LinkBuffers`` gives the aliases it allows.
+    ``estimate``, whose erased bins are zeros. ``y`` is overwritten with
+    its equalized spectrum and ``gains`` with the divisor. ``magnitude``
+    and ``squares`` (of the gains' shape) are scratch. ``_LinkBuffers``
+    gives the aliases it allows. Returns None from a call that divides by
+    the gains as they are (below), and otherwise the scaled branch's
+    erasure mask, of the gains' shape and in bin order: :func:`_receive`
+    alone gathers it into frame order, and the loopback link never reads it.
 
     A hypot-free proof clears most calls of the exact erasure rule. With lo
     and hi the smallest and largest max(|re|, |im|) over all bins of the
@@ -354,21 +362,18 @@ def _receive_into(
     np.maximum(magnitude, np.abs(gains.imag, out=squares), out=magnitude)
     lo, hi = magnitude.min(), magnitude.max()
     np.fft.fft(y, axis=-1, out=y, norm="ortho")
-    if 2 * EQUALIZER_ERASURE_THRESHOLD * hi < lo and lo >= _SMALLEST_NORMAL:
-        y /= gains
-        np.take(y, order, axis=-1, out=estimate, mode="clip")
-        erasures[...] = False
-        return
-    shift = -np.frexp(magnitude.max(axis=-1, keepdims=True))[1]
-    np.ldexp(gains.view(np.float64), shift, out=gains.view(np.float64))
-    scaled = np.abs(gains)
-    erased = scaled <= EQUALIZER_ERASURE_THRESHOLD * np.sqrt(np.mean(np.square(scaled), axis=-1, keepdims=True))
-    np.copyto(gains, 1.0, where=erased)
-    np.copyto(y, 0.0, where=erased)
-    np.ldexp(y.view(np.float64), shift, out=y.view(np.float64))
+    erased = None
+    if not (2 * EQUALIZER_ERASURE_THRESHOLD * hi < lo and lo >= _SMALLEST_NORMAL):
+        shift = -np.frexp(magnitude.max(axis=-1, keepdims=True))[1]
+        np.ldexp(gains.view(np.float64), shift, out=gains.view(np.float64))
+        scaled = np.abs(gains)
+        erased = scaled <= EQUALIZER_ERASURE_THRESHOLD * np.sqrt(np.mean(np.square(scaled), axis=-1, keepdims=True))
+        np.copyto(gains, 1.0, where=erased)
+        np.copyto(y, 0.0, where=erased)
+        np.ldexp(y.view(np.float64), shift, out=y.view(np.float64))
     y /= gains
     np.take(y, order, axis=-1, out=estimate, mode="clip")
-    np.take(np.broadcast_to(erased, y.shape), order, axis=-1, out=erasures, mode="clip")
+    return erased
 
 
 class _LinkBuffers:
@@ -379,18 +384,21 @@ class _LinkBuffers:
 
     Bound once: ``plan``; ``rho``, the SNR resolved by :func:`_noise_rho` as
     in :func:`propagate`, ``inf`` for a noiseless link (no noise draw; the
-    errors are still counted); ``stretches``, each slice's frame-order
-    stretch; and ``sizes``, the (slices, 1) column of each slice's size.
+    errors are still counted); ``stretches`` and ``offsets``, each slice's
+    frame-order stretch and the array of where each starts; and ``sizes``,
+    the (slices, 1) column of each slice's size.
     Every QPSK point has |q|^2 = 1.0 exactly, so a slice's mean symbol power
     is 1.0 and the EVM divides by the size alone.
 
     The five buffers live in ``buffers``, four arrays, one per dtype:
     complex (2, rows, N) ``signal`` and ``gains``, float (rows, 2, N)
-    ``noise``, uint64 (rows, N) ``index`` and bool (rows, N) ``erasures``;
-    ``sample_bytes`` (57) per frame sample. Each buffer serves several
-    steps, so a chunk whose gains the receiver's proof clears makes no
-    frame-sized array (the receiver's scaled branch, which no scenario
-    chunk reaches, makes its own temporaries):
+    ``noise``, uint64 (rows, N) ``index`` and bool (rows, N) ``wrong``;
+    ``sample_bytes`` (57) per frame sample. ``wrong`` has one role, the
+    symbol-error mask of :meth:`measure`; every other buffer serves several
+    steps, so a chunk whose gains the receiver's proof clears makes one
+    frame-sized array only: ``np.add.reduceat`` casts ``wrong`` to an intp
+    copy (8 bytes per sample) for the error counts. The receiver's scaled
+    branch, which no scenario chunk reaches, makes its own temporaries:
 
     1. ``words``, the first half of ``noise``, has three roles. As uint64
        it takes the raw bit words, which :func:`_qpsk_index` turns into
@@ -402,10 +410,11 @@ class _LinkBuffers:
     2. ``gains`` takes the channel spectrum and ``noise`` the noise draws.
     3. The channel and the receiver run every FFT in place in ``signal``,
        use the halves ``floats`` of ``noise`` as float scratch and gather
-       the estimates into ``gains``.
+       the estimates into ``gains``. The link keeps no erasure mask: an
+       erased bin's estimate is zero, and the hard decision reads it so.
     4. :meth:`measure` rebuilds the sent symbols into ``signal``, writes
        the sign flags of their parts and of the estimates' parts into
-       ``signs``, whose mismatches go into ``erasures`` as the symbol errors,
+       ``signs``, whose mismatches go into ``wrong`` as the symbol errors,
        and squares the errors into ``floats[1]``.
 
     Every view of ``words`` is C-contiguous, and so is each array of
@@ -431,6 +440,7 @@ class _LinkBuffers:
         self.plan = plan
         self.rho = _noise_rho(snr)
         self.stretches = [slice(desc.frame_offset, desc.frame_offset + desc.size) for desc in plan.slices]
+        self.offsets = np.array([desc.frame_offset for desc in plan.slices], np.intp)
         self.sizes = np.array([[float(desc.size)] for desc in plan.slices])
         # One allocation per dtype: one per buffer made glibc trim the heap they
         # were freed to (160 page faults per 60-run call at N = 2048), one for
@@ -439,9 +449,9 @@ class _LinkBuffers:
         frames = np.empty((2, rows, n), np.complex128)
         self._bind(frames, np.empty((rows, 2, n)), np.empty((rows, n), np.uint64), np.empty((rows, n), np.bool_))
 
-    def _bind(self, frames: np.ndarray, noise: np.ndarray, index: np.ndarray, erasures: np.ndarray) -> None:
-        self.buffers = frames, noise, index, erasures
-        (self.signal, self.gains), self.noise, self.index, self.erasures = self.buffers
+    def _bind(self, frames: np.ndarray, noise: np.ndarray, index: np.ndarray, wrong: np.ndarray) -> None:
+        self.buffers = frames, noise, index, wrong
+        (self.signal, self.gains), self.noise, self.index, self.wrong = self.buffers
         self.floats = tuple(noise.reshape((2,) + self.signal.shape))
         self.words = self.floats[0].view(np.uint64)
         # take reads intp indices; the view of the values 0..3 spares a cast copy.
@@ -453,8 +463,8 @@ class _LinkBuffers:
     def cut(self, rows: int) -> _LinkBuffers:
         """The link of a chunk of ``rows`` frames, on the first rows of these buffers."""
         part = copy.copy(self)
-        frames, noise, index, erasures = self.buffers
-        part._bind(frames[:, :rows], noise[:rows], index[:rows], erasures[:rows])
+        frames, noise, index, wrong = self.buffers
+        part._bind(frames[:, :rows], noise[:rows], index[:rows], wrong[:rows])
         return part
 
     def run(self, rngs, taps: np.ndarray, evm: np.ndarray, errors: np.ndarray) -> None:
@@ -483,22 +493,25 @@ class _LinkBuffers:
         ``errors``, at every SNR."""
         signal, estimate = self.signal, self.gains
         _propagate_into(signal, estimate, self.rho, self.noise, signal)
-        _receive_into(signal, estimate, self.plan.bin_order, *self.floats, estimate, self.erasures)
-        # Element-wise work on whole frames; each sum covers one slice, the same
-        # sums that np.mean and np.count_nonzero take.
+        _receive_into(signal, estimate, self.plan.bin_order, *self.floats, estimate)
         sent = _QPSK.take(self.indices, out=signal, mode="clip")
         # A symbol is wrong when the < 0 test of _hard_index reads another flag
         # on either part of its estimate than on the sent symbol's: when the
-        # pairs of flags, one uint16 each, differ. The erasure mask is spent
-        # (its bins are zeros in the estimate); it takes the errors.
+        # pairs of flags, one uint16 each, differ.
         for frames, negative in zip((sent, estimate), self.signs):
             np.less(frames.view(np.float64).reshape(negative.shape), 0, out=negative)
-        wrong = np.not_equal(*self.signs.view(np.uint16)[..., 0], out=self.erasures)
+        wrong = np.not_equal(*self.signs.view(np.uint16)[..., 0], out=self.wrong)
+        # Every slice's error count comes from one reduction over the chunk: the
+        # slices tile the frame in order, so each count sums the stretch from its
+        # offset to the next, exactly as an integer sum per slice does. It casts
+        # all of wrong to intp first, the chunk's one frame-sized temporary.
+        np.add.reduceat(wrong, self.offsets, axis=-1, dtype=np.intp, out=errors.T)
+        # Each EVM keeps its own pairwise sum, the one np.mean takes: a float
+        # reduceat sums in another order and changes the bits.
         error_power = self.floats[1]
         np.square(np.abs(np.subtract(estimate, sent, out=signal), out=error_power), out=error_power)
         for i, stretch in enumerate(self.stretches):
             np.add.reduce(error_power[:, stretch], axis=-1, out=evm[i])
-            np.add.reduce(wrong[:, stretch], axis=-1, dtype=np.intp, out=errors[i])
         evm /= self.sizes
         np.sqrt(evm, out=evm)
 

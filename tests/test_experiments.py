@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from physlice import experiments
+from physlice import experiments, txrx
 from physlice.cli import main as cli_main
 from physlice.experiments import (
     PRESETS,
@@ -1294,13 +1294,14 @@ def test_single_realization_outputs_match_their_pinned_digests(tmp_path, capsys,
 
 @st.composite
 def link_chunk_cases(draw):
-    """A plan of N = 16 .. 2048 at any depth, an SNR of at most 0 dB or
-    none, a chunk size and a shorter or equal one, the zero-gain row and
-    bins of an erased chunk (at least one of them), a silent row (no body
-    and no noise) or none, and a seed."""
-    log_n = draw(st.integers(4, 11))
+    """A plan of N = 2 .. 2048 at any depth, with a cyclic prefix of
+    min(8, N), an SNR of at most 0 dB or none, a chunk size and a shorter
+    or equal one, the zero-gain row and bins of an erased chunk (at least
+    one of them), a silent row (no body and no noise) or none, and a seed.
+    Small N gives slices of one and two bins at every depth."""
+    log_n = draw(st.integers(1, 11))
     n = 1 << log_n
-    plan = build_plan(n, draw(st.integers(0, log_n)), 8)
+    plan = build_plan(n, draw(st.integers(0, log_n)), min(8, n))
     snr_db = draw(st.one_of(st.floats(-20.0, 0.0), st.just(math.inf)))
     rows = draw(st.integers(1, 4))
     zero_row = draw(st.one_of(st.none(), st.integers(0, rows - 1)))
@@ -1315,8 +1316,10 @@ def link_chunk_cases(draw):
 @given(link_chunk_cases())
 def test_link_chunks_are_bitwise_the_scaled_receiver_and_per_slice_means(case):
     """An erased chunk, then a clean one on the same buffers: the receive
-    kernel gives the oracle's estimates (up to the sign of zeros) and masks,
-    and each slice's EVM is bitwise, its error count exactly, the oracle's.
+    kernel gives the oracle's estimates (up to the sign of zeros), and its
+    bin-order mask, None exactly when the oracle erases no bin, gathers into
+    the oracle's; each slice's EVM is bitwise, its error count exactly, the
+    oracle's.
     The chunk runs on the loopback's five buffers, from the frame bodies in
     ``signal`` and the spectrum in ``gains``. A silent row's estimates are
     zeros, of both signs in all but about 1 in 10**4 draws at N = 16, which
@@ -1328,10 +1331,10 @@ def test_link_chunks_are_bitwise_the_scaled_receiver_and_per_slice_means(case):
     rng = np.random.default_rng(seed)
     link = _LinkBuffers(plan, rho, rows)
     rx_frames, rx_floats = (np.empty((2, rows, n), dtype) for dtype in (complex, float))
-    rx_erasures = np.empty((rows, n), bool)
     for r, erase in ((rows, True), (clean_rows, False)):
         index = rng.integers(0, 4, (r, n)).astype(np.uint64)
         sent = _QPSK[index]
+        # Below N = 8 the N-point FFT keeps the first N of the 8 taps, as many as the prefix covers.
         gains = np.fft.fft(rng.standard_normal((r, 8)) + 1j * rng.standard_normal((r, 8)), n, axis=-1)
         if erase:
             if zero_row is not None:
@@ -1349,11 +1352,13 @@ def test_link_chunks_are_bitwise_the_scaled_receiver_and_per_slice_means(case):
         assert want_erasures.any() == erase
 
         spectrum, estimate = rx_frames[:, :r]
-        erasures = rx_erasures[:r]
         spectrum[...] = received
-        _receive_into(spectrum, gains.copy(), plan.bin_order, *rx_floats[:, :r], estimate, erasures)
+        erased = _receive_into(spectrum, gains.copy(), plan.bin_order, *rx_floats[:, :r], estimate)
         np.testing.assert_array_equal(estimate, want_estimate)
-        np.testing.assert_array_equal(erasures, want_erasures)
+        assert (erased is None) == (not erase)
+        if erase:
+            erasures = np.take(erased, plan.bin_order, axis=-1)
+            assert erasures.tobytes() == want_erasures.tobytes()
         if silent:
             assert not estimate[silent_row].any()
 
@@ -1367,6 +1372,28 @@ def test_link_chunks_are_bitwise_the_scaled_receiver_and_per_slice_means(case):
         assert evm.tobytes() == want_evm.tobytes()
         # Every SNR counts its errors: an erased bin is a miss unless its sent index is 0.
         np.testing.assert_array_equal(errors, want_errors)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, dict(snr_db=-10.0, depth=11, num_runs=9), dict(n_fft=16, depth=4, cp_length=2, num_runs=1100)],
+    ids=["preset", "snr-10-depth-11", "n16"],
+)
+def test_no_loopback_chunk_reaches_the_scaled_receive_branch(tmp_path, monkeypatch, overrides):
+    """The receiver's scaled branch is cold: the hypot-free proof clears the
+    gains of every chunk of the loopback preset and of the -10 dB, depth 11
+    and the N = 16 replay configs, so the kernel returns no mask."""
+    returned = []
+
+    def spy(*args):
+        returned.append(_receive_into(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(txrx, "_receive_into", spy)
+    config = make_config("loopback", output_dir=str(tmp_path), **overrides)
+    run_scenario(config)
+    assert len(returned) == -(-config.num_runs // link_chunk(config.n_fft))
+    assert all(erased is None for erased in returned)
 
 
 # Floats whose text the row writers must keep: signed zeros and infinities,

@@ -938,25 +938,26 @@ def test_qpsk_index_of_raw_words_is_modulate_of_integer_bits_and_leaves_the_stre
 
 def link_buffers(rows, n):
     """Buffers of the link kernels for chunks of up to ``rows`` frames: two
-    complex and two float (rows, n) arrays, and one bool (rows, n) array."""
-    return np.empty((2, rows, n), complex), np.empty((2, rows, n)), np.empty((rows, n), bool)
+    complex and two float (rows, n) arrays."""
+    return np.empty((2, rows, n), complex), np.empty((2, rows, n))
 
 
 def run_link_kernels(frames, gains, noise, rho, plan, buffers):
     """The loopback's kernel chain on (r, N) frames in rows [:r] of
-    ``buffers``: copies of the body, the received frames, the estimates and
-    the erasure mask. Neither input is changed."""
+    ``buffers``: copies of the body, the received frames and the estimates,
+    and the receiver's bin-order erasure mask or None. Neither input is
+    changed."""
     r = len(frames)
-    frames_buffer, floats_buffer, mask = buffers
-    (signal, estimate), floats, erasures = frames_buffer[:, :r], floats_buffer[:, :r], mask[:r]
+    frames_buffer, floats_buffer = buffers
+    (signal, estimate), floats = frames_buffer[:, :r], floats_buffer[:, :r]
     gains = gains.copy()
     np.take(frames, plan.inverse_bin_order, axis=-1, out=signal, mode="clip")
     _unitary_idft(signal)
     body = signal.copy()
     _propagate_into(signal, gains, rho, noise.copy(), signal)
     received = signal.copy()
-    _receive_into(signal, gains, plan.bin_order, *floats, estimate, erasures)
-    return body, received, estimate.copy(), erasures.copy()
+    erased = _receive_into(signal, gains, plan.bin_order, *floats, estimate)
+    return body, received, estimate.copy(), erased
 
 
 def out_of_place_link(frames, gains, noise, rho, plan):
@@ -994,14 +995,17 @@ def test_link_kernels_carry_no_state_between_chunks_on_reused_buffers(rho):
             gains[1] = 0.0
             gains[2, 5] = 0.0
         noise = rng.standard_normal((r, 2, n))
-        reused = run_link_kernels(frames, gains, noise, rho, plan, buffers)
-        fresh = run_link_kernels(frames, gains, noise, rho, plan, link_buffers(r, n))
+        *reused, reused_erased = run_link_kernels(frames, gains, noise, rho, plan, buffers)
+        *fresh, erased = run_link_kernels(frames, gains, noise, rho, plan, link_buffers(r, n))
         for got, want in zip(reused, fresh, strict=True):
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
-        erasures = fresh[-1]
-        assert erasures.sum() == (n + 1 if erase else 0)
-        assert erasures[1].all() == erase
+        assert (reused_erased is None) == (erased is None) == (not erase)
+        if erase:
+            assert reused_erased.tobytes() == erased.tobytes()
+            erasures = np.take(erased, plan.bin_order, axis=-1)
+            assert erasures.sum() == n + 1
+            assert erasures[1].all()
 
 
 @pytest.mark.parametrize("rho", [100.0, math.inf])
@@ -1025,18 +1029,24 @@ def test_link_kernels_in_place_on_the_loopback_aliases_are_bitwise_numpy_out_of_
         want = out_of_place_link(frames, gains, noise, rho, plan)
 
         signal, shared = np.empty((2, rows, n), complex)
-        _, floats, erasures = link_buffers(rows, n)
+        _, floats = link_buffers(rows, n)
         _QPSK.take(np.take(index, plan.inverse_bin_order, axis=-1), out=signal)
         _unitary_idft(signal)
         body = signal.copy()
         shared[...] = gains
         _propagate_into(signal, shared, rho, noise.copy(), signal)
         received = signal.copy()
-        _receive_into(signal, shared, plan.bin_order, *floats, shared, erasures)
-        for got, expected in zip((body, received, shared, erasures), want, strict=True):
+        erased = _receive_into(signal, shared, plan.bin_order, *floats, shared)
+        *want, want_erasures = want
+        for got, expected in zip((body, received, shared), want, strict=True):
             assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
-        assert erasures.any() == erase
+        # The kernel returns no mask exactly when numpy's erases no bin.
+        assert (erased is None) == (not want_erasures.any()) == (not erase)
+        if erase:
+            erasures = np.take(erased, plan.bin_order, axis=-1)
+            assert erasures.shape == want_erasures.shape
+            assert erasures.tobytes() == want_erasures.tobytes()
 
 
 def test_public_link_calls_leave_their_inputs_unchanged():
